@@ -13,20 +13,6 @@ use samhita_mem::ServiceModel;
 use samhita_scl::{profiles, LinkModel, Topology};
 use serde::{Deserialize, Serialize};
 
-/// How simulated threads are interleaved.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RuntimeKind {
-    /// Free-running OS threads with per-thread virtual clocks: maximal host
-    /// parallelism, but at P>1 virtual times are only *stable*, not
-    /// bit-reproducible (server queueing depends on host scheduling).
-    Os,
-    /// The deterministic virtual-time scheduler (`samhita-sched`): all
-    /// simulated threads are cooperatively interleaved by ascending
-    /// `(virtual_time, seeded tie-break)`, making every clock, trace, and
-    /// report bit-identical run-to-run at any thread count.
-    Det,
-}
-
 /// Which line the eviction policy prefers to push out.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EvictionPolicy {
@@ -362,13 +348,11 @@ pub struct SamhitaConfig {
     /// means ordinary failovers never reclaim — holders retry their
     /// release against the standby first.
     pub mgr_lease_ns: u64,
-    /// Thread interleaving model. The default is [`RuntimeKind::Det`]: P>1
-    /// runs are bit-reproducible and everything (chaos suite, invariant
-    /// checker, bench gates) gates at multi-core.
-    pub runtime: RuntimeKind,
-    /// Seed for the deterministic scheduler's tie-break (ignored under
-    /// [`RuntimeKind::Os`]). Different seeds explore different legal
-    /// interleavings of virtual-time ties.
+    /// Seed for the deterministic scheduler's tie-break (`samhita-sched`
+    /// interleaves all simulated tasks by ascending `(virtual_time, seeded
+    /// tie-break)`, so every clock, trace and report is bit-identical
+    /// run-to-run at any thread count). Different seeds explore different
+    /// legal interleavings of virtual-time ties.
     pub sched_seed: u64,
 }
 
@@ -401,7 +385,6 @@ impl Default for SamhitaConfig {
             replica_offset: 0,
             manager_standby: false,
             mgr_lease_ns: 10_000_000,
-            runtime: RuntimeKind::Det,
             sched_seed: 0,
         }
     }

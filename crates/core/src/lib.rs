@@ -63,7 +63,7 @@ pub mod thread;
 
 pub use config::{
     ConfigError, ConsistencyVariant, CostParams, EvictionPolicy, FabricProfile, FaultConfig,
-    PartitionSpec, RetryConfig, RuntimeKind, SamhitaConfig, TopologyKind,
+    PartitionSpec, RetryConfig, SamhitaConfig, TopologyKind,
 };
 pub use layout::{AddressLayout, Placement, Region};
 pub use localsync::LocalSyncStats;

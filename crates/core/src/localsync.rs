@@ -18,6 +18,8 @@
 //! grant never precedes the previous holder's release, and a barrier
 //! releases at the maximum arrival clock.
 
+use std::sync::Arc;
+
 use parking_lot::{Condvar, Mutex};
 use samhita_regc::{FineUpdate, IntervalLog, WriteNotice};
 use samhita_sched::{Scheduler, TaskRef};
@@ -123,7 +125,7 @@ impl LocalSync {
         pages: Vec<u64>,
         updates: Vec<FineUpdate>,
         last_seen: u64,
-    ) -> (SimTime, Vec<WriteNotice>, u64) {
+    ) -> (SimTime, Vec<Arc<WriteNotice>>, u64) {
         let mut g = self.inner.lock();
         g.intervals.publish(tid, pages, updates);
         if let Some(task) = Scheduler::current() {
@@ -208,7 +210,7 @@ impl LocalSync {
         pages: Vec<u64>,
         updates: Vec<FineUpdate>,
         last_seen: u64,
-    ) -> (SimTime, Vec<WriteNotice>, u64) {
+    ) -> (SimTime, Vec<Arc<WriteNotice>>, u64) {
         let mut g = self.inner.lock();
         g.intervals.publish(tid, pages, updates);
         let idx = barrier as usize;

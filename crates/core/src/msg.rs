@@ -7,6 +7,7 @@
 //! eviction acks) and still be matched.
 
 use std::fmt;
+use std::sync::Arc;
 
 use samhita_mem::{MemRequest, MemResponse};
 use samhita_regc::{FineUpdate, WriteNotice};
@@ -37,8 +38,6 @@ pub enum Msg {
     /// Hot standby → primary manager: all records with `seq <= upto` have
     /// been applied and need not be shipped again.
     MgrLogAck { upto: u64 },
-    /// System teardown.
-    Shutdown,
 }
 
 /// One mutation of the manager state machine. Manager state is a pure fold
@@ -148,9 +147,9 @@ pub enum MgrResponse {
     SyncId(u32),
     /// Lock granted (also used for condvar wake-ups, which re-grant the
     /// lock): unseen write notices plus the new watermark.
-    Granted { notices: Vec<WriteNotice>, watermark: u64 },
+    Granted { notices: Vec<Arc<WriteNotice>>, watermark: u64 },
     /// Barrier released: unseen write notices plus the new watermark.
-    BarrierReleased { notices: Vec<WriteNotice>, watermark: u64 },
+    BarrierReleased { notices: Vec<Arc<WriteNotice>>, watermark: u64 },
     /// Request failed.
     Err(MgrError),
 }
@@ -286,7 +285,7 @@ impl MgrResponse {
             MgrResponse::Addr(_) => 16,
             MgrResponse::Granted { notices, watermark: _ }
             | MgrResponse::BarrierReleased { notices, watermark: _ } => {
-                16 + notices.iter().map(WriteNotice::wire_bytes).sum::<usize>()
+                16 + notices.iter().map(|n| n.wire_bytes()).sum::<usize>()
             }
             MgrResponse::Err(_) => 16,
         }
@@ -305,7 +304,6 @@ impl Msg {
                 16 + records.iter().map(MgrLogRecord::wire_bytes).sum::<usize>()
             }
             Msg::MgrLogAck { .. } => 16,
-            Msg::Shutdown => 8,
         }
     }
 }
@@ -326,7 +324,12 @@ mod tests {
     fn responses_charge_for_notices() {
         let empty = MgrResponse::Granted { notices: vec![], watermark: 0 };
         let loaded = MgrResponse::Granted {
-            notices: vec![WriteNotice { seq: 1, writer: 0, pages: vec![1, 2, 3], updates: vec![] }],
+            notices: vec![Arc::new(WriteNotice {
+                seq: 1,
+                writer: 0,
+                pages: vec![1, 2, 3],
+                updates: vec![],
+            })],
             watermark: 1,
         };
         assert_eq!(loaded.wire_bytes() - empty.wire_bytes(), 16 + 24);
@@ -392,6 +395,5 @@ mod tests {
         let mreq = MemRequest::FetchPage { page: samhita_mem::PageId(0) };
         let mwire = mreq.wire_bytes();
         assert_eq!(Msg::MemReq { token: 1, shadow: true, req: mreq }.wire_bytes(), mwire);
-        assert_eq!(Msg::Shutdown.wire_bytes(), 8);
     }
 }

@@ -57,9 +57,9 @@ pub struct Channel {
     /// against the primary re-homes all manager traffic here instead of
     /// panicking.
     standby_ep: Option<EndpointId>,
-    /// Grant-liveness probe period (virtual ns), armed only with a standby
-    /// under the deterministic runtime. A *deferred* request (queued
-    /// acquire, barrier arrival, condition wait) is answered much later
+    /// Grant-liveness probe period (virtual ns), armed only with a
+    /// standby. A *deferred* request (queued acquire, barrier arrival,
+    /// condition wait) is answered much later
     /// than it is served, so a crash can destroy the only record of it:
     /// the request reached the primary, but the log ship of its serve died
     /// with the crash, and no response will ever come. A blocked client
@@ -355,19 +355,17 @@ impl Channel {
             let probe_at = self.probe_ns.map(|p| self.clock + SimTime::from_ns(p));
             'await_reply: loop {
                 let env = match probe_at {
-                    Some(at) => {
-                        match self.ep.recv_deadline(at).expect("fabric closed awaiting response") {
-                            Some(env) => env,
-                            None => {
-                                // Probe deadline: no reply by `at`. Re-send
-                                // the same token via the outer loop; a live
-                                // manager's replay cache absorbs it.
-                                self.clock = self.clock.max(at);
-                                self.trace(|| EventKind::Retry { op, attempt });
-                                break 'await_reply;
-                            }
+                    Some(at) => match self.ep.recv_deadline(at) {
+                        Some(env) => env,
+                        None => {
+                            // Probe deadline: no reply by `at`. Re-send the
+                            // same token via the outer loop; a live
+                            // manager's replay cache absorbs it.
+                            self.clock = self.clock.max(at);
+                            self.trace(|| EventKind::Retry { op, attempt });
+                            break 'await_reply;
                         }
-                    }
+                    },
                     None => self.ep.recv().expect("fabric closed while awaiting response"),
                 };
                 let t = Self::token_of(&env);
@@ -844,12 +842,6 @@ impl HostChannel {
             Msg::MemResp { resp, .. } => resp,
             other => panic!("unexpected memory response: {other:?}"),
         }
-    }
-
-    /// Reliable teardown signal: a crashed (or partitioned) service must
-    /// still receive its shutdown message, or the join would hang.
-    pub(crate) fn send_shutdown(&self, dst: EndpointId) {
-        let _ = self.ep.send_reliable(dst, self.clock, 8, MsgClass::Control, Msg::Shutdown);
     }
 
     fn wait_for(&mut self, token: u64) -> Envelope<Msg> {

@@ -243,8 +243,7 @@ pub struct RunReport {
     pub mgr_queue_samples: Vec<QueueSample>,
     /// Per-server queue-occupancy samples, in server order.
     pub server_queue_samples: Vec<Vec<QueueSample>>,
-    /// Baton grants the deterministic scheduler issued during this run
-    /// (0 under the OS runtime).
+    /// Picks the deterministic scheduler made during this run.
     pub sched_grants: u64,
     /// Bypass-mode (local-sync) lock grants that waited behind the previous
     /// holder this run (0 when the manager arbitrates locks).

@@ -1,11 +1,14 @@
-//! System bring-up, the service event loops, and the host control client.
+//! System bring-up, the service state machines, and the host control client.
 //!
-//! A [`Samhita`] instance spawns one OS thread per memory server and one for
-//! the manager, all joined by an SCL fabric built from the configured
-//! topology. The host (the code that owns the `Samhita` value) interacts
-//! through a control client: it can allocate global memory, create
-//! synchronization objects, and initialize / inspect global memory outside
-//! of timed runs. [`Samhita::run`] then spawns compute threads, hands each a
+//! A [`Samhita`] instance owns one state machine per memory server and one
+//! for the manager (plus an optional hot standby), all joined by an SCL
+//! fabric built from the configured topology. The services own no threads:
+//! each is an inline task of the deterministic scheduler, stepped by
+//! whichever thread is yielding when its next message falls due. The host
+//! (the code that owns the `Samhita` value) interacts through a control
+//! client: it can allocate global memory, create synchronization objects,
+//! and initialize / inspect global memory outside of timed runs.
+//! [`Samhita::run`] then spawns compute threads, hands each a
 //! [`ThreadCtx`], and collects a [`RunReport`].
 //!
 //! For timing experiments, create a fresh instance per measured run: virtual
@@ -14,19 +17,19 @@
 //! timings of later runs.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 use samhita_mem::{HomeMap, MemRequest, MemResponse, MemoryServer, PageId, ServerStats};
 use samhita_regc::UpdatePart;
-use samhita_sched::{Scheduler, TaskRef};
-use samhita_scl::{DepthGauge, Endpoint, EndpointId, Fabric, MsgClass, QueueSample, SimTime};
+use samhita_sched::{Next, Scheduler, TaskRef};
+use samhita_scl::{
+    DepthGauge, Endpoint, EndpointId, Envelope, Fabric, MsgClass, QueueSample, SimTime,
+};
 use samhita_trace::{EventKind, RunTrace, SharedTrack, Tracer, TrackId};
 use serde::{Deserialize, Serialize};
 
-use crate::config::{RuntimeKind, SamhitaConfig};
+use crate::config::SamhitaConfig;
 use crate::layout::{AddressLayout, Placement};
 use crate::localsync::LocalSync;
 use crate::manager::{ManagerEngine, ManagerStats};
@@ -41,34 +44,20 @@ const HOST_TID: u32 = u32::MAX;
 /// Bound on host-side queue-occupancy samples retained per service per run.
 const QUEUE_SAMPLE_CAP: usize = 65_536;
 
-/// Live mirror of one service loop's queue accounting, published by the loop
-/// after each request is handled and *before* its response is sent — the
-/// same visibility discipline as the busy mirrors, so once every outstanding
-/// request has been answered the host reads race-free, deterministic values.
-/// Counters are cumulative (the host subtracts run-start snapshots); the
-/// peak and the sample list are per-run (the host clears them at run start,
-/// while it holds the baton and the loops are quiescent).
+/// Per-run queue-occupancy log of one service, fed after each request from
+/// the service resource's sample buffer. Strictly observational: never read
+/// on any timed path. The host clears it at run start and takes it at run
+/// end, both while it holds the baton and the services are quiescent.
 #[derive(Default)]
-struct QueueMirror {
-    /// Cumulative queue wait (virtual ns) at this service.
-    wait_ns: u64,
-    /// Per-run peak arrival-sampled queue occupancy.
+struct QueueLog {
+    /// Peak arrival-sampled queue occupancy.
     peak_depth: u64,
-    /// Cumulative sum of arrival-sampled occupancies.
-    depth_sum: u64,
-    /// Cumulative requests handled.
-    requests: u64,
-    /// Per-run occupancy samples, bounded by [`QUEUE_SAMPLE_CAP`].
+    /// Occupancy samples, bounded by [`QUEUE_SAMPLE_CAP`].
     samples: Vec<QueueSample>,
 }
 
-impl QueueMirror {
-    /// Publish the loop's latest cumulative counters plus freshly drained
-    /// samples (called with the loop's own service stats after each request).
-    fn publish(&mut self, wait_ns: u64, depth_sum: u64, requests: u64, new: Vec<QueueSample>) {
-        self.wait_ns = wait_ns;
-        self.depth_sum = depth_sum;
-        self.requests = requests;
+impl QueueLog {
+    fn absorb(&mut self, new: Vec<QueueSample>) {
         for s in new {
             self.peak_depth = self.peak_depth.max(s.depth);
             if self.samples.len() < QUEUE_SAMPLE_CAP {
@@ -76,17 +65,9 @@ impl QueueMirror {
             }
         }
     }
-
-    /// Run-start snapshot: returns the cumulative counters and clears the
-    /// per-run peak and sample list.
-    fn begin_run(&mut self) -> (u64, u64, u64) {
-        self.peak_depth = 0;
-        self.samples.clear();
-        (self.wait_ns, self.depth_sum, self.requests)
-    }
 }
 
-/// Post-shutdown server-side statistics.
+/// Server-side statistics, as of the last completed request.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SystemStats {
     /// Manager activity counters.
@@ -97,26 +78,6 @@ pub struct SystemStats {
     /// `requests` count includes replayed log records (the replica's view of
     /// the workload), not just post-takeover serves.
     pub standby: Option<ManagerStats>,
-}
-
-/// Live mirrors of the crash-recovery machinery's counters, published by the
-/// primary's and standby's loops under the same before-the-response-leaves
-/// discipline as the busy mirrors (so end-of-run host reads are race-free
-/// and deterministic). All cumulative except `takeover_ns`, which is the
-/// absolute virtual instant of the standby's first post-takeover serve.
-#[derive(Default)]
-struct RecoveryMirror {
-    /// Log records the primary shipped (counting re-ships of the unacked
-    /// suffix — repair traffic is part of the cost story).
-    log_records_shipped: AtomicU64,
-    /// Lock leases the active standby reclaimed.
-    lease_reclaims: AtomicU64,
-    /// Stale releases (from deposed holders) the standby absorbed.
-    stale_releases: AtomicU64,
-    /// Requests the standby served after takeover.
-    standby_serves: AtomicU64,
-    /// Virtual ns of the first post-takeover serve (0 = no takeover).
-    takeover_ns: AtomicU64,
 }
 
 /// A running Samhita system.
@@ -132,34 +93,24 @@ pub struct Samhita {
     mem_eps: Vec<EndpointId>,
     local_sync: Option<Arc<LocalSync>>,
     ctl: Mutex<HostChannel>,
-    mgr_handle: Option<JoinHandle<ManagerStats>>,
-    standby_handle: Option<JoinHandle<ManagerStats>>,
-    mem_handles: Vec<JoinHandle<ServerStats>>,
-    /// Crash-recovery counter mirrors (see [`RecoveryMirror`]).
-    recovery: Arc<RecoveryMirror>,
+    // The service state machines. The scheduler steps them (see `install`);
+    // the host reads their counters directly, which is race-free and
+    // deterministic whenever it holds the baton: every request a run issued
+    // has been answered by then (threads drain their acks and prefetches
+    // before exiting, and `resume` drains every pending service event).
+    mgr: Arc<Mutex<MgrService>>,
+    standby: Option<Arc<Mutex<StandbyService>>>,
+    mem: Vec<Arc<Mutex<MemService>>>,
     tracer: Option<Arc<Tracer>>,
-    // Live virtual-busy-time mirrors of the service loops, published after
-    // each request is handled and before its response is sent. A thread
-    // receiving the response therefore observes a busy value that already
-    // includes its request; once every outstanding request has been answered
-    // (threads drain their acks and prefetches before exiting), reading
-    // these from the host is race-free and deterministic.
-    mgr_busy: Arc<AtomicU64>,
-    mem_busy: Vec<Arc<AtomicU64>>,
-    // Queue-wait / queue-depth mirrors of the service loops (same publish
-    // discipline as the busy mirrors) and endpoint backlog gauges, all
-    // strictly observational: none of them is read on any timed path.
-    mgr_queue: Arc<Mutex<QueueMirror>>,
-    mem_queues: Vec<Arc<Mutex<QueueMirror>>>,
+    // Endpoint backlog gauges, strictly observational.
     mgr_gauge: Arc<DepthGauge>,
     mem_gauges: Vec<Arc<DepthGauge>>,
-    // Deterministic runtime (RuntimeKind::Det): the scheduler serializing
-    // every simulated thread, and the host's own task. The host holds the
-    // baton whenever it is between runs; `run` suspends it while compute
-    // tasks execute and resumes (draining all pending service work) before
-    // reading any results.
-    sched: Option<Arc<Scheduler>>,
-    host_task: Option<TaskRef>,
+    // The scheduler serializing every simulated task, and the host's own
+    // task. The host holds the baton whenever it is between runs; `run`
+    // suspends it while compute tasks execute and resumes (draining all
+    // pending service work) before reading any results.
+    sched: Arc<Scheduler>,
+    host_task: TaskRef,
 }
 
 impl Samhita {
@@ -204,21 +155,19 @@ impl Samhita {
             })));
         }
 
-        // Deterministic runtime: one scheduler per system, the host
-        // registered as the task initially holding the baton. Every service
-        // endpoint is bound to a (parked) scheduler task before its loop
-        // spawns, so all receives follow the virtual-time-ordered discipline.
-        let sched = (cfg.runtime == RuntimeKind::Det).then(|| Scheduler::new(cfg.sched_seed));
-        let host_task = sched.as_ref().map(|s| s.register_running());
+        // One scheduler per system, the host registered as the task
+        // initially holding the baton. Every endpoint is bound to a
+        // scheduler task, so all receives follow the virtual-time-ordered
+        // discipline.
+        let sched = Scheduler::new(cfg.sched_seed);
+        let host_task = sched.register_running();
 
-        // Host control endpoint, created first so the service loops know it:
-        // the host control plane models the experimenter's out-of-band access
+        // Host control endpoint, created first so the services know it: the
+        // host control plane models the experimenter's out-of-band access
         // and is exempt from fault injection (replies to it go reliably).
         let ctl_endpoint = fabric.add_endpoint(placement.manager);
-        if let Some(host) = &host_task {
-            ctl_endpoint.bind_task(host);
-        }
-        let ctl_id = ctl_endpoint.id();
+        ctl_endpoint.bind_task(&host_task);
+        let ctl = ctl_endpoint.id();
         let faults_active = cfg.faults.is_active();
         // Server-side replay protection. Duplicates reach the servers from
         // two sources: a fault plan (dup/drop-forced retransmission), and —
@@ -232,28 +181,27 @@ impl Samhita {
 
         // Memory servers.
         let mut mem_eps = Vec::new();
-        let mut mem_handles = Vec::new();
-        let mut mem_busy = Vec::new();
-        let mut mem_queues = Vec::new();
+        let mut mem = Vec::new();
         let mut mem_gauges = Vec::new();
         for i in 0..cfg.mem_servers {
             let ep = fabric.add_endpoint(placement.mem_servers[i as usize]);
             mem_eps.push(ep.id());
-            if let Some(s) = &sched {
-                ep.bind_task(&s.register_parked());
-            }
             let gauge = Arc::new(DepthGauge::new());
             ep.set_depth_gauge(Arc::clone(&gauge));
             mem_gauges.push(gauge);
-            let server = MemoryServer::new(cfg.page_size, cfg.service);
-            let track = tracer.as_ref().map(|t| t.shared_track(TrackId::MemServer(i)));
-            let busy = Arc::new(AtomicU64::new(0));
-            mem_busy.push(Arc::clone(&busy));
-            let queue = Arc::new(Mutex::new(QueueMirror::default()));
-            mem_queues.push(Arc::clone(&queue));
-            mem_handles.push(std::thread::spawn(move || {
-                mem_server_loop(ep, server, track, ctl_id, dedup, busy, queue)
-            }));
+            mem.push(install(
+                &sched,
+                MemService {
+                    ep,
+                    server: MemoryServer::new(cfg.page_size, cfg.service),
+                    track: tracer.as_ref().map(|t| t.shared_track(TrackId::MemServer(i))),
+                    ctl,
+                    dedup,
+                    seen: HashMap::new(),
+                    order: VecDeque::new(),
+                    queue: QueueLog::default(),
+                },
+            ));
         }
 
         // Manager and (optional) hot-standby endpoints, created before the
@@ -262,19 +210,11 @@ impl Samhita {
         // below, so the plan is still installed before any send it could
         // affect.
         let mgr_endpoint = fabric.add_endpoint(placement.manager);
-        if let Some(s) = &sched {
-            mgr_endpoint.bind_task(&s.register_parked());
-        }
         let mgr_gauge = Arc::new(DepthGauge::new());
         mgr_endpoint.set_depth_gauge(Arc::clone(&mgr_gauge));
         let mgr_ep = mgr_endpoint.id();
-        let standby_endpoint = cfg.manager_standby.then(|| {
-            let ep = fabric.add_endpoint(placement.standby_node());
-            if let Some(s) = &sched {
-                ep.bind_task(&s.register_parked());
-            }
-            ep
-        });
+        let standby_endpoint =
+            cfg.manager_standby.then(|| fabric.add_endpoint(placement.standby_node()));
         let standby_ep = standby_endpoint.as_ref().map(|ep| ep.id());
 
         // Deterministic fault injection: structural faults (crash windows
@@ -308,40 +248,34 @@ impl Samhita {
             fabric.set_fault_plan(plan);
         }
 
-        // Manager (and standby) service loops.
-        let recovery = Arc::new(RecoveryMirror::default());
-        let engine = ManagerEngine::new(&cfg);
-        let mgr_track = tracer.as_ref().map(|t| t.shared_track(TrackId::Manager));
-        let mgr_busy = Arc::new(AtomicU64::new(0));
-        let mgr_busy_loop = Arc::clone(&mgr_busy);
-        let mgr_queue = Arc::new(Mutex::new(QueueMirror::default()));
-        let mgr_queue_loop = Arc::clone(&mgr_queue);
-        let mgr_recovery = Arc::clone(&recovery);
+        // Manager (and standby) state machines. The standby folds the same
+        // records through the same engine as the primary, starting from the
+        // same initial state — the whole replication argument.
+        let replica = |ep, track, dedup, died_at| MgrReplica {
+            ep,
+            engine: ManagerEngine::new(&cfg),
+            track: tracer.as_ref().map(|t| t.shared_track(track)),
+            ctl,
+            dedup,
+            died_at,
+            hwm: HashMap::new(),
+            done: HashMap::new(),
+        };
         let mgr_died_at =
             faults_active.then(|| cfg.faults.mgr_crash.map(SimTime::from_ns)).flatten();
-        let mgr_handle = Some(std::thread::spawn(move || {
-            manager_loop(
-                mgr_endpoint,
-                engine,
-                mgr_track,
-                ctl_id,
-                dedup,
-                standby_ep,
-                mgr_died_at,
-                mgr_recovery,
-                mgr_busy_loop,
-                mgr_queue_loop,
-            )
-        }));
-        let standby_handle = standby_endpoint.map(|ep| {
-            // The standby folds the same records through the same engine as
-            // the primary, starting from the same initial state — the whole
-            // replication argument.
-            let engine = ManagerEngine::new(&cfg);
-            let track = tracer.as_ref().map(|t| t.shared_track(TrackId::MgrStandby));
-            let rec = Arc::clone(&recovery);
-            let det = cfg.runtime == RuntimeKind::Det;
-            std::thread::spawn(move || standby_loop(ep, engine, track, ctl_id, det, rec))
+        let mgr = install(
+            &sched,
+            MgrService {
+                core: replica(mgr_endpoint, TrackId::Manager, dedup, mgr_died_at),
+                standby: standby_ep,
+                unacked: Vec::new(),
+                shipped: 0,
+                queue: QueueLog::default(),
+            },
+        );
+        let standby = standby_endpoint.map(|ep| {
+            let core = replica(ep, TrackId::MgrStandby, true, None);
+            install(&sched, StandbyService { core, active: false, serves: 0, takeover_ns: 0 })
         });
 
         // Host control client (registers like a thread, but never syncs).
@@ -368,15 +302,10 @@ impl Samhita {
             mem_eps,
             local_sync,
             ctl: Mutex::new(ctl),
-            mgr_handle,
-            standby_handle,
-            mem_handles,
-            recovery,
+            mgr,
+            standby,
+            mem,
             tracer,
-            mgr_busy,
-            mem_busy,
-            mgr_queue,
-            mem_queues,
             mgr_gauge,
             mem_gauges,
             sched,
@@ -564,63 +493,62 @@ impl Samhita {
         // never consulted, so it cannot perturb virtual execution.
         let host_start = std::time::Instant::now();
         let fabric_before = self.fabric.stats();
-        let mgr_busy_before = self.mgr_busy.load(Ordering::Relaxed);
-        let mem_busy_before: Vec<u64> =
-            self.mem_busy.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        // Queue-accounting run-start snapshots. The host holds the baton (or,
-        // under the OS runtime, the fabric is quiescent between runs), so the
-        // mirrors are stable: counters are snapshotted for end-of-run deltas,
-        // peaks and sample lists reset so they come out per-run exact.
-        let mgr_queue_before = self.mgr_queue.lock().begin_run();
-        let mem_queue_before: Vec<(u64, u64, u64)> =
-            self.mem_queues.iter().map(|q| q.lock().begin_run()).collect();
+        // Run-start snapshots of the services' cumulative counters, for
+        // end-of-run deltas; per-run peaks and sample lists reset so they
+        // come out exact. The host holds the baton, so the services are
+        // quiescent.
+        let (mgr_before, shipped_before) = {
+            let mut mgr = self.mgr.lock();
+            mgr.queue = QueueLog::default();
+            (mgr.core.engine.stats(), mgr.shipped)
+        };
+        let mem_before: Vec<ServerStats> = self
+            .mem
+            .iter()
+            .map(|m| {
+                let mut m = m.lock();
+                m.queue = QueueLog::default();
+                m.server.stats()
+            })
+            .collect();
+        let standby_before = self.standby.as_ref().map(|s| s.lock().counters());
         self.mgr_gauge.reset();
         for g in &self.mem_gauges {
             g.reset();
         }
-        let sched_grants_before = self.sched.as_ref().map_or(0, |s| s.grants());
+        let sched_grants_before = self.sched.grants();
         let local_before = self.local_sync.as_ref().map(|ls| ls.stats()).unwrap_or_default();
-        let recovery_before = (
-            self.recovery.log_records_shipped.load(Ordering::Relaxed),
-            self.recovery.lease_reclaims.load(Ordering::Relaxed),
-            self.recovery.stale_releases.load(Ordering::Relaxed),
-            self.recovery.standby_serves.load(Ordering::Relaxed),
-        );
         let endpoints: Vec<Endpoint<Msg>> = (0..nthreads)
             .map(|t| self.fabric.add_endpoint(self.placement.compute_node(t)))
             .collect();
-        // Deterministic runtime: one scheduler task per compute thread, all
-        // ready at virtual time zero (the seeded tie-break orders their first
-        // steps), each bound to its endpoint before any traffic can target
-        // it. Registration happens host-side, in tid order, so task ids (the
-        // final tie-break key) are reproducible.
-        let det_tasks: Option<Vec<TaskRef>> = self.sched.as_ref().map(|sched| {
-            endpoints
-                .iter()
-                .map(|ep| {
-                    let task = sched.register_ready(0);
-                    ep.bind_task(&task);
-                    task
-                })
-                .collect()
-        });
+        // One scheduler task per compute thread, all ready at virtual time
+        // zero (the seeded tie-break orders their first steps), each bound
+        // to its endpoint before any traffic can target it. Registration
+        // happens host-side, in tid order, so task ids (the final tie-break
+        // key) are reproducible.
+        let tasks: Vec<TaskRef> = endpoints
+            .iter()
+            .map(|ep| {
+                let task = self.sched.register_ready(0);
+                ep.bind_task(&task);
+                task
+            })
+            .collect();
         let body = &body;
         let stats = std::thread::scope(|s| {
             let handles: Vec<_> = endpoints
                 .into_iter()
+                .zip(tasks)
                 .enumerate()
-                .map(|(t, ep)| {
+                .map(|(t, (ep, task))| {
                     let cfg = Arc::clone(&self.cfg);
                     let mem_eps = self.mem_eps.clone();
                     let local_sync = self.local_sync.clone();
                     let mgr_ep = self.mgr_ep;
                     let standby_ep = self.standby_ep;
                     let tracer = self.tracer.clone();
-                    let task = det_tasks.as_ref().map(|ts| ts[t].clone());
                     s.spawn(move || {
-                        if let Some(task) = &task {
-                            task.start();
-                        }
+                        task.start();
                         // Catch panics so a failing body still retires its
                         // scheduler task: otherwise sibling tasks blocked on
                         // the baton would hang forever instead of unwinding.
@@ -635,9 +563,7 @@ impl Samhita {
                             body(&mut ctx);
                             ctx.finish()
                         }));
-                        if let Some(task) = &task {
-                            task.exit();
-                        }
+                        task.exit();
                         match result {
                             Ok((stats, buf)) => {
                                 if let (Some(tr), Some(buf)) = (&tracer, buf) {
@@ -652,74 +578,60 @@ impl Samhita {
                 .collect();
             // Hand the baton to the compute tasks for the whole run; the
             // host does not touch the fabric until it resumes below.
-            if let Some(host) = &self.host_task {
-                host.suspend();
-            }
+            self.host_task.suspend();
             handles
                 .into_iter()
                 .map(|h| match h.join() {
                     Ok(stats) => stats,
                     // Re-raise with the original payload so the caller sees
-                    // the real panic message, not a generic join error.
+                    // the real panic message (a body's, or a service step's
+                    // relayed through the poisoned scheduler), not a generic
+                    // join error.
                     Err(payload) => std::panic::resume_unwind(payload),
                 })
                 .collect::<Vec<_>>()
         });
         // Re-acquire the baton, draining every pending service event (oneway
-        // releases, late acks) so the busy mirrors below are final.
-        if let Some(host) = &self.host_task {
-            host.resume();
-        }
+        // releases, late acks) so the counters below are final.
+        self.host_task.resume();
         let mut report = RunReport::new(stats, self.fabric.stats().delta(&fabric_before));
-        // Every thread settled its outstanding traffic before joining
-        // (synchronous Exit RPC to the manager, ack/prefetch drains to the
-        // servers), so the busy mirrors are final for this run.
-        report.mgr_busy_ns = self.mgr_busy.load(Ordering::Relaxed) - mgr_busy_before;
-        report.server_busy_ns = self
-            .mem_busy
-            .iter()
-            .zip(&mem_busy_before)
-            .map(|(b, &before)| b.load(Ordering::Relaxed) - before)
-            .collect();
-        // Queue accounting: same finality argument as the busy mirrors —
-        // every request this run issued has been answered, and each answer
-        // was preceded by a mirror publish.
         {
-            let mut q = self.mgr_queue.lock();
-            report.mgr_queue_wait_ns = q.wait_ns - mgr_queue_before.0;
-            report.mgr_queue_depth_sum = q.depth_sum - mgr_queue_before.1;
-            report.mgr_requests = q.requests - mgr_queue_before.2;
-            report.mgr_peak_queue_depth = q.peak_depth;
-            report.mgr_queue_samples = std::mem::take(&mut q.samples);
+            let mut mgr = self.mgr.lock();
+            let st = mgr.core.engine.stats();
+            report.mgr_busy_ns = st.busy_ns - mgr_before.busy_ns;
+            report.mgr_queue_wait_ns = st.queue_wait_ns - mgr_before.queue_wait_ns;
+            report.mgr_queue_depth_sum = st.queue_depth_sum - mgr_before.queue_depth_sum;
+            report.mgr_requests = st.requests - mgr_before.requests;
+            report.mgr_peak_queue_depth = mgr.queue.peak_depth;
+            report.mgr_queue_samples = std::mem::take(&mut mgr.queue.samples);
+            report.log_records_shipped = mgr.shipped - shipped_before;
         }
-        for (q, &(wait0, sum0, _req0)) in self.mem_queues.iter().zip(&mem_queue_before) {
-            let mut q = q.lock();
-            report.server_queue_wait_ns.push(q.wait_ns - wait0);
-            report.server_queue_depth_sum.push(q.depth_sum - sum0);
-            report.server_peak_queue_depth.push(q.peak_depth);
-            report.server_queue_samples.push(std::mem::take(&mut q.samples));
+        for (m, before) in self.mem.iter().zip(&mem_before) {
+            let mut m = m.lock();
+            let st = m.server.stats();
+            report.server_busy_ns.push(st.busy_ns - before.busy_ns);
+            report.server_queue_wait_ns.push(st.queue_wait_ns - before.queue_wait_ns);
+            report.server_queue_depth_sum.push(st.queue_depth_sum - before.queue_depth_sum);
+            report.server_peak_queue_depth.push(m.queue.peak_depth);
+            report.server_queue_samples.push(std::mem::take(&mut m.queue.samples));
         }
         report.mgr_endpoint_backlog_peak = self.mgr_gauge.peak();
         report.server_endpoint_backlog_peak = self.mem_gauges.iter().map(|g| g.peak()).collect();
-        report.sched_grants = self.sched.as_ref().map_or(0, |s| s.grants()) - sched_grants_before;
+        report.sched_grants = self.sched.grants() - sched_grants_before;
         if let Some(ls) = &self.local_sync {
             let st = ls.stats();
             report.local_contended_acquires =
                 st.contended_acquires - local_before.contended_acquires;
             report.local_handoff_wait_ns = st.handoff_wait_ns - local_before.handoff_wait_ns;
         }
-        // Recovery counters: cumulative mirrors published under the same
-        // before-the-response-leaves discipline as the busy mirrors, so the
-        // deltas are final once every thread has settled its traffic.
-        report.log_records_shipped =
-            self.recovery.log_records_shipped.load(Ordering::Relaxed) - recovery_before.0;
-        report.lease_reclaims =
-            self.recovery.lease_reclaims.load(Ordering::Relaxed) - recovery_before.1;
-        report.stale_releases =
-            self.recovery.stale_releases.load(Ordering::Relaxed) - recovery_before.2;
-        report.standby_serves =
-            self.recovery.standby_serves.load(Ordering::Relaxed) - recovery_before.3;
-        report.takeover_ns = self.recovery.takeover_ns.load(Ordering::Relaxed);
+        if let (Some(sb), Some(before)) = (&self.standby, standby_before) {
+            let sb = sb.lock();
+            let now = sb.counters();
+            report.lease_reclaims = now.0 - before.0;
+            report.stale_releases = now.1 - before.1;
+            report.standby_serves = now.2 - before.2;
+            report.takeover_ns = sb.takeover_ns;
+        }
         report.layout = Some(self.layout);
         report.host_wall_ns = crate::stats::HostNanos::new(
             u64::try_from(host_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -736,55 +648,11 @@ impl Samhita {
     }
 
     /// Tear the system down and return server-side statistics.
-    pub fn shutdown(mut self) -> SystemStats {
-        self.shutdown_inner()
-    }
-
-    fn shutdown_inner(&mut self) -> SystemStats {
-        let mut stats = SystemStats::default();
-        // If a compute body panicked mid-run the host may still be
-        // suspended; re-acquire the baton first (idempotent when already
-        // running) so the shutdown sends happen from a Running task.
-        if let Some(host) = &self.host_task {
-            host.resume();
-        }
-        {
-            // Reliable sends: a crashed (or partitioned) server must still
-            // receive its shutdown message, or the join below would hang.
-            let ctl = self.ctl.lock();
-            for &ep in &self.mem_eps {
-                ctl.send_shutdown(ep);
-            }
-            ctl.send_shutdown(self.mgr_ep);
-            if let Some(sb) = self.standby_ep {
-                ctl.send_shutdown(sb);
-            }
-        }
-        // Hand the baton over so the service tasks can run their loops to
-        // the shutdown message and retire; take it back once they joined.
-        if let Some(host) = &self.host_task {
-            host.suspend();
-        }
-        for h in self.mem_handles.drain(..) {
-            stats.servers.push(h.join().expect("memory server panicked"));
-        }
-        if let Some(h) = self.mgr_handle.take() {
-            stats.manager = h.join().expect("manager panicked");
-        }
-        if let Some(h) = self.standby_handle.take() {
-            stats.standby = Some(h.join().expect("standby manager panicked"));
-        }
-        if let Some(host) = &self.host_task {
-            host.resume();
-        }
-        stats
-    }
-}
-
-impl Drop for Samhita {
-    fn drop(&mut self) {
-        if self.mgr_handle.is_some() {
-            let _ = self.shutdown_inner();
+    pub fn shutdown(self) -> SystemStats {
+        SystemStats {
+            manager: self.mgr.lock().stats(),
+            servers: self.mem.iter().map(|m| m.lock().server.stats()).collect(),
+            standby: self.standby.as_ref().map(|s| s.lock().core.engine.stats()),
         }
     }
 }
@@ -828,196 +696,274 @@ fn mem_resp_class(resp: &MemResponse) -> MsgClass {
     }
 }
 
+/// A manager or memory server: a pure request→response state machine over
+/// its endpoint. It owns no thread — see [`install`].
+trait Service: Send + 'static {
+    fn endpoint(&self) -> &Endpoint<Msg>;
+
+    /// Act on one delivered message.
+    fn handle(&mut self, env: Envelope<Msg>);
+
+    /// A virtual instant at which to act even if no message is due by then.
+    fn deadline(&self) -> Option<SimTime> {
+        None
+    }
+
+    /// [`Service::deadline`] `at` arrived with no message due at or before it.
+    fn on_deadline(&mut self, _at: SimTime) {}
+}
+
+/// Register `svc` with the scheduler as an inline task bound to its
+/// endpoint: whenever a pick lands on it, the dispatching thread runs one
+/// step — consume the message (or deadline) the grant made final, then
+/// announce the next instant of interest.
+///
+/// The step reproduces, grant for grant, a thread blocked in
+/// `Endpoint::recv` / `recv_deadline`: a grant that follows an announced
+/// time may consume; a grant that wakes it from `Park` only re-announces
+/// (the blocking receive re-enters its loop there), so the pick sequence is
+/// the blocking loop's.
+fn install<S: Service>(sched: &Arc<Scheduler>, svc: S) -> Arc<Mutex<S>> {
+    let svc = Arc::new(Mutex::new(svc));
+    // Weak, or scheduler → step → service → endpoint → fabric → wake hook →
+    // scheduler would keep every system alive forever.
+    let weak = Arc::downgrade(&svc);
+    let mut announced = false;
+    let task = sched.register_service(Box::new(move |granted| {
+        let Some(svc) = weak.upgrade() else { return Next::Done };
+        let mut svc = svc.lock();
+        if std::mem::take(&mut announced) {
+            if let Some(env) = svc.endpoint().poll(granted) {
+                svc.handle(env);
+            } else if let Some(at) = svc.deadline().filter(|at| granted >= at.as_ns()) {
+                svc.on_deadline(at);
+            }
+        }
+        let due = svc.endpoint().next_due();
+        let deadline = svc.deadline().map(|at| at.as_ns());
+        match due.into_iter().chain(deadline).min() {
+            Some(t) => {
+                announced = true;
+                Next::At(t)
+            }
+            None => Next::Park,
+        }
+    }));
+    svc.lock().endpoint().bind_task(&task);
+    svc
+}
+
+/// Send a service's reply: reliably when the host control plane must hear
+/// it, through the fault plan otherwise. A send failure means the requester
+/// is gone; nothing to do.
+fn reply(
+    ep: &Endpoint<Msg>,
+    reliable: bool,
+    dst: EndpointId,
+    at: SimTime,
+    class: MsgClass,
+    msg: Msg,
+) {
+    let wire = msg.wire_bytes();
+    let _ = if reliable {
+        ep.send_reliable(dst, at, wire, class, msg)
+    } else {
+        ep.send(dst, at, wire, class, msg)
+    };
+}
+
 /// Requests kept in a server's idempotency cache. Retransmissions arrive
 /// almost immediately after their original (the client blocks on the lost
 /// copy's arrival), so a small window suffices; it only bounds memory.
 const DEDUP_WINDOW: usize = 512;
 
-fn mem_server_loop(
+struct MemService {
     ep: Endpoint<Msg>,
-    mut server: MemoryServer,
+    server: MemoryServer,
     track: Option<SharedTrack>,
     ctl: EndpointId,
     dedup: bool,
-    busy: Arc<AtomicU64>,
-    queue: Arc<Mutex<QueueMirror>>,
-) -> ServerStats {
-    // Idempotency cache: (requester, token) → completed response. A replayed
-    // request is re-acknowledged without re-applying, re-charging the service
-    // resource, or re-tracing — exactly-once application under at-least-once
-    // delivery.
-    let mut seen: HashMap<(EndpointId, u64), (SimTime, MemResponse)> = HashMap::new();
-    let mut order: VecDeque<(EndpointId, u64)> = VecDeque::new();
-    while let Ok(env) = ep.recv() {
-        match env.msg {
-            Msg::MemReq { token, shadow, req } => {
-                // A lost request never reached this server; discard it.
-                if env.lost {
-                    continue;
-                }
-                if let Some((done, resp)) = seen.get(&(env.src, token)) {
-                    let at = (*done).max(env.deliver_at);
-                    let wire = resp.wire_bytes();
-                    let class = mem_resp_class(resp);
-                    let msg = Msg::MemResp { token, resp: resp.clone() };
-                    let _ = if env.src == ctl {
-                        ep.send_reliable(env.src, at, wire, class, msg)
-                    } else {
-                        ep.send(env.src, at, wire, class, msg)
-                    };
-                    continue;
-                }
-                // Shadow (replica write-through) copies are applied and
-                // counted, but kept off the event trace so replication does
-                // not disturb the observable protocol timeline.
-                let events = if shadow { None } else { track.as_ref().map(|_| mem_events(&req)) };
-                let (resp, done) = server.handle(req, env.deliver_at);
-                // Publish virtual busy time before the response leaves: the
-                // requester's receipt then proves the new value is visible.
-                // The queue mirror rides the same window, so it inherits the
-                // same determinism argument.
-                let st = server.stats();
-                busy.store(st.busy_ns, Ordering::Relaxed);
-                let (new_samples, _dropped) = server.take_queue_samples();
-                queue.lock().publish(
-                    st.queue_wait_ns,
-                    st.queue_depth_sum,
-                    st.requests,
-                    new_samples,
-                );
-                if let (Some(track), Some(events)) = (&track, events) {
-                    for event in events {
-                        track.push(done, event);
-                    }
-                }
-                if dedup {
-                    seen.insert((env.src, token), (done, resp.clone()));
-                    order.push_back((env.src, token));
-                    if order.len() > DEDUP_WINDOW {
-                        if let Some(old) = order.pop_front() {
-                            seen.remove(&old);
-                        }
-                    }
-                }
-                let wire = resp.wire_bytes();
-                let class = mem_resp_class(&resp);
-                let msg = Msg::MemResp { token, resp };
-                // A send failure means the requester is gone; nothing to do.
-                let _ = if env.src == ctl {
-                    ep.send_reliable(env.src, done, wire, class, msg)
-                } else {
-                    ep.send(env.src, done, wire, class, msg)
-                };
-            }
-            Msg::Shutdown => break,
-            other => panic!("memory server received unexpected message: {other:?}"),
-        }
-    }
-    // Retire this loop's scheduler task (no-op on unbound endpoints) so the
-    // deterministic scheduler never waits on a loop that has returned.
-    ep.exit_task();
-    server.stats()
+    /// Idempotency cache: (requester, token) → completed response. A
+    /// replayed request is re-acknowledged without re-applying, re-charging
+    /// the service resource, or re-tracing — exactly-once application under
+    /// at-least-once delivery.
+    seen: HashMap<(EndpointId, u64), (SimTime, MemResponse)>,
+    order: VecDeque<(EndpointId, u64)>,
+    queue: QueueLog,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn manager_loop(
+impl Service for MemService {
+    fn endpoint(&self) -> &Endpoint<Msg> {
+        &self.ep
+    }
+
+    fn handle(&mut self, env: Envelope<Msg>) {
+        let Msg::MemReq { token, shadow, req } = env.msg else {
+            panic!("memory server received unexpected message: {:?}", env.msg);
+        };
+        // A lost request never reached this server; discard it.
+        if env.lost {
+            return;
+        }
+        let reliable = env.src == self.ctl;
+        if let Some((done, resp)) = self.seen.get(&(env.src, token)) {
+            let at = (*done).max(env.deliver_at);
+            let msg = Msg::MemResp { token, resp: resp.clone() };
+            reply(&self.ep, reliable, env.src, at, mem_resp_class(resp), msg);
+            return;
+        }
+        // Shadow (replica write-through) copies are applied and counted, but
+        // kept off the event trace so replication does not disturb the
+        // observable protocol timeline.
+        let events = if shadow { None } else { self.track.as_ref().map(|_| mem_events(&req)) };
+        let (resp, done) = self.server.handle(req, env.deliver_at);
+        self.queue.absorb(self.server.take_queue_samples().0);
+        if let (Some(track), Some(events)) = (&self.track, events) {
+            for event in events {
+                track.push(done, event);
+            }
+        }
+        if self.dedup {
+            self.seen.insert((env.src, token), (done, resp.clone()));
+            self.order.push_back((env.src, token));
+            if self.order.len() > DEDUP_WINDOW {
+                if let Some(old) = self.order.pop_front() {
+                    self.seen.remove(&old);
+                }
+            }
+        }
+        let class = mem_resp_class(&resp);
+        reply(&self.ep, reliable, env.src, done, class, Msg::MemResp { token, resp });
+    }
+}
+
+/// What the primary manager and its hot standby share: the engine, the
+/// replay cache, and the way answers leave.
+struct MgrReplica {
     ep: Endpoint<Msg>,
-    mut engine: ManagerEngine,
+    engine: ManagerEngine,
     track: Option<SharedTrack>,
     ctl: EndpointId,
+    /// Replay protection. Each client's tokens arrive monotonically (its
+    /// requests are serialized and the fabric preserves per-sender order),
+    /// so a high-water mark per source (`hwm`) detects retransmissions, and
+    /// the last response issued *to* each endpoint (`done`) answers a
+    /// retransmission whose reply was lost. A retransmission of a
+    /// still-queued request (a blocked acquire or condition wait) is simply
+    /// ignored: the original will be answered when granted.
     dedup: bool,
-    standby: Option<EndpointId>,
+    /// The instant a configured crash kills this manager. Replies to the
+    /// host control endpoint are normally fault-exempt (the host models
+    /// out-of-band experimenter access), but no amount of out-of-band
+    /// reliability revives a dead process: once the crash has passed, ctl
+    /// replies go through the faulted path so the crash fate drops them
+    /// like everything else — otherwise a host setup RPC could be answered
+    /// while its log record dies with the ship, leaving the standby
+    /// permanently ignorant of state the host observed.
     died_at: Option<SimTime>,
-    recovery: Arc<RecoveryMirror>,
-    busy: Arc<AtomicU64>,
-    queue: Arc<Mutex<QueueMirror>>,
-) -> ManagerStats {
-    // Replies to the host control endpoint are normally fault-exempt (the
-    // host models out-of-band experimenter access), but no amount of
-    // out-of-band reliability revives a dead process: once a configured
-    // manager crash has passed, ctl replies go through the faulted path so
-    // the crash fate drops them like everything else — otherwise a host
-    // setup RPC could be answered while its log record dies with the ship,
-    // leaving the standby permanently ignorant of state the host observed.
-    let ctl_reliable = |at: SimTime| died_at.is_none_or(|d| at < d);
-    // Replay protection. Each client's tokens arrive monotonically (its
-    // requests are serialized and the fabric preserves per-sender order), so
-    // a high-water mark per source detects retransmissions, and the last
-    // response issued *to* each endpoint answers a retransmission whose
-    // reply was lost. A retransmission of a still-queued request (a blocked
-    // acquire or condition wait) is simply ignored: the original will be
-    // answered when granted.
-    let mut hwm: HashMap<EndpointId, u64> = HashMap::new();
-    let mut done: HashMap<EndpointId, (u64, SimTime, MgrResponse)> = HashMap::new();
-    // Write-ahead log records the standby has not yet acknowledged. Every
-    // serve ships the whole suffix, so a batch lost on the wire (or to the
-    // crash itself) is repaired by the next serve's re-ship; the standby
-    // deduplicates replays by sequence number.
-    let mut unacked: Vec<MgrLogRecord> = Vec::new();
-    let mut shipped: u64 = 0;
-    while let Ok(env) = ep.recv() {
+    hwm: HashMap<EndpointId, u64>,
+    done: HashMap<EndpointId, (u64, SimTime, MgrResponse)>,
+}
+
+impl MgrReplica {
+    fn respond(&self, dst: EndpointId, token: u64, at: SimTime, resp: MgrResponse) {
+        let reliable = dst == self.ctl && self.died_at.is_none_or(|d| at < d);
+        reply(&self.ep, reliable, dst, at, MsgClass::Sync, Msg::MgrResp { token, resp });
+    }
+
+    /// Replay protection: whether request `token` from `src` is new and
+    /// must be served. A request already answered is re-answered from the
+    /// cache, never re-applied.
+    fn admit(&mut self, src: EndpointId, token: u64, deliver_at: SimTime) -> bool {
+        if !self.dedup {
+            return true;
+        }
+        let seen = self.hwm.get(&src).copied().unwrap_or(0);
+        if token > seen {
+            self.hwm.insert(src, token);
+            return true;
+        }
+        if token == seen {
+            if let Some((t, at, resp)) = self.done.get(&src) {
+                if *t == token {
+                    self.respond(src, token, (*at).max(deliver_at), resp.clone());
+                }
+            }
+        }
+        false
+    }
+
+    /// Fold one record into the engine and send what it answers.
+    fn apply(&mut self, rec: MgrLogRecord) {
+        for out in self.engine.apply(rec) {
+            if self.dedup {
+                self.done.insert(out.dst, (out.token, out.at, out.resp.clone()));
+            }
+            self.respond(out.dst, out.token, out.at, out.resp);
+        }
+    }
+
+    /// Serve one fresh request from `src`, delivered at `at`, traced as
+    /// `MgrServe`. The record joins `unacked` (when there is a standby to
+    /// ship it to) before it is applied: write-ahead.
+    fn serve(
+        &mut self,
+        src: EndpointId,
+        at: SimTime,
+        token: u64,
+        tid: u32,
+        req: MgrRequest,
+        unacked: Option<&mut Vec<MgrLogRecord>>,
+    ) {
+        let op = self.track.as_ref().map(|_| req.label());
+        let rec = self.engine.record(src, tid, token, req, at);
+        if let Some(unacked) = unacked {
+            unacked.push(rec.clone());
+        }
+        self.apply(rec);
+        if let (Some(track), Some(op)) = (&self.track, op) {
+            track.push(self.engine.last_done(), EventKind::MgrServe { op, tid });
+        }
+    }
+}
+
+struct MgrService {
+    core: MgrReplica,
+    standby: Option<EndpointId>,
+    /// Write-ahead log records the standby has not yet acknowledged. Every
+    /// serve ships the whole suffix, so a batch lost on the wire (or to the
+    /// crash itself) is repaired by the next serve's re-ship; the standby
+    /// deduplicates replays by sequence number.
+    unacked: Vec<MgrLogRecord>,
+    /// Log records shipped (counting re-ships of the unacked suffix —
+    /// repair traffic is part of the cost story).
+    shipped: u64,
+    queue: QueueLog,
+}
+
+impl MgrService {
+    fn stats(&self) -> ManagerStats {
+        ManagerStats { log_records_shipped: self.shipped, ..self.core.engine.stats() }
+    }
+}
+
+impl Service for MgrService {
+    fn endpoint(&self) -> &Endpoint<Msg> {
+        &self.core.ep
+    }
+
+    fn handle(&mut self, env: Envelope<Msg>) {
         match env.msg {
+            // A lost request never reached the manager; discard it.
+            Msg::MgrReq { .. } if env.lost => {}
             Msg::MgrReq { token, tid, req } => {
-                // A lost request never reached the manager; discard it.
-                if env.lost {
-                    continue;
+                if !self.core.admit(env.src, token, env.deliver_at) {
+                    return;
                 }
-                if dedup {
-                    let seen = hwm.get(&env.src).copied().unwrap_or(0);
-                    if token < seen {
-                        continue;
-                    }
-                    if token == seen {
-                        if let Some((t, at, resp)) = done.get(&env.src) {
-                            if *t == token {
-                                let at = (*at).max(env.deliver_at);
-                                let wire = resp.wire_bytes();
-                                let msg = Msg::MgrResp { token, resp: resp.clone() };
-                                let _ = if env.src == ctl && ctl_reliable(at) {
-                                    ep.send_reliable(env.src, at, wire, MsgClass::Sync, msg)
-                                } else {
-                                    ep.send(env.src, at, wire, MsgClass::Sync, msg)
-                                };
-                            }
-                        }
-                        continue;
-                    }
-                    hwm.insert(env.src, token);
-                }
-                let op = track.as_ref().map(|_| req.label());
-                let rec = engine.record(env.src, tid, token, req, env.deliver_at);
-                if standby.is_some() {
-                    unacked.push(rec.clone());
-                }
-                let outgoing = engine.apply(rec);
-                // Publish virtual busy time before any response leaves (see
-                // mem_server_loop for the visibility argument). The queue
-                // mirror rides the same window.
-                let st = engine.stats();
-                busy.store(st.busy_ns, Ordering::Relaxed);
-                let (new_samples, _dropped) = engine.take_queue_samples();
-                queue.lock().publish(
-                    st.queue_wait_ns,
-                    st.queue_depth_sum,
-                    st.requests,
-                    new_samples,
-                );
-                for out in outgoing {
-                    let wire = out.resp.wire_bytes();
-                    if dedup {
-                        done.insert(out.dst, (out.token, out.at, out.resp.clone()));
-                    }
-                    let msg = Msg::MgrResp { token: out.token, resp: out.resp };
-                    let _ = if out.dst == ctl && ctl_reliable(out.at) {
-                        ep.send_reliable(out.dst, out.at, wire, MsgClass::Sync, msg)
-                    } else {
-                        ep.send(out.dst, out.at, wire, MsgClass::Sync, msg)
-                    };
-                }
-                if let (Some(track), Some(op)) = (&track, op) {
-                    track.push(engine.last_done(), EventKind::MgrServe { op, tid });
-                }
-                if let Some(sb) = standby {
+                let unacked = self.standby.is_some().then_some(&mut self.unacked);
+                self.core.serve(env.src, env.deliver_at, token, tid, req, unacked);
+                self.queue.absorb(self.core.engine.take_queue_samples().0);
+                if let Some(sb) = self.standby {
                     // Write-ahead shipping: responses and the log batch leave
                     // at the same virtual instant (`last_done`), and a
                     // manager crash is a structural fault keyed on that
@@ -1026,31 +972,25 @@ fn manager_loop(
                     // separate them, and the next serve's re-ship repairs it
                     // (with lock leases covering the tail case of a crash
                     // right after).
-                    shipped += unacked.len() as u64;
-                    recovery.log_records_shipped.store(shipped, Ordering::Relaxed);
-                    let msg = Msg::MgrLog { records: unacked.clone() };
-                    let wire = msg.wire_bytes();
-                    let _ = ep.send(sb, engine.last_done(), wire, MsgClass::Control, msg);
+                    self.shipped += self.unacked.len() as u64;
+                    let msg = Msg::MgrLog { records: self.unacked.clone() };
+                    let at = self.core.engine.last_done();
+                    reply(&self.core.ep, false, sb, at, MsgClass::Control, msg);
                 }
             }
+            // A lost ack is simply ignored: the suffix stays unacked and the
+            // next serve re-ships it.
             Msg::MgrLogAck { upto } => {
-                // A lost ack is simply ignored: the suffix stays unacked and
-                // the next serve re-ships it.
                 if !env.lost {
-                    unacked.retain(|r| r.seq > upto);
+                    self.unacked.retain(|r| r.seq > upto);
                 }
             }
-            Msg::Shutdown => break,
             other => panic!("manager received unexpected message: {other:?}"),
         }
     }
-    ep.exit_task();
-    let mut stats = engine.stats();
-    stats.log_records_shipped = shipped;
-    stats
 }
 
-/// The hot-standby manager's event loop.
+/// The hot-standby manager.
 ///
 /// **Before takeover** it is a pure log sink: every non-lost [`Msg::MgrLog`]
 /// batch is folded into its own engine (skipping already-applied sequence
@@ -1065,157 +1005,91 @@ fn manager_loop(
 /// dead. From then on the standby serves exactly like the primary — same
 /// record→apply path, same replay-cache discipline (a request the primary
 /// already answered is re-answered from the reconstructed cache, never
-/// re-applied), traced as `MgrServe` on its own track. Between requests it
-/// sleeps only until the earliest lock-lease expiry; waking at that virtual
-/// deadline with no message, it folds a `ReclaimExpired` sweep into the log
-/// so a lock whose holder (or whose release) died with the primary is handed
-/// to the next waiter instead of blocking the run forever. The sweep is
-/// deterministic-runtime only (`det`): leases expire in virtual time, and
-/// only a scheduler-bound endpoint can observe "virtual time reached the
-/// expiry" — see the `deadline` computation below.
-fn standby_loop(
-    ep: Endpoint<Msg>,
-    mut engine: ManagerEngine,
-    track: Option<SharedTrack>,
-    ctl: EndpointId,
-    det: bool,
-    recovery: Arc<RecoveryMirror>,
-) -> ManagerStats {
-    let mut hwm: HashMap<EndpointId, u64> = HashMap::new();
-    let mut done: HashMap<EndpointId, (u64, SimTime, MgrResponse)> = HashMap::new();
-    let mut active = false;
-    let mut serves: u64 = 0;
-    loop {
-        // An active standby sleeps only until the earliest lease expiry:
-        // reaching the deadline with no message triggers a reclaim sweep.
-        // Deterministic runtime only: on an unbound (OS-runtime) endpoint
-        // `recv_deadline` degrades to a ~1ms wall-clock poll whose `Ok(None)`
-        // means "nothing yet", not "virtual time reached the expiry" —
-        // sweeping there would depose live holders on wall-clock cadence.
-        // Mirrors the probe gating in `ThreadCtx::new`.
-        let deadline = if active && det { engine.next_lease_expiry() } else { None };
-        let env = match deadline {
-            Some(at) => match ep.recv_deadline(at) {
-                Ok(Some(env)) => env,
-                Ok(None) => {
-                    let outs = engine.apply(engine.record_reclaim(at));
-                    let st = engine.stats();
-                    recovery.lease_reclaims.store(st.lease_reclaims, Ordering::Relaxed);
-                    recovery.stale_releases.store(st.stale_releases, Ordering::Relaxed);
-                    if let Some(track) = &track {
-                        for (lock, holder) in engine.take_reclaims() {
-                            track.push(at, EventKind::LeaseReclaim { lock, holder });
-                        }
-                    }
-                    // Reclaimed locks hand to their next queued waiter: the
-                    // grants answer those waiters' original acquire tokens.
-                    for out in outs {
-                        done.insert(out.dst, (out.token, out.at, out.resp.clone()));
-                        let wire = out.resp.wire_bytes();
-                        let msg = Msg::MgrResp { token: out.token, resp: out.resp };
-                        let _ = if out.dst == ctl {
-                            ep.send_reliable(out.dst, out.at, wire, MsgClass::Sync, msg)
-                        } else {
-                            ep.send(out.dst, out.at, wire, MsgClass::Sync, msg)
-                        };
-                    }
-                    continue;
-                }
-                Err(_) => break,
-            },
-            None => match ep.recv() {
-                Ok(env) => env,
-                Err(_) => break,
-            },
-        };
+/// re-applied), traced as `MgrServe` on its own track. Between requests its
+/// [`Service::deadline`] is the earliest lock-lease expiry; reaching that
+/// virtual instant with no message due, it folds a `ReclaimExpired` sweep
+/// into the log so a lock whose holder (or whose release) died with the
+/// primary is handed to the next waiter instead of blocking the run forever.
+struct StandbyService {
+    core: MgrReplica,
+    active: bool,
+    /// Requests served after takeover.
+    serves: u64,
+    /// Virtual ns of the first post-takeover serve (0 = no takeover).
+    takeover_ns: u64,
+}
+
+impl StandbyService {
+    /// Cumulative (lease reclaims, stale releases absorbed, serves).
+    fn counters(&self) -> (u64, u64, u64) {
+        let st = self.core.engine.stats();
+        (st.lease_reclaims, st.stale_releases, self.serves)
+    }
+}
+
+impl Service for StandbyService {
+    fn endpoint(&self) -> &Endpoint<Msg> {
+        &self.core.ep
+    }
+
+    fn deadline(&self) -> Option<SimTime> {
+        if self.active {
+            self.core.engine.next_lease_expiry()
+        } else {
+            None
+        }
+    }
+
+    fn on_deadline(&mut self, at: SimTime) {
+        // Reclaimed locks hand to their next queued waiter: the grants
+        // answer those waiters' original acquire tokens.
+        let rec = self.core.engine.record_reclaim(at);
+        self.core.apply(rec);
+        if let Some(track) = &self.core.track {
+            for (lock, holder) in self.core.engine.take_reclaims() {
+                track.push(at, EventKind::LeaseReclaim { lock, holder });
+            }
+        }
+    }
+
+    fn handle(&mut self, env: Envelope<Msg>) {
         match env.msg {
+            // A lost batch never reached the standby (the primary's next
+            // serve re-ships the suffix); nor did a lost request.
+            Msg::MgrLog { .. } | Msg::MgrReq { .. } if env.lost => {}
             Msg::MgrLog { records } => {
-                // A lost batch never reached the standby; the primary's next
-                // serve re-ships the suffix.
-                if env.lost {
-                    continue;
-                }
+                let core = &mut self.core;
                 for rec in records {
-                    if rec.seq <= engine.applied_seq() {
+                    if rec.seq <= core.engine.applied_seq() {
                         continue; // already folded (batches re-ship the suffix)
                     }
                     if let MgrLogOp::Request { src, token, .. } = &rec.op {
-                        let seen = hwm.entry(*src).or_insert(0);
+                        let seen = core.hwm.entry(*src).or_insert(0);
                         *seen = (*seen).max(*token);
                     }
                     // Replay: fold the record, filing its outputs in the
                     // reconstructed replay cache WITHOUT sending them — the
                     // primary already answered these requests.
-                    for out in engine.apply(rec) {
-                        done.insert(out.dst, (out.token, out.at, out.resp));
+                    for out in core.engine.apply(rec) {
+                        core.done.insert(out.dst, (out.token, out.at, out.resp));
                     }
                 }
-                let ack = Msg::MgrLogAck { upto: engine.applied_seq() };
-                let wire = ack.wire_bytes();
-                let _ = ep.send(env.src, env.deliver_at, wire, MsgClass::Control, ack);
+                let ack = Msg::MgrLogAck { upto: core.engine.applied_seq() };
+                reply(&core.ep, false, env.src, env.deliver_at, MsgClass::Control, ack);
             }
             Msg::MgrReq { token, tid, req } => {
-                // A lost request never reached the standby; discard it.
-                if env.lost {
-                    continue;
+                if !self.active {
+                    self.active = true;
+                    self.takeover_ns = env.deliver_at.as_ns();
                 }
-                if !active {
-                    active = true;
-                    recovery.takeover_ns.store(env.deliver_at.as_ns(), Ordering::Relaxed);
-                }
-                // Replay protection, seeded by the log replay above: a
-                // request the primary already served is re-answered from the
-                // reconstructed cache, never re-applied.
-                let seen = hwm.get(&env.src).copied().unwrap_or(0);
-                if token < seen {
-                    continue;
-                }
-                if token == seen {
-                    if let Some((t, at, resp)) = done.get(&env.src) {
-                        if *t == token {
-                            let at = (*at).max(env.deliver_at);
-                            let wire = resp.wire_bytes();
-                            let msg = Msg::MgrResp { token, resp: resp.clone() };
-                            let _ = if env.src == ctl {
-                                ep.send_reliable(env.src, at, wire, MsgClass::Sync, msg)
-                            } else {
-                                ep.send(env.src, at, wire, MsgClass::Sync, msg)
-                            };
-                        }
-                    }
-                    continue;
-                }
-                hwm.insert(env.src, token);
-                let op = track.as_ref().map(|_| req.label());
-                let outgoing =
-                    engine.apply(engine.record(env.src, tid, token, req, env.deliver_at));
-                serves += 1;
-                // Publish before any response leaves (the busy-mirror
-                // visibility discipline, applied to the recovery counters).
-                let st = engine.stats();
-                recovery.standby_serves.store(serves, Ordering::Relaxed);
-                recovery.lease_reclaims.store(st.lease_reclaims, Ordering::Relaxed);
-                recovery.stale_releases.store(st.stale_releases, Ordering::Relaxed);
-                for out in outgoing {
-                    let wire = out.resp.wire_bytes();
-                    done.insert(out.dst, (out.token, out.at, out.resp.clone()));
-                    let msg = Msg::MgrResp { token: out.token, resp: out.resp };
-                    let _ = if out.dst == ctl {
-                        ep.send_reliable(out.dst, out.at, wire, MsgClass::Sync, msg)
-                    } else {
-                        ep.send(out.dst, out.at, wire, MsgClass::Sync, msg)
-                    };
-                }
-                if let (Some(track), Some(op)) = (&track, op) {
-                    track.push(engine.last_done(), EventKind::MgrServe { op, tid });
+                if self.core.admit(env.src, token, env.deliver_at) {
+                    self.core.serve(env.src, env.deliver_at, token, tid, req, None);
+                    self.serves += 1;
                 }
             }
-            Msg::Shutdown => break,
             other => panic!("standby manager received unexpected message: {other:?}"),
         }
     }
-    ep.exit_task();
-    engine.stats()
 }
 
 #[cfg(test)]
@@ -1369,5 +1243,117 @@ mod tests {
         for (page, _) in hot.iter() {
             assert_ne!(report.site_label(page), "?");
         }
+    }
+
+    /// With the services inline, a thread that is alone in the machine
+    /// never hands the baton to another OS thread: every RPC is answered on
+    /// its own stack.
+    #[test]
+    fn uncontended_sync_rpcs_never_leave_the_thread() {
+        let s = system();
+        let lock = s.create_mutex();
+        let barrier = s.create_barrier(1);
+        let addr = s.alloc_global(64);
+        let report = s.run(1, |ctx| {
+            let (grants, handoffs) = (s.sched.grants(), s.sched.handoffs());
+            for i in 0..100 {
+                ctx.lock(lock);
+                ctx.write_u64(addr, i);
+                ctx.unlock(lock);
+                ctx.barrier(barrier);
+            }
+            assert!(s.sched.grants() >= grants + 400, "each RPC is at least two picks");
+            assert_eq!(s.sched.handoffs(), handoffs, "hand-offs inside the run");
+        });
+        assert!(report.sched_grants > 400);
+    }
+
+    /// A panic inside a service step fails the run with the step's own
+    /// message — on the thread that ran the step and on every sibling that
+    /// was asleep on its baton — instead of leaving them parked forever.
+    #[test]
+    fn service_panic_fails_the_run_instead_of_hanging_it() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let s = system();
+            let barrier = s.create_barrier(2);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.run(2, |ctx| {
+                    if ctx.tid() == 0 {
+                        // A response is not something a manager can serve.
+                        let bogus = Msg::MgrResp { token: 0, resp: MgrResponse::Ok };
+                        s.fabric
+                            .send(s.mem_eps[0], s.mgr_ep, ctx.now(), 8, MsgClass::Control, bogus)
+                            .expect("manager endpoint is attached");
+                    }
+                    ctx.barrier(barrier);
+                })
+            }));
+            let payload = outcome.expect_err("the run must fail");
+            let _ = tx.send(payload.downcast_ref::<String>().cloned().unwrap_or_default());
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a panicking manager step must not hang the run");
+        assert!(message.contains("manager received unexpected message"), "{message}");
+    }
+
+    /// The standby's lease deadline is exact in virtual time: with no
+    /// message due, the reclaim sweep fires at the lease instant itself,
+    /// and a message due earlier is served first.
+    #[test]
+    fn standby_reclaims_at_exactly_the_lease_instant() {
+        const LEASE: u64 = 50_000;
+        let cfg = SamhitaConfig { mgr_lease_ns: LEASE, ..SamhitaConfig::small_for_tests() };
+        let sched = Scheduler::new(0);
+        let host = sched.register_running();
+        let fabric = Fabric::<Msg>::new(cfg.build_topology());
+        let node = samhita_scl::NodeId(0);
+        let client = fabric.add_endpoint(node);
+        client.bind_task(&host);
+        let tracer = Tracer::new(64);
+        let core = MgrReplica {
+            ep: fabric.add_endpoint(node),
+            engine: ManagerEngine::new(&cfg),
+            track: Some(tracer.shared_track(TrackId::MgrStandby)),
+            ctl: EndpointId(u32::MAX),
+            dedup: true,
+            died_at: None,
+            hwm: HashMap::new(),
+            done: HashMap::new(),
+        };
+        let standby_ep = core.ep.id();
+        let standby =
+            install(&sched, StandbyService { core, active: false, serves: 0, takeover_ns: 0 });
+        let mut token = 0;
+        let mut rpc = |tid: u32, at: u64, req: MgrRequest| {
+            token += 1;
+            let msg = Msg::MgrReq { token, tid, req };
+            client.send(standby_ep, SimTime::from_ns(at), 8, MsgClass::Sync, msg).unwrap();
+        };
+        rpc(0, 0, MgrRequest::Register { observer: false });
+        rpc(0, 10, MgrRequest::CreateLock);
+        rpc(0, 20, MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 0 });
+        for _ in 0..3 {
+            assert!(!client.recv().unwrap().lost);
+        }
+        let expiry = standby.lock().core.engine.next_lease_expiry().expect("lock 0 is leased");
+        // Due before the expiry: served first, and the deadline stands.
+        rpc(0, expiry.as_ns() / 2, MgrRequest::CreateLock);
+        client.recv().unwrap();
+        assert_eq!(standby.lock().counters().0, 0, "no reclaim before the lease runs out");
+        // Nothing else in flight: the next thing to happen is the sweep.
+        host.yield_until(u64::MAX);
+        assert_eq!(standby.lock().counters(), (1, 0, 4));
+        let trace = tracer.take();
+        let reclaims: Vec<_> = trace
+            .track(TrackId::MgrStandby)
+            .unwrap()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::LeaseReclaim { lock: 0, holder: 0 }))
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(reclaims, vec![expiry]);
+        assert_eq!(sched.handoffs(), 0);
     }
 }

@@ -37,7 +37,7 @@ use samhita_scl::{Endpoint, EndpointId, MsgClass, RetryPolicy, SimTime};
 use samhita_trace::{EventKind, FetchKind, TraceBuf};
 
 use crate::cache::SoftCache;
-use crate::config::{ConsistencyVariant, RuntimeKind, SamhitaConfig};
+use crate::config::{ConsistencyVariant, SamhitaConfig};
 use crate::freelist::FreeListAlloc;
 use crate::layout::{AddressLayout, Region};
 use crate::localsync::LocalSync;
@@ -125,11 +125,8 @@ impl ThreadCtx {
         // Grant-liveness probe for blocked manager requests (see
         // `Channel::probe_ns`): one lease period, so a waiter orphaned by a
         // manager crash resurfaces on the same timescale the standby uses
-        // to reclaim expired leases. Deterministic-runtime only — on the OS
-        // runtime `recv_deadline` degrades to a wall-clock poll and the
-        // probe would fire nondeterministically.
-        let probe_ns =
-            (cfg.runtime == RuntimeKind::Det && standby_ep.is_some()).then_some(cfg.mgr_lease_ns);
+        // to reclaim expired leases.
+        let probe_ns = standby_ep.is_some().then_some(cfg.mgr_lease_ns);
         let chan = Channel::new(
             tid,
             ep,
@@ -841,7 +838,7 @@ impl ThreadCtx {
     /// Prefetched data covering a noticed page is as stale as a cached copy:
     /// completed prefetches are dropped and in-flight ones poisoned so their
     /// responses are discarded on arrival (a demand miss will refetch).
-    fn apply_notices(&mut self, notices: &[WriteNotice]) {
+    fn apply_notices(&mut self, notices: &[Arc<WriteNotice>]) {
         for n in notices {
             if n.writer == self.tid {
                 continue;

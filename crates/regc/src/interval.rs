@@ -8,6 +8,8 @@
 //! *other* threads. Per-thread high-water marks allow the log to be
 //! truncated once every registered thread has seen a prefix.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// A fine-grain (consistency-region) update carried inside a write notice.
@@ -56,10 +58,13 @@ impl WriteNotice {
     }
 }
 
-/// The manager's global log of write notices.
+/// The manager's global log of write notices. Records are shared, not
+/// copied, into the answers that carry them: a barrier release hands each
+/// of P waiters a suffix of the same log, which by value is P² notice
+/// clones live at once.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalLog {
-    records: Vec<WriteNotice>,
+    records: Vec<Arc<WriteNotice>>,
     /// Sequence number of the first retained record minus one (records with
     /// `seq <= base_seq` have been truncated).
     base_seq: u64,
@@ -80,7 +85,7 @@ impl IntervalLog {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.records.push(WriteNotice { seq, writer, pages, updates });
+        self.records.push(Arc::new(WriteNotice { seq, writer, pages, updates }));
         seq
     }
 
@@ -89,7 +94,7 @@ impl IntervalLog {
     /// # Panics
     /// Panics if `last_seen` falls before the truncation point — the caller
     /// would silently miss notices, which is a protocol bug.
-    pub fn since(&self, last_seen: u64) -> Vec<WriteNotice> {
+    pub fn since(&self, last_seen: u64) -> Vec<Arc<WriteNotice>> {
         assert!(
             last_seen >= self.base_seq,
             "notices before seq {} were truncated (asked for > {})",

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use samhita_core::localsync::LocalSync;
-use samhita_core::{RunReport, RuntimeKind, ThreadStats};
+use samhita_core::{RunReport, ThreadStats};
 use samhita_sched::Scheduler;
 use samhita_scl::{FabricStatsSnapshot, SimTime};
 use samhita_trace::LatencyHistogram;
@@ -61,7 +61,6 @@ impl NativeCosts {
 /// The native backend.
 pub struct NativeRt {
     costs: NativeCosts,
-    runtime: RuntimeKind,
     sched_seed: u64,
     arrays: RwLock<Vec<Arc<Vec<AtomicU64>>>>,
     locks: LocalSync,
@@ -75,18 +74,16 @@ impl Default for NativeRt {
 }
 
 impl NativeRt {
-    /// A backend with the given cost constants, running under the
-    /// deterministic virtual-time scheduler (the default, matching
-    /// [`samhita_core::SamhitaConfig`]).
+    /// A backend with the given cost constants and scheduler seed 0.
     pub fn new(costs: NativeCosts) -> Self {
-        NativeRt::with_runtime(costs, RuntimeKind::Det, 0)
+        NativeRt::with_runtime(costs, 0)
     }
 
-    /// A backend with an explicit runtime kind and scheduler tie-break seed.
-    pub fn with_runtime(costs: NativeCosts, runtime: RuntimeKind, sched_seed: u64) -> Self {
+    /// A backend with an explicit scheduler tie-break seed. Like the DSM,
+    /// it runs under the deterministic virtual-time scheduler.
+    pub fn with_runtime(costs: NativeCosts, sched_seed: u64) -> Self {
         NativeRt {
             costs,
-            runtime,
             sched_seed,
             arrays: RwLock::new(Vec::new()),
             locks: LocalSync::new(costs.mutex_ns),
@@ -136,21 +133,19 @@ impl KernelRt for NativeRt {
 
     fn run(&self, nthreads: u32, body: &(dyn Fn(&mut dyn KernelCtx) + Sync)) -> RunReport {
         assert!(nthreads >= 1);
-        // Deterministic mode: a fresh per-run scheduler; the host holds the
-        // baton while spawning so every compute task is registered (in tid
-        // order) before any of them runs, then parks for the joins. The
-        // LocalSync lock/barrier blocking points pick up the scheduler
-        // through `Scheduler::current()`.
-        let sched = (self.runtime == RuntimeKind::Det).then(|| Scheduler::new(self.sched_seed));
-        let host = sched.as_ref().map(|s| s.register_running());
+        // A fresh per-run scheduler; the host holds the baton while spawning
+        // so every compute task is registered (in tid order) before any of
+        // them runs, then parks for the joins. The LocalSync lock/barrier
+        // blocking points pick up the scheduler through
+        // `Scheduler::current()`.
+        let sched = Scheduler::new(self.sched_seed);
+        let host = sched.register_running();
         let stats = std::thread::scope(|s| {
             let handles: Vec<_> = (0..nthreads)
                 .map(|tid| {
-                    let task = sched.as_ref().map(|sched| sched.register_ready(0));
+                    let task = sched.register_ready(0);
                     s.spawn(move || {
-                        if let Some(task) = &task {
-                            task.start();
-                        }
+                        task.start();
                         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             let mut ctx = NativeCtx {
                                 rt: self,
@@ -179,9 +174,7 @@ impl KernelRt for NativeRt {
                                 ..ThreadStats::default()
                             }
                         }));
-                        if let Some(task) = &task {
-                            task.exit();
-                        }
+                        task.exit();
                         match result {
                             Ok(stats) => stats,
                             Err(payload) => std::panic::resume_unwind(payload),
@@ -189,9 +182,7 @@ impl KernelRt for NativeRt {
                     })
                 })
                 .collect();
-            if let Some(host) = &host {
-                host.suspend();
-            }
+            host.suspend();
             let stats = handles
                 .into_iter()
                 .map(|h| match h.join() {
@@ -199,9 +190,7 @@ impl KernelRt for NativeRt {
                     Err(payload) => std::panic::resume_unwind(payload),
                 })
                 .collect::<Vec<_>>();
-            if let Some(host) = &host {
-                host.resume();
-            }
+            host.resume();
             stats
         });
         RunReport::new(stats, FabricStatsSnapshot::default())

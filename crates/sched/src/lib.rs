@@ -1,9 +1,7 @@
 //! Deterministic virtual-time scheduler.
 //!
-//! The simulator's compute and service threads are real OS threads, but
-//! under this scheduler **exactly one of them runs at a time**: every task
-//! is gated by a per-task *baton* (a condvar-protected slot), and the
-//! scheduler hands the baton to the unique task with the globally minimal
+//! Under this scheduler **exactly one simulated task runs at a time**: the
+//! scheduler hands control to the unique task with the globally minimal
 //! `(virtual_time, tie_break, task_id)` key among those ready to run. The
 //! tie-break is a seeded `splitmix64` hash of the task id, so ties at equal
 //! virtual time resolve the same way in every run with the same seed —
@@ -12,27 +10,45 @@
 //!
 //! This is a *conservative* discrete-event design: a task yields with a
 //! candidate virtual time (the earliest instant at which it could next
-//! act), and the scheduler only grants the baton to the minimal candidate.
-//! Because a task granted at time `g` holds the smallest candidate, every
-//! message any other task may later send is stamped `>= g`; the granted
-//! task can therefore safely consume anything with effective time `<= g`.
+//! act), and the scheduler only grants the minimal candidate. Because a
+//! task granted at time `g` holds the smallest candidate, every message any
+//! other task may later send is stamped `>= g`; the granted task can
+//! therefore safely consume anything with effective time `<= g`.
 //! Candidates may be *under*-estimates (that only changes which
 //! deterministic order is picked, never causality); they must never be
 //! over-estimates.
 //!
-//! Service threads (memory servers, the manager) are born *free-running*:
-//! until their first baton grant they may drain their channels concurrently
-//! with the host's setup sends. Determinism across that window is the
-//! receiver's responsibility (see the deterministic receive path in the
-//! fabric crate, which keys ordering off per-sender-monotone effective
-//! times and channel order, both of which are stable under partial drains).
+//! Tasks come in two kinds, and the pick policy cannot tell them apart:
+//!
+//! * **Thread tasks** (compute threads, the host) own an OS thread that
+//!   sleeps on a per-task *baton* — an atomic slot plus
+//!   `std::thread::park` — until a pick lands on it.
+//! * **Inline service tasks** (the manager, memory servers) own no thread:
+//!   they are a step callback `FnMut(granted) -> Next`. When a pick lands
+//!   on one, whichever thread is giving up the baton runs the step itself,
+//!   with the scheduler lock released, stores the returned state and picks
+//!   again.
+//!
+//! Only a pick that lands on a *different thread task* wakes another OS
+//! thread (after the scheduler lock is dropped, so the woken thread never
+//! runs into it); a pick that lands back on the yielding task returns
+//! directly. [`Scheduler::grants`] counts picks, [`Scheduler::handoffs`]
+//! the subset that crossed OS threads.
+//!
+//! A panic inside a step *poisons* the scheduler: every thread blocked on a
+//! baton wakes and panics with the original message, so a failing service
+//! fails the run instead of hanging it.
 
 #![warn(missing_docs)]
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
+use std::any::Any;
 use std::cell::RefCell;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::{self, Thread};
 
 /// `splitmix64` — the canonical 64-bit finalizer used to derive a
 /// reproducible per-task tie-break from the scheduler seed.
@@ -43,45 +59,28 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The per-task hand-off gate. The slot carries the grant's virtual-time
-/// candidate, so a resuming task learns *when* it was scheduled without a
-/// second rendezvous with the scheduler lock.
+/// The per-thread-task hand-off gate. The slot carries the grant's
+/// virtual-time candidate, so a resuming task learns *when* it was
+/// scheduled without a second rendezvous with the scheduler lock.
+/// `granted`'s Release store publishes `at` to the Acquire swap in `take`.
+#[derive(Default)]
 struct Baton {
-    slot: Mutex<Option<u64>>,
-    cv: Condvar,
+    at: AtomicU64,
+    granted: AtomicBool,
 }
 
 impl Baton {
-    fn new() -> Self {
-        Baton { slot: Mutex::new(None), cv: Condvar::new() }
-    }
-
-    /// Hand the baton over, carrying the grant's candidate time.
+    /// Fill the slot with the grant's candidate time. The caller unparks
+    /// the owning thread afterwards.
     fn grant(&self, at: u64) {
-        let mut slot = self.slot.lock();
-        debug_assert!(slot.is_none(), "baton granted twice without an intervening block");
-        *slot = Some(at);
-        self.cv.notify_one();
+        self.at.store(at, Ordering::Relaxed);
+        let stale = self.granted.swap(true, Ordering::Release);
+        debug_assert!(!stale, "baton granted twice without an intervening block");
     }
 
-    /// Wait for the baton and take it; returns the grant's candidate time.
-    fn block(&self) -> u64 {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(at) = slot.take() {
-                return at;
-            }
-            self.cv.wait(&mut slot);
-        }
-    }
-
-    /// Discard an unconsumed grant. A task can be granted while still
-    /// free-running its birth window (the grant sits in the slot, untaken);
-    /// when that task then re-announces its state (yield/park/suspend/exit)
-    /// the pending grant is stale and must not be mistaken for a fresh one
-    /// by the next `block`.
-    fn clear(&self) {
-        let _ = self.slot.lock().take();
+    /// Empty the slot, returning the grant's candidate time if it was full.
+    fn take(&self) -> Option<u64> {
+        self.granted.swap(false, Ordering::Acquire).then(|| self.at.load(Ordering::Relaxed))
     }
 }
 
@@ -98,20 +97,49 @@ enum TaskState {
     Done,
 }
 
+/// What an inline service task wants after one step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Next {
+    /// Run again no earlier than this virtual time (merged by minimum with
+    /// nothing: wakes posted while the step ran were ignored, exactly as
+    /// for a Running thread task, so the step must account for everything
+    /// it has been sent).
+    At(u64),
+    /// Sleep until some task posts a [`TaskRef::wake_at`].
+    Park,
+    /// Retire; the step is never called again.
+    Done,
+}
+
+/// An inline service task's body: called with the grant's candidate time.
+pub type Step = Box<dyn FnMut(u64) -> Next + Send>;
+
+/// How a granted task gets to run.
+enum Runner {
+    /// On its own OS thread, last seen blocking as `thread`.
+    Thread { baton: Arc<Baton>, thread: Option<Thread> },
+    /// On the dispatching thread; `None` while a dispatch has the step out.
+    Inline(Option<Step>),
+}
+
 struct Task {
     state: TaskState,
     /// Seeded tie-break, fixed at registration.
     tie: u64,
-    baton: Arc<Baton>,
+    runner: Runner,
 }
 
 struct Inner {
     tasks: Vec<Task>,
     /// The task currently holding (or granted) the baton, if any.
     running: Option<usize>,
-    /// Baton grants issued so far (picks plus quiescent resume takes).
-    /// Observability only: never consulted by the pick policy.
+    /// Picks made so far. Observability only: never consulted by the pick
+    /// policy.
     grants: u64,
+    /// Picks that landed on a thread task other than the dispatching one.
+    handoffs: u64,
+    /// The message of the step panic that poisoned this scheduler.
+    poison: Option<String>,
 }
 
 /// The deterministic scheduler: a shared registry of tasks plus the single
@@ -130,7 +158,13 @@ impl Scheduler {
     pub fn new(seed: u64) -> Arc<Scheduler> {
         Arc::new(Scheduler {
             seed,
-            inner: Mutex::new(Inner { tasks: Vec::new(), running: None, grants: 0 }),
+            inner: Mutex::new(Inner {
+                tasks: Vec::new(),
+                running: None,
+                grants: 0,
+                handoffs: 0,
+                poison: None,
+            }),
         })
     }
 
@@ -139,22 +173,32 @@ impl Scheduler {
         self.seed
     }
 
-    /// Total baton grants issued so far — a measure of how often the
-    /// machine context-switched in virtual time. Purely observational.
+    /// Total picks so far — a measure of how often the machine
+    /// context-switched in virtual time. Purely observational.
     pub fn grants(&self) -> u64 {
         self.inner.lock().grants
     }
 
+    /// The subset of [`Scheduler::grants`] that woke a different OS thread
+    /// (picks that ran an inline service or landed back on the yielding
+    /// task are free). Purely observational.
+    pub fn handoffs(&self) -> u64 {
+        self.inner.lock().handoffs
+    }
+
     /// The task bound to the calling OS thread, if it was started through
     /// this scheduler family ([`TaskRef::start`] binds, task exit unbinds).
-    /// Plain threads (unit tests, the OS-thread runtime) see `None`, which
-    /// is how dual-mode code keys off the deterministic path.
+    /// Plain threads (unit tests) see `None`.
     pub fn current() -> Option<TaskRef> {
         CURRENT.with(|c| c.borrow().clone())
     }
 
-    fn register(self: &Arc<Self>, state: TaskState) -> TaskRef {
-        let baton = Arc::new(Baton::new());
+    fn register(self: &Arc<Self>, state: TaskState, step: Option<Step>) -> TaskRef {
+        let baton = Arc::new(Baton::default());
+        let runner = match step {
+            Some(step) => Runner::Inline(Some(step)),
+            None => Runner::Thread { baton: baton.clone(), thread: None },
+        };
         let mut inner = self.inner.lock();
         let id = inner.tasks.len();
         let tie = splitmix64(self.seed ^ (id as u64 + 1));
@@ -162,33 +206,37 @@ impl Scheduler {
             assert!(inner.running.is_none(), "two tasks registered Running");
             inner.running = Some(id);
         }
-        inner.tasks.push(Task { state, tie, baton: baton.clone() });
+        inner.tasks.push(Task { state, tie, runner });
         TaskRef { sched: self.clone(), id, baton }
     }
 
     /// Register the calling context as the task that currently holds the
     /// baton (the host). Exactly one task may be Running at registration.
     pub fn register_running(self: &Arc<Self>) -> TaskRef {
-        self.register(TaskState::Running)
+        self.register(TaskState::Running, None)
     }
 
     /// Register a task ready to run no earlier than virtual time `at`.
     pub fn register_ready(self: &Arc<Self>, at: u64) -> TaskRef {
-        self.register(TaskState::Ready(at))
+        self.register(TaskState::Ready(at), None)
     }
 
     /// Register a task blocked until somebody wakes it.
     pub fn register_parked(self: &Arc<Self>) -> TaskRef {
-        self.register(TaskState::Parked)
+        self.register(TaskState::Parked, None)
     }
 
-    /// Grant the baton to the Ready task with the minimal
-    /// `(candidate, tie, id)` key, if any. Caller holds the inner lock and
-    /// must have cleared `running` (or be about to re-grant to itself — the
-    /// pick may select the caller; the hand-off is uniform either way).
-    fn pick(&self, inner: &mut Inner) {
-        let _prof = samhita_prof::enter(samhita_prof::Phase::SchedStep);
-        debug_assert!(inner.running.is_none());
+    /// Register an inline service task, parked until somebody wakes it.
+    /// Whenever a pick lands on it, the dispatching thread calls `step`
+    /// with the grant's candidate time and files the returned [`Next`].
+    /// The step must not block on this scheduler. The returned handle is
+    /// for [`TaskRef::wake_at`] only.
+    pub fn register_service(self: &Arc<Self>, step: Step) -> TaskRef {
+        self.register(TaskState::Parked, Some(step))
+    }
+
+    /// The Ready task with the minimal `(candidate, tie, id)` key.
+    fn pick(inner: &Inner) -> Option<(u64, usize)> {
         let mut best: Option<(u64, u64, usize)> = None;
         for (id, t) in inner.tasks.iter().enumerate() {
             if let TaskState::Ready(at) = t.state {
@@ -198,14 +246,98 @@ impl Scheduler {
                 }
             }
         }
-        if let Some((at, _, id)) = best {
-            inner.tasks[id].state = TaskState::Running;
-            inner.running = Some(id);
+        best.map(|(at, _, id)| (at, id))
+    }
+
+    /// Pick until control leaves the calling thread or comes back to it.
+    /// Called with `running` cleared; `me` is the caller's own task if it
+    /// intends to keep waiting for the baton. Inline services picked along
+    /// the way run right here, lock released. Returns `Some(at)` if a pick
+    /// landed on `me` (the caller holds the baton again, no hand-off);
+    /// `None` if another thread task was granted or nothing is Ready (the
+    /// machine quiesces until the suspended host resumes).
+    fn dispatch<'a>(&'a self, mut inner: MutexGuard<'a, Inner>, me: Option<usize>) -> Option<u64> {
+        loop {
+            debug_assert!(inner.running.is_none());
+            let prof = samhita_prof::enter(samhita_prof::Phase::SchedStep);
+            let (at, id) = Self::pick(&inner)?;
             inner.grants += 1;
-            inner.tasks[id].baton.grant(at);
+            inner.running = Some(id);
+            let task = &mut inner.tasks[id];
+            task.state = TaskState::Running;
+            let mut step = match &mut task.runner {
+                Runner::Inline(step) => step.take().expect("inline task picked while running"),
+                Runner::Thread { .. } if me == Some(id) => return Some(at),
+                Runner::Thread { baton, thread } => {
+                    let (baton, thread) = (baton.clone(), thread.clone());
+                    inner.handoffs += 1;
+                    // Grant with the lock released: the woken thread's
+                    // first move is usually to take it. The phase guard
+                    // ends before the wake-up, which the OS may answer by
+                    // running the woken thread first.
+                    drop(inner);
+                    baton.grant(at);
+                    drop(prof);
+                    if let Some(thread) = thread {
+                        thread.unpark();
+                    }
+                    return None;
+                }
+            };
+            drop(inner);
+            drop(prof);
+            let next = match panic::catch_unwind(AssertUnwindSafe(|| step(at))) {
+                Ok(next) => next,
+                Err(payload) => {
+                    self.poison(payload.as_ref());
+                    panic::resume_unwind(payload);
+                }
+            };
+            inner = self.inner.lock();
+            let task = &mut inner.tasks[id];
+            task.state = match next {
+                Next::At(t) => TaskState::Ready(t),
+                Next::Park => TaskState::Parked,
+                Next::Done => TaskState::Done,
+            };
+            task.runner = Runner::Inline(Some(step));
+            inner.running = None;
         }
-        // No Ready task: the machine quiesces until the (suspended) host
-        // resumes, or a free-running newborn parks and later gets woken.
+    }
+
+    /// Record a step panic and wake every thread blocked on a baton so it
+    /// can fail too (see [`TaskRef::block`]).
+    fn poison(&self, payload: &(dyn Any + Send)) {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "inline service step panicked".to_string());
+        let mut inner = self.inner.lock();
+        inner.poison = Some(msg);
+        let sleepers: Vec<Thread> = inner
+            .tasks
+            .iter()
+            .filter_map(|t| match &t.runner {
+                Runner::Thread { thread, .. } => thread.clone(),
+                Runner::Inline(_) => None,
+            })
+            .collect();
+        drop(inner);
+        for thread in sleepers {
+            thread.unpark();
+        }
+    }
+
+    /// Lock the registry, failing the caller if a step panic poisoned it.
+    fn lock_live(&self) -> MutexGuard<'_, Inner> {
+        let inner = self.inner.lock();
+        if let Some(msg) = &inner.poison {
+            let msg = msg.clone();
+            drop(inner);
+            panic!("{msg}");
+        }
+        inner
     }
 }
 
@@ -222,16 +354,12 @@ impl fmt::Debug for Scheduler {
 
 /// A handle on one registered task. Clonable and sharable: wake-ups arrive
 /// from whichever task is currently running.
+#[derive(Clone)]
 pub struct TaskRef {
     sched: Arc<Scheduler>,
     id: usize,
+    /// Inline service tasks never block, so theirs is never granted.
     baton: Arc<Baton>,
-}
-
-impl Clone for TaskRef {
-    fn clone(&self) -> Self {
-        TaskRef { sched: self.sched.clone(), id: self.id, baton: self.baton.clone() }
-    }
 }
 
 impl fmt::Debug for TaskRef {
@@ -246,11 +374,34 @@ impl TaskRef {
         self.id
     }
 
+    /// Sleep until this task's baton is granted; returns the grant's
+    /// candidate time. Panics with the original message if a step panic
+    /// poisons the scheduler meanwhile.
+    fn block(&self) -> u64 {
+        let me = thread::current();
+        loop {
+            // Tell granters (and a poisoner) whom to unpark, before looking
+            // at the slot: a grant that raced ahead of this found nobody to
+            // wake but already filled it.
+            let mut inner = self.sched.lock_live();
+            if let Runner::Thread { thread, .. } = &mut inner.tasks[self.id].runner {
+                if thread.as_ref().map(Thread::id) != Some(me.id()) {
+                    *thread = Some(me.clone());
+                }
+            }
+            drop(inner);
+            if let Some(at) = self.baton.take() {
+                return at;
+            }
+            thread::park();
+        }
+    }
+
     /// First block of a newly spawned OS thread: wait for the first baton
     /// grant, bind this task to the calling thread (so [`Scheduler::current`]
     /// finds it), and return the grant's virtual-time candidate.
     pub fn start(&self) -> u64 {
-        let at = self.baton.block();
+        let at = self.block();
         CURRENT.with(|c| *c.borrow_mut() = Some(self.clone()));
         at
     }
@@ -270,50 +421,33 @@ impl TaskRef {
         }
     }
 
-    /// Give up the baton until virtual time `t` (merged by minimum with any
-    /// pending wake), let the minimal-candidate task run, and block until
-    /// re-granted. Returns the grant's candidate: the caller may consume
-    /// anything with effective time `<=` that value.
-    pub fn yield_until(&self, t: u64) -> u64 {
-        {
-            let mut inner = self.sched.inner.lock();
-            let task = &mut inner.tasks[self.id];
-            match task.state {
-                TaskState::Running => task.state = TaskState::Ready(t),
-                TaskState::Ready(c) => task.state = TaskState::Ready(c.min(t)),
-                // Still in the birth free-run window (never granted): keep
-                // whatever a racing wake recorded, add our own candidate.
-                TaskState::Parked => task.state = TaskState::Ready(t),
-                TaskState::Done => unreachable!("yield after exit"),
-            }
-            if inner.running == Some(self.id) {
-                self.baton.clear();
-                inner.running = None;
-                self.sched.pick(&mut inner);
-            }
+    /// Give up the baton in `state`, let the minimal candidate run, and
+    /// come back when a pick lands here again.
+    fn relinquish(&self, state: TaskState) -> u64 {
+        let mut inner = self.sched.lock_live();
+        assert_eq!(inner.running, Some(self.id), "only the running task can yield or park");
+        inner.tasks[self.id].state = state;
+        inner.running = None;
+        match self.sched.dispatch(inner, Some(self.id)) {
+            Some(at) => at,
+            None => self.block(),
         }
-        self.baton.block()
+    }
+
+    /// Give up the baton until virtual time `t`, let the minimal-candidate
+    /// task run, and continue once re-granted (without touching a baton if
+    /// this task stays minimal). Returns the grant's candidate: the caller
+    /// may consume anything with effective time `<=` that value.
+    pub fn yield_until(&self, t: u64) -> u64 {
+        self.relinquish(TaskState::Ready(t))
     }
 
     /// Block with no wake-up scheduled; some other task must [`wake_at`]
     /// this one. Returns the grant's candidate time once re-granted.
     ///
-    /// In the birth free-run window (thread spawned but never granted) the
-    /// task keeps a racing wake's Ready state rather than downgrading it.
-    ///
     /// [`wake_at`]: TaskRef::wake_at
     pub fn park(&self) -> u64 {
-        {
-            let mut inner = self.sched.inner.lock();
-            if inner.running == Some(self.id) {
-                self.baton.clear();
-                inner.tasks[self.id].state = TaskState::Parked;
-                inner.running = None;
-                self.sched.pick(&mut inner);
-            }
-            // else: birth window — leave Parked/Ready(racing wake) alone.
-        }
-        self.baton.block()
+        self.relinquish(TaskState::Parked)
     }
 
     /// Release the baton *without blocking*: the host calls this before
@@ -325,64 +459,50 @@ impl TaskRef {
     ///
     /// [`resume`]: TaskRef::resume
     pub fn suspend(&self) {
-        let mut inner = self.sched.inner.lock();
+        let mut inner = self.sched.lock_live();
+        inner.tasks[self.id].state = TaskState::Parked;
         if inner.running == Some(self.id) {
-            self.baton.clear();
-            inner.tasks[self.id].state = TaskState::Parked;
             inner.running = None;
-            self.sched.pick(&mut inner);
-        } else {
-            inner.tasks[self.id].state = TaskState::Parked;
+            self.sched.dispatch(inner, None);
         }
     }
 
     /// Re-acquire the baton after a [`suspend`]. Idempotent: a no-op if
-    /// this task already runs. If the machine is quiescent (nothing Ready,
-    /// nothing Running) the baton is taken immediately; otherwise the task
-    /// queues at `u64::MAX` so every pending finite-candidate event drains
-    /// before the host proceeds.
+    /// this task already runs. The task queues at `u64::MAX`, so every
+    /// pending finite-candidate event drains before the host proceeds; on a
+    /// quiescent machine the pick lands straight back here.
     ///
     /// [`suspend`]: TaskRef::suspend
     pub fn resume(&self) {
-        {
-            let mut inner = self.sched.inner.lock();
-            if inner.running == Some(self.id) {
-                // Discard a grant issued while this task was briefly parked
-                // by `suspend`: it is already running again.
-                self.baton.clear();
-                return;
-            }
-            if inner.running.is_none() {
-                let any_ready = inner.tasks.iter().any(|t| matches!(t.state, TaskState::Ready(_)));
-                if !any_ready {
-                    // Quiescent: nothing can be in flight (wakes only come
-                    // from running tasks), so take the baton directly.
-                    inner.tasks[self.id].state = TaskState::Running;
-                    inner.running = Some(self.id);
-                    inner.grants += 1;
-                    return;
-                }
-                inner.tasks[self.id].state = TaskState::Ready(u64::MAX);
-                self.sched.pick(&mut inner);
-            } else {
-                inner.tasks[self.id].state = TaskState::Ready(u64::MAX);
-            }
+        let mut inner = self.sched.lock_live();
+        if inner.running == Some(self.id) {
+            // Discard a grant issued while this task was parked by
+            // `suspend`: it is already running again.
+            self.baton.take();
+            return;
         }
-        self.baton.block();
+        inner.tasks[self.id].state = TaskState::Ready(u64::MAX);
+        if inner.running.is_some() {
+            drop(inner);
+        } else if self.sched.dispatch(inner, Some(self.id)).is_some() {
+            return;
+        }
+        self.block();
     }
 
     /// Retire this task. If it held the baton the next minimal candidate is
     /// granted. Unbinds [`Scheduler::current`] when called on the calling
-    /// thread's own task. Safe to call for a task that never started.
+    /// thread's own task. Safe to call for a task that never started, and
+    /// on a poisoned scheduler (where it only retires).
     pub fn exit(&self) {
         let mut inner = self.sched.inner.lock();
         inner.tasks[self.id].state = TaskState::Done;
-        if inner.running == Some(self.id) {
-            self.baton.clear();
+        if inner.running == Some(self.id) && inner.poison.is_none() {
             inner.running = None;
-            self.sched.pick(&mut inner);
+            self.sched.dispatch(inner, None);
+        } else {
+            drop(inner);
         }
-        drop(inner);
         CURRENT.with(|c| {
             let mut cur = c.borrow_mut();
             if cur.as_ref().is_some_and(|t| t.id == self.id) {
@@ -581,5 +701,185 @@ mod tests {
         assert_eq!(t.join().unwrap(), 40);
         host.resume();
         a.wake_at(0); // Done: ignored, must not panic or grant
+    }
+
+    /// Run `f` on its own thread and fail (rather than hang the suite) if
+    /// it does not finish in time — a lost wake-up shows up as a timeout.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(secs)).expect("scheduler test timed out")
+    }
+
+    /// The scripted task of `inline_and_thread_tasks_grant_alike`: what it
+    /// does after a grant at `g` (`None` = finish).
+    fn script(g: u64) -> Option<Next> {
+        match g {
+            10_000.. => None,
+            g if g % 3 == 0 => Some(Next::Park),
+            g => Some(Next::At(g + 7)),
+        }
+    }
+
+    /// One scripted task among four workers that keep waking it, run once
+    /// as a thread task and once as an inline service: the pick policy
+    /// cannot tell, so every grant — who, and at what time — is the same.
+    #[test]
+    fn inline_and_thread_tasks_grant_alike() {
+        let run = |seed: u64, inline: bool| {
+            let sched = Scheduler::new(seed);
+            let host = sched.register_running();
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let workers: Vec<TaskRef> = (0..4).map(|i| sched.register_ready(i * 5)).collect();
+            let mut joins = Vec::new();
+            let scripted = if inline {
+                let log = log.clone();
+                sched.register_service(Box::new(move |g| {
+                    log.lock().push((4, g));
+                    script(g).unwrap_or(Next::Done)
+                }))
+            } else {
+                let task = sched.register_parked();
+                let (t, log) = (task.clone(), log.clone());
+                joins.push(thread::spawn(move || {
+                    let mut g = t.start();
+                    loop {
+                        log.lock().push((4, g));
+                        g = match script(g) {
+                            Some(Next::At(at)) => t.yield_until(at),
+                            Some(_) => t.park(),
+                            None => break t.exit(),
+                        };
+                    }
+                }));
+                task
+            };
+            let worker_joins: Vec<_> = workers
+                .into_iter()
+                .enumerate()
+                .map(|(i, w)| {
+                    let (scripted, log) = (scripted.clone(), log.clone());
+                    thread::spawn(move || {
+                        let mut now = w.start();
+                        for _ in 0..6 {
+                            log.lock().push((i, now));
+                            scripted.wake_at(now + 4);
+                            now = w.yield_until(now + 9);
+                        }
+                        w.exit();
+                    })
+                })
+                .collect();
+            host.suspend();
+            for j in worker_joins {
+                j.join().unwrap();
+            }
+            host.resume();
+            scripted.wake_at(10_000);
+            host.yield_until(u64::MAX);
+            for j in joins {
+                j.join().unwrap();
+            }
+            let log = log.lock().clone();
+            (log, sched.grants())
+        };
+        for seed in 0..8 {
+            let (as_thread, as_service) = (run(seed, false), run(seed, true));
+            assert!(as_thread.0.iter().filter(|(who, _)| *who == 4).count() > 8);
+            assert_eq!(as_thread, as_service, "seed {seed}");
+        }
+    }
+
+    /// A yield whose picks land on an inline service and then back on the
+    /// yielding task never leaves its OS thread: no baton, no hand-off.
+    #[test]
+    fn self_pick_and_inline_steps_stay_on_the_yielding_thread() {
+        let sched = Scheduler::new(2);
+        let me = sched.register_running();
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let seen = ran_on.clone();
+        let svc = sched.register_service(Box::new(move |g| {
+            seen.lock().push((g, thread::current().id()));
+            Next::Park
+        }));
+        for round in 0..100u64 {
+            svc.wake_at(round * 10 + 1);
+            assert_eq!(me.yield_until(round * 10 + 5), round * 10 + 5);
+        }
+        let ran_on = ran_on.lock();
+        assert_eq!(ran_on.len(), 100);
+        assert!(ran_on.iter().all(|&(_, id)| id == thread::current().id()));
+        assert_eq!(ran_on[7].0, 71, "the step sees its wake time");
+        assert_eq!(sched.grants(), 200);
+        assert_eq!(sched.handoffs(), 0);
+    }
+
+    /// Two thread tasks pass the baton back and forth 10⁵ times through
+    /// `wake_at` + `park`; a single lost wake-up would park both forever.
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        const ROUNDS: u64 = 100_000;
+        let handoffs = within(120, || {
+            let sched = Scheduler::new(7);
+            let a = sched.register_running();
+            let b = sched.register_parked();
+            let (a2, b2) = (a.clone(), b.clone());
+            let peer = thread::spawn(move || {
+                let mut g = b2.start();
+                for i in 0..ROUNDS {
+                    assert_eq!(g, i, "each grant carries its wake time");
+                    a2.wake_at(i);
+                    if i + 1 < ROUNDS {
+                        g = b2.park();
+                    }
+                }
+                b2.exit();
+            });
+            for i in 0..ROUNDS {
+                b.wake_at(i);
+                assert_eq!(a.park(), i);
+            }
+            peer.join().unwrap();
+            sched.handoffs()
+        });
+        assert_eq!(handoffs, 2 * ROUNDS);
+    }
+
+    /// A panicking step fails the thread that ran it with the original
+    /// payload and every thread blocked on a baton with the same message.
+    #[test]
+    fn step_panic_poisons_blocked_tasks() {
+        let messages = within(60, || {
+            let sched = Scheduler::new(4);
+            let host = sched.register_running();
+            let svc = sched.register_service(Box::new(|g| panic!("step exploded at {g}")));
+            let blocked = sched.register_ready(0);
+            let runner = sched.register_ready(1);
+            let joins = [
+                // Parks for good at 0; sleeps on its baton from then on.
+                thread::spawn(move || {
+                    blocked.start();
+                    svc.wake_at(2);
+                    blocked.park();
+                }),
+                // Yields past the service's wake time, so runs its step.
+                thread::spawn(move || {
+                    runner.start();
+                    runner.yield_until(10);
+                }),
+            ];
+            host.suspend();
+            let messages: Vec<String> = joins
+                .into_iter()
+                .map(|j| {
+                    let payload = j.join().expect_err("both tasks must fail");
+                    payload.downcast_ref::<String>().cloned().unwrap_or_default()
+                })
+                .collect();
+            // Retiring is still allowed; taking the baton back is not.
+            host.exit();
+            messages
+        });
+        assert_eq!(messages, vec!["step exploded at 2"; 2]);
     }
 }

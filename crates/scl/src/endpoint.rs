@@ -3,20 +3,26 @@
 //! An endpoint has two receive disciplines. Unbound (the default), `recv`
 //! blocks on the physical channel and yields messages in arrival order —
 //! correct for single-threaded runs and plain-thread tests. Bound to a
-//! deterministic-scheduler task (see [`Endpoint::bind_task`]), `recv`
-//! instead delivers messages in **virtual-time order**: arrivals are staged
-//! in a min-heap keyed by per-sender-monotone effective delivery time, and
-//! the owning task yields to the scheduler until the earliest staged message
-//! is provably final (no lower-keyed message can still be sent). That makes
-//! multi-sender receive order a pure function of virtual time + seed, never
-//! of OS scheduling.
+//! deterministic-scheduler task (see [`Endpoint::bind_task`]), messages are
+//! instead delivered in **virtual-time order**: arrivals are staged in a
+//! min-heap keyed by per-sender-monotone effective delivery time, and the
+//! earliest staged message is handed out only once it is provably final
+//! (no lower-keyed message can still be sent). That makes multi-sender
+//! receive order a pure function of virtual time + seed, never of OS
+//! scheduling.
+//!
+//! The deterministic discipline is two non-blocking calls —
+//! [`Endpoint::next_due`] (when could the next message be final?) and
+//! [`Endpoint::poll`] (take it if a grant at that time says it is). Inline
+//! service tasks are built directly on the pair; the blocking
+//! [`Endpoint::recv`] / [`Endpoint::recv_deadline`] that thread tasks use
+//! are the same pair wrapped around scheduler yields.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::BinaryHeap;
+use std::sync::{Arc, OnceLock};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use samhita_sched::TaskRef;
 
@@ -55,41 +61,35 @@ impl<M> Ord for DetItem<M> {
     }
 }
 
-/// Deterministic receive state, present only on bound endpoints.
-struct DetState<M> {
-    task: TaskRef,
+/// The deterministic receive path's staging area.
+struct Staged<M> {
     heap: BinaryHeap<Reverse<DetItem<M>>>,
-    /// Last effective time handed out per sender; effective times are
-    /// `max(deliver_at, last_eff[src])` so one sender's messages never
-    /// reorder against each other (an ordering key only — the envelope
-    /// keeps its true delivery time).
-    last_eff: HashMap<EndpointId, u64>,
+    /// Last effective time handed out per sender, indexed by endpoint id;
+    /// effective times are `max(deliver_at, last_eff[src])` so one sender's
+    /// messages never reorder against each other (an ordering key only —
+    /// the envelope keeps its true delivery time).
+    last_eff: Vec<u64>,
     /// Arrival counter: ties at equal effective time resolve in physical
     /// channel order, which is deterministic under serialized execution.
     seq: u64,
-    closed: bool,
 }
 
-impl<M> DetState<M> {
+impl<M> Staged<M> {
     /// Pull everything physically available into the staging heap.
     fn drain(&mut self, rx: &Receiver<Envelope<M>>) {
         let _prof = samhita_prof::enter(samhita_prof::Phase::ChannelRecv);
-        loop {
-            match rx.try_recv() {
-                Ok(env) => {
-                    let last = self.last_eff.entry(env.src).or_insert(0);
-                    let eff = env.deliver_at.as_ns().max(*last);
-                    *last = eff;
-                    let seq = self.seq;
-                    self.seq += 1;
-                    self.heap.push(Reverse(DetItem { eff, seq, env }));
-                }
-                Err(TryRecvError::Empty) => return,
-                Err(TryRecvError::Disconnected) => {
-                    self.closed = true;
-                    return;
-                }
+        // The fabric owns a sender for as long as this endpoint holds the
+        // fabric, so the channel never disconnects: an error means empty.
+        while let Ok(env) = rx.try_recv() {
+            let src = env.src.0 as usize;
+            if src >= self.last_eff.len() {
+                self.last_eff.resize(src + 1, 0);
             }
+            let eff = env.deliver_at.as_ns().max(self.last_eff[src]);
+            self.last_eff[src] = eff;
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Reverse(DetItem { eff, seq, env }));
         }
     }
 }
@@ -113,15 +113,17 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// One attachment point on the fabric. Owned by exactly one component
-/// thread; cloneable senders live inside the fabric.
+/// One attachment point on the fabric. Owned by exactly one component;
+/// cloneable senders live inside the fabric.
 pub struct Endpoint<M> {
     id: EndpointId,
     node: NodeId,
     rx: Receiver<Envelope<M>>,
     fabric: Arc<Fabric<M>>,
-    det: Mutex<Option<DetState<M>>>,
-    depth_gauge: Mutex<Option<Arc<DepthGauge>>>,
+    /// The scheduler task that owns this endpoint, once bound.
+    task: OnceLock<TaskRef>,
+    staged: Mutex<Staged<M>>,
+    depth_gauge: OnceLock<Arc<DepthGauge>>,
 }
 
 impl<M: Send + Clone + 'static> Endpoint<M> {
@@ -131,46 +133,33 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         rx: Receiver<Envelope<M>>,
         fabric: Arc<Fabric<M>>,
     ) -> Self {
-        Endpoint { id, node, rx, fabric, det: Mutex::new(None), depth_gauge: Mutex::new(None) }
-    }
-
-    /// Attach a backlog gauge: every successful [`Endpoint::recv`] samples
-    /// how many messages remained staged (deterministic heap) or pending
-    /// (physical channel) after one was taken. Sampling is observational —
-    /// it never touches a virtual clock or the receive order.
-    pub fn set_depth_gauge(&self, gauge: Arc<DepthGauge>) {
-        *self.depth_gauge.lock() = Some(gauge);
-    }
-
-    fn sample_backlog(&self, depth: u64) {
-        if let Some(g) = self.depth_gauge.lock().as_ref() {
-            g.sample(depth);
+        let staged = Staged { heap: BinaryHeap::new(), last_eff: Vec::new(), seq: 0 };
+        Endpoint {
+            id,
+            node,
+            rx,
+            fabric,
+            task: OnceLock::new(),
+            staged: Mutex::new(staged),
+            depth_gauge: OnceLock::new(),
         }
+    }
+
+    /// Attach a backlog gauge (once, at bring-up): every message the
+    /// deterministic path hands out samples how many remained staged after
+    /// it was taken. Sampling is observational — it never touches a virtual
+    /// clock or the receive order.
+    pub fn set_depth_gauge(&self, gauge: Arc<DepthGauge>) {
+        assert!(self.depth_gauge.set(gauge).is_ok(), "depth gauge attached twice");
     }
 
     /// Switch this endpoint to the deterministic receive discipline, owned
     /// by scheduler task `task`: subsequent deliveries post virtual wake-ups
-    /// to the task and [`Endpoint::recv`] returns messages in effective
-    /// virtual-time order. Call once at bring-up, before any traffic
-    /// targets this endpoint.
+    /// to the task and messages come out in effective virtual-time order.
+    /// Call once at bring-up, before any traffic targets this endpoint.
     pub fn bind_task(&self, task: &TaskRef) {
-        *self.det.lock() = Some(DetState {
-            task: task.clone(),
-            heap: BinaryHeap::new(),
-            last_eff: HashMap::new(),
-            seq: 0,
-            closed: false,
-        });
+        assert!(self.task.set(task.clone()).is_ok(), "endpoint bound to a task twice");
         self.fabric.bind_task(self.id, task.clone());
-    }
-
-    /// Retire the scheduler task bound to this endpoint (no-op when
-    /// unbound). Service loops call this on the way out so the scheduler
-    /// never waits on a task whose loop has returned.
-    pub fn exit_task(&self) {
-        if let Some(st) = self.det.lock().as_ref() {
-            st.task.exit();
-        }
     }
 
     /// This endpoint's fabric id.
@@ -226,91 +215,82 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.fabric.send_reliable(self.id, dst, now, wire_bytes, class, msg)
     }
 
+    /// The earliest virtual time at which a staged message could be final,
+    /// after staging everything physically delivered so far; `None` when
+    /// nothing is staged. The owning task announces this to the scheduler
+    /// (yield, or [`samhita_sched::Next::At`]) and [`poll`]s with the grant.
+    ///
+    /// [`poll`]: Endpoint::poll
+    pub fn next_due(&self) -> Option<u64> {
+        let mut st = self.staged.lock();
+        st.drain(&self.rx);
+        st.heap.peek().map(|Reverse(top)| top.eff)
+    }
+
+    /// Take the earliest staged message if it is *final*: the owning task
+    /// was granted at virtual time `granted` and the heap minimum's
+    /// effective time is `<= granted`, so no yet-unsent message can ever
+    /// sort in front of it. `None` means the grant came in below the
+    /// minimum (an earlier wake-up raced in and monotonization then lifted
+    /// the message, or a deadline fired first): announce [`next_due`] again.
+    ///
+    /// [`next_due`]: Endpoint::next_due
+    pub fn poll(&self, granted: u64) -> Option<Envelope<M>> {
+        let mut st = self.staged.lock();
+        st.drain(&self.rx);
+        if st.heap.peek().is_none_or(|Reverse(top)| top.eff > granted) {
+            return None;
+        }
+        let env = st.heap.pop().expect("peeked").0.env;
+        if let Some(g) = self.depth_gauge.get() {
+            g.sample(st.heap.len() as u64);
+        }
+        Some(env)
+    }
+
     /// Block until a message arrives. Unbound: physical arrival order.
     /// Bound to a scheduler task: messages are delivered in effective
     /// virtual-time order, and blocking is a scheduler yield, not an OS
-    /// block — the wait ends when the earliest staged message is *final*,
-    /// i.e. the task was granted at a virtual time `g` with the heap
-    /// minimum's effective time `<= g`, so no yet-unsent message can ever
-    /// sort in front of it.
+    /// block — the wait ends when the earliest staged message is final.
     pub fn recv(&self) -> Result<Envelope<M>, SclError> {
-        let mut det = self.det.lock();
-        let Some(st) = det.as_mut() else {
-            drop(det);
-            // Unbound (OS runtime): the physical channel exposes no stable
-            // occupancy to observe, so backlog gauges only report under the
-            // deterministic runtime's staged heap below.
+        let Some(task) = self.task.get() else {
             return self.rx.recv().map_err(|_| SclError::ChannelClosed);
         };
-        // Holding `det` across yields/parks is deadlock-free: senders touch
-        // only the fabric slot (wake hook) and the physical channel, never
-        // this mutex.
         loop {
-            st.drain(&self.rx);
-            if let Some(Reverse(top)) = st.heap.peek() {
-                let eff = top.eff;
-                let granted = st.task.yield_until(eff);
-                st.drain(&self.rx);
-                if let Some(Reverse(top2)) = st.heap.peek() {
-                    if top2.eff <= granted {
-                        let env = st.heap.pop().expect("peeked").0.env;
-                        let backlog = st.heap.len() as u64;
-                        self.sample_backlog(backlog);
+            match self.next_due() {
+                Some(eff) => {
+                    if let Some(env) = self.poll(task.yield_until(eff)) {
                         return Ok(env);
                     }
                 }
-                // Granted below the minimum (an earlier wake-up raced in and
-                // then monotonization lifted it, or a lower-keyed message
-                // arrived meanwhile): loop and re-announce the new minimum.
-            } else if st.closed {
-                return Err(SclError::ChannelClosed);
-            } else {
-                st.task.park();
+                None => {
+                    task.park();
+                }
             }
         }
     }
 
     /// Block until a message arrives *or* virtual time reaches `deadline`,
-    /// whichever is earlier; `Ok(None)` means the deadline fired with no
-    /// deliverable message at or before it. On a bound endpoint the wait is
-    /// a scheduler yield, so the deadline is exact in virtual time — this
-    /// is how a standby manager sleeps until the next lock-lease expiry
-    /// without any wall-clock timer. A staged message due at or before the
-    /// deadline always wins over the deadline itself.
+    /// whichever is earlier; `None` means the deadline fired with no
+    /// deliverable message at or before it. The wait is a scheduler yield,
+    /// so the deadline is exact in virtual time — this is how a blocked
+    /// client probes a silent manager without any wall-clock timer. A
+    /// staged message due at or before the deadline always wins over the
+    /// deadline itself.
     ///
-    /// Unbound (OS runtime) there is no shared virtual clock to wait on, so
-    /// this degrades to a short wall-clock poll; callers on that runtime
-    /// must treat `Ok(None)` as "nothing yet", not as a virtual instant.
-    pub fn recv_deadline(&self, deadline: SimTime) -> Result<Option<Envelope<M>>, SclError> {
-        let mut det = self.det.lock();
-        let Some(st) = det.as_mut() else {
-            drop(det);
-            return match self.rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(env) => Ok(Some(env)),
-                Err(RecvTimeoutError::Timeout) => Ok(None),
-                Err(RecvTimeoutError::Disconnected) => Err(SclError::ChannelClosed),
-            };
-        };
+    /// # Panics
+    /// Panics on an unbound endpoint: there is no virtual clock to wait on.
+    pub fn recv_deadline(&self, deadline: SimTime) -> Option<Envelope<M>> {
+        let task = self.task.get().expect("recv_deadline needs a scheduler-bound endpoint");
         let dl = deadline.as_ns();
         loop {
-            st.drain(&self.rx);
-            let target = match st.heap.peek() {
-                Some(Reverse(top)) => top.eff.min(dl),
-                None if st.closed => return Err(SclError::ChannelClosed),
-                None => dl,
-            };
-            let granted = st.task.yield_until(target);
-            st.drain(&self.rx);
-            if let Some(Reverse(top2)) = st.heap.peek() {
-                if top2.eff <= granted {
-                    let env = st.heap.pop().expect("peeked").0.env;
-                    let backlog = st.heap.len() as u64;
-                    self.sample_backlog(backlog);
-                    return Ok(Some(env));
-                }
+            let target = self.next_due().map_or(dl, |eff| eff.min(dl));
+            let granted = task.yield_until(target);
+            if let Some(env) = self.poll(granted) {
+                return Some(env);
             }
             if granted >= dl {
-                return Ok(None);
+                return None;
             }
         }
     }
@@ -319,26 +299,12 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     /// minimum by effective time without any finality wait — callers that
     /// mix it with deterministic `recv` must tolerate tentative order.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        let mut det = self.det.lock();
-        if let Some(st) = det.as_mut() {
-            st.drain(&self.rx);
-            return st.heap.pop().map(|Reverse(item)| item.env);
+        if self.task.get().is_none() {
+            return self.rx.try_recv().ok();
         }
-        drop(det);
-        match self.rx.try_recv() {
-            Ok(env) => Some(env),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
-    }
-
-    /// Blocking receive with a *wall-clock* timeout; used by service loops to
-    /// poll for shutdown.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Envelope<M>>, SclError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(SclError::ChannelClosed),
-        }
+        let mut st = self.staged.lock();
+        st.drain(&self.rx);
+        st.heap.pop().map(|Reverse(item)| item.env)
     }
 }
 
@@ -354,24 +320,44 @@ mod tests {
     use crate::topology::Topology;
 
     #[test]
-    fn try_recv_and_timeout() {
+    fn try_recv_is_non_blocking() {
         let fabric = Fabric::<u8>::new(Topology::single_node(1));
         let a = fabric.add_endpoint(NodeId(0));
         let b = fabric.add_endpoint(NodeId(0));
         assert!(b.try_recv().is_none());
-        assert!(b.recv_timeout(Duration::from_millis(1)).unwrap().is_none());
         a.send(b.id(), SimTime::ZERO, 1, MsgClass::Control, 9).unwrap();
         assert_eq!(b.try_recv().unwrap().msg, 9);
     }
 
+    /// An inline service built on `next_due`/`poll` consumes messages in
+    /// effective-time order, each exactly when a grant makes it final, and
+    /// the whole exchange happens on the yielding thread.
     #[test]
-    fn recv_deadline_polls_on_unbound_endpoints() {
+    fn inline_service_polls_in_virtual_time_order() {
+        use samhita_sched::{Next, Scheduler};
+        let sched = Scheduler::new(0);
+        let host = sched.register_running();
         let fabric = Fabric::<u8>::new(Topology::single_node(1));
-        let a = fabric.add_endpoint(NodeId(0));
-        let b = fabric.add_endpoint(NodeId(0));
-        assert!(b.recv_deadline(SimTime::from_ns(10)).unwrap().is_none());
-        a.send(b.id(), SimTime::ZERO, 1, MsgClass::Control, 4).unwrap();
-        assert_eq!(b.recv_deadline(SimTime::from_ns(10)).unwrap().unwrap().msg, 4);
+        let (a, b) = (fabric.add_endpoint(NodeId(0)), fabric.add_endpoint(NodeId(0)));
+        let svc = Arc::new(fabric.add_endpoint(NodeId(0)));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (ep, log) = (svc.clone(), seen.clone());
+        let task = sched.register_service(Box::new(move |granted| {
+            if let Some(env) = ep.poll(granted) {
+                assert!(env.deliver_at.as_ns() <= granted, "consumed before final");
+                log.lock().push(env.msg);
+            }
+            ep.next_due().map_or(Next::Park, Next::At)
+        }));
+        svc.bind_task(&task);
+        // Posted latest-first; sender `a`'s second message is stamped
+        // earlier than its first and must still follow it.
+        b.send(svc.id(), SimTime::from_ns(900), 1, MsgClass::Control, 3).unwrap();
+        a.send(svc.id(), SimTime::from_ns(500), 1, MsgClass::Control, 1).unwrap();
+        a.send(svc.id(), SimTime::from_ns(100), 1, MsgClass::Control, 2).unwrap();
+        host.yield_until(u64::MAX);
+        assert_eq!(*seen.lock(), vec![1, 2, 3]);
+        assert_eq!(sched.handoffs(), 0);
     }
 
     #[test]
@@ -389,9 +375,9 @@ mod tests {
             task.start();
             // The message is already in flight, due no earlier than 1000 ns;
             // a 500 ns deadline fires first, with the message left staged.
-            assert!(b.recv_deadline(SimTime::from_ns(500)).unwrap().is_none());
+            assert!(b.recv_deadline(SimTime::from_ns(500)).is_none());
             // With a late deadline the staged message wins over it.
-            let env = b.recv_deadline(SimTime::from_ms(1)).unwrap().expect("message due first");
+            let env = b.recv_deadline(SimTime::from_ms(1)).expect("message due first");
             assert_eq!(env.msg, 7);
             assert!(env.deliver_at >= SimTime::from_ns(1000));
             task.exit();

@@ -28,9 +28,9 @@ struct Slot<M> {
     /// Each endpoint is owned by exactly one component thread, so this
     /// sequence is deterministic across runs.
     seq: AtomicU64,
-    /// Deterministic-scheduler task behind this endpoint, if its owner is
-    /// cooperatively scheduled: every physical delivery then also posts a
-    /// virtual wake-up at the envelope's delivery time.
+    /// Deterministic-scheduler task behind this endpoint, once bound: every
+    /// physical delivery then also posts a virtual wake-up at the
+    /// envelope's delivery time.
     det_task: Option<TaskRef>,
 }
 
@@ -162,10 +162,9 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         Ok((deliver_at, fate))
     }
 
-    /// [`Fabric::send`] bypassing fault injection entirely: used for system
-    /// control traffic (shutdown) that must reach even a "crashed" endpoint
-    /// — the crash is simulated, the OS thread behind it is real and must
-    /// still be joined.
+    /// [`Fabric::send`] bypassing fault injection entirely: used for the
+    /// host control plane, which models the experimenter's out-of-band
+    /// access and must reach even a "crashed" or partitioned endpoint.
     pub fn send_reliable(
         &self,
         src: EndpointId,

@@ -257,11 +257,9 @@ fn condvar_handoff_with_waiting_consumer() {
             ctx.unlock(lock);
         } else {
             // Producer, delayed so the consumer actually waits: the compute
-            // charge pushes its lock acquisition later in *virtual* time
-            // (what the deterministic runtime orders by), and the physical
-            // sleep does the same in wall time for the OS runtime.
+            // charge pushes its lock acquisition later in *virtual* time,
+            // which is what the scheduler orders by.
             ctx.compute(100_000);
-            std::thread::sleep(std::time::Duration::from_millis(20));
             ctx.lock(lock);
             ctx.write_u64(value, 99);
             ctx.write_u64(flag, 1);
