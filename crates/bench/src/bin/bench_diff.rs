@@ -127,10 +127,12 @@ fn main() -> ExitCode {
                 continue;
             }
         };
+        // `load` checked it: every report the gate can read names its kernel.
+        let kernel = base.text("kernel").expect("from_json requires a kernel");
         let fresh = match load(fresh_path) {
             Ok(r) => r,
             Err(e) => {
-                failures.push(format!("{} (fresh report for baseline {})", e, base.kernel));
+                failures.push(format!("{e} (fresh report for baseline {kernel})"));
                 continue;
             }
         };
@@ -141,12 +143,14 @@ fn main() -> ExitCode {
         failures.extend(cmp.regressions);
         // Stricter host gate, opted into per invocation. Separate from
         // compare() so the always-on gate keeps its blowup-only semantics.
-        if let (Some(ratio), Some(bh), Some(fh)) = (args.host_advisory, &base.host, &fresh.host) {
-            if bh.ns_per_event > 0.0 && fh.ns_per_event > bh.ns_per_event * ratio {
+        let ns_per_event = |r: &BenchReport| r.num("host.ns_per_event");
+        if let (Some(ratio), Some(b), Some(f)) =
+            (args.host_advisory, ns_per_event(&base), ns_per_event(&fresh))
+        {
+            if b > 0.0 && f > b * ratio {
                 failures.push(format!(
-                    "{}: host ns/event {:.1} exceeds {ratio}x the baseline {:.1} \
-                     (--host-advisory)",
-                    fresh.kernel, fh.ns_per_event, bh.ns_per_event
+                    "{kernel}: host ns/event {f:.1} exceeds {ratio}x the baseline {b:.1} \
+                     (--host-advisory)"
                 ));
             }
         }

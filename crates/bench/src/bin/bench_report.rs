@@ -23,11 +23,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use samhita_bench::{run_summary, BenchReport, HarnessConfig, HostSummary};
-use samhita_core::{RunReport, SamhitaConfig};
-use samhita_kernels::{
-    run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
-};
+use samhita_bench::harness::{report_config, report_kernels};
+use samhita_bench::{run_summary, BenchReport, HarnessConfig};
 use samhita_rt::SamhitaRt;
 
 fn main() -> ExitCode {
@@ -65,18 +62,11 @@ fn main() -> ExitCode {
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
     let q = HarnessConfig::quick();
-    // Provision enough per-thread arenas for the largest requested run;
-    // the default (64) covers the committed baselines, so regenerating them
-    // never changes the fingerprint.
     let max_p = threads.iter().copied().max().expect("non-empty thread list");
-    let cfg = SamhitaConfig {
-        tracing: true,
-        max_threads: q.base.max_threads.max(max_p),
-        ..q.base.clone()
-    };
+    let cfg = report_config(&q, max_p);
 
     let mut wrote = 0usize;
-    for (kernel, run) in kernels(&q) {
+    for (kernel, run) in report_kernels(&q) {
         if only_kernel.as_deref().is_some_and(|k| k != kernel) {
             continue;
         }
@@ -95,11 +85,11 @@ fn main() -> ExitCode {
             let bench = BenchReport::from_run(kernel, &params, &cfg, p, &report, Some(&trace));
             samhita_prof::enable(false);
             let bench = if with_host {
-                bench.with_host(HostSummary::from_prof(
+                bench.with_host(
                     &samhita_prof::snapshot(),
                     report.host_wall_ns.get(),
                     report.fabric.total_msgs(),
-                ))
+                )
             } else {
                 bench
             };
@@ -122,47 +112,6 @@ fn parse_threads(list: &str) -> Result<Vec<u32>, String> {
         Ok(v) if !v.is_empty() && v.iter().all(|&p| p >= 1) => Ok(v),
         _ => Err(format!("bad --threads list '{list}' (want e.g. 1,8,64)")),
     }
-}
-
-/// The reported kernels, each parameterized by thread count at the quick
-/// scale. Jacobi and MD require at least one row / particle per thread, so
-/// their problem sizes grow with P when P exceeds the quick scale.
-#[allow(clippy::type_complexity)]
-fn kernels(
-    q: &HarnessConfig,
-) -> Vec<(&'static str, Box<dyn Fn(&SamhitaRt, u32) -> (String, RunReport) + '_>)> {
-    vec![
-        (
-            "micro",
-            Box::new(|rt, threads| {
-                let p = MicroParams {
-                    n_outer: q.n_outer,
-                    m_inner: q.m_fixed,
-                    s_rows: q.s_fixed,
-                    b_cols: q.b_cols,
-                    mode: AllocMode::Global,
-                    threads,
-                };
-                (format!("{p:?}"), run_micro(rt, &p).report)
-            }),
-        ),
-        (
-            "jacobi",
-            Box::new(|rt, threads| {
-                let n = q.jacobi_n.max(threads as usize);
-                let p = JacobiParams { n, iters: q.jacobi_iters, threads };
-                (format!("{p:?}"), run_jacobi(rt, &p).report)
-            }),
-        ),
-        (
-            "md",
-            Box::new(|rt, threads| {
-                let n = q.md_n.max(threads as usize);
-                let p = MdParams { n, steps: q.md_steps, dt: 1e-3, threads, seed: 42 };
-                (format!("{p:?}"), run_md(rt, &p).report)
-            }),
-        ),
-    ]
 }
 
 fn usage(err: &str) -> ExitCode {

@@ -37,7 +37,7 @@ use samhita_kernels::{
     run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
 };
 use samhita_rt::SamhitaRt;
-use samhita_trace::{EventKind, RunTrace, TrackId};
+use samhita_trace::{EventKind, JsonValue, RunTrace, TrackId};
 
 struct Args {
     kernel: String,
@@ -312,35 +312,29 @@ fn main() -> ExitCode {
     let failed = results.iter().filter(|r| !r.ok).count();
     let swept = results.len();
     if let Some(path) = &args.out {
-        let mut json = format!(
-            "{{\"schema\":\"samhita-chaos-sweep-v1\",\"kernel\":\"{}\",\"threads\":{},\
-             \"candidates\":{},\"swept\":{},\"skipped_by_time_box\":{},\"failed\":{},\
-             \"reference_mem_fp\":\"{:016x}\",\"points\":[",
-            samhita_trace::json::escape(&args.kernel),
-            args.threads,
-            candidates.len(),
-            swept,
-            timed_out,
-            failed,
-            reference.mem_fp,
-        );
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"at_ns\":{},\"ok\":{},\"failovers\":{},\"takeover_ns\":{},\
-                 \"lease_reclaims\":{},\"detail\":\"{}\"}}",
-                r.at_ns,
-                r.ok,
-                r.failovers,
-                r.takeover_ns,
-                r.lease_reclaims,
-                samhita_trace::json::escape(&r.detail)
-            ));
-        }
-        json.push_str("]}");
-        debug_assert!(samhita_trace::validate_json(&json).is_ok());
+        let point = |r: &PointResult| {
+            JsonValue::object([
+                ("at_ns", r.at_ns.into()),
+                ("ok", JsonValue::Bool(r.ok)),
+                ("failovers", r.failovers.into()),
+                ("takeover_ns", r.takeover_ns.into()),
+                ("lease_reclaims", r.lease_reclaims.into()),
+                ("detail", r.detail.as_str().into()),
+            ])
+        };
+        let json = JsonValue::object([
+            ("schema", "samhita-chaos-sweep-v1".into()),
+            ("kernel", args.kernel.as_str().into()),
+            ("threads", u64::from(args.threads).into()),
+            ("candidates", (candidates.len() as u64).into()),
+            ("swept", (swept as u64).into()),
+            ("skipped_by_time_box", (timed_out as u64).into()),
+            ("failed", (failed as u64).into()),
+            // A full-range u64: JSON numbers stop being exact at 2^53.
+            ("reference_mem_fp", format!("{:016x}", reference.mem_fp).into()),
+            ("points", JsonValue::array(results.iter().map(point))),
+        ])
+        .to_string();
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("error: {}: {e}", path.display());
             return ExitCode::FAILURE;

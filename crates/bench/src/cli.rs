@@ -16,7 +16,10 @@
 //!
 //! [`BenchReport`]: crate::report::BenchReport
 
-use samhita_core::{FaultConfig, SamhitaConfig};
+use samhita_core::{FaultConfig, RunReport, SamhitaConfig};
+use samhita_trace::RunTrace;
+
+use crate::report::BenchReport;
 
 /// Parsed example arguments: positionals plus the shared flags.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -92,6 +95,36 @@ impl ExampleArgs {
     /// `--metrics-out`, whose timeline section is trace-derived).
     pub fn wants_trace(&self) -> bool {
         self.trace_path.is_some() || self.metrics_out.is_some()
+    }
+
+    /// What every example does with its designated traced run: check the
+    /// RegC invariants on the trace, then write what the flags asked for —
+    /// `--trace` the Chrome trace-event JSON, `--metrics-out` a
+    /// [`BenchReport`] named `kernel` / `params`.
+    ///
+    /// # Panics
+    /// Panics if `trace` is `None` (the run was not configured with
+    /// `tracing`), on an invariant violation, or on a write error.
+    pub fn write_outputs(
+        &self,
+        kernel: &str,
+        params: &str,
+        cfg: &SamhitaConfig,
+        threads: u32,
+        report: &RunReport,
+        trace: Option<RunTrace>,
+    ) {
+        let trace = trace.expect("tracing was enabled");
+        trace.check_invariants().expect("RegC invariants violated");
+        if let Some(path) = &self.trace_path {
+            std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
+            println!("  wrote {path} ({} events) — open at https://ui.perfetto.dev", trace.len());
+        }
+        if let Some(path) = &self.metrics_out {
+            let bench = BenchReport::from_run(kernel, params, cfg, threads, report, Some(&trace));
+            std::fs::write(path, bench.to_json()).expect("write metrics file");
+            println!("  wrote {path}");
+        }
     }
 }
 

@@ -1,6 +1,10 @@
 //! Shared harness types: scales, figure data, CSV/tabular output.
 
 use samhita_core::{RunReport, SamhitaConfig};
+use samhita_kernels::{
+    run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
+};
+use samhita_rt::SamhitaRt;
 use serde::{Deserialize, Serialize};
 
 /// One-run diagnostic block: the compute/sync split as a ratio, the
@@ -289,6 +293,60 @@ impl HarnessConfig {
             base: SamhitaConfig { page_size: 1024, ..SamhitaConfig::default() },
         }
     }
+}
+
+/// The configuration every `bench-report` point runs under: `q`'s base with
+/// tracing on and enough per-thread arenas for the largest requested run.
+/// The default provisioning (64) covers the committed baselines, so
+/// regenerating them never changes the fingerprint.
+pub fn report_config(q: &HarnessConfig, max_threads: u32) -> SamhitaConfig {
+    SamhitaConfig {
+        tracing: true,
+        max_threads: q.base.max_threads.max(max_threads),
+        ..q.base.clone()
+    }
+}
+
+/// The kernels `bench-report` measures, each parameterized by thread count at
+/// the quick scale; a point returns its fingerprinted params string and its
+/// report. Jacobi and MD require at least one row / particle per thread, so
+/// their problem sizes grow with P when P exceeds the quick scale.
+#[allow(clippy::type_complexity)]
+pub fn report_kernels(
+    q: &HarnessConfig,
+) -> Vec<(&'static str, Box<dyn Fn(&SamhitaRt, u32) -> (String, RunReport) + '_>)> {
+    vec![
+        (
+            "micro",
+            Box::new(|rt, threads| {
+                let p = MicroParams {
+                    n_outer: q.n_outer,
+                    m_inner: q.m_fixed,
+                    s_rows: q.s_fixed,
+                    b_cols: q.b_cols,
+                    mode: AllocMode::Global,
+                    threads,
+                };
+                (format!("{p:?}"), run_micro(rt, &p).report)
+            }),
+        ),
+        (
+            "jacobi",
+            Box::new(|rt, threads| {
+                let n = q.jacobi_n.max(threads as usize);
+                let p = JacobiParams { n, iters: q.jacobi_iters, threads };
+                (format!("{p:?}"), run_jacobi(rt, &p).report)
+            }),
+        ),
+        (
+            "md",
+            Box::new(|rt, threads| {
+                let n = q.md_n.max(threads as usize);
+                let p = MdParams { n, steps: q.md_steps, dt: 1e-3, threads, seed: 42 };
+                (format!("{p:?}"), run_md(rt, &p).report)
+            }),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -17,7 +17,4 @@ pub mod report;
 
 pub use cli::ExampleArgs;
 pub use harness::{run_summary, FigureData, HarnessConfig, Series};
-pub use report::{
-    compare, thread_windows, BenchReport, BreakdownSummary, Comparison, CritPathSummary, HostPhase,
-    HostSummary, QueueSummary,
-};
+pub use report::{compare, thread_windows, BenchReport, Comparison};

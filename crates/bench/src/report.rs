@@ -4,11 +4,13 @@
 //! regression gate needs: virtual makespan, sync fraction, stall-latency
 //! percentiles, manager / memory-server utilization, a trace-derived
 //! timeline summary, and the top hotspot pages with their allocation sites.
-//! Reports serialize to `BENCH_<kernel>_p<threads>.json` (the vendored serde is a
-//! no-op shim, so JSON is written by hand and read back through
-//! [`samhita_trace::JsonValue`]) and are compared against committed
-//! baselines by the `bench-diff` binary; [`compare`] is the pure decision
-//! function so the gate itself is unit-testable.
+//! It is a document tree ([`samhita_trace::JsonValue`]): [`BenchReport::from_run`]
+//! derives every section in one pass and is the only place a section's
+//! fields are named; [`BenchReport::to_json`] writes the tree and
+//! [`BenchReport::from_json`] parses it back (`BENCH_<kernel>_p<threads>.json`).
+//! Reports are compared against committed baselines by the `bench-diff`
+//! binary; [`compare`] is the pure decision function, reading the dozen
+//! numbers it gates by path, so the gate itself is unit-testable.
 //!
 //! Comparability is guarded by a configuration fingerprint: a report made
 //! under a different [`SamhitaConfig`] or kernel parameterization never
@@ -18,29 +20,24 @@
 use samhita_core::{RunReport, SamhitaConfig};
 use samhita_scl::MsgClass;
 use samhita_trace::{
-    critical_path, json::escape, JsonValue, LatencyHistogram, MetricsTimeline, PageCounters,
-    PathClass, RunTrace, ThreadWindow,
+    critical_path, JsonValue, LatencyHistogram, MetricsTimeline, PathClass, RunTrace, ThreadWindow,
 };
 
-/// Schema tag written into every report, bumped on breaking changes.
-/// v2 adds the per-class traffic section (`traffic`) with message and byte
-/// counts plus the `msgs_per_sync_op` rate the batching gate watches.
-/// v3 adds the per-thread time-conservation breakdown (`breakdown`), the
-/// manager/server queue-wait section (`queue`) with the
-/// `mgr_queue_wait_fraction` the gate watches, and the trace-derived
-/// critical-path composition (`critical_path`).
-/// v4 adds the manager-recovery section (`recovery`): failover count, log
-/// records shipped to the standby, lease reclaims, stale releases absorbed,
-/// standby serves, and the takeover instant. The gate requires it to stay
-/// all-quiet on fault-free runs — recovery machinery firing without an
-/// injected fault is itself a regression.
-/// v5 adds the host-side cost section (`host`): wall-clock time, simulated
-/// events driven, ns-per-event, allocation counts, peak RSS, and a
-/// per-phase wall/alloc table from `samhita-prof`. Host numbers are
-/// machine-dependent by nature; the gate treats them with a generous
-/// blowup-only ratio and they are excluded from the determinism
-/// fingerprint and from byte-identity comparisons (`from_run` leaves the
-/// section empty — only the report binaries attach it).
+/// Schema tag written into every report. It names the *required* core: the
+/// identity fields and the numbers [`compare`] gates. Sections are additive
+/// — a reader ignores ones it does not know and tolerates absent optional
+/// ones (`timeline`, `critical_path`, `host`) — so a new section does not
+/// bump the tag; only changing or removing a gated field does.
+///
+/// The sections, in the order they were added: `fetch` / `lock` / `barrier`
+/// stall digests, `timeline` and `hotspots`; `traffic` (per-class message
+/// and byte counts plus `msgs_per_sync_op`); `breakdown` (per-thread time
+/// conservation), `queue` (manager/server queue pressure) and
+/// `critical_path`; `recovery` (manager failover activity, which the gate
+/// requires to stay quiet on fault-free runs); and `host` (wall-clock cost
+/// from `samhita-prof`: machine-dependent, outside the determinism
+/// fingerprint and byte-identity comparisons, attached only by
+/// [`BenchReport::with_host`]).
 pub const SCHEMA: &str = "samhita-bench-report-v5";
 
 /// Number of timeline intervals summarized into a report.
@@ -49,269 +46,6 @@ const TIMELINE_BUCKETS: u64 = 20;
 /// Hotspot pages kept in a report (ranked by coherence churn).
 const HOTSPOT_TOP_N: usize = 10;
 
-/// Percentile digest of one stall-latency histogram.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HistogramSummary {
-    pub count: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-    pub max_ns: u64,
-}
-
-impl HistogramSummary {
-    /// Digest a histogram.
-    pub fn of(h: &LatencyHistogram) -> Self {
-        HistogramSummary {
-            count: h.count(),
-            p50_ns: h.p50_ns(),
-            p95_ns: h.p95_ns(),
-            p99_ns: h.p99_ns(),
-            max_ns: h.max_ns(),
-        }
-    }
-}
-
-/// Condensed view of a [`MetricsTimeline`]: the totals plus where the peaks
-/// landed, enough to spot a phase shift without shipping every bucket.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TimelineSummary {
-    /// Interval width (virtual ns).
-    pub bucket_ns: u64,
-    /// Number of intervals.
-    pub buckets: u64,
-    /// Total fabric payload over the run (bytes).
-    pub fabric_bytes: u64,
-    /// Interval index with the most fabric traffic, and its byte count.
-    pub peak_fabric_bucket: u64,
-    pub peak_fabric_bytes: u64,
-    /// Interval index with the most memory-server busy time, and that time.
-    pub peak_server_bucket: u64,
-    pub peak_server_busy_ns: u64,
-}
-
-impl TimelineSummary {
-    /// Digest a timeline.
-    pub fn of(t: &MetricsTimeline) -> Self {
-        let totals = t.totals();
-        let fabric = t.peak_by(|b| b.fabric_bytes).unwrap_or((0, 0));
-        let server = t.peak_by(|b| b.server_busy_ns).unwrap_or((0, 0));
-        TimelineSummary {
-            bucket_ns: t.bucket_ns,
-            buckets: t.buckets.len() as u64,
-            fabric_bytes: totals.fabric_bytes,
-            peak_fabric_bucket: fabric.0 as u64,
-            peak_fabric_bytes: fabric.1,
-            peak_server_bucket: server.0 as u64,
-            peak_server_busy_ns: server.1,
-        }
-    }
-}
-
-/// Message and byte counts of one traffic class over a run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClassTraffic {
-    /// Class label (`data`, `update`, `sync`, `control`).
-    pub class: String,
-    pub msgs: u64,
-    pub bytes: u64,
-}
-
-/// Per-class fabric traffic plus the sync-op-normalized message rate.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TrafficSummary {
-    pub total_msgs: u64,
-    pub total_bytes: u64,
-    /// Lock acquisitions + barrier episodes across all threads.
-    pub sync_ops: u64,
-    /// Update-class messages per sync op — O(servers) with batched flushes,
-    /// O(dirty pages) without.
-    pub msgs_per_sync_op: f64,
-    /// One entry per [`MsgClass`], in `MsgClass::ALL` order.
-    pub classes: Vec<ClassTraffic>,
-}
-
-impl TrafficSummary {
-    /// Digest a run's fabric counters.
-    pub fn of(report: &RunReport) -> Self {
-        TrafficSummary {
-            total_msgs: report.fabric.total_msgs(),
-            total_bytes: report.fabric.total_bytes(),
-            sync_ops: report.sync_ops(),
-            msgs_per_sync_op: report.msgs_per_sync_op(),
-            classes: MsgClass::ALL
-                .iter()
-                .map(|&c| ClassTraffic {
-                    class: c.label().to_string(),
-                    msgs: report.fabric.msgs(c),
-                    bytes: report.fabric.bytes(c),
-                })
-                .collect(),
-        }
-    }
-
-    /// Message count of the class labelled `label`, 0 when absent.
-    pub fn msgs_of(&self, label: &str) -> u64 {
-        self.classes.iter().find(|c| c.class == label).map_or(0, |c| c.msgs)
-    }
-}
-
-/// Aggregate per-thread time conservation: the five pairwise-disjoint
-/// measured wait classes plus derived compute and idle, summed over all
-/// threads. `compute + fetch + lock + barrier + mgr + flush + idle ==
-/// threads × makespan` exactly (asserted by the core's accounting tests).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BreakdownSummary {
-    pub compute_ns: u64,
-    pub fetch_ns: u64,
-    pub lock_ns: u64,
-    pub barrier_ns: u64,
-    pub mgr_ns: u64,
-    pub flush_ns: u64,
-    pub idle_ns: u64,
-    /// Sum of all thread timelines (`threads × makespan`).
-    pub total_ns: u64,
-}
-
-impl BreakdownSummary {
-    /// Digest a run's wait-state accounting.
-    pub fn of(report: &RunReport) -> Self {
-        let b = report.wait_breakdown();
-        BreakdownSummary {
-            compute_ns: b.compute_ns,
-            fetch_ns: b.fetch_ns,
-            lock_ns: b.lock_ns,
-            barrier_ns: b.barrier_ns,
-            mgr_ns: b.mgr_ns,
-            flush_ns: b.flush_ns,
-            idle_ns: b.idle_ns,
-            total_ns: b.total_ns,
-        }
-    }
-}
-
-/// Manager and memory-server queue-pressure digest. All numbers come from
-/// counters published outside the virtual clock, so recording them cannot
-/// move any timestamp.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct QueueSummary {
-    /// Total time manager requests spent queued behind other requests (ns).
-    pub mgr_queue_wait_ns: u64,
-    /// `mgr_queue_wait_ns / (threads × makespan)` — the "manager is the
-    /// wall" fraction the regression gate watches.
-    pub mgr_queue_wait_fraction: f64,
-    /// Deepest manager queue observed (requests).
-    pub mgr_peak_queue_depth: u64,
-    /// Mean queue depth seen by arriving manager requests.
-    pub mgr_mean_queue_depth: f64,
-    /// Manager requests served.
-    pub mgr_requests: u64,
-    /// Total memory-server queue wait, summed over servers (ns).
-    pub server_queue_wait_ns: u64,
-    /// Deepest memory-server queue observed, across servers (requests).
-    pub server_peak_queue_depth: u64,
-}
-
-impl QueueSummary {
-    /// Digest a run's queue counters.
-    pub fn of(report: &RunReport) -> Self {
-        QueueSummary {
-            mgr_queue_wait_ns: report.mgr_queue_wait_ns,
-            mgr_queue_wait_fraction: report.mgr_queue_wait_fraction(),
-            mgr_peak_queue_depth: report.mgr_peak_queue_depth,
-            mgr_mean_queue_depth: report.mgr_mean_queue_depth(),
-            mgr_requests: report.mgr_requests,
-            server_queue_wait_ns: report.server_queue_wait_ns.iter().sum(),
-            server_peak_queue_depth: report
-                .server_peak_queue_depth
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0),
-        }
-    }
-}
-
-/// Manager-recovery activity over the run. All six counters are zero on a
-/// fault-free run even with a hot standby configured (log shipping itself
-/// is counted, but the gate only requires the *takeover* side to stay
-/// quiet): the standby absorbs the log silently and never serves.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoverySummary {
-    /// Threads that re-homed from the crashed primary to the standby.
-    pub mgr_failovers: u64,
-    /// Log records the primary shipped to the standby (0 without one).
-    pub log_records_shipped: u64,
-    /// Expired lock leases the standby reclaimed after taking over.
-    pub lease_reclaims: u64,
-    /// Releases from deposed holders absorbed after a reclaim.
-    pub stale_releases: u64,
-    /// Requests the standby served after taking over.
-    pub standby_serves: u64,
-    /// Virtual instant the standby went active (0 = never).
-    pub takeover_ns: u64,
-}
-
-impl RecoverySummary {
-    /// Digest a run's recovery counters.
-    pub fn of(report: &RunReport) -> Self {
-        RecoverySummary {
-            mgr_failovers: report.mgr_failovers(),
-            log_records_shipped: report.log_records_shipped,
-            lease_reclaims: report.lease_reclaims,
-            stale_releases: report.stale_releases,
-            standby_serves: report.standby_serves,
-            takeover_ns: report.takeover_ns,
-        }
-    }
-
-    /// Whether any takeover-side machinery fired. Log shipping alone (a
-    /// standby passively mirroring a healthy primary) does not count.
-    pub fn took_over(&self) -> bool {
-        self.mgr_failovers > 0
-            || self.lease_reclaims > 0
-            || self.stale_releases > 0
-            || self.standby_serves > 0
-            || self.takeover_ns > 0
-    }
-}
-
-/// Composition of the virtual-time critical path, from the trace-derived
-/// backward walk ([`samhita_trace::critical_path`]). The eight classes sum
-/// to `makespan_ns` exactly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CritPathSummary {
-    pub makespan_ns: u64,
-    pub compute_ns: u64,
-    pub fetch_ns: u64,
-    pub lock_wait_ns: u64,
-    pub barrier_wait_ns: u64,
-    pub mgr_wait_ns: u64,
-    pub mgr_service_ns: u64,
-    pub server_service_ns: u64,
-    pub queue_wait_ns: u64,
-    /// Path length in segments.
-    pub n_segments: u64,
-}
-
-impl CritPathSummary {
-    /// Digest an extracted critical path.
-    pub fn of(r: &samhita_trace::CriticalPathReport) -> Self {
-        CritPathSummary {
-            makespan_ns: r.makespan_ns,
-            compute_ns: r.class_total(PathClass::Compute),
-            fetch_ns: r.class_total(PathClass::Fetch),
-            lock_wait_ns: r.class_total(PathClass::LockWait),
-            barrier_wait_ns: r.class_total(PathClass::BarrierWait),
-            mgr_wait_ns: r.class_total(PathClass::MgrWait),
-            mgr_service_ns: r.class_total(PathClass::MgrService),
-            server_service_ns: r.class_total(PathClass::ServerService),
-            queue_wait_ns: r.class_total(PathClass::QueueWait),
-            n_segments: r.segments.len() as u64,
-        }
-    }
-}
-
 /// The run's per-thread windows, as the span/critical-path layer wants them.
 pub fn thread_windows(report: &RunReport) -> Vec<ThreadWindow> {
     report
@@ -319,136 +53,6 @@ pub fn thread_windows(report: &RunReport) -> Vec<ThreadWindow> {
         .iter()
         .map(|t| ThreadWindow { tid: t.tid, epoch_ns: t.epoch_ns, end_ns: t.end_ns })
         .collect()
-}
-
-/// One hotspot page with its allocation site and protocol counters.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HotspotEntry {
-    /// Global page number.
-    pub page: u64,
-    /// Allocation site label (`arena(t)`, `shared`, `striped`, …).
-    pub site: String,
-    pub counters: PageCounters,
-}
-
-/// Wall-clock and allocation totals for one profiled phase; see
-/// [`samhita_prof::Phase`] for what each label covers.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HostPhase {
-    /// Stable phase label (`sched_step`, `regc_diff`, …).
-    pub name: String,
-    /// Wall-clock nanoseconds inside the phase.
-    pub wall_ns: u64,
-    /// Phase entries.
-    pub calls: u64,
-    /// Heap allocations attributed to the phase (0 unless the profiler was
-    /// built with `alloc-count`).
-    pub allocs: u64,
-    /// Bytes requested by those allocations.
-    pub alloc_bytes: u64,
-}
-
-/// Host-side (wall-clock) cost of producing a run. Everything else in a
-/// [`BenchReport`] is virtual-time and deterministic; this section is
-/// machine- and load-dependent by nature. It is therefore excluded from
-/// the config fingerprint, never populated by [`BenchReport::from_run`]
-/// (the report binaries attach it after the run), and compared only with
-/// a generous blowup-only gate.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HostSummary {
-    /// Wall-clock nanoseconds the run took on the host.
-    pub wall_ns: u64,
-    /// Simulated events driven (total fabric messages).
-    pub events: u64,
-    /// `wall_ns / events`; 0 when no events were simulated.
-    pub ns_per_event: f64,
-    /// Total heap allocations during the run (`alloc-count` builds; else 0).
-    pub allocs: u64,
-    /// `allocs / events`; 0 when no events were simulated.
-    pub allocs_per_event: f64,
-    /// Peak resident set size of the process in bytes (0 off-Linux).
-    pub peak_rss_bytes: u64,
-    /// Per-phase wall/alloc breakdown, in [`samhita_prof::Phase::ALL`]
-    /// order, plus a final `other` row for unattributed allocations.
-    pub phases: Vec<HostPhase>,
-}
-
-impl HostSummary {
-    /// Roll up a profiler snapshot into the report section. `wall_ns` is
-    /// the run's end-to-end host time and `events` the simulated-event
-    /// denominator (fabric messages).
-    pub fn from_prof(prof: &samhita_prof::HostReport, wall_ns: u64, events: u64) -> HostSummary {
-        let per = |n: u64| if events == 0 { 0.0 } else { n as f64 / events as f64 };
-        let mut phases: Vec<HostPhase> = prof
-            .phases
-            .iter()
-            .map(|(p, s)| HostPhase {
-                name: p.label().to_string(),
-                wall_ns: s.wall_ns,
-                calls: s.calls,
-                allocs: s.allocs,
-                alloc_bytes: s.alloc_bytes,
-            })
-            .collect();
-        phases.push(HostPhase {
-            name: "other".to_string(),
-            wall_ns: 0,
-            calls: 0,
-            allocs: prof.other.allocs,
-            alloc_bytes: prof.other.alloc_bytes,
-        });
-        let allocs = prof.total_allocs();
-        HostSummary {
-            wall_ns,
-            events,
-            ns_per_event: per(wall_ns),
-            allocs,
-            allocs_per_event: per(allocs),
-            peak_rss_bytes: samhita_prof::peak_rss_bytes(),
-            phases,
-        }
-    }
-}
-
-/// Machine-readable record of one benchmark run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchReport {
-    /// Kernel name, e.g. `"micro"`, `"jacobi"`, `"md"`.
-    pub kernel: String,
-    /// Human-readable kernel parameterization (also fingerprinted).
-    pub params: String,
-    /// `git rev-parse --short HEAD`, or `"unknown"`; informational only —
-    /// [`compare`] ignores it.
-    pub git_rev: String,
-    /// FNV-1a over the full `SamhitaConfig` debug form plus `params`.
-    pub config_fingerprint: u64,
-    pub threads: u32,
-    pub makespan_ns: u64,
-    pub sync_fraction: f64,
-    pub mgr_utilization: f64,
-    pub server_utilization: Vec<f64>,
-    pub fetch: HistogramSummary,
-    pub lock: HistogramSummary,
-    pub barrier: HistogramSummary,
-    /// Present when the run recorded an event trace.
-    pub timeline: Option<TimelineSummary>,
-    /// Per-class fabric traffic and the per-sync-op message rate.
-    pub traffic: TrafficSummary,
-    /// Aggregate per-thread time conservation (always present; zeros on
-    /// native runs with no DSM waits).
-    pub breakdown: BreakdownSummary,
-    /// Manager / memory-server queue pressure.
-    pub queue: QueueSummary,
-    /// Manager crash-recovery activity; all-quiet on fault-free runs.
-    pub recovery: RecoverySummary,
-    /// Critical-path composition; present when the run recorded a trace.
-    pub critical_path: Option<CritPathSummary>,
-    /// Top pages by coherence churn, with allocation sites.
-    pub hotspots: Vec<HotspotEntry>,
-    /// Host-side wall-clock cost; absent from [`BenchReport::from_run`]
-    /// output so determinism comparisons stay byte-exact. Attach with
-    /// [`BenchReport::with_host`].
-    pub host: Option<HostSummary>,
 }
 
 /// FNV-1a fingerprint of a configuration + kernel parameterization.
@@ -472,9 +76,33 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// A section whose fields are all counters.
+fn counts<const N: usize>(fields: [(&str, u64); N]) -> JsonValue {
+    JsonValue::object(fields.map(|(k, v)| (k, v.into())))
+}
+
+/// Percentile digest of one stall-latency histogram.
+fn histogram(h: &LatencyHistogram) -> JsonValue {
+    counts([
+        ("count", h.count()),
+        ("p50_ns", h.p50_ns()),
+        ("p95_ns", h.p95_ns()),
+        ("p99_ns", h.p99_ns()),
+        ("max_ns", h.max_ns()),
+    ])
+}
+
+/// Machine-readable record of one benchmark run: a `samhita-bench-report-v5`
+/// document. Read fields by dotted path ([`BenchReport::num`],
+/// [`BenchReport::text`], [`BenchReport::get`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct BenchReport(JsonValue);
+
 impl BenchReport {
     /// Build a report from a finished run. Pass the run's event trace to
-    /// include the timeline section; without one, `timeline` is absent.
+    /// include the trace-derived `timeline` and `critical_path` sections;
+    /// without one they are `null`. `host` is always `null` here, so the
+    /// output is deterministic byte for byte.
     pub fn from_run(
         kernel: &str,
         params: &str,
@@ -483,427 +111,233 @@ impl BenchReport {
         report: &RunReport,
         trace: Option<&RunTrace>,
     ) -> Self {
+        let costs = cfg.service_costs();
+        let makespan_ns = report.makespan.as_ns();
+        // Condensed view of the metrics timeline: the totals plus where the
+        // peaks landed, enough to spot a phase shift without every bucket.
         let timeline = trace.map(|t| {
-            let width =
-                MetricsTimeline::bucket_width_for(report.makespan.as_ns(), TIMELINE_BUCKETS);
-            let mut tl = MetricsTimeline::from_trace(t, width, &cfg.service_costs());
-            tl.absorb_queue_samples(&report.mgr_queue_samples);
-            for s in &report.server_queue_samples {
-                tl.absorb_queue_samples(s);
-            }
-            TimelineSummary::of(&tl)
+            let width = MetricsTimeline::bucket_width_for(makespan_ns, TIMELINE_BUCKETS);
+            let tl = MetricsTimeline::from_trace(t, width, &costs);
+            let fabric = tl.peak_by(|b| b.fabric_bytes).unwrap_or((0, 0));
+            let server = tl.peak_by(|b| b.server_busy_ns).unwrap_or((0, 0));
+            counts([
+                ("bucket_ns", tl.bucket_ns),
+                ("buckets", tl.len() as u64),
+                ("fabric_bytes", tl.totals().fabric_bytes),
+                ("peak_fabric_bucket", fabric.0 as u64),
+                ("peak_fabric_bytes", fabric.1),
+                ("peak_server_bucket", server.0 as u64),
+                ("peak_server_busy_ns", server.1),
+            ])
         });
+        // Composition of the virtual-time critical path; the eight classes
+        // sum to `makespan_ns` exactly.
         let critical = trace.map(|t| {
-            CritPathSummary::of(&critical_path(t, &thread_windows(report), &cfg.service_costs()))
+            let cp = critical_path(t, &thread_windows(report), &costs);
+            counts([
+                ("makespan_ns", cp.makespan_ns),
+                ("compute_ns", cp.class_total(PathClass::Compute)),
+                ("fetch_ns", cp.class_total(PathClass::Fetch)),
+                ("lock_wait_ns", cp.class_total(PathClass::LockWait)),
+                ("barrier_wait_ns", cp.class_total(PathClass::BarrierWait)),
+                ("mgr_wait_ns", cp.class_total(PathClass::MgrWait)),
+                ("mgr_service_ns", cp.class_total(PathClass::MgrService)),
+                ("server_service_ns", cp.class_total(PathClass::ServerService)),
+                ("queue_wait_ns", cp.class_total(PathClass::QueueWait)),
+                ("n_segments", cp.segments.len() as u64),
+            ])
         });
-        let hot = report.hotspots();
-        let hotspots = hot
-            .top_churn(HOTSPOT_TOP_N)
-            .into_iter()
-            .map(|(page, counters)| HotspotEntry { page, site: report.site_label(page), counters })
-            .collect();
-        BenchReport {
-            kernel: kernel.to_string(),
-            params: params.to_string(),
-            git_rev: git_rev(),
-            config_fingerprint: fingerprint(cfg, params),
-            threads,
-            makespan_ns: report.makespan.as_ns(),
-            sync_fraction: report.sync_fraction(),
-            mgr_utilization: report.mgr_utilization(),
-            server_utilization: report.server_utilization(),
-            fetch: HistogramSummary::of(&report.fetch_latency()),
-            lock: HistogramSummary::of(&report.lock_wait()),
-            barrier: HistogramSummary::of(&report.barrier_wait()),
-            timeline,
-            traffic: TrafficSummary::of(report),
-            breakdown: BreakdownSummary::of(report),
-            queue: QueueSummary::of(report),
-            recovery: RecoverySummary::of(report),
-            critical_path: critical,
-            hotspots,
-            host: None,
-        }
+        // One entry per traffic class, in `MsgClass::ALL` order (a list, not
+        // a map, so the order survives).
+        let classes = MsgClass::ALL.iter().map(|&c| {
+            JsonValue::object([
+                ("class", c.label().into()),
+                ("msgs", report.fabric.msgs(c).into()),
+                ("bytes", report.fabric.bytes(c).into()),
+            ])
+        });
+        let traffic = JsonValue::object([
+            ("total_msgs", report.fabric.total_msgs().into()),
+            ("total_bytes", report.fabric.total_bytes().into()),
+            // Lock acquisitions + barrier episodes across all threads.
+            ("sync_ops", report.sync_ops().into()),
+            // Update-class messages per sync op: O(servers) with batched
+            // flushes, O(dirty pages) without.
+            ("msgs_per_sync_op", report.msgs_per_sync_op().into()),
+            ("classes", JsonValue::array(classes)),
+        ]);
+        // Per-thread time conservation summed over threads: the classes add
+        // up to `threads × makespan` exactly.
+        let b = report.wait_breakdown();
+        let breakdown = counts([
+            ("compute_ns", b.compute_ns),
+            ("fetch_ns", b.fetch_ns),
+            ("lock_ns", b.lock_ns),
+            ("barrier_ns", b.barrier_ns),
+            ("mgr_ns", b.mgr_ns),
+            ("flush_ns", b.flush_ns),
+            ("idle_ns", b.idle_ns),
+            ("total_ns", b.total_ns),
+        ]);
+        let queue = JsonValue::object([
+            ("mgr_queue_wait_ns", report.mgr_queue_wait_ns.into()),
+            // Share of `threads × makespan` spent queued at the manager —
+            // the "manager is the wall" fraction the gate watches.
+            ("mgr_queue_wait_fraction", report.mgr_queue_wait_fraction().into()),
+            ("mgr_peak_queue_depth", report.mgr_peak_queue_depth.into()),
+            ("mgr_mean_queue_depth", report.mgr_mean_queue_depth().into()),
+            ("mgr_requests", report.mgr_requests.into()),
+            ("server_queue_wait_ns", report.server_queue_wait_ns.iter().sum::<u64>().into()),
+            (
+                "server_peak_queue_depth",
+                report.server_peak_queue_depth.iter().copied().max().unwrap_or(0).into(),
+            ),
+        ]);
+        // Log shipping counts a standby passively mirroring a healthy
+        // primary; the other five only move once it takes over.
+        let recovery = counts([
+            ("mgr_failovers", report.mgr_failovers()),
+            ("log_records_shipped", report.log_records_shipped),
+            ("lease_reclaims", report.lease_reclaims),
+            ("stale_releases", report.stale_releases),
+            ("standby_serves", report.standby_serves),
+            ("takeover_ns", report.takeover_ns),
+        ]);
+        let hotspots = report.hotspots().top_churn(HOTSPOT_TOP_N).into_iter().map(|(page, c)| {
+            JsonValue::object([
+                ("page", page.into()),
+                ("site", report.site_label(page).into()),
+                ("misses", c.misses.into()),
+                ("refetches", c.refetches.into()),
+                ("invalidations", c.invalidations.into()),
+                ("twins", c.twins.into()),
+                ("diff_bytes", c.diff_bytes.into()),
+                ("fine_bytes", c.fine_bytes.into()),
+            ])
+        });
+        BenchReport(JsonValue::object([
+            ("schema", SCHEMA.into()),
+            ("kernel", kernel.into()),
+            ("params", params.into()),
+            // Informational only — `compare` ignores it.
+            ("git_rev", git_rev().into()),
+            // A full-range u64; JSON numbers only carry 53 bits of integer
+            // precision, so it travels as a hex string.
+            ("config_fingerprint", format!("{:016x}", fingerprint(cfg, params)).into()),
+            ("threads", u64::from(threads).into()),
+            ("makespan_ns", makespan_ns.into()),
+            ("sync_fraction", report.sync_fraction().into()),
+            ("mgr_utilization", report.mgr_utilization().into()),
+            ("server_utilization", JsonValue::array(report.server_utilization())),
+            ("fetch", histogram(&report.fetch_latency())),
+            ("lock", histogram(&report.lock_wait())),
+            ("barrier", histogram(&report.barrier_wait())),
+            ("timeline", timeline.into()),
+            ("traffic", traffic),
+            ("breakdown", breakdown),
+            ("queue", queue),
+            ("recovery", recovery),
+            ("critical_path", critical.into()),
+            ("hotspots", JsonValue::array(hotspots)),
+            ("host", JsonValue::Null),
+        ]))
     }
 
-    /// Attach a host-cost section; used by the report binaries after the
-    /// run (never by [`BenchReport::from_run`], which must stay
-    /// deterministic byte-for-byte).
-    pub fn with_host(mut self, host: HostSummary) -> Self {
-        self.host = Some(host);
+    /// Attach the host-side (wall-clock) cost section from a profiler
+    /// snapshot: `wall_ns` is the run's end-to-end host time and `events`
+    /// the simulated-event denominator (fabric messages). Everything else
+    /// in a report is virtual-time and deterministic; this section is
+    /// machine- and load-dependent, which is why only the report binaries
+    /// attach it, after the run.
+    pub fn with_host(self, prof: &samhita_prof::HostReport, wall_ns: u64, events: u64) -> Self {
+        let per = |n: u64| if events == 0 { 0.0 } else { n as f64 / events as f64 };
+        // Per-phase wall/alloc rows in `Phase::ALL` order, plus a final
+        // `other` row for allocations no phase claimed (it has no guard, so
+        // no wall time or calls). Alloc columns are 0 unless the profiler
+        // was built with `alloc-count`.
+        let phase = |name: &str, s: &samhita_prof::PhaseStat| {
+            JsonValue::object([
+                ("name", name.into()),
+                ("wall_ns", s.wall_ns.into()),
+                ("calls", s.calls.into()),
+                ("allocs", s.allocs.into()),
+                ("alloc_bytes", s.alloc_bytes.into()),
+            ])
+        };
+        let phases = prof
+            .phases
+            .iter()
+            .map(|(p, s)| phase(p.label(), s))
+            .chain([phase("other", &prof.other)]);
+        let host = JsonValue::object([
+            ("wall_ns", wall_ns.into()),
+            ("events", events.into()),
+            ("ns_per_event", per(wall_ns).into()),
+            ("allocs", prof.total_allocs().into()),
+            ("allocs_per_event", per(prof.total_allocs()).into()),
+            ("peak_rss_bytes", samhita_prof::peak_rss_bytes().into()),
+            ("phases", JsonValue::array(phases)),
+        ]);
+        self.with("host", host)
+    }
+
+    /// The report with the value at dotted `path` replaced (or added).
+    ///
+    /// # Panics
+    /// Panics if a parent along `path` is not an object.
+    pub fn with(mut self, path: &str, value: impl Into<JsonValue>) -> Self {
+        let mut node = &mut self.0;
+        for key in path.split('.') {
+            let JsonValue::Object(members) = node else {
+                panic!("{path:?}: parent of {key:?} is not an object");
+            };
+            node = members.entry(key.to_string()).or_insert(JsonValue::Null);
+        }
+        *node = value.into();
         self
     }
 
-    /// Serialize as a JSON object (`BENCH_<kernel>.json` contents).
+    /// The value at dotted `path` (`"queue.mgr_requests"`).
+    pub fn get(&self, path: &str) -> Option<&JsonValue> {
+        self.0.at(path)
+    }
+
+    /// The number at dotted `path`.
+    pub fn num(&self, path: &str) -> Option<f64> {
+        self.get(path)?.as_f64()
+    }
+
+    /// The string at dotted `path`.
+    pub fn text(&self, path: &str) -> Option<&str> {
+        self.get(path)?.as_str()
+    }
+
+    /// Serialize as a JSON object (`BENCH_<kernel>_p<threads>.json` contents).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        // The fingerprint is a full-range u64; JSON numbers only carry 53
-        // bits of integer precision, so it travels as a hex string.
-        out.push_str(&format!(
-            "{{\"schema\":\"{}\",\"kernel\":\"{}\",\"params\":\"{}\",\"git_rev\":\"{}\",\
-             \"config_fingerprint\":\"{:016x}\",\"threads\":{},\"makespan_ns\":{},\
-             \"sync_fraction\":{},\"mgr_utilization\":{},\"server_utilization\":[",
-            SCHEMA,
-            escape(&self.kernel),
-            escape(&self.params),
-            escape(&self.git_rev),
-            self.config_fingerprint,
-            self.threads,
-            self.makespan_ns,
-            self.sync_fraction,
-            self.mgr_utilization,
-        ));
-        for (i, u) in self.server_utilization.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{u}"));
-        }
-        out.push_str("],");
-        for (name, h) in [("fetch", &self.fetch), ("lock", &self.lock), ("barrier", &self.barrier)]
-        {
-            out.push_str(&format!(
-                "\"{name}\":{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\
-                 \"max_ns\":{}}},",
-                h.count, h.p50_ns, h.p95_ns, h.p99_ns, h.max_ns
-            ));
-        }
-        match &self.timeline {
-            None => out.push_str("\"timeline\":null,"),
-            Some(t) => out.push_str(&format!(
-                "\"timeline\":{{\"bucket_ns\":{},\"buckets\":{},\"fabric_bytes\":{},\
-                 \"peak_fabric_bucket\":{},\"peak_fabric_bytes\":{},\"peak_server_bucket\":{},\
-                 \"peak_server_busy_ns\":{}}},",
-                t.bucket_ns,
-                t.buckets,
-                t.fabric_bytes,
-                t.peak_fabric_bucket,
-                t.peak_fabric_bytes,
-                t.peak_server_bucket,
-                t.peak_server_busy_ns
-            )),
-        }
-        let t = &self.traffic;
-        out.push_str(&format!(
-            "\"traffic\":{{\"total_msgs\":{},\"total_bytes\":{},\"sync_ops\":{},\
-             \"msgs_per_sync_op\":{},\"classes\":[",
-            t.total_msgs, t.total_bytes, t.sync_ops, t.msgs_per_sync_op
-        ));
-        for (i, c) in t.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"class\":\"{}\",\"msgs\":{},\"bytes\":{}}}",
-                escape(&c.class),
-                c.msgs,
-                c.bytes
-            ));
-        }
-        out.push_str("]},");
-        let b = &self.breakdown;
-        out.push_str(&format!(
-            "\"breakdown\":{{\"compute_ns\":{},\"fetch_ns\":{},\"lock_ns\":{},\
-             \"barrier_ns\":{},\"mgr_ns\":{},\"flush_ns\":{},\"idle_ns\":{},\
-             \"total_ns\":{}}},",
-            b.compute_ns,
-            b.fetch_ns,
-            b.lock_ns,
-            b.barrier_ns,
-            b.mgr_ns,
-            b.flush_ns,
-            b.idle_ns,
-            b.total_ns
-        ));
-        let q = &self.queue;
-        out.push_str(&format!(
-            "\"queue\":{{\"mgr_queue_wait_ns\":{},\"mgr_queue_wait_fraction\":{},\
-             \"mgr_peak_queue_depth\":{},\"mgr_mean_queue_depth\":{},\"mgr_requests\":{},\
-             \"server_queue_wait_ns\":{},\"server_peak_queue_depth\":{}}},",
-            q.mgr_queue_wait_ns,
-            q.mgr_queue_wait_fraction,
-            q.mgr_peak_queue_depth,
-            q.mgr_mean_queue_depth,
-            q.mgr_requests,
-            q.server_queue_wait_ns,
-            q.server_peak_queue_depth
-        ));
-        let r = &self.recovery;
-        out.push_str(&format!(
-            "\"recovery\":{{\"mgr_failovers\":{},\"log_records_shipped\":{},\
-             \"lease_reclaims\":{},\"stale_releases\":{},\"standby_serves\":{},\
-             \"takeover_ns\":{}}},",
-            r.mgr_failovers,
-            r.log_records_shipped,
-            r.lease_reclaims,
-            r.stale_releases,
-            r.standby_serves,
-            r.takeover_ns
-        ));
-        match &self.critical_path {
-            None => out.push_str("\"critical_path\":null,"),
-            Some(c) => out.push_str(&format!(
-                "\"critical_path\":{{\"makespan_ns\":{},\"compute_ns\":{},\"fetch_ns\":{},\
-                 \"lock_wait_ns\":{},\"barrier_wait_ns\":{},\"mgr_wait_ns\":{},\
-                 \"mgr_service_ns\":{},\"server_service_ns\":{},\"queue_wait_ns\":{},\
-                 \"n_segments\":{}}},",
-                c.makespan_ns,
-                c.compute_ns,
-                c.fetch_ns,
-                c.lock_wait_ns,
-                c.barrier_wait_ns,
-                c.mgr_wait_ns,
-                c.mgr_service_ns,
-                c.server_service_ns,
-                c.queue_wait_ns,
-                c.n_segments
-            )),
-        }
-        out.push_str("\"hotspots\":[");
-        for (i, h) in self.hotspots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let c = &h.counters;
-            out.push_str(&format!(
-                "{{\"page\":{},\"site\":\"{}\",\"misses\":{},\"refetches\":{},\
-                 \"invalidations\":{},\"twins\":{},\"diff_bytes\":{},\"fine_bytes\":{}}}",
-                h.page,
-                escape(&h.site),
-                c.misses,
-                c.refetches,
-                c.invalidations,
-                c.twins,
-                c.diff_bytes,
-                c.fine_bytes
-            ));
-        }
-        out.push_str("],");
-        match &self.host {
-            None => out.push_str("\"host\":null}"),
-            Some(h) => {
-                out.push_str(&format!(
-                    "\"host\":{{\"wall_ns\":{},\"events\":{},\"ns_per_event\":{},\
-                     \"allocs\":{},\"allocs_per_event\":{},\"peak_rss_bytes\":{},\"phases\":[",
-                    h.wall_ns,
-                    h.events,
-                    h.ns_per_event,
-                    h.allocs,
-                    h.allocs_per_event,
-                    h.peak_rss_bytes
-                ));
-                for (i, p) in h.phases.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"name\":\"{}\",\"wall_ns\":{},\"calls\":{},\"allocs\":{},\
-                         \"alloc_bytes\":{}}}",
-                        escape(&p.name),
-                        p.wall_ns,
-                        p.calls,
-                        p.allocs,
-                        p.alloc_bytes
-                    ));
-                }
-                out.push_str("]}}");
-            }
-        }
-        debug_assert!(samhita_trace::validate_json(&out).is_ok(), "report serializer broke");
-        out
+        self.0.to_string()
     }
 
-    /// Parse a report written by [`BenchReport::to_json`].
+    /// Parse a v5 report: any JSON object carrying the [`SCHEMA`] tag and
+    /// every field [`compare`] reads. Unknown sections are kept and
+    /// ignored; optional ones may be absent.
     pub fn from_json(input: &str) -> Result<Self, String> {
-        let v = JsonValue::parse(input)?;
-        let schema = req_str(&v, "schema")?;
-        if schema != SCHEMA {
-            return Err(format!(
-                "unsupported report schema {schema:?} (want {SCHEMA:?}) — this report was \
-                 written by a different tool version; regenerate it (and any committed \
-                 baselines) with bench-report"
-            ));
+        let report = BenchReport(JsonValue::parse(input)?);
+        match report.text("schema") {
+            Some(SCHEMA) => {}
+            Some(other) => {
+                return Err(format!(
+                    "unsupported report schema {other:?} (want {SCHEMA:?}) — this report was \
+                     written by a different tool version; regenerate it (and any committed \
+                     baselines) with bench-report"
+                ))
+            }
+            None => return Err("not a bench report: no \"schema\" string".to_string()),
         }
-        let histogram = |name: &str| -> Result<HistogramSummary, String> {
-            let h = v.get(name).ok_or_else(|| format!("missing histogram {name:?}"))?;
-            Ok(HistogramSummary {
-                count: req_u64(h, "count")?,
-                p50_ns: req_u64(h, "p50_ns")?,
-                p95_ns: req_u64(h, "p95_ns")?,
-                p99_ns: req_u64(h, "p99_ns")?,
-                max_ns: req_u64(h, "max_ns")?,
-            })
-        };
-        let timeline = match v.get("timeline") {
-            None | Some(JsonValue::Null) => None,
-            Some(t) => Some(TimelineSummary {
-                bucket_ns: req_u64(t, "bucket_ns")?,
-                buckets: req_u64(t, "buckets")?,
-                fabric_bytes: req_u64(t, "fabric_bytes")?,
-                peak_fabric_bucket: req_u64(t, "peak_fabric_bucket")?,
-                peak_fabric_bytes: req_u64(t, "peak_fabric_bytes")?,
-                peak_server_bucket: req_u64(t, "peak_server_bucket")?,
-                peak_server_busy_ns: req_u64(t, "peak_server_busy_ns")?,
-            }),
-        };
-        let traffic = {
-            let t = v.get("traffic").ok_or("missing traffic section")?;
-            let mut classes = Vec::new();
-            for c in
-                t.get("classes").and_then(|c| c.as_array()).ok_or("missing or non-array classes")?
-            {
-                classes.push(ClassTraffic {
-                    class: req_str(c, "class")?.to_string(),
-                    msgs: req_u64(c, "msgs")?,
-                    bytes: req_u64(c, "bytes")?,
-                });
-            }
-            TrafficSummary {
-                total_msgs: req_u64(t, "total_msgs")?,
-                total_bytes: req_u64(t, "total_bytes")?,
-                sync_ops: req_u64(t, "sync_ops")?,
-                msgs_per_sync_op: req_f64(t, "msgs_per_sync_op")?,
-                classes,
-            }
-        };
-        let breakdown = {
-            let b = v.get("breakdown").ok_or("missing breakdown section")?;
-            BreakdownSummary {
-                compute_ns: req_u64(b, "compute_ns")?,
-                fetch_ns: req_u64(b, "fetch_ns")?,
-                lock_ns: req_u64(b, "lock_ns")?,
-                barrier_ns: req_u64(b, "barrier_ns")?,
-                mgr_ns: req_u64(b, "mgr_ns")?,
-                flush_ns: req_u64(b, "flush_ns")?,
-                idle_ns: req_u64(b, "idle_ns")?,
-                total_ns: req_u64(b, "total_ns")?,
-            }
-        };
-        let queue = {
-            let q = v.get("queue").ok_or("missing queue section")?;
-            QueueSummary {
-                mgr_queue_wait_ns: req_u64(q, "mgr_queue_wait_ns")?,
-                mgr_queue_wait_fraction: req_f64(q, "mgr_queue_wait_fraction")?,
-                mgr_peak_queue_depth: req_u64(q, "mgr_peak_queue_depth")?,
-                mgr_mean_queue_depth: req_f64(q, "mgr_mean_queue_depth")?,
-                mgr_requests: req_u64(q, "mgr_requests")?,
-                server_queue_wait_ns: req_u64(q, "server_queue_wait_ns")?,
-                server_peak_queue_depth: req_u64(q, "server_peak_queue_depth")?,
-            }
-        };
-        let recovery = {
-            let r = v.get("recovery").ok_or("missing recovery section")?;
-            RecoverySummary {
-                mgr_failovers: req_u64(r, "mgr_failovers")?,
-                log_records_shipped: req_u64(r, "log_records_shipped")?,
-                lease_reclaims: req_u64(r, "lease_reclaims")?,
-                stale_releases: req_u64(r, "stale_releases")?,
-                standby_serves: req_u64(r, "standby_serves")?,
-                takeover_ns: req_u64(r, "takeover_ns")?,
-            }
-        };
-        let critical_path = match v.get("critical_path") {
-            None | Some(JsonValue::Null) => None,
-            Some(c) => Some(CritPathSummary {
-                makespan_ns: req_u64(c, "makespan_ns")?,
-                compute_ns: req_u64(c, "compute_ns")?,
-                fetch_ns: req_u64(c, "fetch_ns")?,
-                lock_wait_ns: req_u64(c, "lock_wait_ns")?,
-                barrier_wait_ns: req_u64(c, "barrier_wait_ns")?,
-                mgr_wait_ns: req_u64(c, "mgr_wait_ns")?,
-                mgr_service_ns: req_u64(c, "mgr_service_ns")?,
-                server_service_ns: req_u64(c, "server_service_ns")?,
-                queue_wait_ns: req_u64(c, "queue_wait_ns")?,
-                n_segments: req_u64(c, "n_segments")?,
-            }),
-        };
-        let mut hotspots = Vec::new();
-        for h in
-            v.get("hotspots").and_then(|h| h.as_array()).ok_or("missing or non-array hotspots")?
-        {
-            hotspots.push(HotspotEntry {
-                page: req_u64(h, "page")?,
-                site: req_str(h, "site")?.to_string(),
-                counters: PageCounters {
-                    misses: req_u64(h, "misses")?,
-                    refetches: req_u64(h, "refetches")?,
-                    invalidations: req_u64(h, "invalidations")?,
-                    twins: req_u64(h, "twins")?,
-                    diff_bytes: req_u64(h, "diff_bytes")?,
-                    fine_bytes: req_u64(h, "fine_bytes")?,
-                },
-            });
-        }
-        let host = match v.get("host") {
-            None | Some(JsonValue::Null) => None,
-            Some(h) => {
-                let mut phases = Vec::new();
-                for p in h
-                    .get("phases")
-                    .and_then(|p| p.as_array())
-                    .ok_or("missing or non-array host phases")?
-                {
-                    phases.push(HostPhase {
-                        name: req_str(p, "name")?.to_string(),
-                        wall_ns: req_u64(p, "wall_ns")?,
-                        calls: req_u64(p, "calls")?,
-                        allocs: req_u64(p, "allocs")?,
-                        alloc_bytes: req_u64(p, "alloc_bytes")?,
-                    });
-                }
-                Some(HostSummary {
-                    wall_ns: req_u64(h, "wall_ns")?,
-                    events: req_u64(h, "events")?,
-                    ns_per_event: req_f64(h, "ns_per_event")?,
-                    allocs: req_u64(h, "allocs")?,
-                    allocs_per_event: req_f64(h, "allocs_per_event")?,
-                    peak_rss_bytes: req_u64(h, "peak_rss_bytes")?,
-                    phases,
-                })
-            }
-        };
-        Ok(BenchReport {
-            kernel: req_str(&v, "kernel")?.to_string(),
-            params: req_str(&v, "params")?.to_string(),
-            git_rev: req_str(&v, "git_rev")?.to_string(),
-            config_fingerprint: u64::from_str_radix(req_str(&v, "config_fingerprint")?, 16)
-                .map_err(|e| format!("bad config_fingerprint: {e}"))?,
-            threads: req_u64(&v, "threads")? as u32,
-            makespan_ns: req_u64(&v, "makespan_ns")?,
-            sync_fraction: req_f64(&v, "sync_fraction")?,
-            mgr_utilization: req_f64(&v, "mgr_utilization")?,
-            server_utilization: v
-                .get("server_utilization")
-                .and_then(|s| s.as_array())
-                .ok_or("missing or non-array server_utilization")?
-                .iter()
-                .map(|u| u.as_f64().ok_or("non-numeric server utilization".to_string()))
-                .collect::<Result<_, _>>()?,
-            fetch: histogram("fetch")?,
-            lock: histogram("lock")?,
-            barrier: histogram("barrier")?,
-            timeline,
-            traffic,
-            breakdown,
-            queue,
-            recovery,
-            critical_path,
-            hotspots,
-            host,
-        })
+        // The gate's own reads are the definition of "every field compare
+        // reads": a report is accepted iff it can be gated against itself.
+        gate(&report, &report, 0.0)?;
+        Ok(report)
     }
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(|x| x.as_u64()).ok_or_else(|| format!("missing or non-u64 field {key:?}"))
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(|x| x.as_f64()).ok_or_else(|| format!("missing or non-number {key:?}"))
-}
-
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key).and_then(|x| x.as_str()).ok_or_else(|| format!("missing or non-string {key:?}"))
 }
 
 /// Outcome of comparing a fresh report against a committed baseline.
@@ -946,59 +380,81 @@ const HOST_NS_PER_EVENT_FLOOR: f64 = 50_000.0;
 /// a `config_fingerprint` mismatch is always a failure because the numbers
 /// are not comparable — regenerate the baseline instead.
 pub fn compare(base: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Comparison {
+    // `from_run` builds and `from_json` checks for every field the gate
+    // reads, so only a report edited with `with` can fail to be read — and
+    // a report the gate cannot read does not pass it.
+    gate(base, fresh, tolerance)
+        .unwrap_or_else(|e| Comparison { lines: Vec::new(), regressions: vec![e] })
+}
+
+/// The value at `path` in both reports, read with `read`.
+fn both<'a, T>(
+    base: &'a BenchReport,
+    fresh: &'a BenchReport,
+    path: &str,
+    read: impl Fn(&'a JsonValue) -> Option<T>,
+) -> Result<(T, T), String> {
+    let one = |r: &'a BenchReport| {
+        r.get(path).and_then(&read).ok_or_else(|| format!("missing or mistyped field {path:?}"))
+    };
+    Ok((one(base)?, one(fresh)?))
+}
+
+/// [`compare`], failing on a report that lacks a field it reads. This
+/// function's reads *are* the v5 schema's required fields:
+/// [`BenchReport::from_json`] accepts a document iff it gates against itself.
+fn gate(base: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Result<Comparison, String> {
+    let text = |path| both(base, fresh, path, JsonValue::as_str);
+    let num = |path| both(base, fresh, path, JsonValue::as_f64);
+    let count = |path| both(base, fresh, path, JsonValue::as_u64);
+
     let mut cmp = Comparison::default();
-    if base.config_fingerprint != fresh.config_fingerprint {
+    let (_, kernel) = text("kernel")?;
+    let (base_fp, fresh_fp) = text("config_fingerprint")?;
+    if base_fp != fresh_fp {
         cmp.regressions.push(format!(
-            "{}: config fingerprint {:#x} != baseline {:#x} — configuration or kernel \
-             parameters changed; regenerate the baseline (bench-report)",
-            fresh.kernel, fresh.config_fingerprint, base.config_fingerprint
+            "{kernel}: config fingerprint 0x{fresh_fp} != baseline 0x{base_fp} — configuration \
+             or kernel parameters changed; regenerate the baseline (bench-report)"
         ));
-        return cmp;
+        return Ok(cmp);
     }
     // Thread counts are part of the fingerprinted params, but check them
     // explicitly too: a P=8 report gating against a P=64 baseline is never
     // a meaningful comparison, and this error message says why directly.
-    if base.threads != fresh.threads {
+    let (base_threads, threads) = count("threads")?;
+    if base_threads != threads {
         cmp.regressions.push(format!(
-            "{}: thread count {} != baseline {} — not comparable; regenerate the baseline \
-             (bench-report --threads)",
-            fresh.kernel, fresh.threads, base.threads
+            "{kernel}: thread count {threads} != baseline {base_threads} — not comparable; \
+             regenerate the baseline (bench-report --threads)"
         ));
-        return cmp;
+        return Ok(cmp);
     }
-    cmp.lines.push(format!("{:>10}  threads       {:>14}", fresh.kernel, fresh.threads));
+    cmp.lines.push(format!("{kernel:>10}  threads       {threads:>14}"));
     let pct = |b: f64, f: f64| if b == 0.0 { 0.0 } else { (f - b) / b * 100.0 };
 
-    let makespan_delta = pct(base.makespan_ns as f64, fresh.makespan_ns as f64);
-    cmp.lines.push(format!(
-        "{:>10}  makespan      {:>14} -> {:>14}  ({:+.2}%)",
-        fresh.kernel, base.makespan_ns, fresh.makespan_ns, makespan_delta
-    ));
-    if fresh.makespan_ns as f64 > base.makespan_ns as f64 * (1.0 + tolerance) {
+    let (b, f) = count("makespan_ns")?;
+    let makespan_delta = pct(b as f64, f as f64);
+    cmp.lines
+        .push(format!("{kernel:>10}  makespan      {b:>14} -> {f:>14}  ({makespan_delta:+.2}%)"));
+    if f as f64 > b as f64 * (1.0 + tolerance) {
         cmp.regressions.push(format!(
-            "{}: makespan regressed {:+.2}% ({} -> {} ns, tolerance {:.1}%)",
-            fresh.kernel,
-            makespan_delta,
-            base.makespan_ns,
-            fresh.makespan_ns,
+            "{kernel}: makespan regressed {makespan_delta:+.2}% ({b} -> {f} ns, tolerance {:.1}%)",
             tolerance * 100.0
         ));
     }
 
-    let sync_delta = fresh.sync_fraction - base.sync_fraction;
+    let (b, f) = num("sync_fraction")?;
     cmp.lines.push(format!(
-        "{:>10}  sync fraction {:>13.2}% -> {:>13.2}%  ({:+.2} pts)",
-        fresh.kernel,
-        base.sync_fraction * 100.0,
-        fresh.sync_fraction * 100.0,
-        sync_delta * 100.0
+        "{kernel:>10}  sync fraction {:>13.2}% -> {:>13.2}%  ({:+.2} pts)",
+        b * 100.0,
+        f * 100.0,
+        (f - b) * 100.0
     ));
-    if fresh.sync_fraction > base.sync_fraction * (1.0 + tolerance) + SYNC_FRACTION_SLACK {
+    if f > b * (1.0 + tolerance) + SYNC_FRACTION_SLACK {
         cmp.regressions.push(format!(
-            "{}: sync fraction regressed {:.2}% -> {:.2}% (tolerance {:.1}% + {:.1} pts)",
-            fresh.kernel,
-            base.sync_fraction * 100.0,
-            fresh.sync_fraction * 100.0,
+            "{kernel}: sync fraction regressed {:.2}% -> {:.2}% (tolerance {:.1}% + {:.1} pts)",
+            b * 100.0,
+            f * 100.0,
             tolerance * 100.0,
             SYNC_FRACTION_SLACK * 100.0
         ));
@@ -1009,78 +465,73 @@ pub fn compare(base: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Compa
     // Counts are deterministic, but a small absolute allowance keeps
     // near-zero baselines from failing on a handful of messages.
     const MSG_SLACK: u64 = 16;
-    for (label, b, f) in [
-        ("total msgs", base.traffic.total_msgs, fresh.traffic.total_msgs),
-        ("update msgs", base.traffic.msgs_of("update"), fresh.traffic.msgs_of("update")),
+    let (base_classes, fresh_classes) = both(base, fresh, "traffic.classes", JsonValue::as_array)?;
+    // A report without an update class sent no update messages.
+    let update_msgs = |classes: &[JsonValue]| {
+        let update =
+            classes.iter().find(|c| c.get("class").and_then(JsonValue::as_str) == Some("update"));
+        update.and_then(|c| c.get("msgs")?.as_u64()).unwrap_or(0)
+    };
+    for (label, (b, f)) in [
+        ("total msgs", count("traffic.total_msgs")?),
+        ("update msgs", (update_msgs(base_classes), update_msgs(fresh_classes))),
     ] {
         cmp.lines.push(format!(
-            "{:>10}  {label:<13} {:>14} -> {:>14}  ({:+.2}%)",
-            fresh.kernel,
-            b,
-            f,
+            "{kernel:>10}  {label:<13} {b:>14} -> {f:>14}  ({:+.2}%)",
             pct(b as f64, f as f64)
         ));
         if f as f64 > b as f64 * (1.0 + tolerance) + MSG_SLACK as f64 {
             cmp.regressions.push(format!(
-                "{}: {label} regressed {b} -> {f} (tolerance {:.1}% + {MSG_SLACK})",
-                fresh.kernel,
+                "{kernel}: {label} regressed {b} -> {f} (tolerance {:.1}% + {MSG_SLACK})",
                 tolerance * 100.0
             ));
         }
     }
-    cmp.lines.push(format!(
-        "{:>10}  msgs/sync op  {:>14.2} -> {:>14.2}",
-        fresh.kernel, base.traffic.msgs_per_sync_op, fresh.traffic.msgs_per_sync_op
-    ));
+    let (b, f) = num("traffic.msgs_per_sync_op")?;
+    cmp.lines.push(format!("{kernel:>10}  msgs/sync op  {b:>14.2} -> {f:>14.2}"));
 
     // Manager queue pressure: the fraction of all thread-time spent queued
     // at the manager. Gated like sync fraction — relative tolerance plus an
     // absolute slack so near-zero baselines don't flap.
-    let qw_delta = fresh.queue.mgr_queue_wait_fraction - base.queue.mgr_queue_wait_fraction;
+    let (b, f) = num("queue.mgr_queue_wait_fraction")?;
     cmp.lines.push(format!(
-        "{:>10}  mgr queue wait{:>13.2}% -> {:>13.2}%  ({:+.2} pts)",
-        fresh.kernel,
-        base.queue.mgr_queue_wait_fraction * 100.0,
-        fresh.queue.mgr_queue_wait_fraction * 100.0,
-        qw_delta * 100.0
+        "{kernel:>10}  mgr queue wait{:>13.2}% -> {:>13.2}%  ({:+.2} pts)",
+        b * 100.0,
+        f * 100.0,
+        (f - b) * 100.0
     ));
-    if fresh.queue.mgr_queue_wait_fraction
-        > base.queue.mgr_queue_wait_fraction * (1.0 + tolerance) + QUEUE_WAIT_SLACK
-    {
+    if f > b * (1.0 + tolerance) + QUEUE_WAIT_SLACK {
         cmp.regressions.push(format!(
-            "{}: mgr queue-wait fraction regressed {:.2}% -> {:.2}% (tolerance {:.1}% + {:.1} pts)",
-            fresh.kernel,
-            base.queue.mgr_queue_wait_fraction * 100.0,
-            fresh.queue.mgr_queue_wait_fraction * 100.0,
+            "{kernel}: mgr queue-wait fraction regressed {:.2}% -> {:.2}% (tolerance {:.1}% + {:.1} pts)",
+            b * 100.0,
+            f * 100.0,
             tolerance * 100.0,
             QUEUE_WAIT_SLACK * 100.0
         ));
     }
-    cmp.lines.push(format!(
-        "{:>10}  mgr peak queue{:>14} -> {:>14}",
-        fresh.kernel, base.queue.mgr_peak_queue_depth, fresh.queue.mgr_peak_queue_depth
-    ));
+    let (b, f) = count("queue.mgr_peak_queue_depth")?;
+    cmp.lines.push(format!("{kernel:>10}  mgr peak queue{b:>14} -> {f:>14}"));
 
     // Recovery gate: benchmark baselines are fault-free, so the crash-
     // recovery machinery must never fire during a gated run. A spurious
     // failover means the probe/retry path misfired — it would silently
     // perturb every number above, so it is a hard failure, not a tolerance.
-    cmp.lines.push(format!(
-        "{:>10}  mgr failovers {:>14} -> {:>14}",
-        fresh.kernel, base.recovery.mgr_failovers, fresh.recovery.mgr_failovers
-    ));
-    if !base.recovery.took_over() && fresh.recovery.took_over() {
-        let r = &fresh.recovery;
+    // Log shipping alone (a standby passively mirroring a healthy primary)
+    // does not count as firing.
+    let failovers = count("recovery.mgr_failovers")?;
+    let reclaims = count("recovery.lease_reclaims")?;
+    let stale = count("recovery.stale_releases")?;
+    let serves = count("recovery.standby_serves")?;
+    let takeover = count("recovery.takeover_ns")?;
+    cmp.lines
+        .push(format!("{kernel:>10}  mgr failovers {:>14} -> {:>14}", failovers.0, failovers.1));
+    let took_over = [failovers, reclaims, stale, serves, takeover];
+    if took_over.iter().all(|c| c.0 == 0) && took_over.iter().any(|c| c.1 > 0) {
         cmp.regressions.push(format!(
-            "{}: recovery machinery fired on a fault-free run ({} failovers, {} lease \
+            "{kernel}: recovery machinery fired on a fault-free run ({} failovers, {} lease \
              reclaims, {} stale releases, {} standby serves, takeover at {} ns) — the \
              failover path must stay quiet without an injected manager crash",
-            fresh.kernel,
-            r.mgr_failovers,
-            r.lease_reclaims,
-            r.stale_releases,
-            r.standby_serves,
-            r.takeover_ns
+            failovers.1, reclaims.1, stale.1, serves.1, takeover.1
         ));
     }
 
@@ -1090,143 +541,77 @@ pub fn compare(base: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Compa
     // regressions in the simulator itself (e.g. a linear scan going
     // quadratic), not scheduler jitter. Only checked when both reports
     // carry a host section.
-    if let (Some(bh), Some(fh)) = (&base.host, &fresh.host) {
+    if let (Some(b), Some(f)) = (base.num("host.ns_per_event"), fresh.num("host.ns_per_event")) {
         cmp.lines.push(format!(
-            "{:>10}  host ns/event {:>14.1} -> {:>14.1}  ({:+.2}%)",
-            fresh.kernel,
-            bh.ns_per_event,
-            fh.ns_per_event,
-            pct(bh.ns_per_event, fh.ns_per_event)
+            "{kernel:>10}  host ns/event {b:>14.1} -> {f:>14.1}  ({:+.2}%)",
+            pct(b, f)
         ));
-        if bh.ns_per_event > 0.0
-            && fh.ns_per_event > bh.ns_per_event * HOST_BLOWUP_RATIO
-            && fh.ns_per_event > HOST_NS_PER_EVENT_FLOOR
-        {
+        if b > 0.0 && f > b * HOST_BLOWUP_RATIO && f > HOST_NS_PER_EVENT_FLOOR {
             cmp.regressions.push(format!(
-                "{}: host ns/event blew up {:.1} -> {:.1} (over {HOST_BLOWUP_RATIO}x the \
+                "{kernel}: host ns/event blew up {b:.1} -> {f:.1} (over {HOST_BLOWUP_RATIO}x the \
                  baseline) — the simulator itself got drastically slower on this \
-                 configuration; profile with bench-report and the hotpaths bench",
-                fresh.kernel, bh.ns_per_event, fh.ns_per_event
+                 configuration; profile with bench-report and the hotpaths bench"
             ));
         }
     }
-    cmp
+    Ok(cmp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A complete v5 document, host section included.
+    const SAMPLE: &str = r#"{
+        "schema": "samhita-bench-report-v5",
+        "kernel": "micro", "params": "M=10 S=2 mode=global P=1", "git_rev": "abc1234",
+        "config_fingerprint": "00000000deadbeef", "threads": 1,
+        "makespan_ns": 1000000, "sync_fraction": 0.25,
+        "mgr_utilization": 0.125, "server_utilization": [0.5, 0.0625],
+        "fetch": {"count": 10, "p50_ns": 100, "p95_ns": 200, "p99_ns": 300, "max_ns": 400},
+        "lock": {"count": 0, "p50_ns": 0, "p95_ns": 0, "p99_ns": 0, "max_ns": 0},
+        "barrier": {"count": 2, "p50_ns": 8, "p95_ns": 8, "p99_ns": 8, "max_ns": 9},
+        "timeline": {"bucket_ns": 50000, "buckets": 20, "fabric_bytes": 123456,
+            "peak_fabric_bucket": 3, "peak_fabric_bytes": 40000,
+            "peak_server_bucket": 4, "peak_server_busy_ns": 30000},
+        "traffic": {"total_msgs": 1000, "total_bytes": 500000, "sync_ops": 40,
+            "msgs_per_sync_op": 5,
+            "classes": [{"class": "data", "msgs": 500, "bytes": 400000},
+                        {"class": "update", "msgs": 200, "bytes": 80000},
+                        {"class": "sync", "msgs": 200, "bytes": 15000},
+                        {"class": "control", "msgs": 100, "bytes": 5000}]},
+        "breakdown": {"compute_ns": 700000, "fetch_ns": 100000, "lock_ns": 50000,
+            "barrier_ns": 50000, "mgr_ns": 40000, "flush_ns": 10000, "idle_ns": 50000,
+            "total_ns": 1000000},
+        "queue": {"mgr_queue_wait_ns": 30000, "mgr_queue_wait_fraction": 0.03,
+            "mgr_peak_queue_depth": 5, "mgr_mean_queue_depth": 1.25, "mgr_requests": 160,
+            "server_queue_wait_ns": 12000, "server_peak_queue_depth": 3},
+        "recovery": {"mgr_failovers": 0, "log_records_shipped": 320, "lease_reclaims": 0,
+            "stale_releases": 0, "standby_serves": 0, "takeover_ns": 0},
+        "critical_path": {"makespan_ns": 1000000, "compute_ns": 600000, "fetch_ns": 150000,
+            "lock_wait_ns": 80000, "barrier_wait_ns": 70000, "mgr_wait_ns": 30000,
+            "mgr_service_ns": 25000, "server_service_ns": 25000, "queue_wait_ns": 20000,
+            "n_segments": 42},
+        "hotspots": [{"page": 65538, "site": "shared", "misses": 0, "refetches": 12,
+            "invalidations": 11, "twins": 0, "diff_bytes": 0, "fine_bytes": 0}],
+        "host": {"wall_ns": 5000000, "events": 1000, "ns_per_event": 5000,
+            "allocs": 12000, "allocs_per_event": 12, "peak_rss_bytes": 67108864,
+            "phases": [
+                {"name": "sched_step", "wall_ns": 900000, "calls": 4000, "allocs": 0,
+                 "alloc_bytes": 0},
+                {"name": "other", "wall_ns": 0, "calls": 0, "allocs": 11400,
+                 "alloc_bytes": 900000}]}
+    }"#;
+
     fn sample() -> BenchReport {
-        BenchReport {
-            kernel: "micro".into(),
-            params: "M=10 S=2 mode=global P=1".into(),
-            git_rev: "abc1234".into(),
-            config_fingerprint: 0xdead_beef,
-            threads: 1,
-            makespan_ns: 1_000_000,
-            sync_fraction: 0.25,
-            mgr_utilization: 0.125,
-            server_utilization: vec![0.5, 0.0625],
-            fetch: HistogramSummary {
-                count: 10,
-                p50_ns: 100,
-                p95_ns: 200,
-                p99_ns: 300,
-                max_ns: 400,
-            },
-            lock: HistogramSummary::default(),
-            barrier: HistogramSummary { count: 2, p50_ns: 8, p95_ns: 8, p99_ns: 8, max_ns: 9 },
-            timeline: Some(TimelineSummary {
-                bucket_ns: 50_000,
-                buckets: 20,
-                fabric_bytes: 123_456,
-                peak_fabric_bucket: 3,
-                peak_fabric_bytes: 40_000,
-                peak_server_bucket: 4,
-                peak_server_busy_ns: 30_000,
-            }),
-            traffic: TrafficSummary {
-                total_msgs: 1000,
-                total_bytes: 500_000,
-                sync_ops: 40,
-                msgs_per_sync_op: 5.0,
-                classes: vec![
-                    ClassTraffic { class: "data".into(), msgs: 500, bytes: 400_000 },
-                    ClassTraffic { class: "update".into(), msgs: 200, bytes: 80_000 },
-                    ClassTraffic { class: "sync".into(), msgs: 200, bytes: 15_000 },
-                    ClassTraffic { class: "control".into(), msgs: 100, bytes: 5_000 },
-                ],
-            },
-            breakdown: BreakdownSummary {
-                compute_ns: 700_000,
-                fetch_ns: 100_000,
-                lock_ns: 50_000,
-                barrier_ns: 50_000,
-                mgr_ns: 40_000,
-                flush_ns: 10_000,
-                idle_ns: 50_000,
-                total_ns: 1_000_000,
-            },
-            queue: QueueSummary {
-                mgr_queue_wait_ns: 30_000,
-                mgr_queue_wait_fraction: 0.03,
-                mgr_peak_queue_depth: 5,
-                mgr_mean_queue_depth: 1.25,
-                mgr_requests: 160,
-                server_queue_wait_ns: 12_000,
-                server_peak_queue_depth: 3,
-            },
-            recovery: RecoverySummary { log_records_shipped: 320, ..RecoverySummary::default() },
-            critical_path: Some(CritPathSummary {
-                makespan_ns: 1_000_000,
-                compute_ns: 600_000,
-                fetch_ns: 150_000,
-                lock_wait_ns: 80_000,
-                barrier_wait_ns: 70_000,
-                mgr_wait_ns: 30_000,
-                mgr_service_ns: 25_000,
-                server_service_ns: 25_000,
-                queue_wait_ns: 20_000,
-                n_segments: 42,
-            }),
-            hotspots: vec![HotspotEntry {
-                page: 65538,
-                site: "shared".into(),
-                counters: PageCounters { refetches: 12, invalidations: 11, ..Default::default() },
-            }],
-            host: Some(HostSummary {
-                wall_ns: 5_000_000,
-                events: 1000,
-                ns_per_event: 5_000.0,
-                allocs: 12_000,
-                allocs_per_event: 12.0,
-                peak_rss_bytes: 64 << 20,
-                phases: vec![
-                    HostPhase {
-                        name: "sched_step".into(),
-                        wall_ns: 900_000,
-                        calls: 4_000,
-                        allocs: 0,
-                        alloc_bytes: 0,
-                    },
-                    HostPhase {
-                        name: "regc_diff".into(),
-                        wall_ns: 400_000,
-                        calls: 200,
-                        allocs: 600,
-                        alloc_bytes: 48_000,
-                    },
-                    HostPhase {
-                        name: "other".into(),
-                        wall_ns: 0,
-                        calls: 0,
-                        allocs: 11_400,
-                        alloc_bytes: 900_000,
-                    },
-                ],
-            }),
-        }
+        BenchReport::from_json(SAMPLE).expect("the sample is a valid v5 report")
+    }
+
+    /// A traffic `classes` list whose update class carries `update` messages.
+    fn classes_with_update(update: u64) -> JsonValue {
+        JsonValue::array([("data", 500), ("update", update), ("sync", 200), ("control", 100)].map(
+            |(class, msgs)| JsonValue::object([("class", class.into()), ("msgs", msgs.into())]),
+        ))
     }
 
     #[test]
@@ -1237,22 +622,55 @@ mod tests {
         assert_eq!(BenchReport::from_json(&json).expect("parses"), r);
 
         // Without the trace-derived and host sections, too.
-        let bare = BenchReport {
-            timeline: None,
-            critical_path: None,
-            hotspots: Vec::new(),
-            host: None,
-            ..r
-        };
+        let bare = r
+            .with("timeline", JsonValue::Null)
+            .with("critical_path", JsonValue::Null)
+            .with("hotspots", JsonValue::Array(Vec::new()))
+            .with("host", JsonValue::Null);
         assert_eq!(BenchReport::from_json(&bare.to_json()).expect("parses"), bare);
+    }
+
+    /// Additive sections need no schema bump: a v5 reader keeps a section it
+    /// does not know and does not miss an optional one.
+    #[test]
+    fn unknown_sections_are_kept_and_optional_ones_may_be_absent() {
+        let JsonValue::Object(mut doc) = JsonValue::parse(SAMPLE).unwrap() else {
+            panic!("the sample is an object")
+        };
+        for optional in ["timeline", "critical_path", "host"] {
+            assert!(doc.remove(optional).is_some());
+        }
+        doc.insert("energy".into(), JsonValue::object([("joules", JsonValue::from(3u64))]));
+        let text = JsonValue::Object(doc).to_string();
+        let r = BenchReport::from_json(&text).expect("still a v5 report");
+        assert_eq!(r.num("energy.joules"), Some(3.0), "the unknown section survives");
+        assert_eq!(r.get("host"), None);
+        assert_eq!(r.to_json(), text, "and is written back untouched");
+        let cmp = compare(&sample(), &r, 0.0);
+        assert!(cmp.passed(), "{:?}", cmp.regressions);
+        assert_eq!(cmp.lines.len(), 9, "no host section, no host line");
     }
 
     #[test]
     fn from_json_rejects_garbage() {
         assert!(BenchReport::from_json("{}").is_err());
+        assert!(BenchReport::from_json("[]").is_err());
         assert!(BenchReport::from_json("not json").is_err());
         let wrong_schema = sample().to_json().replace(SCHEMA, "other-schema-v9");
         assert!(BenchReport::from_json(&wrong_schema).unwrap_err().contains("schema"));
+    }
+
+    #[test]
+    fn from_json_names_the_gated_field_a_report_lacks() {
+        for (path, broken) in [
+            ("makespan_ns", sample().with("makespan_ns", "fast")),
+            ("queue.mgr_queue_wait_fraction", sample().with("queue", counts([]))),
+            ("traffic.classes", sample().with("traffic.classes", JsonValue::Null)),
+            ("recovery.takeover_ns", sample().with("recovery.takeover_ns", -1.0)),
+        ] {
+            let err = BenchReport::from_json(&broken.to_json()).unwrap_err();
+            assert!(err.contains(path), "{path}: {err}");
+        }
     }
 
     #[test]
@@ -1279,16 +697,10 @@ mod tests {
     fn host_gate_trips_only_on_blowups() {
         let base = sample();
         // 8x slower per event: noisy, but no failure.
-        let mut noisy = base.clone();
-        let h = noisy.host.as_mut().unwrap();
-        h.ns_per_event *= 8.0;
-        h.wall_ns *= 8;
+        let noisy = base.clone().with("host.ns_per_event", 40_000.0);
         assert!(compare(&base, &noisy, 0.05).passed());
         // 20x slower per event: algorithmic blowup, hard failure.
-        let mut blown = base.clone();
-        let h = blown.host.as_mut().unwrap();
-        h.ns_per_event *= 20.0;
-        h.wall_ns *= 20;
+        let blown = base.clone().with("host.ns_per_event", 100_000.0);
         let cmp = compare(&base, &blown, 0.05);
         assert!(!cmp.passed());
         assert!(cmp.regressions[0].contains("host ns/event"), "{:?}", cmp.regressions);
@@ -1297,7 +709,7 @@ mod tests {
     #[test]
     fn host_gate_skips_when_either_side_lacks_the_section() {
         let with = sample();
-        let without = BenchReport { host: None, ..sample() };
+        let without = sample().with("host", JsonValue::Null);
         for (a, b) in [(&with, &without), (&without, &with), (&without, &without)] {
             let cmp = compare(a, b, 0.05);
             assert!(cmp.passed(), "{:?}", cmp.regressions);
@@ -1309,11 +721,8 @@ mod tests {
     fn host_gate_ignores_sub_floor_blowups() {
         // A 4 ns/event baseline regressing to 80 ns/event is a 20x ratio
         // but far below any real cost — the floor keeps it advisory.
-        let mut base = sample();
-        let h = base.host.as_mut().unwrap();
-        h.ns_per_event = 4.0;
-        let mut fresh = base.clone();
-        fresh.host.as_mut().unwrap().ns_per_event = 80.0;
+        let base = sample().with("host.ns_per_event", 4.0);
+        let fresh = sample().with("host.ns_per_event", 80.0);
         assert!(compare(&base, &fresh, 0.05).passed());
     }
 
@@ -1321,22 +730,20 @@ mod tests {
     fn recovery_activity_on_a_fault_free_run_fails_the_gate() {
         let base = sample();
         // A passively mirroring standby (log shipping only) is fine.
-        let mut quiet = base.clone();
-        quiet.recovery.log_records_shipped = 9_999;
+        let quiet = base.clone().with("recovery.log_records_shipped", 9_999u64);
         assert!(compare(&base, &quiet, 0.05).passed());
         // Any takeover-side activity is a hard failure regardless of
         // tolerance: the baseline run never crashed its manager.
-        for bump in [
-            |r: &mut RecoverySummary| r.mgr_failovers = 1,
-            |r: &mut RecoverySummary| r.lease_reclaims = 1,
-            |r: &mut RecoverySummary| r.stale_releases = 1,
-            |r: &mut RecoverySummary| r.standby_serves = 1,
-            |r: &mut RecoverySummary| r.takeover_ns = 60_000,
+        for (field, value) in [
+            ("recovery.mgr_failovers", 1u64),
+            ("recovery.lease_reclaims", 1),
+            ("recovery.stale_releases", 1),
+            ("recovery.standby_serves", 1),
+            ("recovery.takeover_ns", 60_000),
         ] {
-            let mut fresh = base.clone();
-            bump(&mut fresh.recovery);
+            let fresh = base.clone().with(field, value);
             let cmp = compare(&base, &fresh, 0.5);
-            assert!(!cmp.passed(), "takeover activity must fail: {fresh:?}");
+            assert!(!cmp.passed(), "takeover activity must fail: {field}");
             assert!(
                 cmp.regressions.iter().any(|r| r.contains("recovery machinery")),
                 "{:?}",
@@ -1347,30 +754,22 @@ mod tests {
 
     #[test]
     fn queue_wait_fraction_regression_fails() {
+        let at = |f: f64| sample().with("queue.mgr_queue_wait_fraction", f);
         let base = sample();
-        let mut fresh = base.clone();
-        fresh.queue.mgr_queue_wait_fraction = 0.12; // 3% -> 12%
-        let cmp = compare(&base, &fresh, 0.05);
+        let cmp = compare(&base, &at(0.12), 0.05); // 3% -> 12%
         assert!(!cmp.passed());
         assert!(cmp.regressions.iter().any(|r| r.contains("queue-wait")), "{:?}", cmp.regressions);
         // Movement inside relative tolerance + absolute slack passes.
-        let mut ok = base.clone();
-        ok.queue.mgr_queue_wait_fraction = 0.034;
-        assert!(compare(&base, &ok, 0.05).passed());
+        assert!(compare(&base, &at(0.034), 0.05).passed());
         // A near-zero baseline only trips past the absolute slack.
-        let mut quiet_base = base.clone();
-        quiet_base.queue.mgr_queue_wait_fraction = 0.0;
-        let mut quiet_fresh = base.clone();
-        quiet_fresh.queue.mgr_queue_wait_fraction = 0.004;
-        assert!(compare(&quiet_base, &quiet_fresh, 0.05).passed());
-        quiet_fresh.queue.mgr_queue_wait_fraction = 0.02;
-        assert!(!compare(&quiet_base, &quiet_fresh, 0.05).passed());
+        assert!(compare(&at(0.0), &at(0.004), 0.05).passed());
+        assert!(!compare(&at(0.0), &at(0.02), 0.05).passed());
     }
 
     #[test]
     fn thread_count_mismatch_is_always_a_failure() {
         let base = sample();
-        let fresh = BenchReport { threads: 8, ..base.clone() };
+        let fresh = base.clone().with("threads", 8u64);
         let cmp = compare(&base, &fresh, 0.05);
         assert!(!cmp.passed());
         assert!(cmp.regressions[0].contains("thread count"));
@@ -1379,60 +778,50 @@ mod tests {
     #[test]
     fn message_count_regression_fails() {
         let base = sample();
+        let traffic = |update: u64, total: u64| {
+            base.clone()
+                .with("traffic.classes", classes_with_update(update))
+                .with("traffic.total_msgs", total)
+        };
         // Update-class chatter doubled: the flush batcher broke.
-        let mut fresh = base.clone();
-        fresh.traffic.classes[1].msgs = 400;
-        fresh.traffic.total_msgs = 1200;
-        let cmp = compare(&base, &fresh, 0.05);
+        let cmp = compare(&base, &traffic(400, 1200), 0.05);
         assert!(!cmp.passed());
         assert!(cmp.regressions.iter().any(|r| r.contains("update msgs")), "{:?}", cmp.regressions);
         assert!(cmp.regressions.iter().any(|r| r.contains("total msgs")), "{:?}", cmp.regressions);
         // A few extra messages inside the absolute slack pass.
-        let mut ok = base.clone();
-        ok.traffic.classes[1].msgs += 10;
-        ok.traffic.total_msgs += 10;
-        assert!(compare(&base, &ok, 0.0).passed());
+        assert!(compare(&base, &traffic(210, 1010), 0.0).passed());
         // Fewer messages are never a regression.
-        let mut fewer = base.clone();
-        fewer.traffic.classes[1].msgs = 20;
-        fewer.traffic.total_msgs = 820;
-        fewer.traffic.msgs_per_sync_op = 0.5;
-        assert!(compare(&base, &fewer, 0.05).passed());
+        assert!(compare(&base, &traffic(20, 820), 0.05).passed());
     }
 
     #[test]
     fn ten_percent_makespan_regression_fails_at_five_percent_tolerance() {
         let base = sample();
-        let fresh = BenchReport { makespan_ns: base.makespan_ns * 110 / 100, ..base.clone() };
-        let cmp = compare(&base, &fresh, 0.05);
+        let at = |ns: u64| base.clone().with("makespan_ns", ns);
+        let cmp = compare(&base, &at(1_100_000), 0.05);
         assert!(!cmp.passed());
         assert!(cmp.regressions[0].contains("makespan"));
         // The same delta inside tolerance passes.
-        let ok = BenchReport { makespan_ns: base.makespan_ns * 104 / 100, ..base.clone() };
-        assert!(compare(&base, &ok, 0.05).passed());
+        assert!(compare(&base, &at(1_040_000), 0.05).passed());
         // Getting faster is never a regression.
-        let faster = BenchReport { makespan_ns: base.makespan_ns / 2, ..base.clone() };
-        assert!(compare(&base, &faster, 0.05).passed());
+        assert!(compare(&base, &at(500_000), 0.05).passed());
     }
 
     #[test]
     fn sync_fraction_regression_fails() {
-        let base = sample();
-        let fresh = BenchReport { sync_fraction: 0.40, ..base.clone() };
-        let cmp = compare(&base, &fresh, 0.05);
+        let at = |f: f64| sample().with("sync_fraction", f);
+        let cmp = compare(&sample(), &at(0.40), 0.05);
         assert!(!cmp.passed());
         assert!(cmp.regressions[0].contains("sync fraction"));
         // Tiny absolute movement on a near-zero baseline is slack, not a
         // regression.
-        let quiet_base = BenchReport { sync_fraction: 0.0001, ..base.clone() };
-        let quiet_fresh = BenchReport { sync_fraction: 0.004, ..base };
-        assert!(compare(&quiet_base, &quiet_fresh, 0.05).passed());
+        assert!(compare(&at(0.0001), &at(0.004), 0.05).passed());
     }
 
     #[test]
     fn fingerprint_mismatch_is_always_a_failure() {
         let base = sample();
-        let fresh = BenchReport { config_fingerprint: 1, ..base.clone() };
+        let fresh = base.clone().with("config_fingerprint", "0000000000000001");
         let cmp = compare(&base, &fresh, 0.05);
         assert!(!cmp.passed());
         assert!(cmp.regressions[0].contains("fingerprint"));

@@ -641,12 +641,6 @@ impl ManagerEngine {
         s
     }
 
-    /// Drain the manager resource's queue-occupancy samples (see
-    /// [`samhita_scl::VirtualResource::take_samples`]).
-    pub fn take_queue_samples(&self) -> (Vec<samhita_scl::QueueSample>, u64) {
-        self.resource.take_samples()
-    }
-
     /// Reset the manager resource's queue accounting between runs.
     pub fn reset_queue_accounting(&self) {
         self.resource.reset_queue_accounting();

@@ -9,7 +9,7 @@
 //! invalidation refetches during computation, which is where false sharing
 //! hurts) is compute time.
 
-use samhita_scl::{FabricStatsSnapshot, MsgClass, QueueSample, SimTime};
+use samhita_scl::{FabricStatsSnapshot, MsgClass, SimTime};
 use samhita_trace::{HotspotMap, LatencyHistogram};
 use serde::{Deserialize, Serialize};
 
@@ -234,15 +234,6 @@ pub struct RunReport {
     pub server_peak_queue_depth: Vec<u64>,
     /// Per-server sum of arrival-sampled queue depths, in server order.
     pub server_queue_depth_sum: Vec<u64>,
-    /// Peak staged backlog observed at the manager's fabric endpoint.
-    pub mgr_endpoint_backlog_peak: u64,
-    /// Peak staged backlog per memory-server endpoint, in server order.
-    pub server_endpoint_backlog_peak: Vec<u64>,
-    /// Per-request manager queue-occupancy samples `(arrival, depth,
-    /// queue_wait)`, bounded at the source; feed the metrics timeline.
-    pub mgr_queue_samples: Vec<QueueSample>,
-    /// Per-server queue-occupancy samples, in server order.
-    pub server_queue_samples: Vec<Vec<QueueSample>>,
     /// Picks the deterministic scheduler made during this run.
     pub sched_grants: u64,
     /// Bypass-mode (local-sync) lock grants that waited behind the previous

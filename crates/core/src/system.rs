@@ -23,9 +23,7 @@ use parking_lot::Mutex;
 use samhita_mem::{HomeMap, MemRequest, MemResponse, MemoryServer, PageId, ServerStats};
 use samhita_regc::UpdatePart;
 use samhita_sched::{Next, Scheduler, TaskRef};
-use samhita_scl::{
-    DepthGauge, Endpoint, EndpointId, Envelope, Fabric, MsgClass, QueueSample, SimTime,
-};
+use samhita_scl::{Endpoint, EndpointId, Envelope, Fabric, MsgClass, SimTime};
 use samhita_trace::{EventKind, RunTrace, SharedTrack, Tracer, TrackId};
 use serde::{Deserialize, Serialize};
 
@@ -40,32 +38,6 @@ use crate::thread::ThreadCtx;
 
 /// The manager tid reserved for the host control client.
 const HOST_TID: u32 = u32::MAX;
-
-/// Bound on host-side queue-occupancy samples retained per service per run.
-const QUEUE_SAMPLE_CAP: usize = 65_536;
-
-/// Per-run queue-occupancy log of one service, fed after each request from
-/// the service resource's sample buffer. Strictly observational: never read
-/// on any timed path. The host clears it at run start and takes it at run
-/// end, both while it holds the baton and the services are quiescent.
-#[derive(Default)]
-struct QueueLog {
-    /// Peak arrival-sampled queue occupancy.
-    peak_depth: u64,
-    /// Occupancy samples, bounded by [`QUEUE_SAMPLE_CAP`].
-    samples: Vec<QueueSample>,
-}
-
-impl QueueLog {
-    fn absorb(&mut self, new: Vec<QueueSample>) {
-        for s in new {
-            self.peak_depth = self.peak_depth.max(s.depth);
-            if self.samples.len() < QUEUE_SAMPLE_CAP {
-                self.samples.push(s);
-            }
-        }
-    }
-}
 
 /// Server-side statistics, as of the last completed request.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -102,9 +74,6 @@ pub struct Samhita {
     standby: Option<Arc<Mutex<StandbyService>>>,
     mem: Vec<Arc<Mutex<MemService>>>,
     tracer: Option<Arc<Tracer>>,
-    // Endpoint backlog gauges, strictly observational.
-    mgr_gauge: Arc<DepthGauge>,
-    mem_gauges: Vec<Arc<DepthGauge>>,
     // The scheduler serializing every simulated task, and the host's own
     // task. The host holds the baton whenever it is between runs; `run`
     // suspends it while compute tasks execute and resumes (draining all
@@ -182,13 +151,9 @@ impl Samhita {
         // Memory servers.
         let mut mem_eps = Vec::new();
         let mut mem = Vec::new();
-        let mut mem_gauges = Vec::new();
         for i in 0..cfg.mem_servers {
             let ep = fabric.add_endpoint(placement.mem_servers[i as usize]);
             mem_eps.push(ep.id());
-            let gauge = Arc::new(DepthGauge::new());
-            ep.set_depth_gauge(Arc::clone(&gauge));
-            mem_gauges.push(gauge);
             mem.push(install(
                 &sched,
                 MemService {
@@ -199,7 +164,6 @@ impl Samhita {
                     dedup,
                     seen: HashMap::new(),
                     order: VecDeque::new(),
-                    queue: QueueLog::default(),
                 },
             ));
         }
@@ -210,8 +174,6 @@ impl Samhita {
         // below, so the plan is still installed before any send it could
         // affect.
         let mgr_endpoint = fabric.add_endpoint(placement.manager);
-        let mgr_gauge = Arc::new(DepthGauge::new());
-        mgr_endpoint.set_depth_gauge(Arc::clone(&mgr_gauge));
         let mgr_ep = mgr_endpoint.id();
         let standby_endpoint =
             cfg.manager_standby.then(|| fabric.add_endpoint(placement.standby_node()));
@@ -270,7 +232,6 @@ impl Samhita {
                 standby: standby_ep,
                 unacked: Vec::new(),
                 shipped: 0,
-                queue: QueueLog::default(),
             },
         );
         let standby = standby_endpoint.map(|ep| {
@@ -306,8 +267,6 @@ impl Samhita {
             standby,
             mem,
             tracer,
-            mgr_gauge,
-            mem_gauges,
             sched,
             host_task,
         }
@@ -494,28 +453,24 @@ impl Samhita {
         let host_start = std::time::Instant::now();
         let fabric_before = self.fabric.stats();
         // Run-start snapshots of the services' cumulative counters, for
-        // end-of-run deltas; per-run peaks and sample lists reset so they
-        // come out exact. The host holds the baton, so the services are
-        // quiescent.
+        // end-of-run deltas. Queue accounting is reset first: a peak depth
+        // has no delta, so it has to start each run from zero. The host
+        // holds the baton, so the services are quiescent.
         let (mgr_before, shipped_before) = {
-            let mut mgr = self.mgr.lock();
-            mgr.queue = QueueLog::default();
+            let mgr = self.mgr.lock();
+            mgr.core.engine.reset_queue_accounting();
             (mgr.core.engine.stats(), mgr.shipped)
         };
         let mem_before: Vec<ServerStats> = self
             .mem
             .iter()
             .map(|m| {
-                let mut m = m.lock();
-                m.queue = QueueLog::default();
+                let m = m.lock();
+                m.server.reset_queue_accounting();
                 m.server.stats()
             })
             .collect();
         let standby_before = self.standby.as_ref().map(|s| s.lock().counters());
-        self.mgr_gauge.reset();
-        for g in &self.mem_gauges {
-            g.reset();
-        }
         let sched_grants_before = self.sched.grants();
         let local_before = self.local_sync.as_ref().map(|ls| ls.stats()).unwrap_or_default();
         let endpoints: Vec<Endpoint<Msg>> = (0..nthreads)
@@ -596,27 +551,22 @@ impl Samhita {
         self.host_task.resume();
         let mut report = RunReport::new(stats, self.fabric.stats().delta(&fabric_before));
         {
-            let mut mgr = self.mgr.lock();
+            let mgr = self.mgr.lock();
             let st = mgr.core.engine.stats();
             report.mgr_busy_ns = st.busy_ns - mgr_before.busy_ns;
             report.mgr_queue_wait_ns = st.queue_wait_ns - mgr_before.queue_wait_ns;
             report.mgr_queue_depth_sum = st.queue_depth_sum - mgr_before.queue_depth_sum;
             report.mgr_requests = st.requests - mgr_before.requests;
-            report.mgr_peak_queue_depth = mgr.queue.peak_depth;
-            report.mgr_queue_samples = std::mem::take(&mut mgr.queue.samples);
+            report.mgr_peak_queue_depth = st.peak_queue_depth;
             report.log_records_shipped = mgr.shipped - shipped_before;
         }
         for (m, before) in self.mem.iter().zip(&mem_before) {
-            let mut m = m.lock();
-            let st = m.server.stats();
+            let st = m.lock().server.stats();
             report.server_busy_ns.push(st.busy_ns - before.busy_ns);
             report.server_queue_wait_ns.push(st.queue_wait_ns - before.queue_wait_ns);
             report.server_queue_depth_sum.push(st.queue_depth_sum - before.queue_depth_sum);
-            report.server_peak_queue_depth.push(m.queue.peak_depth);
-            report.server_queue_samples.push(std::mem::take(&mut m.queue.samples));
+            report.server_peak_queue_depth.push(st.peak_queue_depth);
         }
-        report.mgr_endpoint_backlog_peak = self.mgr_gauge.peak();
-        report.server_endpoint_backlog_peak = self.mem_gauges.iter().map(|g| g.peak()).collect();
         report.sched_grants = self.sched.grants() - sched_grants_before;
         if let Some(ls) = &self.local_sync {
             let st = ls.stats();
@@ -789,7 +739,6 @@ struct MemService {
     /// at-least-once delivery.
     seen: HashMap<(EndpointId, u64), (SimTime, MemResponse)>,
     order: VecDeque<(EndpointId, u64)>,
-    queue: QueueLog,
 }
 
 impl Service for MemService {
@@ -817,7 +766,6 @@ impl Service for MemService {
         // observable protocol timeline.
         let events = if shadow { None } else { self.track.as_ref().map(|_| mem_events(&req)) };
         let (resp, done) = self.server.handle(req, env.deliver_at);
-        self.queue.absorb(self.server.take_queue_samples().0);
         if let (Some(track), Some(events)) = (&self.track, events) {
             for event in events {
                 track.push(done, event);
@@ -938,7 +886,6 @@ struct MgrService {
     /// Log records shipped (counting re-ships of the unacked suffix —
     /// repair traffic is part of the cost story).
     shipped: u64,
-    queue: QueueLog,
 }
 
 impl MgrService {
@@ -962,7 +909,6 @@ impl Service for MgrService {
                 }
                 let unacked = self.standby.is_some().then_some(&mut self.unacked);
                 self.core.serve(env.src, env.deliver_at, token, tid, req, unacked);
-                self.queue.absorb(self.core.engine.take_queue_samples().0);
                 if let Some(sb) = self.standby {
                     // Write-ahead shipping: responses and the log batch leave
                     // at the same virtual instant (`last_done`), and a

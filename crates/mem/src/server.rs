@@ -8,7 +8,7 @@
 //! this engine lives in `samhita-core`.
 
 use samhita_regc::{Diff, UpdateBatch, UpdatePart};
-use samhita_scl::{QueueSample, SimTime, VirtualResource};
+use samhita_scl::{SimTime, VirtualResource};
 use serde::{Deserialize, Serialize};
 
 use crate::page::PageId;
@@ -268,12 +268,6 @@ impl MemoryServer {
         s.peak_queue_depth = r.peak_depth;
         s.queue_depth_sum = r.depth_sum;
         s
-    }
-
-    /// Drain the service resource's queue-occupancy samples (see
-    /// [`samhita_scl::VirtualResource::take_samples`]).
-    pub fn take_queue_samples(&self) -> (Vec<QueueSample>, u64) {
-        self.resource.take_samples()
     }
 
     /// Reset the service resource's queue accounting between runs.

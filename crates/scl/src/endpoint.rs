@@ -29,7 +29,6 @@ use samhita_sched::TaskRef;
 use crate::error::SclError;
 use crate::fabric::Fabric;
 use crate::fault::SendFate;
-use crate::resource::DepthGauge;
 use crate::stats::MsgClass;
 use crate::time::SimTime;
 use crate::topology::{EndpointId, NodeId};
@@ -123,7 +122,6 @@ pub struct Endpoint<M> {
     /// The scheduler task that owns this endpoint, once bound.
     task: OnceLock<TaskRef>,
     staged: Mutex<Staged<M>>,
-    depth_gauge: OnceLock<Arc<DepthGauge>>,
 }
 
 impl<M: Send + Clone + 'static> Endpoint<M> {
@@ -134,23 +132,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         fabric: Arc<Fabric<M>>,
     ) -> Self {
         let staged = Staged { heap: BinaryHeap::new(), last_eff: Vec::new(), seq: 0 };
-        Endpoint {
-            id,
-            node,
-            rx,
-            fabric,
-            task: OnceLock::new(),
-            staged: Mutex::new(staged),
-            depth_gauge: OnceLock::new(),
-        }
-    }
-
-    /// Attach a backlog gauge (once, at bring-up): every message the
-    /// deterministic path hands out samples how many remained staged after
-    /// it was taken. Sampling is observational — it never touches a virtual
-    /// clock or the receive order.
-    pub fn set_depth_gauge(&self, gauge: Arc<DepthGauge>) {
-        assert!(self.depth_gauge.set(gauge).is_ok(), "depth gauge attached twice");
+        Endpoint { id, node, rx, fabric, task: OnceLock::new(), staged: Mutex::new(staged) }
     }
 
     /// Switch this endpoint to the deterministic receive discipline, owned
@@ -241,11 +223,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         if st.heap.peek().is_none_or(|Reverse(top)| top.eff > granted) {
             return None;
         }
-        let env = st.heap.pop().expect("peeked").0.env;
-        if let Some(g) = self.depth_gauge.get() {
-            g.sample(st.heap.len() as u64);
-        }
-        Some(env)
+        Some(st.heap.pop().expect("peeked").0.env)
     }
 
     /// Block until a message arrives. Unbound: physical arrival order.

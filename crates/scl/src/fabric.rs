@@ -114,52 +114,7 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         msg: M,
     ) -> Result<(SimTime, SendFate), SclError> {
         let _prof = samhita_prof::enter(samhita_prof::Phase::ChannelSend);
-        let slots = self.slots.read();
-        let src_slot = slots.get(src.0 as usize).ok_or(SclError::UnknownEndpoint(src))?;
-        let dst_slot = slots.get(dst.0 as usize).ok_or(SclError::UnknownEndpoint(dst))?;
-        let route = self.topo.route(src_slot.node, dst_slot.node);
-        let deliver_at = now + route.transfer_ns(wire_bytes);
-        self.stats.record(class, wire_bytes);
-        // The fate decision sits after all cost accounting, so an empty plan
-        // leaves every charge bit-identical to a fault-free fabric.
-        let fate = {
-            let plan = self.fault.read();
-            if plan.is_active() {
-                let seq = src_slot.seq.fetch_add(1, Ordering::Relaxed);
-                plan.fate(src, dst, src_slot.node, dst_slot.node, now, seq)
-            } else {
-                SendFate::Delivered
-            }
-        };
-        if let Some(label) = fate.label() {
-            self.stats.record_fault(class, label);
-        }
-        if let Some(observer) = self.observer.read().as_ref() {
-            observer(src, dst, now, wire_bytes, class, fate.label());
-        }
-        let post = |deliver_at: SimTime, lost: bool, msg: M| {
-            let env = Envelope { src, sent_at: now, deliver_at, lost, msg };
-            dst_slot.tx.send(env).map_err(|_| SclError::Disconnected(dst))?;
-            // Lost envelopes wake the receiver too: that is how its virtual
-            // retransmission timeout fires without a wall-clock timer.
-            if let Some(task) = &dst_slot.det_task {
-                task.wake_at(deliver_at.as_ns());
-            }
-            Ok(())
-        };
-        match fate {
-            SendFate::Delivered => post(deliver_at, false, msg)?,
-            // Lost messages still travel physically, marked lost, so that a
-            // receiver blocked on the channel wakes up and can fire its
-            // *virtual* retransmission timeout deterministically.
-            SendFate::Dropped(_) => post(deliver_at, true, msg)?,
-            SendFate::Duplicated => {
-                post(deliver_at, false, msg.clone())?;
-                post(deliver_at, false, msg)?;
-            }
-            SendFate::Delayed(extra) => post(deliver_at + extra, false, msg)?,
-        }
-        Ok((deliver_at, fate))
+        self.post(src, dst, now, wire_bytes, class, msg, true)
     }
 
     /// [`Fabric::send`] bypassing fault injection entirely: used for the
@@ -174,21 +129,69 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         class: MsgClass,
         msg: M,
     ) -> Result<SimTime, SclError> {
+        self.post(src, dst, now, wire_bytes, class, msg, false).map(|(t, _)| t)
+    }
+
+    /// The one posting path: route, cost, stats, fate, observer, delivery,
+    /// wake-up. `faultable` is whether the fault plan gets a say; a reliable
+    /// send is a faultable one whose fate is fixed at `Delivered`.
+    #[allow(clippy::too_many_arguments)]
+    fn post(
+        &self,
+        src: EndpointId,
+        dst: EndpointId,
+        now: SimTime,
+        wire_bytes: usize,
+        class: MsgClass,
+        msg: M,
+        faultable: bool,
+    ) -> Result<(SimTime, SendFate), SclError> {
         let slots = self.slots.read();
         let src_slot = slots.get(src.0 as usize).ok_or(SclError::UnknownEndpoint(src))?;
         let dst_slot = slots.get(dst.0 as usize).ok_or(SclError::UnknownEndpoint(dst))?;
         let route = self.topo.route(src_slot.node, dst_slot.node);
         let deliver_at = now + route.transfer_ns(wire_bytes);
         self.stats.record(class, wire_bytes);
+        // The fate decision sits after all cost accounting, so an empty plan
+        // leaves every charge bit-identical to a fault-free fabric.
+        let fate = {
+            let plan = self.fault.read();
+            if faultable && plan.is_active() {
+                let seq = src_slot.seq.fetch_add(1, Ordering::Relaxed);
+                plan.fate(src, dst, src_slot.node, dst_slot.node, now, seq)
+            } else {
+                SendFate::Delivered
+            }
+        };
+        if let Some(label) = fate.label() {
+            self.stats.record_fault(class, label);
+        }
         if let Some(observer) = self.observer.read().as_ref() {
-            observer(src, dst, now, wire_bytes, class, None);
+            observer(src, dst, now, wire_bytes, class, fate.label());
         }
-        let env = Envelope { src, sent_at: now, deliver_at, lost: false, msg };
-        dst_slot.tx.send(env).map_err(|_| SclError::Disconnected(dst))?;
-        if let Some(task) = &dst_slot.det_task {
-            task.wake_at(deliver_at.as_ns());
+        let deliver = |deliver_at: SimTime, lost: bool, msg: M| {
+            let env = Envelope { src, sent_at: now, deliver_at, lost, msg };
+            dst_slot.tx.send(env).map_err(|_| SclError::Disconnected(dst))?;
+            // Lost envelopes wake the receiver too: that is how its virtual
+            // retransmission timeout fires without a wall-clock timer.
+            if let Some(task) = &dst_slot.det_task {
+                task.wake_at(deliver_at.as_ns());
+            }
+            Ok(())
+        };
+        match fate {
+            SendFate::Delivered => deliver(deliver_at, false, msg)?,
+            // Lost messages still travel physically, marked lost, so that a
+            // receiver blocked on the channel wakes up and can fire its
+            // *virtual* retransmission timeout deterministically.
+            SendFate::Dropped(_) => deliver(deliver_at, true, msg)?,
+            SendFate::Duplicated => {
+                deliver(deliver_at, false, msg.clone())?;
+                deliver(deliver_at, false, msg)?;
+            }
+            SendFate::Delayed(extra) => deliver(deliver_at + extra, false, msg)?,
         }
-        Ok(deliver_at)
+        Ok((deliver_at, fate))
     }
 
     /// Bind the deterministic-scheduler task that owns endpoint `ep`: every

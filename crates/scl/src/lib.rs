@@ -52,7 +52,7 @@ pub use error::SclError;
 pub use fabric::{Fabric, SendObserver};
 pub use fault::{FaultPlan, Partition, RetryPolicy, SendFate};
 pub use model::LinkModel;
-pub use resource::{DepthGauge, QueueSample, ResourceStats, VirtualResource};
+pub use resource::{ResourceStats, VirtualResource};
 pub use stats::{FabricStats, FabricStatsSnapshot, MsgClass};
 pub use time::SimTime;
 pub use topology::{EndpointId, NodeId, NodeKind, Topology};

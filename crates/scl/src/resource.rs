@@ -15,7 +15,6 @@
 //! acceptable error for barrier-coupled workloads.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -28,23 +27,6 @@ use crate::time::SimTime;
 /// the (already approximate) depth estimate.
 const OUTSTANDING_CAP: usize = 4096;
 
-/// Queue-occupancy samples retained per resource for timeline absorption.
-const SAMPLE_CAP: usize = 65536;
-
-/// One queue-occupancy observation, taken at a request's virtual arrival.
-/// These feed the metrics timeline; they are *not* trace events and never
-/// perturb any virtual clock.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QueueSample {
-    /// Virtual arrival time of the sampled request.
-    pub at_ns: u64,
-    /// Requests in the system at arrival, including the new one (so an
-    /// uncontended resource samples depth 1).
-    pub depth: u64,
-    /// How long this request waited in queue before service began.
-    pub queue_wait_ns: u64,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     clock: SimTime,
@@ -56,8 +38,6 @@ struct Inner {
     /// Done times of reservations not yet completed at the latest arrival,
     /// ascending (done times are monotone by construction).
     outstanding: VecDeque<SimTime>,
-    samples: Vec<QueueSample>,
-    samples_dropped: u64,
 }
 
 /// A single-server virtual-time queue.
@@ -118,16 +98,6 @@ impl VirtualResource {
         if inner.outstanding.len() > OUTSTANDING_CAP {
             inner.outstanding.pop_front();
         }
-        if inner.samples.len() < SAMPLE_CAP {
-            let sample = QueueSample {
-                at_ns: arrival.as_ns(),
-                depth,
-                queue_wait_ns: (start - arrival).as_ns(),
-            };
-            inner.samples.push(sample);
-        } else {
-            inner.samples_dropped += 1;
-        }
         (start, done)
     }
 
@@ -144,76 +114,15 @@ impl VirtualResource {
         }
     }
 
-    /// Drain the queue-occupancy samples recorded since the last call,
-    /// together with the count of samples lost to the retention cap.
-    pub fn take_samples(&self) -> (Vec<QueueSample>, u64) {
-        let mut inner = self.inner.lock();
-        let dropped = inner.samples_dropped;
-        inner.samples_dropped = 0;
-        (std::mem::take(&mut inner.samples), dropped)
-    }
-
-    /// Reset the queue accounting (wait totals, depth peak/sum, samples)
-    /// without touching the service clock, so per-run deltas of the queue
-    /// counters are exact even when one resource outlives several runs.
+    /// Reset the queue accounting (wait totals, depth peak/sum) without
+    /// touching the service clock, so the queue counters — the peak above
+    /// all, which no delta can recover — are per-run values even when one
+    /// resource outlives several runs.
     pub fn reset_queue_accounting(&self) {
         let mut inner = self.inner.lock();
         inner.queue_wait = SimTime::ZERO;
         inner.peak_depth = 0;
         inner.depth_sum = 0;
-        inner.samples.clear();
-        inner.samples_dropped = 0;
-    }
-}
-
-/// Lock-free endpoint backlog gauge: service loops sample how many staged
-/// messages remained after each receive, and the host reads peak/mean after
-/// the run. Published with relaxed atomics — the join that ends a run is the
-/// synchronization point, exactly like the busy-time counters.
-#[derive(Debug, Default)]
-pub struct DepthGauge {
-    peak: AtomicU64,
-    sum: AtomicU64,
-    samples: AtomicU64,
-}
-
-impl DepthGauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a backlog observation.
-    pub fn sample(&self, depth: u64) {
-        self.peak.fetch_max(depth, Ordering::Relaxed);
-        self.sum.fetch_add(depth, Ordering::Relaxed);
-        self.samples.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Largest backlog observed since the last reset.
-    pub fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    /// Mean backlog over all observations since the last reset.
-    pub fn mean(&self) -> f64 {
-        let n = self.samples.load(Ordering::Relaxed);
-        if n == 0 {
-            return 0.0;
-        }
-        self.sum.load(Ordering::Relaxed) as f64 / n as f64
-    }
-
-    /// Observations since the last reset.
-    pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
-    }
-
-    /// Zero the gauge (called between runs).
-    pub fn reset(&self) {
-        self.peak.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.samples.store(0, Ordering::Relaxed);
     }
 }
 
@@ -256,14 +165,6 @@ mod tests {
         assert_eq!(s.queue_wait_ns, 90 + 180);
         assert_eq!(s.peak_depth, 3);
         assert_eq!(s.depth_sum, 1 + 2 + 3 + 1);
-        let (samples, dropped) = r.take_samples();
-        assert_eq!(dropped, 0);
-        let depths: Vec<u64> = samples.iter().map(|q| q.depth).collect();
-        assert_eq!(depths, vec![1, 2, 3, 1]);
-        let waits: Vec<u64> = samples.iter().map(|q| q.queue_wait_ns).collect();
-        assert_eq!(waits, vec![0, 90, 180, 0]);
-        // A second drain sees nothing.
-        assert!(r.take_samples().0.is_empty());
     }
 
     #[test]
@@ -279,20 +180,6 @@ mod tests {
         let (start, _) = r.reserve(SimTime::from_ns(50), SimTime::from_ns(10));
         assert_eq!(start.as_ns(), 200);
         assert_eq!(r.stats().queue_wait_ns, 150);
-    }
-
-    #[test]
-    fn depth_gauge_tracks_peak_and_mean() {
-        let g = DepthGauge::new();
-        for d in [0u64, 3, 1, 4, 0] {
-            g.sample(d);
-        }
-        assert_eq!(g.peak(), 4);
-        assert_eq!(g.samples(), 5);
-        assert!((g.mean() - 8.0 / 5.0).abs() < 1e-12);
-        g.reset();
-        assert_eq!((g.peak(), g.samples()), (0, 0));
-        assert_eq!(g.mean(), 0.0);
     }
 
     #[test]

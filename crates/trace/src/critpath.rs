@@ -33,6 +33,7 @@
 use std::collections::HashMap;
 
 use crate::event::{EventKind, TrackId};
+use crate::json::JsonValue;
 use crate::metrics::ServiceCosts;
 use crate::span::ThreadWindow;
 use crate::tracer::RunTrace;
@@ -147,34 +148,26 @@ impl CriticalPathReport {
 
     /// Deterministic JSON: class totals plus the top-`k` segments.
     pub fn to_json(&self, k: usize) -> String {
-        let mut out = format!(
-            "{{\"makespan_ns\":{},\"total_ns\":{},\"tid\":{},\"classes\":{{",
-            self.makespan_ns,
-            self.total_ns(),
-            self.tid
-        );
-        for (i, class) in PathClass::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", class.label(), self.class_ns[i]));
-        }
-        out.push_str(&format!("}},\"n_segments\":{},\"top_segments\":[", self.segments.len()));
-        for (i, s) in self.top_segments(k).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"tid\":{},\"class\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"detail\":\"{}\"}}",
-                s.tid,
-                s.class.label(),
-                s.start_ns,
-                s.end_ns,
-                s.detail
-            ));
-        }
-        out.push_str("]}");
-        out
+        let segment = |s: &&PathSegment| {
+            JsonValue::object([
+                ("tid", u64::from(s.tid).into()),
+                ("class", s.class.label().into()),
+                ("start_ns", s.start_ns.into()),
+                ("end_ns", s.end_ns.into()),
+                ("detail", s.detail.as_str().into()),
+            ])
+        };
+        let classes =
+            PathClass::ALL.iter().zip(self.class_ns).map(|(c, ns)| (c.label(), ns.into()));
+        JsonValue::object([
+            ("makespan_ns", self.makespan_ns.into()),
+            ("total_ns", self.total_ns().into()),
+            ("tid", u64::from(self.tid).into()),
+            ("classes", JsonValue::object(classes)),
+            ("n_segments", (self.segments.len() as u64).into()),
+            ("top_segments", JsonValue::array(self.top_segments(k).iter().map(segment))),
+        ])
+        .to_string()
     }
 
     /// Compact human-readable composition line.
@@ -678,7 +671,7 @@ mod tests {
         assert_eq!(r.class_total(PathClass::Fetch), 500); // 300 wire + 200 request
         assert_eq!(r.class_total(PathClass::Compute), 500);
         let json = r.to_json(5);
-        crate::export::validate_json(&json).expect("valid json");
+        crate::json::validate_json(&json).expect("valid json");
         assert!(json.contains("\"queue-wait\":500"));
     }
 

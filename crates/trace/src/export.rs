@@ -1,11 +1,13 @@
 //! Trace exporters: JSONL and Chrome trace-event JSON.
 //!
-//! No JSON library is available offline, so both exporters emit JSON by
-//! hand. The vocabulary keeps it safe: every string written is either a
-//! static identifier from the event vocabulary or a track label, none of
-//! which contain characters needing escapes. A minimal [`validate_json`]
-//! parser backs the tests (and the `trace-dump` tool) to guarantee the
-//! output is well-formed anyway.
+//! The one place outside [`crate::json`] that writes JSON text: the JSONL
+//! lines are the trace-checksum basis and a Chrome export runs to hundreds of
+//! thousands of records, so both stream their bytes directly instead of
+//! building a value tree. The vocabulary keeps that safe — every string
+//! written is a static identifier from the event vocabulary or a track
+//! label, none of which contain characters needing escapes — and the tests
+//! (and the `trace-dump` tool) run the output through
+//! [`crate::json::validate_json`] anyway.
 //!
 //! The Chrome format targets Perfetto / `chrome://tracing`: one track per
 //! compute thread plus manager / memory-server / fabric tracks, named via
@@ -291,151 +293,11 @@ impl RunTrace {
     }
 }
 
-/// Minimal recursive-descent JSON well-formedness check. Exists because no
-/// JSON library is available offline; used by the tests and the
-/// `trace-dump` tool to vouch for the hand-rolled exporters.
-pub fn validate_json(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        other => Err(format!("unexpected {other:?} at offset {pos}")),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, word: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(())
-    } else {
-        Err(format!("malformed literal at offset {pos}"))
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at offset {pos}"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            other => return Err(format!("expected ',' or '}}', got {other:?} at offset {pos}")),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            other => return Err(format!("expected ',' or ']', got {other:?} at offset {pos}")),
-        }
-    }
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at offset {pos}"));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => *pos += 2,
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e') | Some(b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-    }
-    if *pos == start || (*pos == start + 1 && b[start] == b'-') {
-        return Err(format!("malformed number at offset {start}"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{FetchKind, TrackId};
+    use crate::json::validate_json;
     use samhita_scl::{MsgClass, SimTime};
 
     fn sample_trace() -> RunTrace {
@@ -572,15 +434,5 @@ mod tests {
         assert!(out.contains("\"name\":\"compute\""));
         // The plain export is untouched by the richer one.
         assert_eq!(trace.to_chrome_json(), trace.to_chrome_json());
-    }
-
-    #[test]
-    fn validator_rejects_malformed_json() {
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("{\"a\" 1}").is_err());
-        assert!(validate_json("[1, 2").is_err());
-        assert!(validate_json("{} extra").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("{\"a\":[1,2,{\"b\":-3.5e-2}],\"c\":null}").is_ok());
     }
 }

@@ -109,59 +109,6 @@ impl LatencyHistogram {
         self.quantile_ns(0.99)
     }
 
-    /// Serialize as a JSON object. Bucket counts are written sparsely as
-    /// `[bucket, count]` pairs — most of the 64 buckets are empty.
-    pub fn to_json(&self) -> String {
-        let pairs: Vec<String> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| format!("[{b},{c}]"))
-            .collect();
-        format!(
-            "{{\"count\":{},\"sum_ns\":{},\"max_ns\":{},\"counts\":[{}]}}",
-            self.count,
-            self.sum_ns,
-            self.max_ns,
-            pairs.join(",")
-        )
-    }
-
-    /// Parse a histogram serialized by [`LatencyHistogram::to_json`].
-    pub fn from_json(input: &str) -> Result<Self, String> {
-        let v = crate::json::JsonValue::parse(input)?;
-        let field = |name: &str| {
-            v.get(name).and_then(|n| n.as_u64()).ok_or_else(|| format!("missing field {name:?}"))
-        };
-        let mut h = LatencyHistogram {
-            counts: [0; BUCKETS],
-            count: field("count")?,
-            sum_ns: field("sum_ns")?,
-            max_ns: field("max_ns")?,
-        };
-        let pairs = v
-            .get("counts")
-            .and_then(|c| c.as_array())
-            .ok_or_else(|| "missing field \"counts\"".to_string())?;
-        for pair in pairs {
-            let pair = pair.as_array().ok_or_else(|| "counts entry not a pair".to_string())?;
-            let (b, c) =
-                match (pair.first().and_then(|x| x.as_u64()), pair.get(1).and_then(|x| x.as_u64()))
-                {
-                    (Some(b), Some(c)) if pair.len() == 2 && (b as usize) < BUCKETS => {
-                        (b as usize, c)
-                    }
-                    _ => return Err(format!("malformed counts entry {pair:?}")),
-                };
-            h.counts[b] = c;
-        }
-        if h.counts.iter().sum::<u64>() != h.count {
-            return Err("bucket counts do not sum to count".to_string());
-        }
-        Ok(h)
-    }
-
     /// One-line summary: `n=…  p50=…  p95=…  p99=…  max=…` with µs units.
     pub fn summary(&self) -> String {
         if self.count == 0 {
@@ -267,32 +214,6 @@ mod tests {
         let mut with_empty = merged.clone();
         with_empty.merge(&LatencyHistogram::new());
         assert_eq!(with_empty, merged);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut h = LatencyHistogram::new();
-        for ns in [0u64, 1, 3, 900, 900, 1 << 30, u64::MAX] {
-            h.record(ns);
-        }
-        let json = h.to_json();
-        crate::export::validate_json(&json).expect("valid json");
-        assert_eq!(LatencyHistogram::from_json(&json).unwrap(), h);
-        // An empty histogram round-trips too.
-        let empty = LatencyHistogram::new();
-        assert_eq!(LatencyHistogram::from_json(&empty.to_json()).unwrap(), empty);
-    }
-
-    #[test]
-    fn from_json_rejects_inconsistent_input() {
-        assert!(LatencyHistogram::from_json("{}").is_err());
-        assert!(LatencyHistogram::from_json("[1,2]").is_err());
-        // Bucket counts that do not sum to `count`.
-        let bad = "{\"count\":5,\"sum_ns\":10,\"max_ns\":4,\"counts\":[[2,1]]}";
-        assert!(LatencyHistogram::from_json(bad).is_err());
-        // Out-of-range bucket index.
-        let oob = "{\"count\":1,\"sum_ns\":1,\"max_ns\":1,\"counts\":[[64,1]]}";
-        assert!(LatencyHistogram::from_json(oob).is_err());
     }
 
     #[test]

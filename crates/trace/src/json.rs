@@ -1,20 +1,25 @@
-//! A minimal value-producing JSON parser.
+//! The workspace's one JSON implementation: a value tree, its parser, and
+//! its writer.
 //!
 //! No JSON library is available offline (the vendored `serde` is a no-op
-//! shim), so everything machine-readable in this workspace is emitted by
-//! hand and read back through this parser. It is the counterpart of
-//! [`crate::export::validate_json`]: where the validator only vouches for
-//! well-formedness, this module builds a [`JsonValue`] tree so reports can
-//! be compared field by field (the `bench-diff` regression gate, histogram
-//! round-trips).
+//! shim), so every machine-readable document in this workspace — bench
+//! reports, metrics timelines, critical-path and chaos-sweep reports — is a
+//! [`JsonValue`] tree: built with [`JsonValue::object`] / `From`, written
+//! with `Display` (compact, keys sorted, so equal trees are equal bytes),
+//! and read back with [`JsonValue::parse`]. Writer → parser is the identity
+//! on every tree of finite numbers; a non-finite number has no JSON form and
+//! is written as `null`. [`validate_json`] is the parser with the tree
+//! dropped.
 //!
-//! Scope is deliberately narrow — exactly the JSON this workspace writes:
-//! objects, arrays, strings without exotic escapes (`\"` and `\\` are
-//! enough; `\uXXXX` is preserved verbatim), numbers, booleans, null.
+//! The one exception is the trace exporters ([`crate::export`]): the JSONL
+//! lines are the trace-checksum basis and the Chrome export is large, so
+//! both keep their own byte-exact streaming output (checked against this
+//! parser in their tests).
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -24,7 +29,7 @@ pub enum JsonValue {
     /// Any JSON number, held as `f64` (integers up to 2^53 are exact,
     /// far beyond any counter this workspace serializes into reports).
     Number(f64),
-    /// A string (escape sequences beyond `\"` and `\\` kept verbatim).
+    /// A string, unescaped.
     String(String),
     /// An array.
     Array(Vec<JsonValue>),
@@ -52,6 +57,21 @@ impl JsonValue {
             JsonValue::Object(m) => m.get(key),
             _ => None,
         }
+    }
+
+    /// Nested member lookup along a dotted path (`"queue.mgr_requests"`).
+    pub fn at(&self, path: &str) -> Option<&JsonValue> {
+        path.split('.').try_fold(self, |v, key| v.get(key))
+    }
+
+    /// An object from `(key, value)` pairs.
+    pub fn object<K: Into<String>>(fields: impl IntoIterator<Item = (K, JsonValue)>) -> JsonValue {
+        JsonValue::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array of converted items.
+    pub fn array<T: Into<JsonValue>>(items: impl IntoIterator<Item = T>) -> JsonValue {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
     }
 
     /// The numeric value, if this is a number.
@@ -103,7 +123,79 @@ impl JsonValue {
     }
 }
 
-/// Escape a string for embedding in hand-written JSON output.
+impl From<u64> for JsonValue {
+    /// Exact up to 2^53, like every JSON number.
+    fn from(n: u64) -> Self {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Number(n)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::String(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+/// The writer: compact JSON, object keys in sorted order.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            // `{}` on a finite f64 is the shortest decimal that parses back
+            // to the same value, never in exponent form.
+            JsonValue::Number(n) if n.is_finite() => write!(f, "{n}"),
+            JsonValue::Number(_) => f.write_str("null"),
+            JsonValue::String(s) => write!(f, "\"{}\"", escape(s)),
+            JsonValue::Array(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{v}")?;
+                }
+                f.write_str("]")
+            }
+            JsonValue::Object(members) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "\"{}\":{v}", escape(k))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// Well-formedness check: `input` is one complete JSON document.
+pub fn validate_json(input: &str) -> Result<(), String> {
+    JsonValue::parse(input).map(drop)
+}
+
+/// Escape a string for embedding between JSON quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -214,35 +306,38 @@ fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
                 return Ok(out);
             }
-            b'\\' => match b.get(*pos + 1) {
-                Some(b'"') => {
-                    out.push('"');
-                    *pos += 2;
-                }
-                Some(b'\\') => {
-                    out.push('\\');
-                    *pos += 2;
-                }
-                Some(b'n') => {
-                    out.push('\n');
-                    *pos += 2;
-                }
-                Some(b'r') => {
-                    out.push('\r');
-                    *pos += 2;
-                }
-                Some(b't') => {
-                    out.push('\t');
-                    *pos += 2;
-                }
-                Some(&e) => {
-                    // Preserve unhandled escapes (e.g. \uXXXX) verbatim.
-                    out.push('\\');
-                    out.push(e as char);
-                    *pos += 2;
-                }
-                None => return Err("dangling escape".to_string()),
-            },
+            b'\\' => {
+                let at = *pos;
+                let esc = *b.get(at + 1).ok_or("dangling escape")?;
+                *pos += 2;
+                out.push(match esc {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'/' => '/',
+                    b'b' => '\u{8}',
+                    b'f' => '\u{c}',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
+                    // Four hex digits naming one BMP scalar (what `escape`
+                    // emits); surrogate halves are not scalars and are
+                    // rejected rather than paired.
+                    b'u' => {
+                        let code = b
+                            .get(*pos..*pos + 4)
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| format!("malformed \\u escape at offset {at}"))?;
+                        *pos += 4;
+                        code
+                    }
+                    other => {
+                        return Err(format!("unknown escape \\{} at offset {at}", other as char))
+                    }
+                });
+            }
             _ => {
                 // Copy the whole UTF-8 sequence starting here.
                 let start = *pos;
@@ -317,18 +412,91 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         assert!(JsonValue::parse("{\"a\":1,}").is_err());
+        assert!(JsonValue::parse("{\"a\" 1}").is_err());
         assert!(JsonValue::parse("[1, 2").is_err());
         assert!(JsonValue::parse("{} extra").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
         assert!(JsonValue::parse("nul").is_err());
     }
 
+    /// Writer → parser is the identity on strings: every control character,
+    /// the two characters that need a backslash, and multi-byte UTF-8, alone
+    /// and in seeded random mixtures, as values and as object keys.
     #[test]
-    fn escape_round_trips() {
-        let raw = "a \"quoted\"\tline\nwith \\ backslash";
-        let doc = format!("\"{}\"", escape(raw));
-        crate::export::validate_json(&doc).unwrap();
-        assert_eq!(JsonValue::parse(&doc).unwrap().as_str(), Some(raw));
+    fn strings_round_trip_through_writer_and_parser() {
+        let palette: Vec<char> = (0u8..0x20)
+            .map(char::from)
+            .chain(['"', '\\', '/', 'a', ' ', 'u', '0', '\u{7f}', 'é', '€', '\u{ffff}', '😀'])
+            .collect();
+        let mut cases: Vec<String> = palette.iter().map(|c| c.to_string()).collect();
+        cases.push(String::new());
+        cases.push("a \"quoted\"\tline\nwith \\ backslash".to_string());
+        cases.push("\\u0041 stays six characters".to_string());
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..256 {
+            let mut s = String::new();
+            for _ in 0..(state >> 60) + 1 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s.push(palette[(state >> 33) as usize % palette.len()]);
+            }
+            cases.push(s);
+        }
+        for raw in &cases {
+            let doc = JsonValue::object([(raw.as_str(), JsonValue::from(raw.as_str()))]);
+            let text = doc.to_string();
+            assert!(text.bytes().all(|b| b >= 0x20), "raw control byte written for {raw:?}");
+            assert_eq!(JsonValue::parse(&text).as_ref(), Ok(&doc), "{raw:?} via {text}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_malformed_ones_are_rejected() {
+        assert_eq!(JsonValue::parse(r#""\u0041\u00e9\u20AC\/""#).unwrap().as_str(), Some("Aé€/"));
+        for bad in [r#""\u12""#, r#""\u12G4""#, r#""\u+123""#, r#""\ud800""#, r#""\x41""#, r#""\"#]
+        {
+            assert!(JsonValue::parse(bad).is_err(), "{bad} must not parse");
+        }
+    }
+
+    /// Writer → parser is the identity on finite numbers, including the
+    /// smallest subnormal and both sides of the 2^53 integer edge; a
+    /// non-finite number is written as `null`.
+    #[test]
+    fn numbers_round_trip_and_non_finite_becomes_null() {
+        const EDGE: u64 = 1 << 53;
+        for n in [0.0, -0.0, 1e-9, 5e-324, f64::MIN_POSITIVE, 0.1 + 0.2, -3.5e-2, 1e21, f64::MAX] {
+            let text = JsonValue::from(n).to_string();
+            assert!(!text.contains(['e', 'E']), "{n:e} written in exponent form: {text}");
+            assert_eq!(JsonValue::parse(&text).unwrap().as_f64(), Some(n), "{text}");
+        }
+        for n in [0, 1, EDGE - 1, EDGE] {
+            let text = JsonValue::from(n).to_string();
+            assert_eq!(text, n.to_string());
+            assert_eq!(JsonValue::parse(&text).unwrap().as_u64(), Some(n));
+        }
+        // Past the edge a u64 rounds to the nearest f64, as in any JSON
+        // reader; full-range values travel as hex strings instead.
+        assert_eq!(JsonValue::from(EDGE + 1), JsonValue::from(EDGE));
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(JsonValue::from(n).to_string(), "null");
+        }
+        assert_eq!(JsonValue::from(None::<u64>), JsonValue::Null);
+    }
+
+    #[test]
+    fn writer_output_is_compact_sorted_and_reparses_equal() {
+        let doc = JsonValue::object([
+            ("b", JsonValue::array([1u64, 2])),
+            ("a", JsonValue::object([("nested", JsonValue::Bool(true))])),
+            ("c", JsonValue::Null),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(text, r#"{"a":{"nested":true},"b":[1,2],"c":null}"#);
+        validate_json(&text).unwrap();
+        assert_eq!(JsonValue::parse(&text).unwrap(), doc);
+        assert_eq!(doc.at("a.nested"), Some(&JsonValue::Bool(true)));
+        assert_eq!(doc.at("a.missing"), None);
+        assert_eq!(doc.at("b.nested"), None);
     }
 
     #[test]

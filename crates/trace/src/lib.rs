@@ -19,8 +19,10 @@
 //! * a post-hoc [`MetricsTimeline`] — per-interval miss/refetch/byte/wait
 //!   counters and manager/server busy time bucketed over virtual time — and
 //!   page-granular [`HotspotMap`] attribution for false-sharing diagnosis;
-//! * a value-producing [`JsonValue`] parser backing machine-readable report
-//!   comparison (no JSON library is available offline);
+//! * the workspace's one JSON implementation ([`json`]): the [`JsonValue`]
+//!   tree every machine-readable report is built as, its writer (`Display`)
+//!   and its parser — only the two trace exporters above stream their own
+//!   bytes;
 //! * a trace-driven RegC invariant checker ([`RunTrace::check_invariants`])
 //!   that verifies mutual exclusion of lock hold intervals on the virtual
 //!   timeline, causal ordering of invalidations behind their flushes,
@@ -41,10 +43,9 @@ pub mod tracer;
 pub use check::{CheckSummary, Violation};
 pub use critpath::{critical_path, CriticalPathReport, PathClass, PathSegment};
 pub use event::{EventKind, FetchKind, TraceEvent, TrackId};
-pub use export::validate_json;
 pub use hist::LatencyHistogram;
 pub use hotspot::{HotspotMap, PageCounters};
-pub use json::JsonValue;
+pub use json::{validate_json, JsonValue};
 pub use metrics::{MetricsTimeline, ServiceCosts, TimelineBucket};
 pub use span::{Edge, EdgeKind, Span, SpanClass, SpanDetail, SpanGraph, ThreadWindow};
 pub use tracer::{RunTrace, SharedTrack, TraceBuf, Tracer};

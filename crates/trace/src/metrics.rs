@@ -21,10 +21,11 @@
 //! totals are conserved exactly, which the tests assert against the
 //! always-on run report counters.
 
-use samhita_scl::{QueueSample, SimTime};
+use samhita_scl::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{EventKind, FetchKind, TrackId};
+use crate::json::JsonValue;
 use crate::tracer::RunTrace;
 
 /// The deterministic service-cost model parameters needed to reconstruct
@@ -83,11 +84,6 @@ pub struct TimelineBucket {
     /// Memory-server service time (all servers) for requests completed in
     /// the interval, in ns.
     pub server_busy_ns: u64,
-    /// Queue wait of requests dequeued in the interval, in ns (from queue
-    /// samples absorbed via [`MetricsTimeline::absorb_queue_samples`]).
-    pub queue_wait_ns: u64,
-    /// Deepest service queue observed in the interval (from queue samples).
-    pub peak_queue_depth: u64,
 }
 
 impl TimelineBucket {
@@ -103,8 +99,6 @@ impl TimelineBucket {
         self.barrier_wait_ns += other.barrier_wait_ns;
         self.mgr_busy_ns += other.mgr_busy_ns;
         self.server_busy_ns += other.server_busy_ns;
-        self.queue_wait_ns += other.queue_wait_ns;
-        self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
     }
 }
 
@@ -196,20 +190,6 @@ impl MetricsTimeline {
         }
     }
 
-    /// Fold per-request queue samples (from the run report's
-    /// `mgr_queue_samples` / `server_queue_samples`) into the timeline:
-    /// each sample lands in the bucket of its dequeue instant, adding its
-    /// queue wait and raising the interval's peak depth. Samples are not
-    /// trace events — they ride the report — hence the separate entry
-    /// point.
-    pub fn absorb_queue_samples(&mut self, samples: &[QueueSample]) {
-        for s in samples {
-            let b = self.bucket_at(SimTime::from_ns(s.at_ns));
-            b.queue_wait_ns += s.queue_wait_ns;
-            b.peak_queue_depth = b.peak_queue_depth.max(s.depth);
-        }
-    }
-
     /// Number of intervals.
     pub fn len(&self) -> usize {
         self.buckets.len()
@@ -244,38 +224,27 @@ impl MetricsTimeline {
 
     /// Serialize as a JSON object (`bucket_ns` + per-interval records).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"bucket_ns\":{},\"n_buckets\":{},\"buckets\":[",
-            self.bucket_ns,
-            self.buckets.len()
-        );
-        for (i, b) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"misses\":{},\"refetches\":{},\"invalidations\":{},\
-                 \"diff_bytes\":{},\"fine_bytes\":{},\"fabric_bytes\":{},\
-                 \"fetch_wait_ns\":{},\"lock_wait_ns\":{},\"barrier_wait_ns\":{},\
-                 \"mgr_busy_ns\":{},\"server_busy_ns\":{},\
-                 \"queue_wait_ns\":{},\"peak_queue_depth\":{}}}",
-                b.misses,
-                b.refetches,
-                b.invalidations,
-                b.diff_bytes,
-                b.fine_bytes,
-                b.fabric_bytes,
-                b.fetch_wait_ns,
-                b.lock_wait_ns,
-                b.barrier_wait_ns,
-                b.mgr_busy_ns,
-                b.server_busy_ns,
-                b.queue_wait_ns,
-                b.peak_queue_depth
-            ));
-        }
-        out.push_str("]}");
-        out
+        let bucket = |b: &TimelineBucket| {
+            JsonValue::object([
+                ("misses", b.misses.into()),
+                ("refetches", b.refetches.into()),
+                ("invalidations", b.invalidations.into()),
+                ("diff_bytes", b.diff_bytes.into()),
+                ("fine_bytes", b.fine_bytes.into()),
+                ("fabric_bytes", b.fabric_bytes.into()),
+                ("fetch_wait_ns", b.fetch_wait_ns.into()),
+                ("lock_wait_ns", b.lock_wait_ns.into()),
+                ("barrier_wait_ns", b.barrier_wait_ns.into()),
+                ("mgr_busy_ns", b.mgr_busy_ns.into()),
+                ("server_busy_ns", b.server_busy_ns.into()),
+            ])
+        };
+        JsonValue::object([
+            ("bucket_ns", self.bucket_ns.into()),
+            ("n_buckets", (self.buckets.len() as u64).into()),
+            ("buckets", JsonValue::array(self.buckets.iter().map(bucket))),
+        ])
+        .to_string()
     }
 
     /// A compact human-readable digest: interval width and the peak
@@ -408,36 +377,12 @@ mod tests {
         )]);
         let tl = MetricsTimeline::from_trace(&trace, 100, &costs());
         let json = tl.to_json();
-        crate::export::validate_json(&json).expect("valid json");
+        crate::json::validate_json(&json).expect("valid json");
         let v = crate::json::JsonValue::parse(&json).unwrap();
         assert_eq!(v.get("bucket_ns").and_then(|n| n.as_u64()), Some(100));
         let buckets = v.get("buckets").and_then(|b| b.as_array()).unwrap();
         assert_eq!(buckets.len(), 1);
         assert_eq!(buckets[0].get("fine_bytes").and_then(|n| n.as_u64()), Some(24));
-    }
-
-    #[test]
-    fn queue_samples_land_in_their_dequeue_bucket() {
-        let trace = RunTrace::from_tracks(vec![(
-            TrackId::Thread(0),
-            vec![ev(10, EventKind::FineFlush { page: 3, bytes: 24 })],
-        )]);
-        let mut tl = MetricsTimeline::from_trace(&trace, 1_000, &costs());
-        tl.absorb_queue_samples(&[
-            QueueSample { at_ns: 500, depth: 3, queue_wait_ns: 200 },
-            QueueSample { at_ns: 700, depth: 1, queue_wait_ns: 50 },
-            QueueSample { at_ns: 1_500, depth: 7, queue_wait_ns: 900 },
-        ]);
-        assert_eq!(tl.buckets[0].queue_wait_ns, 250);
-        assert_eq!(tl.buckets[0].peak_queue_depth, 3);
-        assert_eq!(tl.buckets[1].queue_wait_ns, 900);
-        assert_eq!(tl.buckets[1].peak_queue_depth, 7);
-        let t = tl.totals();
-        assert_eq!(t.queue_wait_ns, 1_150);
-        assert_eq!(t.peak_queue_depth, 7);
-        let json = tl.to_json();
-        crate::export::validate_json(&json).expect("valid json");
-        assert!(json.contains("\"peak_queue_depth\":7"));
     }
 
     #[test]

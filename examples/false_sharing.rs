@@ -26,7 +26,7 @@
 //! between writers in the `global` mode — the pages at block boundaries
 //! where two threads' rows share a page.
 
-use samhita_bench::{run_summary, BenchReport, ExampleArgs};
+use samhita_bench::{run_summary, ExampleArgs};
 use samhita_repro::core::SamhitaConfig;
 use samhita_repro::kernels::{expected_gsum, run_micro, AllocMode, MicroParams};
 use samhita_repro::rt::{NativeRt, SamhitaRt};
@@ -76,24 +76,8 @@ fn main() {
             global_summary = run_summary(&r.report);
         }
         if traced {
-            let trace = rt.take_trace().expect("tracing was enabled");
-            trace.check_invariants().expect("RegC invariants violated");
-            if let Some(path) = &args.trace_path {
-                std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
-                println!("{:>16} wrote {} ({} events)", "", path, trace.len());
-            }
-            if let Some(path) = &args.metrics_out {
-                let bench = BenchReport::from_run(
-                    "false_sharing",
-                    &format!("{p:?}"),
-                    &cfg,
-                    threads,
-                    &r.report,
-                    Some(&trace),
-                );
-                std::fs::write(path, bench.to_json()).expect("write metrics file");
-                println!("{:>16} wrote {}", "", path);
-            }
+            let (params, trace) = (format!("{p:?}"), rt.take_trace());
+            args.write_outputs("false_sharing", &params, &cfg, threads, &r.report, trace);
         }
     }
 

@@ -11,7 +11,7 @@
 //!
 //! `--trace` / `--metrics-out` record the final SCIF 32-thread run.
 
-use samhita_bench::{run_summary, BenchReport, ExampleArgs};
+use samhita_bench::{run_summary, ExampleArgs};
 use samhita_repro::core::{FabricProfile, SamhitaConfig, TopologyKind};
 use samhita_repro::kernels::{run_micro, AllocMode, MicroParams};
 use samhita_repro::rt::SamhitaRt;
@@ -53,24 +53,8 @@ fn main() {
                 scif_summary = run_summary(&r.report);
             }
             if record {
-                let trace = rt.take_trace().expect("tracing was enabled");
-                trace.check_invariants().expect("RegC invariants violated");
-                if let Some(path) = &args.trace_path {
-                    std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
-                    println!("{:>14} wrote {} ({} events)", "", path, trace.len());
-                }
-                if let Some(path) = &args.metrics_out {
-                    let bench = BenchReport::from_run(
-                        "heterogeneous_node",
-                        &format!("scif {p:?}"),
-                        &cfg,
-                        threads,
-                        &r.report,
-                        Some(&trace),
-                    );
-                    std::fs::write(path, bench.to_json()).expect("write metrics file");
-                    println!("{:>14} wrote {}", "", path);
-                }
+                let (params, trace) = (format!("scif {p:?}"), rt.take_trace());
+                args.write_outputs("heterogeneous_node", &params, &cfg, threads, &r.report, trace);
             }
         }
     }

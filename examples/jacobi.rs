@@ -16,7 +16,7 @@
 //! results must still match the fault-free serial reference bit for bit,
 //! and the injected/retried/failed-over counts are printed at exit.
 
-use samhita_bench::{run_summary, BenchReport, ExampleArgs};
+use samhita_bench::{run_summary, ExampleArgs};
 use samhita_repro::core::SamhitaConfig;
 use samhita_repro::kernels::{run_jacobi, serial_reference_jacobi, JacobiParams};
 use samhita_repro::rt::{KernelRt, NativeRt, SamhitaRt};
@@ -91,17 +91,6 @@ fn main() {
         let cfg = SamhitaConfig { tracing: true, ..base_cfg };
         let rt = SamhitaRt::new(cfg.clone());
         let report = run_jacobi(&rt, &p).report;
-        let trace = rt.take_trace().expect("tracing was enabled");
-        trace.check_invariants().expect("RegC invariants violated");
-        if let Some(path) = &args.trace_path {
-            std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
-            println!("wrote {path} ({} events) — open at https://ui.perfetto.dev", trace.len());
-        }
-        if let Some(path) = &args.metrics_out {
-            let bench =
-                BenchReport::from_run("jacobi", &format!("{p:?}"), &cfg, 4, &report, Some(&trace));
-            std::fs::write(path, bench.to_json()).expect("write metrics file");
-            println!("wrote {path}");
-        }
+        args.write_outputs("jacobi", &format!("{p:?}"), &cfg, 4, &report, rt.take_trace());
     }
 }

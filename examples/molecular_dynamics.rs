@@ -13,7 +13,7 @@
 //! `--faults`, every Samhita run rides the standard lossy-fabric chaos
 //! configuration and the trajectories must still be bit-exact.
 
-use samhita_bench::{run_summary, BenchReport, ExampleArgs};
+use samhita_bench::{run_summary, ExampleArgs};
 use samhita_repro::core::SamhitaConfig;
 use samhita_repro::kernels::{run_md, serial_reference_md, MdParams};
 use samhita_repro::rt::{KernelRt, NativeRt, SamhitaRt};
@@ -75,17 +75,6 @@ fn main() {
         let cfg = SamhitaConfig { tracing: true, ..base_cfg };
         let rt = SamhitaRt::new(cfg.clone());
         let report = run_md(&rt, &p).report;
-        let trace = rt.take_trace().expect("tracing was enabled");
-        trace.check_invariants().expect("RegC invariants violated");
-        if let Some(path) = &args.trace_path {
-            std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
-            println!("wrote {path} ({} events) — open at https://ui.perfetto.dev", trace.len());
-        }
-        if let Some(path) = &args.metrics_out {
-            let bench =
-                BenchReport::from_run("md", &format!("{p:?}"), &cfg, 4, &report, Some(&trace));
-            std::fs::write(path, bench.to_json()).expect("write metrics file");
-            println!("wrote {path}");
-        }
+        args.write_outputs("md", &format!("{p:?}"), &cfg, 4, &report, rt.take_trace());
     }
 }

@@ -11,7 +11,7 @@
 //!     [--trace out.json] [--faults seed] [--metrics-out out.json]
 //! ```
 
-use samhita_bench::{run_summary, BenchReport, ExampleArgs};
+use samhita_bench::{run_summary, ExampleArgs};
 use samhita_repro::core::{Samhita, SamhitaConfig};
 
 const CAPACITY: u64 = 8;
@@ -109,28 +109,12 @@ fn main() {
     println!("\nrun summary:\n{}", run_summary(&report));
 
     if args.wants_trace() {
-        let trace = system.take_trace().expect("tracing was enabled");
-        trace.check_invariants().expect("RegC invariants violated");
-        if let Some(path) = &args.trace_path {
-            std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
-            println!("  wrote {path} ({} events) — open at https://ui.perfetto.dev", trace.len());
-        }
-        if let Some(path) = &args.metrics_out {
-            let params = format!(
-                "producers={PRODUCERS} consumers={CONSUMERS} items={ITEMS_PER_PRODUCER} \
-                 capacity={CAPACITY}"
-            );
-            let bench = BenchReport::from_run(
-                "producer_consumer",
-                &params,
-                &cfg,
-                threads,
-                &report,
-                Some(&trace),
-            );
-            std::fs::write(path, bench.to_json()).expect("write metrics file");
-            println!("  wrote {path}");
-        }
+        let params = format!(
+            "producers={PRODUCERS} consumers={CONSUMERS} items={ITEMS_PER_PRODUCER} \
+             capacity={CAPACITY}"
+        );
+        let trace = system.take_trace();
+        args.write_outputs("producer_consumer", &params, &cfg, threads, &report, trace);
     }
 
     let stats = system.shutdown();

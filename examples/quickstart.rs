@@ -6,7 +6,7 @@
 //!     [--trace out.json] [--faults seed] [--metrics-out out.json]
 //! ```
 
-use samhita_bench::{run_summary, BenchReport, ExampleArgs};
+use samhita_bench::{run_summary, ExampleArgs};
 use samhita_repro::core::{Samhita, SamhitaConfig};
 
 fn main() {
@@ -77,24 +77,8 @@ fn main() {
     println!("  final total (host view) : {}", u64::from_le_bytes(buf));
 
     if args.wants_trace() {
-        let trace = system.take_trace().expect("tracing was enabled");
-        trace.check_invariants().expect("RegC invariants violated");
-        if let Some(path) = &args.trace_path {
-            std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
-            println!("  wrote {path} ({} events) — open at https://ui.perfetto.dev", trace.len());
-        }
-        if let Some(path) = &args.metrics_out {
-            let bench = BenchReport::from_run(
-                "quickstart",
-                &format!("threads={n_threads}"),
-                &cfg,
-                n_threads,
-                &report,
-                Some(&trace),
-            );
-            std::fs::write(path, bench.to_json()).expect("write metrics file");
-            println!("  wrote {path}");
-        }
+        let params = format!("threads={n_threads}");
+        args.write_outputs("quickstart", &params, &cfg, n_threads, &report, system.take_trace());
     }
 
     let stats = system.shutdown();

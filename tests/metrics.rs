@@ -2,10 +2,12 @@
 //! allocation sites, machine-readable bench reports, and the bench-diff
 //! regression gate against the committed baselines.
 
-use samhita_bench::{compare, BenchReport};
+use samhita_bench::harness::{report_config, report_kernels};
+use samhita_bench::{compare, BenchReport, HarnessConfig};
 use samhita_repro::core::{Region, SamhitaConfig};
 use samhita_repro::kernels::{run_micro, AllocMode, MicroParams};
 use samhita_repro::rt::SamhitaRt;
+use samhita_repro::trace::JsonValue;
 
 /// The acceptance bar for the false-sharing profiler: in the micro
 /// benchmark's `global` mode, the pages that ping-pong between writers all
@@ -58,48 +60,73 @@ fn bench_report_from_run_round_trips_with_sane_utilization() {
     let trace = rt.take_trace().expect("tracing enabled");
     let bench = BenchReport::from_run("micro", "integration-test", &cfg, 2, &report, Some(&trace));
 
-    assert!(bench.makespan_ns > 0);
-    assert!(bench.sync_fraction > 0.0 && bench.sync_fraction < 1.0);
-    assert!(bench.mgr_utilization > 0.0 && bench.mgr_utilization < 1.0);
-    assert_eq!(bench.server_utilization.len(), 1);
-    assert!(bench.server_utilization[0] > 0.0 && bench.server_utilization[0] < 1.0);
-    let timeline = bench.timeline.expect("trace given, timeline present");
-    assert!(timeline.buckets > 0 && timeline.fabric_bytes > 0);
-    assert!(!bench.hotspots.is_empty(), "a sharing run has hotspot pages");
-    assert!(bench.hotspots.iter().all(|h| !h.site.is_empty()));
+    let fraction = |path: &str| {
+        let v = bench.num(path).unwrap_or_else(|| panic!("{path} missing"));
+        assert!(v > 0.0 && v < 1.0, "{path} = {v}");
+    };
+    assert!(bench.num("makespan_ns").unwrap() > 0.0);
+    fraction("sync_fraction");
+    fraction("mgr_utilization");
+    let servers = bench.get("server_utilization").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(servers.len(), 1);
+    assert!(servers[0].as_f64().is_some_and(|u| u > 0.0 && u < 1.0));
+    assert!(bench.num("timeline.buckets").expect("trace given, timeline present") > 0.0);
+    assert!(bench.num("timeline.fabric_bytes").unwrap() > 0.0);
+    let hotspots = bench.get("hotspots").and_then(JsonValue::as_array).unwrap();
+    assert!(!hotspots.is_empty(), "a sharing run has hotspot pages");
+    assert!(hotspots.iter().all(|h| h.get("site").and_then(JsonValue::as_str) != Some("")));
 
     let parsed = BenchReport::from_json(&bench.to_json()).expect("round trip");
     assert_eq!(parsed, bench);
 
     // Without a trace the timeline section is absent but the report stands.
     let bare = BenchReport::from_run("micro", "integration-test", &cfg, 2, &report, None);
-    assert!(bare.timeline.is_none());
+    assert_eq!(bare.get("timeline"), Some(&JsonValue::Null));
     assert_eq!(BenchReport::from_json(&bare.to_json()).expect("round trip"), bare);
 }
 
-/// The committed baselines are real, parseable reports, and the gate logic
-/// run against them behaves exactly as CI relies on: identical reports
-/// pass, a synthetic 10% makespan regression fails at the 5% tolerance.
+/// The committed baselines are real reports of this tree: each parses,
+/// re-emits and re-parses to the same document; a fresh `bench-report`
+/// point equals it in every section but the two that name the machine
+/// (`git_rev`, `host`); and the gate run against it behaves exactly as CI
+/// relies on — identical reports pass, a synthetic 10% makespan regression
+/// fails at the 5% tolerance.
 #[test]
-fn committed_baselines_gate_synthetic_regressions() {
+fn committed_baselines_match_fresh_runs_and_gate_synthetic_regressions() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results/baselines");
+    let q = HarnessConfig::quick();
+    let cfg = report_config(&q, 64);
+    let portable = |doc: &JsonValue| {
+        let mut members = doc.as_object().expect("a report is an object").clone();
+        assert!(members.remove("git_rev").is_some() && members.remove("host").is_some());
+        members
+    };
     let mut checked = 0;
-    for kernel in ["micro", "jacobi", "md"] {
+    for (kernel, run) in report_kernels(&q) {
         for p in [1u32, 8, 64] {
             let path = format!("{dir}/BENCH_{kernel}_p{p}.json");
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("baseline {path} unreadable: {e}"));
+            let doc = JsonValue::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(JsonValue::parse(&doc.to_string()).as_ref(), Ok(&doc), "{path} re-emits");
             let base = BenchReport::from_json(&text)
                 .unwrap_or_else(|e| panic!("baseline {path} unparsable: {e}"));
-            assert_eq!(base.kernel, kernel);
-            assert_eq!(base.threads, p, "{path} carries its thread count");
-            assert!(base.makespan_ns > 0);
-            assert!(base.timeline.is_some(), "baselines are generated with tracing on");
+            assert_eq!(base.to_json(), doc.to_string(), "{path}: parsing loses nothing");
+            assert_eq!(base.text("kernel"), Some(kernel));
+            assert_eq!(base.num("threads"), Some(f64::from(p)), "{path} carries its thread count");
 
-            let same = compare(&base, &base, 0.05);
-            assert!(same.passed(), "self-comparison regressed: {:?}", same.regressions);
+            let rt = SamhitaRt::new(cfg.clone());
+            let (params, report) = run(&rt, p);
+            let trace = rt.take_trace().expect("tracing enabled");
+            let fresh = BenchReport::from_run(kernel, &params, &cfg, p, &report, Some(&trace));
+            let fresh_doc = JsonValue::parse(&fresh.to_json()).expect("fresh report parses");
+            assert_eq!(portable(&fresh_doc), portable(&doc), "{path} is stale: regenerate it");
 
-            let worse = BenchReport { makespan_ns: base.makespan_ns * 11 / 10, ..base.clone() };
+            let same = compare(&base, &fresh, 0.0);
+            assert!(same.passed(), "fresh run regressed: {:?}", same.regressions);
+
+            let makespan_ns = base.num("makespan_ns").unwrap() as u64;
+            let worse = fresh.with("makespan_ns", makespan_ns * 11 / 10);
             let gate = compare(&base, &worse, 0.05);
             assert!(!gate.passed(), "a 10% makespan regression must fail the 5% gate");
             assert!(gate.regressions.iter().any(|r| r.contains("makespan")));
@@ -107,4 +134,27 @@ fn committed_baselines_gate_synthetic_regressions() {
         }
     }
     assert_eq!(checked, 9);
+}
+
+/// Queue peaks are per-run values: a one-thread run on a system that has
+/// already served a contended run reports its own shallow peaks. A peak
+/// that survived the run boundary could only read at least as deep as the
+/// first run's.
+#[test]
+fn queue_peaks_do_not_carry_over_between_runs_on_one_system() {
+    let rt = SamhitaRt::new(SamhitaConfig { mem_servers: 2, ..SamhitaConfig::small_for_tests() });
+    let first = run_micro(&rt, &MicroParams::paper(2, 2, AllocMode::Global, 8)).report;
+    let second = run_micro(&rt, &MicroParams::paper(2, 2, AllocMode::Global, 1)).report;
+
+    assert!(first.mgr_peak_queue_depth >= 8, "eight threads must pile up at the manager");
+    assert!(
+        (1..first.mgr_peak_queue_depth).contains(&second.mgr_peak_queue_depth),
+        "manager peak {} after a run that peaked at {}",
+        second.mgr_peak_queue_depth,
+        first.mgr_peak_queue_depth
+    );
+    assert_eq!(second.server_peak_queue_depth.len(), 2);
+    for (s, f) in second.server_peak_queue_depth.iter().zip(&first.server_peak_queue_depth) {
+        assert!((1..*f).contains(s), "server peak {s} after a run that peaked at {f}");
+    }
 }
