@@ -102,8 +102,7 @@ fn bench_cache(c: &mut Criterion) {
             |mut cache| {
                 for line in 0..32u64 {
                     while cache.is_full() {
-                        let (_, victim) = cache.pop_victim().expect("lines present");
-                        std::hint::black_box(cache.diffs_of_evicted(victim));
+                        std::hint::black_box(cache.evict().expect("lines present"));
                     }
                     cache.install_line(line, vec![0u8; line_bytes], vec![0; 4]);
                 }
@@ -121,8 +120,9 @@ fn bench_cache(c: &mut Criterion) {
                 cache
             },
             |mut cache| {
+                let (at, _) = cache.resolve(1).expect("line 0 is resident");
                 for off in (0..PAGE).step_by(64) {
-                    cache.write_page(1, off, &[7u8; 8], RegionKind::Ordinary);
+                    cache.write(at, off, 8, RegionKind::Ordinary, |dst| dst.fill(7));
                 }
                 std::hint::black_box(cache.flush_page(1))
             },

@@ -1,19 +1,23 @@
 //! Criterion benches for the simulator's own hot paths — the code the
 //! host-side profiler (`samhita-prof`) attributes wall time to: regc
-//! diffing, `UpdateBatch` apply at a memory server, one deterministic
-//! scheduler step, the det-endpoint staged receive (heap pop), trace-event
-//! emission, and span-graph/critical-path construction. An end-to-end
-//! jacobi pair (tracing on vs off) sits at the bottom so the
+//! diffing, the software cache's hit path and per-sync-op bookkeeping,
+//! write-notice application, `UpdateBatch` apply at a memory server, one
+//! deterministic scheduler step, the det-endpoint staged receive (heap
+//! pop), trace-event emission, and span-graph/critical-path construction.
+//! An end-to-end jacobi pair (tracing on vs off) sits at the bottom so the
 //! tracing-disabled fast path shows up as a whole-run ns-per-event number,
 //! not just a micro-benchmark delta.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use std::sync::{Arc, Mutex};
+
+use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion, Throughput};
 
 use samhita_bench::thread_windows;
-use samhita_core::SamhitaConfig;
+use samhita_core::cache::SoftCache;
+use samhita_core::{EvictionPolicy, Samhita, SamhitaConfig, ThreadCtx};
 use samhita_kernels::{run_jacobi, JacobiParams};
 use samhita_mem::{MemRequest, MemoryServer, PageId, ServiceModel};
-use samhita_regc::{Diff, UpdateBatch, UpdatePart};
+use samhita_regc::{Diff, FineUpdate, UpdateBatch, UpdatePart, WriteNotice};
 use samhita_rt::SamhitaRt;
 use samhita_sched::Scheduler;
 use samhita_scl::SimTime;
@@ -29,9 +33,83 @@ fn bench_diff_compute(c: &mut Criterion) {
     for i in (0..PAGE).step_by(512) {
         sparse[i] = 0xFF;
     }
+    // Every word changed: what a jacobi sweep leaves behind.
+    let dense = vec![0x5Au8; PAGE];
     g.throughput(Throughput::Bytes(PAGE as u64));
     g.bench_function("compute_sparse_4k", |b| {
         b.iter(|| std::hint::black_box(Diff::compute(&twin, &sparse)))
+    });
+    g.bench_function("compute_dense_4k", |b| {
+        b.iter(|| std::hint::black_box(Diff::compute(&twin, &dense)))
+    });
+    g.finish();
+}
+
+/// Time `routine` from inside a one-thread run on the paper's
+/// configuration, after `warm` has set the thread's cache up.
+fn bench_in_run<O>(
+    b: &mut Bencher,
+    sys: &Samhita,
+    warm: impl Fn(&mut ThreadCtx) + Sync,
+    routine: impl Fn(&mut ThreadCtx, u64) -> O + Sync,
+) {
+    let b = Mutex::new(b);
+    sys.run(1, |ctx| {
+        warm(ctx);
+        let mut i = 0u64;
+        b.lock().expect("one thread").iter(|| {
+            i += 1;
+            routine(ctx, i)
+        });
+    });
+}
+
+/// What the client side pays per access and per synchronization operation
+/// when there is nothing to ship: the cache hit path, the dirty-page query
+/// every flush starts with, and a barrier release's worth of write notices
+/// about pages this thread does not hold.
+fn bench_client_paths(c: &mut Criterion) {
+    const LINES: u64 = 64;
+    let cfg = SamhitaConfig::default();
+    let (line_pages, line_bytes) = (cfg.line_pages as usize, cfg.line_bytes() as u64);
+
+    let mut g = c.benchmark_group("hotpaths/cache");
+    g.bench_function("sync_flush_nothing_dirty_64_lines", |b| {
+        let mut cache = SoftCache::new(PAGE, line_pages, 128, EvictionPolicy::DirtyFirst);
+        for line in 0..LINES {
+            cache.install_line(line, vec![0u8; line_pages * PAGE], vec![0; line_pages]);
+        }
+        b.iter(|| std::hint::black_box(cache.dirty_pages()))
+    });
+    let sys = Samhita::new(cfg);
+    let base = sys.alloc_global(LINES * line_bytes);
+    let touch_all = |ctx: &mut ThreadCtx| {
+        for line in 0..LINES {
+            ctx.read_f64(base + line * line_bytes);
+        }
+    };
+    g.bench_function("hit_scalar_read", |b| {
+        // A different resident line on every read.
+        bench_in_run(b, &sys, touch_all, |ctx, i| ctx.read_f64(base + i % LINES * line_bytes));
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("hotpaths/notices");
+    g.bench_function("apply_255_nonresident", |b| {
+        let elsewhere = (base + LINES * line_bytes) / PAGE as u64 + 1024;
+        let notices: Vec<_> = (0..255u64)
+            .map(|w| {
+                let pages = (0..16).map(|p| elsewhere + w * 16 + p).collect();
+                let update = FineUpdate { page: elsewhere - 1 - w, offset: 0, bytes: vec![1; 8] };
+                Arc::new(WriteNotice {
+                    seq: w + 1,
+                    writer: w as u32 + 1,
+                    pages,
+                    updates: vec![update],
+                })
+            })
+            .collect();
+        bench_in_run(b, &sys, touch_all, |ctx, _| ctx.apply_notices(&notices));
     });
     g.finish();
 }
@@ -220,6 +298,7 @@ fn bench_end_to_end_tracing(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_diff_compute,
+    bench_client_paths,
     bench_batch_apply,
     bench_sched_step,
     bench_det_recv,

@@ -6,7 +6,7 @@
 //! local applications), while the unit of *consistency* — twins, diffs,
 //! invalidation — is the page.
 //!
-//! The cache owns the RegC page protocol: [`SoftCache::write_page`] applies
+//! The cache owns the RegC page protocol: [`SoftCache::write`] applies
 //! [`samhita_regc::protocol`] transitions (twin creation, fine-grain
 //! logging decisions, twin write-through), and [`SoftCache::flush_page`]
 //! produces the diff to ship home at synchronization operations.
@@ -14,31 +14,51 @@
 //! Eviction implements the paper's "biased towards pages that have been
 //! written to" policy ([`EvictionPolicy::DirtyFirst`]) with plain LRU as the
 //! ablation baseline.
+//!
+//! ## Cost model of the bookkeeping
+//!
+//! * **One lookup per access.** [`SoftCache::resolve`] is the only hash
+//!   probe on the access path; it returns a [`PageRef`] that the LRU stamp
+//!   and the read or write that follow index directly.
+//! * **State changes keep the summaries.** Every page-state transition goes
+//!   through one function that maintains the sorted dirty-page set and each
+//!   line's dirty and invalid counts, so a synchronization operation with
+//!   nothing dirty, a victim choice and a revalidation decision never scan
+//!   resident lines × pages.
+//! * **Twins are recycled.** A flushed page's twin buffer goes back to a
+//!   per-cache free list and serves the next twin, so steady-state twinning
+//!   allocates nothing; the list never holds more buffers than were live
+//!   twins at once.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
+use samhita_mem::IntMap;
 use samhita_regc::{protocol, Diff, PageState, RegionKind};
 
 use crate::config::EvictionPolicy;
 
 /// Per-page bookkeeping within a resident line.
-#[derive(Clone, Debug)]
-pub struct PageSlot {
+#[derive(Debug)]
+struct PageSlot {
     /// Protocol state.
-    pub state: PageState,
-    /// Pristine copy made on the first ordinary-region write.
-    pub twin: Option<Vec<u8>>,
+    state: PageState,
+    /// Pristine copy made on the first ordinary-region write; present
+    /// exactly while the page is `Dirty`.
+    twin: Option<Vec<u8>>,
     /// Home version at fetch time (diagnostics / staleness checks).
-    pub version: u64,
+    version: u64,
 }
 
 /// One resident cache line: `line_pages` consecutive pages.
-#[derive(Clone, Debug)]
-pub struct CacheLine {
+#[derive(Debug)]
+struct CacheLine {
     /// Global page number of the first page in the line.
-    pub first_page: u64,
+    first_page: u64,
     /// LRU stamp.
     last_use: u64,
+    /// How many of `slots` are `Dirty` / `Invalid`.
+    dirty: u32,
+    invalid: u32,
     slots: Vec<PageSlot>,
     data: Vec<u8>,
 }
@@ -49,25 +69,16 @@ impl CacheLine {
         let data = &mut self.data[idx * page_size..(idx + 1) * page_size];
         (&mut self.slots[idx], data)
     }
+}
 
-    /// Data of page index `idx`.
-    fn page_data(&self, idx: usize, page_size: usize) -> &[u8] {
-        &self.data[idx * page_size..(idx + 1) * page_size]
-    }
-
-    /// True when any page of the line is dirty.
-    pub fn has_dirty(&self) -> bool {
-        self.slots.iter().any(|s| s.state == PageState::Dirty)
-    }
-
-    /// Pages of this line in a given state.
-    pub fn pages_in_state(&self, state: PageState) -> impl Iterator<Item = u64> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(move |(_, s)| s.state == state)
-            .map(move |(i, _)| self.first_page + i as u64)
-    }
+/// A resolved page of a resident line, good until the next
+/// [`SoftCache::install_line`] or [`SoftCache::evict`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PageRef {
+    /// Position of the line in `SoftCache::lines`.
+    line: usize,
+    /// Index of the page within its line.
+    idx: usize,
 }
 
 /// What a write did, as reported to the thread context.
@@ -86,7 +97,14 @@ pub struct SoftCache {
     line_pages: usize,
     capacity_lines: usize,
     policy: EvictionPolicy,
-    lines: HashMap<u64, CacheLine>,
+    /// Line id → position in `lines`.
+    index: IntMap<u64, usize>,
+    /// The resident lines, dense (eviction swap-removes).
+    lines: Vec<CacheLine>,
+    /// Every `Dirty` page.
+    dirty: BTreeSet<u64>,
+    /// Page-sized buffers of retired twins, for the next twin.
+    twin_pool: Vec<Vec<u8>>,
     tick: u64,
 }
 
@@ -104,7 +122,17 @@ impl SoftCache {
         assert!(page_size.is_power_of_two() && page_size >= 64);
         assert!(line_pages >= 1);
         assert!(capacity_lines >= 2);
-        SoftCache { page_size, line_pages, capacity_lines, policy, lines: HashMap::new(), tick: 0 }
+        SoftCache {
+            page_size,
+            line_pages,
+            capacity_lines,
+            policy,
+            index: IntMap::default(),
+            lines: Vec::new(),
+            dirty: BTreeSet::new(),
+            twin_pool: Vec::new(),
+            tick: 0,
+        }
     }
 
     /// The line a page belongs to.
@@ -125,14 +153,21 @@ impl SoftCache {
 
     /// Is this line resident?
     pub fn contains_line(&self, line: u64) -> bool {
-        self.lines.contains_key(&line)
+        self.index.contains_key(&line)
+    }
+
+    /// Look a page up: where it is and its protocol state, or `None` when
+    /// its line is not resident. The one hash probe of an access.
+    #[inline]
+    pub fn resolve(&self, page: u64) -> Option<(PageRef, PageState)> {
+        let line = *self.index.get(&self.line_of(page))?;
+        let idx = (page - self.lines[line].first_page) as usize;
+        Some((PageRef { line, idx }, self.lines[line].slots[idx].state))
     }
 
     /// Protocol state of a page; `None` when its line is not resident.
     pub fn page_state(&self, page: u64) -> Option<PageState> {
-        let line = self.lines.get(&self.line_of(page))?;
-        let idx = (page - line.first_page) as usize;
-        Some(line.slots[idx].state)
+        self.resolve(page).map(|(_, state)| state)
     }
 
     /// Number of resident lines.
@@ -145,12 +180,39 @@ impl SoftCache {
         self.lines.len() >= self.capacity_lines
     }
 
-    /// Bump the LRU stamp of a line (called on every access).
-    pub fn touch_line(&mut self, line: u64) {
+    /// Bump the LRU stamp of a page's line (called on every access).
+    #[inline]
+    pub fn touch(&mut self, at: PageRef) {
         self.tick += 1;
-        if let Some(l) = self.lines.get_mut(&line) {
-            l.last_use = self.tick;
+        self.lines[at.line].last_use = self.tick;
+    }
+
+    /// The one place a page changes state: keeps the dirty set and the
+    /// line's counts in step.
+    fn set_state(&mut self, at: PageRef, next: PageState) {
+        let line = &mut self.lines[at.line];
+        let page = line.first_page + at.idx as u64;
+        let slot = &mut line.slots[at.idx];
+        if slot.state == next {
+            return;
         }
+        match slot.state {
+            PageState::Dirty => {
+                line.dirty -= 1;
+                self.dirty.remove(&page);
+            }
+            PageState::Invalid => line.invalid -= 1,
+            PageState::Clean => {}
+        }
+        match next {
+            PageState::Dirty => {
+                line.dirty += 1;
+                self.dirty.insert(page);
+            }
+            PageState::Invalid => line.invalid += 1,
+            PageState::Clean => {}
+        }
+        slot.state = next;
     }
 
     /// Install a freshly fetched line. All pages enter `Clean`.
@@ -168,15 +230,15 @@ impl SoftCache {
             .into_iter()
             .map(|version| PageSlot { state: PageState::Clean, twin: None, version })
             .collect();
-        self.lines.insert(
-            line,
-            CacheLine {
-                first_page: line * self.line_pages as u64,
-                last_use: self.tick,
-                slots,
-                data,
-            },
-        );
+        self.index.insert(line, self.lines.len());
+        self.lines.push(CacheLine {
+            first_page: line * self.line_pages as u64,
+            last_use: self.tick,
+            dirty: 0,
+            invalid: 0,
+            slots,
+            data,
+        });
     }
 
     /// Re-validate a single page of a resident line with fresh home data
@@ -187,131 +249,92 @@ impl SoftCache {
     /// the wrong size.
     pub fn install_page(&mut self, page: u64, data: &[u8], version: u64) {
         assert_eq!(data.len(), self.page_size, "page payload size mismatch");
-        let ps = self.page_size;
-        let line_id = self.line_of(page);
-        let line = self.lines.get_mut(&line_id).expect("install_page into absent line");
-        let idx = (page - line.first_page) as usize;
-        let (slot, dst) = line.page_parts_mut(idx, ps);
-        assert_ne!(slot.state, PageState::Dirty, "refetch would clobber dirty page");
+        let (at, state) = self.resolve(page).expect("install_page into absent line");
+        assert_ne!(state, PageState::Dirty, "refetch would clobber dirty page");
+        let (slot, dst) = self.lines[at.line].page_parts_mut(at.idx, self.page_size);
         dst.copy_from_slice(data);
-        slot.state = PageState::Clean;
-        slot.twin = None;
         slot.version = version;
+        self.set_state(at, PageState::Clean);
     }
 
-    /// Read bytes from a resident, valid page.
+    /// The bytes of a resolved, valid page.
     ///
     /// # Panics
-    /// Panics if the page is absent or `Invalid` (the fault handler must run
-    /// first) or the range overruns the page.
-    pub fn read_page(&self, page: u64, offset: usize, out: &mut [u8]) {
-        let line = self.lines.get(&self.line_of(page)).expect("read of non-resident page");
-        let idx = (page - line.first_page) as usize;
-        assert_ne!(line.slots[idx].state, PageState::Invalid, "read of invalid page");
-        let data = line.page_data(idx, self.page_size);
-        out.copy_from_slice(&data[offset..offset + out.len()]);
+    /// Panics if the page is `Invalid` (the fault handler must run first).
+    #[inline]
+    pub fn bytes(&self, at: PageRef) -> &[u8] {
+        let line = &self.lines[at.line];
+        assert_ne!(line.slots[at.idx].state, PageState::Invalid, "read of invalid page");
+        &line.data[at.idx * self.page_size..(at.idx + 1) * self.page_size]
     }
 
-    /// Borrow the bytes of a resident, valid page (zero-copy read path).
-    ///
-    /// # Panics
-    /// As [`SoftCache::read_page`].
-    pub fn page_bytes(&self, page: u64) -> &[u8] {
-        let line = self.lines.get(&self.line_of(page)).expect("read of non-resident page");
-        let idx = (page - line.first_page) as usize;
-        assert_ne!(line.slots[idx].state, PageState::Invalid, "read of invalid page");
-        line.page_data(idx, self.page_size)
-    }
-
-    /// Write bytes to a resident, valid page, applying the RegC protocol for
-    /// the current region kind. Returns what the caller must do (fine-grain
+    /// Store to `len` bytes at `offset` of a resolved, valid page, applying
+    /// the RegC protocol for the current region kind: `fill` receives the
+    /// page's bytes in that range — holding their current values — and
+    /// leaves the new ones. Returns what the caller must do (fine-grain
     /// logging) and what happened (twin creation).
     ///
     /// # Panics
-    /// Panics if the page is absent or `Invalid`, or the range overruns the
-    /// page.
-    pub fn write_page(
+    /// Panics if the page is `Invalid`, or the range overruns the page.
+    pub fn write(
         &mut self,
-        page: u64,
+        at: PageRef,
         offset: usize,
-        bytes: &[u8],
+        len: usize,
         region: RegionKind,
+        fill: impl FnOnce(&mut [u8]),
     ) -> WriteOutcome {
-        let ps = self.page_size;
-        let line_id = self.line_of(page);
-        let line = self.lines.get_mut(&line_id).expect("write to non-resident page");
-        let idx = (page - line.first_page) as usize;
-        let (slot, data) = line.page_parts_mut(idx, ps);
+        let (slot, data) = self.lines[at.line].page_parts_mut(at.idx, self.page_size);
         let effect = protocol::on_write(slot.state, region);
-        let mut twin_created = false;
         if effect.make_twin {
             debug_assert!(slot.twin.is_none());
-            slot.twin = Some(data.to_vec());
-            twin_created = true;
+            let mut twin = self.twin_pool.pop().unwrap_or_default();
+            twin.clear();
+            twin.extend_from_slice(data);
+            slot.twin = Some(twin);
         }
-        data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let dst = &mut data[offset..offset + len];
+        fill(dst);
         if effect.write_through_twin {
             let twin = slot.twin.as_mut().expect("write-through without twin");
-            twin[offset..offset + bytes.len()].copy_from_slice(bytes);
+            twin[offset..offset + len].copy_from_slice(dst);
         }
-        slot.state = effect.next;
-        WriteOutcome { log_fine_grain: effect.log_fine_grain, twin_created }
+        self.set_state(at, effect.next);
+        WriteOutcome { log_fine_grain: effect.log_fine_grain, twin_created: effect.make_twin }
     }
 
-    /// All currently dirty pages, in unspecified order.
+    /// All currently dirty pages, ascending.
     pub fn dirty_pages(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> = self
-            .lines
-            .values()
-            .flat_map(|l| l.pages_in_state(PageState::Dirty).collect::<Vec<_>>())
-            .collect();
-        pages.sort_unstable();
-        pages
+        self.dirty.iter().copied().collect()
+    }
+
+    /// Diff a dirty page against its twin and retire the twin.
+    fn diff_against_twin(&mut self, at: PageRef) -> Diff {
+        let (slot, data) = self.lines[at.line].page_parts_mut(at.idx, self.page_size);
+        let twin = slot.twin.take().expect("dirty page without twin");
+        let diff = Diff::compute(&twin, data);
+        self.twin_pool.push(twin);
+        diff
     }
 
     /// Flush one page at a synchronization operation: diff against the twin,
     /// drop the twin, mark the page clean. Returns `None` for clean/invalid
     /// pages and `Some(diff)` (possibly empty) for dirty ones.
     pub fn flush_page(&mut self, page: u64) -> Option<Diff> {
-        let ps = self.page_size;
-        let line_id = self.line_of(page);
-        let line = self.lines.get_mut(&line_id)?;
-        let idx = (page - line.first_page) as usize;
-        let (slot, data) = line.page_parts_mut(idx, ps);
-        if slot.state != PageState::Dirty {
+        let (at, state) = self.resolve(page)?;
+        if state != PageState::Dirty {
             return None;
         }
-        let twin = slot.twin.take().expect("dirty page without twin");
-        let diff = Diff::compute(&twin, data);
-        slot.state = protocol::after_flush(PageState::Dirty);
+        let diff = self.diff_against_twin(at);
+        self.set_state(at, protocol::after_flush(PageState::Dirty));
         Some(diff)
-    }
-
-    /// Take a full copy of a dirty page's bytes and clean it without
-    /// diffing (whole-page consistency ablation). Returns `None` for
-    /// clean/invalid pages.
-    pub fn flush_page_whole(&mut self, page: u64) -> Option<Vec<u8>> {
-        let ps = self.page_size;
-        let line_id = self.line_of(page);
-        let line = self.lines.get_mut(&line_id)?;
-        let idx = (page - line.first_page) as usize;
-        let (slot, data) = line.page_parts_mut(idx, ps);
-        if slot.state != PageState::Dirty {
-            return None;
-        }
-        slot.twin = None;
-        slot.state = protocol::after_flush(PageState::Dirty);
-        Some(data.to_vec())
     }
 
     /// Number of `Invalid` pages in a resident line (0 if the line is
     /// absent). Drives batched revalidation: when several pages of one line
     /// were invalidated, one line fetch beats per-page refetches.
     pub fn invalid_pages_in_line(&self, line: u64) -> usize {
-        match self.lines.get(&line) {
-            Some(l) => l.slots.iter().filter(|s| s.state == PageState::Invalid).count(),
-            None => 0,
-        }
+        self.index.get(&line).map_or(0, |&pos| self.lines[pos].invalid as usize)
     }
 
     /// Refresh a resident line with fresh home data: `Invalid` and `Clean`
@@ -324,17 +347,13 @@ impl SoftCache {
         assert_eq!(data.len(), self.line_bytes(), "line payload size mismatch");
         assert_eq!(versions.len(), self.line_pages, "line version count mismatch");
         let ps = self.page_size;
-        let cl = self.lines.get_mut(&line).expect("refresh of absent line");
-        for idx in 0..versions.len() {
-            let (slot, dst) = cl.page_parts_mut(idx, ps);
-            match slot.state {
-                PageState::Dirty => {} // keep local writes
-                PageState::Invalid | PageState::Clean => {
-                    dst.copy_from_slice(&data[idx * ps..(idx + 1) * ps]);
-                    slot.state = PageState::Clean;
-                    slot.twin = None;
-                    slot.version = versions[idx];
-                }
+        let pos = *self.index.get(&line).expect("refresh of absent line");
+        for (idx, &version) in versions.iter().enumerate() {
+            let (slot, dst) = self.lines[pos].page_parts_mut(idx, ps);
+            if slot.state != PageState::Dirty {
+                dst.copy_from_slice(&data[idx * ps..(idx + 1) * ps]);
+                slot.version = version;
+                self.set_state(PageRef { line: pos, idx }, PageState::Clean);
             }
         }
     }
@@ -347,17 +366,13 @@ impl SoftCache {
     /// Panics if the page is dirty: updates are only applied at
     /// synchronization points, after the local flush.
     pub fn apply_update(&mut self, page: u64, offset: usize, bytes: &[u8]) -> bool {
-        let ps = self.page_size;
-        let line_id = self.line_of(page);
-        let Some(line) = self.lines.get_mut(&line_id) else {
-            return false;
-        };
-        let idx = (page - line.first_page) as usize;
-        let (slot, data) = line.page_parts_mut(idx, ps);
-        match slot.state {
-            PageState::Invalid => false,
-            PageState::Dirty => panic!("fine update applied to an unflushed dirty page"),
-            PageState::Clean => {
+        match self.resolve(page) {
+            None | Some((_, PageState::Invalid)) => false,
+            Some((_, PageState::Dirty)) => {
+                panic!("fine update applied to an unflushed dirty page")
+            }
+            Some((at, PageState::Clean)) => {
+                let (_, data) = self.lines[at.line].page_parts_mut(at.idx, self.page_size);
                 data[offset..offset + bytes.len()].copy_from_slice(bytes);
                 true
             }
@@ -371,88 +386,95 @@ impl SoftCache {
     /// Panics if the page is still dirty (callers must flush before applying
     /// notices; see [`protocol::on_invalidate`]).
     pub fn invalidate_page(&mut self, page: u64) -> bool {
-        let line_id = self.line_of(page);
-        let Some(line) = self.lines.get_mut(&line_id) else {
-            return false;
-        };
-        let idx = (page - line.first_page) as usize;
-        let slot = &mut line.slots[idx];
-        if slot.state == PageState::Invalid {
-            return false;
+        match self.resolve(page) {
+            None | Some((_, PageState::Invalid)) => false,
+            Some((at, state)) => {
+                self.set_state(at, protocol::on_invalidate(state));
+                true
+            }
         }
-        slot.state = protocol::on_invalidate(slot.state);
-        slot.twin = None;
-        true
+    }
+
+    /// Position of the eviction victim per the configured policy.
+    fn victim(&self) -> Option<usize> {
+        let lru = |dirty_only: bool| {
+            self.lines
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| !dirty_only || l.dirty > 0)
+                .min_by_key(|(_, l)| l.last_use)
+                .map(|(pos, _)| pos)
+        };
+        match self.policy {
+            EvictionPolicy::Lru => lru(false),
+            // Paper's bias: prefer evicting written-to lines (their updates
+            // must be flushed home anyway); LRU among those, falling back
+            // to global LRU.
+            EvictionPolicy::DirtyFirst => lru(true).or_else(|| lru(false)),
+        }
     }
 
     /// Choose and remove an eviction victim per the configured policy.
-    /// Returns `None` when the cache is empty.
-    pub fn pop_victim(&mut self) -> Option<(u64, CacheLine)> {
-        if self.lines.is_empty() {
-            return None;
-        }
-        let victim = match self.policy {
-            EvictionPolicy::Lru => *self
-                .lines
-                .iter()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(id, _)| id)
-                .expect("nonempty"),
-            EvictionPolicy::DirtyFirst => {
-                // Paper's bias: prefer evicting written-to lines (their
-                // updates must be flushed home anyway); LRU among those,
-                // falling back to global LRU.
-                let dirty_lru = self
-                    .lines
-                    .iter()
-                    .filter(|(_, l)| l.has_dirty())
-                    .min_by_key(|(_, l)| l.last_use)
-                    .map(|(id, _)| *id);
-                dirty_lru.unwrap_or_else(|| {
-                    *self
-                        .lines
-                        .iter()
-                        .min_by_key(|(_, l)| l.last_use)
-                        .map(|(id, _)| id)
-                        .expect("nonempty")
-                })
-            }
-        };
-        let line = self.lines.remove(&victim).expect("victim vanished");
-        Some((victim, line))
-    }
-
-    /// Drain every resident line (used at thread exit after the final
-    /// flush, and by tests).
-    pub fn drain_lines(&mut self) -> Vec<(u64, CacheLine)> {
-        let mut all: Vec<_> = self.lines.drain().collect();
-        all.sort_by_key(|&(id, _)| id);
-        all
-    }
-
-    /// Compute the diffs for all dirty pages of an evicted line. Consumes
-    /// the line.
-    pub fn diffs_of_evicted(&self, line: CacheLine) -> Vec<(u64, Diff)> {
-        let mut out = Vec::new();
-        let mut line = line;
+    /// Returns the line's id and the non-empty diffs of its dirty pages
+    /// (ascending), or `None` when the cache is empty.
+    pub fn evict(&mut self) -> Option<(u64, Vec<(u64, Diff)>)> {
+        let pos = self.victim()?;
+        let mut diffs = Vec::new();
         for idx in 0..self.line_pages {
-            let page = line.first_page + idx as u64;
-            let ps = self.page_size;
-            let (slot, data) = line.page_parts_mut(idx, ps);
-            if slot.state == PageState::Dirty {
-                let twin = slot.twin.take().expect("dirty page without twin");
-                let diff = Diff::compute(&twin, data);
+            let at = PageRef { line: pos, idx };
+            if self.lines[pos].slots[idx].state == PageState::Dirty {
+                let diff = self.diff_against_twin(at);
+                // Through `set_state` so the page leaves the dirty set.
+                self.set_state(at, PageState::Clean);
                 if !diff.is_empty() {
-                    out.push((page, diff));
+                    diffs.push((self.lines[pos].first_page + idx as u64, diff));
                 }
             }
         }
-        out
+        let line = self.lines.swap_remove(pos);
+        let id = self.line_of(line.first_page);
+        self.index.remove(&id);
+        if let Some(moved) = self.lines.get(pos) {
+            self.index.insert(self.line_of(moved.first_page), pos);
+        }
+        Some((id, diffs))
+    }
+}
+
+/// Page-keyed access for the tests below: resolve, stamp, then read or
+/// write — the sequence `ThreadCtx` performs.
+#[cfg(test)]
+mod access {
+    use super::*;
+
+    pub fn write(
+        c: &mut SoftCache,
+        page: u64,
+        offset: usize,
+        bytes: &[u8],
+        region: RegionKind,
+    ) -> WriteOutcome {
+        let (at, _) = c.resolve(page).expect("write to non-resident page");
+        c.touch(at);
+        c.write(at, offset, bytes.len(), region, |dst| dst.copy_from_slice(bytes))
+    }
+
+    pub fn read(c: &mut SoftCache, page: u64, offset: usize, out: &mut [u8]) {
+        let (at, _) = c.resolve(page).expect("read of non-resident page");
+        c.touch(at);
+        out.copy_from_slice(&c.bytes(at)[offset..offset + out.len()]);
+    }
+
+    /// Stamp a line as used without touching its data.
+    pub fn touch_line(c: &mut SoftCache, line: u64) {
+        let (at, _) = c.resolve(line * c.line_pages() as u64).expect("touch of absent line");
+        c.touch(at);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::access::{read, touch_line, write};
     use super::*;
 
     const PS: usize = 256;
@@ -465,6 +487,10 @@ mod tests {
         c.install_line(line, vec![0u8; c.line_bytes()], vec![0; c.line_pages()]);
     }
 
+    fn page_bytes(c: &SoftCache, page: u64) -> &[u8] {
+        c.bytes(c.resolve(page).expect("resident").0)
+    }
+
     #[test]
     fn install_and_read() {
         let mut c = cache(4);
@@ -473,8 +499,9 @@ mod tests {
         assert_eq!(c.page_state(0), Some(PageState::Clean));
         assert_eq!(c.page_state(1), Some(PageState::Clean));
         assert_eq!(c.page_state(2), None);
+        assert!(c.resolve(2).is_none());
         let mut buf = [1u8; 8];
-        c.read_page(0, 0, &mut buf);
+        read(&mut c, 0, 0, &mut buf);
         assert_eq!(buf, [0u8; 8]);
     }
 
@@ -482,7 +509,7 @@ mod tests {
     fn ordinary_write_creates_twin_and_diff() {
         let mut c = cache(4);
         install(&mut c, 0);
-        let out = c.write_page(1, 16, &[7; 8], RegionKind::Ordinary);
+        let out = write(&mut c, 1, 16, &[7; 8], RegionKind::Ordinary);
         assert!(out.twin_created);
         assert!(!out.log_fine_grain);
         assert_eq!(c.page_state(1), Some(PageState::Dirty));
@@ -490,6 +517,7 @@ mod tests {
         let diff = c.flush_page(1).unwrap();
         assert_eq!(diff.payload_bytes(), 8);
         assert_eq!(c.page_state(1), Some(PageState::Clean));
+        assert!(c.dirty_pages().is_empty());
         assert!(c.flush_page(1).is_none(), "second flush is a no-op");
     }
 
@@ -497,7 +525,7 @@ mod tests {
     fn consistency_write_requests_logging_not_twin() {
         let mut c = cache(4);
         install(&mut c, 0);
-        let out = c.write_page(0, 0, &[9; 8], RegionKind::Consistency);
+        let out = write(&mut c, 0, 0, &[9; 8], RegionKind::Consistency);
         assert!(out.log_fine_grain);
         assert!(!out.twin_created);
         assert_eq!(c.page_state(0), Some(PageState::Clean));
@@ -508,8 +536,8 @@ mod tests {
     fn mixed_writes_write_through_twin() {
         let mut c = cache(4);
         install(&mut c, 0);
-        c.write_page(0, 0, &[1; 8], RegionKind::Ordinary); // twin created
-        let out = c.write_page(0, 64, &[2; 8], RegionKind::Consistency);
+        write(&mut c, 0, 0, &[1; 8], RegionKind::Ordinary); // twin created
+        let out = write(&mut c, 0, 64, &[2; 8], RegionKind::Consistency);
         assert!(out.log_fine_grain);
         // The consistency bytes went through the twin, so the flush diff
         // contains only the ordinary write.
@@ -519,6 +547,34 @@ mod tests {
         diff.apply(&mut probe);
         assert_eq!(&probe[0..8], &[1; 8]);
         assert_eq!(&probe[64..72], &[0; 8], "consistency bytes must not be in the diff");
+    }
+
+    #[test]
+    fn write_fill_sees_current_bytes() {
+        // The read-modify-write form the bulk accessors use.
+        let mut c = cache(4);
+        install(&mut c, 0);
+        write(&mut c, 0, 8, &[5; 8], RegionKind::Ordinary);
+        let (at, _) = c.resolve(0).unwrap();
+        c.write(at, 8, 8, RegionKind::Ordinary, |dst| dst.iter_mut().for_each(|b| *b += 1));
+        assert_eq!(&page_bytes(&c, 0)[8..16], &[6; 8]);
+    }
+
+    #[test]
+    fn twin_buffers_are_recycled() {
+        let mut c = cache(4);
+        install(&mut c, 0);
+        for round in 0..3u8 {
+            write(&mut c, 0, 0, &[round + 1; 8], RegionKind::Ordinary);
+            write(&mut c, 1, 0, &[round + 1; 8], RegionKind::Ordinary);
+            assert!(c.twin_pool.is_empty(), "both buffers are live twins");
+            let diff = c.flush_page(0).unwrap();
+            // A recycled buffer must hold this round's pristine copy, not
+            // stale bytes: the diff is exactly the one changed word.
+            assert_eq!(diff.payload_bytes(), 8);
+            c.flush_page(1).unwrap();
+            assert_eq!(c.twin_pool.len(), 2, "no more buffers than were ever live at once");
+        }
     }
 
     #[test]
@@ -532,7 +588,7 @@ mod tests {
         c.install_page(1, &[5u8; PS], 3);
         assert_eq!(c.page_state(1), Some(PageState::Clean));
         let mut b = [0u8; 1];
-        c.read_page(1, 10, &mut b);
+        read(&mut c, 1, 10, &mut b);
         assert_eq!(b[0], 5);
     }
 
@@ -541,7 +597,7 @@ mod tests {
     fn invalidating_dirty_page_panics() {
         let mut c = cache(4);
         install(&mut c, 0);
-        c.write_page(0, 0, &[1], RegionKind::Ordinary);
+        write(&mut c, 0, 0, &[1], RegionKind::Ordinary);
         c.invalidate_page(0);
     }
 
@@ -552,13 +608,16 @@ mod tests {
         install(&mut c, 1);
         install(&mut c, 2);
         // Line 1 is dirty; line 0 is older. DirtyFirst must pick line 1.
-        c.write_page(2, 0, &[1], RegionKind::Ordinary); // page 2 = line 1
-        c.touch_line(0);
-        let (victim, line) = c.pop_victim().unwrap();
+        write(&mut c, 2, 0, &[1], RegionKind::Ordinary); // page 2 = line 1
+        touch_line(&mut c, 0);
+        let (victim, diffs) = c.evict().unwrap();
         assert_eq!(victim, 1);
-        let diffs = c.diffs_of_evicted(line);
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].0, 2);
+        assert!(c.dirty_pages().is_empty(), "evicted pages leave the dirty set");
+        // The survivors are still found where eviction moved them.
+        assert!(c.contains_line(0) && c.contains_line(2) && !c.contains_line(1));
+        assert_eq!(c.page_state(4), Some(PageState::Clean));
     }
 
     #[test]
@@ -567,10 +626,9 @@ mod tests {
         install(&mut c, 0);
         install(&mut c, 1);
         install(&mut c, 2);
-        c.write_page(2, 0, &[1], RegionKind::Ordinary);
-        c.touch_line(1);
-        c.touch_line(2);
-        let (victim, _) = c.pop_victim().unwrap();
+        write(&mut c, 2, 0, &[1], RegionKind::Ordinary);
+        touch_line(&mut c, 2);
+        let (victim, _) = c.evict().unwrap();
         assert_eq!(victim, 0, "LRU evicts the oldest line regardless of dirtiness");
     }
 
@@ -580,11 +638,14 @@ mod tests {
         install(&mut c, 0);
         install(&mut c, 1);
         assert!(c.is_full());
-        let (_, line) = c.pop_victim().unwrap();
-        assert!(c.diffs_of_evicted(line).is_empty(), "clean eviction ships nothing");
+        let (_, diffs) = c.evict().unwrap();
+        assert!(diffs.is_empty(), "clean eviction ships nothing");
         assert!(!c.is_full());
         install(&mut c, 5);
         assert_eq!(c.resident_lines(), 2);
+        c.evict().unwrap();
+        c.evict().unwrap();
+        assert!(c.evict().is_none(), "nothing left to evict");
     }
 
     #[test]
@@ -611,26 +672,7 @@ mod tests {
         install(&mut c, 0);
         c.invalidate_page(0);
         let mut b = [0u8; 1];
-        c.read_page(0, 0, &mut b);
-    }
-
-    #[test]
-    fn drain_returns_everything_sorted() {
-        let mut c = cache(4);
-        install(&mut c, 3);
-        install(&mut c, 1);
-        let drained = c.drain_lines();
-        assert_eq!(drained.iter().map(|&(id, _)| id).collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(c.resident_lines(), 0);
-        assert!(c.pop_victim().is_none());
-    }
-
-    #[test]
-    fn page_bytes_zero_copy_view() {
-        let mut c = cache(4);
-        install(&mut c, 0);
-        c.write_page(0, 4, &[42], RegionKind::Ordinary);
-        assert_eq!(c.page_bytes(0)[4], 42);
+        read(&mut c, 0, 0, &mut b);
     }
 
     #[test]
@@ -638,15 +680,16 @@ mod tests {
         let mut c = cache(4);
         install(&mut c, 0);
         c.invalidate_page(0);
-        c.write_page(1, 0, &[9; 8], RegionKind::Ordinary); // dirty
+        write(&mut c, 1, 0, &[9; 8], RegionKind::Ordinary); // dirty
         let fresh = vec![5u8; c.line_bytes()];
         c.refresh_line(0, &fresh, &[7, 7]);
         // Invalid page took the new bytes; dirty page kept local writes.
         assert_eq!(c.page_state(0), Some(PageState::Clean));
-        assert_eq!(c.page_bytes(0)[0], 5);
+        assert_eq!(page_bytes(&c, 0)[0], 5);
+        assert_eq!(c.invalid_pages_in_line(0), 0);
         assert_eq!(c.page_state(1), Some(PageState::Dirty));
         let mut b = [0u8; 8];
-        c.read_page(1, 0, &mut b);
+        read(&mut c, 1, 0, &mut b);
         assert_eq!(b, [9; 8]);
     }
 
@@ -655,7 +698,7 @@ mod tests {
         let mut c = cache(4);
         install(&mut c, 0);
         assert!(c.apply_update(0, 16, &[3; 8]));
-        assert_eq!(c.page_bytes(0)[16], 3);
+        assert_eq!(page_bytes(&c, 0)[16], 3);
         c.invalidate_page(0);
         assert!(!c.apply_update(0, 16, &[4; 8]), "invalid pages wait for demand fetch");
         assert!(!c.apply_update(99, 0, &[1]), "absent pages are a no-op");
@@ -676,6 +719,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::access::{read, write};
     use super::*;
     use proptest::prelude::*;
 
@@ -721,8 +765,8 @@ mod proptests {
                 let line = cache.line_of(page);
                 if !cache.contains_line(line) {
                     while cache.is_full() {
-                        let (_, victim) = cache.pop_victim().expect("full cache");
-                        for (p, diff) in cache.diffs_of_evicted(victim) {
+                        let (_, diffs) = cache.evict().expect("full cache");
+                        for (p, diff) in diffs {
                             diff.apply(&mut home[p as usize]);
                         }
                     }
@@ -733,14 +777,13 @@ mod proptests {
                     }
                     cache.install_line(line, data, vec![0; LINE_PAGES]);
                 }
-                cache.touch_line(line);
             };
 
             for op in ops {
                 match op {
                     Op::Write { page, offset, bytes } => {
                         ensure(&mut cache, &mut home, page);
-                        cache.write_page(page, offset, &bytes, RegionKind::Ordinary);
+                        write(&mut cache, page, offset, &bytes, RegionKind::Ordinary);
                         let base = page as usize * PS + offset;
                         reference[base..base + bytes.len()].copy_from_slice(&bytes);
                     }
@@ -752,8 +795,8 @@ mod proptests {
                         }
                     }
                     Op::Evict => {
-                        if let Some((_, victim)) = cache.pop_victim() {
-                            for (p, diff) in cache.diffs_of_evicted(victim) {
+                        if let Some((_, diffs)) = cache.evict() {
+                            for (p, diff) in diffs {
                                 diff.apply(&mut home[p as usize]);
                             }
                         }
@@ -761,7 +804,7 @@ mod proptests {
                     Op::Read { page, offset, len } => {
                         ensure(&mut cache, &mut home, page);
                         let mut buf = vec![0u8; len];
-                        cache.read_page(page, offset, &mut buf);
+                        read(&mut cache, page, offset, &mut buf);
                         let base = page as usize * PS + offset;
                         prop_assert_eq!(
                             &buf[..],
@@ -783,6 +826,257 @@ mod proptests {
             for p in 0..PAGES as usize {
                 prop_assert_eq!(&home[p][..], &reference[p * PS..(p + 1) * PS], "home page {} diverged", p);
             }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Differential test of the incremental bookkeeping
+    // ------------------------------------------------------------------
+
+    /// What the cache kept before it kept summaries: one record per
+    /// resident line, every question answered by scanning them all.
+    #[derive(Default)]
+    struct Model {
+        lines: Vec<ModelLine>,
+        tick: u64,
+    }
+
+    struct ModelLine {
+        id: u64,
+        last_use: u64,
+        /// Per page: `(state, has a twin)`.
+        pages: Vec<(PageState, bool)>,
+    }
+
+    impl Model {
+        fn line(&mut self, line: u64) -> Option<&mut ModelLine> {
+            self.lines.iter_mut().find(|l| l.id == line)
+        }
+
+        fn page(&mut self, page: u64) -> Option<&mut (PageState, bool)> {
+            let idx = (page % LINE_PAGES as u64) as usize;
+            self.line(page / LINE_PAGES as u64).map(|l| &mut l.pages[idx])
+        }
+
+        fn touch(&mut self, line: u64) {
+            self.tick += 1;
+            let tick = self.tick;
+            self.line(line).expect("resident").last_use = tick;
+        }
+
+        fn dirty_pages(&self) -> Vec<u64> {
+            let mut pages: Vec<u64> = self
+                .lines
+                .iter()
+                .flat_map(|l| {
+                    l.pages
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, s)| s.0 == PageState::Dirty)
+                        .map(move |(i, _)| l.id * LINE_PAGES as u64 + i as u64)
+                })
+                .collect();
+            pages.sort_unstable();
+            pages
+        }
+
+        fn invalid_in_line(&self, line: u64) -> usize {
+            self.lines
+                .iter()
+                .find(|l| l.id == line)
+                .map_or(0, |l| l.pages.iter().filter(|s| s.0 == PageState::Invalid).count())
+        }
+
+        fn victim(&self, policy: EvictionPolicy) -> Option<u64> {
+            let lru = |dirty_only: bool| {
+                self.lines
+                    .iter()
+                    .filter(|l| !dirty_only || l.pages.iter().any(|s| s.0 == PageState::Dirty))
+                    .min_by_key(|l| l.last_use)
+                    .map(|l| l.id)
+            };
+            match policy {
+                EvictionPolicy::Lru => lru(false),
+                EvictionPolicy::DirtyFirst => lru(true).or_else(|| lru(false)),
+            }
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// Access a page (installing its line if absent, evicting to fit)
+        /// and store to it in the given region; `None` only reads.
+        Access {
+            page: u64,
+            store: Option<RegionKind>,
+        },
+        Flush {
+            page: u64,
+        },
+        FlushAll,
+        Invalidate {
+            page: u64,
+        },
+        RefreshPage {
+            page: u64,
+        },
+        RefreshLine {
+            line: u64,
+        },
+        Evict,
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        let store = || {
+            prop_oneof![
+                Just(None),
+                Just(Some(RegionKind::Ordinary)),
+                Just(Some(RegionKind::Ordinary)),
+                Just(Some(RegionKind::Consistency)),
+            ]
+        };
+        prop_oneof![
+            (0..PAGES, store()).prop_map(|(page, store)| Step::Access { page, store }),
+            (0..PAGES, store()).prop_map(|(page, store)| Step::Access { page, store }),
+            (0..PAGES).prop_map(|page| Step::Flush { page }),
+            Just(Step::FlushAll),
+            (0..PAGES).prop_map(|page| Step::Invalidate { page }),
+            (0..PAGES).prop_map(|page| Step::RefreshPage { page }),
+            (0..PAGES / LINE_PAGES as u64).prop_map(|line| Step::RefreshLine { line }),
+            Just(Step::Evict),
+        ]
+    }
+
+    /// Everything the summaries answer, against the scan.
+    fn agree(cache: &SoftCache, model: &Model, policy: EvictionPolicy) {
+        prop_assert_eq!(cache.dirty_pages(), model.dirty_pages());
+        prop_assert_eq!(cache.resident_lines(), model.lines.len());
+        for line in 0..PAGES / LINE_PAGES as u64 {
+            prop_assert_eq!(cache.invalid_pages_in_line(line), model.invalid_in_line(line));
+        }
+        for page in 0..PAGES {
+            let idx = (page % LINE_PAGES as u64) as usize;
+            let want =
+                model.lines.iter().find(|l| l.id == page / LINE_PAGES as u64).map(|l| l.pages[idx]);
+            prop_assert_eq!(cache.page_state(page), want.map(|s| s.0), "state of page {}", page);
+            if let Some((at, _)) = cache.resolve(page) {
+                let has_twin = cache.lines[at.line].slots[at.idx].twin.is_some();
+                prop_assert_eq!(has_twin, want.expect("resident").1, "twin of page {}", page);
+            }
+        }
+        prop_assert_eq!(
+            cache.victim().map(|pos| cache.line_of(cache.lines[pos].first_page)),
+            model.victim(policy)
+        );
+    }
+
+    fn run_steps(policy: EvictionPolicy, steps: &[Step]) {
+        const CAPACITY: usize = 3;
+        let mut cache = SoftCache::new(PS, LINE_PAGES, CAPACITY, policy);
+        let mut model = Model::default();
+        let evict = |cache: &mut SoftCache, model: &mut Model| {
+            let want = model.victim(policy);
+            let got = cache.evict().map(|(line, _)| line);
+            model.lines.retain(|l| Some(l.id) != want);
+            (got, want)
+        };
+        for step in steps.iter().cloned() {
+            match step {
+                Step::Access { page, store } => {
+                    let line = page / LINE_PAGES as u64;
+                    if !cache.contains_line(line) {
+                        while cache.is_full() {
+                            let (got, want) = evict(&mut cache, &mut model);
+                            prop_assert_eq!(got, want, "victim");
+                        }
+                        cache.install_line(line, vec![0; PS * LINE_PAGES], vec![0; LINE_PAGES]);
+                        model.tick += 1;
+                        model.lines.push(ModelLine {
+                            id: line,
+                            last_use: model.tick,
+                            pages: vec![(PageState::Clean, false); LINE_PAGES],
+                        });
+                    }
+                    if cache.page_state(page) == Some(PageState::Invalid) {
+                        cache.install_page(page, &[1; PS], 1);
+                        *model.page(page).expect("resident") = (PageState::Clean, false);
+                    }
+                    let mut byte = [0u8; 1];
+                    match store {
+                        None => read(&mut cache, page, 3, &mut byte),
+                        Some(region) => {
+                            let out = write(&mut cache, page, 3, &[7], region);
+                            let slot = model.page(page).expect("resident");
+                            prop_assert_eq!(
+                                out.twin_created,
+                                region == RegionKind::Ordinary && !slot.1
+                            );
+                            if region == RegionKind::Ordinary {
+                                *slot = (PageState::Dirty, true);
+                            }
+                        }
+                    }
+                    model.touch(line);
+                }
+                Step::Flush { page } => {
+                    let was_dirty = model.page(page).is_some_and(|s| s.0 == PageState::Dirty);
+                    prop_assert_eq!(cache.flush_page(page).is_some(), was_dirty);
+                    if was_dirty {
+                        *model.page(page).expect("resident") = (PageState::Clean, false);
+                    }
+                }
+                Step::FlushAll => {
+                    for page in cache.dirty_pages() {
+                        prop_assert!(cache.flush_page(page).is_some());
+                        *model.page(page).expect("resident") = (PageState::Clean, false);
+                    }
+                }
+                Step::Invalidate { page } => {
+                    // Notices are applied after the flush; a dirty page is
+                    // the caller's bug (and a panic), so the model skips it.
+                    let slot = model.page(page).map(|s| *s);
+                    if slot.is_some_and(|s| s.0 == PageState::Dirty) {
+                        continue;
+                    }
+                    let want = slot.is_some_and(|s| s.0 == PageState::Clean);
+                    prop_assert_eq!(cache.invalidate_page(page), want);
+                    if want {
+                        *model.page(page).expect("resident") = (PageState::Invalid, false);
+                    }
+                }
+                Step::RefreshPage { page } => {
+                    if model.page(page).is_some_and(|s| s.0 != PageState::Dirty) {
+                        cache.install_page(page, &[2; PS], 2);
+                        *model.page(page).expect("resident") = (PageState::Clean, false);
+                    }
+                }
+                Step::RefreshLine { line } => {
+                    if let Some(l) = model.line(line) {
+                        cache.refresh_line(line, &[3; PS * LINE_PAGES], &[3; LINE_PAGES]);
+                        for slot in l.pages.iter_mut().filter(|s| s.0 != PageState::Dirty) {
+                            *slot = (PageState::Clean, false);
+                        }
+                    }
+                }
+                Step::Evict => {
+                    let (got, want) = evict(&mut cache, &mut model);
+                    prop_assert_eq!(got, want, "victim");
+                }
+            }
+            agree(&cache, &model, policy);
+        }
+    }
+
+    proptest! {
+        /// The incrementally kept dirty set, invalid counts and victim
+        /// choice equal a brute-force scan after every step, under both
+        /// eviction policies.
+        #[test]
+        fn summaries_match_a_scanning_model(
+            steps in proptest::collection::vec(step_strategy(), 1..150)
+        ) {
+            run_steps(EvictionPolicy::DirtyFirst, &steps);
+            run_steps(EvictionPolicy::Lru, &steps);
         }
     }
 }

@@ -26,9 +26,9 @@
 //! [`crate::thread::ThreadCtx`]); [`HostChannel`] is the host control
 //! client's reliable, fault-exempt variant. Both speak [`Msg`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use samhita_mem::{HomeMap, MemRequest, MemResponse};
+use samhita_mem::{HomeMap, IntMap, IntSet, MemRequest, MemResponse};
 use samhita_scl::{Endpoint, EndpointId, Envelope, MsgClass, RetryPolicy, SimTime};
 use samhita_trace::{EventKind, TraceBuf};
 
@@ -87,14 +87,14 @@ pub struct Channel {
     /// Whether this channel has given up on the primary manager (sticky,
     /// like `failed_servers`): all manager traffic goes to the standby.
     mgr_failed: bool,
-    outstanding_acks: HashMap<u64, PendingAck>,
+    outstanding_acks: IntMap<u64, PendingAck>,
     ack_horizon: SimTime,
-    prefetch_tokens: HashMap<u64, u64>,   // token -> line
-    prefetch_inflight: HashMap<u64, u64>, // line -> token
-    prefetch_ready: HashMap<u64, (SimTime, Vec<u8>, Vec<u64>)>,
+    prefetch_tokens: IntMap<u64, u64>,   // token -> line
+    prefetch_inflight: IntMap<u64, u64>, // line -> token
+    prefetch_ready: IntMap<u64, (SimTime, Vec<u8>, Vec<u64>)>,
     /// Prefetch tokens whose line was invalidated while the fetch was in
     /// flight: the response must be discarded, not installed.
-    poisoned_prefetches: HashSet<u64>,
+    poisoned_prefetches: IntSet<u64>,
 
     retries: u64,
     failovers: u64,
@@ -136,12 +136,12 @@ impl Channel {
             retry,
             failed_servers: HashSet::new(),
             mgr_failed: false,
-            outstanding_acks: HashMap::new(),
+            outstanding_acks: IntMap::default(),
             ack_horizon: SimTime::ZERO,
-            prefetch_tokens: HashMap::new(),
-            prefetch_inflight: HashMap::new(),
-            prefetch_ready: HashMap::new(),
-            poisoned_prefetches: HashSet::new(),
+            prefetch_tokens: IntMap::default(),
+            prefetch_inflight: IntMap::default(),
+            prefetch_ready: IntMap::default(),
+            poisoned_prefetches: IntSet::default(),
             retries: 0,
             failovers: 0,
             mgr_failovers: 0,
@@ -696,6 +696,18 @@ impl Channel {
     /// True when a prefetch covering `line` is in flight or completed.
     pub(crate) fn prefetch_pending_for(&self, line: u64) -> bool {
         self.prefetch_inflight.contains_key(&line) || self.prefetch_ready.contains_key(&line)
+    }
+
+    /// True when a prefetch of `line` has arrived and awaits its first use.
+    #[cfg(test)]
+    pub(crate) fn prefetch_ready_for(&self, line: u64) -> bool {
+        self.prefetch_ready.contains_key(&line)
+    }
+
+    /// True when no prefetch is in flight or completed: there is nothing
+    /// for [`Channel::poison_prefetch_line`] to find, whatever the line.
+    pub(crate) fn prefetch_idle(&self) -> bool {
+        self.prefetch_inflight.is_empty() && self.prefetch_ready.is_empty()
     }
 
     /// Block for an in-flight prefetch response. Returns `None` when the

@@ -36,7 +36,7 @@ use samhita_regc::{
 use samhita_scl::{Endpoint, EndpointId, MsgClass, RetryPolicy, SimTime};
 use samhita_trace::{EventKind, FetchKind, TraceBuf};
 
-use crate::cache::SoftCache;
+use crate::cache::{PageRef, SoftCache};
 use crate::config::{ConsistencyVariant, SamhitaConfig};
 use crate::freelist::FreeListAlloc;
 use crate::layout::{AddressLayout, Region};
@@ -57,6 +57,28 @@ struct WaitAcc {
     barrier: u64,
     mgr: u64,
     flush: u64,
+}
+
+/// Split the byte range `[addr, addr + len)` at page boundaries. Yields,
+/// per touched page: the page number, the offset within it, and the part of
+/// `0..len` that falls there.
+fn page_chunks(
+    addr: u64,
+    len: usize,
+    page_size: usize,
+) -> impl Iterator<Item = (u64, usize, std::ops::Range<usize>)> {
+    let mut cursor = 0usize;
+    std::iter::from_fn(move || {
+        if cursor == len {
+            return None;
+        }
+        let at = addr + cursor as u64;
+        let off = (at % page_size as u64) as usize;
+        let take = (page_size - off).min(len - cursor);
+        let range = cursor..cursor + take;
+        cursor += take;
+        Some((at / page_size as u64, off, range))
+    })
 }
 
 /// The per-thread handle to the shared global address space.
@@ -303,44 +325,46 @@ impl ThreadCtx {
 
     /// Read `out.len()` bytes from global address `addr`.
     pub fn read_bytes(&mut self, addr: u64, out: &mut [u8]) {
-        let ps = self.cfg.page_size as u64;
-        let mut cursor = 0usize;
-        while cursor < out.len() {
-            let at = addr + cursor as u64;
-            let page = at / ps;
-            let off = (at % ps) as usize;
-            let take = ((ps as usize) - off).min(out.len() - cursor);
-            self.ensure_resident(page);
-            self.cache.read_page(page, off, &mut out[cursor..cursor + take]);
-            cursor += take;
+        for (page, off, range) in page_chunks(addr, out.len(), self.cfg.page_size) {
+            let at = self.ensure_resident(page);
+            let dst = &mut out[range];
+            dst.copy_from_slice(&self.cache.bytes(at)[off..off + dst.len()]);
         }
         self.charge_mem_ops(out.len());
     }
 
     /// Write `data` to global address `addr`, applying the RegC protocol.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        let ps = self.cfg.page_size as u64;
         let region = self.effective_region();
-        let mut cursor = 0usize;
-        while cursor < data.len() {
-            let at = addr + cursor as u64;
-            let page = at / ps;
-            let off = (at % ps) as usize;
-            let take = ((ps as usize) - off).min(data.len() - cursor);
-            self.ensure_resident(page);
-            let chunk = &data[cursor..cursor + take];
-            let outcome = self.cache.write_page(page, off, chunk, region);
-            if outcome.twin_created {
-                self.stats.twins_created += 1;
-                self.stats.hot.record_twin(page);
-                self.trace(|| EventKind::TwinCreate { page });
-            }
-            if outcome.log_fine_grain {
-                self.writeset.record(at, chunk);
-            }
-            cursor += take;
+        for (page, off, range) in page_chunks(addr, data.len(), self.cfg.page_size) {
+            let src = &data[range];
+            self.write_chunk(page, off, src.len(), region, |dst| dst.copy_from_slice(src));
         }
         self.charge_mem_ops(data.len());
+    }
+
+    /// Store to `len` bytes at `off` of `page` through the cache — `fill`
+    /// turns the current bytes into the new ones — and do the per-store
+    /// accounting: twin statistics and trace, fine-grain logging.
+    fn write_chunk(
+        &mut self,
+        page: u64,
+        off: usize,
+        len: usize,
+        region: RegionKind,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        let at = self.ensure_resident(page);
+        let outcome = self.cache.write(at, off, len, region, fill);
+        if outcome.twin_created {
+            self.stats.twins_created += 1;
+            self.stats.hot.record_twin(page);
+            self.trace(|| EventKind::TwinCreate { page });
+        }
+        if outcome.log_fine_grain {
+            let addr = page * self.cfg.page_size as u64 + off as u64;
+            self.writeset.record(addr, &self.cache.bytes(at)[off..off + len]);
+        }
     }
 
     /// Read one `f64`.
@@ -367,60 +391,52 @@ impl ThreadCtx {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 
-    /// Read `out.len()` consecutive `f64`s starting at `addr`.
+    /// Read `out.len()` consecutive `f64`s starting at `addr`, which must
+    /// be 8-byte aligned (elements never straddle pages).
     pub fn read_f64_slice(&mut self, addr: u64, out: &mut [f64]) {
-        let mut bytes = vec![0u8; out.len() * 8];
-        self.read_bytes(addr, &mut bytes);
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            out[i] = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        assert_eq!(addr % 8, 0, "f64 block at unaligned address {addr:#x}");
+        for (page, off, range) in page_chunks(addr, out.len() * 8, self.cfg.page_size) {
+            let at = self.ensure_resident(page);
+            let src = &self.cache.bytes(at)[off..off + range.len()];
+            for (v, b) in out[range.start / 8..range.end / 8].iter_mut().zip(src.chunks_exact(8)) {
+                *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+            }
         }
+        self.charge_mem_ops(out.len() * 8);
     }
 
-    /// Write `src` as consecutive `f64`s starting at `addr`.
+    /// Write `src` as consecutive `f64`s starting at `addr`, which must be
+    /// 8-byte aligned.
     pub fn write_f64_slice(&mut self, addr: u64, src: &[f64]) {
-        let mut bytes = Vec::with_capacity(src.len() * 8);
-        for v in src {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        assert_eq!(addr % 8, 0, "f64 block at unaligned address {addr:#x}");
+        let region = self.effective_region();
+        for (page, off, range) in page_chunks(addr, src.len() * 8, self.cfg.page_size) {
+            let vals = &src[range.start / 8..range.end / 8];
+            self.write_chunk(page, off, range.len(), region, |dst| {
+                for (b, v) in dst.chunks_exact_mut(8).zip(vals) {
+                    b.copy_from_slice(&v.to_le_bytes());
+                }
+            });
         }
-        self.write_bytes(addr, &bytes);
+        self.charge_mem_ops(src.len() * 8);
     }
 
-    /// Read-modify-write `n` consecutive `f64`s starting at `addr`:
-    /// `x[i] = f(i, x[i])`. One protocol application per touched page, two
-    /// memory operations charged per element — the bulk path the kernels
-    /// use for their inner loops.
+    /// Read-modify-write `n` consecutive `f64`s starting at the 8-byte
+    /// aligned `addr`: `x[i] = f(i, x[i])`. One protocol application per
+    /// touched page, two memory operations charged per element — the bulk
+    /// path the kernels use for their inner loops.
     pub fn update_f64s(&mut self, addr: u64, n: usize, mut f: impl FnMut(usize, f64) -> f64) {
-        let ps = self.cfg.page_size as u64;
+        assert_eq!(addr % 8, 0, "f64 block at unaligned address {addr:#x}");
         let region = self.effective_region();
         let mut idx = 0usize;
-        let mut cursor = 0u64;
-        let total = n as u64 * 8;
-        let mut scratch = Vec::new();
-        while cursor < total {
-            let at = addr + cursor;
-            let page = at / ps;
-            let off = (at % ps) as usize;
-            let take = (ps - at % ps).min(total - cursor) as usize;
-            debug_assert_eq!(take % 8, 0, "f64 elements straddling pages need 8-aligned addr");
-            self.ensure_resident(page);
-            scratch.resize(take, 0);
-            self.cache.read_page(page, off, &mut scratch);
-            for chunk in scratch.chunks_exact_mut(8) {
-                let v = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                let nv = f(idx, v);
-                chunk.copy_from_slice(&nv.to_le_bytes());
-                idx += 1;
-            }
-            let outcome = self.cache.write_page(page, off, &scratch, region);
-            if outcome.twin_created {
-                self.stats.twins_created += 1;
-                self.stats.hot.record_twin(page);
-                self.trace(|| EventKind::TwinCreate { page });
-            }
-            if outcome.log_fine_grain {
-                self.writeset.record(at, &scratch);
-            }
-            cursor += take as u64;
+        for (page, off, range) in page_chunks(addr, n * 8, self.cfg.page_size) {
+            self.write_chunk(page, off, range.len(), region, |dst| {
+                for b in dst.chunks_exact_mut(8) {
+                    let v = f64::from_le_bytes((&*b).try_into().expect("8-byte chunk"));
+                    b.copy_from_slice(&f(idx, v).to_le_bytes());
+                    idx += 1;
+                }
+            });
         }
         self.charge_mem_ops(n * 16); // one load + one store per element
     }
@@ -605,12 +621,14 @@ impl ThreadCtx {
     // Internals: residency, flushing
     // ------------------------------------------------------------------
 
-    /// Make `page` resident and valid, faulting (and prefetching) as needed.
-    fn ensure_resident(&mut self, page: u64) {
+    /// Make `page` resident and valid, faulting (and prefetching) as needed,
+    /// and stamp its line as used. The returned reference is what the read
+    /// or write that follows indexes the cache with: a hit costs one lookup.
+    fn ensure_resident(&mut self, page: u64) -> PageRef {
         let line = self.cache.line_of(page);
         let line_pages = self.cache.line_pages() as u32;
-        if self.cache.contains_line(line) {
-            if self.cache.page_state(page) == Some(PageState::Invalid) {
+        if let Some((at, state)) = self.cache.resolve(page) {
+            if state == PageState::Invalid {
                 let t0 = self.chan.now();
                 // Revalidation after invalidation notices: false-sharing
                 // refetch traffic. When several pages of the line were
@@ -657,8 +675,8 @@ impl ThreadCtx {
                 self.stats.hot.record_refetch(page);
                 self.record_fetch(page, fetched_pages, FetchKind::Refetch, t0);
             }
-            self.cache.touch_line(line);
-            return;
+            self.cache.touch(at);
+            return at;
         }
 
         let first_page = line * self.cache.line_pages() as u64;
@@ -693,12 +711,14 @@ impl ThreadCtx {
             self.demand_fetch_line(line);
             self.record_fetch(first_page, line_pages, FetchKind::Demand, t0);
         }
-        self.cache.touch_line(line);
+        let (at, _) = self.cache.resolve(page).expect("line was just installed");
+        self.cache.touch(at);
 
         // Anticipatory paging: ask for the adjacent line asynchronously.
         if self.cfg.prefetch {
             self.maybe_prefetch(line + 1);
         }
+        at
     }
 
     /// Fetch a whole line synchronously from its (effective) home.
@@ -727,9 +747,8 @@ impl ThreadCtx {
     /// (acks awaited at the next flush fence).
     fn make_room(&mut self) {
         while self.cache.is_full() {
-            let (line, victim) = self.cache.pop_victim().expect("full cache has lines");
+            let (line, diffs) = self.cache.evict().expect("full cache has lines");
             self.stats.evictions += 1;
-            let diffs = self.cache.diffs_of_evicted(victim);
             self.trace(|| EventKind::Evict { line, dirty_pages: diffs.len() as u32 });
             let mut batches = BTreeMap::new();
             for (page, diff) in diffs {
@@ -833,12 +852,20 @@ impl ThreadCtx {
         (pages, updates)
     }
 
-    /// Invalidate cached pages named by other threads' write notices.
+    /// Invalidate cached pages named by other threads' write notices — the
+    /// acquire half of every synchronization operation (public so a harness
+    /// can price it apart from the manager round trip that delivers them).
     ///
     /// Prefetched data covering a noticed page is as stale as a cached copy:
     /// completed prefetches are dropped and in-flight ones poisoned so their
     /// responses are discarded on arrival (a demand miss will refetch).
-    fn apply_notices(&mut self, notices: &[Arc<WriteNotice>]) {
+    ///
+    /// Costs one page-table probe per named page and does the rest only for
+    /// pages that are resident or prefetched: a barrier release hands each
+    /// of P threads P-1 notices, nearly all about pages it never touched.
+    pub fn apply_notices(&mut self, notices: &[Arc<WriteNotice>]) {
+        // Applying notices sends nothing, so no prefetch can appear midway.
+        let prefetching = !self.chan.prefetch_idle();
         for n in notices {
             if n.writer == self.tid {
                 continue;
@@ -849,12 +876,15 @@ impl ThreadCtx {
                     self.stats.hot.record_invalidate(page);
                     self.trace(|| EventKind::Invalidate { page, writer: n.writer });
                 }
-                self.poison_prefetch(page);
+                if prefetching {
+                    self.poison_prefetch(page);
+                }
             }
             for u in &n.updates {
-                // A page named in the same notice's invalidation list is
-                // already stale as a whole; skip its carried bytes.
-                if n.pages.contains(&u.page) {
+                // A page named in the same notice's invalidation list
+                // (sorted: see `IntervalLog::publish`) is already stale as
+                // a whole; skip its carried bytes.
+                if n.pages.binary_search(&u.page).is_ok() {
                     continue;
                 }
                 if self.cache.apply_update(u.page, u.offset as usize, &u.bytes) {
@@ -862,7 +892,9 @@ impl ThreadCtx {
                 }
                 // Prefetched copies may predate the home's version of this
                 // update (the fetch raced the flush): drop/poison them.
-                self.poison_prefetch(u.page);
+                if prefetching {
+                    self.poison_prefetch(u.page);
+                }
             }
         }
     }
@@ -934,5 +966,105 @@ impl ThreadCtx {
         stats.mgr_wait_ns = end_waits.mgr - self.epoch_waits.mgr;
         stats.flush_wait_ns = end_waits.flush - self.epoch_waits.flush;
         (stats, self.chan.take_trace())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::system::Samhita;
+
+    fn notice(seq: u64, pages: Vec<u64>, updates: Vec<FineUpdate>) -> Arc<WriteNotice> {
+        Arc::new(WriteNotice { seq, writer: u32::MAX, pages, updates })
+    }
+
+    /// A system plus the first line of a 32-line region nothing else uses.
+    fn system(prefetch: bool) -> (Samhita, u64) {
+        let cfg = SamhitaConfig { prefetch, ..SamhitaConfig::small_for_tests() };
+        let line_bytes = cfg.line_bytes() as u64;
+        let sys = Samhita::new(cfg);
+        let base = sys.alloc_global(33 * line_bytes);
+        (sys, base.div_ceil(line_bytes))
+    }
+
+    /// Overwrite `page` at its home behind this thread's cache, as another
+    /// thread's flush would have by the time its notice arrives.
+    fn write_home(ctx: &mut ThreadCtx, page: u64, fill: u8) {
+        let home = ctx.home_map.home_of_page(PageId(page));
+        let bytes = vec![fill; ctx.cfg.page_size];
+        let req = MemRequest::ApplyFine { page: PageId(page), offset: 0, bytes };
+        ctx.chan.send_update(home, MsgClass::Update, req);
+        ctx.chan.drain_acks();
+    }
+
+    #[test]
+    fn a_notice_drops_a_ready_prefetch_and_poisons_one_in_flight() {
+        let (sys, first_line) = system(true);
+        sys.run(1, |ctx| {
+            let line_pages = ctx.cache.line_pages() as u64;
+            let ps = ctx.cfg.page_size as u64;
+            let addr_of = |line: u64| line * line_pages * ps;
+
+            // Ready: miss on L prefetches L+1; blocking on a far line's
+            // fetch lets the prefetched copy arrive and be filed.
+            let stale = first_line + 1;
+            ctx.read_u64(addr_of(first_line));
+            ctx.read_u64(addr_of(first_line + 4));
+            assert!(ctx.chan.prefetch_ready_for(stale), "prefetch of L+1 should have landed");
+            write_home(ctx, stale * line_pages, 0xAB);
+            ctx.apply_notices(&[notice(1, vec![stale * line_pages], vec![])]);
+            assert!(!ctx.chan.prefetch_pending_for(stale), "the completed copy is dropped");
+            let misses = ctx.stats.line_misses;
+            assert_eq!(ctx.read_u64(addr_of(stale)), u64::from_le_bytes([0xAB; 8]));
+            assert_eq!(ctx.stats.line_misses, misses + 1, "the access demand-fetches");
+
+            // In flight: the notice (here one that carries the bytes)
+            // arrives before the prefetch response does.
+            let racing = first_line + 17;
+            ctx.read_u64(addr_of(racing - 1));
+            assert!(ctx.chan.prefetch_pending_for(racing) && !ctx.chan.prefetch_ready_for(racing));
+            let update = FineUpdate { page: racing * line_pages, offset: 0, bytes: vec![0xCD; 8] };
+            ctx.apply_notices(&[notice(2, vec![], vec![update])]);
+            assert!(!ctx.chan.prefetch_pending_for(racing), "the in-flight prefetch is disowned");
+            write_home(ctx, racing * line_pages, 0xCD);
+            let misses = ctx.stats.line_misses;
+            assert_eq!(ctx.read_u64(addr_of(racing)), u64::from_le_bytes([0xCD; 8]));
+            assert_eq!(ctx.stats.line_misses, misses + 1, "the access demand-fetches");
+            assert!(!ctx.chan.prefetch_ready_for(racing), "the late response is discarded");
+
+            assert_eq!((ctx.stats.prefetch_hits, ctx.stats.prefetch_late), (0, 0));
+            assert_eq!(ctx.stats.invalidations, 0, "neither line was in the cache");
+        });
+    }
+
+    #[test]
+    fn notices_for_pages_not_held_cost_nothing() {
+        let (sys, first_line) = system(false);
+        sys.run(1, |ctx| {
+            let line_pages = ctx.cache.line_pages() as u64;
+            let held = first_line * line_pages;
+            ctx.read_u64(held * ctx.cfg.page_size as u64);
+            assert!(ctx.chan.prefetch_idle());
+
+            // A 256-thread barrier release: 255 notices, each a few pages
+            // and a carried update, none of them here.
+            let elsewhere = held + 4 * line_pages;
+            let notices: Vec<_> = (0..255u64)
+                .map(|w| {
+                    let update =
+                        FineUpdate { page: elsewhere + w % 7, offset: 8, bytes: vec![1; 8] };
+                    notice(w + 1, (elsewhere..elsewhere + 1 + w % 5).collect(), vec![update])
+                })
+                .collect();
+            let before = (ctx.now(), ctx.stats.invalidations, ctx.stats.hot.clone());
+            ctx.apply_notices(&notices);
+            assert_eq!((ctx.now(), ctx.stats.invalidations, ctx.stats.hot.clone()), before);
+            assert_eq!(ctx.cache.page_state(held), Some(PageState::Clean));
+
+            // The same call does invalidate what is held.
+            ctx.apply_notices(&[notice(256, vec![held], vec![])]);
+            assert_eq!(ctx.stats.invalidations, before.1 + 1);
+            assert_eq!(ctx.cache.page_state(held), Some(PageState::Invalid));
+        });
     }
 }

@@ -19,11 +19,13 @@
 //! `samhita-core`; keeping the engine transport-free makes it directly
 //! testable.
 
+pub mod intmap;
 pub mod page;
 pub mod server;
 pub mod store;
 pub mod stripe;
 
+pub use intmap::{IntMap, IntSet};
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use server::{MemRequest, MemResponse, MemoryServer, ServerStats, ServiceModel};
 pub use store::PageStore;

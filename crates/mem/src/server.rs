@@ -227,19 +227,17 @@ impl MemoryServer {
                 // is charged here.
                 let _prof = samhita_prof::enter(samhita_prof::Phase::BatchApply);
                 let service = self.model.batch_apply_ns();
-                let mut parts = 0u32;
-                for part in batch.into_parts() {
-                    parts += 1;
+                for part in batch.parts() {
                     match part {
                         UpdatePart::Diff { page, diff } => {
-                            self.apply_diff_part(PageId(page), &diff);
+                            self.apply_diff_part(PageId(*page), diff);
                         }
                         UpdatePart::Fine { page, offset, bytes } => {
-                            self.apply_fine_part(PageId(page), offset, &bytes);
+                            self.apply_fine_part(PageId(*page), *offset, bytes);
                         }
                     }
                 }
-                (MemResponse::BatchAck { parts }, service)
+                (MemResponse::BatchAck { parts: batch.len() as u32 }, service)
             }
         };
         let (_start, done) = self.resource.reserve(arrival, service);

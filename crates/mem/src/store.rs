@@ -4,10 +4,9 @@
 //! carry a version counter bumped by every mutation; versions let the cache
 //! side detect stale prefetches and make the protocol auditable in tests.
 
-use std::collections::HashMap;
-
 use samhita_regc::Diff;
 
+use crate::intmap::IntMap;
 use crate::page::PageId;
 
 /// One stored page.
@@ -36,7 +35,7 @@ impl PageFrame {
 /// All pages homed on one memory server.
 #[derive(Debug)]
 pub struct PageStore {
-    pages: HashMap<PageId, PageFrame>,
+    pages: IntMap<PageId, PageFrame>,
     page_size: usize,
 }
 
@@ -44,7 +43,7 @@ impl PageStore {
     /// An empty store serving pages of `page_size` bytes.
     pub fn new(page_size: usize) -> Self {
         assert!(page_size >= 64 && page_size.is_power_of_two(), "unreasonable page size");
-        PageStore { pages: HashMap::new(), page_size }
+        PageStore { pages: IntMap::default(), page_size }
     }
 
     /// The configured page size.

@@ -14,6 +14,13 @@
 //! conservation (thread-side flushed bytes == server-side applied bytes)
 //! therefore holds part by part, which is what keeps the trace invariant
 //! checker exact under batching.
+//!
+//! A batch is built once and then only read — by the fabric envelope, by the
+//! sender's retransmit ledger, by a write-through replica copy, by the
+//! server — so its parts sit behind an `Arc`: cloning a batch is a
+//! reference count, whatever its diffs weigh.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -75,7 +82,8 @@ impl UpdatePart {
 /// re-applying *any* of its parts.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UpdateBatch {
-    parts: Vec<UpdatePart>,
+    /// Shared by every clone; [`UpdateBatch::push`] un-shares first.
+    parts: Arc<Vec<UpdatePart>>,
 }
 
 impl UpdateBatch {
@@ -87,9 +95,11 @@ impl UpdateBatch {
         UpdateBatch::default()
     }
 
-    /// Append one part (parts are applied in push order).
+    /// Append one part (parts are applied in push order). Free while the
+    /// batch has never been cloned — the building phase; on a batch that
+    /// shares its parts it copies them first, so clones never change.
     pub fn push(&mut self, part: UpdatePart) {
-        self.parts.push(part);
+        Arc::make_mut(&mut self.parts).push(part);
     }
 
     /// Number of parts.
@@ -105,11 +115,6 @@ impl UpdateBatch {
     /// Iterate over the parts in application order.
     pub fn parts(&self) -> impl Iterator<Item = &UpdatePart> {
         self.parts.iter()
-    }
-
-    /// Consume the batch, yielding the parts in application order.
-    pub fn into_parts(self) -> Vec<UpdatePart> {
-        self.parts
     }
 
     /// Total payload bytes across all parts.
@@ -147,7 +152,23 @@ mod tests {
         assert_eq!(b.len(), 2);
         let pages: Vec<u64> = b.parts().map(UpdatePart::page).collect();
         assert_eq!(pages, vec![3, 5]);
-        assert_eq!(b.into_parts().len(), 2);
+    }
+
+    #[test]
+    fn clones_share_storage_until_a_push() {
+        let mut b = UpdateBatch::new();
+        b.push(diff_part(3, 0, vec![1; 4096]));
+        b.push(UpdatePart::Fine { page: 5, offset: 16, bytes: vec![2; 4] });
+        // A clone taken after the last push is the same storage.
+        let shared = b.clone();
+        assert!(Arc::ptr_eq(&b.parts, &shared.parts));
+        // A push after the clone lands in a private copy.
+        b.push(diff_part(7, 8, vec![3; 8]));
+        assert!(!Arc::ptr_eq(&b.parts, &shared.parts));
+        assert_eq!(b.len(), 3);
+        assert_eq!(shared.len(), 2);
+        assert_eq!(shared.parts().map(UpdatePart::page).collect::<Vec<_>>(), vec![3, 5]);
+        assert_eq!(shared.wire_bytes(), b.wire_bytes() - (16 + 8 + 8));
     }
 
     #[test]

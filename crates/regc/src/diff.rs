@@ -6,6 +6,16 @@
 //! disjoint — which RegC guarantees for correctly synchronized programs
 //! (conflicting unsynchronized stores to the *same word* are a data race in
 //! the source program; like the original system, last-writer-wins applies).
+//!
+//! ## Representation
+//!
+//! A diff is a flat run table — one `(offset, len)` pair per run — over a
+//! single payload buffer holding the runs' bytes back to back, so a page's
+//! diff costs two allocations however fragmented it is, and
+//! [`Diff::payload_bytes`] / [`Diff::wire_bytes`] are O(1).
+//! [`Diff::compute`] costs time proportional to what changed: equal
+//! stretches are skipped 64 bytes at a time, and each maximal run of
+//! changed words is copied once.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,63 +23,69 @@ use serde::{Deserialize, Serialize};
 /// `f64`/`u64`-dominated workloads of the paper and keeps run tables small.
 pub const WORD: usize = 8;
 
-/// One contiguous run of modified bytes within a page.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiffRun {
-    /// Byte offset of the run within the page.
-    pub offset: u32,
-    /// The new bytes.
-    pub bytes: Vec<u8>,
-}
+/// Equal stretches are skipped this many bytes at a time (one `memcmp` over
+/// eight words) before falling back to single words.
+const CHUNK: usize = 8 * WORD;
+
+/// Wire bytes of one run's `(offset, len)` header.
+const RUN_HEADER_BYTES: usize = 8;
 
 /// The set of modified runs of one page, relative to its twin.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Diff {
-    runs: Vec<DiffRun>,
+    /// `(offset, len)` of each run within the page, in ascending order.
+    runs: Vec<(u32, u32)>,
+    /// The runs' new bytes, back to back in table order.
+    payload: Vec<u8>,
 }
 
 impl Diff {
     /// Compare `current` against the pristine `twin` and collect changed
-    /// words into coalesced runs.
+    /// words into coalesced runs. A tail shorter than a word (odd page
+    /// sizes only) is compared as one short word.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
     pub fn compute(twin: &[u8], current: &[u8]) -> Diff {
         let _prof = samhita_prof::enter(samhita_prof::Phase::RegcDiff);
         assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
-        let mut runs: Vec<DiffRun> = Vec::new();
-        let mut open: Option<DiffRun> = None;
-
-        let push_word =
-            |runs: &mut Vec<DiffRun>, open: &mut Option<DiffRun>, at: usize, bytes: &[u8]| {
-                match open {
-                    Some(run) if run.offset as usize + run.bytes.len() == at => {
-                        run.bytes.extend_from_slice(bytes);
-                    }
-                    _ => {
-                        if let Some(run) = open.take() {
-                            runs.push(run);
-                        }
-                        *open = Some(DiffRun { offset: at as u32, bytes: bytes.to_vec() });
-                    }
-                }
-            };
-
-        let mut at = 0;
-        while at + WORD <= twin.len() {
-            if twin[at..at + WORD] != current[at..at + WORD] {
-                push_word(&mut runs, &mut open, at, &current[at..at + WORD]);
+        let len = twin.len();
+        // Whole words compare as one fixed-size load each; only the tail
+        // takes the variable-length path.
+        let whole = len - len % WORD;
+        let changed = |at: usize| {
+            if at < whole {
+                twin[at..at + WORD] != current[at..at + WORD]
+            } else {
+                twin[at..] != current[at..]
             }
-            at += WORD;
+        };
+        let mut diff = Diff::default();
+        let mut at = 0;
+        while at < len {
+            while at + CHUNK <= len && twin[at..at + CHUNK] == current[at..at + CHUNK] {
+                at += CHUNK;
+            }
+            while at < len && !changed(at) {
+                at += WORD;
+            }
+            // Stepping over a short tail overshoots `len`.
+            let start = at.min(len);
+            while at < len && changed(at) {
+                at += WORD;
+            }
+            diff.push_run(start, &current[start..at.min(len)]);
         }
-        // Tail shorter than a word (only for odd page sizes).
-        if at < twin.len() && twin[at..] != current[at..] {
-            push_word(&mut runs, &mut open, at, &current[at..]);
+        diff
+    }
+
+    /// Append one run; an empty one (the scan reached the end of the page)
+    /// is dropped.
+    fn push_run(&mut self, offset: usize, bytes: &[u8]) {
+        if !bytes.is_empty() {
+            self.runs.push((offset as u32, bytes.len() as u32));
+            self.payload.extend_from_slice(bytes);
         }
-        if let Some(run) = open {
-            runs.push(run);
-        }
-        Diff { runs }
     }
 
     /// A diff consisting of a single explicit run (used for fine-grain
@@ -78,7 +94,7 @@ impl Diff {
         if bytes.is_empty() {
             return Diff::default();
         }
-        Diff { runs: vec![DiffRun { offset, bytes }] }
+        Diff { runs: vec![(offset, bytes.len() as u32)], payload: bytes }
     }
 
     /// Apply the runs to `target` (the home's copy of the page).
@@ -86,11 +102,11 @@ impl Diff {
     /// # Panics
     /// Panics if a run falls outside `target`.
     pub fn apply(&self, target: &mut [u8]) {
-        for run in &self.runs {
-            let start = run.offset as usize;
-            let end = start + run.bytes.len();
+        for (offset, bytes) in self.runs() {
+            let start = offset as usize;
+            let end = start + bytes.len();
             assert!(end <= target.len(), "diff run out of page bounds");
-            target[start..end].copy_from_slice(&run.bytes);
+            target[start..end].copy_from_slice(bytes);
         }
     }
 
@@ -106,17 +122,22 @@ impl Diff {
 
     /// Payload bytes (what travels on the wire, excluding headers).
     pub fn payload_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.bytes.len()).sum()
+        self.payload.len()
     }
 
     /// Wire size estimate: payload plus one (offset,len) header per run.
     pub fn wire_bytes(&self) -> usize {
-        self.payload_bytes() + self.runs.len() * 8
+        self.payload.len() + self.runs.len() * RUN_HEADER_BYTES
     }
 
-    /// Iterate over the runs.
-    pub fn runs(&self) -> impl Iterator<Item = &DiffRun> {
-        self.runs.iter()
+    /// Iterate over the runs as `(page offset, new bytes)`, ascending.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> {
+        let mut rest = self.payload.as_slice();
+        self.runs.iter().map(move |&(offset, len)| {
+            let (bytes, tail) = rest.split_at(len as usize);
+            rest = tail;
+            (offset, bytes)
+        })
     }
 }
 
@@ -246,6 +267,28 @@ mod tests {
     }
 }
 
+/// The algorithm [`Diff::compute`] replaced, kept as the differential
+/// oracle: one comparison and one `extend_from_slice` per changed word, each
+/// run owning its own `Vec`.
+#[cfg(test)]
+fn compute_word_by_word(twin: &[u8], current: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let mut runs: Vec<(u32, Vec<u8>)> = Vec::new();
+    let mut at = 0;
+    while at < twin.len() {
+        let end = (at + WORD).min(twin.len());
+        if twin[at..end] != current[at..end] {
+            match runs.last_mut() {
+                Some((offset, bytes)) if *offset as usize + bytes.len() == at => {
+                    bytes.extend_from_slice(&current[at..end]);
+                }
+                _ => runs.push((at as u32, current[at..end].to_vec())),
+            }
+        }
+        at = end;
+    }
+    runs
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -284,10 +327,10 @@ mod proptests {
             prop_assert!(d.payload_bytes() <= twin.len());
             prop_assert_eq!(d.is_empty(), twin == cur);
             let mut prev_end = 0usize;
-            for run in d.runs() {
-                prop_assert!(run.offset as usize >= prev_end, "runs overlap or unsorted");
-                prop_assert!(!run.bytes.is_empty());
-                prev_end = run.offset as usize + run.bytes.len();
+            for (offset, bytes) in d.runs() {
+                prop_assert!(offset as usize >= prev_end, "runs overlap or unsorted");
+                prop_assert!(!bytes.is_empty());
+                prev_end = offset as usize + bytes.len();
             }
             prop_assert!(prev_end <= twin.len());
         }
@@ -317,5 +360,63 @@ mod proptests {
             da.apply(&mut ba);
             prop_assert_eq!(ab, ba);
         }
+
+        /// Old algorithm vs new over sparse, dense, alternating-word and
+        /// odd-length pages: same run table, same byte counts, and the
+        /// diff still rebuilds `current` from `twin`.
+        #[test]
+        fn matches_the_word_by_word_oracle((twin, cur) in oracle_pair()) {
+            let d = Diff::compute(&twin, &cur);
+            let want = compute_word_by_word(&twin, &cur);
+            let got: Vec<(u32, Vec<u8>)> = d.runs().map(|(o, b)| (o, b.to_vec())).collect();
+            prop_assert_eq!(&got, &want);
+            let payload: usize = want.iter().map(|(_, b)| b.len()).sum();
+            prop_assert_eq!(d.run_count(), want.len());
+            prop_assert_eq!(d.payload_bytes(), payload);
+            prop_assert_eq!(d.wire_bytes(), payload + want.len() * 8);
+            let mut out = twin.clone();
+            d.apply(&mut out);
+            prop_assert_eq!(out, cur);
+        }
+    }
+
+    /// A twin and a mutation of it in one of four shapes, at a length that
+    /// is a whole number of chunks, a whole number of words, or neither
+    /// (tail < 8 B).
+    fn oracle_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+        (
+            prop_oneof![Just(512usize), Just(4096), Just(200), Just(4093), Just(7), Just(75)],
+            0u8..4,
+            proptest::collection::vec((any::<u16>(), 1u8..=255), 0..24),
+        )
+            .prop_map(|(len, shape, picks)| {
+                let twin: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+                let mut cur = twin.clone();
+                match shape {
+                    // Sparse: a few single bytes.
+                    0 => {
+                        for (at, flip) in picks {
+                            cur[at as usize % len] ^= flip;
+                        }
+                    }
+                    // Dense: every byte.
+                    1 => cur.iter_mut().for_each(|b| *b ^= 0x5A),
+                    // Alternating words: the worst case for run count.
+                    2 => {
+                        for word in cur.chunks_mut(WORD).step_by(2) {
+                            word[0] ^= 0xFF;
+                        }
+                    }
+                    // Stretches of whole words, some adjacent, some reaching the tail.
+                    _ => {
+                        for (at, flip) in picks {
+                            let start = at as usize % len;
+                            let end = (start + flip as usize).min(len);
+                            cur[start..end].iter_mut().for_each(|b| *b ^= flip);
+                        }
+                    }
+                }
+                (twin, cur)
+            })
     }
 }

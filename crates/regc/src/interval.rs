@@ -45,7 +45,7 @@ pub struct WriteNotice {
     pub seq: u64,
     /// The writing thread.
     pub writer: u32,
-    /// Global page numbers modified in ordinary regions.
+    /// Global page numbers modified in ordinary regions, ascending.
     pub pages: Vec<u64>,
     /// Fine-grain updates from consistency regions.
     pub updates: Vec<FineUpdate>,
@@ -79,7 +79,11 @@ impl IntervalLog {
 
     /// Publish an interval for `writer`. Empty intervals are skipped (no
     /// notice needed) and return the current sequence watermark.
+    ///
+    /// `pages` must be strictly ascending — a flush hands them over from an
+    /// ordered set — because receivers binary-search the list.
     pub fn publish(&mut self, writer: u32, pages: Vec<u64>, updates: Vec<FineUpdate>) -> u64 {
+        debug_assert!(pages.windows(2).all(|w| w[0] < w[1]), "notice pages not ascending");
         if pages.is_empty() && updates.is_empty() {
             return self.next_seq - 1;
         }
