@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use samhita_regc::{FineUpdate, IntervalLog, WriteNotice};
 use samhita_sched::{Scheduler, TaskRef};
 use samhita_scl::SimTime;
@@ -28,10 +28,10 @@ use samhita_scl::SimTime;
 struct LocalLock {
     held: bool,
     free_at: SimTime,
-    /// Deterministic-scheduler tasks blocked on this lock. The releaser
-    /// wakes all of them at `free_at`; the scheduler's seeded virtual-time
-    /// tie-break then decides the (reproducible) grant order.
-    det_waiters: Vec<TaskRef>,
+    /// Scheduler tasks blocked on this lock. The releaser wakes all of
+    /// them at `free_at`; the scheduler's seeded virtual-time tie-break then
+    /// decides the (reproducible) grant order.
+    waiters: Vec<TaskRef>,
 }
 
 struct LocalBarrier {
@@ -40,9 +40,9 @@ struct LocalBarrier {
     epoch: u64,
     max_clock: SimTime,
     release_at: SimTime,
-    /// Deterministic-scheduler tasks blocked on this episode; the last
-    /// arrival wakes all of them at the release time.
-    det_waiters: Vec<TaskRef>,
+    /// Scheduler tasks blocked on this episode; the last arrival wakes all
+    /// of them at the release time.
+    waiters: Vec<TaskRef>,
 }
 
 struct Inner {
@@ -72,7 +72,11 @@ pub struct LocalSyncStats {
 pub struct LocalSync {
     cost: SimTime,
     inner: Mutex<Inner>,
-    cv: Condvar,
+}
+
+/// The scheduler task of the calling code: the only way to wait here.
+fn current_task() -> TaskRef {
+    Scheduler::current().expect("LocalSync can only block inside a scheduler task")
 }
 
 impl LocalSync {
@@ -86,7 +90,6 @@ impl LocalSync {
                 barriers: Vec::new(),
                 stats: LocalSyncStats::default(),
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -95,7 +98,7 @@ impl LocalSync {
     /// both places so handles stay interchangeable.
     pub fn create_lock(&self) -> u32 {
         let mut g = self.inner.lock();
-        g.locks.push(LocalLock { held: false, free_at: SimTime::ZERO, det_waiters: Vec::new() });
+        g.locks.push(LocalLock { held: false, free_at: SimTime::ZERO, waiters: Vec::new() });
         (g.locks.len() - 1) as u32
     }
 
@@ -109,14 +112,14 @@ impl LocalSync {
             epoch: 0,
             max_clock: SimTime::ZERO,
             release_at: SimTime::ZERO,
-            det_waiters: Vec::new(),
+            waiters: Vec::new(),
         });
         (g.barriers.len() - 1) as u32
     }
 
     /// Acquire `lock`, publishing `pages` as this thread's flush interval.
-    /// Blocks (physically) until the lock is free. Returns the virtual grant
-    /// time plus unseen write notices.
+    /// Parks the calling scheduler task until the lock is free. Returns the
+    /// virtual grant time plus unseen write notices.
     pub fn acquire(
         &self,
         lock: u32,
@@ -128,22 +131,16 @@ impl LocalSync {
     ) -> (SimTime, Vec<Arc<WriteNotice>>, u64) {
         let mut g = self.inner.lock();
         g.intervals.publish(tid, pages, updates);
-        if let Some(task) = Scheduler::current() {
-            // Deterministic path: park instead of condvar-waiting; the
-            // releaser wakes every waiter at its free_at, and the seeded
-            // virtual-time tie-break decides who re-acquires first. Losers
-            // (and barging fresh arrivals that run earlier in virtual time)
-            // simply re-register and park again.
-            while g.locks[lock as usize].held {
-                g.locks[lock as usize].det_waiters.push(task.clone());
-                drop(g);
-                task.park();
-                g = self.inner.lock();
-            }
-        } else {
-            while g.locks[lock as usize].held {
-                self.cv.wait(&mut g);
-            }
+        // The releaser wakes every waiter at its free_at, and the seeded
+        // virtual-time tie-break decides who re-acquires first. Losers (and
+        // barging fresh arrivals that run earlier in virtual time) simply
+        // re-register and park again.
+        while g.locks[lock as usize].held {
+            let task = current_task();
+            g.locks[lock as usize].waiters.push(task.clone());
+            drop(g);
+            task.park();
+            g = self.inner.lock();
         }
         let l = &mut g.locks[lock as usize];
         l.held = true;
@@ -185,12 +182,11 @@ impl LocalSync {
         l.held = false;
         l.free_at = now + self.cost;
         let free_at = l.free_at;
-        let waiters = std::mem::take(&mut l.det_waiters);
+        let waiters = std::mem::take(&mut l.waiters);
         drop(g);
         for w in waiters {
             w.wake_at(free_at.as_ns());
         }
-        self.cv.notify_all();
     }
 
     /// Publish a final flush interval without any synchronization (thread
@@ -199,9 +195,9 @@ impl LocalSync {
         self.inner.lock().intervals.publish(tid, pages, updates);
     }
 
-    /// Enter `barrier` at virtual time `now`, publishing `pages`. Blocks
-    /// until all parties arrive. Returns the virtual release time plus
-    /// unseen write notices.
+    /// Enter `barrier` at virtual time `now`, publishing `pages`. Parks the
+    /// calling scheduler task until all parties arrive. Returns the virtual
+    /// release time plus unseen write notices.
     pub fn barrier_wait(
         &self,
         barrier: u32,
@@ -225,24 +221,19 @@ impl LocalSync {
                 b.epoch += 1;
                 b.arrived = 0;
                 b.max_clock = SimTime::ZERO;
-                released = std::mem::take(&mut b.det_waiters);
+                released = std::mem::take(&mut b.waiters);
             }
         }
         if g.barriers[idx].epoch == my_epoch {
-            // Not released yet: wait for the epoch to advance.
-            if let Some(task) = Scheduler::current() {
-                // The epoch re-check absorbs spurious wake-ups (a fabric
-                // delivery targeting this task while it waits here).
-                while g.barriers[idx].epoch == my_epoch {
-                    g.barriers[idx].det_waiters.push(task.clone());
-                    drop(g);
-                    task.park();
-                    g = self.inner.lock();
-                }
-            } else {
-                while g.barriers[idx].epoch == my_epoch {
-                    self.cv.wait(&mut g);
-                }
+            // Not released yet: wait for the epoch to advance. The epoch
+            // re-check absorbs spurious wake-ups (a fabric delivery
+            // targeting this task while it waits here).
+            let task = current_task();
+            while g.barriers[idx].epoch == my_epoch {
+                g.barriers[idx].waiters.push(task.clone());
+                drop(g);
+                task.park();
+                g = self.inner.lock();
             }
         } else {
             // Last arrival: release everyone and continue without yielding
@@ -252,7 +243,6 @@ impl LocalSync {
             for w in released {
                 w.wake_at(release_ns);
             }
-            self.cv.notify_all();
             g = self.inner.lock();
         }
         let at = g.barriers[idx].release_at;
@@ -265,7 +255,7 @@ impl LocalSync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn lock_grant_never_precedes_previous_release() {
@@ -283,78 +273,70 @@ mod tests {
         assert_eq!(wm, 1);
     }
 
+    /// Run `body(tid)` for `tid in 0..n` as coroutine tasks of a fresh
+    /// scheduler, all ready at virtual time zero.
+    fn run_tasks<T: Send>(n: u32, body: impl Fn(u32) -> T + Sync) -> Vec<T> {
+        let sched = Scheduler::new(0);
+        let host = sched.register_running();
+        let body = &body;
+        host.run_coroutines((0..n).map(|tid| (sched.register_ready(0), move || body(tid))))
+    }
+
     #[test]
     fn barrier_releases_at_max_clock_across_threads() {
-        let s = Arc::new(LocalSync::new(50));
+        let s = LocalSync::new(50);
         let b = s.create_barrier(4);
-        let handles: Vec<_> = (0..4u32)
-            .map(|tid| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    let now = SimTime::from_ns(1000 * (tid as u64 + 1));
-                    let (at, _, _) = s.barrier_wait(b, tid, now, vec![tid as u64], vec![], 0);
-                    at
-                })
-            })
-            .collect();
-        let times: Vec<SimTime> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let times = run_tasks(4, |tid| {
+            let now = SimTime::from_ns(1000 * (tid as u64 + 1));
+            s.barrier_wait(b, tid, now, vec![tid as u64], vec![], 0).0
+        });
         assert!(times.iter().all(|&t| t == SimTime::from_ns(4050)), "{times:?}");
     }
 
     #[test]
     fn barrier_delivers_all_notices_once_per_episode() {
-        let s = Arc::new(LocalSync::new(50));
+        let s = LocalSync::new(50);
         let b = s.create_barrier(2);
-        let s2 = Arc::clone(&s);
-        let h = std::thread::spawn(move || {
-            s2.barrier_wait(b, 1, SimTime::ZERO, vec![10, 11], vec![], 0)
+        let pages = [vec![20], vec![10, 11]];
+        let first = run_tasks(2, |tid| {
+            s.barrier_wait(b, tid, SimTime::ZERO, pages[tid as usize].clone(), vec![], 0)
         });
-        let (_, notices, wm) = s.barrier_wait(b, 0, SimTime::ZERO, vec![20], vec![], 0);
-        let (_, notices2, wm2) = h.join().unwrap();
-        assert_eq!(notices.len(), 2);
-        assert_eq!(notices2.len(), 2);
-        assert_eq!(wm, 2);
-        assert_eq!(wm2, 2);
+        for (_, notices, wm) in &first {
+            assert_eq!(notices.len(), 2);
+            assert_eq!(*wm, 2);
+        }
         // Second episode: carrying the watermark forward yields only new
         // notices.
-        let s2 = Arc::clone(&s);
-        let h =
-            std::thread::spawn(move || s2.barrier_wait(b, 1, SimTime::ZERO, vec![], vec![], wm));
-        let (_, notices, _) = s.barrier_wait(b, 0, SimTime::ZERO, vec![30], vec![], wm);
-        let (_, notices2, _) = h.join().unwrap();
-        assert_eq!(notices.len(), 1);
-        assert_eq!(notices2.len(), 1);
-        assert_eq!(notices[0].pages, vec![30]);
+        let second = run_tasks(2, |tid| {
+            let pages = if tid == 0 { vec![30] } else { vec![] };
+            s.barrier_wait(b, tid, SimTime::ZERO, pages, vec![], 2)
+        });
+        for (_, notices, _) in &second {
+            assert_eq!(notices.len(), 1);
+            assert_eq!(notices[0].pages, vec![30]);
+        }
     }
 
+    /// Holders give the baton away inside the critical section, so every
+    /// other task gets to run — and to barge — while the lock is held.
     #[test]
-    fn mutual_exclusion_holds_physically() {
-        let s = Arc::new(LocalSync::new(10));
+    fn mutual_exclusion_holds_across_yields() {
+        let s = LocalSync::new(10);
         let l = s.create_lock();
-        let counter = Arc::new(parking_lot::Mutex::new((0u64, false)));
-        let handles: Vec<_> = (0..8u32)
-            .map(|tid| {
-                let s = Arc::clone(&s);
-                let counter = Arc::clone(&counter);
-                std::thread::spawn(move || {
-                    for i in 0..100u64 {
-                        let (at, _, _) = s.acquire(l, tid, SimTime::from_ns(i), vec![], vec![], 0);
-                        {
-                            let mut g = counter.lock();
-                            assert!(!g.1, "two threads inside the critical section");
-                            g.1 = true;
-                            g.0 += 1;
-                            g.1 = false;
-                        }
-                        s.release(l, tid, at + SimTime::from_ns(5), vec![], vec![]);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.lock().0, 800);
+        let inside = std::sync::atomic::AtomicBool::new(false);
+        let entries = run_tasks(8, |tid| {
+            let me = current_task();
+            for i in 0..100u64 {
+                let (at, _, _) = s.acquire(l, tid, SimTime::from_ns(i), vec![], vec![], 0);
+                assert!(!inside.swap(true, Ordering::Relaxed), "two tasks inside the section");
+                me.yield_until(at.as_ns() + 5);
+                inside.store(false, Ordering::Relaxed);
+                s.release(l, tid, at + SimTime::from_ns(5), vec![], vec![]);
+            }
+            100u64
+        });
+        assert_eq!(entries.iter().sum::<u64>(), 800);
+        assert_eq!(s.stats().acquires, 800);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! (the code that owns the `Samhita` value) interacts through a control
 //! client: it can allocate global memory, create synchronization objects,
 //! and initialize / inspect global memory outside of timed runs.
-//! [`Samhita::run`] then spawns compute threads, hands each a
-//! [`ThreadCtx`], and collects a [`RunReport`].
+//! [`Samhita::run`] then runs the compute threads as coroutine tasks on the
+//! calling thread, hands each a [`ThreadCtx`], and collects a [`RunReport`].
 //!
 //! For timing experiments, create a fresh instance per measured run: virtual
 //! service clocks (manager, memory servers) advance monotonically across
@@ -76,8 +76,8 @@ pub struct Samhita {
     tracer: Option<Arc<Tracer>>,
     // The scheduler serializing every simulated task, and the host's own
     // task. The host holds the baton whenever it is between runs; `run`
-    // suspends it while compute tasks execute and resumes (draining all
-    // pending service work) before reading any results.
+    // gives it up while the compute tasks execute and takes it back
+    // (draining all pending service work) before reading any results.
     sched: Arc<Scheduler>,
     host_task: TaskRef,
 }
@@ -434,9 +434,14 @@ impl Samhita {
             .collect()
     }
 
-    /// Spawn `nthreads` compute threads running `body` and collect their
+    /// Run `body` on `nthreads` compute threads and collect their
     /// statistics. Thread ids are `0..nthreads`; placement follows the
     /// configured topology (fill compute nodes core by core).
+    ///
+    /// # Panics
+    /// A failing run fails, it does not hang: a panicking body is re-raised
+    /// with its payload, and threads left blocked with nothing to wake them
+    /// panic with `deadlock:` (see `TaskRef::run_coroutines`).
     pub fn run<F>(&self, nthreads: u32, body: F) -> RunReport
     where
         F: Fn(&mut ThreadCtx) + Send + Sync,
@@ -490,65 +495,37 @@ impl Samhita {
             })
             .collect();
         let body = &body;
-        let stats = std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .zip(tasks)
-                .enumerate()
-                .map(|(t, (ep, task))| {
-                    let cfg = Arc::clone(&self.cfg);
-                    let mem_eps = self.mem_eps.clone();
-                    let local_sync = self.local_sync.clone();
-                    let mgr_ep = self.mgr_ep;
-                    let standby_ep = self.standby_ep;
-                    let tracer = self.tracer.clone();
-                    s.spawn(move || {
-                        task.start();
-                        // Catch panics so a failing body still retires its
-                        // scheduler task: otherwise sibling tasks blocked on
-                        // the baton would hang forever instead of unwinding.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut ctx = ThreadCtx::new(
-                                t as u32, nthreads, cfg, ep, mgr_ep, standby_ep, mem_eps,
-                                local_sync,
-                            );
-                            if let Some(tr) = &tracer {
-                                ctx.attach_trace(tr.buf(TrackId::Thread(t as u32)));
-                            }
-                            body(&mut ctx);
-                            ctx.finish()
-                        }));
-                        task.exit();
-                        match result {
-                            Ok((stats, buf)) => {
-                                if let (Some(tr), Some(buf)) = (&tracer, buf) {
-                                    tr.submit(buf);
-                                }
-                                stats
-                            }
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    })
-                })
-                .collect();
-            // Hand the baton to the compute tasks for the whole run; the
-            // host does not touch the fabric until it resumes below.
-            self.host_task.suspend();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(stats) => stats,
-                    // Re-raise with the original payload so the caller sees
-                    // the real panic message (a body's, or a service step's
-                    // relayed through the poisoned scheduler), not a generic
-                    // join error.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>()
-        });
-        // Re-acquire the baton, draining every pending service event (oneway
-        // releases, late acks) so the counters below are final.
-        self.host_task.resume();
+        // Every body runs as a coroutine on this thread. The host gives up
+        // the baton for the whole run and does not touch the fabric until
+        // it has taken it back, which drains every pending service event
+        // (oneway releases, late acks) so the counters below are final.
+        let stats = self.host_task.run_coroutines(
+            endpoints.into_iter().zip(tasks).enumerate().map(|(t, (ep, task))| {
+                let t = t as u32;
+                let run = move || {
+                    let mut ctx = ThreadCtx::new(
+                        t,
+                        nthreads,
+                        Arc::clone(&self.cfg),
+                        ep,
+                        self.mgr_ep,
+                        self.standby_ep,
+                        self.mem_eps.clone(),
+                        self.local_sync.clone(),
+                    );
+                    if let Some(tr) = &self.tracer {
+                        ctx.attach_trace(tr.buf(TrackId::Thread(t)));
+                    }
+                    body(&mut ctx);
+                    let (stats, buf) = ctx.finish();
+                    if let (Some(tr), Some(buf)) = (&self.tracer, buf) {
+                        tr.submit(buf);
+                    }
+                    stats
+                };
+                (task, run)
+            }),
+        );
         let mut report = RunReport::new(stats, self.fabric.stats().delta(&fabric_before));
         {
             let mgr = self.mgr.lock();
@@ -1192,8 +1169,8 @@ mod tests {
     }
 
     /// With the services inline, a thread that is alone in the machine
-    /// never hands the baton to another OS thread: every RPC is answered on
-    /// its own stack.
+    /// keeps the baton through every RPC: each is at least two picks, all
+    /// of them made and served on the host's OS thread.
     #[test]
     fn uncontended_sync_rpcs_never_leave_the_thread() {
         let s = system();
@@ -1214,9 +1191,60 @@ mod tests {
         assert!(report.sched_grants > 400);
     }
 
+    /// Compute threads are coroutines of the host's OS thread: however
+    /// they contend, a region never wakes another OS thread.
+    #[test]
+    fn a_contended_region_has_no_os_handoffs() {
+        let s = system();
+        let lock = s.create_mutex();
+        let barrier = s.create_barrier(4);
+        let addr = s.alloc_global(64);
+        s.run(4, |ctx| {
+            for _ in 0..10 {
+                ctx.lock(lock);
+                let v = ctx.read_u64(addr);
+                ctx.write_u64(addr, v + 1);
+                ctx.unlock(lock);
+                ctx.barrier(barrier);
+            }
+        });
+        assert_eq!(s.read_f64s(addr, 1)[0].to_bits(), 40);
+        assert_eq!(s.sched.handoffs(), 0);
+    }
+
+    /// A body that panics while its siblings wait for it at a barrier fails
+    /// the run with its own message; the siblings are abandoned.
+    #[test]
+    #[should_panic(expected = "thread 1 gave up")]
+    fn body_panic_fails_the_run_instead_of_hanging_it() {
+        let s = system();
+        let barrier = s.create_barrier(3);
+        s.run(3, |ctx| {
+            if ctx.tid() == 1 {
+                panic!("thread 1 gave up");
+            }
+            ctx.barrier(barrier);
+        });
+    }
+
+    /// Two threads taking two locks in opposite orders: a deadlock of the
+    /// simulated program is reported, not inherited by the simulator.
+    #[test]
+    #[should_panic(expected = "deadlock: tasks [0, 1] are blocked")]
+    fn lock_order_inversion_is_a_reported_deadlock() {
+        let s = system();
+        let locks = [s.create_mutex(), s.create_mutex()];
+        let both_hold_one = s.create_barrier(2);
+        s.run(2, |ctx| {
+            let first = ctx.tid() as usize;
+            ctx.lock(locks[first]);
+            ctx.barrier(both_hold_one);
+            ctx.lock(locks[1 - first]);
+        });
+    }
+
     /// A panic inside a service step fails the run with the step's own
-    /// message — on the thread that ran the step and on every sibling that
-    /// was asleep on its baton — instead of leaving them parked forever.
+    /// message instead of leaving the compute threads parked forever.
     #[test]
     fn service_panic_fails_the_run_instead_of_hanging_it() {
         let (tx, rx) = std::sync::mpsc::channel();

@@ -8,7 +8,7 @@
 //! the Rust equivalent: kernels are written once against the [`KernelRt`] /
 //! [`KernelCtx`] traits and run on either backend:
 //!
-//! * [`NativeRt`] — the "pthreads" baseline: real threads over plain shared
+//! * [`NativeRt`] — the "pthreads" baseline: simulated threads over plain shared
 //!   memory (atomics, so the baseline is data-race-free Rust), with the
 //!   *same* per-operation compute cost model as Samhita and hardware-scale
 //!   synchronization costs. Normalizing Samhita's compute time by this

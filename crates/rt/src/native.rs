@@ -1,6 +1,6 @@
 //! The "pthreads" baseline backend.
 //!
-//! Real OS threads over plain shared memory, standing in for the paper's
+//! Simulated threads over plain shared memory, standing in for the paper's
 //! Pthreads runs on a cache-coherent node. Two fidelity decisions:
 //!
 //! * **Compute costs are identical to Samhita's** (same `flop_ns`,
@@ -133,66 +133,42 @@ impl KernelRt for NativeRt {
 
     fn run(&self, nthreads: u32, body: &(dyn Fn(&mut dyn KernelCtx) + Sync)) -> RunReport {
         assert!(nthreads >= 1);
-        // A fresh per-run scheduler; the host holds the baton while spawning
-        // so every compute task is registered (in tid order) before any of
-        // them runs, then parks for the joins. The LocalSync lock/barrier
-        // blocking points pick up the scheduler through
-        // `Scheduler::current()`.
+        // A fresh per-run scheduler. Every body is a coroutine task on this
+        // thread, registered in tid order; the LocalSync lock and barrier
+        // blocking points find their task through `Scheduler::current()`.
         let sched = Scheduler::new(self.sched_seed);
         let host = sched.register_running();
-        let stats = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nthreads)
-                .map(|tid| {
-                    let task = sched.register_ready(0);
-                    s.spawn(move || {
-                        task.start();
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut ctx = NativeCtx {
-                                rt: self,
-                                tid,
-                                nthreads,
-                                clock: SimTime::ZERO,
-                                frac_ns: 0.0,
-                                sync: SimTime::ZERO,
-                                epoch_clock: SimTime::ZERO,
-                                epoch_sync: SimTime::ZERO,
-                                lock_wait: LatencyHistogram::new(),
-                                barrier_wait: LatencyHistogram::new(),
-                            };
-                            body(&mut ctx);
-                            let total = ctx.clock.saturating_sub(ctx.epoch_clock);
-                            let sync = ctx.sync.saturating_sub(ctx.epoch_sync);
-                            ThreadStats {
-                                tid,
-                                total,
-                                sync,
-                                compute: total.saturating_sub(sync),
-                                lock_wait: ctx.lock_wait,
-                                barrier_wait: ctx.barrier_wait,
-                                epoch_ns: ctx.epoch_clock.as_ns(),
-                                end_ns: ctx.clock.as_ns(),
-                                ..ThreadStats::default()
-                            }
-                        }));
-                        task.exit();
-                        match result {
-                            Ok(stats) => stats,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    })
-                })
-                .collect();
-            host.suspend();
-            let stats = handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(stats) => stats,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>();
-            host.resume();
-            stats
-        });
+        let stats = host.run_coroutines((0..nthreads).map(|tid| {
+            let run = move || {
+                let mut ctx = NativeCtx {
+                    rt: self,
+                    tid,
+                    nthreads,
+                    clock: SimTime::ZERO,
+                    frac_ns: 0.0,
+                    sync: SimTime::ZERO,
+                    epoch_clock: SimTime::ZERO,
+                    epoch_sync: SimTime::ZERO,
+                    lock_wait: LatencyHistogram::new(),
+                    barrier_wait: LatencyHistogram::new(),
+                };
+                body(&mut ctx);
+                let total = ctx.clock.saturating_sub(ctx.epoch_clock);
+                let sync = ctx.sync.saturating_sub(ctx.epoch_sync);
+                ThreadStats {
+                    tid,
+                    total,
+                    sync,
+                    compute: total.saturating_sub(sync),
+                    lock_wait: ctx.lock_wait,
+                    barrier_wait: ctx.barrier_wait,
+                    epoch_ns: ctx.epoch_clock.as_ns(),
+                    end_ns: ctx.clock.as_ns(),
+                    ..ThreadStats::default()
+                }
+            };
+            (sched.register_ready(0), run)
+        }));
         RunReport::new(stats, FabricStatsSnapshot::default())
     }
 }
