@@ -15,10 +15,10 @@
 //! covers the thread count (it is part of the kernel params), so a P=8
 //! report can never silently gate against a P=64 baseline.
 //!
-//! Each report also carries a `host` section — the simulator's own
-//! wall-clock cost per point, measured with `samhita-prof`. Host numbers
-//! are machine-dependent; `--no-host` omits the section for workflows that
-//! byte-compare report files across runs (the CI scale smoke does).
+//! A report holds virtual-time numbers only, so two runs of one tree write
+//! byte-identical files — CI holds `results/baselines/` with a plain
+//! `diff -r`. What the simulator costs on the host clock is measured by the
+//! `samhita-perf` harness under `benchmark/`, not here.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,7 +31,6 @@ fn main() -> ExitCode {
     let mut out_dir = PathBuf::from("results");
     let mut threads: Vec<u32> = vec![1, 8, 64];
     let mut only_kernel: Option<String> = None;
-    let mut with_host = true;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -48,12 +47,8 @@ fn main() -> ExitCode {
                 Some(v) => only_kernel = Some(v),
                 None => return usage("--kernel needs a kernel name (micro, jacobi, md)"),
             },
-            "--no-host" => with_host = false,
             "--help" | "-h" => {
-                println!(
-                    "usage: bench-report [--out DIR] [--threads 1,8,64] [--kernel NAME] \
-                     [--no-host]"
-                );
+                println!("usage: bench-report [--out DIR] [--threads 1,8,64] [--kernel NAME]");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument '{other}'")),
@@ -72,27 +67,9 @@ fn main() -> ExitCode {
         }
         for &p in &threads {
             let rt = SamhitaRt::new(cfg.clone());
-            // Profile each (kernel, P) point in isolation: reset the
-            // counters, run, snapshot. The profiler is invisible to
-            // virtual time (tests/prof.rs pins this), so enabling it here
-            // cannot change any other section of the report.
-            samhita_prof::reset();
-            samhita_prof::enable(with_host);
             let (params, report) = run(&rt, p);
             let trace = rt.take_trace().expect("tracing was enabled");
-            // Keep profiling on through report construction so the
-            // span-graph/critpath build phase is captured too.
             let bench = BenchReport::from_run(kernel, &params, &cfg, p, &report, Some(&trace));
-            samhita_prof::enable(false);
-            let bench = if with_host {
-                bench.with_host(
-                    &samhita_prof::snapshot(),
-                    report.host_wall_ns.get(),
-                    report.fabric.total_msgs(),
-                )
-            } else {
-                bench
-            };
             let path = out_dir.join(format!("BENCH_{kernel}_p{p}.json"));
             std::fs::write(&path, bench.to_json()).expect("write report");
             println!("wrote {} ({})", path.display(), params);
@@ -115,9 +92,6 @@ fn parse_threads(list: &str) -> Result<Vec<u32>, String> {
 }
 
 fn usage(err: &str) -> ExitCode {
-    eprintln!(
-        "error: {err}\nusage: bench-report [--out DIR] [--threads 1,8,64] [--kernel NAME] \
-         [--no-host]"
-    );
+    eprintln!("error: {err}\nusage: bench-report [--out DIR] [--threads 1,8,64] [--kernel NAME]");
     ExitCode::FAILURE
 }

@@ -34,14 +34,16 @@ pub fn run_summary(report: &RunReport) -> String {
         report.msgs_per_sync_op(),
         report.sync_ops()
     ));
-    // Host-side cost of producing the run: wall time, simulated-event
-    // throughput, and peak RSS. Always printed — this is the one line on
-    // the *host* clock, and it reads 0 only for reports built by hand.
+    // Host-side cost of producing the run: wall time and simulated-event
+    // throughput. Always printed — this is the one line on the *host*
+    // clock, and it reads 0 only for reports built by hand. The RSS figure
+    // is the process's high-water mark (`VmHWM`), not this run's own peak:
+    // it only ever grows across the runs one process makes.
     let host_ns = report.host_wall_ns.get();
     let events = report.fabric.total_msgs();
     let events_per_sec = if host_ns == 0 { 0.0 } else { events as f64 / (host_ns as f64 / 1e9) };
     out.push_str(&format!(
-        "  host              {:.3}s wall, {:.0} simulated events/s, peak RSS {} MiB\n",
+        "  host              {:.3}s wall, {:.0} simulated events/s, process RSS high-water {} MiB\n",
         host_ns as f64 / 1e9,
         events_per_sec,
         samhita_prof::peak_rss_bytes() >> 20

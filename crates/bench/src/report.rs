@@ -26,18 +26,19 @@ use samhita_trace::{
 /// Schema tag written into every report. It names the *required* core: the
 /// identity fields and the numbers [`compare`] gates. Sections are additive
 /// — a reader ignores ones it does not know and tolerates absent optional
-/// ones (`timeline`, `critical_path`, `host`) — so a new section does not
-/// bump the tag; only changing or removing a gated field does.
+/// ones (`timeline`, `critical_path`) — so a new section does not bump the
+/// tag; only changing or removing a gated field does.
 ///
 /// The sections, in the order they were added: `fetch` / `lock` / `barrier`
 /// stall digests, `timeline` and `hotspots`; `traffic` (per-class message
 /// and byte counts plus `msgs_per_sync_op`); `breakdown` (per-thread time
 /// conservation), `queue` (manager/server queue pressure) and
-/// `critical_path`; `recovery` (manager failover activity, which the gate
-/// requires to stay quiet on fault-free runs); and `host` (wall-clock cost
-/// from `samhita-prof`: machine-dependent, outside the determinism
-/// fingerprint and byte-identity comparisons, attached only by
-/// [`BenchReport::with_host`]).
+/// `critical_path`; and `recovery` (manager failover activity, which the
+/// gate requires to stay quiet on fault-free runs). Every section is
+/// virtual-time: a report is a pure function of (tree, config, kernel), so
+/// two reports of one tree are byte-identical. Reports written before that
+/// held also carry a `git_rev` string and a wall-clock `host` section; both
+/// are unknown fields now, kept and ignored.
 pub const SCHEMA: &str = "samhita-bench-report-v5";
 
 /// Number of timeline intervals summarized into a report.
@@ -66,6 +67,7 @@ pub fn fingerprint(cfg: &SamhitaConfig, params: &str) -> u64 {
 }
 
 /// The current short git revision, or `"unknown"` outside a git checkout.
+/// Reports do not carry it; `samhita-perf` stamps its result files with it.
 pub fn git_rev() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -101,8 +103,8 @@ pub struct BenchReport(JsonValue);
 impl BenchReport {
     /// Build a report from a finished run. Pass the run's event trace to
     /// include the trace-derived `timeline` and `critical_path` sections;
-    /// without one they are `null`. `host` is always `null` here, so the
-    /// output is deterministic byte for byte.
+    /// without one they are `null`. Nothing here reads the host (no clock,
+    /// no process spawn), so the output is deterministic byte for byte.
     pub fn from_run(
         kernel: &str,
         params: &str,
@@ -219,8 +221,6 @@ impl BenchReport {
             ("schema", SCHEMA.into()),
             ("kernel", kernel.into()),
             ("params", params.into()),
-            // Informational only — `compare` ignores it.
-            ("git_rev", git_rev().into()),
             // A full-range u64; JSON numbers only carry 53 bits of integer
             // precision, so it travels as a hex string.
             ("config_fingerprint", format!("{:016x}", fingerprint(cfg, params)).into()),
@@ -239,46 +239,7 @@ impl BenchReport {
             ("recovery", recovery),
             ("critical_path", critical.into()),
             ("hotspots", JsonValue::array(hotspots)),
-            ("host", JsonValue::Null),
         ]))
-    }
-
-    /// Attach the host-side (wall-clock) cost section from a profiler
-    /// snapshot: `wall_ns` is the run's end-to-end host time and `events`
-    /// the simulated-event denominator (fabric messages). Everything else
-    /// in a report is virtual-time and deterministic; this section is
-    /// machine- and load-dependent, which is why only the report binaries
-    /// attach it, after the run.
-    pub fn with_host(self, prof: &samhita_prof::HostReport, wall_ns: u64, events: u64) -> Self {
-        let per = |n: u64| if events == 0 { 0.0 } else { n as f64 / events as f64 };
-        // Per-phase wall/alloc rows in `Phase::ALL` order, plus a final
-        // `other` row for allocations no phase claimed (it has no guard, so
-        // no wall time or calls). Alloc columns are 0 unless the profiler
-        // was built with `alloc-count`.
-        let phase = |name: &str, s: &samhita_prof::PhaseStat| {
-            JsonValue::object([
-                ("name", name.into()),
-                ("wall_ns", s.wall_ns.into()),
-                ("calls", s.calls.into()),
-                ("allocs", s.allocs.into()),
-                ("alloc_bytes", s.alloc_bytes.into()),
-            ])
-        };
-        let phases = prof
-            .phases
-            .iter()
-            .map(|(p, s)| phase(p.label(), s))
-            .chain([phase("other", &prof.other)]);
-        let host = JsonValue::object([
-            ("wall_ns", wall_ns.into()),
-            ("events", events.into()),
-            ("ns_per_event", per(wall_ns).into()),
-            ("allocs", prof.total_allocs().into()),
-            ("allocs_per_event", per(prof.total_allocs()).into()),
-            ("peak_rss_bytes", samhita_prof::peak_rss_bytes().into()),
-            ("phases", JsonValue::array(phases)),
-        ]);
-        self.with("host", host)
     }
 
     /// The report with the value at dotted `path` replaced (or added).
@@ -363,22 +324,11 @@ const SYNC_FRACTION_SLACK: f64 = 0.005;
 /// Absolute slack for the manager queue-wait fraction gate, same rationale.
 const QUEUE_WAIT_SLACK: f64 = 0.005;
 
-/// Host wall-clock numbers vary with machine and load, so the host gate
-/// only trips on blowups: fresh ns-per-event beyond this multiple of the
-/// baseline. Ordinary noise (2–4x across CI runners) passes; an
-/// accidentally quadratic hot path (10–100x) does not.
-const HOST_BLOWUP_RATIO: f64 = 16.0;
-
-/// Floor under the host gate: baselines generated on a fast machine can
-/// carry a tiny ns-per-event that would make even the generous ratio
-/// flappy, so regressions under this absolute ceiling never trip it.
-const HOST_NS_PER_EVENT_FLOOR: f64 = 50_000.0;
-
 /// Compare `fresh` against `base`: makespan and sync fraction may grow by at
 /// most `tolerance` (relative, e.g. `0.05` for 5%; sync fraction gets an
-/// extra `SYNC_FRACTION_SLACK` absolute allowance). `git_rev` is ignored;
-/// a `config_fingerprint` mismatch is always a failure because the numbers
-/// are not comparable — regenerate the baseline instead.
+/// extra `SYNC_FRACTION_SLACK` absolute allowance). A `config_fingerprint`
+/// mismatch is always a failure because the numbers are not comparable —
+/// regenerate the baseline instead.
 pub fn compare(base: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Comparison {
     // `from_run` builds and `from_json` checks for every field the gate
     // reads, so only a report edited with `with` can fail to be read — and
@@ -534,26 +484,6 @@ fn gate(base: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Result<Compa
             failovers.1, reclaims.1, stale.1, serves.1, takeover.1
         ));
     }
-
-    // Host gate: wall-clock cost per simulated event. Machine-dependent,
-    // so the line is informational and the failure threshold is a blowup
-    // ratio, not a tolerance — it exists to catch accidental algorithmic
-    // regressions in the simulator itself (e.g. a linear scan going
-    // quadratic), not scheduler jitter. Only checked when both reports
-    // carry a host section.
-    if let (Some(b), Some(f)) = (base.num("host.ns_per_event"), fresh.num("host.ns_per_event")) {
-        cmp.lines.push(format!(
-            "{kernel:>10}  host ns/event {b:>14.1} -> {f:>14.1}  ({:+.2}%)",
-            pct(b, f)
-        ));
-        if b > 0.0 && f > b * HOST_BLOWUP_RATIO && f > HOST_NS_PER_EVENT_FLOOR {
-            cmp.regressions.push(format!(
-                "{kernel}: host ns/event blew up {b:.1} -> {f:.1} (over {HOST_BLOWUP_RATIO}x the \
-                 baseline) — the simulator itself got drastically slower on this \
-                 configuration; profile with bench-report and the hotpaths bench"
-            ));
-        }
-    }
     Ok(cmp)
 }
 
@@ -561,7 +491,10 @@ fn gate(base: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Result<Compa
 mod tests {
     use super::*;
 
-    /// A complete v5 document, host section included.
+    /// A complete v5 document as an older `bench-report` wrote it, with the
+    /// `git_rev` field and wall-clock `host` section `from_run` does not
+    /// emit: pinned in that form so such a report keeps parsing,
+    /// round-tripping and gating, both being unknown fields to this reader.
     const SAMPLE: &str = r#"{
         "schema": "samhita-bench-report-v5",
         "kernel": "micro", "params": "M=10 S=2 mode=global P=1", "git_rev": "abc1234",
@@ -597,10 +530,8 @@ mod tests {
         "host": {"wall_ns": 5000000, "events": 1000, "ns_per_event": 5000,
             "allocs": 12000, "allocs_per_event": 12, "peak_rss_bytes": 67108864,
             "phases": [
-                {"name": "sched_step", "wall_ns": 900000, "calls": 4000, "allocs": 0,
-                 "alloc_bytes": 0},
-                {"name": "other", "wall_ns": 0, "calls": 0, "allocs": 11400,
-                 "alloc_bytes": 900000}]}
+                {"name": "sched_step", "wall_ns": 900000, "calls": 4000, "allocs": 0},
+                {"name": "other", "wall_ns": 0, "calls": 0, "allocs": 11400}]}
     }"#;
 
     fn sample() -> BenchReport {
@@ -621,34 +552,34 @@ mod tests {
         samhita_trace::validate_json(&json).expect("valid JSON");
         assert_eq!(BenchReport::from_json(&json).expect("parses"), r);
 
-        // Without the trace-derived and host sections, too.
+        // Without the trace-derived sections, too.
         let bare = r
             .with("timeline", JsonValue::Null)
             .with("critical_path", JsonValue::Null)
-            .with("hotspots", JsonValue::Array(Vec::new()))
-            .with("host", JsonValue::Null);
+            .with("hotspots", JsonValue::Array(Vec::new()));
         assert_eq!(BenchReport::from_json(&bare.to_json()).expect("parses"), bare);
     }
 
     /// Additive sections need no schema bump: a v5 reader keeps a section it
-    /// does not know and does not miss an optional one.
+    /// does not know and misses neither an optional one nor the two fields
+    /// only an older tool wrote, so old and new reports gate each other.
     #[test]
     fn unknown_sections_are_kept_and_optional_ones_may_be_absent() {
         let JsonValue::Object(mut doc) = JsonValue::parse(SAMPLE).unwrap() else {
             panic!("the sample is an object")
         };
-        for optional in ["timeline", "critical_path", "host"] {
-            assert!(doc.remove(optional).is_some());
+        for absent in ["timeline", "critical_path", "git_rev", "host"] {
+            assert!(doc.remove(absent).is_some());
         }
         doc.insert("energy".into(), JsonValue::object([("joules", JsonValue::from(3u64))]));
         let text = JsonValue::Object(doc).to_string();
         let r = BenchReport::from_json(&text).expect("still a v5 report");
         assert_eq!(r.num("energy.joules"), Some(3.0), "the unknown section survives");
-        assert_eq!(r.get("host"), None);
         assert_eq!(r.to_json(), text, "and is written back untouched");
-        let cmp = compare(&sample(), &r, 0.0);
-        assert!(cmp.passed(), "{:?}", cmp.regressions);
-        assert_eq!(cmp.lines.len(), 9, "no host section, no host line");
+        for (base, fresh) in [(&sample(), &r), (&r, &sample())] {
+            let cmp = compare(base, fresh, 0.0);
+            assert!(cmp.passed(), "{:?}", cmp.regressions);
+        }
     }
 
     #[test]
@@ -690,40 +621,7 @@ mod tests {
         let r = sample();
         let cmp = compare(&r, &r, 0.05);
         assert!(cmp.passed(), "self-comparison regressed: {:?}", cmp.regressions);
-        assert_eq!(cmp.lines.len(), 10);
-    }
-
-    #[test]
-    fn host_gate_trips_only_on_blowups() {
-        let base = sample();
-        // 8x slower per event: noisy, but no failure.
-        let noisy = base.clone().with("host.ns_per_event", 40_000.0);
-        assert!(compare(&base, &noisy, 0.05).passed());
-        // 20x slower per event: algorithmic blowup, hard failure.
-        let blown = base.clone().with("host.ns_per_event", 100_000.0);
-        let cmp = compare(&base, &blown, 0.05);
-        assert!(!cmp.passed());
-        assert!(cmp.regressions[0].contains("host ns/event"), "{:?}", cmp.regressions);
-    }
-
-    #[test]
-    fn host_gate_skips_when_either_side_lacks_the_section() {
-        let with = sample();
-        let without = sample().with("host", JsonValue::Null);
-        for (a, b) in [(&with, &without), (&without, &with), (&without, &without)] {
-            let cmp = compare(a, b, 0.05);
-            assert!(cmp.passed(), "{:?}", cmp.regressions);
-            assert_eq!(cmp.lines.len(), 9, "host line must be absent");
-        }
-    }
-
-    #[test]
-    fn host_gate_ignores_sub_floor_blowups() {
-        // A 4 ns/event baseline regressing to 80 ns/event is a 20x ratio
-        // but far below any real cost — the floor keeps it advisory.
-        let base = sample().with("host.ns_per_event", 4.0);
-        let fresh = sample().with("host.ns_per_event", 80.0);
-        assert!(compare(&base, &fresh, 0.05).passed());
+        assert_eq!(cmp.lines.len(), 9);
     }
 
     #[test]
