@@ -27,6 +27,8 @@ use samhita_bench::harness::{report_config, report_kernels};
 use samhita_bench::{run_summary, BenchReport, HarnessConfig};
 use samhita_rt::SamhitaRt;
 
+const USAGE: &str = "usage: bench-report [--out DIR] [--threads 1,8,64] [--kernel NAME]";
+
 fn main() -> ExitCode {
     let mut out_dir = PathBuf::from("results");
     let mut threads: Vec<u32> = vec![1, 8, 64];
@@ -48,7 +50,7 @@ fn main() -> ExitCode {
                 None => return usage("--kernel needs a kernel name (micro, jacobi, md)"),
             },
             "--help" | "-h" => {
-                println!("usage: bench-report [--out DIR] [--threads 1,8,64] [--kernel NAME]");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument '{other}'")),
@@ -92,6 +94,6 @@ fn parse_threads(list: &str) -> Result<Vec<u32>, String> {
 }
 
 fn usage(err: &str) -> ExitCode {
-    eprintln!("error: {err}\nusage: bench-report [--out DIR] [--threads 1,8,64] [--kernel NAME]");
+    eprintln!("error: {err}\n{USAGE}");
     ExitCode::FAILURE
 }

@@ -36,9 +36,9 @@ use samhita_trace::{
 /// `critical_path`; and `recovery` (manager failover activity, which the
 /// gate requires to stay quiet on fault-free runs). Every section is
 /// virtual-time: a report is a pure function of (tree, config, kernel), so
-/// two reports of one tree are byte-identical. Reports written before that
-/// held also carry a `git_rev` string and a wall-clock `host` section; both
-/// are unknown fields now, kept and ignored.
+/// two reports of one tree are byte-identical. A report from an older
+/// `bench-report` also carries a `git_rev` string and a wall-clock `host`
+/// section; to this reader both are unknown fields, kept and ignored.
 pub const SCHEMA: &str = "samhita-bench-report-v5";
 
 /// Number of timeline intervals summarized into a report.

@@ -85,34 +85,25 @@ fn bench_report_from_run_round_trips_with_sane_utilization() {
     assert_eq!(BenchReport::from_json(&bare.to_json()).expect("round trip"), bare);
 }
 
-/// The committed baselines are real reports of this tree: each parses,
-/// re-emits and re-parses to the same document; a fresh `bench-report`
-/// point equals it in every section but the two that name the machine
-/// (`git_rev`, `host`); and the gate run against it behaves exactly as CI
-/// relies on — identical reports pass, a synthetic 10% makespan regression
-/// fails at the 5% tolerance.
+/// The committed baselines are this tree's reports, byte for byte: each
+/// parses and re-emits to the file's own bytes, a fresh `bench-report`
+/// point serializes to exactly those bytes, and the gate run against it
+/// behaves exactly as CI relies on — identical reports pass, a synthetic
+/// 10% makespan regression fails at the 5% tolerance.
 #[test]
 fn committed_baselines_match_fresh_runs_and_gate_synthetic_regressions() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results/baselines");
     let q = HarnessConfig::quick();
     let cfg = report_config(&q, 64);
-    let portable = |doc: &JsonValue| {
-        let mut members = doc.as_object().expect("a report is an object").clone();
-        members.remove("git_rev");
-        members.remove("host");
-        members
-    };
     let mut checked = 0;
     for (kernel, run) in report_kernels(&q) {
         for p in [1u32, 8, 64] {
             let path = format!("{dir}/BENCH_{kernel}_p{p}.json");
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("baseline {path} unreadable: {e}"));
-            let doc = JsonValue::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-            assert_eq!(JsonValue::parse(&doc.to_string()).as_ref(), Ok(&doc), "{path} re-emits");
             let base = BenchReport::from_json(&text)
                 .unwrap_or_else(|e| panic!("baseline {path} unparsable: {e}"));
-            assert_eq!(base.to_json(), doc.to_string(), "{path}: parsing loses nothing");
+            assert_eq!(base.to_json(), text, "{path}: parsing loses nothing");
             assert_eq!(base.text("kernel"), Some(kernel));
             assert_eq!(base.num("threads"), Some(f64::from(p)), "{path} carries its thread count");
 
@@ -120,8 +111,7 @@ fn committed_baselines_match_fresh_runs_and_gate_synthetic_regressions() {
             let (params, report) = run(&rt, p);
             let trace = rt.take_trace().expect("tracing enabled");
             let fresh = BenchReport::from_run(kernel, &params, &cfg, p, &report, Some(&trace));
-            let fresh_doc = JsonValue::parse(&fresh.to_json()).expect("fresh report parses");
-            assert_eq!(portable(&fresh_doc), portable(&doc), "{path} is stale: regenerate it");
+            assert_eq!(fresh.to_json(), text, "{path} is stale: regenerate it");
 
             let same = compare(&base, &fresh, 0.0);
             assert!(same.passed(), "fresh run regressed: {:?}", same.regressions);

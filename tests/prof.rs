@@ -79,9 +79,9 @@ fn host_wall_clock_is_excluded_from_the_determinism_fingerprint() {
 }
 
 /// A `BenchReport` is a pure function of the run: built twice it is the same
-/// bytes, with no field that names the machine or the checkout. The profiler
-/// watches the build without entering it — `samhita-perf`'s
-/// `trace.span_graph_ns` row is the span-graph phase counted here.
+/// bytes, with no field that names the machine or the checkout. With the
+/// profiler live through the build the span-graph phase is counted, which is
+/// the counter `samhita-perf`'s `trace.span_graph_ns` row reads.
 #[test]
 fn from_run_is_pure_and_its_span_graph_build_is_profiled() {
     let _guard = PROF_LOCK.lock().unwrap();
