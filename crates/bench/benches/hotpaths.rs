@@ -3,7 +3,8 @@
 //! diffing, the software cache's hit path and per-sync-op bookkeeping,
 //! write-notice application, `UpdateBatch` apply at a memory server, one
 //! deterministic scheduler step, the det-endpoint staged receive (heap
-//! pop), trace-event emission, and span-graph/critical-path construction.
+//! pop), trace-event emission, and critical-path extraction (causal index
+//! build + walk).
 //! An end-to-end jacobi pair (tracing on vs off) sits at the bottom so the
 //! tracing-disabled fast path shows up as a whole-run ns-per-event number,
 //! not just a micro-benchmark delta.
@@ -248,7 +249,7 @@ fn bench_trace_emit(c: &mut Criterion) {
     g.finish();
 }
 
-/// Span-graph / critical-path construction from a finished trace.
+/// Critical-path extraction from a finished trace: index build + walk.
 fn bench_critpath_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpaths/critpath");
     g.sample_size(10);

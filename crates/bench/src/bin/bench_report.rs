@@ -71,6 +71,10 @@ fn main() -> ExitCode {
             let rt = SamhitaRt::new(cfg.clone());
             let (params, report) = run(&rt, p);
             let trace = rt.take_trace().expect("tracing was enabled");
+            if let Err(e) = trace.untruncated() {
+                eprintln!("error: {kernel} P={p}: {e}");
+                return ExitCode::FAILURE;
+            }
             let bench = BenchReport::from_run(kernel, &params, &cfg, p, &report, Some(&trace));
             let path = out_dir.join(format!("BENCH_{kernel}_p{p}.json"));
             std::fs::write(&path, bench.to_json()).expect("write report");

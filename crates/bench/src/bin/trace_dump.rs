@@ -10,9 +10,10 @@
 //! Runs one kernel with event tracing enabled, then:
 //!
 //! 1. runs the trace-driven RegC invariant checker (exit 1 on violations),
-//! 2. writes the trace as Chrome trace-event JSON — open it at
+//! 2. writes the trace as causal Chrome trace-event JSON — open it at
 //!    <https://ui.perfetto.dev> or `chrome://tracing` to see one track per
-//!    compute thread plus manager / memory-server / fabric tracks,
+//!    compute thread plus manager / memory-server / fabric tracks, with
+//!    flow arrows from each stall to what ended it,
 //! 3. prints the run's latency summary (fetch / lock / barrier histograms).
 
 use std::path::PathBuf;
@@ -118,8 +119,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // The causal export: thread tracks fully tiled, service spans on the
-    // manager/server tracks, flow arrows for RPC pairs and lock handoffs.
+    // The causal export: thread tracks fully tiled, serve slices on the
+    // manager/server tracks, and per stall the critical-path walk's own hops
+    // as flow arrows (RPC pairs, lock hand-offs, barrier last arrivals).
     let windows = thread_windows(&report);
     let chrome = trace.to_chrome_json_with(&windows, &costs);
     validate_json(&chrome).expect("exporter produced invalid JSON");

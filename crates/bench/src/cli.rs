@@ -19,7 +19,7 @@
 use samhita_core::{FaultConfig, RunReport, SamhitaConfig};
 use samhita_trace::RunTrace;
 
-use crate::report::BenchReport;
+use crate::report::{thread_windows, BenchReport};
 
 /// Parsed example arguments: positionals plus the shared flags.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -99,8 +99,9 @@ impl ExampleArgs {
 
     /// What every example does with its designated traced run: check the
     /// RegC invariants on the trace, then write what the flags asked for —
-    /// `--trace` the Chrome trace-event JSON, `--metrics-out` a
-    /// [`BenchReport`] named `kernel` / `params`.
+    /// `--trace` the causal Chrome trace-event JSON (tiled threads, serve
+    /// slices, flow arrows), `--metrics-out` a [`BenchReport`] named
+    /// `kernel` / `params`.
     ///
     /// # Panics
     /// Panics if `trace` is `None` (the run was not configured with
@@ -117,7 +118,8 @@ impl ExampleArgs {
         let trace = trace.expect("tracing was enabled");
         trace.check_invariants().expect("RegC invariants violated");
         if let Some(path) = &self.trace_path {
-            std::fs::write(path, trace.to_chrome_json()).expect("write trace file");
+            let chrome = trace.to_chrome_json_with(&thread_windows(report), &cfg.service_costs());
+            std::fs::write(path, chrome).expect("write trace file");
             println!("  wrote {path} ({} events) — open at https://ui.perfetto.dev", trace.len());
         }
         if let Some(path) = &self.metrics_out {

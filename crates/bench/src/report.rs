@@ -47,7 +47,7 @@ const TIMELINE_BUCKETS: u64 = 20;
 /// Hotspot pages kept in a report (ranked by coherence churn).
 const HOTSPOT_TOP_N: usize = 10;
 
-/// The run's per-thread windows, as the span/critical-path layer wants them.
+/// The run's per-thread windows, as the critical-path layer wants them.
 pub fn thread_windows(report: &RunReport) -> Vec<ThreadWindow> {
     report
         .threads
@@ -103,8 +103,9 @@ pub struct BenchReport(JsonValue);
 impl BenchReport {
     /// Build a report from a finished run. Pass the run's event trace to
     /// include the trace-derived `timeline` and `critical_path` sections;
-    /// without one they are `null`. Nothing here reads the host (no clock,
-    /// no process spawn), so the output is deterministic byte for byte.
+    /// without one, or with one that dropped events, they are `null`.
+    /// Nothing here reads the host (no clock, no process spawn), so the
+    /// output is deterministic byte for byte.
     pub fn from_run(
         kernel: &str,
         params: &str,
@@ -115,6 +116,7 @@ impl BenchReport {
     ) -> Self {
         let costs = cfg.service_costs();
         let makespan_ns = report.makespan.as_ns();
+        let trace = trace.and_then(|t| t.untruncated().ok());
         // Condensed view of the metrics timeline: the totals plus where the
         // peaks landed, enough to spot a phase shift without every bucket.
         let timeline = trace.map(|t| {

@@ -320,8 +320,8 @@ pub struct SamhitaConfig {
     /// only: virtual clocks are bit-identical with tracing on or off.
     pub tracing: bool,
     /// Per-track event-buffer capacity; past it the oldest events are
-    /// dropped (and counted, which makes the invariant checker refuse the
-    /// truncated trace).
+    /// dropped (and counted, which makes the invariant checker and every
+    /// trace-derived report section refuse the truncated trace).
     pub trace_capacity: usize,
     /// Deterministic fault-injection schedule (default: inject nothing).
     pub faults: FaultConfig,
@@ -630,13 +630,19 @@ mod tests {
     #[test]
     fn service_costs_mirror_the_simulation_model() {
         use samhita_scl::SimTime;
+        use samhita_trace::EventKind;
         let c = SamhitaConfig::default();
         let sc = c.service_costs();
         assert_eq!(sc.mgr_service_ns, c.costs.mgr_service_ns);
         assert_eq!(sc.page_size, c.page_size as u64);
         for bytes in [0usize, 100, 1024, 4096, 16384] {
-            assert_eq!(SimTime::from_ns(sc.fetch_ns(bytes as u64)), c.service.service_ns(bytes));
-            assert_eq!(SimTime::from_ns(sc.apply_ns(bytes as u64)), c.service.apply_ns(bytes));
+            let apply = EventKind::ApplyDiff { page: 0, bytes: bytes as u64 };
+            assert_eq!(SimTime::from_ns(sc.serve_ns(&apply)), c.service.apply_ns(bytes));
+        }
+        for pages in [1u32, 4, 16] {
+            let fetch = EventKind::ServeFetch { page: 0, pages };
+            let model = c.service.service_ns(pages as usize * c.page_size);
+            assert_eq!(SimTime::from_ns(sc.serve_ns(&fetch)), model);
         }
     }
 

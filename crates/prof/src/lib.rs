@@ -34,7 +34,7 @@
 //! Phase timers are *inclusive*: if phase B runs inside phase A's guard, the
 //! span counts toward both. The instrumented phases are chosen not to nest
 //! in practice (scheduler step, diffing, batch apply, channel send/recv,
-//! trace emit, span-graph build), so the per-phase table reads as a flat
+//! trace emit, causal-index derivation), so the per-phase table reads as a flat
 //! breakdown.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -57,7 +57,10 @@ pub enum Phase {
     ChannelRecv = 4,
     /// Trace-event construction and ring-buffer push.
     TraceEvent = 5,
-    /// Span-graph and critical-path construction from a finished trace.
+    /// Post-hoc causal derivation of a finished trace: the index build plus
+    /// its reader, once per `critical_path` call and once per causal Chrome
+    /// export. (Named for the span graph that was the first such derivation;
+    /// `samhita-perf` reads the variant by name.)
     SpanGraph = 6,
 }
 

@@ -112,8 +112,9 @@ impl fmt::Display for Violation {
         match self {
             Violation::Truncated { dropped } => write!(
                 f,
-                "trace truncated: {dropped} events dropped by ring capacity; \
-                 invariants cannot be verified on a partial stream"
+                "trace truncated: {dropped} events dropped by ring capacity (raise \
+                 SamhitaConfig::trace_capacity); nothing can be verified on, or derived \
+                 from, a partial stream"
             ),
             Violation::LockOverlap { lock, holder, held_from, held_to, intruder, acquired_at } => {
                 write!(
@@ -176,14 +177,22 @@ impl fmt::Display for Violation {
 }
 
 impl RunTrace {
+    /// `self`, if its rings kept every event. A ring that overflowed holds
+    /// only the newest events of its track; a critical path derived from
+    /// that still tiles the makespan — with the lost stalls counted as
+    /// compute — so a truncated trace must derive nothing at all.
+    pub fn untruncated(&self) -> Result<&RunTrace, Violation> {
+        match self.dropped {
+            0 => Ok(self),
+            dropped => Err(Violation::Truncated { dropped }),
+        }
+    }
+
     /// Verify the RegC protocol invariants (see module docs). Returns a
     /// summary of what was proven, or every violation found.
     pub fn check_invariants(&self) -> Result<CheckSummary, Vec<Violation>> {
+        self.untruncated().map_err(|truncated| vec![truncated])?;
         let mut violations = Vec::new();
-        if self.dropped > 0 {
-            violations.push(Violation::Truncated { dropped: self.dropped });
-            return Err(violations);
-        }
         let mut summary = CheckSummary::default();
         self.check_locks(&mut summary, &mut violations);
         self.check_invalidations(&mut summary, &mut violations);

@@ -1,4 +1,17 @@
-//! Virtual-time critical-path extraction.
+//! Virtual-time critical-path extraction, and the causal index behind it.
+//!
+//! `Index` is the crate's one post-hoc causal derivation of a [`RunTrace`]:
+//! each thread's stalls tiled from the events' `wait_ns` intervals, manager
+//! and memory-server serves reconstructed from serve events and the
+//! service-cost model (each with the queue chain it ended), and the lock
+//! release / barrier arrival tables. Its one query, `Index::blocker`,
+//! answers "why did this stall end when it did?" with the serve the stall
+//! rode and the `(thread, instant)` it was really waiting on. It has two
+//! readers: the walk below cuts its segments at the blocker's boundaries,
+//! and the causal Chrome export ([`RunTrace::to_chrome_json_with`]) draws
+//! the same serves as slices and the same hops as flow arrows — so the
+//! picture comes from the derivation the exact-tiling assertion holds to
+//! account, not from a second one.
 //!
 //! The critical path of a run is the chain of causally-dependent intervals
 //! whose lengths sum to the makespan: shorten anything *on* the path and
@@ -31,12 +44,26 @@
 //! a virtual clock, and its output is deterministic byte-for-byte.
 
 use std::collections::HashMap;
+use std::fmt;
 
-use crate::event::{EventKind, TrackId};
+use crate::event::{EventKind, TraceEvent, TrackId};
 use crate::json::JsonValue;
 use crate::metrics::ServiceCosts;
-use crate::span::ThreadWindow;
 use crate::tracer::RunTrace;
+
+/// One thread's measured window, from the run report
+/// (`ThreadStats::{epoch_ns, end_ns}`). Compute time is the *gaps* between
+/// stalls, so only the report knows where a thread's timeline begins and
+/// ends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ThreadWindow {
+    /// The thread id (matching `TrackId::Thread`).
+    pub tid: u32,
+    /// Virtual time the thread's measured interval began.
+    pub epoch_ns: u64,
+    /// Virtual time the thread's measured interval ended.
+    pub end_ns: u64,
+}
 
 /// Critical-path time classes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,6 +114,67 @@ impl PathClass {
     ];
 }
 
+/// What a path segment hung on. `Display` is the report's `detail` string.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Detail {
+    /// Nothing specific (compute).
+    None,
+    /// Fetching this page.
+    Page(u64),
+    /// Queued at the memory server behind other requests, fetching this page.
+    ServerQueue(u64),
+    /// A non-sync manager RPC, by op label.
+    Op(&'static str),
+    /// Queued at the manager behind other requests, for this RPC.
+    MgrQueueOp(&'static str),
+    /// This lock.
+    Lock(u32),
+    /// Queued at the manager behind other requests, for this lock's grant.
+    MgrQueueLock(u32),
+    /// This barrier.
+    Barrier(u32),
+    /// Queued at the manager behind other requests, for this barrier's
+    /// release.
+    MgrQueueBarrier(u32),
+}
+
+impl Detail {
+    /// The page a fetch or server-queue segment hung on.
+    pub fn page(&self) -> Option<u64> {
+        match *self {
+            Detail::Page(page) | Detail::ServerQueue(page) => Some(page),
+            _ => None,
+        }
+    }
+
+    /// The same attribution while queued at its service.
+    fn queued(self) -> Detail {
+        match self {
+            Detail::Page(page) => Detail::ServerQueue(page),
+            Detail::Op(op) => Detail::MgrQueueOp(op),
+            Detail::Lock(lock) => Detail::MgrQueueLock(lock),
+            Detail::Barrier(barrier) => Detail::MgrQueueBarrier(barrier),
+            other => other,
+        }
+    }
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Detail::None => Ok(()),
+            Detail::Page(page) => write!(f, "page {page}"),
+            Detail::ServerQueue(page) => write!(f, "server queue (page {page})"),
+            Detail::Op(op) => write!(f, "op {op}"),
+            Detail::MgrQueueOp(op) => write!(f, "mgr queue (op {op})"),
+            Detail::Lock(lock) => write!(f, "lock {lock}"),
+            Detail::MgrQueueLock(lock) => write!(f, "mgr queue (lock {lock})"),
+            Detail::Barrier(barrier) => write!(f, "barrier {barrier}"),
+            Detail::MgrQueueBarrier(barrier) => write!(f, "mgr queue (barrier {barrier})"),
+        }
+    }
+}
+
 /// One attributed interval of the critical path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathSegment {
@@ -98,9 +186,8 @@ pub struct PathSegment {
     pub start_ns: u64,
     /// Interval end, virtual ns (`> start_ns`).
     pub end_ns: u64,
-    /// Attribution: the page / lock / barrier / op the interval hung on
-    /// (empty for compute).
-    pub detail: String,
+    /// Attribution: the page / lock / barrier / op the interval hung on.
+    pub detail: Detail,
 }
 
 impl PathSegment {
@@ -154,7 +241,7 @@ impl CriticalPathReport {
                 ("class", s.class.label().into()),
                 ("start_ns", s.start_ns.into()),
                 ("end_ns", s.end_ns.into()),
-                ("detail", s.detail.as_str().into()),
+                ("detail", s.detail.to_string().into()),
             ])
         };
         let classes =
@@ -191,18 +278,40 @@ impl CriticalPathReport {
 
 /// A stall interval of one thread, from the trace.
 #[derive(Clone, Copy, Debug)]
-struct WaitIv {
-    start: u64,
-    end: u64,
-    kind: WaitKind,
+pub(crate) struct Stall {
+    pub(crate) start: u64,
+    pub(crate) end: u64,
+    pub(crate) kind: WaitKind,
 }
 
+/// What a stall waited for.
 #[derive(Clone, Copy, Debug)]
-enum WaitKind {
+pub(crate) enum WaitKind {
     Fetch { page: u64 },
     Lock { lock: u32 },
     Barrier { barrier: u32 },
     Mgr { op: &'static str },
+}
+
+impl WaitKind {
+    /// The class of the stall's own (non-service, non-queue) time.
+    pub(crate) fn class(self) -> PathClass {
+        match self {
+            WaitKind::Fetch { .. } => PathClass::Fetch,
+            WaitKind::Lock { .. } => PathClass::LockWait,
+            WaitKind::Barrier { .. } => PathClass::BarrierWait,
+            WaitKind::Mgr { .. } => PathClass::MgrWait,
+        }
+    }
+
+    fn detail(self) -> Detail {
+        match self {
+            WaitKind::Fetch { page } => Detail::Page(page),
+            WaitKind::Lock { lock } => Detail::Lock(lock),
+            WaitKind::Barrier { barrier } => Detail::Barrier(barrier),
+            WaitKind::Mgr { op } => Detail::Op(op),
+        }
+    }
 }
 
 /// One reconstructed service interval (manager or server):
@@ -210,31 +319,59 @@ enum WaitKind {
 /// abutting serves ending at this one — the queue region a request served
 /// at `done` waited through is `[chain_lo, start]`.
 #[derive(Clone, Copy, Debug)]
-struct Serve {
-    start: u64,
-    done: u64,
+pub(crate) struct Serve<'a> {
+    pub(crate) track: TrackId,
+    pub(crate) start: u64,
+    pub(crate) done: u64,
     chain_lo: u64,
+    /// The event that says what was served: the manager's serve event, or
+    /// the first fetch of a memory-server request (its first event when it
+    /// fetched nothing).
+    pub(crate) label: &'a EventKind,
 }
 
-/// Pre-indexed trace data the walk queries.
-struct Index {
+impl Serve<'_> {
+    /// The class of time spent inside this serve.
+    pub(crate) fn class(&self) -> PathClass {
+        match self.track {
+            TrackId::MemServer(_) => PathClass::ServerService,
+            _ => PathClass::MgrService,
+        }
+    }
+}
+
+/// Why a stall ended when it did — the answer to [`Index::blocker`].
+pub(crate) struct Blocker<'a> {
+    /// The manager or server serve whose completion the stall rode, when
+    /// the trace recorded one.
+    pub(crate) serve: Option<Serve<'a>>,
+    /// The thread whose progress the stall was waiting on: the lock's
+    /// releaser, the barrier's last arrival, or the stalled thread itself.
+    pub(crate) tid: u32,
+    /// The instant on `tid` the wait hung on (the release, the arrival, or
+    /// the stall's own start); always inside `[stall.start, stall.end)`.
+    pub(crate) at: u64,
+}
+
+/// The one post-hoc causal derivation of a trace; see the module docs.
+pub(crate) struct Index<'a> {
     /// tid → disjoint stall intervals, time-ordered.
-    waits: HashMap<u32, Vec<WaitIv>>,
+    waits: HashMap<u32, Vec<Stall>>,
     /// lock → (release instant, releasing tid), time-ordered.
     releases: HashMap<u32, Vec<(u64, u32)>>,
     /// barrier → (arrival instant, arriving tid), time-ordered.
     arrivals: HashMap<u32, Vec<(u64, u32)>>,
     /// Manager serves, time-ordered by completion.
-    mgr: Vec<Serve>,
+    mgr: Vec<Serve<'a>>,
     /// (tid, op) → indices into `mgr`, time-ordered.
     mgr_by: HashMap<(u32, &'static str), Vec<usize>>,
     /// Per-server serves, time-ordered by completion.
-    servers: Vec<Vec<Serve>>,
+    servers: Vec<Vec<Serve<'a>>>,
     /// page → (done, server, index into that server's serves).
     fetch_by_page: HashMap<u64, Vec<(u64, usize, usize)>>,
 }
 
-fn chain(serves: &mut [Serve]) {
+fn chain(serves: &mut [Serve<'_>]) {
     for i in 0..serves.len() {
         serves[i].chain_lo = if i > 0 && serves[i - 1].done == serves[i].start {
             serves[i - 1].chain_lo
@@ -244,8 +381,14 @@ fn chain(serves: &mut [Serve]) {
     }
 }
 
-impl Index {
-    fn build(trace: &RunTrace, costs: &ServiceCosts) -> Index {
+/// The latest entry of a time-sorted `(instant, tid)` table at or before `t`.
+fn latest(table: Option<&Vec<(u64, u32)>>, t: u64) -> Option<(u64, u32)> {
+    let table = table?;
+    table[..table.partition_point(|&(at, _)| at <= t)].last().copied()
+}
+
+impl<'a> Index<'a> {
+    pub(crate) fn build(trace: &'a RunTrace, costs: &ServiceCosts) -> Index<'a> {
         let mut ix = Index {
             waits: HashMap::new(),
             releases: HashMap::new(),
@@ -286,7 +429,7 @@ impl Index {
                         let end = e.at.as_ns();
                         let start = end.saturating_sub(wait).max(cursor);
                         if start < end {
-                            waits.push(WaitIv { start, end, kind });
+                            waits.push(Stall { start, end, kind });
                             cursor = end;
                         }
                     }
@@ -295,52 +438,41 @@ impl Index {
                     for e in events {
                         if let EventKind::MgrServe { op, tid } = e.kind {
                             let done = e.at.as_ns();
-                            let idx = ix.mgr.len();
+                            ix.mgr_by.entry((tid, op)).or_default().push(ix.mgr.len());
                             ix.mgr.push(Serve {
-                                start: done.saturating_sub(costs.mgr_service_ns),
+                                track: *track,
+                                start: done.saturating_sub(costs.serve_ns(&e.kind)),
                                 done,
                                 chain_lo: 0,
+                                label: &e.kind,
                             });
-                            ix.mgr_by.entry((tid, op)).or_default().push(idx);
                         }
                     }
                 }
                 TrackId::MemServer(s) => {
-                    while ix.servers.len() <= *s as usize {
-                        ix.servers.push(Vec::new());
-                    }
                     let si = *s as usize;
-                    let mut i = 0;
-                    while i < events.len() {
-                        let mut j = i;
-                        let mut svc = 0u64;
-                        let mut first_page = None;
-                        while j < events.len() && events[j].at == events[i].at {
-                            svc += match &events[j].kind {
-                                EventKind::ServeFetch { page, pages } => {
-                                    if first_page.is_none() {
-                                        first_page = Some(*page);
-                                    }
-                                    costs.fetch_ns(u64::from(*pages) * costs.page_size)
-                                }
-                                EventKind::ApplyDiff { bytes, .. }
-                                | EventKind::ApplyFine { bytes, .. } => costs.apply_ns(*bytes),
-                                EventKind::ServeWrite { .. } => costs.apply_ns(costs.page_size),
-                                _ => 0,
-                            };
-                            j += 1;
+                    if ix.servers.len() <= si {
+                        ix.servers.resize(si + 1, Vec::new());
+                    }
+                    // Events of one request share a completion stamp; each
+                    // stamp-group is one serve, labelled by its first fetch.
+                    for group in events.chunk_by(|a, b| a.at == b.at) {
+                        let done = group[0].at.as_ns();
+                        let svc: u64 = group.iter().map(|e| costs.serve_ns(&e.kind)).sum();
+                        let fetch =
+                            |e: &&TraceEvent| matches!(e.kind, EventKind::ServeFetch { .. });
+                        let label = &group.iter().find(fetch).unwrap_or(&group[0]).kind;
+                        if let EventKind::ServeFetch { page, .. } = *label {
+                            let at = (done, si, ix.servers[si].len());
+                            ix.fetch_by_page.entry(page).or_default().push(at);
                         }
-                        let done = events[i].at.as_ns();
-                        let idx = ix.servers[si].len();
                         ix.servers[si].push(Serve {
+                            track: *track,
                             start: done.saturating_sub(svc),
                             done,
                             chain_lo: 0,
+                            label,
                         });
-                        if let Some(p) = first_page {
-                            ix.fetch_by_page.entry(p).or_default().push((done, si, idx));
-                        }
-                        i = j;
                     }
                 }
                 TrackId::Fabric => {}
@@ -354,8 +486,8 @@ impl Index {
             v.sort();
         }
         // Release/arrival lists are appended track by track: time-sorted
-        // within each thread but interleaved across threads. The walk
-        // binary-searches them, so sort globally by instant.
+        // within each thread but interleaved across threads. The queries
+        // binary-search them, so sort globally by instant.
         for v in ix.releases.values_mut() {
             v.sort();
         }
@@ -365,26 +497,68 @@ impl Index {
         ix
     }
 
+    /// One thread's stalls, time-ordered and disjoint.
+    pub(crate) fn stalls(&self, tid: u32) -> &[Stall] {
+        self.waits.get(&tid).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every reconstructed serve: the manager's, then each server's.
+    pub(crate) fn serves(&self) -> impl Iterator<Item = &Serve<'a>> {
+        self.mgr.iter().chain(self.servers.iter().flatten())
+    }
+
     /// Latest manager serve for `(tid, op)` completing at or before `t`.
-    fn mgr_serve_before(&self, tid: u32, op: &'static str, t: u64) -> Option<Serve> {
+    fn mgr_serve_before(&self, tid: u32, op: &'static str, t: u64) -> Option<Serve<'a>> {
         let list = self.mgr_by.get(&(tid, op))?;
         let idx = list.partition_point(|&i| self.mgr[i].done <= t);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.mgr[list[idx - 1]])
-        }
+        Some(self.mgr[list[idx.checked_sub(1)?]])
     }
 
     /// Latest serve of `page` completing at or before `t`.
-    fn fetch_serve_before(&self, page: u64, t: u64) -> Option<Serve> {
+    fn fetch_serve_before(&self, page: u64, t: u64) -> Option<Serve<'a>> {
         let list = self.fetch_by_page.get(&page)?;
         let idx = list.partition_point(|&(done, _, _)| done <= t);
-        if idx == 0 {
-            return None;
-        }
-        let (_, s, i) = list[idx - 1];
+        let (_, s, i) = list[idx.checked_sub(1)?];
         Some(self.servers[s][i])
+    }
+
+    /// Why `tid`'s `stall` ended when it did: the `(thread, instant)` it
+    /// was really waiting on, and the serve it rode — one that completed
+    /// inside `(at, stall.end]`; an earlier one (a prefetch served before
+    /// the stall began) carried none of the stall's time. `stall` may be
+    /// clipped to the part a caller is looking at: the walk enters stalls
+    /// mid-way, the export clips them to the thread's window.
+    pub(crate) fn blocker(&self, tid: u32, stall: &Stall) -> Blocker<'a> {
+        let (s, t) = (stall.start, stall.end);
+        let (serve, tid, at) = match stall.kind {
+            WaitKind::Fetch { page } => (self.fetch_serve_before(page, t), tid, s),
+            WaitKind::Mgr { op } => (self.mgr_serve_before(tid, op, t), tid, s),
+            // The latest release at or before the grant is the blocker, if
+            // it falls inside the stall.
+            WaitKind::Lock { lock } => match latest(self.releases.get(&lock), t) {
+                // Contended: the grant rode the releaser's `release` serve.
+                Some((r, rtid)) if r > s && r < t => {
+                    (self.mgr_serve_before(rtid, "release", t), rtid, r)
+                }
+                // Uncontended (or bypass mode): a pure round trip — our own
+                // `acquire` serve, if the manager traced one.
+                _ => (self.mgr_serve_before(tid, "acquire", t), tid, s),
+            },
+            // The episode's last arrival (the latest arrival before the
+            // release) is the blocker, if it falls inside the stall; the
+            // release rode that arrival's `barrier-wait` serve.
+            WaitKind::Barrier { barrier } => {
+                let arr = latest(self.arrivals.get(&barrier), t);
+                let serve = arr.and_then(|(a, atid)| {
+                    self.mgr_serve_before(atid, "barrier-wait", t).filter(|sv| sv.done >= a)
+                });
+                match arr {
+                    Some((a, atid)) if a > s && a < t => (serve, atid, a),
+                    _ => (serve, tid, s),
+                }
+            }
+        };
+        Blocker { serve: serve.filter(|sv| sv.done > at), tid, at }
     }
 }
 
@@ -409,16 +583,14 @@ pub fn critical_path(
     let mut segs: Vec<PathSegment> = Vec::new(); // backwards; reversed at the end
     let mut t = w.end_ns;
     let mut tid = w.tid;
-    let empty: Vec<WaitIv> = Vec::new();
 
     while t > floor {
-        let waits = ix.waits.get(&tid).unwrap_or(&empty);
+        let stalls = ix.stalls(tid);
         // The stall containing t (start < t <= end), if any.
-        let idx = waits.partition_point(|iv| iv.end < t);
-        let active = waits.get(idx).filter(|iv| iv.start < t && iv.end >= t).copied();
-        let Some(iv) = active else {
+        let idx = stalls.partition_point(|iv| iv.end < t);
+        let Some(iv) = stalls.get(idx).filter(|iv| iv.start < t && iv.end >= t) else {
             // Compute back to the previous stall's end (or the floor).
-            let prev_end = if idx > 0 { waits[idx - 1].end } else { floor };
+            let prev_end = if idx > 0 { stalls[idx - 1].end } else { floor };
             let next = prev_end.clamp(floor, t - 1).max(floor);
             // `next < t`: prev_end < t by partition, floor < t by the loop.
             segs.push(PathSegment {
@@ -426,28 +598,33 @@ pub fn critical_path(
                 class: PathClass::Compute,
                 start_ns: next,
                 end_ns: t,
-                detail: String::new(),
+                detail: Detail::None,
             });
             t = next;
             continue;
         };
-        let s = iv.start.max(floor);
-        // Resolve the blocker: (next_t, next_tid, cuts). `cuts` are
-        // (boundary, class, detail) pieces covering (next_t, t] backwards:
-        // piece i spans (cuts[i].0 clamped, previous boundary].
-        let (next_t, next_tid, pieces) = step(&ix, tid, s, t, iv);
-        debug_assert!(next_t < t && next_t >= floor.min(t));
+        // The part of the stall the walk is in, `(s, t]`, and why it ended.
+        let b = ix.blocker(tid, &Stall { start: iv.start.max(floor), end: t, kind: iv.kind });
+        debug_assert!(floor <= b.at && b.at < t, "the walk makes strict progress");
+        // Cut `(b.at, t]` backwards at the blocker's boundaries: response
+        // wire, service, the queue chain before it, then the wait on the
+        // blocker itself. A boundary outside the interval clamps away.
+        let (class, detail) = (iv.kind.class(), iv.kind.detail());
         let mut hi = t;
-        for (lo, class, detail) in pieces {
-            let lo = lo.clamp(next_t, hi);
+        let mut cut = |lo: u64, class: PathClass, detail: Detail| {
+            let lo = lo.clamp(b.at, hi);
             if lo < hi {
                 segs.push(PathSegment { tid, class, start_ns: lo, end_ns: hi, detail });
                 hi = lo;
             }
+        };
+        if let Some(serve) = b.serve {
+            cut(serve.done, class, detail);
+            cut(serve.start, serve.class(), detail);
+            cut(serve.chain_lo, PathClass::QueueWait, detail.queued());
         }
-        debug_assert_eq!(hi, next_t, "pieces must tile (next_t, t]");
-        t = next_t.max(floor);
-        tid = next_tid;
+        cut(b.at, class, detail);
+        (t, tid) = (b.at, b.tid);
     }
 
     segs.reverse();
@@ -462,118 +639,6 @@ pub fn critical_path(
         "critical-path attribution must tile the makespan exactly"
     );
     report
-}
-
-type Pieces = Vec<(u64, PathClass, String)>;
-
-/// Classify the stall `iv` (clamped to `(s, t]`) and pick the walk's next
-/// position. Returns `(next_t, next_tid, pieces)`; pieces are emitted
-/// high-to-low, their boundaries clamped by the caller, and must reach
-/// `next_t`. `next_t < t` is guaranteed (strict progress).
-fn step(ix: &Index, tid: u32, s: u64, t: u64, iv: WaitIv) -> (u64, u32, Pieces) {
-    match iv.kind {
-        WaitKind::Fetch { page } => {
-            let detail = format!("page {page}");
-            let mut pieces: Pieces = Vec::new();
-            if let Some(serve) = ix.fetch_serve_before(page, t) {
-                // Wire tail, serve, queue chain, then request wire.
-                pieces.push((serve.done, PathClass::Fetch, detail.clone()));
-                pieces.push((serve.start, PathClass::ServerService, detail.clone()));
-                pieces.push((
-                    serve.chain_lo,
-                    PathClass::QueueWait,
-                    format!("server queue (page {page})"),
-                ));
-            }
-            pieces.push((s, PathClass::Fetch, detail));
-            (s, tid, pieces)
-        }
-        WaitKind::Mgr { op } => {
-            let detail = format!("op {op}");
-            let mut pieces: Pieces = Vec::new();
-            if let Some(serve) = ix.mgr_serve_before(tid, op, t) {
-                pieces.push((serve.done, PathClass::MgrWait, detail.clone()));
-                pieces.push((serve.start, PathClass::MgrService, detail.clone()));
-                pieces.push((serve.chain_lo, PathClass::QueueWait, format!("mgr queue (op {op})")));
-            }
-            pieces.push((s, PathClass::MgrWait, detail));
-            (s, tid, pieces)
-        }
-        WaitKind::Lock { lock } => {
-            let detail = format!("lock {lock}");
-            // The latest release at or before the grant, if it falls inside
-            // this stall, is the blocker: jump to the releaser.
-            let rel = ix.releases.get(&lock).and_then(|rels| {
-                let idx = rels.partition_point(|&(at, _)| at <= t);
-                (idx > 0).then(|| rels[idx - 1])
-            });
-            let mut pieces: Pieces = Vec::new();
-            match rel {
-                Some((r, rtid)) if r > s && r < t => {
-                    // Contended: the grant rode the releaser's `release`
-                    // serve — carve its manager tail out of (r, t].
-                    if let Some(serve) = ix.mgr_serve_before(rtid, "release", t) {
-                        if serve.done >= r {
-                            pieces.push((serve.done, PathClass::LockWait, detail.clone()));
-                            pieces.push((serve.start, PathClass::MgrService, detail.clone()));
-                            pieces.push((
-                                serve.chain_lo,
-                                PathClass::QueueWait,
-                                format!("mgr queue (lock {lock})"),
-                            ));
-                        }
-                    }
-                    pieces.push((r, PathClass::LockWait, detail));
-                    (r, rtid, pieces)
-                }
-                _ => {
-                    // Uncontended (or bypass mode): pure round-trip — carve
-                    // out our own `acquire` serve if the manager traced one.
-                    if let Some(serve) = ix.mgr_serve_before(tid, "acquire", t) {
-                        pieces.push((serve.done, PathClass::LockWait, detail.clone()));
-                        pieces.push((serve.start, PathClass::MgrService, detail.clone()));
-                        pieces.push((
-                            serve.chain_lo,
-                            PathClass::QueueWait,
-                            format!("mgr queue (lock {lock})"),
-                        ));
-                    }
-                    pieces.push((s, PathClass::LockWait, detail));
-                    (s, tid, pieces)
-                }
-            }
-        }
-        WaitKind::Barrier { barrier } => {
-            let detail = format!("barrier {barrier}");
-            // The episode's last arrival (latest arrival before the
-            // release) is the blocker.
-            let arr = ix.arrivals.get(&barrier).and_then(|arrs| {
-                let idx = arrs.partition_point(|&(at, _)| at <= t);
-                (idx > 0).then(|| arrs[idx - 1])
-            });
-            let mut pieces: Pieces = Vec::new();
-            let (jump, jtid) = match arr {
-                Some((a, atid)) if a > s && a < t => (a, atid),
-                _ => (s, tid),
-            };
-            // The release rode the last arrival's `barrier-wait` serve.
-            if let Some((a, atid)) = arr {
-                if let Some(serve) = ix.mgr_serve_before(atid, "barrier-wait", t) {
-                    if serve.done >= a.max(s) {
-                        pieces.push((serve.done, PathClass::BarrierWait, detail.clone()));
-                        pieces.push((serve.start, PathClass::MgrService, detail.clone()));
-                        pieces.push((
-                            serve.chain_lo,
-                            PathClass::QueueWait,
-                            format!("mgr queue (barrier {barrier})"),
-                        ));
-                    }
-                }
-            }
-            pieces.push((jump, PathClass::BarrierWait, detail));
-            (jump, jtid, pieces)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -705,6 +770,30 @@ mod tests {
         assert_eq!(r.class_total(PathClass::BarrierWait), 200);
         assert_eq!(r.class_total(PathClass::Compute), 4_000);
         assert!(r.segments.iter().any(|s| s.tid == 1 && s.class == PathClass::Compute));
+    }
+
+    /// `Detail` is the report's `detail` vocabulary: the strings are pinned
+    /// (reports and `--out` files carry them), and both page-carrying
+    /// variants give up their page for allocation-site lookup.
+    #[test]
+    fn detail_strings_and_pages_are_pinned() {
+        for (detail, text) in [
+            (Detail::None, ""),
+            (Detail::Page(7), "page 7"),
+            (Detail::ServerQueue(7), "server queue (page 7)"),
+            (Detail::Op("alloc-shared"), "op alloc-shared"),
+            (Detail::MgrQueueOp("alloc-shared"), "mgr queue (op alloc-shared)"),
+            (Detail::Lock(3), "lock 3"),
+            (Detail::MgrQueueLock(3), "mgr queue (lock 3)"),
+            (Detail::Barrier(1), "barrier 1"),
+            (Detail::MgrQueueBarrier(1), "mgr queue (barrier 1)"),
+        ] {
+            assert_eq!(detail.to_string(), text);
+            let on_a_page = matches!(detail, Detail::Page(_) | Detail::ServerQueue(_));
+            assert_eq!(detail.page(), on_a_page.then_some(7), "{detail:?}");
+        }
+        assert_eq!(Detail::Page(7).queued(), Detail::ServerQueue(7));
+        assert_eq!(Detail::Lock(3).queued(), Detail::MgrQueueLock(3));
     }
 
     /// Report JSON is byte-identical across two extractions.

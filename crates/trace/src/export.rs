@@ -13,11 +13,14 @@
 //! compute thread plus manager / memory-server / fabric tracks, named via
 //! `"M"` metadata records. Events that close a stall interval (fetch waits,
 //! lock waits, barrier waits, manager RPCs) are rendered as `"X"` complete
-//! spans covering the wait; everything else is an `"i"` instant.
+//! spans covering the wait; everything else is an `"i"` instant. The causal
+//! form ([`RunTrace::to_chrome_json_with`]) is the same body plus what the
+//! critical path's index knows: tiled thread windows, serve slices on the
+//! service tracks, and flow arrows from each stall to what ended it.
 
-use crate::event::{EventKind, TraceEvent};
+use crate::critpath::{Index, PathClass, Stall, ThreadWindow, WaitKind};
+use crate::event::{EventKind, TraceEvent, TrackId};
 use crate::metrics::ServiceCosts;
-use crate::span::{EdgeKind, SpanClass, SpanDetail, SpanGraph, ThreadWindow};
 use crate::tracer::RunTrace;
 
 /// (key, already-valid-JSON-value) argument pairs for one event.
@@ -156,6 +159,26 @@ impl RunTrace {
     /// Export as Chrome trace-event JSON (the "JSON object format"), which
     /// opens directly in Perfetto and `chrome://tracing`.
     pub fn to_chrome_json(&self) -> String {
+        self.chrome_json(None)
+    }
+
+    /// Export as Chrome trace-event JSON **with causality**, drawn from the
+    /// critical path's own index: every thread window is fully tiled with
+    /// `"X"` slices (compute gaps and the stalls, clipped to the window),
+    /// every reconstructed manager/server serve is an `"X"` slice on *its
+    /// own* track, and for every stall the hops the critical-path walk
+    /// would take out of it are Perfetto flow arrows (`"ph":"s"` /
+    /// `"ph":"f"` pairs sharing an `id`): request and response of the serve
+    /// the stall rode, and the lock hand-off or barrier last arrival it
+    /// really waited on. Non-stall events remain `"i"` instants.
+    ///
+    /// [`RunTrace::to_jsonl`] (the checksum basis) and the plain
+    /// [`RunTrace::to_chrome_json`] are untouched by this richer export.
+    pub fn to_chrome_json_with(&self, windows: &[ThreadWindow], costs: &ServiceCosts) -> String {
+        self.chrome_json(Some((windows, costs)))
+    }
+
+    fn chrome_json(&self, causal: Option<(&[ThreadWindow], &ServiceCosts)>) -> String {
         let mut records: Vec<String> = Vec::with_capacity(self.len() + self.tracks.len() + 1);
         records.push(
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
@@ -170,30 +193,32 @@ impl RunTrace {
                 track.label()
             ));
         }
+        if let Some((windows, costs)) = causal {
+            self.causal_records(windows, costs, &mut records);
+        }
         for (track, events) in &self.tracks {
             let tid = track.chrome_tid();
             for TraceEvent { at, kind } in events {
-                let args = args_json(kind);
-                let cat = category(kind);
-                let name = kind.name();
                 let rec = match kind.wait_ns() {
-                    // A stall interval: render as a complete span ending at
-                    // the stamp. ts is in microseconds (fractional ok).
-                    Some(wait_ns) => {
-                        let start_ns = at.as_ns().saturating_sub(wait_ns);
-                        format!(
-                            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\
-                             \"pid\":0,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\
-                             \"args\":{args}}}",
-                            start_ns as f64 / 1000.0,
-                            wait_ns as f64 / 1000.0
-                        )
-                    }
+                    // The causal layer already drew this stall as a tile.
+                    Some(wait_ns) if causal.is_some() && wait_ns > 0 => continue,
+                    // A stall interval: a complete span ending at the stamp.
+                    Some(wait_ns) => slice(
+                        kind.name(),
+                        category(kind),
+                        tid,
+                        at.as_ns().saturating_sub(wait_ns),
+                        wait_ns,
+                        &args_json(kind),
+                    ),
                     None => format!(
-                        "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\
+                        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\
                          \"pid\":0,\"tid\":{tid},\"ts\":{:.3},\"s\":\"t\",\
-                         \"args\":{args}}}",
-                        at.as_ns() as f64 / 1000.0
+                         \"args\":{}}}",
+                        kind.name(),
+                        category(kind),
+                        us(at.as_ns()),
+                        args_json(kind)
                     ),
                 };
                 records.push(rec);
@@ -202,95 +227,108 @@ impl RunTrace {
         format!("{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n{}\n]}}\n", records.join(",\n"))
     }
 
-    /// Export as Chrome trace-event JSON **with causality**: the span graph
-    /// is built from the trace (plus the run's thread windows and service
-    /// costs), thread tracks are fully tiled with `"X"` slices (compute and
-    /// wait spans), manager/server service spans land as `"X"` slices on
-    /// *their own* tracks — not the requester's — and every causal edge
-    /// (lock handoffs, barrier releases, RPC request/response pairs, fetch
-    /// serves) becomes a Perfetto flow arrow (`"ph":"s"` / `"ph":"f"`,
-    /// `id` = edge index). Non-wait events remain `"i"` instants.
-    ///
-    /// [`RunTrace::to_jsonl`] (the checksum basis) is untouched by this
-    /// richer export.
-    pub fn to_chrome_json_with(&self, windows: &[ThreadWindow], costs: &ServiceCosts) -> String {
-        let graph = SpanGraph::build(self, windows, costs);
-        let mut records: Vec<String> =
-            Vec::with_capacity(graph.spans.len() + 2 * graph.edges.len() + self.len());
-        records.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{\"name\":\"samhita\"}}"
-                .to_string(),
-        );
-        for (track, _) in &self.tracks {
+    /// The causal layer of [`RunTrace::to_chrome_json_with`]: tiles, serve
+    /// slices and flow arrows, all read off one [`Index`].
+    fn causal_records(
+        &self,
+        windows: &[ThreadWindow],
+        costs: &ServiceCosts,
+        records: &mut Vec<String>,
+    ) {
+        let _prof = samhita_prof::enter(samhita_prof::Phase::SpanGraph);
+        let ix = Index::build(self, costs);
+        let mut flows = 0u64;
+        let mut flow = |records: &mut Vec<String>,
+                        name: &str,
+                        (src, src_ns): (TrackId, u64),
+                        (dst, dst_ns): (TrackId, u64)| {
             records.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                track.chrome_tid(),
-                track.label()
-            ));
-        }
-        for span in &graph.spans {
-            let args = match span.detail {
-                SpanDetail::None => String::new(),
-                SpanDetail::Page { page, pages } => format!("\"page\":{page},\"pages\":{pages}"),
-                SpanDetail::Lock(lock) => format!("\"lock\":{lock}"),
-                SpanDetail::Barrier(b) => format!("\"barrier\":{b}"),
-                SpanDetail::Op(op) => format!("\"op\":\"{op}\""),
-                SpanDetail::Serve { op, tid } => format!("\"op\":\"{op}\",\"tid\":{tid}"),
-            };
-            let cat = match span.class {
-                SpanClass::MgrService => "mgr",
-                SpanClass::ServerService => "mem",
-                _ => "thread",
-            };
-            records.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":0,\
-                 \"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{{args}}}}}",
-                span.class.label(),
-                span.track.chrome_tid(),
-                span.start.as_ns() as f64 / 1000.0,
-                (span.end.as_ns() - span.start.as_ns()) as f64 / 1000.0
-            ));
-        }
-        for (id, e) in graph.edges.iter().enumerate() {
-            if matches!(e.kind, EdgeKind::Program) {
-                continue; // implicit in track layout
-            }
-            let name = e.kind.label();
-            let src_tid = graph.spans[e.src].track.chrome_tid();
-            let dst_tid = graph.spans[e.dst].track.chrome_tid();
-            records.push(format!(
-                "{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{id},\
-                 \"pid\":0,\"tid\":{src_tid},\"ts\":{:.3}}}",
-                e.src_at.as_ns() as f64 / 1000.0
+                "{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{flows},\
+                 \"pid\":0,\"tid\":{},\"ts\":{:.3}}}",
+                src.chrome_tid(),
+                us(src_ns)
             ));
             records.push(format!(
                 "{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\
-                 \"id\":{id},\"pid\":0,\"tid\":{dst_tid},\"ts\":{:.3}}}",
-                e.dst_at.as_ns() as f64 / 1000.0
+                 \"id\":{flows},\"pid\":0,\"tid\":{},\"ts\":{:.3}}}",
+                dst.chrome_tid(),
+                us(dst_ns)
             ));
-        }
-        // Non-wait events stay as instants; wait-closing events are already
-        // rendered as graph wait spans with identical geometry.
-        for (track, events) in &self.tracks {
-            let tid = track.chrome_tid();
-            for TraceEvent { at, kind } in events {
-                if matches!(kind.wait_ns(), Some(w) if w > 0) {
+            flows += 1;
+        };
+        let compute = PathClass::Compute.label();
+        for w in windows {
+            let me = TrackId::Thread(w.tid);
+            let tid = me.chrome_tid();
+            let mut cursor = w.epoch_ns;
+            for iv in ix.stalls(w.tid) {
+                // The stall clipped to the window; the gap before it is compute.
+                let (start, end) = (iv.start.max(cursor), iv.end.min(w.end_ns));
+                if start >= end {
                     continue;
                 }
-                records.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"pid\":0,\
-                     \"tid\":{tid},\"ts\":{:.3},\"s\":\"t\",\"args\":{}}}",
-                    kind.name(),
-                    category(kind),
-                    at.as_ns() as f64 / 1000.0,
-                    args_json(kind)
-                ));
+                if cursor < start {
+                    records.push(slice(compute, "thread", tid, cursor, start - cursor, "{}"));
+                }
+                let args = match iv.kind {
+                    WaitKind::Fetch { page } => format!("{{\"page\":{page}}}"),
+                    WaitKind::Lock { lock } => format!("{{\"lock\":{lock}}}"),
+                    WaitKind::Barrier { barrier } => format!("{{\"barrier\":{barrier}}}"),
+                    WaitKind::Mgr { op } => format!("{{\"op\":\"{op}\"}}"),
+                };
+                let class = iv.kind.class().label();
+                records.push(slice(class, "thread", tid, start, end - start, &args));
+                cursor = end;
+
+                // The hops out of the stall, exactly as the walk takes them.
+                let b = ix.blocker(w.tid, &Stall { start, end, kind: iv.kind });
+                let (from, to) = ((TrackId::Thread(b.tid), b.at), (me, end));
+                if let Some(serve) = b.serve {
+                    // A late prefetch's request left before its stall
+                    // began: that stall gets the response arrow only.
+                    if b.at <= serve.start {
+                        flow(records, "rpc-request", from, (serve.track, serve.start));
+                    }
+                    let name = match iv.kind {
+                        WaitKind::Fetch { .. } => "fetch-serve",
+                        _ => "rpc-response",
+                    };
+                    flow(records, name, (serve.track, serve.done), to);
+                }
+                if b.tid != w.tid {
+                    let name = match iv.kind {
+                        WaitKind::Lock { .. } => "lock-handoff",
+                        _ => "barrier",
+                    };
+                    flow(records, name, from, to);
+                }
+            }
+            if cursor < w.end_ns {
+                records.push(slice(compute, "thread", tid, cursor, w.end_ns - cursor, "{}"));
             }
         }
-        format!("{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n{}\n]}}\n", records.join(",\n"))
+        for serve in ix.serves() {
+            let (tid, dur) = (serve.track.chrome_tid(), serve.done - serve.start);
+            let (cat, args) = (category(serve.label), args_json(serve.label));
+            records.push(slice(serve.class().label(), cat, tid, serve.start, dur, &args));
+        }
     }
+}
+
+/// Nanoseconds as the microseconds Chrome's `ts` / `dur` fields want
+/// (fractional; three decimals keep every nanosecond).
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1000.0
+}
+
+/// One `"X"` complete slice; `args` is a whole JSON object.
+fn slice(name: &str, cat: &str, tid: u64, start_ns: u64, dur_ns: u64, args: &str) -> String {
+    format!(
+        "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\
+         \"ts\":{:.3},\"dur\":{:.3},\"args\":{args}}}",
+        us(start_ns),
+        us(dur_ns)
+    )
 }
 
 #[cfg(test)]
@@ -376,63 +414,5 @@ mod tests {
         assert!(out.contains("\"dur\":0.800"));
         // Instants carry a scope.
         assert!(out.contains("\"ph\":\"i\""));
-    }
-
-    #[test]
-    fn chrome_export_with_flows_binds_services_to_their_tracks() {
-        let ns = SimTime::from_ns;
-        let trace = RunTrace::from_tracks(vec![
-            (
-                TrackId::Thread(0),
-                vec![
-                    TraceEvent {
-                        at: ns(2_000),
-                        kind: EventKind::LockAcquire { lock: 0, wait_ns: 500 },
-                    },
-                    TraceEvent { at: ns(3_000), kind: EventKind::LockRelease { lock: 0 } },
-                ],
-            ),
-            (
-                TrackId::Thread(1),
-                vec![TraceEvent {
-                    at: ns(3_400),
-                    kind: EventKind::LockAcquire { lock: 0, wait_ns: 1_000 },
-                }],
-            ),
-            (
-                TrackId::Manager,
-                vec![TraceEvent {
-                    at: ns(1_900),
-                    kind: EventKind::MgrServe { op: "acquire", tid: 0 },
-                }],
-            ),
-        ]);
-        let windows = [
-            ThreadWindow { tid: 0, epoch_ns: 0, end_ns: 4_000 },
-            ThreadWindow { tid: 1, epoch_ns: 0, end_ns: 4_000 },
-        ];
-        let costs = ServiceCosts {
-            mgr_service_ns: 300,
-            fetch_base_ns: 400,
-            apply_base_ns: 150,
-            per_kib_ns: 100,
-            page_size: 1024,
-        };
-        let out = trace.to_chrome_json_with(&windows, &costs);
-        validate_json(&out).expect("valid chrome json");
-        // Flow arrows come in begin/end pairs with matching ids.
-        assert!(out.contains("\"ph\":\"s\""));
-        assert!(out.contains("\"ph\":\"f\""));
-        assert!(out.contains("\"name\":\"lock-handoff\""));
-        // The manager service span renders on the manager's track (tid
-        // 1000), not the requester's: [1600, 1900] -> ts 1.600 dur 0.300.
-        assert!(out.contains(
-            "\"name\":\"mgr-service\",\"cat\":\"mgr\",\"ph\":\"X\",\"pid\":0,\
-             \"tid\":1000,\"ts\":1.600,\"dur\":0.300"
-        ));
-        // Thread tracks are tiled: compute slices exist.
-        assert!(out.contains("\"name\":\"compute\""));
-        // The plain export is untouched by the richer one.
-        assert_eq!(trace.to_chrome_json(), trace.to_chrome_json());
     }
 }

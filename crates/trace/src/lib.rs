@@ -14,6 +14,11 @@
 //!   Chrome trace-event JSON opens directly in Perfetto / `chrome://tracing`
 //!   with one track per compute thread plus manager / memory-server / fabric
 //!   tracks;
+//! * one post-hoc causal derivation ([`critpath`]): an index of every
+//!   thread's stalls, every manager/server serve and what each stall was
+//!   really waiting on, read by [`critical_path`] — whose class totals tile
+//!   the makespan exactly — and by [`RunTrace::to_chrome_json_with`], which
+//!   draws the same serves and hops as slices and flow arrows;
 //! * log-bucketed [`LatencyHistogram`]s for fetch, lock-wait and barrier-wait
 //!   latencies (p50/p95/p99/max);
 //! * a post-hoc [`MetricsTimeline`] — per-interval miss/refetch/byte/wait
@@ -37,15 +42,15 @@ pub mod hist;
 pub mod hotspot;
 pub mod json;
 pub mod metrics;
-pub mod span;
 pub mod tracer;
 
 pub use check::{CheckSummary, Violation};
-pub use critpath::{critical_path, CriticalPathReport, PathClass, PathSegment};
+pub use critpath::{
+    critical_path, CriticalPathReport, Detail, PathClass, PathSegment, ThreadWindow,
+};
 pub use event::{EventKind, FetchKind, TraceEvent, TrackId};
 pub use hist::LatencyHistogram;
 pub use hotspot::{HotspotMap, PageCounters};
 pub use json::{validate_json, JsonValue};
 pub use metrics::{MetricsTimeline, ServiceCosts, TimelineBucket};
-pub use span::{Edge, EdgeKind, Span, SpanClass, SpanDetail, SpanGraph, ThreadWindow};
 pub use tracer::{RunTrace, SharedTrack, TraceBuf, Tracer};

@@ -47,14 +47,22 @@ pub struct ServiceCosts {
 }
 
 impl ServiceCosts {
-    /// Memory-server service time for fetching `bytes` of payload.
-    pub fn fetch_ns(&self, bytes: u64) -> u64 {
-        self.fetch_base_ns + bytes * self.per_kib_ns / 1024
-    }
-
-    /// Memory-server service time for applying `bytes` of payload.
-    pub fn apply_ns(&self, bytes: u64) -> u64 {
-        self.apply_base_ns + bytes * self.per_kib_ns / 1024
+    /// How long the manager or a memory server was busy producing one serve
+    /// event (0 for every other kind) — the one service-time rule, shared
+    /// by the timeline's busy series and the causal index's serves.
+    pub fn serve_ns(&self, kind: &EventKind) -> u64 {
+        let payload = |base_ns: u64, bytes: u64| base_ns + bytes * self.per_kib_ns / 1024;
+        match *kind {
+            EventKind::MgrServe { .. } => self.mgr_service_ns,
+            EventKind::ServeFetch { pages, .. } => {
+                payload(self.fetch_base_ns, u64::from(pages) * self.page_size)
+            }
+            EventKind::ApplyDiff { bytes, .. } | EventKind::ApplyFine { bytes, .. } => {
+                payload(self.apply_base_ns, bytes)
+            }
+            EventKind::ServeWrite { .. } => payload(self.apply_base_ns, self.page_size),
+            _ => 0,
+        }
     }
 }
 
@@ -173,19 +181,15 @@ impl MetricsTimeline {
                 self.bucket_at(at).fabric_bytes += bytes;
             }
             (TrackId::Manager | TrackId::MgrStandby, EventKind::MgrServe { .. }) => {
-                self.bucket_at(at).mgr_busy_ns += costs.mgr_service_ns;
+                self.bucket_at(at).mgr_busy_ns += costs.serve_ns(kind);
             }
-            (TrackId::MemServer(_), EventKind::ServeFetch { pages, .. }) => {
-                self.bucket_at(at).server_busy_ns +=
-                    costs.fetch_ns(*pages as u64 * costs.page_size);
-            }
-            (TrackId::MemServer(_), EventKind::ApplyDiff { bytes, .. })
-            | (TrackId::MemServer(_), EventKind::ApplyFine { bytes, .. }) => {
-                self.bucket_at(at).server_busy_ns += costs.apply_ns(*bytes);
-            }
-            (TrackId::MemServer(_), EventKind::ServeWrite { .. }) => {
-                self.bucket_at(at).server_busy_ns += costs.apply_ns(costs.page_size);
-            }
+            (
+                TrackId::MemServer(_),
+                EventKind::ServeFetch { .. }
+                | EventKind::ApplyDiff { .. }
+                | EventKind::ApplyFine { .. }
+                | EventKind::ServeWrite { .. },
+            ) => self.bucket_at(at).server_busy_ns += costs.serve_ns(kind),
             _ => {}
         }
     }

@@ -8,8 +8,9 @@
 //!
 //! Buffers are bounded rings: past `capacity` events the oldest are dropped
 //! and counted, never blocking or reallocating without bound. A trace with
-//! drops is still exportable but the invariant checker refuses it (a
-//! truncated event stream cannot prove anything).
+//! drops is still exportable, but the invariant checker refuses it and
+//! nothing is derived from it ([`RunTrace::untruncated`]): a truncated
+//! event stream cannot prove anything.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;

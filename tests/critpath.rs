@@ -1,11 +1,15 @@
 //! End-to-end checks of the causal observability layer: the virtual-time
 //! critical path must tile the makespan *exactly* on every kernel at every
-//! thread count, the span graph must be a monotone DAG, per-thread time
+//! thread count and stay the same path segment for segment, the causal
+//! Chrome export must be the walk's own picture (windows tiled, arrows
+//! leaving the blocker the walk would jump to), per-thread time
 //! conservation must hold on arbitrary generated programs, and the whole
 //! layer must be post-hoc — extracting it leaves the trace checksum and
 //! every virtual-time quantity bit-identical.
 
 mod common;
+
+use std::collections::HashMap;
 
 use samhita_bench::{thread_windows, BenchReport};
 use samhita_repro::core::{RunReport, Samhita, SamhitaConfig};
@@ -13,7 +17,11 @@ use samhita_repro::kernels::{
     run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
 };
 use samhita_repro::rt::SamhitaRt;
-use samhita_repro::trace::{critical_path, validate_json, JsonValue, RunTrace, SpanGraph};
+use samhita_repro::scl::SimTime;
+use samhita_repro::trace::{
+    critical_path, validate_json, EventKind, FetchKind, JsonValue, RunTrace, ServiceCosts,
+    ThreadWindow, TraceEvent, TrackId,
+};
 
 fn traced(sched_seed: u64) -> SamhitaConfig {
     SamhitaConfig { tracing: true, sched_seed, ..SamhitaConfig::default() }
@@ -61,19 +69,24 @@ fn critical_path_length_equals_makespan_on_all_kernels() {
     }
 }
 
-/// The span graph is causally well-formed: every edge flows forward in
-/// virtual time, and the zero-delay subgraph (where a cycle could hide) is
-/// a DAG.
+/// The baselines hold the path's class totals and segment count; this holds
+/// the path itself — every segment's thread, class, bounds and detail
+/// string — as an FNV-1a hash of the full report. The constants were
+/// computed at `5565ecd`, before the index became the export's source too.
 #[test]
-fn span_graph_is_acyclic_with_monotone_edges() {
+fn critical_path_is_the_same_path_segment_for_segment() {
     let costs = SamhitaConfig::default().service_costs();
-    for (kernel, p) in [("jacobi", 8u32), ("micro", 4), ("md", 8)] {
+    for (kernel, p, want) in [
+        ("micro", 4u32, 0xa099_a510_60a0_1937u64),
+        ("jacobi", 8, 0xe37b_1771_3217_a84c),
+        ("md", 8, 0x1280_4772_bf60_1efa),
+    ] {
         let (report, trace) = run_kernel(kernel, p, 0);
-        let g = SpanGraph::build(&trace, &thread_windows(&report), &costs);
-        assert!(!g.spans.is_empty(), "{kernel}: graph has spans");
-        assert!(!g.edges.is_empty(), "{kernel}: graph has causal edges");
-        g.check_monotone().unwrap_or_else(|e| panic!("{kernel} P={p}: non-monotone edge: {e}"));
-        assert!(g.is_acyclic(), "{kernel} P={p}: zero-delay causality must be acyclic");
+        let json = critical_path(&trace, &thread_windows(&report), &costs).to_json(usize::MAX);
+        let fnv = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(fnv, want, "{kernel} P={p}: the full path moved (got {fnv:#018x})");
     }
 }
 
@@ -132,8 +145,8 @@ fn critical_path_report_is_byte_identical_across_runs_at_every_seed() {
     }
 }
 
-/// The whole layer is observational: building the span graph, extracting
-/// the critical path, and exporting flow events are read-only (the trace
+/// The whole layer is observational: extracting the critical path and
+/// exporting flow events are read-only (the trace
 /// checksum is untouched), and the bench report's virtual-time fields are
 /// bit-identical whether or not the trace-derived sections are computed.
 #[test]
@@ -144,13 +157,12 @@ fn observability_layer_is_post_hoc_and_checksum_stable() {
     let before = trace.checksum();
     let windows = thread_windows(&report);
 
-    let g = SpanGraph::build(&trace, &windows, &costs);
     let cp = critical_path(&trace, &windows, &costs);
     let chrome = trace.to_chrome_json_with(&windows, &costs);
     validate_json(&chrome).expect("causal Chrome export must be valid JSON");
     assert!(chrome.contains("\"ph\":\"s\""), "flow-start events present");
     assert!(chrome.contains("\"ph\":\"f\""), "flow-finish events present");
-    assert!(!g.spans.is_empty() && cp.makespan_ns > 0);
+    assert!(cp.makespan_ns > 0);
     assert_eq!(trace.checksum(), before, "extraction must be read-only");
 
     let with = BenchReport::from_run("micro", "t", &cfg, 4, &report, Some(&trace));
@@ -172,4 +184,244 @@ fn observability_layer_is_post_hoc_and_checksum_stable() {
         Some(&JsonValue::Null),
         "no trace: section absent, fields unchanged"
     );
+}
+
+type Slice = (String, u64, u64, u64);
+type Flow = (String, (u64, u64), (u64, u64));
+
+/// The causal Chrome export, read back: `(name, tid, start_ns, end_ns)` of
+/// every `"X"` slice and `(name, (src tid, ns), (dst tid, ns))` of every
+/// flow pair. Checks on the way what must hold for every causal export:
+/// valid JSON, byte-identical across two calls, the plain form untouched,
+/// every thread window tiled exactly, no flow running backwards.
+fn causal(
+    trace: &RunTrace,
+    windows: &[ThreadWindow],
+    costs: &ServiceCosts,
+) -> (Vec<Slice>, Vec<Flow>) {
+    let plain = trace.to_chrome_json();
+    let out = trace.to_chrome_json_with(windows, costs);
+    validate_json(&out).expect("causal Chrome export must be valid JSON");
+    assert_eq!(out, trace.to_chrome_json_with(windows, costs), "the export is deterministic");
+    assert_eq!(plain, trace.to_chrome_json(), "the plain form is untouched by the causal one");
+
+    let doc = JsonValue::parse(&out).unwrap();
+    let ns = |rec: &JsonValue, key: &str| {
+        (rec.at(key).unwrap().as_f64().unwrap() * 1000.0).round() as u64
+    };
+    let (mut slices, mut starts, mut flows) = (Vec::new(), HashMap::new(), Vec::new());
+    for rec in doc.at("traceEvents").unwrap().as_array().unwrap() {
+        let name = rec.at("name").unwrap().as_str().unwrap().to_string();
+        let tid = rec.at("tid").unwrap().as_u64().unwrap();
+        match rec.at("ph").unwrap().as_str().unwrap() {
+            "X" => slices.push((name, tid, ns(rec, "ts"), ns(rec, "ts") + ns(rec, "dur"))),
+            "s" => {
+                let id = rec.at("id").unwrap().as_u64().unwrap();
+                assert!(starts.insert(id, (name, (tid, ns(rec, "ts")))).is_none(), "id reused");
+            }
+            "f" => {
+                let id = rec.at("id").unwrap().as_u64().unwrap();
+                let (start_name, src) = starts.remove(&id).expect("a flow end has a start");
+                assert_eq!(start_name, name, "flow {id}: its two ends agree on the name");
+                flows.push((name, src, (tid, ns(rec, "ts"))));
+            }
+            _ => {}
+        }
+    }
+    assert!(starts.is_empty(), "every flow start has an end");
+    for w in windows {
+        let drawn: u64 = slices
+            .iter()
+            .filter(|(_, tid, ..)| *tid == u64::from(w.tid))
+            .map(|(_, _, start, end)| end - start)
+            .sum();
+        assert_eq!(drawn, w.end_ns - w.epoch_ns, "tid {}: window not tiled exactly", w.tid);
+    }
+    for (name, src, dst) in &flows {
+        assert!(src.1 <= dst.1, "{name} flow runs backwards: {src:?} -> {dst:?}");
+    }
+    (slices, flows)
+}
+
+/// `causal` over a hand-built trace; `windows[tid]` is `(epoch_ns, end_ns)`.
+fn causal_of(
+    tracks: Vec<(TrackId, Vec<TraceEvent>)>,
+    windows: &[(u64, u64)],
+) -> (Vec<Slice>, Vec<Flow>) {
+    let costs = ServiceCosts {
+        mgr_service_ns: 300,
+        fetch_base_ns: 400,
+        apply_base_ns: 150,
+        per_kib_ns: 100,
+        page_size: 1024,
+    };
+    let windows: Vec<ThreadWindow> = (0u32..)
+        .zip(windows)
+        .map(|(tid, &(epoch_ns, end_ns))| ThreadWindow { tid, epoch_ns, end_ns })
+        .collect();
+    causal(&RunTrace::from_tracks(tracks), &windows, &costs)
+}
+
+fn ev(at_ns: u64, kind: EventKind) -> TraceEvent {
+    TraceEvent { at: SimTime::from_ns(at_ns), kind }
+}
+
+/// Two threads contend a lock: the hand-off arrow leaves t0's release and
+/// lands on t1's grant. A release nobody waited on — t2 asks for the lock
+/// only after t1 has let it go — draws none.
+#[test]
+fn lock_handoff_arrow_leaves_the_release_that_was_waited_on() {
+    let (slices, flows) = causal_of(
+        vec![
+            (
+                TrackId::Thread(0),
+                vec![
+                    ev(1_000, EventKind::LockAcquire { lock: 0, wait_ns: 200 }),
+                    ev(2_000, EventKind::LockRelease { lock: 0 }),
+                ],
+            ),
+            (
+                TrackId::Thread(1),
+                vec![
+                    ev(2_500, EventKind::LockAcquire { lock: 0, wait_ns: 1_500 }),
+                    ev(2_600, EventKind::LockRelease { lock: 0 }),
+                ],
+            ),
+            (TrackId::Thread(2), vec![ev(2_900, EventKind::LockAcquire { lock: 0, wait_ns: 200 })]),
+        ],
+        &[(0, 3_000); 3],
+    );
+    // Thread 0: compute [0,800], lock-wait [800,1000], compute [1000,3000].
+    // Thread 1: lock-wait [1000,2500], compute [2500,3000].
+    assert!(slices.contains(&("lock-wait".into(), 0, 800, 1_000)));
+    assert!(slices.contains(&("lock-wait".into(), 1, 1_000, 2_500)));
+    assert!(slices.contains(&("lock-wait".into(), 2, 2_700, 2_900)));
+    assert_eq!(flows, vec![("lock-handoff".into(), (0, 2_000), (1, 2_500))]);
+}
+
+/// A barrier episode's arrow leaves its last arrival — also behind a
+/// warm-up episode whose release is the timing epoch (so its waits are
+/// clamped out of the picture): each timed episode hangs on its *own* last
+/// arrival, not on the episode before it.
+#[test]
+fn barrier_arrows_leave_their_own_episodes_last_arrival() {
+    let episode = |arrive: u64, release: u64| {
+        [
+            ev(arrive, EventKind::BarrierArrive { barrier: 0 }),
+            ev(release, EventKind::BarrierRelease { barrier: 0, wait_ns: release - arrive }),
+        ]
+    };
+    let (slices, flows) = causal_of(
+        vec![
+            (
+                TrackId::Thread(0),
+                [episode(400, 1_000), episode(1_500, 3_000), episode(4_800, 5_000)].concat(),
+            ),
+            (
+                TrackId::Thread(1),
+                [episode(800, 1_000), episode(2_700, 3_000), episode(3_600, 5_000)].concat(),
+            ),
+        ],
+        &[(1_000, 5_500); 2],
+    );
+    let waits = slices.iter().filter(|(name, ..)| name == "barrier-wait").count();
+    assert_eq!(waits, 4, "the warm-up waits end at the epoch and are not drawn");
+    // The last arrival releases the other waiter; its own wait hangs on
+    // nobody else.
+    assert_eq!(
+        flows,
+        vec![
+            ("barrier".into(), (1, 2_700), (0, 3_000)),
+            ("barrier".into(), (0, 4_800), (1, 5_000)),
+        ]
+    );
+}
+
+/// An RPC and a fetch each bind to the serve they rode: the serve is a
+/// slice on the service's own track, with a request arrow in and a response
+/// arrow out.
+#[test]
+fn rpc_and_fetch_arrows_bind_to_serve_slices_on_the_service_tracks() {
+    let fetch = EventKind::Fetch { page: 7, pages: 1, kind: FetchKind::Demand, wait_ns: 1_200 };
+    let (slices, flows) = causal_of(
+        vec![
+            (
+                TrackId::Thread(0),
+                vec![
+                    ev(2_000, fetch),
+                    ev(3_000, EventKind::MgrRpc { op: "alloc-shared", wait_ns: 600 }),
+                ],
+            ),
+            (TrackId::Manager, vec![ev(2_800, EventKind::MgrServe { op: "alloc-shared", tid: 0 })]),
+            (TrackId::MemServer(0), vec![ev(1_700, EventKind::ServeFetch { page: 7, pages: 1 })]),
+        ],
+        &[(0, 3_200)],
+    );
+    // The manager serve is [2500, 2800] (300 ns service) on tid 1000; the
+    // server serve [1200, 1700] (400 + 1024*100/1024 = 500 ns) on tid 1001.
+    assert!(slices.contains(&("mgr-service".into(), 1000, 2_500, 2_800)));
+    assert!(slices.contains(&("server-service".into(), 1001, 1_200, 1_700)));
+    assert_eq!(
+        flows,
+        vec![
+            ("rpc-request".into(), (0, 800), (1001, 1_200)),
+            ("fetch-serve".into(), (1001, 1_700), (0, 2_000)),
+            ("rpc-request".into(), (0, 2_400), (1000, 2_500)),
+            ("rpc-response".into(), (1000, 2_800), (0, 3_000)),
+        ]
+    );
+}
+
+/// On real runs the picture is the walk's: every barrier and lock hand-off
+/// arrow leaves an instant strictly inside the wait slice it lands on — the
+/// episode's own last arrival, a release somebody was waiting for. (The
+/// micro point is `trace-dump`'s: its warm-up barrier releases exactly at
+/// the timing epoch.)
+#[test]
+fn causal_export_arrows_start_inside_the_wait_they_end() {
+    let cfg = traced(0);
+    for kernel in ["micro", "jacobi"] {
+        let rt = SamhitaRt::new(cfg.clone());
+        let report = match kernel {
+            "micro" => run_micro(&rt, &MicroParams::paper(10, 2, AllocMode::Global, 8)).report,
+            _ => run_jacobi(&rt, &JacobiParams { n: 126, iters: 6, threads: 8 }).report,
+        };
+        let trace = rt.take_trace().expect("tracing enabled");
+        let (slices, flows) = causal(&trace, &thread_windows(&report), &cfg.service_costs());
+        for (arrow, wait) in [("barrier", "barrier-wait"), ("lock-handoff", "lock-wait")] {
+            let arrows: Vec<&Flow> = flows.iter().filter(|(name, ..)| name == arrow).collect();
+            assert!(!arrows.is_empty(), "{kernel}: no {arrow} arrows drawn");
+            for (_, src, dst) in arrows {
+                let (_, _, start, end) = slices
+                    .iter()
+                    .find(|(name, tid, _, end)| name == wait && (*tid, *end) == *dst)
+                    .unwrap_or_else(|| panic!("{kernel}: {arrow} arrow ends on no {wait} slice"));
+                assert!(
+                    start < &src.1 && src.1 < *end,
+                    "{kernel}: {arrow} arrow from {src:?} is outside its wait [{start}, {end}]"
+                );
+            }
+        }
+    }
+}
+
+/// A ring that overflowed derives nothing: with 64-event tracks the jacobi
+/// point above drops events, its critical path would still tile the
+/// makespan (the lost stalls counted as compute), and so the report must
+/// carry neither trace-derived section rather than a confident wrong one.
+#[test]
+fn truncated_trace_derives_no_report_sections() {
+    let cfg = SamhitaConfig { trace_capacity: 64, ..traced(0) };
+    let rt = SamhitaRt::new(cfg.clone());
+    let report = run_jacobi(&rt, &JacobiParams { n: 126, iters: 6, threads: 8 }).report;
+    let trace = rt.take_trace().expect("tracing enabled");
+    assert!(trace.dropped > 0, "64-event rings must overflow on this run");
+    let err = trace.untruncated().expect_err("a truncated trace is refused").to_string();
+    assert!(err.contains("dropped") && err.contains("SamhitaConfig::trace_capacity"), "{err}");
+
+    let bench = BenchReport::from_run("jacobi", "t", &cfg, 8, &report, Some(&trace));
+    for section in ["timeline", "critical_path"] {
+        assert_eq!(bench.get(section), Some(&JsonValue::Null), "{section} must be null");
+    }
+    assert_eq!(bench.num("makespan_ns"), Some(report.makespan.as_ns() as f64));
 }

@@ -80,7 +80,7 @@ fn host_wall_clock_is_excluded_from_the_determinism_fingerprint() {
 
 /// A `BenchReport` is a pure function of the run: built twice it is the same
 /// bytes, with no field that names the machine or the checkout. With the
-/// profiler live through the build the span-graph phase is counted, which is
+/// profiler live through the build the causal-derivation phase is counted, which is
 /// the counter `samhita-perf`'s `trace.span_graph_ns` row reads.
 #[test]
 fn from_run_is_pure_and_its_span_graph_build_is_profiled() {
@@ -98,7 +98,7 @@ fn from_run_is_pure_and_its_span_graph_build_is_profiled() {
     prof::enable(false);
     assert!(
         prof::snapshot().phase(Phase::SpanGraph).calls > 0,
-        "critpath/span-graph build during from_run must be attributed"
+        "the critical-path derivation during from_run must be attributed"
     );
     assert_eq!(build().to_json(), profiled.to_json(), "two builds of one run must not differ");
     for machine_dependent in ["host", "git_rev"] {
