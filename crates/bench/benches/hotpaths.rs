@@ -3,8 +3,8 @@
 //! diffing, the software cache's hit path and per-sync-op bookkeeping,
 //! write-notice application, `UpdateBatch` apply at a memory server, one
 //! deterministic scheduler step, the det-endpoint staged receive (heap
-//! pop), trace-event emission, and critical-path extraction (causal index
-//! build + walk).
+//! pop), trace-event emission, critical-path extraction (causal index
+//! build + walk), and the text exports and checksum of that same trace.
 //! An end-to-end jacobi pair (tracing on vs off) sits at the bottom so the
 //! tracing-disabled fast path shows up as a whole-run ns-per-event number,
 //! not just a micro-benchmark delta.
@@ -249,10 +249,11 @@ fn bench_trace_emit(c: &mut Criterion) {
     g.finish();
 }
 
-/// Critical-path extraction from a finished trace: index build + walk.
-fn bench_critpath_build(c: &mut Criterion) {
-    let mut g = c.benchmark_group("hotpaths/critpath");
-    g.sample_size(10);
+/// What a finished trace costs to read: critical-path extraction (index
+/// build + walk), and every text form of the same trace — the plain and
+/// causal Chrome exports, the JSONL, and the checksum that hashes the JSONL
+/// without holding it.
+fn bench_trace_readers(c: &mut Criterion) {
     let cfg = SamhitaConfig { tracing: true, max_threads: 8, ..SamhitaConfig::small_for_tests() };
     let rt = SamhitaRt::new(cfg.clone());
     let p = JacobiParams { n: 16, iters: 2, threads: 8 };
@@ -260,9 +261,27 @@ fn bench_critpath_build(c: &mut Criterion) {
     let trace = rt.take_trace().expect("tracing was enabled");
     let windows = thread_windows(&report);
     let costs = cfg.service_costs();
+    eprintln!("hotpaths/critpath, hotpaths/trace/*_jacobi_8t: {} trace events", trace.len());
+
+    let mut g = c.benchmark_group("hotpaths/critpath");
+    g.sample_size(10);
     g.bench_function("jacobi_8t", |b| {
         b.iter(|| std::hint::black_box(critical_path(&trace, &windows, &costs)))
     });
+    g.finish();
+
+    let mut g = c.benchmark_group("hotpaths/trace");
+    g.sample_size(10);
+    g.bench_function("export_chrome_jacobi_8t", |b| {
+        b.iter(|| std::hint::black_box(trace.to_chrome_json()))
+    });
+    g.bench_function("export_causal_jacobi_8t", |b| {
+        b.iter(|| std::hint::black_box(trace.to_chrome_json_with(&windows, &costs)))
+    });
+    g.bench_function("export_jsonl_jacobi_8t", |b| {
+        b.iter(|| std::hint::black_box(trace.to_jsonl()))
+    });
+    g.bench_function("checksum_jacobi_8t", |b| b.iter(|| std::hint::black_box(trace.checksum())));
     g.finish();
 }
 
@@ -304,7 +323,7 @@ criterion_group!(
     bench_sched_step,
     bench_det_recv,
     bench_trace_emit,
-    bench_critpath_build,
+    bench_trace_readers,
     bench_end_to_end_tracing
 );
 criterion_main!(benches);

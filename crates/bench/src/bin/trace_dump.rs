@@ -16,6 +16,8 @@
 //!    flow arrows from each stall to what ended it,
 //! 3. prints the run's latency summary (fetch / lock / barrier histograms).
 
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -122,6 +124,8 @@ fn main() -> ExitCode {
     // The causal export: thread tracks fully tiled, serve slices on the
     // manager/server tracks, and per stall the critical-path walk's own hops
     // as flow arrows (RPC pairs, lock hand-offs, barrier last arrivals).
+    // Built in memory because it is validated before it is written; the
+    // JSONL below is streamed.
     let windows = thread_windows(&report);
     let chrome = trace.to_chrome_json_with(&windows, &costs);
     validate_json(&chrome).expect("exporter produced invalid JSON");
@@ -132,7 +136,8 @@ fn main() -> ExitCode {
         chrome.len()
     );
     if let Some(path) = &args.jsonl {
-        std::fs::write(path, trace.to_jsonl()).expect("write JSONL file");
+        let file = BufWriter::new(File::create(path).expect("create JSONL file"));
+        trace.write_jsonl(file).expect("write JSONL file");
         println!("# wrote {}", path.display());
     }
 

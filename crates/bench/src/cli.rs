@@ -16,6 +16,9 @@
 //!
 //! [`BenchReport`]: crate::report::BenchReport
 
+use std::fs::File;
+use std::io::BufWriter;
+
 use samhita_core::{FaultConfig, RunReport, SamhitaConfig};
 use samhita_trace::RunTrace;
 
@@ -100,8 +103,9 @@ impl ExampleArgs {
     /// What every example does with its designated traced run: check the
     /// RegC invariants on the trace, then write what the flags asked for —
     /// `--trace` the causal Chrome trace-event JSON (tiled threads, serve
-    /// slices, flow arrows), `--metrics-out` a [`BenchReport`] named
-    /// `kernel` / `params`.
+    /// slices, flow arrows), streamed to the file rather than built in
+    /// memory first; `--metrics-out` a [`BenchReport`] named `kernel` /
+    /// `params`.
     ///
     /// # Panics
     /// Panics if `trace` is `None` (the run was not configured with
@@ -118,8 +122,10 @@ impl ExampleArgs {
         let trace = trace.expect("tracing was enabled");
         trace.check_invariants().expect("RegC invariants violated");
         if let Some(path) = &self.trace_path {
-            let chrome = trace.to_chrome_json_with(&thread_windows(report), &cfg.service_costs());
-            std::fs::write(path, chrome).expect("write trace file");
+            let file = BufWriter::new(File::create(path).expect("create trace file"));
+            trace
+                .write_chrome_json_with(file, &thread_windows(report), &cfg.service_costs())
+                .expect("write trace file");
             println!("  wrote {path} ({} events) — open at https://ui.perfetto.dev", trace.len());
         }
         if let Some(path) = &self.metrics_out {

@@ -25,14 +25,23 @@ pub enum TrackId {
 }
 
 impl TrackId {
-    /// Human-readable track label, used by both exporters.
+    /// Human-readable track label, as every export form spells it.
     pub fn label(&self) -> String {
-        match self {
-            TrackId::Thread(t) => format!("thread {t}"),
-            TrackId::Manager => "manager".to_string(),
-            TrackId::MgrStandby => "mgr standby".to_string(),
-            TrackId::MemServer(i) => format!("mem server {i}"),
-            TrackId::Fabric => "fabric".to_string(),
+        match self.label_parts() {
+            (name, Some(index)) => format!("{name}{index}"),
+            (name, None) => name.to_string(),
+        }
+    }
+
+    /// The label as a fixed name and, on indexed tracks, the index after
+    /// it: what the exporters write, without building a `String` per event.
+    pub(crate) fn label_parts(&self) -> (&'static str, Option<u32>) {
+        match *self {
+            TrackId::Thread(t) => ("thread ", Some(t)),
+            TrackId::Manager => ("manager", None),
+            TrackId::MgrStandby => ("mgr standby", None),
+            TrackId::MemServer(i) => ("mem server ", Some(i)),
+            TrackId::Fabric => ("fabric", None),
         }
     }
 

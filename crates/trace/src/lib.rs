@@ -13,7 +13,9 @@
 //! * exporters ([`RunTrace::to_jsonl`], [`RunTrace::to_chrome_json`]) — the
 //!   Chrome trace-event JSON opens directly in Perfetto / `chrome://tracing`
 //!   with one track per compute thread plus manager / memory-server / fabric
-//!   tracks;
+//!   tracks; one allocation-free writer produces every form, into a `String`,
+//!   a file ([`RunTrace::write_jsonl`], [`RunTrace::write_chrome_json_with`])
+//!   or the [`RunTrace::checksum`] fold;
 //! * one post-hoc causal derivation ([`critpath`]): an index of every
 //!   thread's stalls, every manager/server serve and what each stall was
 //!   really waiting on, read by [`critical_path`] — whose class totals tile

@@ -159,20 +159,6 @@ impl RunTrace {
         self.tracks.iter().find(|(t, _)| *t == id).map(|(_, ev)| ev.as_slice())
     }
 
-    /// FNV-1a checksum over the full JSONL export — the reproducibility
-    /// fingerprint of a run: two runs with bit-identical protocol timelines
-    /// (every event, on every track, at the same virtual time with the same
-    /// arguments) have equal checksums. The deterministic runtime promises
-    /// exactly this across repeated runs of one configuration.
-    pub fn checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_jsonl().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     /// Build a trace directly from per-track event lists (used by tests and
     /// the checker fixtures). Events are sorted per track; tracks by id.
     pub fn from_tracks(tracks: Vec<(TrackId, Vec<TraceEvent>)>) -> Self {

@@ -1,0 +1,118 @@
+//! The trace exporters' heap traffic, counted rather than timed: a count
+//! repeats exactly on any machine, so an export that goes back to allocating
+//! per event fails the build instead of drifting a benchmark. This is its own
+//! test binary because the counter is a `#[global_allocator]`; it counts per
+//! thread, so the harness's other threads cannot disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use samhita_bench::thread_windows;
+use samhita_repro::core::SamhitaConfig;
+use samhita_repro::kernels::{run_jacobi, JacobiParams};
+use samhita_repro::rt::SamhitaRt;
+use samhita_repro::trace::critical_path;
+
+thread_local! {
+    /// (allocations, reallocations) made by this thread.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn bump(allocs: u64, reallocs: u64) {
+    // A thread being torn down has no counter left to bump; nothing measured
+    // here runs then.
+    let _ = COUNTS.try_with(|c| {
+        let (a, r) = c.get();
+        c.set((a + allocs, r + reallocs));
+    });
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// `Cell` of integers with no destructor, so touching it never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(1, 0);
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(1, 0);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(0, 1);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What `f` allocated and reallocated on this thread, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let (a0, r0) = COUNTS.with(Cell::get);
+    let out = f();
+    let (a1, r1) = COUNTS.with(Cell::get);
+    ((a1 - a0, r1 - r0), out)
+}
+
+/// The fixed allocations an export may make whatever the trace's size: the
+/// `String` itself, and room for a profiler guard or a buffer to be added.
+const FIXED: u64 = 8;
+
+#[test]
+fn exports_allocate_per_call_not_per_event() {
+    let cfg = SamhitaConfig { tracing: true, ..SamhitaConfig::default() };
+    let rt = SamhitaRt::new(cfg.clone());
+    let report = run_jacobi(&rt, &JacobiParams { n: 126, iters: 6, threads: 64 }).report;
+    let trace = rt.take_trace().expect("tracing enabled");
+    assert!(trace.len() >= 10_000, "{} events: too few to tell per-event from fixed", trace.len());
+    let (windows, costs) = (thread_windows(&report), cfg.service_costs());
+
+    let ((allocs, reallocs), jsonl) = counted(|| trace.to_jsonl());
+    assert!(allocs <= FIXED, "to_jsonl made {allocs} allocations");
+    assert_eq!(reallocs, 0, "to_jsonl outgrew its reservation");
+
+    let ((allocs, reallocs), chrome) = counted(|| trace.to_chrome_json());
+    assert!(allocs <= FIXED, "to_chrome_json made {allocs} allocations");
+    assert_eq!(reallocs, 0, "to_chrome_json outgrew its reservation");
+
+    let (heap, _) = counted(|| trace.checksum());
+    assert_eq!(heap, (0, 0), "checksum holds no bytes");
+
+    // The causal form reads the critical path's index, the one thing allowed
+    // to allocate per event: it may cost what a `critical_path` call costs
+    // (index plus walk), and the fixed few on top.
+    let ((index, _), _) = counted(|| critical_path(&trace, &windows, &costs));
+    let ((allocs, _), causal) = counted(|| trace.to_chrome_json_with(&windows, &costs));
+    assert!(allocs <= index + FIXED, "causal export: {allocs} allocations, critical path {index}");
+    assert!(causal.len() > chrome.len());
+
+    // Streaming holds nothing: a sink that only counts bytes sees them all.
+    struct Count(usize);
+    impl std::io::Write for Count {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0 += buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut to = Count(0);
+    let (heap, result) = counted(|| trace.write_jsonl(&mut to));
+    result.expect("counting cannot fail");
+    assert_eq!((heap, to.0), ((0, 0), jsonl.len()), "write_jsonl streams every byte, holds none");
+}

@@ -2,10 +2,11 @@
 //! RegC invariant checker on real kernel traces, and — the load-bearing
 //! property — that enabling tracing does not move any virtual clock.
 
-use samhita_repro::core::{Samhita, SamhitaConfig};
+use samhita_bench::{thread_windows, ExampleArgs};
+use samhita_repro::core::{FaultConfig, RunReport, Samhita, SamhitaConfig, TopologyKind};
 use samhita_repro::kernels::{run_jacobi, run_micro, AllocMode, JacobiParams, MicroParams};
 use samhita_repro::rt::SamhitaRt;
-use samhita_repro::trace::{validate_json, HotspotMap, MetricsTimeline, TrackId};
+use samhita_repro::trace::{validate_json, HotspotMap, MetricsTimeline, RunTrace, TrackId};
 
 fn traced_cfg() -> SamhitaConfig {
     SamhitaConfig { tracing: true, ..SamhitaConfig::small_for_tests() }
@@ -170,4 +171,130 @@ fn take_trace_is_none_without_tracing_and_drains_when_on() {
     // A second drain starts from a clean window: thread buffers were taken.
     let second = sys.take_trace().expect("tracing on");
     assert!(second.track(TrackId::Thread(0)).is_none_or(|evs| evs.is_empty()));
+}
+
+/// FNV-1a over `bytes` — the fold [`RunTrace::checksum`] applies to the JSONL.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV-1a of the three text forms of one traced run: JSONL, plain Chrome,
+/// causal Chrome.
+fn export_hashes(cfg: &SamhitaConfig, report: &RunReport, trace: &RunTrace) -> [u64; 3] {
+    let jsonl = trace.to_jsonl();
+    assert_eq!(trace.checksum(), fnv1a(jsonl.as_bytes()), "the checksum is the JSONL's FNV-1a");
+    let causal = trace.to_chrome_json_with(&thread_windows(report), &cfg.service_costs());
+    [fnv1a(jsonl.as_bytes()), fnv1a(trace.to_chrome_json().as_bytes()), fnv1a(causal.as_bytes())]
+}
+
+/// A two-thread program on the standby cluster behind a lossy fabric, with
+/// memory server 0 and the primary manager both crashing mid-run and a lock
+/// held across the takeover: the one fixed run whose trace carries every
+/// fault-class event (`fault-injected`, `retry`, `failover`, `mgr-failover`,
+/// `lease-reclaim`).
+fn chaos_standby_run() -> (SamhitaConfig, RunReport, RunTrace) {
+    let cfg = SamhitaConfig {
+        tracing: true,
+        manager_standby: true,
+        mem_servers: 2,
+        replica_offset: 1,
+        topology: TopologyKind::Cluster { nodes: 6 },
+        mgr_lease_ns: 20_000,
+        faults: FaultConfig {
+            crash: Some((0, 10_000)),
+            mgr_crash: Some(30_000),
+            ..FaultConfig::lossy(0xC4A05, 0.03, 0.01, 0.03, 3_000)
+        },
+        ..SamhitaConfig::default()
+    };
+    let line = cfg.line_bytes() as u64;
+    let sys = Samhita::new(cfg.clone());
+    let slot = sys.alloc_global(8 * line);
+    let (lock_a, lock_b) = (sys.create_mutex(), sys.create_mutex());
+    let report = sys.run(2, move |ctx| {
+        if ctx.tid() == 0 {
+            // Holds its lock across the crash: the standby reclaims the lease.
+            ctx.lock(lock_a);
+            ctx.write_u64(slot, 41);
+            ctx.compute(40_000_000);
+            ctx.write_u64(slot + 8, 42);
+            ctx.unlock(lock_a);
+        } else {
+            // Lines homed on both servers, so the dead one is a primary too.
+            for i in 0..40u64 {
+                ctx.lock(lock_b);
+                ctx.write_u64(slot + line * (i % 4 + 1), i);
+                ctx.unlock(lock_b);
+            }
+        }
+    });
+    let trace = sys.take_trace().expect("tracing enabled");
+    (cfg, report, trace)
+}
+
+/// The export bytes are a contract between commits, not just between two
+/// calls: the nine values below were recorded at commit 2b6e062 (the
+/// `format!`-based exporters) and every later writer must reproduce them.
+#[test]
+fn export_bytes_are_pinned_across_commits() {
+    let cfg = SamhitaConfig { max_threads: 8, ..traced_cfg() };
+    let rt = SamhitaRt::new(cfg.clone());
+    let report = run_jacobi(&rt, &JacobiParams { n: 16, iters: 2, threads: 8 }).report;
+    let trace = rt.take_trace().expect("tracing enabled");
+    assert_eq!(
+        export_hashes(&cfg, &report, &trace),
+        [0x2f3e_34fe_761d_58d1, 0x4416_8dc4_4056_98cc, 0x43d8_cd48_3736_6e9a],
+        "jacobi P=8"
+    );
+
+    let cfg = SamhitaConfig { tracing: true, ..SamhitaConfig::default() };
+    let rt = SamhitaRt::new(cfg.clone());
+    let report = run_micro(&rt, &MicroParams::paper(2, 2, AllocMode::Global, 4)).report;
+    let trace = rt.take_trace().expect("tracing enabled");
+    assert_eq!(
+        export_hashes(&cfg, &report, &trace),
+        [0xc0d8_7eec_1f46_05a5, 0xb1c3_f34d_600b_d1f7, 0x680b_882c_2316_f6e7],
+        "micro P=4 global"
+    );
+
+    let (cfg, report, trace) = chaos_standby_run();
+    let jsonl = trace.to_jsonl();
+    for event in ["fault-injected", "retry", "failover", "mgr-failover", "lease-reclaim"] {
+        assert!(jsonl.contains(&format!("\"event\":\"{event}\"")), "no {event} event in the run");
+    }
+    assert_eq!(
+        export_hashes(&cfg, &report, &trace),
+        [0xf12b_087d_742c_3d20, 0x5857_d1a6_0855_4bcb, 0x64e8_a511_d4cf_e849],
+        "chaos + standby"
+    );
+}
+
+/// Every example's `--trace` streams its file instead of building the text
+/// first: the bytes on disk are the `String` form's, for the causal Chrome
+/// export and for the JSONL alike.
+#[test]
+fn streamed_files_equal_the_string_exports() {
+    let cfg = SamhitaConfig { tracing: true, ..SamhitaConfig::default() };
+    let rt = SamhitaRt::new(cfg.clone());
+    let report = run_micro(&rt, &MicroParams::paper(2, 2, AllocMode::Global, 4)).report;
+    let trace = rt.take_trace().expect("tracing enabled");
+    let dir = std::env::temp_dir().join(format!("samhita-tracing-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let path = dir.join("trace.json");
+    let args = ExampleArgs {
+        trace_path: Some(path.to_str().expect("utf-8 temp dir").to_string()),
+        ..ExampleArgs::default()
+    };
+    args.write_outputs("micro", "test", &cfg, 4, &report, Some(trace.clone()));
+    let causal = trace.to_chrome_json_with(&thread_windows(&report), &cfg.service_costs());
+    assert_eq!(std::fs::read(&path).unwrap(), causal.as_bytes());
+
+    let path = dir.join("trace.jsonl");
+    let file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+    trace.write_jsonl(file).expect("write JSONL file");
+    assert_eq!(std::fs::read(&path).unwrap(), trace.to_jsonl().as_bytes());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
