@@ -14,6 +14,7 @@ use samhita_core::manager::ManagerEngine;
 use samhita_core::msg::MgrRequest;
 use samhita_core::{EvictionPolicy, SamhitaConfig};
 use samhita_kernels::{run_micro, AllocMode, MicroParams};
+use samhita_mem::{PageId, PageStore};
 use samhita_regc::{Diff, RegionKind, WriteSet};
 use samhita_rt::{NativeRt, SamhitaRt};
 use samhita_scl::EndpointId;
@@ -94,7 +95,8 @@ fn bench_writeset(c: &mut Criterion) {
 
 fn bench_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache");
-    let line_bytes = 4 * PAGE;
+    // Lines arrive the way a fetch delivers them: references to home frames.
+    let home = PageStore::new(PAGE);
 
     g.bench_function("install_and_evict", |b| {
         b.iter_batched(
@@ -104,7 +106,7 @@ fn bench_cache(c: &mut Criterion) {
                     while cache.is_full() {
                         std::hint::black_box(cache.evict().expect("lines present"));
                     }
-                    cache.install_line(line, vec![0u8; line_bytes], vec![0; 4]);
+                    cache.install_line(line, home.read_line(PageId(line * 4), 4));
                 }
                 cache
             },
@@ -116,7 +118,7 @@ fn bench_cache(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut cache = SoftCache::new(PAGE, 4, 16, EvictionPolicy::DirtyFirst);
-                cache.install_line(0, vec![0u8; line_bytes], vec![0; 4]);
+                cache.install_line(0, home.read_line(PageId(0), 4));
                 cache
             },
             |mut cache| {

@@ -1,7 +1,9 @@
 //! Criterion benches for the simulator's own hot paths — the code the
 //! host-side profiler (`samhita-prof`) attributes wall time to: regc
 //! diffing, the software cache's hit path and per-sync-op bookkeeping,
-//! write-notice application, `UpdateBatch` apply at a memory server, one
+//! the by-reference fetch path (a server's line fetch, the first store to a
+//! fetched page, revalidating an invalidated one), write-notice
+//! application, `UpdateBatch` apply at a memory server, one
 //! deterministic scheduler step, the det-endpoint staged receive (heap
 //! pop), trace-event emission, critical-path extraction (causal index
 //! build + walk), and the text exports and checksum of that same trace.
@@ -9,6 +11,7 @@
 //! tracing-disabled fast path shows up as a whole-run ns-per-event number,
 //! not just a micro-benchmark delta.
 
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion, Throughput};
@@ -17,8 +20,8 @@ use samhita_bench::thread_windows;
 use samhita_core::cache::SoftCache;
 use samhita_core::{EvictionPolicy, Samhita, SamhitaConfig, ThreadCtx};
 use samhita_kernels::{run_jacobi, JacobiParams};
-use samhita_mem::{MemRequest, MemoryServer, PageId, ServiceModel};
-use samhita_regc::{Diff, FineUpdate, UpdateBatch, UpdatePart, WriteNotice};
+use samhita_mem::{MemRequest, MemoryServer, PageId, PageStore, ServiceModel};
+use samhita_regc::{Diff, FineUpdate, RegionKind, UpdateBatch, UpdatePart, WriteNotice};
 use samhita_rt::SamhitaRt;
 use samhita_sched::Scheduler;
 use samhita_scl::SimTime;
@@ -74,13 +77,52 @@ fn bench_client_paths(c: &mut Criterion) {
     let cfg = SamhitaConfig::default();
     let (line_pages, line_bytes) = (cfg.line_pages as usize, cfg.line_bytes() as u64);
 
+    // A home whose pages have been written, so each has a frame of its own.
+    let mut home = PageStore::new(PAGE);
+    for page in 0..LINES * line_pages as u64 {
+        home.write_page(PageId(page), &[1u8; PAGE]);
+    }
+    let fetch = |line: u64| home.read_line(PageId(line * line_pages as u64), line_pages);
+    let holding_line_0 = || {
+        let mut cache = SoftCache::new(PAGE, line_pages, 2, EvictionPolicy::DirtyFirst);
+        cache.install_line(0, fetch(0));
+        cache
+    };
+
     let mut g = c.benchmark_group("hotpaths/cache");
     g.bench_function("sync_flush_nothing_dirty_64_lines", |b| {
         let mut cache = SoftCache::new(PAGE, line_pages, 128, EvictionPolicy::DirtyFirst);
         for line in 0..LINES {
-            cache.install_line(line, vec![0u8; line_pages * PAGE], vec![0; line_pages]);
+            cache.install_line(line, fetch(line));
         }
         b.iter(|| std::hint::black_box(cache.dirty_pages()))
+    });
+    // The one page copy left on the fetch path: the fetched frame stays
+    // behind as the twin and the store lands on a copy of it. Untimed,
+    // between stores: flush, invalidate and refetch the page, so every
+    // store is the first to a frame the home still holds.
+    g.bench_function("first_store_after_fetch", |b| {
+        let cache = RefCell::new(holding_line_0());
+        let (at, _) = cache.borrow().resolve(1).expect("line 0 is resident");
+        b.iter_batched(
+            || {
+                let mut cache = cache.borrow_mut();
+                cache.flush_page(1);
+                cache.invalidate_page(1);
+                cache.install_page(1, home.read(PageId(1)));
+            },
+            |()| cache.borrow_mut().write(at, 64, 8, RegionKind::Ordinary, |dst| dst.fill(7)),
+            BatchSize::SmallInput,
+        )
+    });
+    // An invalidation notice and the refetch it causes, without the wire:
+    // drop the frame, take a reference to the home's current one.
+    g.bench_function("refetch_invalidated_page", |b| {
+        let mut cache = holding_line_0();
+        b.iter(|| {
+            cache.invalidate_page(1);
+            cache.install_page(1, home.read(PageId(1)));
+        })
     });
     let sys = Samhita::new(cfg);
     let base = sys.alloc_global(LINES * line_bytes);
@@ -111,6 +153,28 @@ fn bench_client_paths(c: &mut Criterion) {
             })
             .collect();
         bench_in_run(b, &sys, touch_all, |ctx, _| ctx.apply_notices(&notices));
+    });
+    g.finish();
+}
+
+/// A memory server answering a cache-line fetch: four frame references and
+/// their versions, no page bytes moved.
+fn bench_line_fetch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hotpaths/mem");
+    let mut server = MemoryServer::new(PAGE, ServiceModel::default());
+    for page in 0..8u64 {
+        let bytes = vec![page as u8; PAGE];
+        server.handle(MemRequest::WritePage { page: PageId(page), bytes }, SimTime::ZERO);
+    }
+    g.bench_function("fetch_line_4_pages", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let first = PageId(i % 2 * 4);
+            std::hint::black_box(
+                server.handle(MemRequest::FetchLine { first, pages: 4 }, SimTime::ZERO),
+            )
+        })
     });
     g.finish();
 }
@@ -319,6 +383,7 @@ criterion_group!(
     benches,
     bench_diff_compute,
     bench_client_paths,
+    bench_line_fetch,
     bench_batch_apply,
     bench_sched_step,
     bench_det_recv,

@@ -25,14 +25,18 @@
 //!   line's dirty and invalid counts, so a synchronization operation with
 //!   nothing dirty, a victim choice and a revalidation decision never scan
 //!   resident lines × pages.
-//! * **Twins are recycled.** A flushed page's twin buffer goes back to a
-//!   per-cache free list and serves the next twin, so steady-state twinning
-//!   allocates nothing; the list never holds more buffers than were live
-//!   twins at once.
+//! * **Pages arrive by reference.** A resident page holds the frame its
+//!   home served (ownership rule: [`samhita_mem::store`]), so installing,
+//!   revalidating and refreshing move pointers, not bytes. Every store goes
+//!   through [`PageFrame::bytes_mut`], which copies the page first if anyone
+//!   else — the home, another cache, this page's own twin — still holds it.
+//!   The first ordinary-region store keeps the fetched frame as the twin and
+//!   lands on a copy: the one page copy twinning has always cost. An
+//!   `Invalid` page holds no frame, so the home may update its own in place.
 
 use std::collections::BTreeSet;
 
-use samhita_mem::IntMap;
+use samhita_mem::{IntMap, PageFrame};
 use samhita_regc::{protocol, Diff, PageState, RegionKind};
 
 use crate::config::EvictionPolicy;
@@ -42,11 +46,12 @@ use crate::config::EvictionPolicy;
 struct PageSlot {
     /// Protocol state.
     state: PageState,
-    /// Pristine copy made on the first ordinary-region write; present
-    /// exactly while the page is `Dirty`.
-    twin: Option<Vec<u8>>,
-    /// Home version at fetch time (diagnostics / staleness checks).
-    version: u64,
+    /// The page's bytes, at the home version they were fetched at; absent
+    /// exactly while the page is `Invalid`.
+    frame: Option<PageFrame>,
+    /// The pristine page: the frame held at the first ordinary-region
+    /// write. Present exactly while the page is `Dirty`.
+    twin: Option<PageFrame>,
 }
 
 /// One resident cache line: `line_pages` consecutive pages.
@@ -60,15 +65,6 @@ struct CacheLine {
     dirty: u32,
     invalid: u32,
     slots: Vec<PageSlot>,
-    data: Vec<u8>,
-}
-
-impl CacheLine {
-    /// Slot and data of page index `idx` within the line, split-borrowed.
-    fn page_parts_mut(&mut self, idx: usize, page_size: usize) -> (&mut PageSlot, &mut [u8]) {
-        let data = &mut self.data[idx * page_size..(idx + 1) * page_size];
-        (&mut self.slots[idx], data)
-    }
 }
 
 /// A resolved page of a resident line, good until the next
@@ -103,8 +99,6 @@ pub struct SoftCache {
     lines: Vec<CacheLine>,
     /// Every `Dirty` page.
     dirty: BTreeSet<u64>,
-    /// Page-sized buffers of retired twins, for the next twin.
-    twin_pool: Vec<Vec<u8>>,
     tick: u64,
 }
 
@@ -130,7 +124,6 @@ impl SoftCache {
             index: IntMap::default(),
             lines: Vec::new(),
             dirty: BTreeSet::new(),
-            twin_pool: Vec::new(),
             tick: 0,
         }
     }
@@ -188,7 +181,7 @@ impl SoftCache {
     }
 
     /// The one place a page changes state: keeps the dirty set and the
-    /// line's counts in step.
+    /// line's counts in step, and lets go of an invalidated page's frame.
     fn set_state(&mut self, at: PageRef, next: PageState) {
         let line = &mut self.lines[at.line];
         let page = line.first_page + at.idx as u64;
@@ -209,10 +202,20 @@ impl SoftCache {
                 line.dirty += 1;
                 self.dirty.insert(page);
             }
-            PageState::Invalid => line.invalid += 1,
+            PageState::Invalid => {
+                line.invalid += 1;
+                slot.frame = None;
+            }
             PageState::Clean => {}
         }
         slot.state = next;
+    }
+
+    /// Panics unless `pages` is one page-sized frame per page of a line.
+    fn check_line(&self, pages: &[PageFrame]) {
+        assert_eq!(pages.len(), self.line_pages, "line page count mismatch");
+        let sized = pages.iter().all(|p| p.bytes().len() == self.page_size);
+        assert!(sized, "line payload size mismatch");
     }
 
     /// Install a freshly fetched line. All pages enter `Clean`.
@@ -220,15 +223,14 @@ impl SoftCache {
     /// # Panics
     /// Panics if the line is already resident, the cache is full (evict
     /// first), or the payload has the wrong size.
-    pub fn install_line(&mut self, line: u64, data: Vec<u8>, versions: Vec<u64>) {
+    pub fn install_line(&mut self, line: u64, pages: Vec<PageFrame>) {
         assert!(!self.contains_line(line), "line {line} already resident");
         assert!(!self.is_full(), "install into a full cache: evict first");
-        assert_eq!(data.len(), self.line_bytes(), "line payload size mismatch");
-        assert_eq!(versions.len(), self.line_pages, "line version count mismatch");
+        self.check_line(&pages);
         self.tick += 1;
-        let slots = versions
+        let slots = pages
             .into_iter()
-            .map(|version| PageSlot { state: PageState::Clean, twin: None, version })
+            .map(|frame| PageSlot { state: PageState::Clean, frame: Some(frame), twin: None })
             .collect();
         self.index.insert(line, self.lines.len());
         self.lines.push(CacheLine {
@@ -237,7 +239,6 @@ impl SoftCache {
             dirty: 0,
             invalid: 0,
             slots,
-            data,
         });
     }
 
@@ -247,13 +248,11 @@ impl SoftCache {
     /// # Panics
     /// Panics if the line is absent, the page is `Dirty`, or the payload has
     /// the wrong size.
-    pub fn install_page(&mut self, page: u64, data: &[u8], version: u64) {
-        assert_eq!(data.len(), self.page_size, "page payload size mismatch");
+    pub fn install_page(&mut self, page: u64, frame: PageFrame) {
+        assert_eq!(frame.bytes().len(), self.page_size, "page payload size mismatch");
         let (at, state) = self.resolve(page).expect("install_page into absent line");
         assert_ne!(state, PageState::Dirty, "refetch would clobber dirty page");
-        let (slot, dst) = self.lines[at.line].page_parts_mut(at.idx, self.page_size);
-        dst.copy_from_slice(data);
-        slot.version = version;
+        self.lines[at.line].slots[at.idx].frame = Some(frame);
         self.set_state(at, PageState::Clean);
     }
 
@@ -263,9 +262,8 @@ impl SoftCache {
     /// Panics if the page is `Invalid` (the fault handler must run first).
     #[inline]
     pub fn bytes(&self, at: PageRef) -> &[u8] {
-        let line = &self.lines[at.line];
-        assert_ne!(line.slots[at.idx].state, PageState::Invalid, "read of invalid page");
-        &line.data[at.idx * self.page_size..(at.idx + 1) * self.page_size]
+        let frame = &self.lines[at.line].slots[at.idx].frame;
+        frame.as_ref().expect("read of invalid page").bytes()
     }
 
     /// Store to `len` bytes at `offset` of a resolved, valid page, applying
@@ -284,20 +282,20 @@ impl SoftCache {
         region: RegionKind,
         fill: impl FnOnce(&mut [u8]),
     ) -> WriteOutcome {
-        let (slot, data) = self.lines[at.line].page_parts_mut(at.idx, self.page_size);
+        let slot = &mut self.lines[at.line].slots[at.idx];
         let effect = protocol::on_write(slot.state, region);
+        let frame = slot.frame.as_mut().expect("valid page without bytes");
         if effect.make_twin {
             debug_assert!(slot.twin.is_none());
-            let mut twin = self.twin_pool.pop().unwrap_or_default();
-            twin.clear();
-            twin.extend_from_slice(data);
-            slot.twin = Some(twin);
+            // The pristine page is the frame itself: keep it, and let the
+            // store below land on a copy.
+            slot.twin = Some(frame.clone());
         }
-        let dst = &mut data[offset..offset + len];
+        let dst = &mut frame.bytes_mut()[offset..offset + len];
         fill(dst);
         if effect.write_through_twin {
             let twin = slot.twin.as_mut().expect("write-through without twin");
-            twin[offset..offset + len].copy_from_slice(dst);
+            twin.bytes_mut()[offset..offset + len].copy_from_slice(dst);
         }
         self.set_state(at, effect.next);
         WriteOutcome { log_fine_grain: effect.log_fine_grain, twin_created: effect.make_twin }
@@ -308,13 +306,11 @@ impl SoftCache {
         self.dirty.iter().copied().collect()
     }
 
-    /// Diff a dirty page against its twin and retire the twin.
+    /// Diff a dirty page against its twin and let the twin go.
     fn diff_against_twin(&mut self, at: PageRef) -> Diff {
-        let (slot, data) = self.lines[at.line].page_parts_mut(at.idx, self.page_size);
+        let slot = &mut self.lines[at.line].slots[at.idx];
         let twin = slot.twin.take().expect("dirty page without twin");
-        let diff = Diff::compute(&twin, data);
-        self.twin_pool.push(twin);
-        diff
+        Diff::compute(twin.bytes(), slot.frame.as_ref().expect("valid page without bytes").bytes())
     }
 
     /// Flush one page at a synchronization operation: diff against the twin,
@@ -343,16 +339,13 @@ impl SoftCache {
     ///
     /// # Panics
     /// Panics if the line is absent or payload sizes mismatch.
-    pub fn refresh_line(&mut self, line: u64, data: &[u8], versions: &[u64]) {
-        assert_eq!(data.len(), self.line_bytes(), "line payload size mismatch");
-        assert_eq!(versions.len(), self.line_pages, "line version count mismatch");
-        let ps = self.page_size;
+    pub fn refresh_line(&mut self, line: u64, pages: Vec<PageFrame>) {
+        self.check_line(&pages);
         let pos = *self.index.get(&line).expect("refresh of absent line");
-        for (idx, &version) in versions.iter().enumerate() {
-            let (slot, dst) = self.lines[pos].page_parts_mut(idx, ps);
+        for (idx, frame) in pages.into_iter().enumerate() {
+            let slot = &mut self.lines[pos].slots[idx];
             if slot.state != PageState::Dirty {
-                dst.copy_from_slice(&data[idx * ps..(idx + 1) * ps]);
-                slot.version = version;
+                slot.frame = Some(frame);
                 self.set_state(PageRef { line: pos, idx }, PageState::Clean);
             }
         }
@@ -372,8 +365,9 @@ impl SoftCache {
                 panic!("fine update applied to an unflushed dirty page")
             }
             Some((at, PageState::Clean)) => {
-                let (_, data) = self.lines[at.line].page_parts_mut(at.idx, self.page_size);
-                data[offset..offset + bytes.len()].copy_from_slice(bytes);
+                let frame = self.lines[at.line].slots[at.idx].frame.as_mut();
+                let page = frame.expect("valid page without bytes").bytes_mut();
+                page[offset..offset + bytes.len()].copy_from_slice(bytes);
                 true
             }
         }
@@ -397,21 +391,13 @@ impl SoftCache {
 
     /// Position of the eviction victim per the configured policy.
     fn victim(&self) -> Option<usize> {
-        let lru = |dirty_only: bool| {
-            self.lines
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| !dirty_only || l.dirty > 0)
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(pos, _)| pos)
-        };
-        match self.policy {
-            EvictionPolicy::Lru => lru(false),
-            // Paper's bias: prefer evicting written-to lines (their updates
-            // must be flushed home anyway); LRU among those, falling back
-            // to global LRU.
-            EvictionPolicy::DirtyFirst => lru(true).or_else(|| lru(false)),
-        }
+        // Paper's bias: prefer evicting written-to lines (their updates
+        // must be flushed home anyway); LRU among those, falling back to
+        // global LRU. One pass: the top bit of the key, which no stamp
+        // reaches, sorts a clean line after every dirty one.
+        let dirty_first = self.policy == EvictionPolicy::DirtyFirst;
+        let key = |l: &CacheLine| l.last_use | u64::from(dirty_first && l.dirty == 0) << 63;
+        self.lines.iter().enumerate().min_by_key(|(_, l)| key(l)).map(|(pos, _)| pos)
     }
 
     /// Choose and remove an eviction victim per the configured policy.
@@ -476,6 +462,7 @@ mod access {
 mod tests {
     use super::access::{read, touch_line, write};
     use super::*;
+    use samhita_mem::{PageId, PageStore};
 
     const PS: usize = 256;
 
@@ -483,8 +470,15 @@ mod tests {
         SoftCache::new(PS, 2, capacity, EvictionPolicy::DirtyFirst)
     }
 
+    /// A line of zero pages, all sharing one frame — as a fetch of
+    /// never-written pages delivers them.
     fn install(c: &mut SoftCache, line: u64) {
-        c.install_line(line, vec![0u8; c.line_bytes()], vec![0; c.line_pages()]);
+        c.install_line(line, vec![PageFrame::new(&[0; PS], 0); c.line_pages()]);
+    }
+
+    fn slot(c: &SoftCache, page: u64) -> &PageSlot {
+        let (at, _) = c.resolve(page).expect("resident");
+        &c.lines[at.line].slots[at.idx]
     }
 
     fn page_bytes(c: &SoftCache, page: u64) -> &[u8] {
@@ -561,20 +555,76 @@ mod tests {
     }
 
     #[test]
-    fn twin_buffers_are_recycled() {
+    fn the_twin_is_the_fetched_frame() {
         let mut c = cache(4);
-        install(&mut c, 0);
+        let home = PageFrame::new(&[3; PS], 5);
+        c.install_line(0, vec![home.clone(); 2]);
+        assert!(
+            slot(&c, 0).frame.as_ref().unwrap().shares_bytes_with(&home),
+            "a fetch copies nothing"
+        );
         for round in 0..3u8 {
-            write(&mut c, 0, 0, &[round + 1; 8], RegionKind::Ordinary);
-            write(&mut c, 1, 0, &[round + 1; 8], RegionKind::Ordinary);
-            assert!(c.twin_pool.is_empty(), "both buffers are live twins");
-            let diff = c.flush_page(0).unwrap();
-            // A recycled buffer must hold this round's pristine copy, not
-            // stale bytes: the diff is exactly the one changed word.
-            assert_eq!(diff.payload_bytes(), 8);
-            c.flush_page(1).unwrap();
-            assert_eq!(c.twin_pool.len(), 2, "no more buffers than were ever live at once");
+            let held = slot(&c, 0).frame.clone().unwrap();
+            write(&mut c, 0, 0, &[round + 10; 8], RegionKind::Ordinary);
+            let s = slot(&c, 0);
+            assert!(
+                s.twin.as_ref().unwrap().shares_bytes_with(&held),
+                "the twin is the frame held"
+            );
+            assert!(!s.frame.as_ref().unwrap().shares_bytes_with(&held), "the store hit a copy");
+            assert_eq!(held.bytes()[0], if round == 0 { 3 } else { round + 9 });
+            // Dirty now, and nobody else holds the copy: stores are in place.
+            let at = page_bytes(&c, 0).as_ptr();
+            write(&mut c, 0, 8, &[round + 10; 8], RegionKind::Ordinary);
+            assert_eq!(page_bytes(&c, 0).as_ptr(), at);
+            // The twin holds this round's pristine page: the diff is exactly
+            // the two changed words.
+            assert_eq!(c.flush_page(0).unwrap().payload_bytes(), 16);
+            assert!(slot(&c, 0).twin.is_none(), "a flush lets the twin go");
         }
+        assert_eq!(home.bytes(), &[3; PS], "the home's bytes never moved");
+        assert_eq!(page_bytes(&c, 1), &[3; PS], "nor did the page fetched as the same frame");
+    }
+
+    #[test]
+    fn consistency_stores_and_carried_updates_copy_a_shared_frame_first() {
+        let mut c = cache(4);
+        let home = PageFrame::new(&[3; PS], 5);
+        c.install_line(0, vec![home.clone(); 2]);
+        write(&mut c, 0, 0, &[4; 8], RegionKind::Consistency);
+        assert!(c.apply_update(1, 8, &[5; 8]));
+        assert_eq!((page_bytes(&c, 0)[0], page_bytes(&c, 1)[8]), (4, 5));
+        assert_eq!(home.bytes(), &[3; PS]);
+        // Write-through to a twin the home still holds copies the twin too.
+        install(&mut c, 1);
+        let home = slot(&c, 2).frame.clone().unwrap();
+        write(&mut c, 2, 0, &[1; 8], RegionKind::Ordinary);
+        write(&mut c, 2, 64, &[2; 8], RegionKind::Consistency);
+        assert_eq!(home.bytes(), &[0; PS]);
+        assert_eq!(c.flush_page(2).unwrap().payload_bytes(), 8);
+    }
+
+    #[test]
+    fn an_invalid_page_holds_no_frame() {
+        let mut home = PageStore::new(PS);
+        home.write_page(PageId(0), &[1; PS]);
+        home.write_page(PageId(1), &[1; PS]);
+        let mut c = cache(2);
+        c.install_line(0, home.read_line(PageId(0), 2));
+        let at = [0, 1].map(|p| home.read(PageId(p)).bytes().as_ptr());
+        assert!(c.invalidate_page(1));
+        assert!(slot(&c, 1).frame.is_none());
+        // The invalidated page's frame is the home's alone again: the next
+        // update lands in place. The page still cached is copied first.
+        home.apply_fine(PageId(0), 0, &[2; 8]);
+        home.apply_fine(PageId(1), 0, &[2; 8]);
+        assert_ne!(home.read(PageId(0)).bytes().as_ptr(), at[0]);
+        assert_eq!(home.read(PageId(1)).bytes().as_ptr(), at[1]);
+        assert_eq!(page_bytes(&c, 0), &[1; PS]);
+        // A line with an invalid page still evicts, flushing its dirty one.
+        write(&mut c, 0, 8, &[7; 8], RegionKind::Ordinary);
+        let (line, diffs) = c.evict().unwrap();
+        assert_eq!((line, diffs.len(), diffs[0].0), (0, 1, 0));
     }
 
     #[test]
@@ -585,7 +635,7 @@ mod tests {
         assert_eq!(c.page_state(1), Some(PageState::Invalid));
         assert!(!c.invalidate_page(1), "already invalid");
         assert!(!c.invalidate_page(100), "absent pages are a no-op");
-        c.install_page(1, &[5u8; PS], 3);
+        c.install_page(1, PageFrame::new(&[5u8; PS], 3));
         assert_eq!(c.page_state(1), Some(PageState::Clean));
         let mut b = [0u8; 1];
         read(&mut c, 1, 10, &mut b);
@@ -681,8 +731,7 @@ mod tests {
         install(&mut c, 0);
         c.invalidate_page(0);
         write(&mut c, 1, 0, &[9; 8], RegionKind::Ordinary); // dirty
-        let fresh = vec![5u8; c.line_bytes()];
-        c.refresh_line(0, &fresh, &[7, 7]);
+        c.refresh_line(0, vec![PageFrame::new(&[5; PS], 7); 2]);
         // Invalid page took the new bytes; dirty page kept local writes.
         assert_eq!(c.page_state(0), Some(PageState::Clean));
         assert_eq!(page_bytes(&c, 0)[0], 5);
@@ -722,6 +771,7 @@ mod proptests {
     use super::access::{read, write};
     use super::*;
     use proptest::prelude::*;
+    use samhita_mem::{PageId, PageStore};
 
     const PS: usize = 256;
     const LINE_PAGES: usize = 2;
@@ -770,12 +820,12 @@ mod proptests {
                             diff.apply(&mut home[p as usize]);
                         }
                     }
-                    let mut data = Vec::with_capacity(PS * LINE_PAGES);
-                    let first = line * LINE_PAGES as u64;
-                    for i in 0..LINE_PAGES as u64 {
-                        data.extend_from_slice(&home[(first + i) as usize]);
-                    }
-                    cache.install_line(line, data, vec![0; LINE_PAGES]);
+                    let first = line as usize * LINE_PAGES;
+                    let pages = home[first..first + LINE_PAGES]
+                        .iter()
+                        .map(|bytes| PageFrame::new(bytes, 0))
+                        .collect();
+                    cache.install_line(line, pages);
                 }
             };
 
@@ -825,6 +875,259 @@ mod proptests {
             }
             for p in 0..PAGES as usize {
                 prop_assert_eq!(&home[p][..], &reference[p * PS..(p + 1) * PS], "home page {} diverged", p);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Differential test of frame sharing
+    // ------------------------------------------------------------------
+
+    /// One page held by the copying model's cache: its bytes and, while
+    /// dirty, its twin — both its own.
+    type Held = (Vec<u8>, Option<Vec<u8>>);
+
+    /// A home and two caches passing frames by reference, beside the data
+    /// path they replaced: the same three, each owning every byte it holds,
+    /// every fetch and every twin a deep copy.
+    struct Shared {
+        home: PageStore,
+        caches: [SoftCache; 2],
+        model_home: Vec<Vec<u8>>,
+        /// Per cache: every resident valid page.
+        model_caches: [std::collections::BTreeMap<u64, Held>; 2],
+    }
+
+    impl Shared {
+        fn fetch_page(&mut self, who: usize, page: u64) {
+            self.caches[who].install_page(page, self.home.read(PageId(page)));
+            self.model_caches[who].insert(page, (self.model_home[page as usize].clone(), None));
+        }
+
+        fn flush_page(&mut self, who: usize, page: u64) {
+            if let Some(diff) = self.caches[who].flush_page(page) {
+                self.home.apply_diff(PageId(page), &diff);
+            }
+            if let Some((bytes, twin)) = self.model_caches[who].get_mut(&page) {
+                if let Some(twin) = twin.take() {
+                    Diff::compute(&twin, bytes).apply(&mut self.model_home[page as usize]);
+                }
+            }
+        }
+
+        fn evict(&mut self, who: usize) {
+            let Some((line, diffs)) = self.caches[who].evict() else { return };
+            for (page, diff) in diffs {
+                self.home.apply_diff(PageId(page), &diff);
+            }
+            for page in line * LINE_PAGES as u64..(line + 1) * LINE_PAGES as u64 {
+                if let Some((bytes, Some(twin))) = self.model_caches[who].remove(&page) {
+                    Diff::compute(&twin, &bytes).apply(&mut self.model_home[page as usize]);
+                }
+            }
+        }
+
+        /// Make `page` resident and valid in cache `who`.
+        fn ensure(&mut self, who: usize, page: u64) {
+            let line = page / LINE_PAGES as u64;
+            if !self.caches[who].contains_line(line) {
+                while self.caches[who].is_full() {
+                    self.evict(who);
+                }
+                let first = line * LINE_PAGES as u64;
+                self.caches[who].install_line(line, self.home.read_line(PageId(first), LINE_PAGES));
+                for p in first..first + LINE_PAGES as u64 {
+                    self.model_caches[who].insert(p, (self.model_home[p as usize].clone(), None));
+                }
+            }
+            if self.caches[who].page_state(page) == Some(PageState::Invalid) {
+                self.fetch_page(who, page);
+            }
+        }
+
+        fn store(
+            &mut self,
+            who: usize,
+            page: u64,
+            offset: usize,
+            bytes: &[u8],
+            region: RegionKind,
+        ) {
+            self.ensure(who, page);
+            write(&mut self.caches[who], page, offset, bytes, region);
+            let (mine, twin) = self.model_caches[who].get_mut(&page).expect("resident");
+            match region {
+                RegionKind::Ordinary => {
+                    twin.get_or_insert_with(|| mine.clone());
+                }
+                RegionKind::Consistency => {
+                    if let Some(twin) = twin {
+                        twin[offset..offset + bytes.len()].copy_from_slice(bytes);
+                    }
+                }
+            }
+            mine[offset..offset + bytes.len()].copy_from_slice(bytes);
+            if region == RegionKind::Consistency {
+                // What the next release does with the logged store: the
+                // home applies it, and the other cache — past its own flush
+                // — patches its copy in place.
+                let other = 1 - who;
+                self.home.apply_fine(PageId(page), offset as u32, bytes);
+                self.model_home[page as usize][offset..offset + bytes.len()].copy_from_slice(bytes);
+                self.flush_page(other, page);
+                let applied = self.caches[other].apply_update(page, offset, bytes);
+                let theirs = self.model_caches[other].get_mut(&page);
+                prop_assert_eq!(applied, theirs.is_some());
+                if let Some((theirs, _)) = theirs {
+                    theirs[offset..offset + bytes.len()].copy_from_slice(bytes);
+                }
+            }
+        }
+
+        /// Every byte either side can read is the byte the copying model
+        /// holds there.
+        fn agree(&self) {
+            for page in 0..PAGES {
+                prop_assert_eq!(
+                    self.home.read(PageId(page)).bytes(),
+                    &self.model_home[page as usize][..],
+                    "home page {}",
+                    page
+                );
+                for who in 0..2 {
+                    let want = self.model_caches[who].get(&page);
+                    let slot = self.caches[who]
+                        .resolve(page)
+                        .map(|(at, _)| &self.caches[who].lines[at.line].slots[at.idx]);
+                    let got = slot.and_then(|s| s.frame.as_ref());
+                    prop_assert_eq!(
+                        got.map(PageFrame::bytes),
+                        want.map(|(bytes, _)| &bytes[..]),
+                        "cache {} page {}",
+                        who,
+                        page
+                    );
+                    prop_assert_eq!(
+                        slot.and_then(|s| s.twin.as_ref()).map(PageFrame::bytes),
+                        want.and_then(|(_, twin)| twin.as_deref()),
+                        "cache {} twin of page {}",
+                        who,
+                        page
+                    );
+                }
+            }
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Share {
+        /// Make the page resident and valid in cache `who` (fetching,
+        /// evicting and refetching as needed), then maybe store to it.
+        Access {
+            who: usize,
+            page: u64,
+            offset: usize,
+            fill: u8,
+            store: Option<RegionKind>,
+        },
+        Flush {
+            who: usize,
+        },
+        Evict {
+            who: usize,
+        },
+        /// A write notice: flush the page if dirty, then drop it.
+        Invalidate {
+            who: usize,
+            page: u64,
+        },
+        RefreshLine {
+            who: usize,
+            line: u64,
+        },
+        /// The home overwrites a page behind every cache's back.
+        WritePage {
+            page: u64,
+            fill: u8,
+        },
+    }
+
+    fn share_strategy() -> impl Strategy<Value = Share> {
+        let access = || {
+            let store = prop_oneof![
+                Just(None),
+                Just(Some(RegionKind::Ordinary)),
+                Just(Some(RegionKind::Ordinary)),
+                Just(Some(RegionKind::Consistency)),
+            ];
+            (0..2usize, 0..PAGES, 0usize..PS - 8, 1u8..=255, store).prop_map(
+                |(who, page, offset, fill, store)| Share::Access { who, page, offset, fill, store },
+            )
+        };
+        prop_oneof![
+            access(),
+            access(),
+            access(),
+            (0..2usize).prop_map(|who| Share::Flush { who }),
+            (0..2usize).prop_map(|who| Share::Evict { who }),
+            (0..2usize, 0..PAGES).prop_map(|(who, page)| Share::Invalidate { who, page }),
+            (0..2usize, 0..PAGES / LINE_PAGES as u64)
+                .prop_map(|(who, line)| Share::RefreshLine { who, line }),
+            (0..PAGES, 1u8..=255).prop_map(|(page, fill)| Share::WritePage { page, fill }),
+        ]
+    }
+
+    proptest! {
+        /// After every step each valid page, each twin and each home page
+        /// holds exactly what the copying model holds: no store through one
+        /// holder of a frame was ever visible through another.
+        #[test]
+        fn shared_frames_behave_like_deep_copies(
+            steps in proptest::collection::vec(share_strategy(), 1..200)
+        ) {
+            let mut w = Shared {
+                home: PageStore::new(PS),
+                caches: [0, 1].map(|_| SoftCache::new(PS, LINE_PAGES, 3, EvictionPolicy::DirtyFirst)),
+                model_home: vec![vec![0u8; PS]; PAGES as usize],
+                model_caches: Default::default(),
+            };
+            for step in steps {
+                match step {
+                    Share::Access { who, page, offset, fill, store: Some(region) } => {
+                        w.store(who, page, offset, &[fill; 8], region);
+                    }
+                    Share::Access { who, page, .. } => w.ensure(who, page),
+                    Share::Flush { who } => {
+                        for page in w.caches[who].dirty_pages() {
+                            w.flush_page(who, page);
+                        }
+                    }
+                    Share::Evict { who } => w.evict(who),
+                    Share::Invalidate { who, page } => {
+                        w.flush_page(who, page);
+                        let held = w.model_caches[who].remove(&page).is_some();
+                        prop_assert_eq!(w.caches[who].invalidate_page(page), held);
+                    }
+                    Share::RefreshLine { who, line } => {
+                        if !w.caches[who].contains_line(line) {
+                            continue;
+                        }
+                        let first = line * LINE_PAGES as u64;
+                        let pages = w.home.read_line(PageId(first), LINE_PAGES);
+                        w.caches[who].refresh_line(line, pages);
+                        for p in first..first + LINE_PAGES as u64 {
+                            let dirty = matches!(w.model_caches[who].get(&p), Some((_, Some(_))));
+                            if !dirty {
+                                w.model_caches[who].insert(p, (w.model_home[p as usize].clone(), None));
+                            }
+                        }
+                    }
+                    Share::WritePage { page, fill } => {
+                        w.home.write_page(PageId(page), &[fill; PS]);
+                        w.model_home[page as usize].fill(fill);
+                    }
+                }
+                w.agree();
             }
         }
     }
@@ -959,9 +1262,20 @@ mod proptests {
             let want =
                 model.lines.iter().find(|l| l.id == page / LINE_PAGES as u64).map(|l| l.pages[idx]);
             prop_assert_eq!(cache.page_state(page), want.map(|s| s.0), "state of page {}", page);
-            if let Some((at, _)) = cache.resolve(page) {
-                let has_twin = cache.lines[at.line].slots[at.idx].twin.is_some();
-                prop_assert_eq!(has_twin, want.expect("resident").1, "twin of page {}", page);
+            if let Some((at, state)) = cache.resolve(page) {
+                let slot = &cache.lines[at.line].slots[at.idx];
+                prop_assert_eq!(
+                    slot.twin.is_some(),
+                    want.expect("resident").1,
+                    "twin of page {}",
+                    page
+                );
+                prop_assert_eq!(
+                    slot.frame.is_some(),
+                    state != PageState::Invalid,
+                    "frame of page {}",
+                    page
+                );
             }
         }
         prop_assert_eq!(
@@ -989,7 +1303,7 @@ mod proptests {
                             let (got, want) = evict(&mut cache, &mut model);
                             prop_assert_eq!(got, want, "victim");
                         }
-                        cache.install_line(line, vec![0; PS * LINE_PAGES], vec![0; LINE_PAGES]);
+                        cache.install_line(line, vec![PageFrame::new(&[0; PS], 0); LINE_PAGES]);
                         model.tick += 1;
                         model.lines.push(ModelLine {
                             id: line,
@@ -998,7 +1312,7 @@ mod proptests {
                         });
                     }
                     if cache.page_state(page) == Some(PageState::Invalid) {
-                        cache.install_page(page, &[1; PS], 1);
+                        cache.install_page(page, PageFrame::new(&[1; PS], 1));
                         *model.page(page).expect("resident") = (PageState::Clean, false);
                     }
                     let mut byte = [0u8; 1];
@@ -1046,13 +1360,13 @@ mod proptests {
                 }
                 Step::RefreshPage { page } => {
                     if model.page(page).is_some_and(|s| s.0 != PageState::Dirty) {
-                        cache.install_page(page, &[2; PS], 2);
+                        cache.install_page(page, PageFrame::new(&[2; PS], 2));
                         *model.page(page).expect("resident") = (PageState::Clean, false);
                     }
                 }
                 Step::RefreshLine { line } => {
                     if let Some(l) = model.line(line) {
-                        cache.refresh_line(line, &[3; PS * LINE_PAGES], &[3; LINE_PAGES]);
+                        cache.refresh_line(line, vec![PageFrame::new(&[3; PS], 3); LINE_PAGES]);
                         for slot in l.pages.iter_mut().filter(|s| s.0 != PageState::Dirty) {
                             *slot = (PageState::Clean, false);
                         }

@@ -28,7 +28,7 @@
 
 use std::collections::HashSet;
 
-use samhita_mem::{HomeMap, IntMap, IntSet, MemRequest, MemResponse};
+use samhita_mem::{HomeMap, IntMap, IntSet, MemRequest, MemResponse, PageFrame};
 use samhita_scl::{Endpoint, EndpointId, Envelope, MsgClass, RetryPolicy, SimTime};
 use samhita_trace::{EventKind, TraceBuf};
 
@@ -91,7 +91,7 @@ pub struct Channel {
     ack_horizon: SimTime,
     prefetch_tokens: IntMap<u64, u64>,   // token -> line
     prefetch_inflight: IntMap<u64, u64>, // line -> token
-    prefetch_ready: IntMap<u64, (SimTime, Vec<u8>, Vec<u64>)>,
+    prefetch_ready: IntMap<u64, (SimTime, Vec<PageFrame>)>,
     /// Prefetch tokens whose line was invalidated while the fetch was in
     /// flight: the response must be discarded, not installed.
     poisoned_prefetches: IntSet<u64>,
@@ -582,8 +582,8 @@ impl Channel {
                 return;
             }
             match env.msg {
-                Msg::MemResp { resp: MemResponse::Line { data, versions, .. }, .. } => {
-                    self.prefetch_ready.insert(line, (env.deliver_at, data, versions));
+                Msg::MemResp { resp: MemResponse::Line { pages, .. }, .. } => {
+                    self.prefetch_ready.insert(line, (env.deliver_at, pages));
                 }
                 other => panic!("unexpected prefetch response: {other:?}"),
             }
@@ -678,10 +678,7 @@ impl Channel {
     }
 
     /// Take a completed prefetch for `line`, if one has arrived.
-    pub(crate) fn take_ready_prefetch(
-        &mut self,
-        line: u64,
-    ) -> Option<(SimTime, Vec<u8>, Vec<u64>)> {
+    pub(crate) fn take_ready_prefetch(&mut self, line: u64) -> Option<(SimTime, Vec<PageFrame>)> {
         self.prefetch_ready.remove(&line)
     }
 
@@ -713,7 +710,7 @@ impl Channel {
     /// Block for an in-flight prefetch response. Returns `None` when the
     /// response was lost on the wire — the lost copy's arrival plays the
     /// retransmission timeout, and the caller demand-fetches instead.
-    pub(crate) fn await_prefetch(&mut self, token: u64) -> Option<(Vec<u8>, Vec<u64>)> {
+    pub(crate) fn await_prefetch(&mut self, token: u64) -> Option<Vec<PageFrame>> {
         loop {
             let env = self.ep.recv().expect("fabric closed while awaiting response");
             let t = Self::token_of(&env);
@@ -726,8 +723,8 @@ impl Channel {
                 return None;
             }
             match env.msg {
-                Msg::MemResp { resp: MemResponse::Line { data, versions, .. }, .. } => {
-                    return Some((data, versions));
+                Msg::MemResp { resp: MemResponse::Line { pages, .. }, .. } => {
+                    return Some(pages);
                 }
                 other => panic!("unexpected prefetch response: {other:?}"),
             }

@@ -406,8 +406,9 @@ impl Samhita {
                 MemRequest::FetchPage { page: PageId(page) },
             );
             match resp {
-                MemResponse::Page { data, .. } => {
-                    out[cursor..cursor + take].copy_from_slice(&data[offset..offset + take]);
+                MemResponse::Page { frame, .. } => {
+                    out[cursor..cursor + take]
+                        .copy_from_slice(&frame.bytes()[offset..offset + take]);
                 }
                 other => panic!("unexpected page response: {other:?}"),
             }
@@ -1270,6 +1271,58 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("a panicking manager step must not hang the run");
         assert!(message.contains("manager received unexpected message"), "{message}");
+    }
+
+    /// A replayed fetch is answered from the dedup cache with the frames it
+    /// was first served: the cache holds references, and the home copies a
+    /// page before updating it while a reference is out.
+    #[test]
+    fn a_replayed_line_fetch_carries_the_version_first_served() {
+        let cfg = SamhitaConfig::small_for_tests();
+        let sched = Scheduler::new(0);
+        let fabric = Fabric::<Msg>::new(cfg.build_topology());
+        let node = samhita_scl::NodeId(0);
+        let client = fabric.add_endpoint(node);
+        client.bind_task(&sched.register_running());
+        let ep = fabric.add_endpoint(node);
+        let server_ep = ep.id();
+        let _service = install(
+            &sched,
+            MemService {
+                ep,
+                server: MemoryServer::new(cfg.page_size, cfg.service),
+                track: None,
+                ctl: EndpointId(u32::MAX),
+                dedup: true,
+                seen: HashMap::new(),
+                order: VecDeque::new(),
+            },
+        );
+        let rpc = |token: u64, at: u64, req: MemRequest| {
+            let msg = Msg::MemReq { token, shadow: false, req };
+            client.send(server_ep, SimTime::from_ns(at), 16, MsgClass::Data, msg).unwrap();
+            match client.recv().unwrap().msg {
+                Msg::MemResp { token: t, resp } if t == token => resp,
+                other => panic!("unexpected reply: {other:?}"),
+            }
+        };
+        let page = PageId(0);
+        let fetch = MemRequest::FetchLine { first: page, pages: cfg.line_pages };
+        let update = |fill: u8| MemRequest::ApplyFine { page, offset: 0, bytes: vec![fill; 8] };
+        rpc(1, 0, update(1));
+        let MemResponse::Line { pages: first, .. } = rpc(2, 10, fetch.clone()) else {
+            panic!("a line fetch is answered with a line");
+        };
+        rpc(3, 20, update(2));
+        let MemResponse::Line { pages: replayed, .. } = rpc(2, 30, fetch.clone()) else {
+            panic!("a replay is answered like its original");
+        };
+        assert!(replayed[0].shares_bytes_with(&first[0]));
+        assert_eq!((replayed[0].version(), replayed[0].bytes()[0]), (1, 1));
+        let MemResponse::Line { pages: fresh, .. } = rpc(4, 40, fetch) else {
+            panic!("a line fetch is answered with a line");
+        };
+        assert_eq!((fresh[0].version(), fresh[0].bytes()[0]), (2, 2));
     }
 
     /// The standby's lease deadline is exact in virtual time: with no

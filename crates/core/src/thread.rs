@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use samhita_mem::{HomeMap, MemRequest, MemResponse, PageId};
+use samhita_mem::{HomeMap, MemRequest, MemResponse, PageFrame, PageId};
 use samhita_regc::{
     FineUpdate, PageState, RegionKind, RegionState, UpdateBatch, UpdatePart, WriteNotice, WriteSet,
 };
@@ -634,23 +634,9 @@ impl ThreadCtx {
                 // refetch traffic. When several pages of the line were
                 // invalidated, one line fetch amortizes the round-trip.
                 let fetched_pages = if self.cache.invalid_pages_in_line(line) > 1 {
-                    let first = PageId(line * self.cache.line_pages() as u64);
-                    let server = self.home_map.home_of_line(line);
-                    let (resp, _) = self.chan.rpc_mem(
-                        server,
-                        MemRequest::FetchLine { first, pages: self.cache.line_pages() as u32 },
-                        MsgClass::Data,
-                    );
-                    match resp {
-                        MemResponse::Line { data, versions, .. } => {
-                            self.chan.charge(
-                                (data.len() as u64 / 1024 * self.cfg.costs.cache_fill_per_kib_ns)
-                                    as f64,
-                            );
-                            self.cache.refresh_line(line, &data, &versions);
-                        }
-                        other => panic!("unexpected line fetch response: {other:?}"),
-                    }
+                    let pages = self.fetch_line(line);
+                    self.charge_cache_fill(self.cache.line_bytes());
+                    self.cache.refresh_line(line, pages);
                     line_pages
                 } else {
                     let server = self.home_map.home_of_page(PageId(page));
@@ -660,12 +646,9 @@ impl ThreadCtx {
                         MsgClass::Data,
                     );
                     match resp {
-                        MemResponse::Page { data, version, .. } => {
-                            self.cache.install_page(page, &data, version);
-                            self.chan.charge(
-                                (data.len() as u64 / 1024 * self.cfg.costs.cache_fill_per_kib_ns)
-                                    as f64,
-                            );
+                        MemResponse::Page { frame, .. } => {
+                            self.cache.install_page(page, frame);
+                            self.charge_cache_fill(self.cfg.page_size);
                         }
                         other => panic!("unexpected page fetch response: {other:?}"),
                     }
@@ -681,36 +664,30 @@ impl ThreadCtx {
 
         let first_page = line * self.cache.line_pages() as u64;
         let t0 = self.chan.now();
-        if let Some((deliver, data, versions)) = self.chan.take_ready_prefetch(line) {
+        let prefetched = if let Some((deliver, pages)) = self.chan.take_ready_prefetch(line) {
             // A completed prefetch: free unless we outran it.
             self.chan.advance_to(deliver);
             self.stats.prefetch_hits += 1;
-            self.install_line(line, data, versions);
-            self.record_fetch(first_page, line_pages, FetchKind::PrefetchHit, t0);
+            Some((pages, FetchKind::PrefetchHit))
         } else if let Some(token) = self.chan.take_inflight_prefetch(line) {
-            // Prefetch still in flight: wait for it.
-            match self.chan.await_prefetch(token) {
-                Some((data, versions)) => {
-                    self.stats.prefetch_late += 1;
-                    self.install_line(line, data, versions);
-                    self.record_fetch(first_page, line_pages, FetchKind::PrefetchLate, t0);
-                }
-                None => {
-                    // The prefetch response was lost on the wire (the wait
-                    // for the lost copy was the timeout): demand-fetch.
-                    self.stats.line_misses += 1;
-                    self.stats.hot.record_miss(first_page, line_pages as u64);
-                    self.demand_fetch_line(line);
-                    self.record_fetch(first_page, line_pages, FetchKind::Demand, t0);
-                }
-            }
+            // Prefetch still in flight: wait for it. `None` when its
+            // response was lost on the wire (the wait for the lost copy
+            // was the timeout): demand-fetch.
+            self.chan.await_prefetch(token).map(|pages| {
+                self.stats.prefetch_late += 1;
+                (pages, FetchKind::PrefetchLate)
+            })
         } else {
+            None
+        };
+        let (pages, kind) = prefetched.unwrap_or_else(|| {
             // Demand miss.
             self.stats.line_misses += 1;
             self.stats.hot.record_miss(first_page, line_pages as u64);
-            self.demand_fetch_line(line);
-            self.record_fetch(first_page, line_pages, FetchKind::Demand, t0);
-        }
+            (self.fetch_line(line), FetchKind::Demand)
+        });
+        self.install_line(line, pages);
+        self.record_fetch(first_page, line_pages, kind, t0);
         let (at, _) = self.cache.resolve(page).expect("line was just installed");
         self.cache.touch(at);
 
@@ -722,7 +699,7 @@ impl ThreadCtx {
     }
 
     /// Fetch a whole line synchronously from its (effective) home.
-    fn demand_fetch_line(&mut self, line: u64) {
+    fn fetch_line(&mut self, line: u64) -> Vec<PageFrame> {
         let first = PageId(line * self.cache.line_pages() as u64);
         let server = self.home_map.home_of_line(line);
         let (resp, _) = self.chan.rpc_mem(
@@ -731,15 +708,21 @@ impl ThreadCtx {
             MsgClass::Data,
         );
         match resp {
-            MemResponse::Line { data, versions, .. } => self.install_line(line, data, versions),
+            MemResponse::Line { pages, .. } => pages,
             other => panic!("unexpected line fetch response: {other:?}"),
         }
     }
 
-    fn install_line(&mut self, line: u64, data: Vec<u8>, versions: Vec<u64>) {
+    fn install_line(&mut self, line: u64, pages: Vec<PageFrame>) {
         self.make_room();
-        self.chan.charge((data.len() as u64 / 1024 * self.cfg.costs.cache_fill_per_kib_ns) as f64);
-        self.cache.install_line(line, data, versions);
+        self.charge_cache_fill(self.cache.line_bytes());
+        self.cache.install_line(line, pages);
+    }
+
+    /// Charge the modelled copy of `bytes` fetched bytes into the cache (the
+    /// simulator itself moves a reference).
+    fn charge_cache_fill(&mut self, bytes: usize) {
+        self.chan.charge((bytes as u64 / 1024 * self.cfg.costs.cache_fill_per_kib_ns) as f64);
     }
 
     /// Evict until a new line fits, flushing dirty victims home. Each

@@ -6,7 +6,8 @@
 //! own the backing store of the shared global address space, while compute
 //! threads only cache it. This crate provides the server side:
 //!
-//! * [`store::PageStore`] — a versioned, zero-fill-on-first-touch page store;
+//! * [`store::PageStore`] — a versioned page store whose frames are fetched
+//!   by reference and copied on write;
 //! * [`server::MemoryServer`] — the pure request-processing engine
 //!   (fetch line / fetch page / apply diff / apply fine-grain), with a
 //!   virtual-time service model so that request bursts queue and hot-spots
@@ -28,5 +29,5 @@ pub mod stripe;
 pub use intmap::{IntMap, IntSet};
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
 pub use server::{MemRequest, MemResponse, MemoryServer, ServerStats, ServiceModel};
-pub use store::PageStore;
+pub use store::{PageFrame, PageStore};
 pub use stripe::HomeMap;

@@ -12,7 +12,7 @@ use samhita_scl::{SimTime, VirtualResource};
 use serde::{Deserialize, Serialize};
 
 use crate::page::PageId;
-use crate::store::PageStore;
+use crate::store::{PageFrame, PageStore};
 
 /// Requests a memory server understands.
 #[derive(Clone, Debug)]
@@ -59,14 +59,16 @@ impl MemRequest {
     }
 }
 
-/// Responses a memory server produces.
+/// Responses a memory server produces. Page data travels as references to
+/// the store's frames (see [`crate::store`]); the wire size and every
+/// virtual cost are those of the bytes a real fabric would carry.
 #[derive(Clone, Debug)]
 #[allow(missing_docs)] // payloads are described on each variant
 pub enum MemResponse {
-    /// Line payload: concatenated page bytes plus per-page versions.
-    Line { first: PageId, data: Vec<u8>, versions: Vec<u64> },
+    /// Line payload: each page's frame, in order, with its version.
+    Line { first: PageId, pages: Vec<PageFrame> },
     /// Single-page payload.
-    Page { page: PageId, data: Vec<u8>, version: u64 },
+    Page { page: PageId, frame: PageFrame },
     /// Mutation acknowledged; carries the new page version.
     Ack { page: PageId, version: u64 },
     /// Whole batch acknowledged as one unit; carries the part count.
@@ -77,8 +79,10 @@ impl MemResponse {
     /// Payload bytes this response carries on the wire.
     pub fn wire_bytes(&self) -> usize {
         match self {
-            MemResponse::Line { data, versions, .. } => 16 + data.len() + versions.len() * 8,
-            MemResponse::Page { data, .. } => 24 + data.len(),
+            MemResponse::Line { pages, .. } => {
+                16 + pages.iter().map(|p| p.bytes().len() + 8).sum::<usize>()
+            }
+            MemResponse::Page { frame, .. } => 24 + frame.bytes().len(),
             MemResponse::Ack { .. } => 16,
             MemResponse::BatchAck { .. } => 16,
         }
@@ -191,17 +195,15 @@ impl MemoryServer {
         let (resp, service) = match req {
             MemRequest::FetchLine { first, pages } => {
                 self.stats.line_fetches += 1;
-                let (data, versions) = self.store.read_line(first, pages as usize);
-                let service = self.model.service_ns(data.len());
-                (MemResponse::Line { first, data, versions }, service)
+                let pages = self.store.read_line(first, pages as usize);
+                let service = self.model.service_ns(pages.len() * self.store.page_size());
+                (MemResponse::Line { first, pages }, service)
             }
             MemRequest::FetchPage { page } => {
                 self.stats.page_fetches += 1;
                 let frame = self.store.read(page);
-                let data = frame.bytes().to_vec();
-                let version = frame.version();
-                let service = self.model.service_ns(data.len());
-                (MemResponse::Page { page, data, version }, service)
+                let service = self.model.service_ns(frame.bytes().len());
+                (MemResponse::Page { page, frame }, service)
             }
             MemRequest::ApplyDiff { page, diff } => {
                 let service = self.model.apply_ns(diff.payload_bytes());
@@ -293,10 +295,9 @@ mod tests {
         let (resp, done) =
             s.handle(MemRequest::FetchLine { first: PageId(0), pages: 4 }, SimTime::from_ns(100));
         match resp {
-            MemResponse::Line { data, versions, .. } => {
-                assert_eq!(data.len(), 1024);
-                assert!(data.iter().all(|&b| b == 0));
-                assert_eq!(versions, vec![0; 4]);
+            MemResponse::Line { pages, .. } => {
+                assert_eq!(pages.len(), 4);
+                assert!(pages.iter().all(|p| p.bytes() == [0; 256] && p.version() == 0));
             }
             other => panic!("unexpected response {other:?}"),
         }
@@ -313,9 +314,9 @@ mod tests {
         );
         let (resp, _) = s.handle(MemRequest::FetchPage { page: PageId(1) }, SimTime::ZERO);
         match resp {
-            MemResponse::Page { data, version, .. } => {
-                assert_eq!(&data[8..16], &[7; 8]);
-                assert_eq!(version, 1);
+            MemResponse::Page { frame, .. } => {
+                assert_eq!(&frame.bytes()[8..16], &[7; 8]);
+                assert_eq!(frame.version(), 1);
             }
             other => panic!("unexpected response {other:?}"),
         }
@@ -355,9 +356,9 @@ mod tests {
         );
         let (resp, _) = s.handle(MemRequest::FetchPage { page: PageId(0) }, SimTime::ZERO);
         match resp {
-            MemResponse::Page { data, .. } => {
-                assert_eq!(data[0], 1);
-                assert_eq!(data[200], 2);
+            MemResponse::Page { frame, .. } => {
+                assert_eq!(frame.bytes()[0], 1);
+                assert_eq!(frame.bytes()[200], 2);
             }
             other => panic!("unexpected response {other:?}"),
         }
@@ -386,8 +387,11 @@ mod tests {
         assert_eq!(req.wire_bytes(), 124);
         let resp = MemResponse::Ack { page: PageId(0), version: 1 };
         assert_eq!(resp.wire_bytes(), 16);
-        let line = MemResponse::Line { first: PageId(0), data: vec![0; 512], versions: vec![0, 0] };
+        let pages = vec![PageFrame::new(&[0; 256], 0); 2];
+        let line = MemResponse::Line { first: PageId(0), pages };
         assert_eq!(line.wire_bytes(), 16 + 512 + 16);
+        let page = MemResponse::Page { page: PageId(0), frame: PageFrame::new(&[0; 256], 0) };
+        assert_eq!(page.wire_bytes(), 24 + 256);
     }
 
     #[test]
@@ -425,12 +429,12 @@ mod tests {
         assert_eq!(st.fine_payload_bytes, 8);
         let (resp, _) = s.handle(MemRequest::FetchPage { page: PageId(0) }, done);
         match resp {
-            MemResponse::Page { data, .. } => assert_eq!(data[0], 9),
+            MemResponse::Page { frame, .. } => assert_eq!(frame.bytes()[0], 9),
             other => panic!("unexpected response {other:?}"),
         }
         let (resp, _) = s.handle(MemRequest::FetchPage { page: PageId(1) }, done);
         match resp {
-            MemResponse::Page { data, .. } => assert_eq!(&data[16..24], &[7; 8]),
+            MemResponse::Page { frame, .. } => assert_eq!(&frame.bytes()[16..24], &[7; 8]),
             other => panic!("unexpected response {other:?}"),
         }
     }
@@ -556,8 +560,8 @@ mod proptests {
                 let (a, _) = batched.handle(MemRequest::FetchPage { page: PageId(p) }, done);
                 let (b, _) = sequential.handle(MemRequest::FetchPage { page: PageId(p) }, done);
                 match (a, b) {
-                    (MemResponse::Page { data: da, .. }, MemResponse::Page { data: db, .. }) =>
-                        prop_assert_eq!(da, db, "page {} diverged", p),
+                    (MemResponse::Page { frame: a, .. }, MemResponse::Page { frame: b, .. }) =>
+                        prop_assert_eq!(a.bytes(), b.bytes(), "page {} diverged", p),
                     other => prop_assert!(false, "unexpected {:?}", other),
                 }
             }
@@ -620,13 +624,15 @@ mod proptests {
                 prop_assert!(done > last_done, "service windows must advance");
                 last_done = done;
                 match resp {
-                    MemResponse::Line { first, data, .. } => {
-                        let base = first.0 as usize * PS;
-                        prop_assert_eq!(&data[..], &reference[base..base + data.len()]);
+                    MemResponse::Line { first, pages } => {
+                        for (i, frame) in pages.iter().enumerate() {
+                            let base = (first.0 as usize + i) * PS;
+                            prop_assert_eq!(frame.bytes(), &reference[base..base + PS]);
+                        }
                     }
-                    MemResponse::Page { page, data, .. } => {
+                    MemResponse::Page { page, frame } => {
                         let base = page.0 as usize * PS;
-                        prop_assert_eq!(&data[..], &reference[base..base + PS]);
+                        prop_assert_eq!(frame.bytes(), &reference[base..base + PS]);
                     }
                     MemResponse::Ack { .. } | MemResponse::BatchAck { .. } => {}
                 }
@@ -635,9 +641,9 @@ mod proptests {
             for p in 0..PAGES {
                 let (resp, _) = server.handle(MemRequest::FetchPage { page: PageId(p) }, last_done);
                 match resp {
-                    MemResponse::Page { data, .. } => {
+                    MemResponse::Page { frame, .. } => {
                         let base = p as usize * PS;
-                        prop_assert_eq!(&data[..], &reference[base..base + PS], "page {}", p);
+                        prop_assert_eq!(frame.bytes(), &reference[base..base + PS], "page {}", p);
                     }
                     other => prop_assert!(false, "unexpected {:?}", other),
                 }

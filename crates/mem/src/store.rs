@@ -1,24 +1,41 @@
 //! The versioned page store backing one memory server.
 //!
-//! Pages materialize zero-filled on first touch (like anonymous memory) and
+//! Pages read as zeros until first written (like anonymous memory) and
 //! carry a version counter bumped by every mutation; versions let the cache
 //! side detect stale prefetches and make the protocol auditable in tests.
+//!
+//! ## Who owns a page's bytes
+//!
+//! A page's bytes are one reference-counted frame ([`PageFrame`]), and a
+//! fetch hands out a reference to it, not a copy: the home, any number of
+//! caches (a clean page, or a dirty page's twin), a prefetch-ready map, a
+//! server's dedup cache and the host may all hold one frame at once. Nobody
+//! writes bytes another holder can see: the only way to mutate a frame is
+//! [`PageFrame::bytes_mut`], in place for a sole holder and on a private
+//! copy otherwise. So a page is copied exactly when it is written while
+//! shared — at the home when an update lands on a page a reader still
+//! holds, in a cache at the first store after a fetch — and never on the
+//! fetch path. Pages nobody has written share one zero frame per store.
+
+use std::sync::Arc;
 
 use samhita_regc::Diff;
 
 use crate::intmap::IntMap;
 use crate::page::PageId;
 
-/// One stored page.
+/// One page's bytes at one home version: a handle to a shared frame.
+/// Cloning it shares the bytes.
 #[derive(Clone, Debug)]
 pub struct PageFrame {
-    bytes: Box<[u8]>,
+    bytes: Arc<[u8]>,
     version: u64,
 }
 
 impl PageFrame {
-    fn zeroed(page_size: usize) -> Self {
-        PageFrame { bytes: vec![0u8; page_size].into_boxed_slice(), version: 0 }
+    /// A frame of its own holding `bytes`, at home version `version`.
+    pub fn new(bytes: &[u8], version: u64) -> Self {
+        PageFrame { bytes: bytes.into(), version }
     }
 
     /// The page contents.
@@ -26,58 +43,71 @@ impl PageFrame {
         &self.bytes
     }
 
-    /// Mutation count.
+    /// The contents for writing: in place when this handle is the frame's
+    /// only holder, on a private copy of the page otherwise.
+    pub fn bytes_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.bytes)
+    }
+
+    /// Mutation count at the home when the bytes were read there.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// True when both handles hold the same frame: no copy lies between
+    /// them.
+    pub fn shares_bytes_with(&self, other: &PageFrame) -> bool {
+        Arc::ptr_eq(&self.bytes, &other.bytes)
     }
 }
 
 /// All pages homed on one memory server.
 #[derive(Debug)]
 pub struct PageStore {
+    /// The pages written at least once.
     pages: IntMap<PageId, PageFrame>,
-    page_size: usize,
+    /// What every other page reads as.
+    zero: PageFrame,
 }
 
 impl PageStore {
     /// An empty store serving pages of `page_size` bytes.
     pub fn new(page_size: usize) -> Self {
         assert!(page_size >= 64 && page_size.is_power_of_two(), "unreasonable page size");
-        PageStore { pages: IntMap::default(), page_size }
+        PageStore { pages: IntMap::default(), zero: PageFrame::new(&vec![0; page_size], 0) }
     }
 
     /// The configured page size.
     pub fn page_size(&self) -> usize {
-        self.page_size
+        self.zero.bytes.len()
     }
 
-    /// Read a page, materializing it zero-filled if never touched.
-    pub fn read(&mut self, id: PageId) -> &PageFrame {
-        let ps = self.page_size;
-        self.pages.entry(id).or_insert_with(|| PageFrame::zeroed(ps))
+    /// Read a page: a reference to its frame — the shared zero frame if it
+    /// was never written.
+    pub fn read(&self, id: PageId) -> PageFrame {
+        self.pages.get(&id).unwrap_or(&self.zero).clone()
     }
 
-    /// Read `count` consecutive pages starting at `first` into one buffer
-    /// (a cache-line fetch), returning the buffer and per-page versions.
-    pub fn read_line(&mut self, first: PageId, count: usize) -> (Vec<u8>, Vec<u64>) {
-        let mut data = Vec::with_capacity(count * self.page_size);
-        let mut versions = Vec::with_capacity(count);
-        for i in 0..count as u64 {
-            let frame = self.read(PageId(first.0 + i));
-            versions.push(frame.version());
-            data.extend_from_slice(frame.bytes());
-        }
-        (data, versions)
+    /// Read `count` consecutive pages starting at `first` (a cache-line
+    /// fetch).
+    pub fn read_line(&self, first: PageId, count: usize) -> Vec<PageFrame> {
+        (first.0..first.0 + count as u64).map(|page| self.read(PageId(page))).collect()
+    }
+
+    /// The one way a page changes: `write` gets its bytes (copied first if
+    /// a reader still holds the frame) and the version moves on. Returns
+    /// the new version.
+    fn mutate(&mut self, id: PageId, write: impl FnOnce(&mut [u8])) -> u64 {
+        let frame = self.pages.entry(id).or_insert_with(|| self.zero.clone());
+        write(frame.bytes_mut());
+        frame.version += 1;
+        frame.version
     }
 
     /// Apply an ordinary-region diff to a page (multiple-writer merge point).
     /// Returns the new version.
     pub fn apply_diff(&mut self, id: PageId, diff: &Diff) -> u64 {
-        let ps = self.page_size;
-        let frame = self.pages.entry(id).or_insert_with(|| PageFrame::zeroed(ps));
-        diff.apply(&mut frame.bytes);
-        frame.version += 1;
-        frame.version
+        self.mutate(id, |page| diff.apply(page))
     }
 
     /// Apply a fine-grain (consistency-region) update. Returns the new
@@ -86,35 +116,44 @@ impl PageStore {
     /// # Panics
     /// Panics if the update overruns the page.
     pub fn apply_fine(&mut self, id: PageId, offset: u32, bytes: &[u8]) -> u64 {
-        let ps = self.page_size;
-        let frame = self.pages.entry(id).or_insert_with(|| PageFrame::zeroed(ps));
         let start = offset as usize;
         let end = start + bytes.len();
-        assert!(end <= ps, "fine-grain update out of page bounds");
-        frame.bytes[start..end].copy_from_slice(bytes);
-        frame.version += 1;
-        frame.version
+        assert!(end <= self.page_size(), "fine-grain update out of page bounds");
+        self.mutate(id, |page| page[start..end].copy_from_slice(bytes))
     }
 
     /// Overwrite a whole page (used by the whole-page consistency ablation).
     pub fn write_page(&mut self, id: PageId, bytes: &[u8]) -> u64 {
-        assert_eq!(bytes.len(), self.page_size, "whole-page write size mismatch");
-        let ps = self.page_size;
-        let frame = self.pages.entry(id).or_insert_with(|| PageFrame::zeroed(ps));
-        frame.bytes.copy_from_slice(bytes);
-        frame.version += 1;
-        frame.version
+        assert_eq!(bytes.len(), self.page_size(), "whole-page write size mismatch");
+        self.mutate(id, |page| page.copy_from_slice(bytes))
     }
 
-    /// Number of materialized pages.
+    /// Number of pages with a frame of their own: those written at least
+    /// once. Reading materializes nothing, and superseded versions kept
+    /// alive by readers are theirs, not the store's.
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
 
-    /// Bytes of backing store in use.
+    /// Bytes of backing store in those frames (the shared zero frame is not
+    /// counted).
     pub fn resident_bytes(&self) -> usize {
-        self.pages.len() * self.page_size
+        self.pages.len() * self.page_size()
     }
+}
+
+/// The fetch [`PageStore::read_line`] replaced, kept as its oracle: one
+/// buffer per line, every page copied into it.
+#[cfg(test)]
+fn read_line_copying(store: &PageStore, first: PageId, count: usize) -> (Vec<u8>, Vec<u64>) {
+    let mut data = Vec::with_capacity(count * store.page_size());
+    let mut versions = Vec::with_capacity(count);
+    for i in 0..count as u64 {
+        let frame = store.read(PageId(first.0 + i));
+        versions.push(frame.version());
+        data.extend_from_slice(frame.bytes());
+    }
+    (data, versions)
 }
 
 #[cfg(test)]
@@ -122,22 +161,71 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_touch_is_zero_filled() {
-        let mut s = PageStore::new(4096);
+    fn untouched_pages_read_as_one_shared_zero_frame() {
+        let s = PageStore::new(4096);
         let f = s.read(PageId(7));
         assert!(f.bytes().iter().all(|&b| b == 0));
         assert_eq!(f.version(), 0);
-        assert_eq!(s.resident_pages(), 1);
+        assert!(f.shares_bytes_with(&s.read(PageId(8))), "one zero frame serves every page");
+        assert_eq!(s.resident_pages(), 0, "reading materializes nothing");
     }
 
     #[test]
-    fn read_line_concatenates_pages() {
+    fn the_first_write_to_a_page_leaves_the_zero_frame_alone() {
+        let mut s = PageStore::new(256);
+        let zero = s.read(PageId(0));
+        s.apply_fine(PageId(0), 0, &[1; 8]);
+        assert!(zero.bytes().iter().all(|&b| b == 0));
+        assert!(zero.shares_bytes_with(&s.read(PageId(1))));
+        assert!(!zero.shares_bytes_with(&s.read(PageId(0))));
+        assert_eq!((s.resident_pages(), s.resident_bytes()), (1, 256));
+    }
+
+    #[test]
+    fn read_line_returns_each_pages_frame() {
         let mut s = PageStore::new(256);
         s.apply_fine(PageId(1), 0, &[0xAA; 4]);
-        let (data, versions) = s.read_line(PageId(0), 3);
-        assert_eq!(data.len(), 3 * 256);
-        assert_eq!(&data[256..260], &[0xAA; 4]);
-        assert_eq!(versions, vec![0, 1, 0]);
+        let pages = s.read_line(PageId(0), 3);
+        assert_eq!(pages.len(), 3);
+        assert_eq!(&pages[1].bytes()[..4], &[0xAA; 4]);
+        assert_eq!(pages.iter().map(PageFrame::version).collect::<Vec<_>>(), vec![0, 1, 0]);
+        assert!(pages[1].shares_bytes_with(&s.read(PageId(1))), "a fetch copies nothing");
+    }
+
+    #[test]
+    fn the_home_writes_in_place_unless_a_reader_holds_the_frame() {
+        let mut s = PageStore::new(256);
+        s.write_page(PageId(0), &[1; 256]);
+        // Unshared: same allocation before and after.
+        let at = s.read(PageId(0)).bytes().as_ptr();
+        s.apply_fine(PageId(0), 0, &[2; 8]);
+        let mut cur = [1u8; 256];
+        cur[8..16].fill(3);
+        s.apply_diff(PageId(0), &Diff::compute(&[1; 256], &cur));
+        assert_eq!(s.read(PageId(0)).bytes().as_ptr(), at);
+        // Shared: the reader keeps the version it fetched, bytes and all.
+        let held = s.read(PageId(0));
+        s.apply_fine(PageId(0), 16, &[4; 8]);
+        let now = s.read(PageId(0));
+        assert!(!held.shares_bytes_with(&now));
+        assert_eq!((held.version(), now.version()), (3, 4));
+        assert_eq!((&held.bytes()[16..24], &now.bytes()[16..24]), (&[1u8; 8][..], &[4u8; 8][..]));
+        // The reader lets go: the next update is in place again.
+        drop(held);
+        let at = now.bytes().as_ptr();
+        drop(now);
+        s.write_page(PageId(0), &[5; 256]);
+        assert_eq!(s.read(PageId(0)).bytes().as_ptr(), at);
+    }
+
+    #[test]
+    fn a_readers_own_write_never_reaches_the_home() {
+        let mut s = PageStore::new(256);
+        s.apply_fine(PageId(0), 0, &[1; 8]);
+        let mut mine = s.read(PageId(0));
+        mine.bytes_mut()[0] = 9;
+        assert_eq!(s.read(PageId(0)).bytes()[0], 1);
+        assert!(!mine.shares_bytes_with(&s.read(PageId(0))));
     }
 
     #[test]
@@ -185,5 +273,51 @@ mod tests {
     #[should_panic(expected = "unreasonable page size")]
     fn bad_page_size_rejected() {
         let _ = PageStore::new(1000);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const PS: usize = 256;
+    const PAGES: u64 = 8;
+
+    proptest! {
+        /// Fetching by reference returns what the copying fetch returned —
+        /// same bytes, same versions — and every frame handed out earlier
+        /// still reads as it did when it was fetched, whatever the home has
+        /// applied since.
+        #[test]
+        fn read_line_matches_the_copying_fetch(
+            steps in proptest::collection::vec((0..PAGES, 0usize..PS - 8, any::<u8>(), 0u8..4), 1..60)
+        ) {
+            let mut store = PageStore::new(PS);
+            let mut held: Vec<(PageFrame, Vec<u8>)> = Vec::new();
+            for (page, offset, fill, kind) in steps {
+                match kind {
+                    0 => drop(store.apply_fine(PageId(page), offset as u32, &[fill; 8])),
+                    1 => drop(store.write_page(PageId(page), &[fill; PS])),
+                    2 => {
+                        let twin = store.read(PageId(page));
+                        let mut cur = twin.bytes().to_vec();
+                        cur[offset] = fill;
+                        store.apply_diff(PageId(page), &Diff::compute(twin.bytes(), &cur));
+                    }
+                    _ => {
+                        let first = PageId(page & !1);
+                        let pages = store.read_line(first, 2);
+                        let (data, versions) = read_line_copying(&store, first, 2);
+                        prop_assert_eq!(pages.iter().map(PageFrame::version).collect::<Vec<_>>(), versions);
+                        prop_assert_eq!(pages.iter().flat_map(|p| p.bytes()).copied().collect::<Vec<_>>(), data);
+                        held.extend(pages.into_iter().map(|p| { let copy = p.bytes().to_vec(); (p, copy) }));
+                    }
+                }
+                for (frame, copy) in &held {
+                    prop_assert_eq!(frame.bytes(), &copy[..], "a held frame changed under its reader");
+                }
+            }
+        }
     }
 }

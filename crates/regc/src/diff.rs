@@ -11,11 +11,13 @@
 //!
 //! A diff is a flat run table — one `(offset, len)` pair per run — over a
 //! single payload buffer holding the runs' bytes back to back, so a page's
-//! diff costs two allocations however fragmented it is, and
+//! diff costs two allocations however fragmented it is (the table doubles
+//! from four entries if it must; the payload never grows), and
 //! [`Diff::payload_bytes`] / [`Diff::wire_bytes`] are O(1).
 //! [`Diff::compute`] costs time proportional to what changed: equal
 //! stretches are skipped 64 bytes at a time, and each maximal run of
-//! changed words is copied once.
+//! changed words is copied once, into a payload allocated at exactly the
+//! size the finished run table adds up to.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,7 +62,11 @@ impl Diff {
                 twin[at..] != current[at..]
             }
         };
-        let mut diff = Diff::default();
+        // The scan only fills the run table, so the payload can be sized
+        // once: a dense page does not grow it by doubling, a one-word diff
+        // does not hold a page's worth of slack.
+        let mut runs = Vec::new();
+        let mut payload_len = 0;
         let mut at = 0;
         while at < len {
             while at + CHUNK <= len && twin[at..at + CHUNK] == current[at..at + CHUNK] {
@@ -74,18 +80,18 @@ impl Diff {
             while at < len && changed(at) {
                 at += WORD;
             }
-            diff.push_run(start, &current[start..at.min(len)]);
+            // Empty when the scan reached the end of the page.
+            let run = at.min(len) - start;
+            if run > 0 {
+                runs.push((start as u32, run as u32));
+                payload_len += run;
+            }
         }
-        diff
-    }
-
-    /// Append one run; an empty one (the scan reached the end of the page)
-    /// is dropped.
-    fn push_run(&mut self, offset: usize, bytes: &[u8]) {
-        if !bytes.is_empty() {
-            self.runs.push((offset as u32, bytes.len() as u32));
-            self.payload.extend_from_slice(bytes);
+        let mut payload = Vec::with_capacity(payload_len);
+        for &(offset, run) in &runs {
+            payload.extend_from_slice(&current[offset as usize..][..run as usize]);
         }
+        Diff { runs, payload }
     }
 
     /// A diff consisting of a single explicit run (used for fine-grain

@@ -1,6 +1,7 @@
-//! The trace exporters' heap traffic, counted rather than timed: a count
-//! repeats exactly on any machine, so an export that goes back to allocating
-//! per event fails the build instead of drifting a benchmark. This is its own
+//! Heap traffic of the trace exporters and of `Diff::compute`, counted rather
+//! than timed: a count repeats exactly on any machine, so an export that goes
+//! back to allocating per event, or a diff that goes back to growing its
+//! payload, fails the build instead of drifting a benchmark. This is its own
 //! test binary because the counter is a `#[global_allocator]`; it counts per
 //! thread, so the harness's other threads cannot disturb it.
 
@@ -10,48 +11,53 @@ use std::cell::Cell;
 use samhita_bench::thread_windows;
 use samhita_repro::core::SamhitaConfig;
 use samhita_repro::kernels::{run_jacobi, JacobiParams};
+use samhita_repro::regc::Diff;
 use samhita_repro::rt::SamhitaRt;
 use samhita_repro::trace::critical_path;
 
 thread_local! {
     /// (allocations, reallocations) made by this thread.
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Heap bytes this thread has asked for and not yet given back.
+    static HELD: Cell<isize> = const { Cell::new(0) };
 }
 
-fn bump(allocs: u64, reallocs: u64) {
+fn bump(allocs: u64, reallocs: u64, bytes: isize) {
     // A thread being torn down has no counter left to bump; nothing measured
     // here runs then.
     let _ = COUNTS.try_with(|c| {
         let (a, r) = c.get();
         c.set((a + allocs, r + reallocs));
     });
+    let _ = HELD.try_with(|h| h.set(h.get() + bytes));
 }
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// `Cell` of integers with no destructor, so touching it never allocates.
+// `Cell`s of integers with no destructor, so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(1, 0);
+        bump(1, 0, layout.size() as isize);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(1, 0);
+        bump(1, 0, layout.size() as isize);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(0, 0, -(layout.size() as isize));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(0, 1);
+        bump(0, 1, new_size as isize - layout.size() as isize);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -115,4 +121,40 @@ fn exports_allocate_per_call_not_per_event() {
     let (heap, result) = counted(|| trace.write_jsonl(&mut to));
     result.expect("counting cannot fail");
     assert_eq!((heap, to.0), ((0, 0), jsonl.len()), "write_jsonl streams every byte, holds none");
+}
+
+/// `Diff::compute` sizes its payload once, from the finished run table: a
+/// page that changed everywhere costs the table and the payload and never
+/// regrows either, and a page that changed in one word keeps a word.
+#[test]
+fn a_diff_allocates_its_payload_once_at_its_size() {
+    const PAGE: usize = 4096;
+    let twin = vec![0u8; PAGE];
+    let dense = vec![0x5Au8; PAGE];
+    let (heap, diff) = counted(|| Diff::compute(&twin, &dense));
+    assert_eq!(heap, (2, 0), "dense page: run table + payload, neither regrown");
+    assert_eq!(diff.payload_bytes(), PAGE);
+
+    // 32 runs of 64 B: the table may double its way to 32 entries, the
+    // payload is still allocated once, at 2 KiB.
+    let mut striped = twin.clone();
+    striped.chunks_mut(64).step_by(2).for_each(|chunk| chunk.fill(1));
+    let ((allocs, reallocs), diff) = counted(|| Diff::compute(&twin, &striped));
+    assert_eq!((diff.run_count(), diff.payload_bytes()), (32, PAGE / 2));
+    assert!(
+        allocs == 2 && reallocs <= 3,
+        "striped page: {allocs} allocations, {reallocs} regrowths"
+    );
+
+    let mut sparse = twin.clone();
+    sparse[PAGE / 2] = 1;
+    let before = HELD.with(Cell::get);
+    let (heap, diff) = counted(|| Diff::compute(&twin, &sparse));
+    let held = HELD.with(Cell::get) - before;
+    assert_eq!((heap, diff.payload_bytes()), ((2, 0), 8));
+    assert!(held < 64, "a one-word diff holds {held} B");
+
+    let (heap, diff) = counted(|| Diff::compute(&twin, &twin));
+    assert!(diff.is_empty());
+    assert_eq!(heap, (0, 0), "an empty diff owns nothing");
 }
