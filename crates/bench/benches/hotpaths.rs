@@ -247,8 +247,8 @@ fn bench_sched_step(c: &mut Criterion) {
     g.finish();
 }
 
-/// Deterministic endpoint receive: drain the physical channel into the
-/// per-sender-monotone heap, then pop in effective-time order.
+/// Endpoint send + receive: file 64 envelopes from four senders into the
+/// per-sender-monotone heap, then pop them in effective-time order.
 fn bench_det_recv(c: &mut Criterion) {
     use samhita_scl::{Fabric, MsgClass, NodeId, Topology};
     let mut g = c.benchmark_group("hotpaths/det_recv");

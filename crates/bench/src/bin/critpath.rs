@@ -21,6 +21,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use samhita_bench::harness::{report_config, HarnessConfig};
 use samhita_bench::thread_windows;
 use samhita_core::SamhitaConfig;
 use samhita_kernels::{
@@ -29,6 +30,11 @@ use samhita_kernels::{
 use samhita_rt::SamhitaRt;
 use samhita_trace::{critical_path, validate_json, PathClass};
 
+/// Jacobi's fixed grid: one interior row per thread at the very least.
+const JACOBI_N: usize = 126;
+/// MD's fixed particle count: one particle per thread at the very least.
+const MD_N: usize = 256;
+
 struct Args {
     kernel: String,
     threads: u32,
@@ -36,9 +42,9 @@ struct Args {
     out: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args { kernel: "jacobi".into(), threads: 8, top: 10, out: None };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--kernel" => {
@@ -70,11 +76,33 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
     }
+    // The kernels assert these; checked here so a bad count is a usage
+    // error, not a panic half-way into bring-up.
+    let (most, unit) = match args.kernel.as_str() {
+        "jacobi" => (JACOBI_N, "interior rows"),
+        "md" => (MD_N, "particles"),
+        _ => (usize::MAX, ""),
+    };
+    if args.threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
+    if args.threads as usize > most {
+        return Err(format!(
+            "--threads {} is more than the {} kernel's {most} {unit}",
+            args.threads, args.kernel
+        ));
+    }
     Ok(args)
 }
 
+/// `bench-report`'s configuration at the paper's scale: tracing on, arenas
+/// provisioned for the requested thread count.
+fn config(args: &Args) -> SamhitaConfig {
+    report_config(&HarnessConfig::paper(), args.threads)
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -82,7 +110,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let cfg = SamhitaConfig { tracing: true, ..SamhitaConfig::default() };
+    let cfg = config(&args);
     let costs = cfg.service_costs();
     let rt = SamhitaRt::new(cfg);
     println!("# critical path of {} kernel, {} threads", args.kernel, args.threads);
@@ -90,10 +118,8 @@ fn main() -> ExitCode {
         "micro" => {
             run_micro(&rt, &MicroParams::paper(10, 2, AllocMode::Global, args.threads)).report
         }
-        "md" => {
-            run_md(&rt, &MdParams { n: 256, steps: 3, ..MdParams::paper(256, args.threads) }).report
-        }
-        _ => run_jacobi(&rt, &JacobiParams { n: 126, iters: 6, threads: args.threads }).report,
+        "md" => run_md(&rt, &MdParams { steps: 3, ..MdParams::paper(MD_N, args.threads) }).report,
+        _ => run_jacobi(&rt, &JacobiParams { n: JACOBI_N, iters: 6, threads: args.threads }).report,
     };
     let trace = rt.take_trace().expect("tracing was enabled");
     if let Err(e) = trace.untruncated() {
@@ -139,4 +165,36 @@ fn main() -> ExitCode {
         println!("\n# wrote {} ({} bytes)", path.display(), json.len());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    /// These three used to parse, then panic inside the run (exit 101).
+    #[test]
+    fn thread_counts_beyond_the_fixed_problem_are_usage_errors() {
+        for argv in [
+            &["--threads", "256"][..],
+            &["--kernel", "jacobi", "--threads", "128"],
+            &["--kernel", "md", "--threads", "257"],
+        ] {
+            let err = parse(argv).err().unwrap_or_else(|| panic!("{argv:?} must be rejected"));
+            assert!(err.contains("is more than the"), "{argv:?}: {err}");
+        }
+        assert!(parse(&["--threads", "0"]).is_err());
+    }
+
+    #[test]
+    fn large_valid_thread_counts_get_their_arenas() {
+        let default = SamhitaConfig::default().max_threads;
+        let args = parse(&["--kernel", "micro", "--threads", "256"]).unwrap();
+        assert_eq!(config(&args).max_threads, 256);
+        let args = parse(&["--kernel", "md", "--threads", "8"]).unwrap();
+        assert_eq!(config(&args).max_threads, default, "small runs keep the fingerprinted default");
+    }
 }

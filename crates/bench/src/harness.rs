@@ -5,7 +5,6 @@ use samhita_kernels::{
     run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
 };
 use samhita_rt::SamhitaRt;
-use serde::{Deserialize, Serialize};
 
 /// One-run diagnostic block: the compute/sync split as a ratio, the
 /// per-thread skew, and the three stall-latency histograms. Printed by the
@@ -147,7 +146,7 @@ pub fn run_summary(report: &RunReport) -> String {
 }
 
 /// One labelled series of a figure.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Series {
     pub label: String,
     /// (x, y) points in x order.
@@ -155,7 +154,7 @@ pub struct Series {
 }
 
 /// One regenerated figure.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FigureData {
     /// Identifier, e.g. `"fig03"` or `"ablation-prefetch"`.
     pub id: String,

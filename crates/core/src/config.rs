@@ -11,10 +11,9 @@ use std::fmt;
 
 use samhita_mem::ServiceModel;
 use samhita_scl::{profiles, LinkModel, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Which line the eviction policy prefers to push out.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// The paper's policy: bias eviction towards lines containing pages
     /// that have been written to (their diffs must travel anyway).
@@ -24,7 +23,7 @@ pub enum EvictionPolicy {
 }
 
 /// How consistency-region stores propagate at release.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ConsistencyVariant {
     /// The paper's RegC implementation: fine-grain (data-object level)
     /// updates for consistency regions, page-granularity diffs elsewhere.
@@ -35,7 +34,7 @@ pub enum ConsistencyVariant {
 }
 
 /// The simulated machine shape.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TopologyKind {
     /// Everything on one cache-coherent node (used with
     /// [`SamhitaConfig::manager_bypass`] for the §V single-node variant).
@@ -57,7 +56,7 @@ pub enum TopologyKind {
 }
 
 /// Which link profile joins the nodes.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FabricProfile {
     /// Quad-data-rate InfiniBand through one switch (the paper's fabric).
     IbQdr,
@@ -82,7 +81,7 @@ impl FabricProfile {
 }
 
 /// Cost constants for compute-side virtual time.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct CostParams {
     /// Nanoseconds per floating-point operation charged by
     /// `ThreadCtx::compute` (≈ 2.8 GHz Penryn issuing ~1 flop/cycle on this
@@ -121,7 +120,7 @@ impl Default for CostParams {
 
 /// A timed symmetric link partition between two topology nodes, expressed
 /// in config-friendly plain integers (node indices, nanoseconds).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// One side of the severed link (topology node index).
     pub a: u32,
@@ -135,7 +134,7 @@ pub struct PartitionSpec {
 
 /// Deterministic fault schedule for a run. The default injects nothing and
 /// leaves every virtual clock bit-identical to a fault-free build.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultConfig {
     /// Seed for the per-message fate hash and retry jitter.
     pub seed: u64,
@@ -193,7 +192,7 @@ impl FaultConfig {
 }
 
 /// Retry/timeout/backoff parameters for protocol RPCs, in virtual time.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RetryConfig {
     /// First-retry delay (and jitter modulus), ns.
     pub base_ns: u64,
@@ -276,7 +275,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Full runtime configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SamhitaConfig {
     /// Page size in bytes (power of two).
     pub page_size: usize,

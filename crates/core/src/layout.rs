@@ -17,12 +17,11 @@
 //! own node, and compute threads fill the remaining nodes core by core.
 
 use samhita_scl::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{SamhitaConfig, TopologyKind};
 
 /// Resolved region boundaries for one configuration.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct AddressLayout {
     /// Bytes per page (copied from the config for convenience).
     pub page_size: u64,

@@ -27,7 +27,6 @@ use std::collections::{HashMap, VecDeque};
 
 use samhita_regc::{FineUpdate, IntervalLog};
 use samhita_scl::{EndpointId, SimTime, VirtualResource};
-use serde::{Deserialize, Serialize};
 
 use crate::config::SamhitaConfig;
 use crate::freelist::FreeListAlloc;
@@ -94,7 +93,7 @@ pub struct Outgoing {
 }
 
 /// Manager activity counters.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ManagerStats {
     /// Total requests handled.
     pub requests: u64,

@@ -11,12 +11,11 @@
 
 use samhita_scl::{FabricStatsSnapshot, MsgClass, SimTime};
 use samhita_trace::{HotspotMap, LatencyHistogram};
-use serde::{Deserialize, Serialize};
 
 use crate::layout::{AddressLayout, Region};
 
 /// Counters and clocks of one compute thread over one run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ThreadStats {
     /// Thread id within the run.
     pub tid: u32,
@@ -95,7 +94,7 @@ pub struct ThreadStats {
 /// the compute remainder, and scheduler idle (the gap between this thread's
 /// finish and the run makespan). Sums to the makespan exactly — see
 /// [`ThreadStats::breakdown`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct TimeBreakdown {
     /// Compute remainder: `total` minus every measured wait.
     pub compute_ns: u64,
@@ -178,7 +177,7 @@ impl ThreadStats {
 /// debug strings across runs, and host time is the one field that may
 /// legitimately differ between two bit-identical virtual executions.
 /// Read it with [`HostNanos::get`]; never let it influence virtual state.
-#[derive(Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default)]
 pub struct HostNanos(u64);
 
 impl HostNanos {
@@ -202,7 +201,7 @@ impl std::fmt::Debug for HostNanos {
 }
 
 /// The result of one `Samhita::run` (or one native-baseline run).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Per-thread statistics, in tid order.
     pub threads: Vec<ThreadStats>,

@@ -25,7 +25,6 @@ use samhita_regc::UpdatePart;
 use samhita_sched::{Next, Scheduler, TaskRef};
 use samhita_scl::{Endpoint, EndpointId, Envelope, Fabric, MsgClass, SimTime};
 use samhita_trace::{EventKind, RunTrace, SharedTrack, Tracer, TrackId};
-use serde::{Deserialize, Serialize};
 
 use crate::config::SamhitaConfig;
 use crate::layout::{AddressLayout, Placement};
@@ -40,7 +39,7 @@ use crate::thread::ThreadCtx;
 const HOST_TID: u32 = u32::MAX;
 
 /// Server-side statistics, as of the last completed request.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SystemStats {
     /// Manager activity counters.
     pub manager: ManagerStats,
@@ -646,36 +645,25 @@ trait Service: Send + 'static {
 /// step — consume the message (or deadline) the grant made final, then
 /// announce the next instant of interest.
 ///
-/// The step reproduces, grant for grant, a thread blocked in
-/// `Endpoint::recv` / `recv_deadline`: a grant that follows an announced
-/// time may consume; a grant that wakes it from `Park` only re-announces
-/// (the blocking receive re-enters its loop there), so the pick sequence is
-/// the blocking loop's.
+/// The step is `Endpoint::recv_deadline`'s loop turned inside out: any
+/// grant — at a time the step asked for or out of `Park` — may consume what
+/// it made final, because every grant is the global minimum.
 fn install<S: Service>(sched: &Arc<Scheduler>, svc: S) -> Arc<Mutex<S>> {
     let svc = Arc::new(Mutex::new(svc));
     // Weak, or scheduler → step → service → endpoint → fabric → wake hook →
     // scheduler would keep every system alive forever.
     let weak = Arc::downgrade(&svc);
-    let mut announced = false;
     let task = sched.register_service(Box::new(move |granted| {
         let Some(svc) = weak.upgrade() else { return Next::Done };
         let mut svc = svc.lock();
-        if std::mem::take(&mut announced) {
-            if let Some(env) = svc.endpoint().poll(granted) {
-                svc.handle(env);
-            } else if let Some(at) = svc.deadline().filter(|at| granted >= at.as_ns()) {
-                svc.on_deadline(at);
-            }
+        if let Some(env) = svc.endpoint().poll(granted) {
+            svc.handle(env);
+        } else if let Some(at) = svc.deadline().filter(|at| granted >= at.as_ns()) {
+            svc.on_deadline(at);
         }
         let due = svc.endpoint().next_due();
         let deadline = svc.deadline().map(|at| at.as_ns());
-        match due.into_iter().chain(deadline).min() {
-            Some(t) => {
-                announced = true;
-                Next::At(t)
-            }
-            None => Next::Park,
-        }
+        due.into_iter().chain(deadline).min().map_or(Next::Park, Next::At)
     }));
     svc.lock().endpoint().bind_task(&task);
     svc

@@ -20,10 +20,9 @@
 //! paper's workload spectrum.
 
 use samhita_rt::{KernelRt, RunReport};
-use serde::{Deserialize, Serialize};
 
 /// Jacobi parameters.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct JacobiParams {
     /// Interior grid dimension (the grid is `(n+2)²` with boundary).
     pub n: usize,

@@ -15,10 +15,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use samhita_rt::{KernelRt, RunReport};
-use serde::{Deserialize, Serialize};
 
 /// MD parameters.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct MdParams {
     /// Particle count.
     pub n: usize,

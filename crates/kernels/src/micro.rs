@@ -30,10 +30,9 @@
 //!   sharing).
 
 use samhita_rt::{ArrF64, KernelRt, RunReport};
-use serde::{Deserialize, Serialize};
 
 /// Allocation / work-distribution variants (paper §III).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum AllocMode {
     /// Each thread allocates its own rows (per-thread arena under the DSM).
     Local,
@@ -58,7 +57,7 @@ impl AllocMode {
 /// `m_inner ∈ {1, 10, 100}`, `s_rows ∈ {1, 2, 4, 8}` (the OCR of the paper
 /// drops trailing digits — "B = 26" — and 260 doubles per row reproduces the
 /// block-boundary false sharing Figure 4 depends on; see DESIGN.md §4).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MicroParams {
     /// N: outer repetitions.
     pub n_outer: usize,

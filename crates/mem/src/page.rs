@@ -1,13 +1,11 @@
 //! Page identifiers and constants.
 
-use serde::{Deserialize, Serialize};
-
 /// Default page size, matching the 4 KiB host pages the original system
 /// managed with `mprotect`.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
 /// A global page number: `global address / page size`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
 impl PageId {

@@ -9,7 +9,6 @@
 
 use samhita_regc::{Diff, UpdateBatch, UpdatePart};
 use samhita_scl::{SimTime, VirtualResource};
-use serde::{Deserialize, Serialize};
 
 use crate::page::PageId;
 use crate::store::{PageFrame, PageStore};
@@ -94,7 +93,7 @@ impl MemResponse {
 /// Fetches walk the server's page table and stream data out (CPU on the
 /// path); updates arrive through SCL's DMA model — the paper's RDMA design
 /// keeps the server CPU off the apply path, so their fixed cost is lower.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ServiceModel {
     /// Fixed cost per fetch request (request parsing, page-table walk), ns.
     pub base_ns: u64,
@@ -141,7 +140,7 @@ impl ServiceModel {
 }
 
 /// Counters kept by one server.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Cache-line fetches served.
     pub line_fetches: u64,

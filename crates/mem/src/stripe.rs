@@ -6,12 +6,10 @@
 //! servers so that large striped allocations spread load — the hot-spot
 //! avoidance that motivates the paper's third allocation strategy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::page::PageId;
 
 /// Maps pages to their home memory server.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct HomeMap {
     servers: u32,
     line_pages: u32,

@@ -22,12 +22,10 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::diff::Diff;
 
 /// One update travelling inside an [`UpdateBatch`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UpdatePart {
     /// An ordinary-region twin diff for one page (multiple-writer protocol).
     Diff {
@@ -80,7 +78,7 @@ impl UpdatePart {
 /// A batch is also the unit of idempotency: it travels under one request
 /// token, so the server's replay cache re-acks a retransmitted batch without
 /// re-applying *any* of its parts.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpdateBatch {
     /// Shared by every clone; [`UpdateBatch::push`] un-shares first.
     parts: Arc<Vec<UpdatePart>>,

@@ -19,8 +19,6 @@
 //! changed words is copied once, into a payload allocated at exactly the
 //! size the finished run table adds up to.
 
-use serde::{Deserialize, Serialize};
-
 /// Comparison granularity in bytes. Diffing whole 8-byte words matches the
 /// `f64`/`u64`-dominated workloads of the paper and keeps run tables small.
 pub const WORD: usize = 8;
@@ -33,7 +31,7 @@ const CHUNK: usize = 8 * WORD;
 const RUN_HEADER_BYTES: usize = 8;
 
 /// The set of modified runs of one page, relative to its twin.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Diff {
     /// `(offset, len)` of each run within the page, in ascending order.
     runs: Vec<(u32, u32)>,

@@ -10,8 +10,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A fine-grain (consistency-region) update carried inside a write notice.
 ///
 /// Because consistency-region stores are tracked at data-object granularity,
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// their cached copy instead of invalidating and refetching the page. This
 /// is how "Samhita's synchronization operations move only the minimum
 /// amount of data required".
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FineUpdate {
     /// Global page number.
     pub page: u64,
@@ -39,7 +37,7 @@ impl FineUpdate {
 /// One published interval: "thread `writer` modified `pages`" (page
 /// granularity ⇒ receivers invalidate) plus carried fine-grain `updates`
 /// (object granularity ⇒ receivers apply in place).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WriteNotice {
     /// Global sequence number (monotonically increasing, starting at 1).
     pub seq: u64,

@@ -17,12 +17,10 @@
 //! * An **invalidation** (write notice from another thread) marks the page
 //!   invalid; the next access demand-fetches the merged copy from home.
 
-use serde::{Deserialize, Serialize};
-
 use crate::region::RegionKind;
 
 /// Cache-resident page states.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum PageState {
     /// Not resident (or invalidated): an access must fetch from home.
     Invalid,

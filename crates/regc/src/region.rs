@@ -6,10 +6,8 @@
 //! determines this statically; here the lock/unlock operations maintain it
 //! dynamically, with nesting support.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of region the thread is currently executing in.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RegionKind {
     /// No mutual-exclusion variable held: page-granularity tracking.
     Ordinary,

@@ -26,12 +26,11 @@ use samhita_core::{RunReport, ThreadStats};
 use samhita_sched::Scheduler;
 use samhita_scl::{FabricStatsSnapshot, SimTime};
 use samhita_trace::LatencyHistogram;
-use serde::{Deserialize, Serialize};
 
 use crate::{ArrF64, KernelCtx, KernelRt, SyncId};
 
 /// Cost constants for the native baseline.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct NativeCosts {
     /// Per-flop cost; keep equal to [`samhita_core::CostParams::flop_ns`].
     pub flop_ns: f64,

@@ -1,28 +1,28 @@
 //! Endpoints: the receiving half of a fabric attachment.
 //!
-//! An endpoint has two receive disciplines. Unbound (the default), `recv`
-//! blocks on the physical channel and yields messages in arrival order —
-//! correct for single-threaded runs and plain-thread tests. Bound to a
-//! deterministic-scheduler task (see [`Endpoint::bind_task`]), messages are
-//! instead delivered in **virtual-time order**: arrivals are staged in a
-//! min-heap keyed by per-sender-monotone effective delivery time, and the
-//! earliest staged message is handed out only once it is provably final
-//! (no lower-keyed message can still be sent). That makes multi-sender
-//! receive order a pure function of virtual time + seed, never of OS
-//! scheduling.
+//! An endpoint has one queue and one receive discipline. [`Fabric`] files
+//! every envelope, at send time, straight into the endpoint's *inbox*: a
+//! min-heap keyed by per-sender-monotone effective delivery time, ties in
+//! posting order. Messages leave it in **virtual-time order**, and the
+//! earliest one is handed out only once it is provably final (no
+//! lower-keyed message can still be sent) — so multi-sender receive order
+//! is a pure function of virtual time + seed, never of host scheduling.
 //!
-//! The deterministic discipline is two non-blocking calls —
-//! [`Endpoint::next_due`] (when could the next message be final?) and
-//! [`Endpoint::poll`] (take it if a grant at that time says it is). Inline
-//! service tasks are built directly on the pair; the blocking
-//! [`Endpoint::recv`] / [`Endpoint::recv_deadline`] that thread tasks use
-//! are the same pair wrapped around scheduler yields.
+//! The rule is one sentence: *a scheduler grant at `g` may consume anything
+//! staged with effective time `<= g`*, whether the task had announced a
+//! time or was woken from `Park`, because every grant is the global
+//! minimum. It is two non-blocking calls — [`Endpoint::next_due`] (when
+//! could the next message be final?) and [`Endpoint::poll`] (take it if a
+//! grant at that time says it is). Inline service tasks are built directly
+//! on the pair; the blocking [`Endpoint::recv`] / [`Endpoint::recv_deadline`]
+//! that coroutine and thread tasks use are the same pair wrapped around
+//! scheduler yields. An endpoint bound to no task has no clock to wait on:
+//! its `recv` hands out the staged minimum, or fails at once.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
-use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use samhita_sched::TaskRef;
 
@@ -33,10 +33,10 @@ use crate::stats::MsgClass;
 use crate::time::SimTime;
 use crate::topology::{EndpointId, NodeId};
 
-/// A staged message on the deterministic receive path, ordered by
-/// `(effective_time, arrival_seq)`. The effective time is the envelope's
-/// delivery time made monotone per sender, so per-sender FIFO order (which
-/// the protocol's idempotency machinery relies on) survives reordering.
+/// A staged message, ordered by `(effective_time, posting_seq)`. The
+/// effective time is the envelope's delivery time made monotone per sender,
+/// so per-sender FIFO order (which the protocol's idempotency machinery
+/// relies on) survives reordering.
 struct DetItem<M> {
     eff: u64,
     seq: u64,
@@ -60,36 +60,39 @@ impl<M> Ord for DetItem<M> {
     }
 }
 
-/// The deterministic receive path's staging area.
-struct Staged<M> {
+/// An endpoint's inbox: everything sent to it and not yet received. Shared
+/// by the endpoint (which pops) and its fabric slot (which pushes, through a
+/// `Weak`, so a dropped endpoint frees the heap and turns sends into
+/// [`SclError::Disconnected`]).
+pub(crate) struct Staged<M> {
     heap: BinaryHeap<Reverse<DetItem<M>>>,
     /// Last effective time handed out per sender, indexed by endpoint id;
     /// effective times are `max(deliver_at, last_eff[src])` so one sender's
     /// messages never reorder against each other (an ordering key only —
     /// the envelope keeps its true delivery time).
     last_eff: Vec<u64>,
-    /// Arrival counter: ties at equal effective time resolve in physical
-    /// channel order, which is deterministic under serialized execution.
+    /// Posting counter: ties at equal effective time resolve in the order
+    /// the fabric filed them, which is deterministic under serialized
+    /// execution.
     seq: u64,
 }
 
 impl<M> Staged<M> {
-    /// Pull everything physically available into the staging heap.
-    fn drain(&mut self, rx: &Receiver<Envelope<M>>) {
-        let _prof = samhita_prof::enter(samhita_prof::Phase::ChannelRecv);
-        // The fabric owns a sender for as long as this endpoint holds the
-        // fabric, so the channel never disconnects: an error means empty.
-        while let Ok(env) = rx.try_recv() {
-            let src = env.src.0 as usize;
-            if src >= self.last_eff.len() {
-                self.last_eff.resize(src + 1, 0);
-            }
-            let eff = env.deliver_at.as_ns().max(self.last_eff[src]);
-            self.last_eff[src] = eff;
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Reverse(DetItem { eff, seq, env }));
+    pub(crate) fn new() -> Self {
+        Staged { heap: BinaryHeap::new(), last_eff: Vec::new(), seq: 0 }
+    }
+
+    /// File one envelope under its `(effective time, posting order)` key.
+    pub(crate) fn push(&mut self, env: Envelope<M>) {
+        let src = env.src.0 as usize;
+        if src >= self.last_eff.len() {
+            self.last_eff.resize(src + 1, 0);
         }
+        let eff = env.deliver_at.as_ns().max(self.last_eff[src]);
+        self.last_eff[src] = eff;
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(DetItem { eff, seq, env }));
     }
 }
 
@@ -117,27 +120,25 @@ pub struct Envelope<M> {
 pub struct Endpoint<M> {
     id: EndpointId,
     node: NodeId,
-    rx: Receiver<Envelope<M>>,
     fabric: Arc<Fabric<M>>,
     /// The scheduler task that owns this endpoint, once bound.
     task: OnceLock<TaskRef>,
-    staged: Mutex<Staged<M>>,
+    inbox: Arc<Mutex<Staged<M>>>,
 }
 
 impl<M: Send + Clone + 'static> Endpoint<M> {
     pub(crate) fn new(
         id: EndpointId,
         node: NodeId,
-        rx: Receiver<Envelope<M>>,
+        inbox: Arc<Mutex<Staged<M>>>,
         fabric: Arc<Fabric<M>>,
     ) -> Self {
-        let staged = Staged { heap: BinaryHeap::new(), last_eff: Vec::new(), seq: 0 };
-        Endpoint { id, node, rx, fabric, task: OnceLock::new(), staged: Mutex::new(staged) }
+        Endpoint { id, node, fabric, task: OnceLock::new(), inbox }
     }
 
-    /// Switch this endpoint to the deterministic receive discipline, owned
-    /// by scheduler task `task`: subsequent deliveries post virtual wake-ups
-    /// to the task and messages come out in effective virtual-time order.
+    /// Give this endpoint its owner, scheduler task `task`: subsequent
+    /// deliveries post virtual wake-ups to the task, and `recv` /
+    /// `recv_deadline` wait on its clock for the staged minimum to be final.
     /// Call once at bring-up, before any traffic targets this endpoint.
     pub fn bind_task(&self, task: &TaskRef) {
         assert!(self.task.set(task.clone()).is_ok(), "endpoint bound to a task twice");
@@ -197,16 +198,15 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
         self.fabric.send_reliable(self.id, dst, now, wire_bytes, class, msg)
     }
 
-    /// The earliest virtual time at which a staged message could be final,
-    /// after staging everything physically delivered so far; `None` when
-    /// nothing is staged. The owning task announces this to the scheduler
-    /// (yield, or [`samhita_sched::Next::At`]) and [`poll`]s with the grant.
+    /// The earliest virtual time at which a staged message could be final;
+    /// `None` when nothing is staged. The owning task announces this to the
+    /// scheduler (yield, or [`samhita_sched::Next::At`]) and [`poll`]s with
+    /// the grant.
     ///
     /// [`poll`]: Endpoint::poll
     pub fn next_due(&self) -> Option<u64> {
-        let mut st = self.staged.lock();
-        st.drain(&self.rx);
-        st.heap.peek().map(|Reverse(top)| top.eff)
+        let _prof = samhita_prof::enter(samhita_prof::Phase::ChannelRecv);
+        self.inbox.lock().heap.peek().map(|Reverse(top)| top.eff)
     }
 
     /// Take the earliest staged message if it is *final*: the owning task
@@ -218,33 +218,43 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     ///
     /// [`next_due`]: Endpoint::next_due
     pub fn poll(&self, granted: u64) -> Option<Envelope<M>> {
-        let mut st = self.staged.lock();
-        st.drain(&self.rx);
+        let _prof = samhita_prof::enter(samhita_prof::Phase::ChannelRecv);
+        let mut st = self.inbox.lock();
         if st.heap.peek().is_none_or(|Reverse(top)| top.eff > granted) {
             return None;
         }
         Some(st.heap.pop().expect("peeked").0.env)
     }
 
-    /// Block until a message arrives. Unbound: physical arrival order.
-    /// Bound to a scheduler task: messages are delivered in effective
-    /// virtual-time order, and blocking is a scheduler yield, not an OS
-    /// block — the wait ends when the earliest staged message is final.
-    pub fn recv(&self) -> Result<Envelope<M>, SclError> {
-        let Some(task) = self.task.get() else {
-            return self.rx.recv().map_err(|_| SclError::ChannelClosed);
-        };
+    /// The one receive loop: give up the baton until the staged minimum
+    /// could be final (or `deadline`, or, with neither, until a delivery
+    /// wakes the task), then take whatever the grant made final. `None`
+    /// means the deadline was granted with nothing due at or before it.
+    fn wait(&self, task: &TaskRef, deadline: Option<u64>) -> Option<Envelope<M>> {
         loop {
-            match self.next_due() {
-                Some(eff) => {
-                    if let Some(env) = self.poll(task.yield_until(eff)) {
-                        return Ok(env);
-                    }
-                }
-                None => {
-                    task.park();
-                }
+            let granted = match self.next_due().into_iter().chain(deadline).min() {
+                Some(at) => task.yield_until(at),
+                None => task.park(),
+            };
+            if let Some(env) = self.poll(granted) {
+                return Some(env);
             }
+            if deadline.is_some_and(|dl| granted >= dl) {
+                return None;
+            }
+        }
+    }
+
+    /// Block until a message is final and return it: messages come out in
+    /// effective virtual-time order, and blocking is a scheduler yield, not
+    /// an OS block. An endpoint bound to no task has no clock to wait on: it
+    /// returns the staged minimum at once, or [`SclError::NothingStaged`].
+    pub fn recv(&self) -> Result<Envelope<M>, SclError> {
+        match self.task.get() {
+            Some(task) => {
+                Ok(self.wait(task, None).expect("a wait with no deadline ends in a message"))
+            }
+            None => self.try_recv().ok_or(SclError::NothingStaged),
         }
     }
 
@@ -260,29 +270,14 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     /// Panics on an unbound endpoint: there is no virtual clock to wait on.
     pub fn recv_deadline(&self, deadline: SimTime) -> Option<Envelope<M>> {
         let task = self.task.get().expect("recv_deadline needs a scheduler-bound endpoint");
-        let dl = deadline.as_ns();
-        loop {
-            let target = self.next_due().map_or(dl, |eff| eff.min(dl));
-            let granted = task.yield_until(target);
-            if let Some(env) = self.poll(granted) {
-                return Some(env);
-            }
-            if granted >= dl {
-                return None;
-            }
-        }
+        self.wait(task, Some(deadline.as_ns()))
     }
 
-    /// Non-blocking receive. On a bound endpoint this returns the staged
-    /// minimum by effective time without any finality wait — callers that
-    /// mix it with deterministic `recv` must tolerate tentative order.
+    /// Non-blocking receive: the staged minimum by effective time, without
+    /// any finality wait — callers that mix it with `recv` on a bound
+    /// endpoint must tolerate tentative order.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        if self.task.get().is_none() {
-            return self.rx.try_recv().ok();
-        }
-        let mut st = self.staged.lock();
-        st.drain(&self.rx);
-        st.heap.pop().map(|Reverse(item)| item.env)
+        self.inbox.lock().heap.pop().map(|Reverse(item)| item.env)
     }
 }
 
@@ -305,6 +300,21 @@ mod tests {
         assert!(b.try_recv().is_none());
         a.send(b.id(), SimTime::ZERO, 1, MsgClass::Control, 9).unwrap();
         assert_eq!(b.try_recv().unwrap().msg, 9);
+    }
+
+    #[test]
+    fn recv_with_no_task_never_blocks() {
+        let fabric = Fabric::<u8>::new(Topology::single_node(1));
+        let a = fabric.add_endpoint(NodeId(0));
+        let b = fabric.add_endpoint(NodeId(0));
+        assert_eq!(b.recv().unwrap_err(), SclError::NothingStaged);
+        // With no task there is no finality wait either: the staged minimum
+        // by effective time comes out, not the first message posted.
+        a.send(b.id(), SimTime::from_ns(900), 1, MsgClass::Control, 2).unwrap();
+        b.send(b.id(), SimTime::from_ns(100), 1, MsgClass::Control, 1).unwrap();
+        assert_eq!(b.recv().unwrap().msg, 1);
+        assert_eq!(b.recv().unwrap().msg, 2);
+        assert_eq!(b.recv().unwrap_err(), SclError::NothingStaged);
     }
 
     /// An inline service built on `next_due`/`poll` consumes messages in
@@ -372,5 +382,95 @@ mod tests {
         let e = fabric.add_endpoint(NodeId(2));
         assert_eq!(e.node(), NodeId(2));
         assert_eq!(e.fabric().topology().len(), 3);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::topology::Topology;
+
+    /// The receive path this endpoint replaced, as the reference that
+    /// licenses "nothing virtual moves": a send only appends to a FIFO
+    /// queue, and it is the receiver's next `next_due` / `poll` that drains
+    /// the queue into the ordered set, handing out effective times and
+    /// arrival numbers then.
+    #[derive(Default)]
+    struct DrainAtReceive {
+        /// `(src, deliver_at, msg)` in send order.
+        queue: VecDeque<(usize, u64, usize)>,
+        /// `(eff, seq, msg)`.
+        staged: Vec<(u64, u64, usize)>,
+        last_eff: Vec<u64>,
+        seq: u64,
+    }
+
+    impl DrainAtReceive {
+        fn drain(&mut self) {
+            for (src, deliver_at, msg) in self.queue.drain(..) {
+                if src >= self.last_eff.len() {
+                    self.last_eff.resize(src + 1, 0);
+                }
+                let eff = deliver_at.max(self.last_eff[src]);
+                self.last_eff[src] = eff;
+                self.staged.push((eff, self.seq, msg));
+                self.seq += 1;
+            }
+        }
+
+        fn next_due(&mut self) -> Option<u64> {
+            self.drain();
+            self.staged.iter().min().map(|&(eff, ..)| eff)
+        }
+
+        fn poll(&mut self, granted: u64) -> Option<usize> {
+            self.drain();
+            let &min = self.staged.iter().min().filter(|&&(eff, ..)| eff <= granted)?;
+            self.staged.retain(|&item| item != min);
+            Some(min.2)
+        }
+    }
+
+    proptest! {
+        /// Filing at send time hands messages out in exactly the order
+        /// draining at receive time did, wherever the receiver's
+        /// `next_due` / `poll` calls fall between the sends.
+        #[test]
+        fn filing_at_send_time_matches_draining_at_receive_time(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..4, 0u64..4_000, 0usize..8_192),
+                1..200,
+            ),
+        ) {
+            // Two senders share the receiver's node and two sit across the
+            // link, so one burst mixes cheap and dear routes: delivery times
+            // tie across senders and run backwards within one.
+            let fabric = Fabric::<usize>::new(Topology::cluster(2, crate::profiles::ib_qdr()));
+            let dst = fabric.add_endpoint(NodeId(1));
+            let srcs: Vec<_> = (0..4).map(|i| fabric.add_endpoint(NodeId(i % 2))).collect();
+            let mut oracle = DrainAtReceive::default();
+            for (i, &(kind, sender, t, bytes)) in ops.iter().enumerate() {
+                match kind {
+                    0 | 1 => {
+                        let src = &srcs[sender];
+                        let at = src.send(dst.id(), SimTime::from_ns(t), bytes, MsgClass::Data, i);
+                        oracle.queue.push_back((src.id().0 as usize, at.unwrap().as_ns(), i));
+                    }
+                    2 => prop_assert_eq!(dst.next_due(), oracle.next_due()),
+                    _ => prop_assert_eq!(dst.poll(t).map(|env| env.msg), oracle.poll(t)),
+                }
+            }
+            loop {
+                let (got, want) = (dst.poll(u64::MAX).map(|env| env.msg), oracle.poll(u64::MAX));
+                prop_assert_eq!(got, want);
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
     }
 }

@@ -7,12 +7,13 @@ use crate::topology::EndpointId;
 /// Errors surfaced by the communication layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SclError {
-    /// The destination endpoint has been dropped (its receiver is gone).
+    /// The destination endpoint has been dropped (its inbox is gone).
     Disconnected(EndpointId),
     /// The destination endpoint id was never registered with the fabric.
     UnknownEndpoint(EndpointId),
-    /// A blocking receive found the channel closed and drained.
-    ChannelClosed,
+    /// `recv` on an endpoint bound to no scheduler task found nothing
+    /// staged: there is no virtual clock to wait on, so it fails at once.
+    NothingStaged,
     /// Every retransmission attempt towards the endpoint was lost; the
     /// retry policy declared it dead (crashed, partitioned away, or the
     /// fault plan is simply too hostile for the configured attempt cap).
@@ -24,7 +25,9 @@ impl fmt::Display for SclError {
         match self {
             SclError::Disconnected(id) => write!(f, "endpoint {:?} disconnected", id),
             SclError::UnknownEndpoint(id) => write!(f, "unknown endpoint {:?}", id),
-            SclError::ChannelClosed => write!(f, "endpoint channel closed"),
+            SclError::NothingStaged => {
+                write!(f, "nothing staged and no scheduler task to wait on")
+            }
             SclError::Unreachable(id) => {
                 write!(f, "endpoint {:?} unreachable after retries", id)
             }
@@ -42,7 +45,7 @@ mod tests {
     fn display_is_informative() {
         let e = SclError::UnknownEndpoint(EndpointId(42));
         assert!(e.to_string().contains("42"));
-        assert!(SclError::ChannelClosed.to_string().contains("closed"));
+        assert!(SclError::NothingStaged.to_string().contains("nothing staged"));
         assert!(SclError::Unreachable(EndpointId(3)).to_string().contains("unreachable"));
     }
 }

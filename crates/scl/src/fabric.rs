@@ -3,18 +3,17 @@
 //! [`Fabric::send`] is the single point where communication cost is charged:
 //! it looks up the route between the source and destination nodes, computes
 //! the transfer time for the declared wire size, stamps the envelope with
-//! `deliver_at = now + transfer`, and pushes it onto the destination's
-//! unbounded channel. Physical delivery is immediate; *virtual* delivery is
-//! what the receiver's clock advances to.
+//! `deliver_at = now + transfer`, and files it in the destination's inbox
+//! under its virtual-time key. Physical delivery is immediate; *virtual*
+//! delivery is what the receiver's clock advances to.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use crossbeam::channel::{self, Sender};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use samhita_sched::TaskRef;
 
-use crate::endpoint::{Endpoint, Envelope};
+use crate::endpoint::{Endpoint, Envelope, Staged};
 use crate::error::SclError;
 use crate::fault::{FaultPlan, SendFate};
 use crate::stats::{FabricStats, FabricStatsSnapshot, MsgClass};
@@ -22,15 +21,15 @@ use crate::time::SimTime;
 use crate::topology::{EndpointId, NodeId, Topology};
 
 struct Slot<M> {
-    tx: Sender<Envelope<M>>,
+    /// The endpoint's inbox; dead once the endpoint is dropped.
+    inbox: Weak<Mutex<Staged<M>>>,
     node: NodeId,
     /// Per-source message sequence, feeding the fault plan's fate hash.
     /// Each endpoint is owned by exactly one component thread, so this
     /// sequence is deterministic across runs.
     seq: AtomicU64,
-    /// Deterministic-scheduler task behind this endpoint, once bound: every
-    /// physical delivery then also posts a virtual wake-up at the
-    /// envelope's delivery time.
+    /// Scheduler task behind this endpoint, once bound: every delivery then
+    /// also posts a virtual wake-up at the envelope's delivery time.
     det_task: Option<TaskRef>,
 }
 
@@ -68,12 +67,14 @@ impl<M: Send + Clone + 'static> Fabric<M> {
     /// Panics if `node` is not part of the topology.
     pub fn add_endpoint(self: &Arc<Self>, node: NodeId) -> Endpoint<M> {
         assert!(self.topo.node(node).is_some(), "placement on unknown node {node:?}");
-        let (tx, rx) = channel::unbounded();
+        let inbox = Arc::new(Mutex::new(Staged::new()));
         let mut slots = self.slots.write();
         let id = EndpointId(slots.len() as u32);
-        slots.push(Slot { tx, node, seq: AtomicU64::new(0), det_task: None });
+        let slot =
+            Slot { inbox: Arc::downgrade(&inbox), node, seq: AtomicU64::new(0), det_task: None };
+        slots.push(slot);
         drop(slots);
-        Endpoint::new(id, node, rx, Arc::clone(self))
+        Endpoint::new(id, node, inbox, Arc::clone(self))
     }
 
     /// Node an endpoint lives on.
@@ -113,7 +114,6 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         class: MsgClass,
         msg: M,
     ) -> Result<(SimTime, SendFate), SclError> {
-        let _prof = samhita_prof::enter(samhita_prof::Phase::ChannelSend);
         self.post(src, dst, now, wire_bytes, class, msg, true)
     }
 
@@ -146,6 +146,7 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         msg: M,
         faultable: bool,
     ) -> Result<(SimTime, SendFate), SclError> {
+        let _prof = samhita_prof::enter(samhita_prof::Phase::ChannelSend);
         let slots = self.slots.read();
         let src_slot = slots.get(src.0 as usize).ok_or(SclError::UnknownEndpoint(src))?;
         let dst_slot = slots.get(dst.0 as usize).ok_or(SclError::UnknownEndpoint(dst))?;
@@ -170,8 +171,8 @@ impl<M: Send + Clone + 'static> Fabric<M> {
             observer(src, dst, now, wire_bytes, class, fate.label());
         }
         let deliver = |deliver_at: SimTime, lost: bool, msg: M| {
-            let env = Envelope { src, sent_at: now, deliver_at, lost, msg };
-            dst_slot.tx.send(env).map_err(|_| SclError::Disconnected(dst))?;
+            let inbox = dst_slot.inbox.upgrade().ok_or(SclError::Disconnected(dst))?;
+            inbox.lock().push(Envelope { src, sent_at: now, deliver_at, lost, msg });
             // Lost envelopes wake the receiver too: that is how its virtual
             // retransmission timeout fires without a wall-clock timer.
             if let Some(task) = &dst_slot.det_task {
@@ -181,9 +182,9 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         };
         match fate {
             SendFate::Delivered => deliver(deliver_at, false, msg)?,
-            // Lost messages still travel physically, marked lost, so that a
-            // receiver blocked on the channel wakes up and can fire its
-            // *virtual* retransmission timeout deterministically.
+            // Lost messages still travel, marked lost, so that a receiver
+            // waiting on its inbox wakes up and can fire its *virtual*
+            // retransmission timeout deterministically.
             SendFate::Dropped(_) => deliver(deliver_at, true, msg)?,
             SendFate::Duplicated => {
                 deliver(deliver_at, false, msg.clone())?;
@@ -416,23 +417,33 @@ mod tests {
         assert_eq!(fabric.stats().total_faults(), 0);
     }
 
+    /// Senders on four OS threads race into one inbox: nothing is lost and
+    /// each sender's messages come out in the order it sent them.
     #[test]
-    fn cross_thread_delivery() {
-        let topo = Topology::cluster(2, profiles::ib_qdr());
-        let fabric = Fabric::<u64>::new(topo);
-        let a = fabric.add_endpoint(NodeId(0));
-        let b = fabric.add_endpoint(NodeId(1));
-        let b_id = b.id();
-        let h = std::thread::spawn(move || {
-            let mut sum = 0;
-            for _ in 0..100 {
-                sum += b.recv().unwrap().msg;
+    fn concurrent_senders_keep_per_sender_fifo() {
+        let fabric = Fabric::<(u32, u64)>::new(Topology::cluster(2, profiles::ib_qdr()));
+        let dst = fabric.add_endpoint(NodeId(1));
+        let srcs: Vec<_> = (0..4).map(|_| fabric.add_endpoint(NodeId(0))).collect();
+        std::thread::scope(|scope| {
+            for src in &srcs {
+                let dst = dst.id();
+                scope.spawn(move || {
+                    // Send times run backwards, so only per-sender
+                    // monotonization keeps the order.
+                    for i in 0..100u64 {
+                        let now = SimTime::from_ns(1_000 - i);
+                        src.send(dst, now, 8, MsgClass::Data, (src.id().0, i)).unwrap();
+                    }
+                });
             }
-            sum
         });
-        for i in 0..100u64 {
-            a.send(b_id, SimTime::from_ns(i), 8, MsgClass::Data, i).unwrap();
+        let mut next = [0u64; 4];
+        while let Ok(env) = dst.recv() {
+            let (src, i) = env.msg;
+            let slot = &mut next[(src - srcs[0].id().0) as usize];
+            assert_eq!(i, *slot, "sender {src} reordered");
+            *slot += 1;
         }
-        assert_eq!(h.join().unwrap(), (0..100).sum::<u64>());
+        assert_eq!(next, [100; 4]);
     }
 }

@@ -9,13 +9,14 @@
 //! called out in `DESIGN.md`: a **virtual-time interconnect simulator**.
 //!
 //! Components of the DSM (manager, memory servers, compute threads) run as
-//! real OS threads, each owning an [`Endpoint`]. Messages travel over
-//! crossbeam channels, but every send is charged against a link cost model
-//! (`latency + per-message overhead + bytes/bandwidth`) derived from the
-//! [`Topology`], and the resulting *virtual* delivery time is stamped on the
-//! [`Envelope`]. Receivers advance their own virtual clocks to
-//! `max(own clock, deliver_at)`, which is exactly how cost is accounted in
-//! classic LogP-style simulations.
+//! tasks of one virtual-time scheduler, each owning an [`Endpoint`]. A send
+//! is charged against a link cost model (`latency + per-message overhead +
+//! bytes/bandwidth`) derived from the [`Topology`], the resulting *virtual*
+//! delivery time is stamped on the [`Envelope`], and the envelope is filed
+//! in the receiver's inbox under that time; a receiver takes a message only
+//! once a scheduler grant makes it final (see [`endpoint`]). Receivers
+//! advance their own virtual clocks to `max(own clock, deliver_at)`, which
+//! is exactly how cost is accounted in classic LogP-style simulations.
 //!
 //! Shared service points (the memory servers, the manager) additionally model
 //! queueing with [`resource::VirtualResource`], so hot-spotting on a single

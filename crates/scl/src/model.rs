@@ -13,12 +13,10 @@
 //! bandwidth along the route (store-and-forward pipelining is ignored; for
 //! the small number of hops in our topologies this is a second-order effect).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Linear cost model for one link (or one precomputed multi-hop route).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct LinkModel {
     /// One-way propagation + port latency, in nanoseconds.
     pub latency_ns: u64,

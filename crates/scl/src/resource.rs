@@ -8,16 +8,15 @@
 //! same server queue up behind each other, and striping allocations across
 //! servers (the paper's third allocation strategy) relieves exactly this.
 //!
-//! Note on approximation: because real threads deliver requests in physical
-//! order, a request with a *later* virtual arrival can occasionally be
-//! serviced before an earlier one. The reservation is still conservative
-//! (no two service windows overlap); see `DESIGN.md §2` for why this is an
-//! acceptable error for barrier-coupled workloads.
+//! A service reserves in the order its endpoint hands requests out:
+//! `(effective time, posting order)`, which is virtual arrival order except
+//! where per-sender FIFO holds a message behind its sender's previous one
+//! (see [`crate::endpoint`]). `start = max(arrival, clock)` keeps the
+//! reservation conservative either way: no two service windows overlap.
 
 use std::collections::VecDeque;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
@@ -47,7 +46,7 @@ pub struct VirtualResource {
 }
 
 /// Usage summary for a resource.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResourceStats {
     /// Virtual time of the last service completion.
     pub clock_ns: u64,

@@ -7,10 +7,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Coarse classification of fabric traffic.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MsgClass {
     /// Page / cache-line payloads (demand fetches, prefetches).
     Data,
@@ -95,7 +93,7 @@ impl FabricStats {
 }
 
 /// A point-in-time copy of [`FabricStats`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct FabricStatsSnapshot {
     msgs: [u64; 4],
     bytes: [u64; 4],

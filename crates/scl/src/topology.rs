@@ -12,13 +12,11 @@
 //!   Coprocessor↔coprocessor traffic crosses the bus twice (through the
 //!   host root complex).
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::LinkModel;
 use crate::profiles;
 
 /// Identifies a node (a host, a cluster node, or a coprocessor).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct NodeId(pub u32);
 
 impl From<u32> for NodeId {
@@ -28,11 +26,11 @@ impl From<u32> for NodeId {
 }
 
 /// Identifies an endpoint attached to the fabric.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EndpointId(pub u32);
 
 /// What a node is, for placement decisions.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// A general-purpose host processor with large memory (runs memory
     /// servers and the manager in the heterogeneous scenario).
@@ -44,7 +42,7 @@ pub enum NodeKind {
 }
 
 /// A node in the simulated machine.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     /// What the node is, for placement decisions.
     pub kind: NodeKind,

@@ -17,13 +17,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{EventKind, FetchKind};
 use crate::tracer::RunTrace;
 
 /// Protocol activity attributed to one global page.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PageCounters {
     /// Demand fetches that brought this page in (cold/capacity misses).
     pub misses: u64,
@@ -58,7 +56,7 @@ impl PageCounters {
 }
 
 /// Per-page protocol counters for one thread or one whole run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HotspotMap {
     pages: BTreeMap<u64, PageCounters>,
 }

@@ -1,15 +1,15 @@
 //! The workspace's one JSON implementation: a value tree, its parser, and
 //! its writer.
 //!
-//! No JSON library is available offline (the vendored `serde` is a no-op
-//! shim), so every machine-readable document in this workspace — bench
-//! reports, metrics timelines, critical-path and chaos-sweep reports — is a
-//! [`JsonValue`] tree: built with [`JsonValue::object`] / `From`, written
-//! with `Display` (compact, keys sorted, so equal trees are equal bytes),
-//! and read back with [`JsonValue::parse`]. Writer → parser is the identity
-//! on every tree of finite numbers; a non-finite number has no JSON form and
-//! is written as `null`. [`validate_json`] is the parser with the tree
-//! dropped.
+//! No JSON library is available offline and nothing in this workspace goes
+//! through a serialization framework, so every machine-readable document —
+//! bench reports, metrics timelines, critical-path and chaos-sweep reports
+//! — is a [`JsonValue`] tree: built with [`JsonValue::object`] / `From`,
+//! written with `Display` (compact, keys sorted, so equal trees are equal
+//! bytes), and read back with [`JsonValue::parse`]. Writer → parser is the
+//! identity on every tree of finite numbers; a non-finite number has no
+//! JSON form and is written as `null`. [`validate_json`] is the parser with
+//! the tree dropped.
 //!
 //! The one exception is the trace exporters ([`crate::export`]): the JSONL
 //! lines are the trace-checksum basis and the Chrome export is large, so

@@ -22,7 +22,6 @@
 //! always-on run report counters.
 
 use samhita_scl::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::event::{EventKind, FetchKind, TrackId};
 use crate::json::JsonValue;
@@ -32,7 +31,7 @@ use crate::tracer::RunTrace;
 /// manager and memory-server busy time from serve events. Mirrors the
 /// simulation's cost model; construct via `SamhitaConfig::service_costs()`
 /// so the two can never drift apart silently.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ServiceCosts {
     /// Manager service time per request, in ns.
     pub mgr_service_ns: u64,
@@ -67,7 +66,7 @@ impl ServiceCosts {
 }
 
 /// Accumulated metrics of one virtual-time interval.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct TimelineBucket {
     /// Demand line fetches completed in the interval.
     pub misses: u64,
@@ -111,7 +110,7 @@ impl TimelineBucket {
 }
 
 /// A run's metrics bucketed over virtual time.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsTimeline {
     /// Interval width, in virtual ns.
     pub bucket_ns: u64,

@@ -173,3 +173,18 @@ fn wall_clock_skew_perturbs_multithread_times_only_within_the_documented_bound()
         "perturbation must stay micro-scale, not stall-scale: {base} vs {skewed}"
     );
 }
+
+/// A message costs its receiver one scheduler pick: a grant may consume
+/// whatever it made final, whether the task had announced a time or was
+/// woken from `Park`, so there is no second pick to re-announce. This run
+/// takes 643 picks for 619 messages (1.04x; the rest are barrier and
+/// start-up yields). With a re-announcing pick after every wake from `Park`
+/// it took 1028 (1.66x), which the 1.10x bound rejects.
+#[test]
+fn jacobi_p8_takes_about_one_pick_per_message() {
+    let p = JacobiParams { n: 64, iters: 4, threads: 8 };
+    let r = run_jacobi(&SamhitaRt::new(SamhitaConfig::default()), &p);
+    let (picks, msgs) = (r.report.sched_grants, r.report.fabric.total_msgs());
+    assert!(msgs > 500, "the run must exchange enough messages to mean something: {msgs}");
+    assert!(picks * 100 <= msgs * 110, "{picks} picks for {msgs} messages");
+}
