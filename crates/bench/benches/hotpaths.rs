@@ -12,7 +12,7 @@
 //! not just a micro-benchmark delta.
 
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion, Throughput};
 
@@ -21,7 +21,7 @@ use samhita_core::cache::SoftCache;
 use samhita_core::{EvictionPolicy, Samhita, SamhitaConfig, ThreadCtx};
 use samhita_kernels::{run_jacobi, JacobiParams};
 use samhita_mem::{MemRequest, MemoryServer, PageId, PageStore, ServiceModel};
-use samhita_regc::{Diff, FineUpdate, RegionKind, UpdateBatch, UpdatePart, WriteNotice};
+use samhita_regc::{Diff, FineUpdate, IntervalLog, RegionKind, UpdateBatch, UpdatePart};
 use samhita_rt::SamhitaRt;
 use samhita_sched::Scheduler;
 use samhita_scl::SimTime;
@@ -140,18 +140,15 @@ fn bench_client_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpaths/notices");
     g.bench_function("apply_255_nonresident", |b| {
         let elsewhere = (base + LINES * line_bytes) / PAGE as u64 + 1024;
-        let notices: Vec<_> = (0..255u64)
-            .map(|w| {
-                let pages = (0..16).map(|p| elsewhere + w * 16 + p).collect();
-                let update = FineUpdate { page: elsewhere - 1 - w, offset: 0, bytes: vec![1; 8] };
-                Arc::new(WriteNotice {
-                    seq: w + 1,
-                    writer: w as u32 + 1,
-                    pages,
-                    updates: vec![update],
-                })
-            })
-            .collect();
+        // What thread 0 is sent after 255 other threads each flushed 16
+        // pages and one update: 255 runs (4 080 pages), 255 updates.
+        let mut log = IntervalLog::new();
+        for w in 0..255u64 {
+            let pages = (0..16).map(|p| elsewhere + w * 16 + p).collect();
+            let update = FineUpdate { page: elsewhere - 1 - w, offset: 0, bytes: vec![1; 8] };
+            log.publish(w as u32 + 1, pages, vec![update]);
+        }
+        let notices = log.merged_since(0, 0);
         bench_in_run(b, &sys, touch_all, |ctx, _| ctx.apply_notices(&notices));
     });
     g.finish();

@@ -21,19 +21,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use samhita_bench::cli::{check_threads, run_fixed_kernel};
 use samhita_bench::harness::{report_config, HarnessConfig};
 use samhita_bench::thread_windows;
 use samhita_core::SamhitaConfig;
-use samhita_kernels::{
-    run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
-};
 use samhita_rt::SamhitaRt;
 use samhita_trace::{critical_path, validate_json, PathClass};
-
-/// Jacobi's fixed grid: one interior row per thread at the very least.
-const JACOBI_N: usize = 126;
-/// MD's fixed particle count: one particle per thread at the very least.
-const MD_N: usize = 256;
 
 struct Args {
     kernel: String,
@@ -76,22 +69,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
     }
-    // The kernels assert these; checked here so a bad count is a usage
-    // error, not a panic half-way into bring-up.
-    let (most, unit) = match args.kernel.as_str() {
-        "jacobi" => (JACOBI_N, "interior rows"),
-        "md" => (MD_N, "particles"),
-        _ => (usize::MAX, ""),
-    };
-    if args.threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-    if args.threads as usize > most {
-        return Err(format!(
-            "--threads {} is more than the {} kernel's {most} {unit}",
-            args.threads, args.kernel
-        ));
-    }
+    check_threads(&args.kernel, args.threads)?;
     Ok(args)
 }
 
@@ -114,13 +92,7 @@ fn main() -> ExitCode {
     let costs = cfg.service_costs();
     let rt = SamhitaRt::new(cfg);
     println!("# critical path of {} kernel, {} threads", args.kernel, args.threads);
-    let report = match args.kernel.as_str() {
-        "micro" => {
-            run_micro(&rt, &MicroParams::paper(10, 2, AllocMode::Global, args.threads)).report
-        }
-        "md" => run_md(&rt, &MdParams { steps: 3, ..MdParams::paper(MD_N, args.threads) }).report,
-        _ => run_jacobi(&rt, &JacobiParams { n: JACOBI_N, iters: 6, threads: args.threads }).report,
-    };
+    let report = run_fixed_kernel(&rt, &args.kernel, args.threads);
     let trace = rt.take_trace().expect("tracing was enabled");
     if let Err(e) = trace.untruncated() {
         eprintln!("error: {e}");
@@ -173,20 +145,6 @@ mod tests {
 
     fn parse(argv: &[&str]) -> Result<Args, String> {
         parse_args(argv.iter().map(|a| a.to_string()))
-    }
-
-    /// These three used to parse, then panic inside the run (exit 101).
-    #[test]
-    fn thread_counts_beyond_the_fixed_problem_are_usage_errors() {
-        for argv in [
-            &["--threads", "256"][..],
-            &["--kernel", "jacobi", "--threads", "128"],
-            &["--kernel", "md", "--threads", "257"],
-        ] {
-            let err = parse(argv).err().unwrap_or_else(|| panic!("{argv:?} must be rejected"));
-            assert!(err.contains("is more than the"), "{argv:?}: {err}");
-        }
-        assert!(parse(&["--threads", "0"]).is_err());
     }
 
     #[test]

@@ -21,9 +21,9 @@ use std::io::BufWriter;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use samhita_bench::cli::{check_threads, run_fixed_kernel};
+use samhita_bench::harness::{report_config, HarnessConfig};
 use samhita_bench::{run_summary, thread_windows};
-use samhita_core::SamhitaConfig;
-use samhita_kernels::{run_jacobi, run_micro, AllocMode, JacobiParams, MicroParams};
 use samhita_rt::SamhitaRt;
 use samhita_trace::{critical_path, validate_json};
 
@@ -76,6 +76,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
     }
+    check_threads(&args.kernel, args.threads)?;
     Ok(args)
 }
 
@@ -88,20 +89,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let cfg = SamhitaConfig { tracing: true, ..SamhitaConfig::default() };
+    // `bench-report`'s configuration at the paper's scale: tracing on,
+    // arenas provisioned for the requested thread count.
+    let cfg = report_config(&HarnessConfig::paper(), args.threads);
     let costs = cfg.service_costs();
     let rt = SamhitaRt::new(cfg);
     println!("# tracing {} kernel, {} threads", args.kernel, args.threads);
-    let report = match args.kernel.as_str() {
-        "micro" => {
-            let p = MicroParams::paper(10, 2, AllocMode::Global, args.threads);
-            run_micro(&rt, &p).report
-        }
-        _ => {
-            let p = JacobiParams { n: 126, iters: 6, threads: args.threads };
-            run_jacobi(&rt, &p).report
-        }
-    };
+    let report = run_fixed_kernel(&rt, &args.kernel, args.threads);
     let trace = rt.take_trace().expect("tracing was enabled");
     println!("# {} events on {} tracks", trace.len(), trace.tracks.len());
 

@@ -1,4 +1,7 @@
-//! Shared command-line plumbing for the examples.
+//! Shared command-line plumbing for the examples and the trace tools.
+//!
+//! `trace-dump` and `critpath` run the same fixed problems and so reject
+//! the same thread counts: [`check_threads`] and [`run_fixed_kernel`].
 //!
 //! Every example accepts the same observability flags; parsing them in one
 //! place keeps the six binaries consistent:
@@ -20,9 +23,51 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use samhita_core::{FaultConfig, RunReport, SamhitaConfig};
+use samhita_kernels::{
+    run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
+};
+use samhita_rt::SamhitaRt;
 use samhita_trace::RunTrace;
 
 use crate::report::{thread_windows, BenchReport};
+
+/// The trace tools' jacobi grid: one interior row per thread at the least.
+const JACOBI_N: usize = 126;
+/// Their MD particle count: one particle per thread at the least.
+const MD_N: usize = 256;
+
+/// Whether `threads` compute threads can run the trace tools' `kernel`
+/// (`micro`, `jacobi` or `md`). The kernels assert this themselves; checked
+/// while parsing, a bad count is a usage error, not a panic half-way into
+/// bring-up.
+pub fn check_threads(kernel: &str, threads: u32) -> Result<(), String> {
+    let (most, unit) = match kernel {
+        "jacobi" => (JACOBI_N, "interior rows"),
+        "md" => (MD_N, "particles"),
+        _ => (usize::MAX, ""),
+    };
+    if threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
+    if threads as usize > most {
+        return Err(format!(
+            "--threads {threads} is more than the {kernel} kernel's {most} {unit}"
+        ));
+    }
+    Ok(())
+}
+
+/// Run the trace tools' fixed problem for `kernel` on `threads` threads
+/// that passed [`check_threads`]: the Fig. 2 micro-benchmark (M = 10,
+/// S = 2, one shared allocation), six jacobi sweeps or three MD steps.
+pub fn run_fixed_kernel(rt: &SamhitaRt, kernel: &str, threads: u32) -> RunReport {
+    match kernel {
+        "micro" => run_micro(rt, &MicroParams::paper(10, 2, AllocMode::Global, threads)).report,
+        "md" => run_md(rt, &MdParams { steps: 3, ..MdParams::paper(MD_N, threads) }).report,
+        "jacobi" => run_jacobi(rt, &JacobiParams { n: JACOBI_N, iters: 6, threads }).report,
+        other => panic!("no fixed problem for kernel '{other}'"),
+    }
+}
 
 /// Parsed example arguments: positionals plus the shared flags.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -176,6 +221,17 @@ mod tests {
         assert_eq!(faulty.replica_offset, 1);
         assert!(faulty.faults.is_active());
         assert_eq!(faulty.faults.seed, 42);
+    }
+
+    #[test]
+    fn thread_counts_beyond_a_fixed_problem_are_rejected() {
+        for (kernel, threads) in [("jacobi", 127), ("jacobi", 256), ("md", 257), ("micro", 0)] {
+            let err = check_threads(kernel, threads).expect_err("must be rejected");
+            assert!(err.starts_with("--threads "), "{kernel} {threads}: {err}");
+        }
+        for (kernel, threads) in [("jacobi", 126), ("md", 256), ("micro", 1024), ("md", 1)] {
+            assert_eq!(check_threads(kernel, threads), Ok(()), "{kernel} {threads}");
+        }
     }
 
     #[test]

@@ -18,10 +18,8 @@
 //! grant never precedes the previous holder's release, and a barrier
 //! releases at the maximum arrival clock.
 
-use std::sync::Arc;
-
 use parking_lot::Mutex;
-use samhita_regc::{FineUpdate, IntervalLog, WriteNotice};
+use samhita_regc::{FineUpdate, IntervalLog, NoticeSet};
 use samhita_sched::{Scheduler, TaskRef};
 use samhita_scl::SimTime;
 
@@ -119,7 +117,7 @@ impl LocalSync {
 
     /// Acquire `lock`, publishing `pages` as this thread's flush interval.
     /// Parks the calling scheduler task until the lock is free. Returns the
-    /// virtual grant time plus unseen write notices.
+    /// virtual grant time plus the merged unseen write notices.
     pub fn acquire(
         &self,
         lock: u32,
@@ -128,7 +126,7 @@ impl LocalSync {
         pages: Vec<u64>,
         updates: Vec<FineUpdate>,
         last_seen: u64,
-    ) -> (SimTime, Vec<Arc<WriteNotice>>, u64) {
+    ) -> (SimTime, NoticeSet, u64) {
         let mut g = self.inner.lock();
         g.intervals.publish(tid, pages, updates);
         // The releaser wakes every waiter at its free_at, and the seeded
@@ -151,7 +149,7 @@ impl LocalSync {
             g.stats.contended_acquires += 1;
             g.stats.handoff_wait_ns += (free_at - now).as_ns();
         }
-        let notices = g.intervals.since(last_seen);
+        let notices = g.intervals.merged_since(last_seen, tid);
         let watermark = g.intervals.watermark();
         (at, notices, watermark)
     }
@@ -197,7 +195,7 @@ impl LocalSync {
 
     /// Enter `barrier` at virtual time `now`, publishing `pages`. Parks the
     /// calling scheduler task until all parties arrive. Returns the virtual
-    /// release time plus unseen write notices.
+    /// release time plus the merged unseen write notices.
     pub fn barrier_wait(
         &self,
         barrier: u32,
@@ -206,7 +204,7 @@ impl LocalSync {
         pages: Vec<u64>,
         updates: Vec<FineUpdate>,
         last_seen: u64,
-    ) -> (SimTime, Vec<Arc<WriteNotice>>, u64) {
+    ) -> (SimTime, NoticeSet, u64) {
         let mut g = self.inner.lock();
         g.intervals.publish(tid, pages, updates);
         let idx = barrier as usize;
@@ -246,7 +244,7 @@ impl LocalSync {
             g = self.inner.lock();
         }
         let at = g.barriers[idx].release_at;
-        let notices = g.intervals.since(last_seen);
+        let notices = g.intervals.merged_since(last_seen, tid);
         let watermark = g.intervals.watermark();
         (at, notices, watermark)
     }
@@ -255,6 +253,7 @@ impl LocalSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use samhita_regc::PageRun;
     use std::sync::atomic::Ordering;
 
     #[test]
@@ -268,8 +267,7 @@ mod tests {
         // after the release.
         let (at2, notices, wm) = s.acquire(l, 1, SimTime::from_ns(2000), vec![], vec![], 0);
         assert_eq!(at2, SimTime::from_ns(5100 + 100));
-        assert_eq!(notices.len(), 1);
-        assert_eq!(notices[0].pages, vec![1]);
+        assert_eq!(notices.runs, vec![PageRun { first_page: 1, len: 1, writer: 0 }]);
         assert_eq!(wm, 1);
     }
 
@@ -301,8 +299,13 @@ mod tests {
         let first = run_tasks(2, |tid| {
             s.barrier_wait(b, tid, SimTime::ZERO, pages[tid as usize].clone(), vec![], 0)
         });
-        for (_, notices, wm) in &first {
-            assert_eq!(notices.len(), 2);
+        // Each is sent the other's pages, as one run, and not its own.
+        let theirs = [
+            PageRun { first_page: 10, len: 2, writer: 1 },
+            PageRun { first_page: 20, len: 1, writer: 0 },
+        ];
+        for ((_, notices, wm), theirs) in first.iter().zip(theirs) {
+            assert_eq!(notices.runs, vec![theirs]);
             assert_eq!(*wm, 2);
         }
         // Second episode: carrying the watermark forward yields only new
@@ -311,10 +314,8 @@ mod tests {
             let pages = if tid == 0 { vec![30] } else { vec![] };
             s.barrier_wait(b, tid, SimTime::ZERO, pages, vec![], 2)
         });
-        for (_, notices, _) in &second {
-            assert_eq!(notices.len(), 1);
-            assert_eq!(notices[0].pages, vec![30]);
-        }
+        let sent: Vec<_> = second.iter().map(|(_, notices, _)| notices.runs.clone()).collect();
+        assert_eq!(sent, [vec![], vec![PageRun { first_page: 30, len: 1, writer: 0 }]]);
     }
 
     /// Holders give the baton away inside the critical section, so every

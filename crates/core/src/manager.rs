@@ -9,7 +9,9 @@
 //! The manager is also the publication point for RegC write notices: every
 //! flush-carrying request (`Acquire`, `Release`, `BarrierWait`, `CondWait`,
 //! `Exit`) publishes an interval, and every blocking grant (`Granted`,
-//! `BarrierReleased`) returns the notices the recipient has not yet seen.
+//! `BarrierReleased`) returns what the notices the recipient has not yet
+//! seen amount to for it — one merged, run-encoded
+//! [`NoticeSet`], not the log suffix.
 //!
 //! Since PR 8 the engine is a **write-ahead-logged state machine**: every
 //! mutation first becomes a typed [`MgrLogRecord`] (via [`record`]) and is
@@ -25,7 +27,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use samhita_regc::{FineUpdate, IntervalLog};
+use samhita_regc::{FineUpdate, IntervalLog, NoticeSet};
 use samhita_scl::{EndpointId, SimTime, VirtualResource};
 
 use crate::config::SamhitaConfig;
@@ -71,8 +73,9 @@ struct CondState {
 #[derive(Clone, Debug)]
 struct ThreadInfo {
     ep: EndpointId,
-    /// Floor of notices this thread may still request (`since(last_seen)`).
-    /// Updated at every grant/release delivery; drives log truncation.
+    /// Floor of notices this thread may still request
+    /// (`merged_since(last_seen, ..)`). Updated at every grant/release
+    /// delivery; drives log truncation.
     last_seen: u64,
     /// Observers (the host control client) never receive notices and are
     /// excluded from retention accounting.
@@ -401,19 +404,27 @@ impl ManagerEngine {
                         state.waiting.iter().map(|w| w.ready).fold(SimTime::ZERO, SimTime::max)
                             + self.barrier_release;
                     let waiters = std::mem::take(&mut state.waiting);
-                    let mut out = Vec::with_capacity(waiters.len());
-                    for w in waiters {
-                        let notices = self.intervals.since(w.last_seen);
-                        let watermark = self.intervals.watermark();
-                        out.push(Outgoing {
-                            dst: self.ep_of(w.tid),
-                            token: w.token,
-                            at: release_at,
-                            resp: MgrResponse::BarrierReleased { notices, watermark },
-                        });
-                        self.note_delivered(w.tid, watermark);
+                    let watermark = self.intervals.watermark();
+                    // Merge for the waiter that has seen the most first:
+                    // each further merge then extends the one before it
+                    // backwards (waiters that passed a lock on the way here
+                    // are one grant apart) instead of starting over.
+                    let mut order: Vec<usize> = (0..waiters.len()).collect();
+                    order.sort_by_key(|&i| std::cmp::Reverse(waiters[i].last_seen));
+                    let mut sets = vec![NoticeSet::default(); waiters.len()];
+                    for i in order {
+                        let w = &waiters[i];
+                        sets[i] = self.intervals.merged_since(w.last_seen, w.tid);
+                        self.mark_seen(w.tid, watermark);
                     }
-                    out
+                    self.truncate_seen_by_all(watermark);
+                    let answer = |(w, notices): (Waiter, NoticeSet)| Outgoing {
+                        dst: self.ep_of(w.tid),
+                        token: w.token,
+                        at: release_at,
+                        resp: MgrResponse::BarrierReleased { notices, watermark },
+                    };
+                    waiters.into_iter().zip(sets).map(answer).collect()
                 } else {
                     Vec::new()
                 }
@@ -482,9 +493,10 @@ impl ManagerEngine {
     }
 
     fn grant(&mut self, waiter: Waiter, at: SimTime) -> Outgoing {
-        let notices = self.intervals.since(waiter.last_seen);
+        let notices = self.intervals.merged_since(waiter.last_seen, waiter.tid);
         let watermark = self.intervals.watermark();
-        self.note_delivered(waiter.tid, watermark);
+        self.mark_seen(waiter.tid, watermark);
+        self.truncate_seen_by_all(watermark);
         Outgoing {
             dst: self.ep_of(waiter.tid),
             token: waiter.token,
@@ -493,12 +505,17 @@ impl ManagerEngine {
         }
     }
 
-    /// Record that `tid` has now seen everything up to `watermark`, and
-    /// garbage-collect notice records every participant has seen.
-    fn note_delivered(&mut self, tid: u32, watermark: u64) {
+    /// Record that `tid` has now seen everything up to `watermark`.
+    fn mark_seen(&mut self, tid: u32, watermark: u64) {
         if let Some(info) = self.threads.get_mut(&tid) {
             info.last_seen = info.last_seen.max(watermark);
         }
+    }
+
+    /// Garbage-collect the notice records every participant has seen: one
+    /// pass over the registered threads, so once per grant and once per
+    /// barrier release, not once per waiter released.
+    fn truncate_seen_by_all(&mut self, watermark: u64) {
         let floor = self
             .threads
             .values()
@@ -653,6 +670,8 @@ impl ManagerEngine {
 
 #[cfg(test)]
 mod tests {
+    use samhita_regc::PageRun;
+
     use super::*;
 
     const T0: u32 = 0;
@@ -735,9 +754,8 @@ mod tests {
         // The grant carries the releaser's write notice for page 7.
         match &out[0].resp {
             MgrResponse::Granted { notices, watermark } => {
-                assert_eq!(notices.len(), 1);
-                assert_eq!(notices[0].writer, T0);
-                assert_eq!(notices[0].pages, vec![7]);
+                assert_eq!(notices.runs, vec![PageRun { first_page: 7, len: 1, writer: T0 }]);
+                assert!(notices.updates.is_empty());
                 assert_eq!(*watermark, 1);
             }
             other => panic!("unexpected {other:?}"),
@@ -1015,11 +1033,12 @@ mod tests {
         let release_at = out[0].at;
         assert!(out.iter().all(|o| o.at == release_at));
         assert!(release_at > SimTime::from_us(9), "release after the straggler");
-        // Each participant sees both write notices.
-        for o in &out {
+        // Each participant is sent the other's page, not its own.
+        for (o, theirs) in out.iter().zip([(2, T1), (1, T0)]) {
             match &o.resp {
                 MgrResponse::BarrierReleased { notices, watermark } => {
-                    assert_eq!(notices.len(), 2);
+                    let (first_page, writer) = theirs;
+                    assert_eq!(notices.runs, vec![PageRun { first_page, len: 1, writer }]);
                     assert_eq!(*watermark, 2);
                 }
                 other => panic!("unexpected {other:?}"),

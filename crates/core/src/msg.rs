@@ -7,10 +7,9 @@
 //! eviction acks) and still be matched.
 
 use std::fmt;
-use std::sync::Arc;
 
 use samhita_mem::{MemRequest, MemResponse};
-use samhita_regc::{FineUpdate, WriteNotice};
+use samhita_regc::{FineUpdate, NoticeSet};
 use samhita_scl::{EndpointId, SimTime};
 
 use crate::layout::Region;
@@ -146,10 +145,12 @@ pub enum MgrResponse {
     /// New synchronization object id.
     SyncId(u32),
     /// Lock granted (also used for condvar wake-ups, which re-grant the
-    /// lock): unseen write notices plus the new watermark.
-    Granted { notices: Vec<Arc<WriteNotice>>, watermark: u64 },
-    /// Barrier released: unseen write notices plus the new watermark.
-    BarrierReleased { notices: Vec<Arc<WriteNotice>>, watermark: u64 },
+    /// lock): what the unseen write notices amount to for this thread,
+    /// plus the new watermark.
+    Granted { notices: NoticeSet, watermark: u64 },
+    /// Barrier released: the merged unseen write notices plus the new
+    /// watermark.
+    BarrierReleased { notices: NoticeSet, watermark: u64 },
     /// Request failed.
     Err(MgrError),
 }
@@ -278,15 +279,14 @@ impl MgrRequest {
 }
 
 impl MgrResponse {
-    /// Approximate wire payload for the cost model.
+    /// Wire payload for the cost model. A grant or release is its notice
+    /// set's own encoding, whose 16-byte header has room for the watermark.
     pub fn wire_bytes(&self) -> usize {
         match self {
             MgrResponse::Registered { .. } | MgrResponse::Ok | MgrResponse::SyncId(_) => 16,
             MgrResponse::Addr(_) => 16,
             MgrResponse::Granted { notices, watermark: _ }
-            | MgrResponse::BarrierReleased { notices, watermark: _ } => {
-                16 + notices.iter().map(|n| n.wire_bytes()).sum::<usize>()
-            }
+            | MgrResponse::BarrierReleased { notices, watermark: _ } => notices.wire_bytes(),
             MgrResponse::Err(_) => 16,
         }
     }
@@ -310,6 +310,10 @@ impl Msg {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use samhita_regc::PageRun;
+
     use super::*;
 
     #[test]
@@ -321,18 +325,33 @@ mod tests {
     }
 
     #[test]
-    fn responses_charge_for_notices() {
-        let empty = MgrResponse::Granted { notices: vec![], watermark: 0 };
-        let loaded = MgrResponse::Granted {
-            notices: vec![Arc::new(WriteNotice {
-                seq: 1,
-                writer: 0,
-                pages: vec![1, 2, 3],
-                updates: vec![],
-            })],
-            watermark: 1,
-        };
-        assert_eq!(loaded.wire_bytes() - empty.wire_bytes(), 16 + 24);
+    fn responses_charge_for_the_notice_set_they_carry() {
+        let empty = MgrResponse::Granted { notices: NoticeSet::default(), watermark: 0 };
+        assert_eq!(empty.wire_bytes(), 16, "an empty grant is a bare header");
+        let run = |first_page, len| PageRun { first_page, len, writer: 0 };
+        let update = |len| Arc::new(FineUpdate { page: 9, offset: 0, bytes: vec![0; len] });
+        // A run costs 16 bytes however many pages it spans…
+        let notices = NoticeSet { runs: vec![run(1, 3), run(10, 500)], updates: vec![] };
+        let released = MgrResponse::BarrierReleased { notices, watermark: 1 };
+        assert_eq!(released.wire_bytes(), 16 + 2 * 16);
+        // …and an update its header plus its payload.
+        let notices = NoticeSet { runs: vec![run(1, 3)], updates: vec![update(8), update(40)] };
+        let granted = MgrResponse::Granted { notices, watermark: 2 };
+        assert_eq!(granted.wire_bytes(), 16 + 16 + (16 + 8) + (16 + 40));
+    }
+
+    #[test]
+    fn a_grant_is_charged_for_the_merge_not_for_the_suffix() {
+        // 64 threads each flush two pages of a shared array and bump one
+        // counter: 64 notices, 128 page entries and 64 updates in the log,
+        // 64 × (16 + 2 × 8 + 24) = 3 584 bytes notice by notice.
+        let mut log = samhita_regc::IntervalLog::new();
+        for w in 0..64u32 {
+            let bump = FineUpdate { page: 1000, offset: 0, bytes: vec![w as u8; 8] };
+            log.publish(w, vec![2 * w as u64, 2 * w as u64 + 1], vec![bump]);
+        }
+        let granted = MgrResponse::Granted { notices: log.merged_since(0, 99), watermark: 64 };
+        assert_eq!(granted.wire_bytes(), 16 + 64 * 16 + 24);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use samhita_mem::{HomeMap, MemRequest, MemResponse, PageFrame, PageId};
 use samhita_regc::{
-    FineUpdate, PageState, RegionKind, RegionState, UpdateBatch, UpdatePart, WriteNotice, WriteSet,
+    FineUpdate, NoticeSet, PageState, RegionKind, RegionState, UpdateBatch, UpdatePart, WriteSet,
 };
 use samhita_scl::{Endpoint, EndpointId, MsgClass, RetryPolicy, SimTime};
 use samhita_trace::{EventKind, FetchKind, TraceBuf};
@@ -835,50 +835,73 @@ impl ThreadCtx {
         (pages, updates)
     }
 
-    /// Invalidate cached pages named by other threads' write notices — the
+    /// Apply what the write notices this thread had not seen amount to — the
     /// acquire half of every synchronization operation (public so a harness
-    /// can price it apart from the manager round trip that delivers them).
+    /// can price it apart from the manager round trip that delivers it):
+    /// invalidate the cached pages of each run, then apply the carried
+    /// fine-grain updates in place.
+    ///
+    /// The set is already the merge of the unseen log suffix for this thread
+    /// ([`IntervalLog::merged_since`](samhita_regc::IntervalLog::merged_since)):
+    /// no page of its own alone, no update to a page it invalidates, one
+    /// update per range. Applying it leaves the cache, `invalidations`, the
+    /// hotspot map and the prefetch state exactly as applying that suffix
+    /// notice by notice would; only the updates the merge dropped are no
+    /// longer paid for.
     ///
     /// Prefetched data covering a noticed page is as stale as a cached copy:
     /// completed prefetches are dropped and in-flight ones poisoned so their
     /// responses are discarded on arrival (a demand miss will refetch).
     ///
-    /// Costs one page-table probe per named page and does the rest only for
-    /// pages that are resident or prefetched: a barrier release hands each
-    /// of P threads P-1 notices, nearly all about pages it never touched.
-    pub fn apply_notices(&mut self, notices: &[Arc<WriteNotice>]) {
+    /// Costs one page-table probe per cache line a run crosses and does the
+    /// rest only for pages that are resident or prefetched: a barrier release
+    /// names every page any other thread wrote, nearly all of which this one
+    /// never touched.
+    pub fn apply_notices(&mut self, notices: &NoticeSet) {
         // Applying notices sends nothing, so no prefetch can appear midway.
         let prefetching = !self.chan.prefetch_idle();
-        for n in notices {
-            if n.writer == self.tid {
-                continue;
+        let line_pages = self.cache.line_pages() as u64;
+        for run in &notices.runs {
+            // A run is taken a cache line at a time: one probe settles all
+            // its pages of a line this thread does not hold.
+            let (mut page, end) = (run.first_page, run.pages().end);
+            while page < end {
+                let line = self.cache.line_of(page);
+                let next_line = end.min((line + 1) * line_pages);
+                if prefetching || self.cache.contains_line(line) {
+                    for page in page..next_line {
+                        self.invalidate(page, run.writer, prefetching);
+                    }
+                }
+                page = next_line;
             }
-            for &page in &n.pages {
-                if self.cache.invalidate_page(page) {
-                    self.stats.invalidations += 1;
-                    self.stats.hot.record_invalidate(page);
-                    self.trace(|| EventKind::Invalidate { page, writer: n.writer });
-                }
-                if prefetching {
-                    self.poison_prefetch(page);
-                }
-            }
-            for u in &n.updates {
-                // A page named in the same notice's invalidation list
-                // (sorted: see `IntervalLog::publish`) is already stale as
-                // a whole; skip its carried bytes.
-                if n.pages.binary_search(&u.page).is_ok() {
-                    continue;
-                }
-                if self.cache.apply_update(u.page, u.offset as usize, &u.bytes) {
-                    self.charge_mem_ops(u.bytes.len());
-                }
-                // Prefetched copies may predate the home's version of this
-                // update (the fetch raced the flush): drop/poison them.
-                if prefetching {
-                    self.poison_prefetch(u.page);
-                }
-            }
+        }
+        for u in &notices.updates {
+            self.apply_update(u, prefetching);
+        }
+    }
+
+    /// One page of one foreign notice: drop the cached copy, if any.
+    fn invalidate(&mut self, page: u64, writer: u32, prefetching: bool) {
+        if self.cache.invalidate_page(page) {
+            self.stats.invalidations += 1;
+            self.stats.hot.record_invalidate(page);
+            self.trace(|| EventKind::Invalidate { page, writer });
+        }
+        if prefetching {
+            self.poison_prefetch(page);
+        }
+    }
+
+    /// One carried update: patch the cached copy, if any.
+    fn apply_update(&mut self, u: &FineUpdate, prefetching: bool) {
+        if self.cache.apply_update(u.page, u.offset as usize, &u.bytes) {
+            self.charge_mem_ops(u.bytes.len());
+        }
+        // Prefetched copies may predate the home's version of this update
+        // (the fetch raced the flush): drop/poison them.
+        if prefetching {
+            self.poison_prefetch(u.page);
         }
     }
 
@@ -954,11 +977,40 @@ impl ThreadCtx {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use samhita_regc::{IntervalLog, WriteNotice};
+
     use super::*;
     use crate::system::Samhita;
 
-    fn notice(seq: u64, pages: Vec<u64>, updates: Vec<FineUpdate>) -> Arc<WriteNotice> {
-        Arc::new(WriteNotice { seq, writer: u32::MAX, pages, updates })
+    impl ThreadCtx {
+        /// The oracle [`apply_notices`](Self::apply_notices) is held to: the log
+        /// suffix itself, notice by notice, as it was sent and applied before
+        /// the manager merged it.
+        fn apply_suffix(&mut self, suffix: &[WriteNotice]) {
+            let (prefetching, me) = (!self.chan.prefetch_idle(), self.tid);
+            for n in suffix.iter().filter(|n| n.writer != me) {
+                for &page in &n.pages {
+                    self.invalidate(page, n.writer, prefetching);
+                }
+                // A page named in the same notice's invalidation list is
+                // already stale as a whole; skip its carried bytes.
+                for u in n.updates.iter().filter(|u| n.pages.binary_search(&u.page).is_err()) {
+                    self.apply_update(u, prefetching);
+                }
+            }
+        }
+    }
+
+    /// What a thread is sent when one other thread flushed `pages` and
+    /// carried `updates`.
+    fn notice(pages: Vec<u64>, updates: Vec<FineUpdate>) -> NoticeSet {
+        let mut log = IntervalLog::new();
+        log.publish(u32::MAX, pages, updates);
+        log.merged_since(0, 0)
     }
 
     /// A system plus the first line of a 32-line region nothing else uses.
@@ -995,7 +1047,7 @@ mod tests {
             ctx.read_u64(addr_of(first_line + 4));
             assert!(ctx.chan.prefetch_ready_for(stale), "prefetch of L+1 should have landed");
             write_home(ctx, stale * line_pages, 0xAB);
-            ctx.apply_notices(&[notice(1, vec![stale * line_pages], vec![])]);
+            ctx.apply_notices(&notice(vec![stale * line_pages], vec![]));
             assert!(!ctx.chan.prefetch_pending_for(stale), "the completed copy is dropped");
             let misses = ctx.stats.line_misses;
             assert_eq!(ctx.read_u64(addr_of(stale)), u64::from_le_bytes([0xAB; 8]));
@@ -1007,7 +1059,7 @@ mod tests {
             ctx.read_u64(addr_of(racing - 1));
             assert!(ctx.chan.prefetch_pending_for(racing) && !ctx.chan.prefetch_ready_for(racing));
             let update = FineUpdate { page: racing * line_pages, offset: 0, bytes: vec![0xCD; 8] };
-            ctx.apply_notices(&[notice(2, vec![], vec![update])]);
+            ctx.apply_notices(&notice(vec![], vec![update]));
             assert!(!ctx.chan.prefetch_pending_for(racing), "the in-flight prefetch is disowned");
             write_home(ctx, racing * line_pages, 0xCD);
             let misses = ctx.stats.line_misses;
@@ -1032,22 +1084,192 @@ mod tests {
             // A 256-thread barrier release: 255 notices, each a few pages
             // and a carried update, none of them here.
             let elsewhere = held + 4 * line_pages;
-            let notices: Vec<_> = (0..255u64)
-                .map(|w| {
-                    let update =
-                        FineUpdate { page: elsewhere + w % 7, offset: 8, bytes: vec![1; 8] };
-                    notice(w + 1, (elsewhere..elsewhere + 1 + w % 5).collect(), vec![update])
-                })
-                .collect();
+            let mut log = IntervalLog::new();
+            for w in 0..255u64 {
+                let update = FineUpdate { page: elsewhere + w % 7, offset: 8, bytes: vec![1; 8] };
+                log.publish(
+                    1 + w as u32,
+                    (elsewhere..elsewhere + 1 + w % 5).collect(),
+                    vec![update],
+                );
+            }
+            let notices = log.merged_since(0, 0);
+            assert_eq!((notices.runs.len(), notices.updates.len()), (5, 2), "{notices:?}");
             let before = (ctx.now(), ctx.stats.invalidations, ctx.stats.hot.clone());
             ctx.apply_notices(&notices);
             assert_eq!((ctx.now(), ctx.stats.invalidations, ctx.stats.hot.clone()), before);
             assert_eq!(ctx.cache.page_state(held), Some(PageState::Clean));
 
             // The same call does invalidate what is held.
-            ctx.apply_notices(&[notice(256, vec![held], vec![])]);
+            ctx.apply_notices(&notice(vec![held], vec![]));
             assert_eq!(ctx.stats.invalidations, before.1 + 1);
             assert_eq!(ctx.cache.page_state(held), Some(PageState::Invalid));
         });
+    }
+
+    /// A log and, beside it, every notice published to it: the suffix the
+    /// oracle applies is cut from the copy, not read back from the log.
+    #[derive(Clone, Default)]
+    struct Script {
+        log: IntervalLog,
+        notices: Vec<WriteNotice>,
+    }
+
+    impl Script {
+        fn publish(&mut self, writer: u32, pages: Vec<u64>, updates: Vec<FineUpdate>) {
+            let before = self.log.watermark();
+            let seq = self.log.publish(writer, pages.clone(), updates.clone());
+            if seq > before {
+                let updates = updates.into_iter().map(Arc::new).collect();
+                self.notices.push(WriteNotice { seq, writer, pages, updates });
+            }
+        }
+    }
+
+    /// How [`merge_matches_the_suffix`] applies what the log holds.
+    #[derive(Clone, Copy)]
+    enum Apply {
+        /// `apply_notices` on the merged set: the protocol.
+        Set,
+        /// The unseen suffix notice by notice: the oracle.
+        Suffix,
+        /// Nothing; only charge for the set's updates that find their page.
+        ChargeOnly,
+    }
+
+    /// Everything applying notices may touch.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        pages: Vec<(Option<PageState>, Option<Vec<u8>>)>,
+        prefetches: Vec<(bool, bool)>,
+        invalidations: u64,
+        hot: samhita_trace::HotspotMap,
+        charged_ns: u64,
+    }
+
+    const PAGES: u64 = 32;
+
+    /// A reader (thread 0) holding, over pages `base..base + PAGES` (two
+    /// to a line): lines 0, 4, 8 and 12 resident with page 8 already
+    /// invalid, prefetches of lines 1, 5 and 9 landed and one of line 13 in
+    /// flight, everything else absent — then `log`'s notices past
+    /// `last_seen`, applied as `how` says.
+    fn apply_to_a_warm_reader(script: &Script, last_seen: u64, how: Apply) -> Observed {
+        let (sys, first_line) = system(true);
+        let seen = Mutex::new(None);
+        sys.run(1, |ctx| {
+            let line_pages = ctx.cache.line_pages() as u64;
+            let base = first_line * line_pages;
+            let ps = ctx.cfg.page_size as u64;
+            for line in [0, 4, 8, 12] {
+                ctx.read_u64((base + line * line_pages) * ps);
+            }
+            ctx.apply_notices(&notice(vec![base + 8], vec![]));
+            assert_eq!(ctx.cache.page_state(base + 8), Some(PageState::Invalid));
+            let at = |line: u64| first_line + line;
+            assert!([1, 5, 9].iter().all(|&l| ctx.chan.prefetch_ready_for(at(l))));
+            assert!(ctx.chan.prefetch_pending_for(at(13)) && !ctx.chan.prefetch_ready_for(at(13)));
+
+            // The log names pages 0..PAGES; they live at `base`.
+            let place = |u: &FineUpdate| FineUpdate { page: base + u.page, ..u.clone() };
+            let mut set = script.log.clone().merged_since(last_seen, ctx.tid);
+            for run in &mut set.runs {
+                run.first_page += base;
+            }
+            set.updates = set.updates.iter().map(|u| Arc::new(place(u))).collect();
+            let suffix: Vec<_> = (script.notices.iter().filter(|n| n.seq > last_seen))
+                .map(|n| WriteNotice {
+                    pages: n.pages.iter().map(|p| base + p).collect(),
+                    updates: n.updates.iter().map(|u| Arc::new(place(u))).collect(),
+                    ..n.clone()
+                })
+                .collect();
+
+            let (t0, invalidations0) = (ctx.now(), ctx.stats.invalidations);
+            match how {
+                Apply::Set => ctx.apply_notices(&set),
+                Apply::Suffix => ctx.apply_suffix(&suffix),
+                Apply::ChargeOnly => {
+                    for u in &set.updates {
+                        if ctx.cache.page_state(u.page) == Some(PageState::Clean) {
+                            ctx.charge_mem_ops(u.bytes.len());
+                        }
+                    }
+                }
+            }
+            let page = |p: u64| {
+                let at = ctx.cache.resolve(p);
+                let clean = at.filter(|(_, state)| *state == PageState::Clean);
+                (at.map(|(_, state)| state), clean.map(|(at, _)| ctx.cache.bytes(at).to_vec()))
+            };
+            let prefetch =
+                |l| (ctx.chan.prefetch_pending_for(at(l)), ctx.chan.prefetch_ready_for(at(l)));
+            *seen.lock().expect("one thread") = Some(Observed {
+                pages: (base..base + PAGES).map(page).collect(),
+                prefetches: (0..PAGES / line_pages).map(prefetch).collect(),
+                invalidations: ctx.stats.invalidations - invalidations0,
+                hot: ctx.stats.hot.clone(),
+                charged_ns: (ctx.now() - t0).as_ns(),
+            });
+        });
+        seen.into_inner().expect("one thread").expect("the body ran")
+    }
+
+    /// The set does to the reader what its suffix does — page states, page
+    /// bytes, the invalidation count, the hotspot map, the prefetches — and
+    /// is charged for exactly the updates it carries.
+    fn merge_matches_the_suffix(script: &Script, last_seen: u64, what: &str) {
+        let by_set = apply_to_a_warm_reader(script, last_seen, Apply::Set);
+        let by_suffix = apply_to_a_warm_reader(script, last_seen, Apply::Suffix);
+        let charge = apply_to_a_warm_reader(script, last_seen, Apply::ChargeOnly);
+        assert_eq!(by_set.charged_ns, charge.charged_ns, "{what}: charged for something else");
+        assert!(by_set.charged_ns <= by_suffix.charged_ns, "{what}: the merge cost time");
+        assert_eq!(
+            Observed { charged_ns: 0, ..by_set },
+            Observed { charged_ns: 0, ..by_suffix },
+            "{what}: the set and its suffix disagree"
+        );
+    }
+
+    #[test]
+    fn the_merged_set_leaves_the_reader_as_its_suffix_would() {
+        let upd = |page, offset, fill: u8, len| FineUpdate { page, offset, bytes: vec![fill; len] };
+        // Every corner by hand. Pages (see `apply_to_a_warm_reader`): 0, 1,
+        // 9, 16, 17, 24, 25 clean; 8 invalid; 2, 3, 10, 11, 18, 19
+        // prefetched; 26, 27 being prefetched; the rest absent.
+        let mut log = Script::default();
+        log.publish(1, vec![], vec![upd(0, 0, 1, 8), upd(16, 8, 1, 8)]); // page 0: updated…
+        log.publish(0, vec![1, 17, 25], vec![upd(24, 0, 9, 8)]); // the reader's own
+        log.publish(2, vec![0, 2, 26, 30], vec![upd(1, 0, 2, 8)]); // …invalidated…
+        log.publish(1, vec![], vec![upd(0, 0, 3, 8), upd(16, 8, 3, 8)]); // …and updated again
+        log.publish(3, vec![17], vec![upd(17, 0, 4, 8), upd(9, 4, 4, 8)]); // rides its own page
+        log.publish(2, vec![], vec![upd(9, 0, 5, 8), upd(9, 4, 5, 4), upd(8, 0, 5, 8)]); // overlaps
+        log.publish(1, vec![], vec![upd(24, 16, 6, 8), upd(18, 0, 6, 8), upd(27, 0, 6, 8)]);
+        log.publish(0, vec![], vec![upd(24, 16, 7, 8)]); // w: X = 6, then reader: X = 7
+        log.publish(3, vec![0, 1], vec![upd(25, 0, 8, 8)]);
+        merge_matches_the_suffix(&log, 0, "by hand");
+        merge_matches_the_suffix(&log, 3, "by hand, from the middle");
+
+        // And at random: 4 writers (0 is the reader), a dozen notices of up
+        // to 4 pages and 3 updates on three overlapping ranges.
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut log = Script::default();
+            for _ in 0..rng.gen_range(1..14) {
+                let mut pages: Vec<u64> =
+                    (0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..PAGES)).collect();
+                pages.sort_unstable();
+                pages.dedup();
+                let updates = (0..rng.gen_range(0..4))
+                    .map(|_| {
+                        let (offset, len) = [(0, 8), (4, 8), (4, 4)][rng.gen_range(0..3usize)];
+                        upd(rng.gen_range(0..PAGES), offset, rng.gen(), len)
+                    })
+                    .collect();
+                log.publish(rng.gen_range(0..4), pages, updates);
+            }
+            let last_seen = rng.gen_range(0..=log.log.watermark() / 2);
+            merge_matches_the_suffix(&log, last_seen, &format!("seed {seed}"));
+        }
     }
 }

@@ -3,11 +3,34 @@
 //! Every flush (lock release, barrier entry, condition wait) closes an
 //! *interval* for the flushing thread and publishes a [`WriteNotice`] naming
 //! the pages it modified. The manager stores these in a global
-//! [`IntervalLog`]; at each acquire/barrier a thread receives all notices it
-//! has not yet seen and invalidates its cached copies of pages written by
-//! *other* threads. Per-thread high-water marks allow the log to be
-//! truncated once every registered thread has seen a prefix.
+//! [`IntervalLog`]. At each acquire/barrier a thread is owed the suffix of
+//! the log it has not yet seen — but it is not *sent* that suffix. It is
+//! sent what the suffix amounts to for this reader, a [`NoticeSet`]
+//! ([`IntervalLog::merged_since`]):
+//!
+//! * the union of pages written by anyone but the reader, as ascending
+//!   [`PageRun`]s `(first_page, len, writer)` — the reader invalidates its
+//!   cached copies; `writer` is the first other thread that named the page,
+//!   so a traced invalidation still points at a thread that really flushed
+//!   it;
+//! * the fine-grain updates from other writers that still matter: none for
+//!   a page in that union (the whole page is stale), and of several updates
+//!   to the identical `(page, offset, len)` only the last.
+//!
+//! Applying the set leaves a cache exactly as applying the suffix notice by
+//! notice would (own notices skipped): a page goes `Invalid` at the first
+//! foreign notice naming it and nothing later can touch it, and an update
+//! that a later identical-range update overwrites leaves no byte behind.
+//! Partially overlapping updates are all kept, in publication order. What
+//! the set saves is wire: a lock chain of P threads bumping one counter
+//! carries one update per grant, not P, and a barrier release one run per
+//! writer's block, not one page list per writer per flush.
+//!
+//! Per-thread high-water marks allow the log to be truncated once every
+//! registered thread has seen a prefix.
 
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A fine-grain (consistency-region) update carried inside a write notice.
@@ -28,7 +51,7 @@ pub struct FineUpdate {
 }
 
 impl FineUpdate {
-    /// Wire size estimate (payload + header).
+    /// Wire size (payload + header).
     pub fn wire_bytes(&self) -> usize {
         16 + self.bytes.len()
     }
@@ -36,7 +59,8 @@ impl FineUpdate {
 
 /// One published interval: "thread `writer` modified `pages`" (page
 /// granularity ⇒ receivers invalidate) plus carried fine-grain `updates`
-/// (object granularity ⇒ receivers apply in place).
+/// (object granularity ⇒ receivers apply in place). This is the log's
+/// record; what a reader receives is a [`NoticeSet`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WriteNotice {
     /// Global sequence number (monotonically increasing, starting at 1).
@@ -45,41 +69,252 @@ pub struct WriteNotice {
     pub writer: u32,
     /// Global page numbers modified in ordinary regions, ascending.
     pub pages: Vec<u64>,
-    /// Fine-grain updates from consistency regions.
-    pub updates: Vec<FineUpdate>,
+    /// Fine-grain updates from consistency regions, shared with every
+    /// [`NoticeSet`] that carries them.
+    pub updates: Vec<Arc<FineUpdate>>,
 }
 
-impl WriteNotice {
-    /// Wire size estimate.
-    pub fn wire_bytes(&self) -> usize {
-        16 + self.pages.len() * 8 + self.updates.iter().map(FineUpdate::wire_bytes).sum::<usize>()
+/// `len` consecutive pages, starting at `first_page`, that the reader must
+/// invalidate; `writer` is the first thread other than the reader that
+/// named them in the merged suffix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PageRun {
+    /// First page of the run.
+    pub first_page: u64,
+    /// Number of pages.
+    pub len: u32,
+    /// A thread that flushed every page of the run.
+    pub writer: u32,
+}
+
+impl PageRun {
+    /// The pages of the run, ascending.
+    pub fn pages(&self) -> std::ops::Range<u64> {
+        self.first_page..self.first_page + self.len as u64
     }
 }
 
-/// The manager's global log of write notices. Records are shared, not
-/// copied, into the answers that carry them: a barrier release hands each
-/// of P waiters a suffix of the same log, which by value is P² notice
-/// clones live at once.
+/// What one reader needs from a suffix of the log, in the form it is sent.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct NoticeSet {
+    /// Pages to invalidate: ascending, disjoint, maximal per writer.
+    pub runs: Vec<PageRun>,
+    /// Updates to apply in place, in publication order.
+    pub updates: Vec<Arc<FineUpdate>>,
+}
+
+impl NoticeSet {
+    /// Wire size of the encoding: a 16-byte header (watermark, two counts),
+    /// 16 bytes per run, header plus payload per update.
+    pub fn wire_bytes(&self) -> usize {
+        16 + 16 * self.runs.len() + self.updates.iter().map(|u| u.wire_bytes()).sum::<usize>()
+    }
+}
+
+/// An update that still matters to someone.
+#[derive(Clone, Debug)]
+struct LiveUpdate {
+    writer: u32,
+    /// `None`: the last update to its range, for every reader but `writer`.
+    /// `Some(r)`: the last one *not* written by `r`, who wrote the last.
+    only_for: Option<u32>,
+    update: Arc<FineUpdate>,
+}
+
+/// The merge of the records in `(from, upto]`, in a form that serves every
+/// reader: per page the first writer and the first writer other than that
+/// one (a reader is sent whichever is not itself), per update range the
+/// last update and the last by another thread. Records can be folded in at
+/// either end, so the successive grantees of a lock chain (same `from`,
+/// growing watermark) and the waiters of a barrier that passed a lock first
+/// (same watermark, `from` one grant apart) each cost the new records only.
 #[derive(Clone, Debug, Default)]
+struct Merged {
+    from: u64,
+    upto: u64,
+    pages: BTreeMap<u64, (u32, Option<u32>)>,
+    /// `pages` as runs by first writer — what a reader that wrote none of
+    /// them first is sent — or `None` since `pages` last changed. A barrier
+    /// release asks P times between changes; a view then costs a pass over
+    /// the runs and the reader's own pages, not over every page.
+    runs: Option<Vec<PageRun>>,
+    /// Keyed by publication order: the k-th update folded in at the back
+    /// is `k`, at the front `-1 - k`.
+    live: BTreeMap<i64, LiveUpdate>,
+    /// `(page, offset, len)` → keys in `live` of the last update and of the
+    /// last by another writer.
+    latest: HashMap<(u64, u32, usize), (i64, Option<i64>)>,
+    pushed_back: i64,
+    pushed_front: i64,
+}
+
+impl Merged {
+    fn starting_after(seq: u64) -> Self {
+        Merged { from: seq, upto: seq, ..Merged::default() }
+    }
+
+    /// An update to a page its own notice invalidates is stale for every
+    /// other reader and skipped by its writer: it never matters.
+    fn carried(n: &WriteNotice) -> impl DoubleEndedIterator<Item = &Arc<FineUpdate>> {
+        n.updates.iter().filter(|u| n.pages.binary_search(&u.page).is_err())
+    }
+
+    /// Fold in the record after `upto`.
+    fn push_back(&mut self, n: &WriteNotice) {
+        if !n.pages.is_empty() {
+            self.runs = None;
+        }
+        for &page in &n.pages {
+            let (first, other) = self.pages.entry(page).or_insert((n.writer, None));
+            if other.is_none() && *first != n.writer {
+                *other = Some(n.writer);
+            }
+        }
+        for u in Self::carried(n) {
+            let at = self.pushed_back;
+            self.pushed_back += 1;
+            match self.latest.entry((u.page, u.offset, u.bytes.len())) {
+                Entry::Vacant(slot) => {
+                    slot.insert((at, None));
+                }
+                Entry::Occupied(mut slot) => {
+                    let (last, other) = slot.get_mut();
+                    if self.live[last].writer == n.writer {
+                        self.live.remove(last);
+                    } else {
+                        if let Some(stale) = other.replace(*last) {
+                            self.live.remove(&stale);
+                        }
+                        self.live.get_mut(last).expect("last is live").only_for = Some(n.writer);
+                    }
+                    *last = at;
+                }
+            }
+            let update = LiveUpdate { writer: n.writer, only_for: None, update: u.clone() };
+            self.live.insert(at, update);
+        }
+    }
+
+    /// Fold in the record at `from` (the one just before the merged range).
+    fn push_front(&mut self, n: &WriteNotice) {
+        if !n.pages.is_empty() {
+            self.runs = None;
+        }
+        for &page in &n.pages {
+            let (first, other) = self.pages.entry(page).or_insert((n.writer, None));
+            if *first != n.writer {
+                *other = Some(std::mem::replace(first, n.writer));
+            }
+        }
+        for u in Self::carried(n).rev() {
+            let at = -1 - self.pushed_front;
+            let only_for = match self.latest.entry((u.page, u.offset, u.bytes.len())) {
+                Entry::Vacant(slot) => {
+                    slot.insert((at, None));
+                    None
+                }
+                // An older update matters only to the writer of the last
+                // one, and only if nothing newer already does.
+                Entry::Occupied(mut slot) => {
+                    let (last, other) = slot.get_mut();
+                    let last_writer = self.live[last].writer;
+                    if last_writer == n.writer || other.is_some() {
+                        continue;
+                    }
+                    *other = Some(at);
+                    Some(last_writer)
+                }
+            };
+            self.pushed_front += 1;
+            self.live.insert(at, LiveUpdate { writer: n.writer, only_for, update: u.clone() });
+        }
+    }
+
+    /// Who `reader` should blame for `page` being stale, if anyone.
+    fn writer_for(&(first, other): &(u32, Option<u32>), reader: u32) -> Option<u32> {
+        if first != reader {
+            Some(first)
+        } else {
+            other
+        }
+    }
+
+    /// Append `next`, which starts at or after the end of the last run,
+    /// growing that run instead when the two are one.
+    fn append(runs: &mut Vec<PageRun>, next: PageRun) {
+        match runs.last_mut() {
+            Some(run) if run.writer == next.writer && run.pages().end == next.first_page => {
+                run.len += next.len;
+            }
+            _ => runs.push(next),
+        }
+    }
+
+    fn view(&mut self, reader: u32) -> NoticeSet {
+        let by_first_writer = self.runs.get_or_insert_with(|| {
+            let mut runs = Vec::new();
+            for (&first_page, &(writer, _)) in &self.pages {
+                Self::append(&mut runs, PageRun { first_page, len: 1, writer });
+            }
+            runs
+        });
+        // The reader's own runs come apart into the pages someone else
+        // wrote too; everything else is sent as it stands.
+        let mut runs = Vec::with_capacity(by_first_writer.len());
+        for &run in by_first_writer.iter() {
+            if run.writer != reader {
+                Self::append(&mut runs, run);
+                continue;
+            }
+            for (&first_page, &(_, other)) in self.pages.range(run.pages()) {
+                if let Some(writer) = other {
+                    Self::append(&mut runs, PageRun { first_page, len: 1, writer });
+                }
+            }
+        }
+        let stale = |page: u64| {
+            self.pages.get(&page).is_some_and(|w| Self::writer_for(w, reader).is_some())
+        };
+        let updates = self
+            .live
+            .values()
+            .filter(|l| l.writer != reader && l.only_for.is_none_or(|r| r == reader))
+            .filter(|l| !stale(l.update.page))
+            .map(|l| l.update.clone())
+            .collect();
+        NoticeSet { runs, updates }
+    }
+}
+
+/// The manager's global log of write notices.
+#[derive(Clone, Debug)]
 pub struct IntervalLog {
-    records: Vec<Arc<WriteNotice>>,
+    records: Vec<WriteNotice>,
     /// Sequence number of the first retained record minus one (records with
     /// `seq <= base_seq` have been truncated).
     base_seq: u64,
     next_seq: u64,
+    /// The last merge asked for, kept to be extended: see [`Merged`].
+    memo: Merged,
+}
+
+impl Default for IntervalLog {
+    fn default() -> Self {
+        IntervalLog::new()
+    }
 }
 
 impl IntervalLog {
     /// An empty log; the first published interval gets `seq == 1`.
     pub fn new() -> Self {
-        IntervalLog { records: Vec::new(), base_seq: 0, next_seq: 1 }
+        IntervalLog { records: Vec::new(), base_seq: 0, next_seq: 1, memo: Merged::default() }
     }
 
     /// Publish an interval for `writer`. Empty intervals are skipped (no
     /// notice needed) and return the current sequence watermark.
     ///
     /// `pages` must be strictly ascending — a flush hands them over from an
-    /// ordered set — because receivers binary-search the list.
+    /// ordered set — because the merge binary-searches the list.
     pub fn publish(&mut self, writer: u32, pages: Vec<u64>, updates: Vec<FineUpdate>) -> u64 {
         debug_assert!(pages.windows(2).all(|w| w[0] < w[1]), "notice pages not ascending");
         if pages.is_empty() && updates.is_empty() {
@@ -87,24 +322,49 @@ impl IntervalLog {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.records.push(Arc::new(WriteNotice { seq, writer, pages, updates }));
+        let updates = updates.into_iter().map(Arc::new).collect();
+        self.records.push(WriteNotice { seq, writer, pages, updates });
         seq
     }
 
-    /// All notices with `seq > last_seen`, in publication order.
+    /// The retained records with `seq` in `(after, upto]`.
+    fn between(&self, after: u64, upto: u64) -> &[WriteNotice] {
+        &self.records[(after - self.base_seq) as usize..(upto - self.base_seq) as usize]
+    }
+
+    /// What `reader` needs from the notices with `seq > last_seen`: see the
+    /// module docs. A pure function of the log, `last_seen` and `reader` —
+    /// the memo only spares recomputation: a query whose `last_seen` is at
+    /// or before the previous one's extends that merge by the records on
+    /// either side, any other starts afresh.
     ///
     /// # Panics
     /// Panics if `last_seen` falls before the truncation point — the caller
     /// would silently miss notices, which is a protocol bug.
-    pub fn since(&self, last_seen: u64) -> Vec<Arc<WriteNotice>> {
+    pub fn merged_since(&mut self, last_seen: u64, reader: u32) -> NoticeSet {
         assert!(
             last_seen >= self.base_seq,
             "notices before seq {} were truncated (asked for > {})",
             self.base_seq,
             last_seen
         );
-        let skip = (last_seen - self.base_seq) as usize;
-        self.records[skip.min(self.records.len())..].to_vec()
+        // A reader ahead of the log (it was answered by a manager whose
+        // last records died with it) has simply seen everything.
+        let last_seen = last_seen.min(self.watermark());
+        let mut memo = std::mem::take(&mut self.memo);
+        if last_seen > memo.from {
+            memo = Merged::starting_after(last_seen);
+        }
+        for n in self.between(last_seen, memo.from).iter().rev() {
+            memo.push_front(n);
+        }
+        for n in self.between(memo.upto, self.watermark()) {
+            memo.push_back(n);
+        }
+        (memo.from, memo.upto) = (last_seen, self.watermark());
+        let set = memo.view(reader);
+        self.memo = memo;
+        set
     }
 
     /// The highest sequence number published so far.
@@ -139,6 +399,33 @@ impl IntervalLog {
 mod tests {
     use super::*;
 
+    impl IntervalLog {
+        /// All notices with `seq > last_seen`, in publication order: the
+        /// suffix `merged_since` merges, and what was sent before it did.
+        pub(super) fn since(&self, last_seen: u64) -> &[WriteNotice] {
+            assert!(last_seen >= self.base_seq, "notices up to {} were truncated", self.base_seq);
+            self.between(last_seen, self.watermark())
+        }
+    }
+
+    fn upd(page: u64, offset: u32, bytes: &[u8]) -> FineUpdate {
+        FineUpdate { page, offset, bytes: bytes.to_vec() }
+    }
+
+    fn run(first_page: u64, len: u32, writer: u32) -> PageRun {
+        PageRun { first_page, len, writer }
+    }
+
+    /// What the reader is sent, with the update payloads unwrapped.
+    fn merged(
+        log: &mut IntervalLog,
+        last_seen: u64,
+        reader: u32,
+    ) -> (Vec<PageRun>, Vec<FineUpdate>) {
+        let set = log.merged_since(last_seen, reader);
+        (set.runs, set.updates.iter().map(|u| (**u).clone()).collect())
+    }
+
     #[test]
     fn publish_assigns_increasing_seqs() {
         let mut log = IntervalLog::new();
@@ -153,6 +440,7 @@ mod tests {
         assert_eq!(log.publish(0, vec![], vec![]), 0);
         assert!(log.is_empty());
         assert_eq!(log.watermark(), 0);
+        assert_eq!(log.merged_since(0, 1), NoticeSet::default());
     }
 
     #[test]
@@ -166,6 +454,89 @@ mod tests {
         assert_eq!(unseen[0].pages, vec![20]);
         assert_eq!(unseen[1].pages, vec![30]);
         assert!(log.since(3).is_empty());
+        assert_eq!(log.merged_since(1, 9).runs, vec![run(20, 1, 1), run(30, 1, 2)]);
+        assert_eq!(log.merged_since(3, 9), NoticeSet::default());
+        assert_eq!(log.merged_since(5, 9), NoticeSet::default(), "ahead of the log: seen it all");
+        assert_eq!(log.merged_since(2, 9).runs, vec![run(30, 1, 2)]);
+    }
+
+    #[test]
+    fn adjacent_pages_of_one_writer_coalesce_into_one_run() {
+        let mut log = IntervalLog::new();
+        log.publish(0, vec![4, 5, 6], vec![]);
+        log.publish(0, vec![7, 9], vec![]); // a later flush extends the run; 8 is a gap
+        log.publish(1, vec![10, 11], vec![]); // adjacent, but another writer
+        log.publish(1, vec![6], vec![]); // named again: the first writer is kept
+        let (runs, _) = merged(&mut log, 0, 2);
+        assert_eq!(runs, vec![run(4, 4, 0), run(9, 1, 0), run(10, 2, 1)]);
+        assert_eq!(log.merged_since(0, 2).wire_bytes(), 16 + 3 * 16);
+    }
+
+    #[test]
+    fn a_reader_is_not_sent_its_own_pages_unless_someone_else_wrote_them_too() {
+        let mut log = IntervalLog::new();
+        log.publish(0, vec![1, 2, 3], vec![]);
+        log.publish(1, vec![3, 4], vec![]);
+        log.publish(2, vec![3], vec![]);
+        // Thread 0 wrote 1..=3 first, but page 3 is also thread 1's.
+        assert_eq!(merged(&mut log, 0, 0).0, vec![run(3, 2, 1)]);
+        // Thread 1 is sent page 3 on thread 0's account, and not page 4.
+        assert_eq!(merged(&mut log, 0, 1).0, vec![run(1, 3, 0)]);
+        assert_eq!(merged(&mut log, 0, 2).0, vec![run(1, 3, 0), run(4, 1, 1)]);
+    }
+
+    #[test]
+    fn updates_to_a_page_in_the_union_are_dropped() {
+        let mut log = IntervalLog::new();
+        log.publish(0, vec![], vec![upd(5, 0, &[1; 8])]); // before the invalidation
+        log.publish(1, vec![5], vec![]);
+        log.publish(0, vec![], vec![upd(5, 8, &[2; 8])]); // and after it
+        log.publish(0, vec![], vec![upd(6, 0, &[3; 8])]);
+        let (runs, updates) = merged(&mut log, 0, 2);
+        assert_eq!(runs, vec![run(5, 1, 1)]);
+        assert_eq!(updates, vec![upd(6, 0, &[3; 8])]);
+        // Thread 1 invalidated page 5 itself: for it the page is not stale,
+        // and thread 0's updates to it are all it has.
+        let (runs, updates) = merged(&mut log, 0, 1);
+        assert!(runs.is_empty());
+        assert_eq!(updates, vec![upd(5, 0, &[1; 8]), upd(5, 8, &[2; 8]), upd(6, 0, &[3; 8])]);
+        // An update riding a notice that names its own page is never sent.
+        log.publish(3, vec![7], vec![upd(7, 0, &[4; 8])]);
+        assert_eq!(merged(&mut log, 4, 2), (vec![run(7, 1, 3)], vec![]));
+        assert_eq!(merged(&mut log, 4, 3), (vec![], vec![]));
+    }
+
+    #[test]
+    fn of_updates_to_one_range_only_the_last_survives() {
+        let mut log = IntervalLog::new();
+        for w in 0..5u32 {
+            log.publish(w, vec![], vec![upd(9, 16, &[w as u8; 8])]);
+        }
+        assert_eq!(merged(&mut log, 0, 7).1, vec![upd(9, 16, &[4; 8])]);
+        assert_eq!(log.merged_since(0, 7).wire_bytes(), 16 + 24);
+        // The last writer is sent the last update that is not its own.
+        assert_eq!(merged(&mut log, 0, 4).1, vec![upd(9, 16, &[3; 8])]);
+        // Same offset, another length: a different range, both kept in
+        // order, as are ranges that merely overlap.
+        log.publish(5, vec![], vec![upd(9, 16, &[5; 4]), upd(9, 12, &[6; 8])]);
+        log.publish(6, vec![], vec![upd(9, 16, &[7; 8])]);
+        assert_eq!(
+            merged(&mut log, 0, 7).1,
+            vec![upd(9, 16, &[5; 4]), upd(9, 12, &[6; 8]), upd(9, 16, &[7; 8])]
+        );
+    }
+
+    #[test]
+    fn a_readers_own_update_does_not_shadow_an_earlier_foreign_one() {
+        // w: X = 1, then reader: X = 2. Notice by notice the reader skips
+        // its own record and applies w's; so must the merge. Everyone else
+        // is sent only the reader's.
+        let mut log = IntervalLog::new();
+        log.publish(0, vec![], vec![upd(3, 0, &[1; 8])]);
+        log.publish(1, vec![], vec![upd(3, 0, &[2; 8])]);
+        assert_eq!(merged(&mut log, 0, 1).1, vec![upd(3, 0, &[1; 8])]);
+        assert_eq!(merged(&mut log, 0, 0).1, vec![upd(3, 0, &[2; 8])]);
+        assert_eq!(merged(&mut log, 0, 2).1, vec![upd(3, 0, &[2; 8])]);
     }
 
     #[test]
@@ -179,12 +550,63 @@ mod tests {
         let unseen = log.since(4);
         assert_eq!(unseen.len(), 6);
         assert_eq!(unseen[0].seq, 5);
+        assert_eq!(log.merged_since(4, 1).runs, vec![run(4, 6, 0)]);
         // Idempotent / non-regressing truncation.
         log.truncate_seen(2);
         assert_eq!(log.len(), 6);
         log.truncate_seen(10);
         assert!(log.is_empty());
         assert_eq!(log.watermark(), 10);
+    }
+
+    /// The same log with nothing remembered.
+    fn forgetful(log: &IntervalLog) -> IntervalLog {
+        IntervalLog { memo: Merged::default(), ..log.clone() }
+    }
+
+    #[test]
+    fn a_merge_extended_across_a_truncation_equals_a_fresh_one() {
+        let mut log = IntervalLog::new();
+        for i in 0..6u64 {
+            log.publish((i % 3) as u32, vec![i, i + 1], vec![upd(40 + i % 2, 0, &[i as u8; 4])]);
+        }
+        let early = log.merged_since(4, 0);
+        assert_eq!(early, forgetful(&log).merged_since(4, 0));
+        // Everyone has seen up to 4: the records the memo was built from
+        // go, the memo stays good for what follows.
+        log.truncate_seen(4);
+        for i in 6..9u64 {
+            log.publish((i % 3) as u32, vec![i], vec![upd(40, 0, &[i as u8; 4])]);
+        }
+        for reader in 0..4 {
+            assert_eq!(log.merged_since(4, reader), forgetful(&log).merged_since(4, reader));
+        }
+        assert_ne!(log.merged_since(4, 0), early);
+        // A later starting point cannot reuse it; an earlier one could, but
+        // its records are gone.
+        assert_eq!(log.merged_since(7, 1), forgetful(&log).merged_since(7, 1));
+        assert_eq!(log.merged_since(5, 1), forgetful(&log).merged_since(5, 1));
+    }
+
+    #[test]
+    fn a_merge_extended_backwards_equals_a_fresh_one() {
+        // The waiters of a barrier that passed a lock first: same
+        // watermark, each one grant further back than the last served.
+        let mut log = IntervalLog::new();
+        log.publish(3, vec![1], vec![upd(9, 0, &[1; 8])]);
+        log.publish(1, vec![2, 3], vec![upd(9, 0, &[2; 8])]);
+        log.publish(1, vec![1], vec![upd(9, 0, &[3; 8]), upd(9, 4, &[3; 8])]);
+        log.publish(2, vec![3], vec![upd(9, 4, &[4; 8])]);
+        for last_seen in (0..4).rev() {
+            for reader in 0..4 {
+                let fresh = forgetful(&log).merged_since(last_seen, reader);
+                assert_eq!(log.merged_since(last_seen, reader), fresh, "{reader} past {last_seen}");
+            }
+        }
+        // Thread 1 wrote the last two updates of the first range: going
+        // back, its own older one must not stand in for thread 3's.
+        assert_eq!(merged(&mut log, 0, 1).1, vec![upd(9, 0, &[1; 8]), upd(9, 4, &[4; 8])]);
+        assert_eq!(merged(&mut log, 0, 1).0, vec![run(1, 1, 3), run(3, 1, 2)]);
     }
 
     #[test]
@@ -195,7 +617,7 @@ mod tests {
             log.publish(0, vec![i], vec![]);
         }
         log.truncate_seen(3);
-        let _ = log.since(1);
+        let _ = log.merged_since(1, 1);
     }
 
     #[test]
@@ -213,36 +635,124 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    const READERS: usize = 4;
+    const PAGE: usize = 16;
+
+    /// A cache holding every page clean, and what notices do to it.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Model {
+        /// `None` = invalidated, with the writer that was blamed.
+        pages: Vec<Result<[u8; PAGE], u32>>,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            Model { pages: vec![Ok([0; PAGE]); 12] }
+        }
+
+        fn invalidate(&mut self, page: u64, writer: u32) {
+            let slot = &mut self.pages[page as usize];
+            if slot.is_ok() {
+                *slot = Err(writer);
+            }
+        }
+
+        fn update(&mut self, u: &FineUpdate) {
+            if let Ok(bytes) = &mut self.pages[u.page as usize] {
+                bytes[u.offset as usize..u.offset as usize + u.bytes.len()]
+                    .copy_from_slice(&u.bytes);
+            }
+        }
+
+        /// The suffix notice by notice, as `ThreadCtx::apply_notices` did
+        /// before there was a merge.
+        fn apply_suffix(&mut self, suffix: &[WriteNotice], reader: u32) {
+            for n in suffix.iter().filter(|n| n.writer != reader) {
+                for &page in &n.pages {
+                    self.invalidate(page, n.writer);
+                }
+                for u in n.updates.iter().filter(|u| n.pages.binary_search(&u.page).is_err()) {
+                    self.update(u);
+                }
+            }
+        }
+
+        fn apply_set(&mut self, set: &NoticeSet) {
+            for run in &set.runs {
+                for page in run.pages() {
+                    self.invalidate(page, run.writer);
+                }
+            }
+            for u in &set.updates {
+                self.update(u);
+            }
+        }
+    }
+
+    /// Ascending, disjoint, and no two runs that could have been one.
+    fn well_formed(runs: &[PageRun]) -> bool {
+        runs.iter().all(|r| r.len > 0)
+            && runs.windows(2).all(|w| {
+                let end = w[0].pages().end;
+                end < w[1].first_page || (end == w[1].first_page && w[0].writer != w[1].writer)
+            })
+    }
+
+    /// A writer, its ascending page list, its carried updates.
+    type Interval = (u32, Vec<u64>, Vec<FineUpdate>);
+
+    fn interval() -> impl Strategy<Value = Interval> {
+        (
+            0u32..READERS as u32,
+            proptest::collection::vec(0u64..12, 0..4),
+            // Few ranges on few pages, so that updates collide.
+            proptest::collection::vec((0u64..4, 0u32..2, 1usize..3, any::<u8>()), 0..3),
+        )
+            .prop_map(|(writer, mut pages, updates)| {
+                pages.sort_unstable();
+                pages.dedup();
+                let update = |(page, slot, words, fill)| FineUpdate {
+                    page,
+                    offset: slot * 4,
+                    bytes: vec![fill; words * 4],
+                };
+                (writer, pages, updates.into_iter().map(update).collect())
+            })
+    }
+
     proptest! {
         /// Under any interleaving of publishes, reads, and truncations at
-        /// read watermarks, a reader that tracks its watermark never misses
-        /// a notice and never sees one twice.
+        /// read watermarks, a reader that tracks its watermark is sent a
+        /// well-formed set that does to a cache exactly what the unseen
+        /// suffix would have done notice by notice, whatever the memo held:
+        /// it never misses a notice and never sees one twice.
         #[test]
-        fn readers_see_every_notice_exactly_once(
-            ops in proptest::collection::vec((0u8..3, 0u32..4, 0u64..64), 1..120)
+        fn a_merged_set_does_what_its_suffix_does(
+            ops in proptest::collection::vec((0u8..4, 0usize..READERS, interval()), 1..80)
         ) {
             let mut log = IntervalLog::new();
-            let mut last_seen = [0u64; 4];
-            let mut seen_counts = [0u64; 4];
-            let mut published = 0u64;
-            for (kind, who, page) in ops {
-                let who = who as usize;
+            let mut last_seen = [0u64; READERS];
+            let mut by_suffix = vec![Model::new(); READERS];
+            let mut by_set = vec![Model::new(); READERS];
+            let mut read = |log: &mut IntervalLog, who: usize, last_seen: &mut [u64; READERS]| {
+                let suffix = log.since(last_seen[who]).to_vec();
+                if let Some(first) = suffix.first() {
+                    assert_eq!(first.seq, last_seen[who] + 1, "gap in delivery");
+                }
+                let set = log.merged_since(last_seen[who], who as u32);
+                assert!(well_formed(&set.runs), "{:?}", set.runs);
+                assert_eq!(&set, &forgetful(log).merged_since(last_seen[who], who as u32));
+                by_suffix[who].apply_suffix(&suffix, who as u32);
+                by_set[who].apply_set(&set);
+                assert_eq!(by_set[who], by_suffix[who], "reader {who}, set {set:?}");
+                last_seen[who] = log.watermark();
+            };
+            for (kind, who, (writer, pages, updates)) in ops {
                 match kind {
-                    0 => {
-                        log.publish(who as u32, vec![page], vec![]);
-                        published += 1;
+                    0 | 1 => {
+                        log.publish(writer, pages, updates);
                     }
-                    1 => {
-                        let unseen = log.since(last_seen[who]);
-                        for pair in unseen.windows(2) {
-                            prop_assert!(pair[0].seq < pair[1].seq, "out of order");
-                        }
-                        if let Some(first) = unseen.first() {
-                            prop_assert_eq!(first.seq, last_seen[who] + 1, "gap in delivery");
-                        }
-                        seen_counts[who] += unseen.len() as u64;
-                        last_seen[who] = log.watermark();
-                    }
+                    2 => read(&mut log, who, &mut last_seen),
                     _ => {
                         // Truncate up to the slowest reader: always safe.
                         let floor = *last_seen.iter().min().expect("readers");
@@ -250,12 +760,17 @@ mod proptests {
                     }
                 }
             }
-            // Final drain: everyone catches up and has seen exactly
-            // `published` notices.
-            for who in 0..4 {
-                seen_counts[who] += log.since(last_seen[who]).len() as u64;
-                prop_assert_eq!(seen_counts[who], published, "reader {} missed notices", who);
+            // Final drain, slowest reader last so each merge extends the
+            // one before it backwards.
+            let mut order: Vec<usize> = (0..READERS).collect();
+            order.sort_by_key(|&who| std::cmp::Reverse(last_seen[who]));
+            for who in order {
+                read(&mut log, who, &mut last_seen);
             }
         }
+    }
+
+    fn forgetful(log: &IntervalLog) -> IntervalLog {
+        IntervalLog { memo: Merged::default(), ..log.clone() }
     }
 }

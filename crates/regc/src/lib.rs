@@ -23,8 +23,9 @@
 //!
 //! Invalidations are driven by **write notices** ([`interval`]): every flush
 //! publishes `(interval seq, writer, pages)` records through the manager, and
-//! at each acquire/barrier a thread receives all records it has not yet seen
-//! and invalidates the named pages it caches (except its own).
+//! at each acquire/barrier a thread receives what the records it has not yet
+//! seen amount to — one merged, run-encoded [`NoticeSet`] — and invalidates
+//! the named pages it caches (its own flushes are not among them).
 //!
 //! The [`protocol`] module captures the per-page state machine these rules
 //! induce, in a pure, exhaustively-testable form.
@@ -38,7 +39,7 @@ pub mod writeset;
 
 pub use batch::{UpdateBatch, UpdatePart};
 pub use diff::Diff;
-pub use interval::{FineUpdate, IntervalLog, WriteNotice};
+pub use interval::{FineUpdate, IntervalLog, NoticeSet, PageRun, WriteNotice};
 pub use protocol::{PageState, WriteEffect};
 pub use region::{RegionKind, RegionState};
 pub use writeset::WriteSet;

@@ -6,6 +6,7 @@
 use samhita_repro::core::{
     ConsistencyVariant, EvictionPolicy, Samhita, SamhitaConfig, TopologyKind,
 };
+use samhita_repro::rt::{KernelCtx, KernelRt, NativeRt, SamhitaRt};
 
 fn small() -> SamhitaConfig {
     SamhitaConfig::small_for_tests()
@@ -270,4 +271,109 @@ fn condvar_handoff_with_waiting_consumer() {
     assert_eq!(stats.threads.len(), 2);
     let system_stats = sys.shutdown();
     assert!(system_stats.manager.cond_waits >= 1, "the consumer must actually have waited");
+}
+
+// ---------------------------------------------------------------------
+// The corners of the notice merge (one run-encoded set per grant instead
+// of the log suffix), end to end: each program runs on plain shared memory
+// (`NativeRt`) and on the DSM in three configurations, and must leave the
+// same doubles behind — the shared page and, per thread, a running sum of
+// everything it read back after each barrier.
+// ---------------------------------------------------------------------
+
+const THREADS: usize = 4;
+const ROUNDS: usize = 6;
+/// One test page of doubles (256 bytes): every store below lands on it.
+const PAGE_F64S: usize = 32;
+
+/// Run `stores(ctx, thread, round, page, lock)` for `ROUNDS` rounds on
+/// `THREADS` threads of every backend, a barrier after each round's stores
+/// and another after everyone has read the whole page back. Returns the
+/// page as native memory leaves it, then each thread's sum of all it read,
+/// after checking that every DSM configuration leaves exactly the same.
+fn same_on_every_backend(
+    what: &str,
+    stores: impl Fn(&mut dyn KernelCtx, usize, usize, u64, u32) + Sync,
+) -> Vec<f64> {
+    let program = |rt: &dyn KernelRt| {
+        let page = rt.alloc_f64_global(PAGE_F64S);
+        // Thread `t` keeps its sum on a page of its own.
+        let sums = rt.alloc_f64_global(THREADS * PAGE_F64S);
+        let (lock, barrier) = (rt.mutex(), rt.barrier(THREADS as u32));
+        rt.run(THREADS as u32, &|ctx| {
+            let t = ctx.tid() as usize;
+            let mut sum = 0.0;
+            for round in 0..ROUNDS {
+                stores(ctx, t, round, page, lock);
+                ctx.barrier_wait(barrier);
+                let mut all = [0.0; PAGE_F64S];
+                ctx.read_block(page, 0, &mut all);
+                sum += all.iter().sum::<f64>();
+                ctx.barrier_wait(barrier);
+            }
+            ctx.write(sums, t * PAGE_F64S, sum);
+        });
+        let mut out = rt.fetch_f64(page, PAGE_F64S);
+        out.extend(rt.fetch_f64(sums, THREADS * PAGE_F64S).iter().step_by(PAGE_F64S));
+        out
+    };
+    let want = program(&NativeRt::default());
+    let bypass = SamhitaConfig { manager_bypass: true, ..small() };
+    let no_prefetch = SamhitaConfig { prefetch: false, cache_capacity_lines: 4, ..small() };
+    for (name, cfg) in [("manager", small()), ("bypass", bypass), ("no prefetch", no_prefetch)] {
+        assert_eq!(program(&SamhitaRt::new(cfg)), want, "{what}: DSM ({name}) vs native");
+    }
+    want
+}
+
+#[test]
+fn a_lock_protected_chain_over_a_false_shared_page_matches_native() {
+    // Element 0 is a counter every thread bumps under the lock; element
+    // 1 + t is thread t's own, stored outside it. One page: each grant's
+    // unseen notices invalidate it on one writer's account and carry the
+    // counter in earlier and later ones.
+    let result = same_on_every_backend("false-shared chain", |ctx, t, round, page, lock| {
+        ctx.write(page, 1 + t, (round * 10 + t) as f64);
+        ctx.lock(lock);
+        let counter = ctx.read(page, 0);
+        ctx.write(page, 0, counter + (t + 1) as f64);
+        ctx.unlock(lock);
+    });
+    let bumps: usize = (1..=THREADS).sum();
+    assert_eq!(result[0], (ROUNDS * bumps) as f64, "the counter lost an update");
+}
+
+#[test]
+fn mixed_region_stores_to_one_page_match_native() {
+    // Per round each thread stores to its own slot outside the lock and,
+    // inside it, to its own protected slot and to one all threads share —
+    // all on one page, so the same flush names the page and carries
+    // updates to it, and other threads' identical-range updates pile up.
+    let result = same_on_every_backend("mixed regions", |ctx, t, round, page, lock| {
+        if (round + t).is_multiple_of(2) {
+            ctx.write(page, 8 + t, (100 * round + t) as f64); // ordinary
+        }
+        ctx.lock(lock);
+        ctx.write(page, 16 + t, (round * round + t) as f64); // protected, own
+        let shared = ctx.read(page, 0);
+        ctx.write(page, 0, shared.max((round * 4 + t) as f64)); // protected, shared
+        ctx.unlock(lock);
+    });
+    assert_eq!(result[0], ((ROUNDS - 1) * 4 + THREADS - 1) as f64);
+}
+
+#[test]
+fn two_writers_of_one_page_across_a_barrier_match_native() {
+    // Threads 0 and 1 rewrite disjoint halves of one page every round;
+    // everyone reads the whole page after the barrier. Each writer must be
+    // told about the page on the other's account, and nobody on its own.
+    let half = PAGE_F64S / 2;
+    let result = same_on_every_backend("two writers", |ctx, t, round, page, _| {
+        if t < 2 {
+            let mine: Vec<f64> = (0..half).map(|i| (round * 1000 + t * 100 + i) as f64).collect();
+            ctx.write_block(page, t * half, &mine);
+        }
+    });
+    assert_eq!(result[half], ((ROUNDS - 1) * 1000 + 100) as f64, "thread 1's half");
+    assert_eq!(result[PAGE_F64S], result[PAGE_F64S + 3], "every thread read the same pages");
 }

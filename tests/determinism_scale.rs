@@ -8,11 +8,18 @@
 //! blocking point (locks, barriers, fetches, flushes) are ordered by
 //! `(virtual_time, seeded tie-break)` alone, so wall-clock scheduling of
 //! the underlying OS threads can never leak into results.
+//!
+//! Determinism is also what lets the last two tests state how the wire cost
+//! of a grant scales with P in exact byte counts, with no clock anywhere.
 
 mod common;
 
 use common::{generate, interpret, run_on_dsm};
-use samhita_repro::core::{Samhita, SamhitaConfig};
+use samhita_bench::harness::{report_config, report_kernels};
+use samhita_bench::HarnessConfig;
+use samhita_repro::core::{RunReport, Samhita, SamhitaConfig};
+use samhita_repro::rt::SamhitaRt;
+use samhita_repro::scl::MsgClass;
 
 const PHASES: usize = 5;
 
@@ -65,4 +72,54 @@ fn scheduler_seed_changes_tie_breaks_not_results() {
         assert_eq!(slots, want_slots, "sched_seed {sched_seed}: slots diverged");
         assert_eq!(accs, want_accs, "sched_seed {sched_seed}: accumulators diverged");
     }
+}
+
+/// The report of one `bench-report --threads P --kernel K` point.
+fn report_point(kernel: &str, threads: u32) -> RunReport {
+    let q = HarnessConfig::quick();
+    let rt = SamhitaRt::new(report_config(&q, threads));
+    let kernels = report_kernels(&q);
+    let (_, run) = kernels.iter().find(|(name, _)| *name == kernel).expect("a report kernel");
+    run(&rt, threads).1
+}
+
+#[test]
+fn a_grant_costs_a_run_per_writer_not_a_page_list_per_notice() {
+    // The Fig. 2 micro-benchmark over one shared allocation: before its
+    // lock every thread flushes its two rows (two or three pages, the
+    // boundary ones false-shared) and under it bumps one counter, so a
+    // grant late in the chain stands for ~2P notices. Sent as such it was
+    // ~60 bytes a notice: 1 446 / 5 286 / 20 646 sync-class bytes per
+    // grant at P = 16 / 64 / 256. Merged it is one 16-byte run per other
+    // writer's block and one counter update: 432 / 1 149 / 3 965. Exact
+    // byte and grant counts — no clock involved.
+    let sync_bytes_per_grant = |threads: u32| {
+        let report = report_point("micro", threads);
+        let grants = report.total_of(|t| t.locks_acquired);
+        assert_eq!(grants, 4 * threads as u64);
+        report.fabric.bytes(MsgClass::Sync) as f64 / grants as f64
+    };
+    let per_grant = [16u32, 64, 256].map(|p| (p, sync_bytes_per_grant(p)));
+    for (threads, bytes) in per_grant {
+        // Everything a thread sends and is sent per lock it takes —
+        // acquire, grant, release, the barrier after — comes to less than
+        // a run per thread plus a constant.
+        let bound = 16.0 * threads as f64 + 256.0;
+        assert!(bytes < bound, "P={threads}: {bytes:.0} sync bytes per grant, bound {bound}");
+    }
+    // What is left is linear in writers — every page of the array has a
+    // different first writer and a run names one — so the figure still
+    // grows with P: by 9.2x over this 16x range, where it grew by 14.3x.
+    let growth = per_grant[2].1 / per_grant[0].1;
+    assert!(growth < 10.0, "sync bytes per grant grew {growth:.1}x from P=16 to P=256");
+}
+
+#[test]
+fn jacobi_p256_moves_fewer_sync_bytes_than_data_bytes() {
+    // A P=256 barrier release used to ship 255 page lists to each of 256
+    // threads, and the notices outweighed the grid: 31.9 MB of sync-class
+    // traffic against 22.4 MB of data. Merged they are 6.7 MB.
+    let report = report_point("jacobi", 256);
+    let (sync, data) = (report.fabric.bytes(MsgClass::Sync), report.fabric.bytes(MsgClass::Data));
+    assert!(3 * sync < data, "sync {sync} B against data {data} B");
 }
