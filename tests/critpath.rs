@@ -71,15 +71,17 @@ fn critical_path_length_equals_makespan_on_all_kernels() {
 
 /// The baselines hold the path's class totals and segment count; this holds
 /// the path itself — every segment's thread, class, bounds and detail
-/// string — as an FNV-1a hash of the full report. The constants were
-/// computed at `5565ecd`, before the index became the export's source too.
+/// string — as an FNV-1a hash of the full report. The constants were first
+/// computed at `5565ecd`, before the index became the export's source too,
+/// and re-recorded once since: when grants began to carry the merged notice
+/// set (PR 22), the first change since PR 5 to move virtual time.
 #[test]
 fn critical_path_is_the_same_path_segment_for_segment() {
     let costs = SamhitaConfig::default().service_costs();
     for (kernel, p, want) in [
-        ("micro", 4u32, 0xa099_a510_60a0_1937u64),
-        ("jacobi", 8, 0xe37b_1771_3217_a84c),
-        ("md", 8, 0x1280_4772_bf60_1efa),
+        ("micro", 4u32, 0x1eee_f036_a2fa_3412u64),
+        ("jacobi", 8, 0x90fd_dbce_1d08_57a4),
+        ("md", 8, 0xdbb2_820c_a8e2_b4eb),
     ] {
         let (report, trace) = run_kernel(kernel, p, 0);
         let json = critical_path(&trace, &thread_windows(&report), &costs).to_json(usize::MAX);
