@@ -10,6 +10,8 @@
 //! execution itself bit-reproducible under the deterministic scheduler.
 
 mod common;
+#[path = "common/timeline.rs"]
+mod timeline;
 
 use common::{generate, interpret, run_on_dsm};
 use samhita_repro::core::{FaultConfig, Samhita, SamhitaConfig, TopologyKind};
@@ -281,4 +283,70 @@ fn expired_lease_is_reclaimed_and_the_stale_release_absorbed() {
     // interval is truncated at the reclaim stamp instead of flagging the
     // stale release as a protocol violation.
     trace.check_invariants().expect("a reclaimed lease must keep the timeline consistent");
+}
+
+/// The manager-crash half of the faulted-timeline pin
+/// (`tests/common/timeline.rs`; `tests/chaos.rs` holds the fault-plan half):
+/// the fault-free standby run (probes armed, nothing lost), six crash
+/// instants from before the first grant to the last sweep at P=8 and P=64,
+/// and three seeds of a lossy fabric with the manager crashing under a
+/// standby — the last also losing memory server 1. Recorded at the parent
+/// of PR 23.
+const PINNED: &[timeline::Row] = &[
+    ("standby/jacobi-p8", [529895, 0, 0, 0, 0, 1079, 0xd59942aadd5ee502]),
+    ("standby/jacobi-p64", [1989101, 0, 0, 0, 0, 5027, 0xed03cf3f33a57ee0]),
+    ("mgr-crash@5000/jacobi-p8", [2675981, 56, 0, 8, 72, 795, 0xa9de68537fba2782]),
+    ("mgr-crash@5000/jacobi-p64", [3805929, 448, 0, 64, 576, 4125, 0x79cf4b17aa34b82a]),
+    ("mgr-crash@20000/jacobi-p8", [12669974, 56, 0, 8, 67, 804, 0xfa551c40457db496]),
+    ("mgr-crash@20000/jacobi-p64", [4008662, 448, 0, 64, 528, 4127, 0xcc5ad7aa0a52eab7]),
+    ("mgr-crash@60000/jacobi-p8", [12559870, 56, 0, 8, 64, 836, 0xaa49dd8594a044dd]),
+    ("mgr-crash@60000/jacobi-p64", [4040847, 448, 0, 64, 512, 4127, 0x9e462699235d9f67]),
+    ("mgr-crash@120000/jacobi-p8", [12629924, 56, 0, 8, 65, 853, 0x0a1edf69fa41c7eb]),
+    ("mgr-crash@120000/jacobi-p64", [13849834, 448, 0, 64, 513, 4133, 0xe531a8c88abe5597]),
+    ("mgr-crash@250000/jacobi-p8", [4799846, 56, 0, 8, 65, 937, 0x399b2a66ae207508]),
+    ("mgr-crash@250000/jacobi-p64", [14000728, 448, 0, 64, 515, 4279, 0x7447bfea5c5a50c9]),
+    ("mgr-crash@400000/jacobi-p8", [12623984, 56, 0, 8, 65, 1025, 0x2b51363364cdb413]),
+    ("mgr-crash@400000/jacobi-p64", [13818002, 448, 0, 64, 513, 4470, 0xe4357cde5dcd64d3]),
+    ("lossy-0xD1+mgr-crash/jacobi-p8", [5331903, 83, 0, 8, 121, 847, 0xd26c11adb706ef6f]),
+    ("lossy-0xD2+mgr-crash/jacobi-p8", [5137754, 75, 0, 8, 112, 834, 0x378b6af27097b6af]),
+    (
+        "lossy-0xD3+mgr-crash+server-crash/jacobi-p8",
+        [20413087, 134, 8, 8, 181, 789, 0xd1643a9a7c5b47b1],
+    ),
+];
+
+#[test]
+fn recovered_timelines_are_pinned_across_commits() {
+    let lossy_crash = |seed: u64, crash: Option<(u32, u64)>| SamhitaConfig {
+        faults: FaultConfig {
+            crash,
+            mgr_crash: Some(60_000),
+            ..FaultConfig::lossy(seed, 0.03, 0.01, 0.03, 3_000)
+        },
+        ..standby_cluster()
+    };
+    let mut runs = vec![("standby".to_string(), standby_cluster())];
+    runs.extend(
+        [5_000u64, 20_000, 60_000, 120_000, 250_000, 400_000]
+            .map(|at| (format!("mgr-crash@{at}"), mgr_crash(at))),
+    );
+    let mut fresh = Vec::new();
+    let mut row = |name: String, cfg: SamhitaConfig, problem: &JacobiParams| {
+        let rt = SamhitaRt::new(SamhitaConfig { tracing: true, ..cfg });
+        let report = run_jacobi(&rt, problem).report;
+        let trace = rt.take_trace().expect("tracing was enabled");
+        fresh.push((name, timeline::timeline(&report, &trace)));
+    };
+    for (name, cfg) in runs {
+        row(format!("{name}/jacobi-p8"), cfg.clone(), &JACOBI_P8);
+        row(format!("{name}/jacobi-p64"), cfg, &JACOBI_P64);
+    }
+    row("lossy-0xD1+mgr-crash/jacobi-p8".into(), lossy_crash(0xD1, None), &JACOBI_P8);
+    row("lossy-0xD2+mgr-crash/jacobi-p8".into(), lossy_crash(0xD2, None), &JACOBI_P8);
+    row(
+        "lossy-0xD3+mgr-crash+server-crash/jacobi-p8".into(),
+        lossy_crash(0xD3, Some((1, 70_000))),
+        &JACOBI_P8,
+    );
+    timeline::assert_pinned(PINNED, &fresh);
 }
