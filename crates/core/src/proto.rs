@@ -6,9 +6,10 @@
 //! * **token correlation** — every request carries a token from a private
 //!   per-channel counter, so responses (acks, prefetch data) may arrive out
 //!   of order and still be matched;
-//! * **retry / timeout / backoff** — send-time drops are retried eagerly
-//!   with capped exponential backoff; in-flight losses surface as the lost
-//!   copy's arrival (the deterministic analogue of a retransmission timeout);
+//! * **retry / timeout / backoff** — one loss rule, three primitives (below):
+//!   send-time drops are retried eagerly with capped exponential backoff;
+//!   in-flight losses surface as the lost copy's arrival (the deterministic
+//!   analogue of a retransmission timeout);
 //! * **idempotent request tokens** — manager retransmissions reuse their
 //!   token so the manager's replay cache answers them; memory-server
 //!   retransmissions resend the identical request so the server's dedup
@@ -21,6 +22,42 @@
 //! * **trace emission** — `Retry` / `Failover` events are recorded here;
 //!   `FaultInjected` events are recorded by the fabric observer at the
 //!   moment the fate is decided.
+//!
+//! # The loss rule
+//!
+//! Three private primitives hold everything the callers share; nothing else
+//! in this module counts an attempt, sends a faultable message that is
+//! retried, or waits for a token:
+//!
+//! * `spend(op, &mut budget, resume_at) -> bool` — one lost attempt: count
+//!   it, and either note the retry (counter, clock to `resume_at`, `Retry`
+//!   event) or report the budget (`RetryPolicy::max_attempts`) exhausted;
+//! * `transmit(dst, wire, class, op, &mut budget, &msg) -> bool` — send,
+//!   charge the send cost, and on a drop `spend` with `sent_at + delay(k)`
+//!   and send again; `false` is exhaustion;
+//! * `await_reply(token, deadline) -> Option<Envelope>` — receive until the
+//!   token matches, `absorb`ing acks, prefetch data and duplicates on the
+//!   way, and advance the clock to the delivery; a *lost* reply is returned
+//!   like any other (the caller `spend`s with its `deliver_at`), `None` is
+//!   the probe deadline.
+//!
+//! What is left in each caller is its policy:
+//!
+//! | caller | target | budget | token on fail-over | exhaustion |
+//! |---|---|---|---|---|
+//! | `rpc_mgr` | live manager | one for drops and lost replies | same token to the standby | `mgr_fail_over` (fatal with no standby), fresh budget |
+//! | `send_mgr_oneway` | live manager | drops only | same token to the standby | as `rpc_mgr` |
+//! | `rpc_mem` | effective server | one per server for drops and lost replies | fresh token per server | `fail_over` to the replica |
+//! | `post_update` | primary or shadow copy | drops only, fresh per server | same token | `update_fail_over` |
+//! | `retransmit_update` | the copy whose ack was lost | in the `PendingAck`, across calls: lost acks and their resends' drops | same token | `update_fail_over`, obligation dropped |
+//! | `await_prefetch` | — (never re-sent) | none | — | a lost reply is `None`; the caller demand-fetches |
+//!
+//! `update_fail_over`: a primary copy re-homes to the replica (`fail_over`);
+//! a shadow copy is abandoned and its replica marked failed. Two asymmetries
+//! are deliberate hold-overs, pinned by the faulted-timeline tables in
+//! `tests/chaos.rs` and `tests/recovery.rs`: a probe-deadline resend spends
+//! no budget, and `retransmit_update` advances the ack horizon when lost
+//! acks exhaust the budget but not when the resend's drops do.
 //!
 //! [`Channel`] is the compute-thread transport (owned by
 //! [`crate::thread::ThreadCtx`]); [`HostChannel`] is the host control
@@ -35,16 +72,20 @@ use samhita_trace::{EventKind, TraceBuf};
 use crate::msg::{MgrRequest, MgrResponse, Msg};
 
 /// An asynchronous update (batched flush or eviction diff) whose
-/// acknowledgement is still outstanding. Kept so a lost ack can be answered
-/// by retransmitting the identical request (the server's idempotency cache
-/// re-acks without re-applying), and so ack-path exhaustion can fail over
-/// knowing which server and copy (primary or write-through shadow) the
-/// update targeted.
+/// acknowledgement is still outstanding: the request exactly as it was sent,
+/// so a lost ack can be answered by retransmitting it (the server's
+/// idempotency cache re-acks without re-applying), and which server and
+/// copy (primary or write-through shadow) it targeted, so ack-path
+/// exhaustion knows where to fail over.
 struct PendingAck {
     server: u32,
     class: MsgClass,
-    req: MemRequest,
+    op: &'static str,
+    wire: usize,
+    /// The `Msg::MemReq` on the wire, token included.
+    msg: Msg,
     shadow: bool,
+    /// The budget lost acks and their resends' drops spend, across calls.
     attempts: u32,
 }
 
@@ -248,6 +289,85 @@ impl Channel {
     }
 
     // ------------------------------------------------------------------
+    // The loss rule: spend, transmit, await_reply
+    // ------------------------------------------------------------------
+
+    /// Count one lost attempt of `op` against `budget` — the only place an
+    /// attempt is counted and `max_attempts` is read. `true`: the retry is
+    /// noted, the clock stands at `resume_at` (a drop's backoff deadline, a
+    /// lost reply's arrival) and the caller sends again. `false`: the budget
+    /// is spent and what happens next is the caller's exhaustion policy.
+    fn spend(&mut self, op: &'static str, budget: &mut u32, resume_at: SimTime) -> bool {
+        *budget += 1;
+        if *budget >= self.retry.max_attempts {
+            return false;
+        }
+        self.note_retry(op, *budget, resume_at);
+        true
+    }
+
+    /// Put `msg` on the wire towards `dst`, riding out send-time drops with
+    /// capped backoff from the send instant: `true` once a copy is under
+    /// way, `false` when the drops exhausted `budget`. Every copy charges
+    /// the send cost. The only faultable send besides the never-retried
+    /// [`Channel::try_prefetch`].
+    fn transmit(
+        &mut self,
+        dst: EndpointId,
+        wire: usize,
+        class: MsgClass,
+        op: &'static str,
+        budget: &mut u32,
+        msg: &Msg,
+    ) -> bool {
+        loop {
+            let sent_at = self.clock;
+            let (_, fate) = self
+                .ep
+                .send_faulted(dst, sent_at, wire, class, msg.clone())
+                .expect("destination endpoint closed");
+            self.charge(self.send_ns);
+            if !fate.is_dropped() {
+                return true;
+            }
+            let resume_at = sent_at + self.retry.delay(*budget + 1);
+            if !self.spend(op, budget, resume_at) {
+                return false;
+            }
+        }
+    }
+
+    /// Block for the reply carrying `token`, filing whatever else arrives
+    /// first (see [`Channel::absorb`]), and advance the clock to its
+    /// delivery — the only receive loop that matches a token. A reply marked
+    /// lost is returned like any other: its arrival is the deterministic
+    /// analogue of a retransmission timeout firing, and what it costs is the
+    /// caller's policy. `None`: `deadline` passed with no reply due by it
+    /// (the clock stands at the deadline); without a deadline the wait
+    /// always ends in a reply.
+    fn await_reply(&mut self, token: u64, deadline: Option<SimTime>) -> Option<Envelope<Msg>> {
+        loop {
+            let env = match deadline {
+                Some(at) => match self.ep.recv_deadline(at) {
+                    Some(env) => env,
+                    None => {
+                        self.clock = self.clock.max(at);
+                        return None;
+                    }
+                },
+                None => self.ep.recv().expect("fabric closed while awaiting response"),
+            };
+            let t = Self::token_of(&env);
+            if t != token {
+                self.absorb(t, env);
+                continue;
+            }
+            self.clock = self.clock.max(env.deliver_at);
+            return Some(env);
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Failover topology
     // ------------------------------------------------------------------
 
@@ -309,6 +429,22 @@ impl Channel {
     // Manager RPC
     // ------------------------------------------------------------------
 
+    /// Transmit to whichever manager is believed alive. Exhaustion fails
+    /// over to the hot standby — same token, fresh budget — or is fatal.
+    fn transmit_mgr(
+        &mut self,
+        wire: usize,
+        class: MsgClass,
+        op: &'static str,
+        budget: &mut u32,
+        msg: &Msg,
+    ) {
+        while !self.transmit(self.mgr_target(), wire, class, op, budget, msg) {
+            self.mgr_fail_over(op, "request dropped", *budget);
+            *budget = 0;
+        }
+    }
+
     /// Synchronous manager RPC with retry and backoff. Every retransmission
     /// reuses the request's token, so the manager's replay cache makes the
     /// request idempotent (a retried `Acquire` can never double-acquire).
@@ -321,73 +457,32 @@ impl Channel {
         let op = req.label();
         let wire = req.wire_bytes();
         let token = self.fresh_token();
-        let mut attempt = 0u32;
+        let msg = Msg::MgrReq { token, tid: self.tid, req };
+        // One budget for drops and lost replies, fresh after a fail-over.
+        let mut budget = 0u32;
         loop {
-            let sent_at = self.clock;
-            let (_, fate) = self
-                .ep
-                .send_faulted(
-                    self.mgr_target(),
-                    self.clock,
-                    wire,
-                    class,
-                    Msg::MgrReq { token, tid: self.tid, req: req.clone() },
-                )
-                .expect("manager endpoint closed");
-            self.charge(self.send_ns);
-            if fate.is_dropped() {
-                attempt += 1;
-                if attempt >= self.retry.max_attempts {
-                    self.mgr_fail_over(op, "request dropped", attempt);
-                    attempt = 0;
-                    continue;
-                }
-                self.note_retry(op, attempt, sent_at + self.retry.delay(attempt));
-                continue;
-            }
-            // Block for the matching reply. A *lost* matching reply arriving
-            // is the deterministic analogue of a retransmission timeout
-            // firing. Requests whose grant is legitimately deferred (queued
+            self.transmit_mgr(wire, class, op, &mut budget, &msg);
+            // Requests whose grant is legitimately deferred (queued
             // acquires, barrier arrivals, condition waits) keep blocking —
             // but with a standby configured they re-send the same token
             // every probe period (see `probe_ns`), so a grant that died
             // with the primary cannot block the run forever.
             let probe_at = self.probe_ns.map(|p| self.clock + SimTime::from_ns(p));
-            'await_reply: loop {
-                let env = match probe_at {
-                    Some(at) => match self.ep.recv_deadline(at) {
-                        Some(env) => env,
-                        None => {
-                            // Probe deadline: no reply by `at`. Re-send the
-                            // same token via the outer loop; a live
-                            // manager's replay cache absorbs it.
-                            self.clock = self.clock.max(at);
-                            self.trace(|| EventKind::Retry { op, attempt });
-                            break 'await_reply;
-                        }
-                    },
-                    None => self.ep.recv().expect("fabric closed while awaiting response"),
-                };
-                let t = Self::token_of(&env);
-                if t != token {
-                    self.absorb(t, env);
-                    continue;
-                }
-                self.clock = self.clock.max(env.deliver_at);
-                if env.lost {
-                    attempt += 1;
-                    if attempt >= self.retry.max_attempts {
-                        self.mgr_fail_over(op, "reply lost", attempt);
-                        attempt = 0;
-                    } else {
-                        self.note_retry(op, attempt, env.deliver_at);
+            match self.await_reply(token, probe_at) {
+                // Probe deadline: re-send the same token; a live manager's
+                // replay cache absorbs it. Kept as it was: a probe resend
+                // is traced as a retry but spends no budget.
+                None => self.trace(|| EventKind::Retry { op, attempt: budget }),
+                Some(env) if env.lost => {
+                    if !self.spend(op, &mut budget, env.deliver_at) {
+                        self.mgr_fail_over(op, "reply lost", budget);
+                        budget = 0;
                     }
-                    break;
                 }
-                match env.msg {
+                Some(env) => match env.msg {
                     Msg::MgrResp { resp, .. } => return resp,
                     other => panic!("unexpected manager response: {other:?}"),
-                }
+                },
             }
         }
     }
@@ -398,32 +493,9 @@ impl Channel {
     pub(crate) fn send_mgr_oneway(&mut self, req: MgrRequest, class: MsgClass) {
         let op = req.label();
         let wire = req.wire_bytes();
-        let token = self.fresh_token();
-        let mut attempt = 0u32;
-        loop {
-            let sent_at = self.clock;
-            let (_, fate) = self
-                .ep
-                .send_faulted(
-                    self.mgr_target(),
-                    self.clock,
-                    wire,
-                    class,
-                    Msg::MgrReq { token, tid: self.tid, req: req.clone() },
-                )
-                .expect("manager endpoint closed");
-            self.charge(self.send_ns);
-            if !fate.is_dropped() {
-                return;
-            }
-            attempt += 1;
-            if attempt >= self.retry.max_attempts {
-                self.mgr_fail_over(op, "request dropped", attempt);
-                attempt = 0;
-                continue;
-            }
-            self.note_retry(op, attempt, sent_at + self.retry.delay(attempt));
-        }
+        let msg = Msg::MgrReq { token: self.fresh_token(), tid: self.tid, req };
+        let mut budget = 0u32;
+        self.transmit_mgr(wire, class, op, &mut budget, &msg);
     }
 
     // ------------------------------------------------------------------
@@ -441,56 +513,26 @@ impl Channel {
         let op = req.label();
         let wire = req.wire_bytes();
         let mut server = self.effective_server(home);
-        'fresh: loop {
+        loop {
             // A fresh token per target server: a late reply from an
             // abandoned primary must never pass for the replica's answer.
             let token = self.fresh_token();
-            let mut attempt = 0u32;
-            loop {
-                let sent_at = self.clock;
-                let (_, fate) = self
-                    .ep
-                    .send_faulted(
-                        self.mem_eps[server as usize],
-                        self.clock,
-                        wire,
-                        class,
-                        Msg::MemReq { token, shadow: false, req: req.clone() },
-                    )
-                    .expect("memory server endpoint closed");
-                self.charge(self.send_ns);
-                if fate.is_dropped() {
-                    attempt += 1;
-                    if attempt >= self.retry.max_attempts {
-                        server = self.fail_over(server);
-                        continue 'fresh;
-                    }
-                    self.note_retry(op, attempt, sent_at + self.retry.delay(attempt));
-                    continue;
-                }
-                loop {
-                    let env = self.ep.recv().expect("fabric closed while awaiting response");
-                    let t = Self::token_of(&env);
-                    if t != token {
-                        self.absorb(t, env);
-                        continue;
-                    }
-                    self.clock = self.clock.max(env.deliver_at);
-                    if env.lost {
-                        attempt += 1;
-                        if attempt >= self.retry.max_attempts {
-                            server = self.fail_over(server);
-                            continue 'fresh;
-                        }
-                        self.note_retry(op, attempt, env.deliver_at);
-                        break;
-                    }
+            let msg = Msg::MemReq { token, shadow: false, req: req.clone() };
+            // One budget per server for drops and lost replies.
+            let mut budget = 0u32;
+            while self.transmit(self.mem_eps[server as usize], wire, class, op, &mut budget, &msg) {
+                let env = self.await_reply(token, None).expect("no deadline");
+                if !env.lost {
                     match env.msg {
                         Msg::MemResp { resp, .. } => return (resp, env.deliver_at),
                         other => panic!("unexpected memory response: {other:?}"),
                     }
                 }
+                if !self.spend(op, &mut budget, env.deliver_at) {
+                    break;
+                }
             }
+            server = self.fail_over(server);
         }
     }
 
@@ -515,44 +557,40 @@ impl Channel {
         }
     }
 
-    /// Transmit one update copy, eagerly riding out send-time drops with
-    /// capped backoff; registers the ack obligation on success.
-    fn post_update(&mut self, mut server: u32, class: MsgClass, req: MemRequest, shadow: bool) {
-        let op = req.label();
-        let wire = req.wire_bytes();
+    /// Transmit one update copy and register its ack obligation. Send-time
+    /// drops spend a budget of their own, fresh per target server; the
+    /// token survives a primary's fail-over to the replica.
+    fn post_update(&mut self, server: u32, class: MsgClass, req: MemRequest, shadow: bool) {
         let token = self.fresh_token();
-        let mut attempt = 0u32;
+        let (op, wire) = (req.label(), req.wire_bytes());
+        let msg = Msg::MemReq { token, shadow, req };
+        let mut pa = PendingAck { server, class, op, wire, msg, shadow, attempts: 0 };
+        let mut budget = 0u32;
         loop {
-            let sent_at = self.clock;
-            let (_, fate) = self
-                .ep
-                .send_faulted(
-                    self.mem_eps[server as usize],
-                    self.clock,
-                    wire,
-                    class,
-                    Msg::MemReq { token, shadow, req: req.clone() },
-                )
-                .expect("memory server endpoint closed");
-            self.charge(self.send_ns);
-            if !fate.is_dropped() {
+            let dst = self.mem_eps[pa.server as usize];
+            if self.transmit(dst, wire, class, op, &mut budget, &pa.msg) {
                 break;
             }
-            attempt += 1;
-            if attempt >= self.retry.max_attempts {
-                if shadow {
-                    // The replica is unreachable: abandon write-through to
-                    // it; the already-posted primary copy stands alone.
-                    self.failed_servers.insert(server);
-                    return;
-                }
-                server = self.fail_over(server);
-                attempt = 0;
-                continue;
+            match self.update_fail_over(&pa) {
+                Some(replica) => pa.server = replica,
+                None => return,
             }
-            self.note_retry(op, attempt, sent_at + self.retry.delay(attempt));
+            budget = 0;
         }
-        self.outstanding_acks.insert(token, PendingAck { server, class, req, shadow, attempts: 0 });
+        self.outstanding_acks.insert(token, pa);
+    }
+
+    /// The path to an update copy's server is dead. A shadow copy is
+    /// abandoned — the replica is marked failed (sticky) and the primary
+    /// copy stands alone; a primary copy re-homes to the replica, which
+    /// carries the write-through copy.
+    fn update_fail_over(&mut self, pa: &PendingAck) -> Option<u32> {
+        if pa.shadow {
+            self.failed_servers.insert(pa.server);
+            None
+        } else {
+            Some(self.fail_over(pa.server))
+        }
     }
 
     /// Block until every outstanding update has been acknowledged (the
@@ -600,49 +638,24 @@ impl Channel {
     /// A flush ack was lost. The server *has* applied the update (only the
     /// acknowledgement is missing), so retransmit the identical request —
     /// the server's idempotency cache re-acks without re-applying — until an
-    /// ack survives the wire, or give up and lean on the replica copy.
+    /// ack survives the wire. Lost acks and the resends' drops spend the one
+    /// budget in the `PendingAck`; when it is gone the obligation is dropped
+    /// (the data was applied there) and [`Channel::update_fail_over`] leans
+    /// on the other copy.
     fn retransmit_update(&mut self, token: u64, observed_at: SimTime) {
         let mut pa = self.outstanding_acks.remove(&token).expect("pending ack");
-        let give_up = |me: &mut Self, pa: &PendingAck| {
-            // The path to this server is dead, but the data was applied
-            // there. Drop the ack obligation; for a primary copy, re-home
-            // future traffic to the replica carrying the write-through copy.
-            if pa.shadow {
-                me.failed_servers.insert(pa.server);
-            } else {
-                me.fail_over(pa.server);
-            }
-        };
-        pa.attempts += 1;
-        if pa.attempts >= self.retry.max_attempts {
-            give_up(self, &pa);
+        if !self.spend(pa.op, &mut pa.attempts, observed_at) {
+            self.update_fail_over(&pa);
+            // Kept as it was: the horizon moves when the lost acks exhaust
+            // the budget, not when the resend's drops do (below).
             self.ack_horizon = self.ack_horizon.max(observed_at);
             return;
         }
-        self.note_retry(pa.req.label(), pa.attempts, observed_at);
-        loop {
-            let sent_at = self.clock;
-            let (_, fate) = self
-                .ep
-                .send_faulted(
-                    self.mem_eps[pa.server as usize],
-                    self.clock,
-                    pa.req.wire_bytes(),
-                    pa.class,
-                    Msg::MemReq { token, shadow: pa.shadow, req: pa.req.clone() },
-                )
-                .expect("memory server endpoint closed");
-            self.charge(self.send_ns);
-            if !fate.is_dropped() {
-                self.outstanding_acks.insert(token, pa);
-                return;
-            }
-            pa.attempts += 1;
-            if pa.attempts >= self.retry.max_attempts {
-                give_up(self, &pa);
-                return;
-            }
-            self.note_retry(pa.req.label(), pa.attempts, sent_at + self.retry.delay(pa.attempts));
+        let dst = self.mem_eps[pa.server as usize];
+        if self.transmit(dst, pa.wire, pa.class, pa.op, &mut pa.attempts, &pa.msg) {
+            self.outstanding_acks.insert(token, pa);
+        } else {
+            self.update_fail_over(&pa);
         }
     }
 
@@ -711,23 +724,13 @@ impl Channel {
     /// response was lost on the wire — the lost copy's arrival plays the
     /// retransmission timeout, and the caller demand-fetches instead.
     pub(crate) fn await_prefetch(&mut self, token: u64) -> Option<Vec<PageFrame>> {
-        loop {
-            let env = self.ep.recv().expect("fabric closed while awaiting response");
-            let t = Self::token_of(&env);
-            if t != token {
-                self.absorb(t, env);
-                continue;
-            }
-            self.clock = self.clock.max(env.deliver_at);
-            if env.lost {
-                return None;
-            }
-            match env.msg {
-                Msg::MemResp { resp: MemResponse::Line { pages, .. }, .. } => {
-                    return Some(pages);
-                }
-                other => panic!("unexpected prefetch response: {other:?}"),
-            }
+        let env = self.await_reply(token, None).expect("no deadline");
+        if env.lost {
+            return None;
+        }
+        match env.msg {
+            Msg::MemResp { resp: MemResponse::Line { pages, .. }, .. } => Some(pages),
+            other => panic!("unexpected prefetch response: {other:?}"),
         }
     }
 
