@@ -55,8 +55,8 @@
 //! `update_fail_over`: a primary copy re-homes to the replica (`fail_over`);
 //! a shadow copy is abandoned and its replica marked failed. Two asymmetries
 //! are deliberate hold-overs, pinned by the faulted-timeline tables in
-//! `tests/chaos.rs` and `tests/recovery.rs`: a probe-deadline resend spends
-//! no budget, and `retransmit_update` advances the ack horizon when lost
+//! `tests/chaos.rs` and `tests/recovery.rs`: a probe-deadline resend is
+//! noted as a retry but spends no budget, and `retransmit_update` advances the ack horizon when lost
 //! acks exhaust the budget but not when the resend's drops do.
 //!
 //! [`Channel`] is the compute-thread transport (owned by
@@ -214,11 +214,14 @@ impl Channel {
         }
     }
 
-    /// Zero the clock (registration is setup, not application time). The
-    /// fractional accumulator intentionally carries over: it is a cost
-    /// remainder, not a timestamp.
+    /// Zero the clock and the retry counter: registration is setup, not
+    /// application time, and it runs before the trace buffer is attached, so
+    /// a retry it counted would be one no `Retry` event shows. (Fail-overs
+    /// stay: they are sticky state, not events.) The fractional accumulator
+    /// intentionally carries over: it is a cost remainder, not a timestamp.
     pub(crate) fn reset_clock(&mut self) {
         self.clock = SimTime::ZERO;
+        self.retries = 0;
     }
 
     /// Record one protocol event at the current virtual time, if tracing.
@@ -470,9 +473,10 @@ impl Channel {
             let probe_at = self.probe_ns.map(|p| self.clock + SimTime::from_ns(p));
             match self.await_reply(token, probe_at) {
                 // Probe deadline: re-send the same token; a live manager's
-                // replay cache absorbs it. Kept as it was: a probe resend
-                // is traced as a retry but spends no budget.
-                None => self.trace(|| EventKind::Retry { op, attempt: budget }),
+                // replay cache absorbs it. A retransmission like any other,
+                // so it is noted as one — but, kept as it was, it spends no
+                // budget: a slow grant is not a dead manager.
+                None => self.note_retry(op, budget, self.clock),
                 Some(env) if env.lost => {
                     if !self.spend(op, &mut budget, env.deliver_at) {
                         self.mgr_fail_over(op, "reply lost", budget);

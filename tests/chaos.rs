@@ -326,34 +326,34 @@ fn inactive_fault_schedule_stays_bit_deterministic() {
 /// and the micro-benchmark, recorded at the parent of PR 23.
 const PINNED: &[timeline::Row] = &[
     ("drop-light/jacobi-p3", [254448, 3, 0, 0, 3, 279, 0xe8f8abc16196a4a9]),
-    ("drop-light/jacobi-p8", [642462, 11, 0, 0, 11, 694, 0xe2307e1bb1fe3692]),
+    ("drop-light/jacobi-p8", [642462, 10, 0, 0, 11, 694, 0xe2307e1bb1fe3692]),
     ("drop-light/micro-p3", [167151, 3, 0, 0, 3, 232, 0x0fd693a4afc0433a]),
-    ("drop-heavy/jacobi-p3", [2466670, 38, 0, 0, 38, 327, 0x3a0f4663769df658]),
-    ("drop-heavy/jacobi-p8", [2444458, 78, 0, 0, 79, 788, 0xf399927f04ee80c4]),
-    ("drop-heavy/micro-p3", [1556600, 33, 0, 0, 33, 280, 0x3690e3cc63d33c3d]),
+    ("drop-heavy/jacobi-p3", [2466670, 37, 0, 0, 38, 327, 0x3a0f4663769df658]),
+    ("drop-heavy/jacobi-p8", [2444458, 77, 0, 0, 79, 788, 0xf399927f04ee80c4]),
+    ("drop-heavy/micro-p3", [1556600, 32, 0, 0, 33, 280, 0x3690e3cc63d33c3d]),
     ("duplicates/jacobi-p3", [246532, 0, 0, 0, 20, 279, 0x21798e853c2c6477]),
     ("duplicates/jacobi-p8", [504133, 0, 0, 0, 60, 694, 0xb0c8466683f5c395]),
     ("duplicates/micro-p3", [160779, 0, 0, 0, 13, 230, 0x8c4de0d281cb3034]),
     ("delays/jacobi-p3", [328341, 0, 0, 0, 25, 273, 0x393edca58d9c1530]),
     ("delays/jacobi-p8", [617303, 0, 0, 0, 65, 677, 0x8191dd799741970a]),
     ("delays/micro-p3", [201254, 0, 0, 0, 21, 226, 0x1639168432cc46ef]),
-    ("mixed/jacobi-p3", [567139, 15, 0, 0, 41, 300, 0x78cf59f7b5fd01fd]),
-    ("mixed/jacobi-p8", [1041562, 34, 0, 0, 99, 738, 0x237d4db03dba8dd2]),
-    ("mixed/micro-p3", [328223, 13, 0, 0, 35, 253, 0xa11fb3f515743970]),
-    ("drop-dup/jacobi-p3", [705148, 26, 0, 0, 38, 314, 0x291f0d918ff8b9ab]),
-    ("drop-dup/jacobi-p8", [1537153, 60, 0, 0, 97, 774, 0xfeb0f9de13c919ed]),
-    ("drop-dup/micro-p3", [426741, 22, 0, 0, 33, 271, 0xc5b3405a0f62d735]),
+    ("mixed/jacobi-p3", [567139, 14, 0, 0, 41, 300, 0x78cf59f7b5fd01fd]),
+    ("mixed/jacobi-p8", [1041562, 32, 0, 0, 99, 738, 0x237d4db03dba8dd2]),
+    ("mixed/micro-p3", [328223, 12, 0, 0, 35, 253, 0xa11fb3f515743970]),
+    ("drop-dup/jacobi-p3", [705148, 25, 0, 0, 38, 314, 0x291f0d918ff8b9ab]),
+    ("drop-dup/jacobi-p8", [1537153, 57, 0, 0, 97, 774, 0xfeb0f9de13c919ed]),
+    ("drop-dup/micro-p3", [426741, 21, 0, 0, 33, 271, 0xc5b3405a0f62d735]),
     ("partition/jacobi-p3", [602332, 6, 0, 0, 6, 281, 0x253f8013b4592ac6]),
     ("partition/jacobi-p8", [975270, 25, 0, 0, 29, 711, 0xb1704fd3d8d78ebc]),
     ("partition/micro-p3", [513783, 11, 0, 0, 11, 240, 0x9c72f10768721b36]),
     ("crash-primary/jacobi-p3", [6700087, 25, 0, 0, 37, 261, 0xd6c1e529c20b4027]),
-    ("crash-primary/jacobi-p8", [17783126, 68, 0, 0, 91, 639, 0xdd6a20765986fbeb]),
+    ("crash-primary/jacobi-p8", [17783126, 66, 0, 0, 91, 639, 0xdd6a20765986fbeb]),
     ("crash-primary/micro-p3", [4460331, 25, 0, 0, 34, 222, 0x39eb12d3ce08b3b4]),
     ("crash-other/jacobi-p3", [2602924, 29, 3, 0, 32, 268, 0x7b1a016beb1537a0]),
     ("crash-other/jacobi-p8", [16066536, 78, 8, 0, 86, 655, 0xf0169c26e96f7b07]),
     ("crash-other/micro-p3", [4676575, 30, 3, 0, 33, 228, 0x8d8837c618502fb6]),
     ("batch-drop/jacobi-p3", [1306101, 43, 0, 0, 43, 340, 0x8fc122bdb6238364]),
-    ("batch-drop/jacobi-p8", [3521897, 125, 0, 0, 126, 860, 0xad285dda96f32e33]),
+    ("batch-drop/jacobi-p8", [3521897, 122, 0, 0, 126, 860, 0xad285dda96f32e33]),
     ("batch-drop/micro-p3", [827461, 37, 0, 0, 37, 290, 0x768b997f7d777041]),
     ("batch-dup/jacobi-p3", [246532, 0, 0, 0, 71, 294, 0x0c9ef2997c783a38]),
     ("batch-dup/jacobi-p8", [504133, 0, 0, 0, 177, 728, 0x3f31e19227fc568b]),
@@ -361,17 +361,17 @@ const PINNED: &[timeline::Row] = &[
     ("batch-delay/jacobi-p3", [536596, 0, 0, 0, 68, 273, 0x9af53558391d6635]),
     ("batch-delay/jacobi-p8", [1023006, 0, 0, 0, 185, 677, 0x55d274f3ad746a1f]),
     ("batch-delay/micro-p3", [367267, 0, 0, 0, 58, 228, 0xea0b11fef8b67e2e]),
-    ("batch-crash/jacobi-p3", [7716780, 53, 3, 0, 89, 301, 0x71b8ae96ffd9859c]),
-    ("batch-crash/jacobi-p8", [13096428, 143, 8, 0, 226, 757, 0x1254b4b88bdd26c9]),
-    ("batch-crash/micro-p3", [2844307, 47, 3, 0, 77, 245, 0xf270e62dc8aa6228]),
-    ("scale-drop/jacobi-p3", [551173, 15, 0, 0, 15, 296, 0xc10ddc941331c529]),
-    ("scale-drop/jacobi-p8", [1401425, 46, 0, 0, 46, 745, 0x3a930c610f2f426d]),
-    ("scale-drop/micro-p3", [416527, 13, 0, 0, 13, 252, 0x28d398b13ad1ca41]),
+    ("batch-crash/jacobi-p3", [7716780, 51, 3, 0, 89, 301, 0x71b8ae96ffd9859c]),
+    ("batch-crash/jacobi-p8", [13096428, 139, 8, 0, 226, 757, 0x1254b4b88bdd26c9]),
+    ("batch-crash/micro-p3", [2844307, 45, 3, 0, 77, 245, 0xf270e62dc8aa6228]),
+    ("scale-drop/jacobi-p3", [551173, 14, 0, 0, 15, 296, 0xc10ddc941331c529]),
+    ("scale-drop/jacobi-p8", [1401425, 44, 0, 0, 46, 745, 0x3a930c610f2f426d]),
+    ("scale-drop/micro-p3", [416527, 12, 0, 0, 13, 252, 0x28d398b13ad1ca41]),
     ("scale-crash/jacobi-p3", [6859374, 29, 3, 0, 32, 259, 0x107f7cccb0199bda]),
     ("scale-crash/jacobi-p8", [18023188, 75, 8, 0, 83, 651, 0xb4a4fd6a9c1ceaa1]),
     ("scale-crash/micro-p3", [2500270, 28, 3, 0, 31, 212, 0x97c2804fb30a2d08]),
     ("scale-drop-dup/jacobi-p3", [448029, 12, 0, 0, 17, 292, 0x1405ab8cc711869f]),
-    ("scale-drop-dup/jacobi-p8", [1084569, 36, 0, 0, 53, 736, 0x53fff41c7228e495]),
+    ("scale-drop-dup/jacobi-p8", [1084569, 34, 0, 0, 53, 736, 0x53fff41c7228e495]),
     ("scale-drop-dup/micro-p3", [389455, 11, 0, 0, 15, 246, 0xa420b0c0fa482d35]),
 ];
 

@@ -11,7 +11,7 @@
 //! `cargo test --test chaos --test recovery pinned -- --nocapture`).
 
 use samhita_repro::core::RunReport;
-use samhita_repro::trace::RunTrace;
+use samhita_repro::trace::{EventKind, RunTrace};
 
 /// What a row holds, in order.
 pub const COLUMNS: [&str; 7] = [
@@ -27,8 +27,20 @@ pub const COLUMNS: [&str; 7] = [
 /// One pinned run: `"plan/problem"` and its [`COLUMNS`].
 pub type Row = (&'static str, [u64; 7]);
 
-/// The pinned columns of one traced run.
+/// `Retry` events across every track of `trace`.
+pub fn retry_events(trace: &RunTrace) -> u64 {
+    let events = trace.tracks.iter().flat_map(|(_, events)| events);
+    events.filter(|e| matches!(e.kind, EventKind::Retry { .. })).count() as u64
+}
+
+/// The pinned columns of one traced run, whose trace and counters must tell
+/// one story: every retransmission is both counted and traced.
 pub fn timeline(report: &RunReport, trace: &RunTrace) -> [u64; 7] {
+    assert_eq!(
+        retry_events(trace),
+        report.total_of(|t| t.retries),
+        "the trace's Retry events and the threads' retry counters disagree"
+    );
     [
         report.makespan.as_ns(),
         report.total_of(|t| t.retries),

@@ -181,6 +181,7 @@ fn fault_free_probe_resends_are_absorbed_not_reapplied() {
     // the acquire twice and count the barrier arrival twice (releasing the
     // barrier before the peer arrives), silently corrupting synchronization.
     let cfg = SamhitaConfig {
+        tracing: true,
         mgr_lease_ns: 20_000, // 20 µs leases: blocked waiters probe many times
         ..standby_cluster()
     };
@@ -225,6 +226,11 @@ fn fault_free_probe_resends_are_absorbed_not_reapplied() {
     assert_eq!(report.takeover_ns, 0, "the standby must not take over without a crash");
     assert_eq!(report.standby_serves, 0, "the standby must not serve without a crash");
     assert_eq!(report.lease_reclaims, 0, "a live primary's leases must not be reclaimed");
+    // A probe is a retransmission of the same token: counted and traced.
+    let retries = report.total_of(|t| t.retries);
+    assert!(retries > 0, "thread 1's blocked acquire and barrier wait must have probed");
+    let trace = sys.take_trace().expect("tracing was enabled");
+    assert_eq!(timeline::retry_events(&trace), retries, "every probe is counted and traced");
 }
 
 #[test]
@@ -295,23 +301,23 @@ fn expired_lease_is_reclaimed_and_the_stale_release_absorbed() {
 const PINNED: &[timeline::Row] = &[
     ("standby/jacobi-p8", [529895, 0, 0, 0, 0, 1079, 0xd59942aadd5ee502]),
     ("standby/jacobi-p64", [1989101, 0, 0, 0, 0, 5027, 0xed03cf3f33a57ee0]),
-    ("mgr-crash@5000/jacobi-p8", [2675981, 56, 0, 8, 72, 795, 0xa9de68537fba2782]),
-    ("mgr-crash@5000/jacobi-p64", [3805929, 448, 0, 64, 576, 4125, 0x79cf4b17aa34b82a]),
-    ("mgr-crash@20000/jacobi-p8", [12669974, 56, 0, 8, 67, 804, 0xfa551c40457db496]),
-    ("mgr-crash@20000/jacobi-p64", [4008662, 448, 0, 64, 528, 4127, 0xcc5ad7aa0a52eab7]),
-    ("mgr-crash@60000/jacobi-p8", [12559870, 56, 0, 8, 64, 836, 0xaa49dd8594a044dd]),
+    ("mgr-crash@5000/jacobi-p8", [2675981, 42, 0, 8, 72, 795, 0xa9de68537fba2782]),
+    ("mgr-crash@5000/jacobi-p64", [3805929, 42, 0, 64, 576, 4125, 0x79cf4b17aa34b82a]),
+    ("mgr-crash@20000/jacobi-p8", [12669974, 62, 0, 8, 67, 804, 0xfa551c40457db496]),
+    ("mgr-crash@20000/jacobi-p64", [4008662, 392, 0, 64, 528, 4127, 0xcc5ad7aa0a52eab7]),
+    ("mgr-crash@60000/jacobi-p8", [12559870, 59, 0, 8, 64, 836, 0xaa49dd8594a044dd]),
     ("mgr-crash@60000/jacobi-p64", [4040847, 448, 0, 64, 512, 4127, 0x9e462699235d9f67]),
-    ("mgr-crash@120000/jacobi-p8", [12629924, 56, 0, 8, 65, 853, 0x0a1edf69fa41c7eb]),
-    ("mgr-crash@120000/jacobi-p64", [13849834, 448, 0, 64, 513, 4133, 0xe531a8c88abe5597]),
+    ("mgr-crash@120000/jacobi-p8", [12629924, 62, 0, 8, 65, 853, 0x0a1edf69fa41c7eb]),
+    ("mgr-crash@120000/jacobi-p64", [13849834, 450, 0, 64, 513, 4133, 0xe531a8c88abe5597]),
     ("mgr-crash@250000/jacobi-p8", [4799846, 56, 0, 8, 65, 937, 0x399b2a66ae207508]),
-    ("mgr-crash@250000/jacobi-p64", [14000728, 448, 0, 64, 515, 4279, 0x7447bfea5c5a50c9]),
-    ("mgr-crash@400000/jacobi-p8", [12623984, 56, 0, 8, 65, 1025, 0x2b51363364cdb413]),
-    ("mgr-crash@400000/jacobi-p64", [13818002, 448, 0, 64, 513, 4470, 0xe4357cde5dcd64d3]),
+    ("mgr-crash@250000/jacobi-p64", [14000728, 500, 0, 64, 515, 4279, 0x7447bfea5c5a50c9]),
+    ("mgr-crash@400000/jacobi-p8", [12623984, 62, 0, 8, 65, 1025, 0x2b51363364cdb413]),
+    ("mgr-crash@400000/jacobi-p64", [13818002, 508, 0, 64, 513, 4470, 0xe4357cde5dcd64d3]),
     ("lossy-0xD1+mgr-crash/jacobi-p8", [5331903, 83, 0, 8, 121, 847, 0xd26c11adb706ef6f]),
     ("lossy-0xD2+mgr-crash/jacobi-p8", [5137754, 75, 0, 8, 112, 834, 0x378b6af27097b6af]),
     (
         "lossy-0xD3+mgr-crash+server-crash/jacobi-p8",
-        [20413087, 134, 8, 8, 181, 789, 0xd1643a9a7c5b47b1],
+        [20413087, 139, 8, 8, 181, 789, 0xd1643a9a7c5b47b1],
     ),
 ];
 
