@@ -870,3 +870,235 @@ impl HostChannel {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use samhita_mem::PageId;
+    use samhita_scl::{profiles, Fabric, FaultPlan, NodeId, Topology};
+    use samhita_trace::{TraceEvent, Tracer, TrackId};
+
+    use super::*;
+
+    const SEND_NS: u64 = 100;
+
+    /// A real [`Channel`] on node 0 of a two-node fabric and, on node 1, the
+    /// endpoints it talks to: the manager, a standby, and memory servers 0
+    /// and 1 (each the other's replica). There is no scheduler, so the
+    /// channel's endpoint is unbound and a receive returns the staged
+    /// minimum: every reply is staged before the call that awaits it, which
+    /// the channel's private token stream (1, 2, …) makes possible.
+    struct Rig {
+        fabric: Arc<Fabric<Msg>>,
+        chan: Channel,
+        tracer: Tracer,
+        mgr: Endpoint<Msg>,
+        standby: Endpoint<Msg>,
+        mem: [Endpoint<Msg>; 2],
+        retry: RetryPolicy,
+    }
+
+    impl Rig {
+        fn new(replicated: bool, with_standby: bool, max_attempts: u32) -> Rig {
+            let fabric = Fabric::<Msg>::new(Topology::cluster(2, profiles::ib_qdr()));
+            let ep = fabric.add_endpoint(NodeId(0));
+            let [mgr, standby, mem0, mem1] = [(); 4].map(|()| fabric.add_endpoint(NodeId(1)));
+            let retry = RetryPolicy { max_attempts, ..RetryPolicy::default() };
+            let mut chan = Channel::new(
+                0,
+                ep,
+                mgr.id(),
+                with_standby.then_some(standby.id()),
+                None, // probing needs a scheduler-bound endpoint
+                vec![mem0.id(), mem1.id()],
+                SEND_NS as f64,
+                u32::from(replicated),
+                HomeMap::new(2, 4),
+                retry,
+            );
+            let tracer = Tracer::new(1024);
+            chan.attach_trace(tracer.buf(TrackId::Thread(0)));
+            Rig { fabric, chan, tracer, mgr, standby, mem: [mem0, mem1], retry }
+        }
+
+        /// Every faultable send to or from `ep` is lost from time zero on.
+        fn crash(&self, ep: &Endpoint<Msg>) {
+            let crashed = vec![(ep.id(), SimTime::ZERO)];
+            self.fabric.set_fault_plan(FaultPlan { crashed, ..FaultPlan::none() });
+        }
+
+        /// Stage `msg` from `from` to the channel, sent at `at_ns`; the
+        /// delivery instant is returned.
+        fn stage(&self, from: &Endpoint<Msg>, at_ns: u64, msg: Msg) -> SimTime {
+            let (at, _) = from
+                .send_faulted(self.chan.ep.id(), SimTime::from_ns(at_ns), 16, MsgClass::Data, msg)
+                .unwrap();
+            at
+        }
+
+        /// The channel's trace so far.
+        fn events(&mut self) -> Vec<TraceEvent> {
+            self.tracer.submit(self.chan.take_trace().expect("trace attached"));
+            self.tracer.take().tracks.into_iter().flat_map(|(_, events)| events).collect()
+        }
+
+        /// `(attempt, instant)` of every `Retry` traced so far.
+        fn retry_stamps(&mut self) -> Vec<(u32, SimTime)> {
+            let retry = |e: TraceEvent| match e.kind {
+                EventKind::Retry { attempt, .. } => Some((attempt, e.at)),
+                _ => None,
+            };
+            self.events().into_iter().filter_map(retry).collect()
+        }
+    }
+
+    fn fetch() -> MemRequest {
+        MemRequest::FetchPage { page: PageId(0) }
+    }
+
+    fn ack(token: u64) -> Msg {
+        Msg::MemResp { token, resp: MemResponse::Ack { page: PageId(0), version: 1 } }
+    }
+
+    fn update() -> MemRequest {
+        MemRequest::ApplyFine { page: PageId(0), offset: 0, bytes: vec![7; 8] }
+    }
+
+    #[test]
+    fn total_loss_spends_the_budget_then_a_memory_rpc_fails_over() {
+        let mut rig = Rig::new(true, false, 8);
+        rig.crash(&rig.mem[0]);
+        // The replica's answer to the fresh token the fail-over draws.
+        let answered = rig.stage(&rig.mem[1], 0, ack(2));
+        let (resp, at) = rig.chan.rpc_mem(0, fetch(), MsgClass::Data);
+        assert!(matches!(resp, MemResponse::Ack { .. }));
+        assert_eq!(at, answered);
+        assert_eq!(rig.chan.retries(), 7, "max_attempts - 1 retries, then exhaustion");
+        assert_eq!(rig.chan.failovers(), 1);
+        assert_eq!(rig.chan.effective_server(0), 1, "the fail-over is sticky");
+        // Each drop resumes at its own send instant plus delay(k): the send
+        // cost is inside the backoff, so the instants are the running sum.
+        let mut at = SimTime::ZERO;
+        let want: Vec<(u32, SimTime)> = (1..8)
+            .map(|k| {
+                at += rig.retry.delay(k);
+                (k, at)
+            })
+            .collect();
+        assert_eq!(rig.retry_stamps(), want);
+        // The eighth copy and the replica's each charged the send cost.
+        assert_eq!(rig.chan.now(), at + SimTime::from_ns(2 * SEND_NS));
+    }
+
+    #[test]
+    fn a_budget_of_one_is_exhausted_by_the_first_loss() {
+        let mut rig = Rig::new(true, false, 1);
+        rig.crash(&rig.mem[0]);
+        rig.stage(&rig.mem[1], 0, ack(2));
+        rig.chan.rpc_mem(0, fetch(), MsgClass::Data);
+        assert_eq!((rig.chan.retries(), rig.chan.failovers()), (0, 1));
+        assert_eq!(rig.retry_stamps(), vec![]);
+    }
+
+    #[test]
+    fn an_unreachable_shadow_copy_is_abandoned_with_no_ack_obligation() {
+        let mut rig = Rig::new(true, false, 8);
+        rig.crash(&rig.mem[1]);
+        rig.chan.send_update(0, MsgClass::Update, update());
+        assert_eq!(rig.chan.retries(), 7);
+        assert_eq!(rig.chan.failovers(), 0, "giving up on a replica is not a fail-over");
+        assert!(rig.chan.failed_servers.contains(&1));
+        assert_eq!(rig.chan.outstanding_acks.len(), 1, "only the primary copy is owed an ack");
+        // The primary's ack alone ends the fence.
+        rig.stage(&rig.mem[0], 0, ack(1));
+        rig.chan.drain_acks();
+        // And the next update is not written through to the dead replica.
+        rig.chan.send_update(0, MsgClass::Update, update());
+        assert_eq!(rig.chan.outstanding_acks.len(), 1);
+    }
+
+    #[test]
+    fn an_unreachable_primary_copy_re_homes_with_its_token() {
+        let mut rig = Rig::new(true, false, 8);
+        rig.crash(&rig.mem[0]);
+        rig.chan.send_update(0, MsgClass::Update, update());
+        assert_eq!((rig.chan.retries(), rig.chan.failovers()), (7, 1));
+        // One obligation, under the token the dead primary was sent, now
+        // owed by the replica; no second (shadow) copy follows it there.
+        assert_eq!(rig.chan.outstanding_acks.len(), 1);
+        assert_eq!(rig.chan.outstanding_acks[&1].server, 1);
+        match rig.mem[1].try_recv().expect("the replica got the copy").msg {
+            Msg::MemReq { token: 1, shadow: false, .. } => {}
+            other => panic!("unexpected copy at the replica: {other:?}"),
+        }
+        assert!(rig.mem[1].try_recv().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "manager unreachable: create-lock request dropped 8 times")]
+    fn a_manager_rpc_with_no_standby_panics_on_exhaustion() {
+        let mut rig = Rig::new(false, false, 8);
+        rig.crash(&rig.mgr);
+        rig.chan.rpc_mgr(MgrRequest::CreateLock, MsgClass::Control);
+    }
+
+    #[test]
+    fn a_manager_rpc_fails_over_to_the_standby_with_the_same_token() {
+        let mut rig = Rig::new(false, true, 8);
+        rig.crash(&rig.mgr);
+        rig.stage(&rig.standby, 0, Msg::MgrResp { token: 1, resp: MgrResponse::SyncId(3) });
+        let resp = rig.chan.rpc_mgr(MgrRequest::CreateLock, MsgClass::Control);
+        assert!(matches!(resp, MgrResponse::SyncId(3)));
+        assert_eq!((rig.chan.retries(), rig.chan.mgr_failovers()), (7, 1));
+        match rig.standby.try_recv().expect("the standby got the request").msg {
+            Msg::MgrReq { token: 1, .. } => {}
+            other => panic!("unexpected request at the standby: {other:?}"),
+        }
+        let events = rig.events();
+        let rehomed = events.iter().filter(|e| matches!(e.kind, EventKind::MgrFailover { .. }));
+        assert_eq!(rehomed.count(), 1);
+    }
+
+    #[test]
+    fn a_lost_reply_resumes_at_the_lost_copys_arrival() {
+        let mut rig = Rig::new(false, false, 8);
+        // The first answer is lost on the wire, the second survives.
+        rig.fabric.set_fault_plan(FaultPlan::lossy(1, 1.0, 0.0, 0.0, SimTime::ZERO));
+        let lost_at = rig.stage(&rig.mem[0], 10_000, ack(1));
+        rig.fabric.set_fault_plan(FaultPlan::none());
+        let answered = rig.stage(&rig.mem[0], 50_000, ack(1));
+        let (_, at) = rig.chan.rpc_mem(0, fetch(), MsgClass::Data);
+        assert_eq!(at, answered);
+        assert_eq!(rig.chan.now(), answered);
+        assert_eq!(rig.chan.retries(), 1);
+        assert_eq!(rig.retry_stamps(), vec![(1, lost_at)], "no backoff on top of the timeout");
+        // The request went out twice under one token: at zero and at the
+        // lost copy's arrival.
+        let sent: Vec<SimTime> =
+            std::iter::from_fn(|| rig.mem[0].try_recv()).map(|env| env.sent_at).collect();
+        assert_eq!(sent, vec![SimTime::ZERO, lost_at]);
+    }
+
+    #[test]
+    fn foreign_tokens_arriving_first_are_absorbed_and_the_awaited_reply_still_returned() {
+        let mut rig = Rig::new(false, false, 8);
+        let line = MemRequest::FetchLine { first: PageId(20), pages: 4 };
+        assert!(rig.chan.try_prefetch(0, 5, line)); // token 1
+        rig.chan.send_update(0, MsgClass::Update, update()); // token 2
+        let pages = vec![PageFrame::new(&[0; 64], 1); 4];
+        let prefetched =
+            Msg::MemResp { token: 1, resp: MemResponse::Line { first: PageId(20), pages } };
+        let landed = rig.stage(&rig.mem[0], 1_000, prefetched);
+        let acked = rig.stage(&rig.mem[0], 2_000, ack(2));
+        let answered = rig.stage(&rig.mem[0], 3_000, ack(3));
+        let (resp, at) = rig.chan.rpc_mem(0, fetch(), MsgClass::Data); // token 3
+        assert!(matches!(resp, MemResponse::Ack { .. }));
+        assert_eq!(at, answered);
+        assert!(rig.chan.prefetch_ready_for(5), "the prefetch landed in prefetch_ready");
+        assert_eq!(rig.chan.take_ready_prefetch(5).expect("ready").0, landed);
+        assert!(rig.chan.outstanding_acks.is_empty(), "the ack cleared its obligation");
+        assert_eq!(rig.chan.ack_horizon, acked);
+        assert_eq!(rig.chan.retries(), 0);
+    }
+}
