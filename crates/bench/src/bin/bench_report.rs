@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use samhita_bench::harness::{report_config, report_kernels};
+use samhita_bench::harness::{report_config, report_kernels, KernelPoint};
 use samhita_bench::{run_summary, BenchReport, HarnessConfig};
 use samhita_rt::SamhitaRt;
 
@@ -69,7 +69,7 @@ fn main() -> ExitCode {
         }
         for &p in &threads {
             let rt = SamhitaRt::new(cfg.clone());
-            let (params, report) = run(&rt, p);
+            let KernelPoint { params, report, .. } = run(&rt, p);
             let trace = rt.take_trace().expect("tracing was enabled");
             if let Err(e) = trace.untruncated() {
                 eprintln!("error: {kernel} P={p}: {e}");

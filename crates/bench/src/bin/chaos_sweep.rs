@@ -32,10 +32,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use samhita_bench::cli::{kernel_arg, threads_arg};
+use samhita_bench::harness::{run_kernel, HarnessConfig};
 use samhita_core::{FaultConfig, SamhitaConfig, TopologyKind};
-use samhita_kernels::{
-    run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
-};
 use samhita_rt::SamhitaRt;
 use samhita_trace::{EventKind, JsonValue, RunTrace, TrackId};
 
@@ -54,11 +53,8 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         let mut val = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
-            "--kernel" => args.kernel = val("--kernel")?,
-            "--threads" => {
-                args.threads =
-                    val("--threads")?.parse().map_err(|e| format!("bad --threads: {e}"))?
-            }
+            "--kernel" => args.kernel = kernel_arg(it.next())?,
+            "--threads" => args.threads = threads_arg(it.next())?,
             "--max-points" => {
                 args.max_points =
                     val("--max-points")?.parse().map_err(|e| format!("bad --max-points: {e}"))?
@@ -75,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
                 );
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument '{other}'")),
+            other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
     }
     if args.max_points == 0 {
@@ -129,46 +125,23 @@ fn fp_f64s(h: &mut u64, vals: &[f64]) {
     }
 }
 
-/// Run the selected kernel once on `cfg` and fingerprint its final memory.
-fn execute(kernel: &str, threads: u32, cfg: SamhitaConfig) -> Result<RunOutcome, String> {
+/// Run the selected kernel's quick-scale point (`harness::report_kernels`,
+/// the problems `bench-report` runs) once on `cfg` and fingerprint its final
+/// memory.
+fn execute(kernel: &str, threads: u32, cfg: SamhitaConfig) -> RunOutcome {
     let rt = SamhitaRt::new(cfg);
+    let point = run_kernel(&HarnessConfig::quick(), kernel, &rt, threads);
     let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    let report = match kernel {
-        "jacobi" => {
-            let n = 62usize.max(threads as usize);
-            let r = run_jacobi(&rt, &JacobiParams { n, iters: 6, threads });
-            fp_f64s(&mut fp, &r.grid);
-            r.report
-        }
-        "micro" => {
-            let p = MicroParams {
-                n_outer: 4,
-                m_inner: 10,
-                s_rows: 2,
-                b_cols: 68,
-                mode: AllocMode::Global,
-                threads,
-            };
-            let r = run_micro(&rt, &p);
-            fp_f64s(&mut fp, &[r.gsum]);
-            r.report
-        }
-        "md" => {
-            let n = 256usize.max(threads as usize);
-            let r = run_md(&rt, &MdParams { n, steps: 3, dt: 1e-3, threads, seed: 42 });
-            fp_f64s(&mut fp, &r.positions);
-            r.report
-        }
-        other => return Err(format!("unknown kernel '{other}' (want jacobi, micro, or md)")),
-    };
-    Ok(RunOutcome {
+    fp_f64s(&mut fp, &point.memory);
+    let report = point.report;
+    RunOutcome {
         mem_fp: fp,
         mgr_failovers: report.mgr_failovers(),
         takeover_ns: report.takeover_ns,
         lease_reclaims: report.lease_reclaims,
         log_records_shipped: report.log_records_shipped,
         trace: rt.take_trace().expect("tracing was enabled"),
-    })
+    }
 }
 
 /// Candidate crash instants from a fault-free trace: every distinct
@@ -217,7 +190,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\nusage: chaos-sweep [--kernel K] [--threads P] [--max-points N]");
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -226,13 +199,7 @@ fn main() -> ExitCode {
     // Fault-free reference: the memory fingerprint every crashed-and-
     // recovered execution must reproduce, and the serve times to crash at.
     let reference =
-        match execute(&args.kernel, args.threads, cluster(args.threads, FaultConfig::default())) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        execute(&args.kernel, args.threads, cluster(args.threads, FaultConfig::default()));
     if let Err(v) = reference.trace.check_invariants() {
         eprintln!("error: fault-free reference run violates invariants: {v:?}");
         return ExitCode::FAILURE;
@@ -271,13 +238,7 @@ fn main() -> ExitCode {
             eprintln!("# running crash point {i}: {at}ns");
         }
         let faults = FaultConfig { mgr_crash: Some(at), ..FaultConfig::default() };
-        let outcome = match execute(&args.kernel, args.threads, cluster(args.threads, faults)) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let outcome = execute(&args.kernel, args.threads, cluster(args.threads, faults));
         let mut detail = String::from("recovered bit-identically");
         let mut ok = true;
         if outcome.mem_fp != reference.mem_fp {

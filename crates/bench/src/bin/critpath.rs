@@ -2,12 +2,13 @@
 //!
 //! ```text
 //! critpath                                # jacobi, 8 threads
-//! critpath --kernel md --threads 64
+//! critpath --kernel md --threads 1024    # any kernel, any thread count
 //! critpath --kernel micro --threads 8 --top 20
 //! critpath --out critpath.json            # machine-readable report
 //! ```
 //!
-//! Runs one kernel with event tracing enabled, extracts the critical path
+//! Runs one `bench-report` point (`harness::traced_point`: the quick-scale
+//! problem, grown with the thread count), extracts the critical path
 //! (the chain of causally-dependent intervals whose lengths sum to the
 //! makespan — see `samhita_trace::critical_path`), and prints:
 //!
@@ -21,11 +22,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use samhita_bench::cli::{check_threads, run_fixed_kernel};
-use samhita_bench::harness::{report_config, HarnessConfig};
+use samhita_bench::cli::{kernel_arg, threads_arg};
+use samhita_bench::harness::traced_point;
 use samhita_bench::thread_windows;
-use samhita_core::SamhitaConfig;
-use samhita_rt::SamhitaRt;
 use samhita_trace::{critical_path, validate_json, PathClass};
 
 struct Args {
@@ -40,17 +39,8 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--kernel" => {
-                let v = it.next().ok_or("--kernel needs 'micro', 'jacobi' or 'md'")?;
-                if !matches!(v.as_str(), "micro" | "jacobi" | "md") {
-                    return Err(format!("unknown kernel '{v}' (micro | jacobi | md)"));
-                }
-                args.kernel = v;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a number")?;
-                args.threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
-            }
+            "--kernel" => args.kernel = kernel_arg(it.next())?,
+            "--threads" => args.threads = threads_arg(it.next())?,
             "--top" => {
                 let v = it.next().ok_or("--top needs a number")?;
                 args.top = v.parse().map_err(|_| format!("bad top count '{v}'"))?;
@@ -69,14 +59,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
     }
-    check_threads(&args.kernel, args.threads)?;
     Ok(args)
-}
-
-/// `bench-report`'s configuration at the paper's scale: tracing on, arenas
-/// provisioned for the requested thread count.
-fn config(args: &Args) -> SamhitaConfig {
-    report_config(&HarnessConfig::paper(), args.threads)
 }
 
 fn main() -> ExitCode {
@@ -88,12 +71,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let cfg = config(&args);
-    let costs = cfg.service_costs();
-    let rt = SamhitaRt::new(cfg);
     println!("# critical path of {} kernel, {} threads", args.kernel, args.threads);
-    let report = run_fixed_kernel(&rt, &args.kernel, args.threads);
-    let trace = rt.take_trace().expect("tracing was enabled");
+    let (cfg, point, trace) = traced_point(&args.kernel, args.threads);
+    let (costs, report) = (cfg.service_costs(), point.report);
     if let Err(e) = trace.untruncated() {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
@@ -137,22 +117,4 @@ fn main() -> ExitCode {
         println!("\n# wrote {} ({} bytes)", path.display(), json.len());
     }
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(argv: &[&str]) -> Result<Args, String> {
-        parse_args(argv.iter().map(|a| a.to_string()))
-    }
-
-    #[test]
-    fn large_valid_thread_counts_get_their_arenas() {
-        let default = SamhitaConfig::default().max_threads;
-        let args = parse(&["--kernel", "micro", "--threads", "256"]).unwrap();
-        assert_eq!(config(&args).max_threads, 256);
-        let args = parse(&["--kernel", "md", "--threads", "8"]).unwrap();
-        assert_eq!(config(&args).max_threads, default, "small runs keep the fingerprinted default");
-    }
 }

@@ -2,12 +2,13 @@
 //!
 //! ```text
 //! trace-dump                              # false-sharing micro, 4 threads
-//! trace-dump --kernel jacobi --threads 8
+//! trace-dump --kernel jacobi --threads 8   # micro | jacobi | md, any count
 //! trace-dump --out trace.json             # Chrome trace-event JSON (Perfetto)
 //! trace-dump --jsonl trace.jsonl          # newline-delimited event records
 //! ```
 //!
-//! Runs one kernel with event tracing enabled, then:
+//! Runs one `bench-report` point (`harness::traced_point`: the quick-scale
+//! problem, grown with the thread count), then:
 //!
 //! 1. runs the trace-driven RegC invariant checker (exit 1 on violations),
 //! 2. writes the trace as causal Chrome trace-event JSON — open it at
@@ -21,10 +22,9 @@ use std::io::BufWriter;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use samhita_bench::cli::{check_threads, run_fixed_kernel};
-use samhita_bench::harness::{report_config, HarnessConfig};
+use samhita_bench::cli::{kernel_arg, threads_arg};
+use samhita_bench::harness::traced_point;
 use samhita_bench::{run_summary, thread_windows};
-use samhita_rt::SamhitaRt;
 use samhita_trace::{critical_path, validate_json};
 
 struct Args {
@@ -46,17 +46,8 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--kernel" => {
-                let v = it.next().ok_or("--kernel needs 'micro' or 'jacobi'")?;
-                if v != "micro" && v != "jacobi" {
-                    return Err(format!("unknown kernel '{v}' (micro | jacobi)"));
-                }
-                args.kernel = v;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a number")?;
-                args.threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
-            }
+            "--kernel" => args.kernel = kernel_arg(it.next())?,
+            "--threads" => args.threads = threads_arg(it.next())?,
             "--out" => {
                 let v = it.next().ok_or("--out needs a path")?;
                 args.out = PathBuf::from(v);
@@ -68,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
             "--critical-path" => args.critpath = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: trace-dump [--kernel micro|jacobi] [--threads N] \
+                    "usage: trace-dump [--kernel micro|jacobi|md] [--threads N] \
                      [--out trace.json] [--jsonl trace.jsonl] [--critical-path]"
                 );
                 std::process::exit(0);
@@ -76,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
     }
-    check_threads(&args.kernel, args.threads)?;
     Ok(args)
 }
 
@@ -89,14 +79,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // `bench-report`'s configuration at the paper's scale: tracing on,
-    // arenas provisioned for the requested thread count.
-    let cfg = report_config(&HarnessConfig::paper(), args.threads);
-    let costs = cfg.service_costs();
-    let rt = SamhitaRt::new(cfg);
     println!("# tracing {} kernel, {} threads", args.kernel, args.threads);
-    let report = run_fixed_kernel(&rt, &args.kernel, args.threads);
-    let trace = rt.take_trace().expect("tracing was enabled");
+    let (cfg, point, trace) = traced_point(&args.kernel, args.threads);
+    let (costs, report) = (cfg.service_costs(), point.report);
     println!("# {} events on {} tracks", trace.len(), trace.tracks.len());
 
     // Invariant checker first: a trace that fails RegC's rules is still

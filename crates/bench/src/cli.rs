@@ -1,7 +1,9 @@
-//! Shared command-line plumbing for the examples and the trace tools.
+//! Shared command-line plumbing for the examples and the harness tools.
 //!
-//! `trace-dump` and `critpath` run the same fixed problems and so reject
-//! the same thread counts: [`check_threads`] and [`run_fixed_kernel`].
+//! `trace-dump`, `critpath` and `chaos-sweep` take the same `--kernel` and
+//! `--threads` values — a kernel of `harness::KERNELS` at any thread count
+//! of at least 1 — and refuse anything else while parsing: [`kernel_arg`]
+//! and [`threads_arg`].
 //!
 //! Every example accepts the same observability flags; parsing them in one
 //! place keeps the six binaries consistent:
@@ -23,49 +25,29 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use samhita_core::{FaultConfig, RunReport, SamhitaConfig};
-use samhita_kernels::{
-    run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
-};
-use samhita_rt::SamhitaRt;
 use samhita_trace::RunTrace;
 
+use crate::harness::KERNELS;
 use crate::report::{thread_windows, BenchReport};
 
-/// The trace tools' jacobi grid: one interior row per thread at the least.
-const JACOBI_N: usize = 126;
-/// Their MD particle count: one particle per thread at the least.
-const MD_N: usize = 256;
-
-/// Whether `threads` compute threads can run the trace tools' `kernel`
-/// (`micro`, `jacobi` or `md`). The kernels assert this themselves; checked
-/// while parsing, a bad count is a usage error, not a panic half-way into
-/// bring-up.
-pub fn check_threads(kernel: &str, threads: u32) -> Result<(), String> {
-    let (most, unit) = match kernel {
-        "jacobi" => (JACOBI_N, "interior rows"),
-        "md" => (MD_N, "particles"),
-        _ => (usize::MAX, ""),
-    };
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
+/// The value of `--kernel`: one of [`KERNELS`].
+pub fn kernel_arg(value: Option<String>) -> Result<String, String> {
+    let want = KERNELS.join(" | ");
+    let v = value.ok_or_else(|| format!("--kernel needs a kernel ({want})"))?;
+    if !KERNELS.contains(&v.as_str()) {
+        return Err(format!("unknown kernel '{v}' ({want})"));
     }
-    if threads as usize > most {
-        return Err(format!(
-            "--threads {threads} is more than the {kernel} kernel's {most} {unit}"
-        ));
-    }
-    Ok(())
+    Ok(v)
 }
 
-/// Run the trace tools' fixed problem for `kernel` on `threads` threads
-/// that passed [`check_threads`]: the Fig. 2 micro-benchmark (M = 10,
-/// S = 2, one shared allocation), six jacobi sweeps or three MD steps.
-pub fn run_fixed_kernel(rt: &SamhitaRt, kernel: &str, threads: u32) -> RunReport {
-    match kernel {
-        "micro" => run_micro(rt, &MicroParams::paper(10, 2, AllocMode::Global, threads)).report,
-        "md" => run_md(rt, &MdParams { steps: 3, ..MdParams::paper(MD_N, threads) }).report,
-        "jacobi" => run_jacobi(rt, &JacobiParams { n: JACOBI_N, iters: 6, threads }).report,
-        other => panic!("no fixed problem for kernel '{other}'"),
+/// The value of `--threads`: any count of at least 1 is a point of every
+/// kernel (`harness::report_kernels` grows the problem with it).
+pub fn threads_arg(value: Option<String>) -> Result<u32, String> {
+    let v = value.ok_or("--threads needs a number")?;
+    match v.parse() {
+        Ok(0) => Err("--threads must be at least 1".into()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad thread count '{v}'")),
     }
 }
 
@@ -224,13 +206,19 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_beyond_a_fixed_problem_are_rejected() {
-        for (kernel, threads) in [("jacobi", 127), ("jacobi", 256), ("md", 257), ("micro", 0)] {
-            let err = check_threads(kernel, threads).expect_err("must be rejected");
-            assert!(err.starts_with("--threads "), "{kernel} {threads}: {err}");
+    fn any_kernel_of_the_table_runs_at_any_thread_count_of_at_least_one() {
+        let arg = |v: &str| Some(v.to_string());
+        for kernel in KERNELS {
+            assert_eq!(kernel_arg(arg(kernel)).as_deref(), Ok(kernel));
         }
-        for (kernel, threads) in [("jacobi", 126), ("md", 256), ("micro", 1024), ("md", 1)] {
-            assert_eq!(check_threads(kernel, threads), Ok(()), "{kernel} {threads}");
+        for (threads, n) in [("1", 1), ("127", 127), ("257", 257), ("1024", 1024)] {
+            assert_eq!(threads_arg(arg(threads)), Ok(n));
+        }
+        for bad in [kernel_arg(arg("bogus")), kernel_arg(arg("")), kernel_arg(None)] {
+            assert!(bad.is_err_and(|e| e.contains("micro | jacobi | md")));
+        }
+        for bad in [arg("0"), arg("eight"), arg("-1"), None] {
+            assert!(threads_arg(bad).is_err_and(|e| e.contains("thread")));
         }
     }
 

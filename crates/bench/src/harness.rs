@@ -5,6 +5,7 @@ use samhita_kernels::{
     run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
 };
 use samhita_rt::SamhitaRt;
+use samhita_trace::RunTrace;
 
 /// One-run diagnostic block: the compute/sync split as a ratio, the
 /// per-thread skew, and the three stall-latency histograms. Printed by the
@@ -308,14 +309,30 @@ pub fn report_config(q: &HarnessConfig, max_threads: u32) -> SamhitaConfig {
     }
 }
 
+/// The kernels of [`report_kernels`], by name: the one list `bench-report`,
+/// `critpath`, `trace-dump` and `chaos-sweep` accept as `--kernel`.
+pub const KERNELS: [&str; 3] = ["micro", "jacobi", "md"];
+
+/// What one [`report_kernels`] point produced.
+pub struct KernelPoint {
+    /// The kernel's parameters, as fingerprinted into a report.
+    pub params: String,
+    /// The run's report.
+    pub report: RunReport,
+    /// The kernel's final shared memory: the jacobi grid, the micro global
+    /// sum, the md positions (what `chaos-sweep` fingerprints).
+    pub memory: Vec<f64>,
+}
+
 /// The kernels `bench-report` measures, each parameterized by thread count at
-/// the quick scale; a point returns its fingerprinted params string and its
-/// report. Jacobi and MD require at least one row / particle per thread, so
-/// their problem sizes grow with P when P exceeds the quick scale.
+/// the quick scale — the one `(kernel, P)` problem table of the harness tools.
+/// Jacobi and MD require at least one row / particle per thread, so their
+/// problem sizes grow with P when P exceeds the quick scale; any `P >= 1` is
+/// a valid point of every kernel.
 #[allow(clippy::type_complexity)]
 pub fn report_kernels(
     q: &HarnessConfig,
-) -> Vec<(&'static str, Box<dyn Fn(&SamhitaRt, u32) -> (String, RunReport) + '_>)> {
+) -> Vec<(&'static str, Box<dyn Fn(&SamhitaRt, u32) -> KernelPoint + '_>)> {
     vec![
         (
             "micro",
@@ -328,7 +345,8 @@ pub fn report_kernels(
                     mode: AllocMode::Global,
                     threads,
                 };
-                (format!("{p:?}"), run_micro(rt, &p).report)
+                let r = run_micro(rt, &p);
+                KernelPoint { params: format!("{p:?}"), report: r.report, memory: vec![r.gsum] }
             }),
         ),
         (
@@ -336,7 +354,8 @@ pub fn report_kernels(
             Box::new(|rt, threads| {
                 let n = q.jacobi_n.max(threads as usize);
                 let p = JacobiParams { n, iters: q.jacobi_iters, threads };
-                (format!("{p:?}"), run_jacobi(rt, &p).report)
+                let r = run_jacobi(rt, &p);
+                KernelPoint { params: format!("{p:?}"), report: r.report, memory: r.grid }
             }),
         ),
         (
@@ -344,10 +363,35 @@ pub fn report_kernels(
             Box::new(|rt, threads| {
                 let n = q.md_n.max(threads as usize);
                 let p = MdParams { n, steps: q.md_steps, dt: 1e-3, threads, seed: 42 };
-                (format!("{p:?}"), run_md(rt, &p).report)
+                let r = run_md(rt, &p);
+                KernelPoint { params: format!("{p:?}"), report: r.report, memory: r.positions }
             }),
         ),
     ]
+}
+
+/// Run `kernel`'s point at `threads` on `rt`.
+///
+/// # Panics
+/// Panics unless `kernel` is one of [`KERNELS`] (the tools check while
+/// parsing: `cli::kernel_arg`).
+pub fn run_kernel(q: &HarnessConfig, kernel: &str, rt: &SamhitaRt, threads: u32) -> KernelPoint {
+    let kernels = report_kernels(q);
+    let (_, run) = kernels.iter().find(|(name, _)| *name == kernel).expect("a kernel of KERNELS");
+    run(rt, threads)
+}
+
+/// What `critpath` and `trace-dump` look at: `kernel`'s point at `threads`
+/// run exactly as `bench-report` runs it — the quick scale under
+/// [`report_config`] — so `--kernel jacobi --threads 64` is the very run
+/// whose `BENCH_jacobi_p64.json` is committed. Returns the configuration,
+/// the point and its trace.
+pub fn traced_point(kernel: &str, threads: u32) -> (SamhitaConfig, KernelPoint, RunTrace) {
+    let q = HarnessConfig::quick();
+    let cfg = report_config(&q, threads);
+    let rt = SamhitaRt::new(cfg.clone());
+    let point = run_kernel(&q, kernel, &rt, threads);
+    (cfg, point, rt.take_trace().expect("tracing was enabled"))
 }
 
 #[cfg(test)]
@@ -388,6 +432,20 @@ mod tests {
         let f = sample();
         assert_eq!(f.series("a").unwrap().points.len(), 2);
         assert!(f.series("zz").is_none());
+    }
+
+    #[test]
+    fn the_kernel_list_names_the_problem_table() {
+        let q = HarnessConfig::quick();
+        let names: Vec<&str> = report_kernels(&q).iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, KERNELS);
+    }
+
+    #[test]
+    fn large_thread_counts_get_their_arenas_and_small_ones_keep_the_fingerprint() {
+        let q = HarnessConfig::quick();
+        assert_eq!(report_config(&q, 256).max_threads, 256);
+        assert_eq!(report_config(&q, 8).max_threads, q.base.max_threads);
     }
 
     #[test]

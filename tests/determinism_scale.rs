@@ -15,7 +15,7 @@
 mod common;
 
 use common::{generate, interpret, run_on_dsm};
-use samhita_bench::harness::{report_config, report_kernels};
+use samhita_bench::harness::{report_config, run_kernel};
 use samhita_bench::HarnessConfig;
 use samhita_repro::core::{RunReport, Samhita, SamhitaConfig};
 use samhita_repro::rt::SamhitaRt;
@@ -78,9 +78,7 @@ fn scheduler_seed_changes_tie_breaks_not_results() {
 fn report_point(kernel: &str, threads: u32) -> RunReport {
     let q = HarnessConfig::quick();
     let rt = SamhitaRt::new(report_config(&q, threads));
-    let kernels = report_kernels(&q);
-    let (_, run) = kernels.iter().find(|(name, _)| *name == kernel).expect("a report kernel");
-    run(&rt, threads).1
+    run_kernel(&q, kernel, &rt, threads).report
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! allocation sites, machine-readable bench reports, and the bench-diff
 //! regression gate against the committed baselines.
 
-use samhita_bench::harness::{report_config, report_kernels};
+use samhita_bench::harness::{report_config, report_kernels, KernelPoint};
 use samhita_bench::{compare, BenchReport, HarnessConfig};
 use samhita_repro::core::{Region, SamhitaConfig};
 use samhita_repro::kernels::{run_micro, AllocMode, MicroParams};
@@ -108,7 +108,7 @@ fn committed_baselines_match_fresh_runs_and_gate_synthetic_regressions() {
             assert_eq!(base.num("threads"), Some(f64::from(p)), "{path} carries its thread count");
 
             let rt = SamhitaRt::new(cfg.clone());
-            let (params, report) = run(&rt, p);
+            let KernelPoint { params, report, .. } = run(&rt, p);
             let trace = rt.take_trace().expect("tracing enabled");
             let fresh = BenchReport::from_run(kernel, &params, &cfg, p, &report, Some(&trace));
             assert_eq!(fresh.to_json(), text, "{path} is stale: regenerate it");
