@@ -72,8 +72,7 @@ fn main() -> ExitCode {
     };
 
     println!("# critical path of {} kernel, {} threads", args.kernel, args.threads);
-    let (cfg, point, trace) = traced_point(&args.kernel, args.threads);
-    let (costs, report) = (cfg.service_costs(), point.report);
+    let (costs, report, trace) = traced_point(&args.kernel, args.threads);
     if let Err(e) = trace.untruncated() {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;

@@ -80,8 +80,7 @@ fn main() -> ExitCode {
     };
 
     println!("# tracing {} kernel, {} threads", args.kernel, args.threads);
-    let (cfg, point, trace) = traced_point(&args.kernel, args.threads);
-    let (costs, report) = (cfg.service_costs(), point.report);
+    let (costs, report, trace) = traced_point(&args.kernel, args.threads);
     println!("# {} events on {} tracks", trace.len(), trace.tracks.len());
 
     // Invariant checker first: a trace that fails RegC's rules is still

@@ -5,7 +5,7 @@ use samhita_kernels::{
     run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
 };
 use samhita_rt::SamhitaRt;
-use samhita_trace::RunTrace;
+use samhita_trace::{RunTrace, ServiceCosts};
 
 /// One-run diagnostic block: the compute/sync split as a ratio, the
 /// per-thread skew, and the three stall-latency histograms. Printed by the
@@ -384,14 +384,15 @@ pub fn run_kernel(q: &HarnessConfig, kernel: &str, rt: &SamhitaRt, threads: u32)
 /// What `critpath` and `trace-dump` look at: `kernel`'s point at `threads`
 /// run exactly as `bench-report` runs it — the quick scale under
 /// [`report_config`] — so `--kernel jacobi --threads 64` is the very run
-/// whose `BENCH_jacobi_p64.json` is committed. Returns the configuration,
-/// the point and its trace.
-pub fn traced_point(kernel: &str, threads: u32) -> (SamhitaConfig, KernelPoint, RunTrace) {
+/// whose `BENCH_jacobi_p64.json` is committed. Returns the configuration's
+/// service costs, the run's report and its trace.
+pub fn traced_point(kernel: &str, threads: u32) -> (ServiceCosts, RunReport, RunTrace) {
     let q = HarnessConfig::quick();
     let cfg = report_config(&q, threads);
-    let rt = SamhitaRt::new(cfg.clone());
-    let point = run_kernel(&q, kernel, &rt, threads);
-    (cfg, point, rt.take_trace().expect("tracing was enabled"))
+    let costs = cfg.service_costs();
+    let rt = SamhitaRt::new(cfg);
+    let report = run_kernel(&q, kernel, &rt, threads).report;
+    (costs, report, rt.take_trace().expect("tracing was enabled"))
 }
 
 #[cfg(test)]

@@ -525,7 +525,7 @@ impl Channel {
             // One budget per server for drops and lost replies.
             let mut budget = 0u32;
             while self.transmit(self.mem_eps[server as usize], wire, class, op, &mut budget, &msg) {
-                let env = self.await_reply(token, None).expect("no deadline");
+                let env = self.await_reply(token, None).expect("no deadline, so a reply");
                 if !env.lost {
                     match env.msg {
                         Msg::MemResp { resp, .. } => return (resp, env.deliver_at),
@@ -728,7 +728,7 @@ impl Channel {
     /// response was lost on the wire — the lost copy's arrival plays the
     /// retransmission timeout, and the caller demand-fetches instead.
     pub(crate) fn await_prefetch(&mut self, token: u64) -> Option<Vec<PageFrame>> {
-        let env = self.await_reply(token, None).expect("no deadline");
+        let env = self.await_reply(token, None).expect("no deadline, so a reply");
         if env.lost {
             return None;
         }
