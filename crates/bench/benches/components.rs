@@ -9,7 +9,6 @@ use rand::{Rng, SeedableRng};
 
 use samhita_core::cache::SoftCache;
 use samhita_core::freelist::FreeListAlloc;
-use samhita_core::localsync::LocalSync;
 use samhita_core::manager::ManagerEngine;
 use samhita_core::msg::MgrRequest;
 use samhita_core::{EvictionPolicy, SamhitaConfig};
@@ -253,22 +252,6 @@ fn bench_manager(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_localsync(c: &mut Criterion) {
-    let mut g = c.benchmark_group("localsync");
-    g.bench_function("uncontended_lock_cycle", |b| {
-        let s = LocalSync::new(150);
-        let l = s.create_lock();
-        let mut now = SimTime::ZERO;
-        b.iter(|| {
-            now += SimTime::from_ns(10);
-            let (at, _, _) = s.acquire(l, 0, now, Vec::new(), Vec::new(), 0);
-            s.release(l, 0, at, Vec::new(), Vec::new());
-            std::hint::black_box(at)
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_diff,
@@ -277,7 +260,6 @@ criterion_group!(
     bench_freelist,
     bench_fabric,
     bench_manager,
-    bench_localsync,
     bench_end_to_end
 );
 criterion_main!(benches);

@@ -96,8 +96,9 @@ pub struct CostParams {
     pub mgr_service_ns: u64,
     /// Extra cost charged when a barrier releases (manager fan-out).
     pub barrier_release_ns: u64,
-    /// Cost of a lock/barrier operation under the single-node
-    /// manager-bypass path (§V): a local atomic handoff.
+    /// Under [`SamhitaConfig::manager_bypass`] (§V), what the manager
+    /// charges in place of `mgr_service_ns` per request and of
+    /// `barrier_release_ns` per barrier release: a local atomic handoff.
     pub local_sync_ns: u64,
     /// Sender-side CPU cost per asynchronous message posted (descriptor
     /// build + doorbell); synchronous RPCs pay it implicitly by waiting.
@@ -308,8 +309,9 @@ pub struct SamhitaConfig {
     pub topology: TopologyKind,
     /// The interconnect between its nodes.
     pub fabric: FabricProfile,
-    /// §V optimization: on a single node, synchronize through a local
-    /// handoff instead of manager RPCs (consistency flushes still happen).
+    /// §V optimization: on a single node the manager is a local handoff
+    /// away. Requests still go to it over the intra-node fabric; it serves
+    /// each in [`CostParams::local_sync_ns`] instead of `mgr_service_ns`.
     pub manager_bypass: bool,
     /// Compute-side cost constants.
     pub costs: CostParams,
@@ -410,13 +412,24 @@ impl SamhitaConfig {
         }
     }
 
+    /// What the manager charges `(per request, per barrier release)`: under
+    /// the §V bypass it is a local handoff away, and both are
+    /// [`CostParams::local_sync_ns`].
+    pub(crate) fn mgr_costs(&self) -> (u64, u64) {
+        if self.manager_bypass {
+            (self.costs.local_sync_ns, self.costs.local_sync_ns)
+        } else {
+            (self.costs.mgr_service_ns, self.costs.barrier_release_ns)
+        }
+    }
+
     /// The deterministic service-cost parameters, packaged for the trace
     /// crate's [`samhita_trace::MetricsTimeline`] so busy-time
     /// reconstruction from serve events can never drift from the
     /// simulation's own cost model.
     pub fn service_costs(&self) -> samhita_trace::ServiceCosts {
         samhita_trace::ServiceCosts {
-            mgr_service_ns: self.costs.mgr_service_ns,
+            mgr_service_ns: self.mgr_costs().0,
             fetch_base_ns: self.service.base_ns,
             apply_base_ns: self.service.apply_base_ns,
             per_kib_ns: self.service.per_kib_ns,
@@ -633,6 +646,8 @@ mod tests {
         let c = SamhitaConfig::default();
         let sc = c.service_costs();
         assert_eq!(sc.mgr_service_ns, c.costs.mgr_service_ns);
+        let bypass = SamhitaConfig { manager_bypass: true, ..c.clone() };
+        assert_eq!(bypass.service_costs().mgr_service_ns, c.costs.local_sync_ns);
         assert_eq!(sc.page_size, c.page_size as u64);
         for bytes in [0usize, 100, 1024, 4096, 16384] {
             let apply = EventKind::ApplyDiff { page: 0, bytes: bytes as u64 };

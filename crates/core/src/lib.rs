@@ -53,7 +53,6 @@ pub mod cache;
 pub mod config;
 pub mod freelist;
 pub mod layout;
-pub mod localsync;
 pub mod manager;
 pub mod msg;
 pub mod proto;
@@ -66,7 +65,6 @@ pub use config::{
     PartitionSpec, RetryConfig, SamhitaConfig, TopologyKind,
 };
 pub use layout::{AddressLayout, Placement, Region};
-pub use localsync::LocalSyncStats;
 pub use msg::MgrError;
 pub use stats::{HostNanos, RunReport, ThreadStats, TimeBreakdown};
 pub use system::{Samhita, SystemStats};

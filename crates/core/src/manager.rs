@@ -172,9 +172,10 @@ impl ManagerEngine {
     /// Build the engine for a configuration.
     pub fn new(cfg: &SamhitaConfig) -> Self {
         let layout = AddressLayout::new(cfg);
+        let (mgr_service, barrier_release) = cfg.mgr_costs();
         ManagerEngine {
-            mgr_service: SimTime::from_ns(cfg.costs.mgr_service_ns),
-            barrier_release: SimTime::from_ns(cfg.costs.barrier_release_ns),
+            mgr_service: SimTime::from_ns(mgr_service),
+            barrier_release: SimTime::from_ns(barrier_release),
             shared: FreeListAlloc::new(layout.shared_base, layout.shared_end),
             striped: FreeListAlloc::new(
                 layout.striped_base,

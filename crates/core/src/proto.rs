@@ -764,7 +764,8 @@ impl Channel {
 /// its own token stream and virtual clock.
 ///
 /// Reliability does not survive a *structural* manager crash: a dead
-/// primary's replies come back marked lost (see `manager_loop`), and the
+/// primary's replies come back marked lost (`MgrReplica::respond` stops
+/// exempting the host once the reply instant is past `died_at`), and the
 /// host — which, like [`host_read_server`](crate::Samhita), knows the fault
 /// plan out-of-band — re-sends the same token to the hot standby and stays
 /// there. Without a standby a manager crash is rejected at config

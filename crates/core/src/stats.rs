@@ -235,12 +235,6 @@ pub struct RunReport {
     pub server_queue_depth_sum: Vec<u64>,
     /// Picks the deterministic scheduler made during this run.
     pub sched_grants: u64,
-    /// Bypass-mode (local-sync) lock grants that waited behind the previous
-    /// holder this run (0 when the manager arbitrates locks).
-    pub local_contended_acquires: u64,
-    /// Total virtual time bypass-mode lock grants spent waiting behind the
-    /// previous holder — the local-sync analogue of manager queue wait.
-    pub local_handoff_wait_ns: u64,
     /// Log records the primary manager shipped to the hot standby this run,
     /// counting repair re-ships of the unacked suffix (0 with no standby).
     pub log_records_shipped: u64,

@@ -28,7 +28,6 @@ use samhita_trace::{EventKind, RunTrace, SharedTrack, Tracer, TrackId};
 
 use crate::config::SamhitaConfig;
 use crate::layout::{AddressLayout, Placement};
-use crate::localsync::LocalSync;
 use crate::manager::{ManagerEngine, ManagerStats};
 use crate::msg::{MgrLogOp, MgrLogRecord, MgrRequest, MgrResponse, Msg};
 use crate::proto::HostChannel;
@@ -62,7 +61,6 @@ pub struct Samhita {
     /// The hot-standby manager's endpoint, when `cfg.manager_standby` is on.
     standby_ep: Option<EndpointId>,
     mem_eps: Vec<EndpointId>,
-    local_sync: Option<Arc<LocalSync>>,
     ctl: Mutex<HostChannel>,
     // The service state machines. The scheduler steps them (see `install`);
     // the host reads their counters directly, which is race-free and
@@ -248,9 +246,6 @@ impl Samhita {
         );
         assert!(matches!(resp, MgrResponse::Registered { .. }), "host registration failed");
 
-        let local_sync =
-            cfg.manager_bypass.then(|| Arc::new(LocalSync::new(cfg.costs.local_sync_ns)));
-
         Samhita {
             cfg,
             layout,
@@ -260,7 +255,6 @@ impl Samhita {
             mgr_ep,
             standby_ep,
             mem_eps,
-            local_sync,
             ctl: Mutex::new(ctl),
             mgr,
             standby,
@@ -289,22 +283,12 @@ impl Samhita {
 
     /// Create a mutual-exclusion variable usable from any thread.
     pub fn create_mutex(&self) -> u32 {
-        let id = self.ctl_sync_id(MgrRequest::CreateLock);
-        if let Some(ls) = &self.local_sync {
-            let lid = ls.create_lock();
-            assert_eq!(lid, id, "manager and local-sync lock id spaces diverged");
-        }
-        id
+        self.ctl_sync_id(MgrRequest::CreateLock)
     }
 
     /// Create a barrier over `parties` threads.
     pub fn create_barrier(&self, parties: u32) -> u32 {
-        let id = self.ctl_sync_id(MgrRequest::CreateBarrier { parties });
-        if let Some(ls) = &self.local_sync {
-            let bid = ls.create_barrier(parties);
-            assert_eq!(bid, id, "manager and local-sync barrier id spaces diverged");
-        }
-        id
+        self.ctl_sync_id(MgrRequest::CreateBarrier { parties })
     }
 
     /// Create a condition variable.
@@ -477,7 +461,6 @@ impl Samhita {
             .collect();
         let standby_before = self.standby.as_ref().map(|s| s.lock().counters());
         let sched_grants_before = self.sched.grants();
-        let local_before = self.local_sync.as_ref().map(|ls| ls.stats()).unwrap_or_default();
         let endpoints: Vec<Endpoint<Msg>> = (0..nthreads)
             .map(|t| self.fabric.add_endpoint(self.placement.compute_node(t)))
             .collect();
@@ -511,7 +494,6 @@ impl Samhita {
                         self.mgr_ep,
                         self.standby_ep,
                         self.mem_eps.clone(),
-                        self.local_sync.clone(),
                     );
                     if let Some(tr) = &self.tracer {
                         ctx.attach_trace(tr.buf(TrackId::Thread(t)));
@@ -545,12 +527,6 @@ impl Samhita {
             report.server_peak_queue_depth.push(st.peak_queue_depth);
         }
         report.sched_grants = self.sched.grants() - sched_grants_before;
-        if let Some(ls) = &self.local_sync {
-            let st = ls.stats();
-            report.local_contended_acquires =
-                st.contended_acquires - local_before.contended_acquires;
-            report.local_handoff_wait_ns = st.handoff_wait_ns - local_before.handoff_wait_ns;
-        }
         if let (Some(sb), Some(before)) = (&self.standby, standby_before) {
             let sb = sb.lock();
             let now = sb.counters();

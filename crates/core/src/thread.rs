@@ -40,7 +40,6 @@ use crate::cache::{PageRef, SoftCache};
 use crate::config::{ConsistencyVariant, SamhitaConfig};
 use crate::freelist::FreeListAlloc;
 use crate::layout::{AddressLayout, Region};
-use crate::localsync::LocalSync;
 use crate::msg::{MgrRequest, MgrResponse, Msg};
 use crate::proto::Channel;
 use crate::stats::ThreadStats;
@@ -91,7 +90,6 @@ pub struct ThreadCtx {
 
     /// The thread's typed transport: clock, tokens, retries, failover.
     chan: Channel,
-    local_sync: Option<Arc<LocalSync>>,
 
     sync_time: SimTime,
     /// Timing epoch (see [`ThreadCtx::start_timing`]).
@@ -116,7 +114,6 @@ pub struct ThreadCtx {
 impl ThreadCtx {
     /// Build and register a thread context. Called by the system; not part
     /// of the public API.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         tid: u32,
         nthreads: u32,
@@ -125,7 +122,6 @@ impl ThreadCtx {
         mgr_ep: EndpointId,
         standby_ep: Option<EndpointId>,
         mem_eps: Vec<EndpointId>,
-        local_sync: Option<Arc<LocalSync>>,
     ) -> Self {
         let layout = AddressLayout::new(&cfg);
         let (arena_lo, arena_hi) = layout.arena_range(tid);
@@ -168,7 +164,6 @@ impl ThreadCtx {
             layout,
             home_map,
             chan,
-            local_sync,
             sync_time: SimTime::ZERO,
             epoch_clock: SimTime::ZERO,
             epoch_sync: SimTime::ZERO,
@@ -460,20 +455,13 @@ impl ThreadCtx {
         let (pages, updates) = self.flush_all();
         let req_at = self.chan.now();
         self.trace(|| EventKind::LockRequest { lock });
-        let (notices, wm) = if let Some(ls) = self.local_sync.clone() {
-            let (at, notices, wm) =
-                ls.acquire(lock, self.tid, self.chan.now(), pages, updates, self.last_seen);
-            self.chan.advance_to(at);
-            (notices, wm)
-        } else {
-            match self.chan.rpc_mgr(
-                MgrRequest::Acquire { lock, pages, updates, last_seen: self.last_seen },
-                MsgClass::Sync,
-            ) {
-                MgrResponse::Granted { notices, watermark } => (notices, watermark),
-                MgrResponse::Err(e) => panic!("lock acquire failed: {e}"),
-                other => panic!("unexpected acquire response: {other:?}"),
-            }
+        let (notices, wm) = match self.chan.rpc_mgr(
+            MgrRequest::Acquire { lock, pages, updates, last_seen: self.last_seen },
+            MsgClass::Sync,
+        ) {
+            MgrResponse::Granted { notices, watermark } => (notices, watermark),
+            MgrResponse::Err(e) => panic!("lock acquire failed: {e}"),
+            other => panic!("unexpected acquire response: {other:?}"),
         };
         let wait_ns = (self.chan.now() - req_at).as_ns();
         self.stats.lock_wait.record(wait_ns);
@@ -495,28 +483,23 @@ impl ThreadCtx {
         // this always precedes the next holder's grant stamp, which is what
         // lets the trace checker treat [acquire, release] as the hold.
         self.trace(|| EventKind::LockRelease { lock });
-        if let Some(ls) = self.local_sync.clone() {
-            ls.release(lock, self.tid, self.chan.now(), pages, updates);
-            self.chan.charge(self.cfg.costs.local_sync_ns as f64);
-        } else {
-            let req = MgrRequest::Release { lock, pages, updates, last_seen: self.last_seen };
-            if self.chan.acked_releases() {
-                // With a hot standby, a fire-and-forget release could vanish
-                // with the crashed primary and leave the lock held until its
-                // lease expires. Upgrade to a full RPC: the channel's
-                // retry/failover machinery lands it at whichever manager is
-                // alive, and the stall is attributed like any manager wait.
-                match self.rpc_mgr_traced(req, MsgClass::Sync) {
-                    MgrResponse::Ok => {}
-                    MgrResponse::Err(e) => panic!("release failed: {e}"),
-                    other => panic!("unexpected release response: {other:?}"),
-                }
-            } else {
-                // Fire-and-forget: the manager orders the release before any
-                // subsequent grant; the releaser only pays the send cost (plus
-                // backoff for any retransmission after a send-time drop).
-                self.chan.send_mgr_oneway(req, MsgClass::Sync);
+        let req = MgrRequest::Release { lock, pages, updates, last_seen: self.last_seen };
+        if self.chan.acked_releases() {
+            // With a hot standby, a fire-and-forget release could vanish
+            // with the crashed primary and leave the lock held until its
+            // lease expires. Upgrade to a full RPC: the channel's
+            // retry/failover machinery lands it at whichever manager is
+            // alive, and the stall is attributed like any manager wait.
+            match self.rpc_mgr_traced(req, MsgClass::Sync) {
+                MgrResponse::Ok => {}
+                MgrResponse::Err(e) => panic!("release failed: {e}"),
+                other => panic!("unexpected release response: {other:?}"),
             }
+        } else {
+            // Fire-and-forget: the manager orders the release before any
+            // subsequent grant; the releaser only pays the send cost (plus
+            // backoff for any retransmission after a send-time drop).
+            self.chan.send_mgr_oneway(req, MsgClass::Sync);
         }
         self.sync_time += self.chan.now() - t0;
     }
@@ -527,20 +510,13 @@ impl ThreadCtx {
         let (pages, updates) = self.flush_all();
         let arrive_at = self.chan.now();
         self.trace(|| EventKind::BarrierArrive { barrier });
-        let (notices, wm) = if let Some(ls) = self.local_sync.clone() {
-            let (at, notices, wm) =
-                ls.barrier_wait(barrier, self.tid, self.chan.now(), pages, updates, self.last_seen);
-            self.chan.advance_to(at);
-            (notices, wm)
-        } else {
-            match self.chan.rpc_mgr(
-                MgrRequest::BarrierWait { barrier, pages, updates, last_seen: self.last_seen },
-                MsgClass::Sync,
-            ) {
-                MgrResponse::BarrierReleased { notices, watermark } => (notices, watermark),
-                MgrResponse::Err(e) => panic!("barrier wait failed: {e}"),
-                other => panic!("unexpected barrier response: {other:?}"),
-            }
+        let (notices, wm) = match self.chan.rpc_mgr(
+            MgrRequest::BarrierWait { barrier, pages, updates, last_seen: self.last_seen },
+            MsgClass::Sync,
+        ) {
+            MgrResponse::BarrierReleased { notices, watermark } => (notices, watermark),
+            MgrResponse::Err(e) => panic!("barrier wait failed: {e}"),
+            other => panic!("unexpected barrier response: {other:?}"),
         };
         let wait_ns = (self.chan.now() - arrive_at).as_ns();
         self.stats.barrier_wait.record(wait_ns);
@@ -942,20 +918,10 @@ impl ThreadCtx {
         // would otherwise race straggler prefetches. Stats were snapshotted
         // above; draining is teardown and cannot affect the report.
         self.chan.settle_prefetches();
-        if let Some(ls) = self.local_sync.clone() {
-            ls.publish_final(self.tid, pages, updates);
-            let req = MgrRequest::Exit { pages: Vec::new(), updates: Vec::new() };
-            match self.chan.rpc_mgr(req, MsgClass::Control) {
-                MgrResponse::Ok => {}
-                MgrResponse::Err(e) => panic!("exit failed: {e}"),
-                other => panic!("unexpected exit response: {other:?}"),
-            }
-        } else {
-            match self.chan.rpc_mgr(MgrRequest::Exit { pages, updates }, MsgClass::Control) {
-                MgrResponse::Ok => {}
-                MgrResponse::Err(e) => panic!("exit failed: {e}"),
-                other => panic!("unexpected exit response: {other:?}"),
-            }
+        match self.chan.rpc_mgr(MgrRequest::Exit { pages, updates }, MsgClass::Control) {
+            MgrResponse::Ok => {}
+            MgrResponse::Err(e) => panic!("exit failed: {e}"),
+            other => panic!("unexpected exit response: {other:?}"),
         }
         let mut stats = self.stats;
         stats.retries = self.chan.retries();

@@ -20,10 +20,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-use samhita_core::localsync::LocalSync;
+use parking_lot::{Mutex, RwLock};
 use samhita_core::{RunReport, ThreadStats};
-use samhita_sched::Scheduler;
+use samhita_sched::{Scheduler, TaskRef};
 use samhita_scl::{FabricStatsSnapshot, SimTime};
 use samhita_trace::LatencyHistogram;
 
@@ -57,13 +56,47 @@ impl NativeCosts {
     }
 }
 
+#[derive(Default)]
+struct NativeLock {
+    held: bool,
+    free_at: SimTime,
+    /// Scheduler tasks blocked on this lock. The releaser wakes all of
+    /// them at `free_at`; the scheduler's seeded virtual-time tie-break then
+    /// decides the (reproducible) grant order.
+    waiters: Vec<TaskRef>,
+}
+
+#[derive(Default)]
+struct NativeBarrier {
+    parties: u32,
+    arrived: u32,
+    epoch: u64,
+    max_clock: SimTime,
+    release_at: SimTime,
+    /// Scheduler tasks blocked on this episode; the last arrival wakes all
+    /// of them at the release time.
+    waiters: Vec<TaskRef>,
+}
+
+/// Pthread mutexes and barriers in virtual time: the clock combining of the
+/// module doc and nothing else — no write notices, no interval log.
+#[derive(Default)]
+struct NativeSync {
+    locks: Vec<NativeLock>,
+    barriers: Vec<NativeBarrier>,
+}
+
+/// The scheduler task of the calling code: the only way to wait here.
+fn current_task() -> TaskRef {
+    Scheduler::current().expect("a native thread can only block inside a scheduler task")
+}
+
 /// The native backend.
 pub struct NativeRt {
     costs: NativeCosts,
     sched_seed: u64,
     arrays: RwLock<Vec<Arc<Vec<AtomicU64>>>>,
-    locks: LocalSync,
-    barriers: LocalSync,
+    sync: Mutex<NativeSync>,
 }
 
 impl Default for NativeRt {
@@ -85,8 +118,7 @@ impl NativeRt {
             costs,
             sched_seed,
             arrays: RwLock::new(Vec::new()),
-            locks: LocalSync::new(costs.mutex_ns),
-            barriers: LocalSync::new(costs.barrier_ns),
+            sync: Mutex::new(NativeSync::default()),
         }
     }
 
@@ -98,6 +130,77 @@ impl NativeRt {
 
     fn array(&self, a: ArrF64) -> Arc<Vec<AtomicU64>> {
         Arc::clone(&self.arrays.read()[a as usize])
+    }
+
+    /// Acquire `lock` at virtual time `now`, parking the calling task until
+    /// it is free. Returns the virtual grant time.
+    fn acquire(&self, lock: SyncId, now: SimTime) -> SimTime {
+        let mut g = self.sync.lock();
+        // The releaser wakes every waiter at its free_at, and the seeded
+        // virtual-time tie-break decides who re-acquires first. Losers (and
+        // barging fresh arrivals that run earlier in virtual time) simply
+        // re-register and park again.
+        while g.locks[lock as usize].held {
+            let task = current_task();
+            g.locks[lock as usize].waiters.push(task.clone());
+            drop(g);
+            task.park();
+            g = self.sync.lock();
+        }
+        let l = &mut g.locks[lock as usize];
+        l.held = true;
+        now.max(l.free_at) + SimTime::from_ns(self.costs.mutex_ns)
+    }
+
+    /// Release `lock` at virtual time `now`.
+    fn release(&self, lock: SyncId, now: SimTime) {
+        let mut g = self.sync.lock();
+        let l = &mut g.locks[lock as usize];
+        assert!(l.held, "release of an unheld lock");
+        l.held = false;
+        let free_at = now + SimTime::from_ns(self.costs.mutex_ns);
+        l.free_at = free_at;
+        let waiters = std::mem::take(&mut l.waiters);
+        drop(g);
+        for w in waiters {
+            w.wake_at(free_at.as_ns());
+        }
+    }
+
+    /// Enter `barrier` at virtual time `now`, parking the calling task until
+    /// all parties arrive. Returns the virtual release time.
+    fn arrive(&self, barrier: SyncId, now: SimTime) -> SimTime {
+        let idx = barrier as usize;
+        let mut g = self.sync.lock();
+        let b = &mut g.barriers[idx];
+        let my_epoch = b.epoch;
+        b.max_clock = b.max_clock.max(now);
+        b.arrived += 1;
+        if b.arrived == b.parties {
+            // Last arrival: release everyone and continue without yielding
+            // (its own return time is the release time anyway).
+            let release_at = b.max_clock + SimTime::from_ns(self.costs.barrier_ns);
+            b.release_at = release_at;
+            b.epoch += 1;
+            b.arrived = 0;
+            b.max_clock = SimTime::ZERO;
+            let released = std::mem::take(&mut b.waiters);
+            drop(g);
+            for w in released {
+                w.wake_at(release_at.as_ns());
+            }
+            return release_at;
+        }
+        // Wait for the epoch to advance; the re-check absorbs spurious
+        // wake-ups.
+        let task = current_task();
+        while g.barriers[idx].epoch == my_epoch {
+            g.barriers[idx].waiters.push(task.clone());
+            drop(g);
+            task.park();
+            g = self.sync.lock();
+        }
+        g.barriers[idx].release_at
     }
 }
 
@@ -123,17 +226,22 @@ impl KernelRt for NativeRt {
     }
 
     fn mutex(&self) -> SyncId {
-        self.locks.create_lock()
+        let mut g = self.sync.lock();
+        g.locks.push(NativeLock::default());
+        (g.locks.len() - 1) as SyncId
     }
 
     fn barrier(&self, parties: u32) -> SyncId {
-        self.barriers.create_barrier(parties)
+        assert!(parties >= 1, "barrier over zero parties");
+        let mut g = self.sync.lock();
+        g.barriers.push(NativeBarrier { parties, ..NativeBarrier::default() });
+        (g.barriers.len() - 1) as SyncId
     }
 
     fn run(&self, nthreads: u32, body: &(dyn Fn(&mut dyn KernelCtx) + Sync)) -> RunReport {
         assert!(nthreads >= 1);
         // A fresh per-run scheduler. Every body is a coroutine task on this
-        // thread, registered in tid order; the LocalSync lock and barrier
+        // thread, registered in tid order; the lock and barrier
         // blocking points find their task through `Scheduler::current()`.
         let sched = Scheduler::new(self.sched_seed);
         let host = sched.register_running();
@@ -267,7 +375,7 @@ impl KernelCtx for NativeCtx<'_> {
 
     fn lock(&mut self, m: SyncId) {
         let t0 = self.clock;
-        let (at, _, _) = self.rt.locks.acquire(m, self.tid, self.clock, Vec::new(), Vec::new(), 0);
+        let at = self.rt.acquire(m, self.clock);
         self.clock = self.clock.max(at);
         self.lock_wait.record((self.clock - t0).as_ns());
         self.sync += self.clock - t0;
@@ -275,15 +383,14 @@ impl KernelCtx for NativeCtx<'_> {
 
     fn unlock(&mut self, m: SyncId) {
         let t0 = self.clock;
-        self.rt.locks.release(m, self.tid, self.clock, Vec::new(), Vec::new());
+        self.rt.release(m, self.clock);
         self.charge(self.rt.costs.mutex_ns as f64);
         self.sync += self.clock - t0;
     }
 
     fn barrier_wait(&mut self, b: SyncId) {
         let t0 = self.clock;
-        let (at, _, _) =
-            self.rt.barriers.barrier_wait(b, self.tid, self.clock, Vec::new(), Vec::new(), 0);
+        let at = self.rt.arrive(b, self.clock);
         self.clock = self.clock.max(at);
         self.barrier_wait.record((self.clock - t0).as_ns());
         self.sync += self.clock - t0;
@@ -332,6 +439,40 @@ mod tests {
         // Virtual serialization: someone's grant waited behind 7 releases.
         let max_total = report.makespan.as_ns();
         assert!(max_total >= 7 * rt.costs.mutex_ns, "makespan {max_total}");
+    }
+
+    #[test]
+    fn a_lock_held_across_a_barrier_parks_and_wakes_its_waiters() {
+        // Thread 0 takes the lock before the barrier and gives it up after:
+        // everyone else finds it held, parks, and is woken by that release.
+        let rt = NativeRt::default();
+        let (m, b) = (rt.mutex(), rt.barrier(4));
+        let count = rt.alloc_f64_global(1);
+        let report = rt.run(4, &|ctx| {
+            if ctx.tid() == 0 {
+                ctx.lock(m);
+            }
+            ctx.barrier_wait(b);
+            if ctx.tid() != 0 {
+                ctx.lock(m);
+            }
+            let v = ctx.read(count, 0);
+            ctx.write(count, 0, v + 1.0);
+            ctx.unlock(m);
+        });
+        assert_eq!(rt.fetch_f64(count, 1)[0], 4.0);
+        // Grants chain behind one another's releases in virtual time.
+        let mut ends: Vec<u64> = report.threads.iter().map(|t| t.end_ns).collect();
+        ends.sort_unstable();
+        assert!(ends.windows(2).all(|w| w[1] >= w[0] + rt.costs.mutex_ns), "{ends:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "unheld lock")]
+    fn release_unheld_panics() {
+        let rt = NativeRt::default();
+        let m = rt.mutex();
+        rt.run(1, &|ctx| ctx.unlock(m));
     }
 
     #[test]

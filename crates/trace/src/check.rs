@@ -6,9 +6,8 @@
 //! 1. **Lock mutual exclusion** — hold intervals `[acquire, release]` for
 //!    the same lock never overlap across threads. Release stamps are taken
 //!    after the consistency flush and strictly before the next grant can be
-//!    issued (the manager reserves `free_at >= release arrival`, the local
-//!    bypass charges its cost on both sides), so on a correct run intervals
-//!    are disjoint with at most boundary contact.
+//!    issued (the manager reserves `free_at >= release arrival`), so on a
+//!    correct run intervals are disjoint with at most boundary contact.
 //! 2. **Invalidation causality** — every `Invalidate {page, writer}` at time
 //!    `t` is preceded by a `DiffFlush {page}` on the writer's track at some
 //!    time `<= t`: write notices are published from flushed diffs, never

@@ -37,8 +37,6 @@
 //! Every instant of `[epoch, end]` of the makespan thread's window is
 //! attributed to exactly one class, so the class totals sum to the
 //! makespan **exactly** — asserted by construction, tested at P∈{1,8,64}.
-//! In bypass (local-sync) runs there are no manager serve events, so lock
-//! and barrier stalls stay whole — the decomposition degrades gracefully.
 //!
 //! Extraction is post-hoc and purely observational: it can never perturb
 //! a virtual clock, and its output is deterministic byte-for-byte.
@@ -540,8 +538,7 @@ impl<'a> Index<'a> {
                 Some((r, rtid)) if r > s && r < t => {
                     (self.mgr_serve_before(rtid, "release", t), rtid, r)
                 }
-                // Uncontended (or bypass mode): a pure round trip — our own
-                // `acquire` serve, if the manager traced one.
+                // Uncontended: a pure round trip — our own `acquire` serve.
                 _ => (self.mgr_serve_before(tid, "acquire", t), tid, s),
             },
             // The episode's last arrival (the latest arrival before the

@@ -104,7 +104,7 @@ pub enum EventKind {
     Invalidate { page: u64, writer: u32 },
     /// A cache line was evicted to make room (thread track).
     Evict { line: u64, dirty_pages: u32 },
-    /// Lock acquire request left for the manager / local bypass (thread track).
+    /// Lock acquire request left for the manager (thread track).
     LockRequest { lock: u32 },
     /// Lock grant observed; `wait_ns` spans request → grant (thread track).
     LockAcquire { lock: u32, wait_ns: u64 },

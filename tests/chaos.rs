@@ -110,6 +110,32 @@ fn micro_gsum_is_bit_identical_under_every_plan() {
     }
 }
 
+/// The same problem on one node under the §V bypass, where the manager is
+/// the same engine at a lower service time: its requests inherit
+/// `core::proto`'s retry and replay protection. The lossy plans only — the
+/// partition and crash plans need the cluster geometry.
+#[test]
+fn micro_gsum_under_bypass_is_bit_identical_under_the_lossy_plans() {
+    let bypass = |faults| SamhitaConfig {
+        topology: TopologyKind::SingleNode,
+        manager_bypass: true,
+        tracing: true,
+        faults,
+        ..SamhitaConfig::default()
+    };
+    let baseline = run_micro(&SamhitaRt::new(bypass(FaultConfig::default())), &micro_params()).gsum;
+    for (name, faults) in plans().into_iter().filter(|(n, _)| ["mixed", "drop-dup"].contains(n)) {
+        let rt = SamhitaRt::new(bypass(faults));
+        let r = run_micro(&rt, &micro_params());
+        assert_eq!(r.gsum.to_bits(), baseline.to_bits(), "plan {name}: gsum {}", r.gsum);
+        let trace = rt.take_trace().expect("tracing was enabled");
+        trace.check_invariants().unwrap_or_else(|v| panic!("plan {name}: {v:?}"));
+        // Asserts Σ Retry events == Σ retries on the way.
+        let [_, retries, ..] = timeline::timeline(&r.report, &trace);
+        assert!(retries > 0, "plan {name} must have cost the bypass a retransmission");
+    }
+}
+
 #[test]
 fn jacobi_grid_is_bit_identical_under_every_plan() {
     let baseline = run_jacobi(&SamhitaRt::new(replicated_cluster()), &JACOBI).grid;

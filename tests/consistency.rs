@@ -218,6 +218,10 @@ fn manager_bypass_variant_is_still_correct() {
             assert_eq!(ctx.read_u64(data + t * 1024 + 8 * 100), 100);
         }
     });
+    // The bypass makes the one arbiter cheaper to reach; it does not go
+    // round it.
+    let manager = sys.shutdown().manager;
+    assert!(manager.acquires > 0 && manager.barrier_waits > 0, "{manager:?}");
 }
 
 #[test]
@@ -241,36 +245,43 @@ fn lru_eviction_policy_is_correct_too() {
 fn condvar_handoff_with_waiting_consumer() {
     // Consumer reaches the wait first (physical sleep on the producer), the
     // producer's signal re-grants the lock, and the consistency machinery
-    // delivers the produced value.
-    let sys = Samhita::new(small());
-    let flag = sys.alloc_global(8);
-    let value = sys.alloc_global(8);
-    let lock = sys.create_mutex();
-    let cond = sys.create_cond();
-    let stats = sys.run(2, |ctx| {
-        if ctx.tid() == 0 {
-            // Consumer.
-            ctx.lock(lock);
-            while ctx.read_u64(flag) == 0 {
-                ctx.cond_wait(cond, lock);
-            }
-            assert_eq!(ctx.read_u64(value), 99);
-            ctx.unlock(lock);
-        } else {
-            // Producer, delayed so the consumer actually waits: the compute
-            // charge pushes its lock acquisition later in *virtual* time,
-            // which is what the scheduler orders by.
-            ctx.compute(100_000);
-            ctx.lock(lock);
-            ctx.write_u64(value, 99);
-            ctx.write_u64(flag, 1);
-            ctx.cond_signal(cond);
-            ctx.unlock(lock);
+    // delivers the produced value — with the manager a fabric crossing away
+    // and under the §V bypass alike (the lock and the condition variable
+    // must live in one place), whichever thread the tie-break runs first.
+    let bypass = SamhitaConfig { manager_bypass: true, ..small() };
+    for cfg in [small(), bypass] {
+        for sched_seed in 0..8 {
+            let sys = Samhita::new(SamhitaConfig { sched_seed, ..cfg.clone() });
+            let flag = sys.alloc_global(8);
+            let value = sys.alloc_global(8);
+            let lock = sys.create_mutex();
+            let cond = sys.create_cond();
+            let stats = sys.run(2, |ctx| {
+                if ctx.tid() == 0 {
+                    // Consumer.
+                    ctx.lock(lock);
+                    while ctx.read_u64(flag) == 0 {
+                        ctx.cond_wait(cond, lock);
+                    }
+                    assert_eq!(ctx.read_u64(value), 99);
+                    ctx.unlock(lock);
+                } else {
+                    // Producer, delayed so the consumer actually waits: the
+                    // compute charge pushes its lock acquisition later in
+                    // *virtual* time, which is what the scheduler orders by.
+                    ctx.compute(100_000);
+                    ctx.lock(lock);
+                    ctx.write_u64(value, 99);
+                    ctx.write_u64(flag, 1);
+                    ctx.cond_signal(cond);
+                    ctx.unlock(lock);
+                }
+            });
+            assert_eq!(stats.threads.len(), 2);
+            let system_stats = sys.shutdown();
+            assert!(system_stats.manager.cond_waits >= 1, "the consumer must actually have waited");
         }
-    });
-    assert_eq!(stats.threads.len(), 2);
-    let system_stats = sys.shutdown();
-    assert!(system_stats.manager.cond_waits >= 1, "the consumer must actually have waited");
+    }
 }
 
 // ---------------------------------------------------------------------

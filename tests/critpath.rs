@@ -12,15 +12,15 @@ mod common;
 use std::collections::HashMap;
 
 use samhita_bench::{thread_windows, BenchReport};
-use samhita_repro::core::{RunReport, Samhita, SamhitaConfig};
+use samhita_repro::core::{RunReport, Samhita, SamhitaConfig, TopologyKind};
 use samhita_repro::kernels::{
     run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
 };
 use samhita_repro::rt::SamhitaRt;
 use samhita_repro::scl::SimTime;
 use samhita_repro::trace::{
-    critical_path, validate_json, EventKind, FetchKind, JsonValue, RunTrace, ServiceCosts,
-    ThreadWindow, TraceEvent, TrackId,
+    critical_path, validate_json, EventKind, FetchKind, JsonValue, PathClass, RunTrace,
+    ServiceCosts, ThreadWindow, TraceEvent, TrackId,
 };
 
 fn traced(sched_seed: u64) -> SamhitaConfig {
@@ -29,7 +29,11 @@ fn traced(sched_seed: u64) -> SamhitaConfig {
 
 /// Run one kernel at CI scale with tracing on and hand back both views.
 fn run_kernel(kernel: &str, threads: u32, sched_seed: u64) -> (RunReport, RunTrace) {
-    let rt = SamhitaRt::new(traced(sched_seed));
+    run_kernel_on(&traced(sched_seed), kernel, threads)
+}
+
+fn run_kernel_on(cfg: &SamhitaConfig, kernel: &str, threads: u32) -> (RunReport, RunTrace) {
+    let rt = SamhitaRt::new(cfg.clone());
     let report = match kernel {
         "micro" => run_micro(&rt, &MicroParams::paper(2, 2, AllocMode::Global, threads)).report,
         "md" => run_md(&rt, &MdParams { n: 256, steps: 2, ..MdParams::paper(256, threads) }).report,
@@ -42,28 +46,42 @@ fn run_kernel(kernel: &str, threads: u32, sched_seed: u64) -> (RunReport, RunTra
 
 /// The headline acceptance criterion: the critical path's class totals sum
 /// to the run makespan exactly — integer nanoseconds, no residue — on all
-/// three kernels at P ∈ {1, 8, 64}.
+/// three kernels at P ∈ {1, 8, 64}, and on the micro-benchmark under the
+/// §V single-node bypass, whose manager serves in `local_sync_ns`.
 #[test]
 fn critical_path_length_equals_makespan_on_all_kernels() {
-    let costs = SamhitaConfig::default().service_costs();
-    for kernel in ["micro", "jacobi", "md"] {
-        for p in [1u32, 8, 64] {
-            let (report, trace) = run_kernel(kernel, p, 0);
-            let cp = critical_path(&trace, &thread_windows(&report), &costs);
-            assert_eq!(
-                cp.total_ns(),
-                cp.makespan_ns,
-                "{kernel} P={p}: class totals must tile the makespan exactly"
-            );
-            assert_eq!(
-                cp.makespan_ns,
-                report.makespan.as_ns(),
-                "{kernel} P={p}: the path anchors at the run's own makespan"
-            );
-            assert!(!cp.segments.is_empty(), "{kernel} P={p}: a run has a non-empty path");
-            // Segments are contiguous in virtual time walking backwards.
-            for s in &cp.segments {
-                assert!(s.start_ns < s.end_ns, "{kernel} P={p}: empty segment on the path");
+    let bypass =
+        SamhitaConfig { topology: TopologyKind::SingleNode, manager_bypass: true, ..traced(0) };
+    let cluster = ["micro", "jacobi", "md"]
+        .into_iter()
+        .flat_map(|kernel| [1u32, 8, 64].map(|p| (kernel, p, traced(0))));
+    let single_node = [1u32, 8].map(|p| ("micro", p, bypass.clone()));
+    for (kernel, p, cfg) in cluster.chain(single_node) {
+        let at = format!("{kernel} P={p} bypass={}", cfg.manager_bypass);
+        let costs = cfg.service_costs();
+        let (report, trace) = run_kernel_on(&cfg, kernel, p);
+        let cp = critical_path(&trace, &thread_windows(&report), &costs);
+        assert_eq!(cp.total_ns(), cp.makespan_ns, "{at}: class totals must tile the makespan");
+        assert_eq!(
+            cp.makespan_ns,
+            report.makespan.as_ns(),
+            "{at}: the path anchors at the run's own makespan"
+        );
+        assert!(!cp.segments.is_empty(), "{at}: a run has a non-empty path");
+        // Segments are contiguous in virtual time walking backwards.
+        for s in &cp.segments {
+            assert!(s.start_ns < s.end_ns, "{at}: empty segment on the path");
+        }
+        if cfg.manager_bypass {
+            trace.check_invariants().unwrap_or_else(|v| panic!("{at}: {v:?}"));
+            let (_, again) = run_kernel_on(&cfg, kernel, p);
+            assert_eq!(again.checksum(), trace.checksum(), "{at}: two runs, two traces");
+            // Its lock stalls ride manager serves like any other run's: the
+            // walk carves service and queueing out of them.
+            if p > 1 {
+                let carved =
+                    [PathClass::MgrService, PathClass::QueueWait].map(|c| cp.class_total(c));
+                assert!(carved.iter().all(|&ns| ns > 0), "{at}: {carved:?}");
             }
         }
     }

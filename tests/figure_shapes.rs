@@ -182,9 +182,12 @@ fn ablation_scif_beats_verbs_proxy() {
 #[test]
 fn ablation_bypass_reduces_sync_time() {
     let fig = ablations::bypass(&quick());
-    let mgr = last_y(&fig, "manager RPCs");
-    let byp = last_y(&fig, "local bypass (§V)");
-    assert!(byp < mgr, "bypass ({byp}) must reduce sync time vs manager ({mgr})");
+    let mgr = &fig.series("manager RPCs").expect("series").points;
+    let byp = &fig.series("local bypass (§V)").expect("series").points;
+    assert_eq!(mgr.len(), byp.len());
+    for (&(p, mgr), &(_, byp)) in mgr.iter().zip(byp) {
+        assert!(byp < mgr, "P={p}: bypass ({byp}) must reduce sync time vs manager ({mgr})");
+    }
 }
 
 #[test]
