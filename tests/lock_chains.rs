@@ -1,0 +1,123 @@
+//! The lock-chain oracle: generated lock-structured programs on the DSM
+//! against plain shared memory, under schedules the fabric reorders.
+//!
+//! Each program of `common/chains.rs` runs on `NativeRt` and on Samhita at
+//! `sched_seed` 0..8, each seed with a delay-only fault plan of its own —
+//! 30 % of messages take a 3 µs spike, which reorders releases against the
+//! grants they enable without losing anything. The final block and every
+//! thread's read-back sums must be bit-identical to the native run, and the
+//! trace invariant checker must accept every run. A condition-variable
+//! producer/consumer, which `NativeRt` cannot run, is held to its closed
+//! form under the same schedules.
+
+#[path = "common/chains.rs"]
+mod chains;
+
+use chains::{generate_chain, run_chain};
+use samhita_repro::core::{FaultConfig, Samhita, SamhitaConfig};
+use samhita_repro::rt::{NativeCosts, NativeRt, SamhitaRt};
+
+/// The explored schedules: seed `s` ties broken by `s`, delays seeded by `s`.
+fn schedules(base: &SamhitaConfig) -> impl Iterator<Item = SamhitaConfig> + '_ {
+    (0..8u64).map(move |s| SamhitaConfig {
+        sched_seed: s,
+        faults: FaultConfig::lossy(s, 0.0, 0.0, 0.3, 3_000),
+        tracing: true,
+        ..base.clone()
+    })
+}
+
+/// One program on every explored schedule of `base`, each against native.
+fn chains_match_native(base: &SamhitaConfig, seed: u64, threads: u32) {
+    let program = generate_chain(seed, threads, 6);
+    let want = run_chain(&NativeRt::default(), &program);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for cfg in schedules(base) {
+        let at = format!("program {seed} (P={threads}) at sched_seed {}", cfg.sched_seed);
+        let native = NativeRt::with_runtime(NativeCosts::matching(&cfg.costs), cfg.sched_seed);
+        assert_eq!(bits(&run_chain(&native, &program)), bits(&want), "{at}: native moved");
+        let rt = SamhitaRt::new(cfg);
+        assert_eq!(bits(&run_chain(&rt, &program)), bits(&want), "{at}: DSM vs native");
+        let trace = rt.take_trace().expect("tracing was enabled");
+        trace.check_invariants().unwrap_or_else(|v| panic!("{at}: {v:?}"));
+    }
+}
+
+#[test]
+fn lock_chains_match_native_on_the_paper_cluster() {
+    for (seed, threads) in [(1u64, 4u32), (2, 6), (3, 3), (4, 8)] {
+        chains_match_native(&SamhitaConfig::default(), seed, threads);
+    }
+}
+
+#[test]
+fn lock_chains_match_native_on_small_pages() {
+    for (seed, threads) in [(5u64, 4u32), (6, 5), (7, 2)] {
+        chains_match_native(&SamhitaConfig::small_for_tests(), seed, threads);
+    }
+}
+
+/// One producer fills a one-slot mailbox `ITEMS` times; the other threads
+/// take from it. Two condition variables, waits in `while` loops: every
+/// item is taken exactly once, and the consumers' totals add up.
+#[test]
+fn condvar_producer_consumer_delivers_every_item_once() {
+    const ITEMS: u64 = 24;
+    const THREADS: u32 = 4;
+    for cfg in schedules(&SamhitaConfig::default()) {
+        let at = format!("sched_seed {}", cfg.sched_seed);
+        let sys = Samhita::new(cfg);
+        // [full flag, item, produced count] then one total per consumer.
+        let cells = sys.alloc_global(8 * (3 + u64::from(THREADS)));
+        let lock = sys.create_mutex();
+        let (not_full, not_empty) = (sys.create_cond(), sys.create_cond());
+        let (full, item, taken) = (cells, cells + 8, cells + 16);
+        sys.run(THREADS, |ctx| {
+            let t = u64::from(ctx.tid());
+            if t == 0 {
+                for i in 1..=ITEMS {
+                    ctx.lock(lock);
+                    while ctx.read_u64(full) == 1 {
+                        ctx.cond_wait(not_full, lock);
+                    }
+                    ctx.write_u64(item, i * 10);
+                    ctx.write_u64(full, 1);
+                    ctx.cond_signal(not_empty);
+                    ctx.unlock(lock);
+                }
+                return;
+            }
+            let mut total = 0;
+            loop {
+                ctx.lock(lock);
+                while ctx.read_u64(full) == 0 && ctx.read_u64(taken) < ITEMS {
+                    ctx.cond_wait(not_empty, lock);
+                }
+                if ctx.read_u64(full) == 0 {
+                    // Everything was taken: wake the other consumers too.
+                    ctx.cond_broadcast(not_empty);
+                    ctx.unlock(lock);
+                    break;
+                }
+                total += ctx.read_u64(item);
+                ctx.write_u64(full, 0);
+                let n = ctx.read_u64(taken) + 1;
+                ctx.write_u64(taken, n);
+                ctx.cond_signal(not_full);
+                if n == ITEMS {
+                    ctx.cond_broadcast(not_empty);
+                }
+                ctx.unlock(lock);
+            }
+            ctx.write_u64(cells + 8 * (2 + t), total);
+        });
+        let mut bytes = vec![0u8; 8 * (3 + THREADS as usize)];
+        sys.read_global(cells, &mut bytes);
+        let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+        assert_eq!((word(0), word(2)), (0, ITEMS), "{at}: the mailbox ended full or short");
+        let totals: u64 = (3..3 + THREADS as usize).map(word).sum();
+        assert_eq!(totals, 10 * ITEMS * (ITEMS + 1) / 2, "{at}: an item was lost or doubled");
+        let trace = sys.take_trace().expect("tracing was enabled");
+        trace.check_invariants().unwrap_or_else(|v| panic!("{at}: {v:?}"));
+    }
+}
