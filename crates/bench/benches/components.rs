@@ -239,7 +239,7 @@ fn bench_manager(c: &mut Criterion) {
                             lock: 0,
                             pages: vec![],
                             updates: vec![],
-                            last_seen: i,
+                            handed: None,
                         },
                         now,
                     );

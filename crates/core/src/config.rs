@@ -412,6 +412,13 @@ impl SamhitaConfig {
         }
     }
 
+    /// Whether services keep answers to replay: a fault plan can duplicate
+    /// or drop-and-resend any request, and a standby's grant-liveness probe
+    /// re-sends blocked ones even in a fault-free run.
+    pub(crate) fn replay_protected(&self) -> bool {
+        self.faults.is_active() || self.manager_standby
+    }
+
     /// What the manager charges `(per request, per barrier release)`: under
     /// the §V bypass it is a local handoff away, and both are
     /// [`CostParams::local_sync_ns`].

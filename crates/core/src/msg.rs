@@ -115,8 +115,10 @@ pub enum MgrRequest {
     /// notice watermark.
     Acquire { lock: u32, pages: Vec<u64>, updates: Vec<FineUpdate>, last_seen: u64 },
     /// Release a lock after flushing; publishes `pages` and the fine-grain
-    /// `updates` of the consistency region just exited.
-    Release { lock: u32, pages: Vec<u64>, updates: Vec<FineUpdate>, last_seen: u64 },
+    /// `updates` of the consistency region just exited. `handed` names the
+    /// successor the releaser already granted the lock to itself, with
+    /// those notices (a direct hand-off, served as `"handoff"`).
+    Release { lock: u32, pages: Vec<u64>, updates: Vec<FineUpdate>, handed: Option<Handed> },
     /// Enter a barrier after flushing; publishes `pages` and `updates`.
     BarrierWait { barrier: u32, pages: Vec<u64>, updates: Vec<FineUpdate>, last_seen: u64 },
     /// Atomically release `lock` and wait on `cond`; publishes `pages` and
@@ -128,6 +130,37 @@ pub enum MgrRequest {
     CondBroadcast { cond: u32 },
     /// Thread departure; publishes the final flush.
     Exit { pages: Vec<u64>, updates: Vec<FineUpdate> },
+}
+
+/// The successor a releasing holder granted its lock to directly: the
+/// queued waiter its [`Successor`] hint named, and that waiter's request
+/// token, which the grant answered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Handed {
+    /// The successor's thread id.
+    pub to: u32,
+    /// The successor's acquire (or condition-wait) token.
+    pub token: u64,
+}
+
+/// A successor hint, manager → lock holder: the head of the lock's queue.
+/// The head is sent, at the same instant, what its grant would carry now
+/// ([`MgrResponse::Advance`]). A holder that releases with no other
+/// synchronization since its grant completes that grant itself — it sends
+/// the head its release interval ([`MgrResponse::Rest`]) — and names the
+/// successor in its release ([`Handed`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Successor {
+    /// The lock.
+    pub lock: u32,
+    /// The head waiter's thread id.
+    pub tid: u32,
+    /// The head waiter's endpoint, where the grant goes.
+    pub ep: EndpointId,
+    /// The head waiter's request token, which the grant answers.
+    pub token: u64,
+    /// The log watermark of the head's [`MgrResponse::Advance`].
+    pub watermark: u64,
 }
 
 /// Manager responses.
@@ -151,6 +184,19 @@ pub enum MgrResponse {
     /// Barrier released: the merged unseen write notices plus the new
     /// watermark.
     BarrierReleased { notices: NoticeSet, watermark: u64 },
+    /// A one-way hint to a lock holder, under the token of the request its
+    /// hold answered: who is next (see [`Successor`]).
+    Successor(Successor),
+    /// To a hinted head waiter, under its request's token: what the log it
+    /// has not seen amounts to now — the first part of its grant.
+    Advance { notices: NoticeSet, watermark: u64 },
+    /// The rest of a grant whose advance reached watermark `after`: what
+    /// followed it, up to the new `watermark`. Sent by the holder handing
+    /// the lock over (its release interval; the watermark stays `after`) or
+    /// by the manager granting the head itself (the log since). Without
+    /// that advance it is no grant: the requester asks again, and the
+    /// manager answers with the whole.
+    Rest { after: u64, notices: NoticeSet, watermark: u64 },
     /// Request failed.
     Err(MgrError),
 }
@@ -245,7 +291,8 @@ impl MgrRequest {
             MgrRequest::CreateBarrier { .. } => "create-barrier",
             MgrRequest::CreateCond => "create-cond",
             MgrRequest::Acquire { .. } => "acquire",
-            MgrRequest::Release { .. } => "release",
+            MgrRequest::Release { handed: None, .. } => "release",
+            MgrRequest::Release { handed: Some(_), .. } => "handoff",
             MgrRequest::BarrierWait { .. } => "barrier-wait",
             MgrRequest::CondWait { .. } => "cond-wait",
             MgrRequest::CondSignal { .. } => "cond-signal",
@@ -286,7 +333,12 @@ impl MgrResponse {
             MgrResponse::Registered { .. } | MgrResponse::Ok | MgrResponse::SyncId(_) => 16,
             MgrResponse::Addr(_) => 16,
             MgrResponse::Granted { notices, watermark: _ }
-            | MgrResponse::BarrierReleased { notices, watermark: _ } => notices.wire_bytes(),
+            | MgrResponse::BarrierReleased { notices, watermark: _ }
+            | MgrResponse::Advance { notices, watermark: _ } => notices.wire_bytes(),
+            // The watermark it follows fits the header too.
+            MgrResponse::Rest { notices, .. } => notices.wire_bytes(),
+            // Who is next: lock, thread, token, watermark.
+            MgrResponse::Successor(_) => 24,
             MgrResponse::Err(_) => 16,
         }
     }

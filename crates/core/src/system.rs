@@ -143,7 +143,7 @@ impl Samhita {
         // protection is a prerequisite of probing, so dedup is on whenever
         // either source exists; otherwise a probed-but-deferred acquire,
         // barrier wait, or cond wait would be applied twice.
-        let dedup = faults_active || cfg.manager_standby;
+        let dedup = cfg.replay_protected();
 
         // Memory servers.
         let mut mem_eps = Vec::new();
@@ -219,6 +219,7 @@ impl Samhita {
             died_at,
             hwm: HashMap::new(),
             done: HashMap::new(),
+            awaiting: HashMap::new(),
         };
         let mgr_died_at =
             faults_active.then(|| cfg.faults.mgr_crash.map(SimTime::from_ns)).flatten();
@@ -727,6 +728,15 @@ impl Service for MemService {
     }
 }
 
+/// Whether `resp` answers its request, and so is what a retransmission of
+/// it is answered with: everything but hints and the parts of a grant.
+fn answers(resp: &MgrResponse) -> bool {
+    !matches!(
+        resp,
+        MgrResponse::Successor(_) | MgrResponse::Advance { .. } | MgrResponse::Rest { .. }
+    )
+}
+
 /// What the primary manager and its hot standby share: the engine, the
 /// replay cache, and the way answers leave.
 struct MgrReplica {
@@ -753,6 +763,10 @@ struct MgrReplica {
     died_at: Option<SimTime>,
     hwm: HashMap<EndpointId, u64>,
     done: HashMap<EndpointId, (u64, SimTime, MgrResponse)>,
+    /// A retransmission of a request not answered yet, by requester: a
+    /// grant the holder hands over itself is sent here too, since the
+    /// retransmission says the holder's copy was lost.
+    awaiting: HashMap<EndpointId, (u64, SimTime)>,
 }
 
 impl MgrReplica {
@@ -774,28 +788,46 @@ impl MgrReplica {
             return true;
         }
         if token == seen {
-            if let Some((t, at, resp)) = self.done.get(&src) {
-                if *t == token {
+            match self.done.get(&src) {
+                Some((t, at, resp)) if *t == token => {
                     self.respond(src, token, (*at).max(deliver_at), resp.clone());
+                }
+                _ => {
+                    self.awaiting.insert(src, (token, deliver_at));
                 }
             }
         }
         false
     }
 
-    /// Fold one record into the engine and send what it answers.
+    /// Fold one record into the engine and send what it answers. A hint or
+    /// an advance is never an answer to keep; a grant the holder handed over
+    /// itself is kept but only sent to a requester that asked again.
     fn apply(&mut self, rec: MgrLogRecord) {
         for out in self.engine.apply(rec) {
+            if !answers(&out.resp) {
+                self.respond(out.dst, out.token, out.at, out.resp);
+                continue;
+            }
             if self.dedup {
                 self.done.insert(out.dst, (out.token, out.at, out.resp.clone()));
             }
-            self.respond(out.dst, out.token, out.at, out.resp);
+            let asked = self.awaiting.remove(&out.dst).filter(|&(t, _)| t == out.token);
+            match (out.filed, asked) {
+                (false, _) => self.respond(out.dst, out.token, out.at, out.resp),
+                (true, Some((_, again))) => {
+                    self.respond(out.dst, out.token, out.at.max(again), out.resp)
+                }
+                (true, None) => {}
+            }
         }
     }
 
     /// Serve one fresh request from `src`, delivered at `at`, traced as
     /// `MgrServe`. The record joins `unacked` (when there is a standby to
-    /// ship it to) before it is applied: write-ahead.
+    /// ship it to) before it is applied: write-ahead. Returns when its
+    /// service finished — nothing answers it earlier — or `None` when the
+    /// engine parked it.
     fn serve(
         &mut self,
         src: EndpointId,
@@ -804,16 +836,19 @@ impl MgrReplica {
         tid: u32,
         req: MgrRequest,
         unacked: Option<&mut Vec<MgrLogRecord>>,
-    ) {
-        let op = self.track.as_ref().map(|_| req.label());
+    ) -> Option<SimTime> {
         let rec = self.engine.record(src, tid, token, req, at);
         if let Some(unacked) = unacked {
             unacked.push(rec.clone());
         }
         self.apply(rec);
-        if let (Some(track), Some(op)) = (&self.track, op) {
-            track.push(self.engine.last_done(), EventKind::MgrServe { op, tid });
+        let served = self.engine.take_served();
+        if let Some(track) = &self.track {
+            for &(done, op, tid) in &served {
+                track.push(done, EventKind::MgrServe { op, tid });
+            }
         }
+        served.first().map(|&(done, ..)| done)
     }
 }
 
@@ -850,19 +885,20 @@ impl Service for MgrService {
                     return;
                 }
                 let unacked = self.standby.is_some().then_some(&mut self.unacked);
-                self.core.serve(env.src, env.deliver_at, token, tid, req, unacked);
+                let done = self.core.serve(env.src, env.deliver_at, token, tid, req, unacked);
                 if let Some(sb) = self.standby {
-                    // Write-ahead shipping: responses and the log batch leave
-                    // at the same virtual instant (`last_done`), and a
-                    // manager crash is a structural fault keyed on that
-                    // instant — so the crash can never deliver a response
-                    // whose record it dropped. Only a *random* loss can
-                    // separate them, and the next serve's re-ship repairs it
-                    // (with lock leases covering the tail case of a crash
-                    // right after).
+                    // Write-ahead shipping: the log batch leaves when the
+                    // record's service finished, no later than anything
+                    // that answers it or the parked requests it released,
+                    // and a manager crash is a structural fault keyed on
+                    // send instants — so the crash can never deliver a
+                    // response whose record it dropped. Only a *random* loss
+                    // can separate them, and the next serve's re-ship
+                    // repairs it (with lock leases covering the tail case of
+                    // a crash right after).
                     self.shipped += self.unacked.len() as u64;
                     let msg = Msg::MgrLog { records: self.unacked.clone() };
-                    let at = self.core.engine.last_done();
+                    let at = done.unwrap_or_else(|| self.core.engine.last_done());
                     reply(&self.core.ep, false, sb, at, MsgClass::Control, msg);
                 }
             }
@@ -959,8 +995,11 @@ impl Service for StandbyService {
                     // reconstructed replay cache WITHOUT sending them — the
                     // primary already answered these requests.
                     for out in core.engine.apply(rec) {
-                        core.done.insert(out.dst, (out.token, out.at, out.resp));
+                        if answers(&out.resp) {
+                            core.done.insert(out.dst, (out.token, out.at, out.resp));
+                        }
                     }
+                    core.engine.take_served();
                 }
                 let ack = Msg::MgrLogAck { upto: core.engine.applied_seq() };
                 reply(&core.ep, false, env.src, env.deliver_at, MsgClass::Control, ack);
@@ -1312,6 +1351,7 @@ mod tests {
             died_at: None,
             hwm: HashMap::new(),
             done: HashMap::new(),
+            awaiting: HashMap::new(),
         };
         let standby_ep = core.ep.id();
         let standby =

@@ -40,7 +40,7 @@ use crate::cache::{PageRef, SoftCache};
 use crate::config::{ConsistencyVariant, SamhitaConfig};
 use crate::freelist::FreeListAlloc;
 use crate::layout::{AddressLayout, Region};
-use crate::msg::{MgrRequest, MgrResponse, Msg};
+use crate::msg::{Handed, MgrRequest, MgrResponse, Msg};
 use crate::proto::Channel;
 use crate::stats::ThreadStats;
 
@@ -105,6 +105,10 @@ pub struct ThreadCtx {
     /// Pages flushed (sync flushes and evictions) not yet published.
     pending_pages: BTreeSet<u64>,
     last_seen: u64,
+    /// The lock granted by this thread's last synchronization operation,
+    /// and the token of the request the grant answered: the one hold whose
+    /// successor hint its release may use.
+    hold: Option<(u32, u64)>,
 
     arena: FreeListAlloc,
 
@@ -174,6 +178,7 @@ impl ThreadCtx {
             writeset: WriteSet::new(),
             pending_pages: BTreeSet::new(),
             last_seen: 0,
+            hold: None,
             arena: FreeListAlloc::new(arena_lo, arena_hi),
             stats: ThreadStats { tid, ..ThreadStats::default() },
         };
@@ -455,14 +460,15 @@ impl ThreadCtx {
         let (pages, updates) = self.flush_all();
         let req_at = self.chan.now();
         self.trace(|| EventKind::LockRequest { lock });
-        let (notices, wm) = match self.chan.rpc_mgr(
+        let (token, notices, wm) = match self.chan.request_mgr(
             MgrRequest::Acquire { lock, pages, updates, last_seen: self.last_seen },
             MsgClass::Sync,
         ) {
-            MgrResponse::Granted { notices, watermark } => (notices, watermark),
-            MgrResponse::Err(e) => panic!("lock acquire failed: {e}"),
-            other => panic!("unexpected acquire response: {other:?}"),
+            (token, MgrResponse::Granted { notices, watermark }) => (token, notices, watermark),
+            (_, MgrResponse::Err(e)) => panic!("lock acquire failed: {e}"),
+            (_, other) => panic!("unexpected acquire response: {other:?}"),
         };
+        self.hold = Some((lock, token));
         let wait_ns = (self.chan.now() - req_at).as_ns();
         self.stats.lock_wait.record(wait_ns);
         self.waits.lock += wait_ns;
@@ -475,15 +481,32 @@ impl ThreadCtx {
     }
 
     /// Release a lock, flushing consistency-region updates at fine grain.
+    ///
+    /// When the manager has hinted who is next and this thread has not
+    /// synchronized since the lock was granted, the release hands the lock
+    /// over directly: this thread sends the successor its release interval,
+    /// which completes the grant the manager sent it in advance, and the
+    /// release the manager gets names it. Anything else (no hint yet, a
+    /// stale one, a nested acquisition or barrier since the grant) releases
+    /// through the manager, which grants the next waiter itself.
     pub fn unlock(&mut self, lock: u32) {
         let t0 = self.chan.now();
+        let hold = self.hold.take().filter(|&(held, _)| held == lock);
         self.region.exit();
         let (pages, updates) = self.flush_all();
-        // Stamped after the flush and before the wire send: on a correct run
-        // this always precedes the next holder's grant stamp, which is what
-        // lets the trace checker treat [acquire, release] as the hold.
+        // Stamped after the flush and before the wire sends: on a correct
+        // run this always precedes the next holder's grant stamp, which is
+        // what lets the trace checker treat [acquire, release] as the hold.
         self.trace(|| EventKind::LockRelease { lock });
-        let req = MgrRequest::Release { lock, pages, updates, last_seen: self.last_seen };
+        let last_seen = self.last_seen;
+        let next = hold.and_then(|(_, token)| self.chan.take_hint(token));
+        let handed = next.filter(|s| s.lock == lock && last_seen <= s.watermark).map(|s| {
+            let interval = NoticeSet::interval(self.tid, &pages, &updates);
+            let (after, watermark) = (s.watermark, s.watermark);
+            self.chan.send_baton(&s, MgrResponse::Rest { after, notices: interval, watermark });
+            Handed { to: s.tid, token: s.token }
+        });
+        let req = MgrRequest::Release { lock, pages, updates, handed };
         if self.chan.acked_releases() {
             // With a hot standby, a fire-and-forget release could vanish
             // with the crashed primary and leave the lock held until its
@@ -507,6 +530,7 @@ impl ThreadCtx {
     /// Wait at a barrier.
     pub fn barrier(&mut self, barrier: u32) {
         let t0 = self.chan.now();
+        self.hold = None;
         let (pages, updates) = self.flush_all();
         let arrive_at = self.chan.now();
         self.trace(|| EventKind::BarrierArrive { barrier });
@@ -533,16 +557,18 @@ impl ThreadCtx {
     /// `lock` (as with Pthreads, that is a caller obligation).
     pub fn cond_wait(&mut self, cond: u32, lock: u32) {
         let t0 = self.chan.now();
+        self.hold = None;
         let (pages, updates) = self.flush_all();
         // On the trace, a cond wait is a lock release (the atomic handoff to
         // the manager) followed by a re-acquire at wake-up.
         self.trace(|| EventKind::LockRelease { lock });
         let req_at = self.chan.now();
-        match self.chan.rpc_mgr(
+        match self.chan.request_mgr(
             MgrRequest::CondWait { cond, lock, pages, updates, last_seen: self.last_seen },
             MsgClass::Sync,
         ) {
-            MgrResponse::Granted { notices, watermark } => {
+            (token, MgrResponse::Granted { notices, watermark }) => {
+                self.hold = Some((lock, token));
                 let wait_ns = (self.chan.now() - req_at).as_ns();
                 // The conservation audit's consistency fix: a condition wait
                 // is a lock wait on the trace and must be one in the report
@@ -555,8 +581,8 @@ impl ThreadCtx {
                 self.apply_notices(&notices);
                 self.last_seen = watermark;
             }
-            MgrResponse::Err(e) => panic!("cond wait failed: {e}"),
-            other => panic!("unexpected cond-wait response: {other:?}"),
+            (_, MgrResponse::Err(e)) => panic!("cond wait failed: {e}"),
+            (_, other) => panic!("unexpected cond-wait response: {other:?}"),
         }
         self.sync_time += self.chan.now() - t0;
     }
@@ -1087,7 +1113,7 @@ mod tests {
             let seq = self.log.publish(writer, pages.clone(), updates.clone());
             if seq > before {
                 let updates = updates.into_iter().map(Arc::new).collect();
-                self.notices.push(WriteNotice { seq, writer, pages, updates });
+                self.notices.push(WriteNotice { seq, writer, seen_by: None, pages, updates });
             }
         }
     }

@@ -4,9 +4,10 @@
 //! the *virtual* timeline of any correct run:
 //!
 //! 1. **Lock mutual exclusion** — hold intervals `[acquire, release]` for
-//!    the same lock never overlap across threads. Release stamps are taken
-//!    after the consistency flush and strictly before the next grant can be
-//!    issued (the manager reserves `free_at >= release arrival`), so on a
+//!    the same lock never overlap across threads. A release is stamped
+//!    after the consistency flush and before anything leaves for the next
+//!    holder — the release to the manager, which grants no earlier than its
+//!    arrival, or the lock handed straight to the successor — so on a
 //!    correct run intervals are disjoint with at most boundary contact.
 //! 2. **Invalidation causality** — every `Invalidate {page, writer}` at time
 //!    `t` is preceded by a `DiffFlush {page}` on the writer's track at some

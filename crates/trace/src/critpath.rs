@@ -26,7 +26,8 @@
 //!   the remainder is wire/fetch time; the walk resumes at the stall start;
 //! * inside a **lock stall**, the blocker is the previous holder: the walk
 //!   jumps to the releasing thread at the release instant (the manager's
-//!   serve tail and its queue chain are carved out first);
+//!   serve tail and its queue chain are carved out first — unless the
+//!   holder handed the lock over itself, when there is no serve to carve);
 //! * inside a **barrier stall**, the blocker is the episode's **last
 //!   arrival**: the walk jumps to that thread at its arrival instant;
 //! * inside a **manager RPC stall**, the manager's serve tail and queue
@@ -534,7 +535,9 @@ impl<'a> Index<'a> {
             // The latest release at or before the grant is the blocker, if
             // it falls inside the stall.
             WaitKind::Lock { lock } => match latest(self.releases.get(&lock), t) {
-                // Contended: the grant rode the releaser's `release` serve.
+                // Contended: the grant rode the releaser's `release` serve
+                // — or nothing, when the releaser handed the lock over
+                // itself (its serve is a `handoff`, logged off the path).
                 Some((r, rtid)) if r > s && r < t => {
                     (self.mgr_serve_before(rtid, "release", t), rtid, r)
                 }
@@ -695,6 +698,38 @@ mod tests {
         assert_eq!(r.class_total(PathClass::Compute), 4_500);
         let tids: Vec<u32> = r.segments.iter().map(|s| s.tid).collect();
         assert!(tids.contains(&0), "releaser's compute must be on the path");
+    }
+
+    /// A lock stall that a released grant ended rides the releaser's
+    /// `release` serve; one the releaser ended itself, handing the lock
+    /// over, rides none — its `handoff` serve only logs what happened — so
+    /// the whole of `(release, grant]` is lock-wait wire.
+    #[test]
+    fn a_handed_over_lock_carves_no_manager_service() {
+        let path = |op: &'static str| {
+            let trace = RunTrace::from_tracks(vec![
+                (TrackId::Thread(0), vec![ev(2_000, EventKind::LockRelease { lock: 0 })]),
+                (
+                    TrackId::Thread(1),
+                    vec![ev(2_400, EventKind::LockAcquire { lock: 0, wait_ns: 2_000 })],
+                ),
+                (TrackId::Manager, vec![ev(2_300, EventKind::MgrServe { op, tid: 0 })]),
+            ]);
+            let windows = [
+                ThreadWindow { tid: 0, epoch_ns: 0, end_ns: 2_100 },
+                ThreadWindow { tid: 1, epoch_ns: 0, end_ns: 3_000 },
+            ];
+            critical_path(&trace, &windows, &costs())
+        };
+        let through_the_manager = path("release");
+        assert_eq!(through_the_manager.class_total(PathClass::MgrService), 300);
+        assert_eq!(through_the_manager.class_total(PathClass::LockWait), 100);
+        let handed = path("handoff");
+        assert_eq!(handed.total_ns(), 3_000);
+        assert_eq!(handed.class_total(PathClass::MgrService), 0);
+        assert_eq!(handed.class_total(PathClass::LockWait), 400);
+        assert_eq!(handed.class_total(PathClass::Compute), 2_600);
+        assert!(handed.segments.iter().any(|s| s.tid == 0), "the walk jumps to the releaser");
     }
 
     /// A fetch stall decomposes into wire, server service, and queue wait
