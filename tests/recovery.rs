@@ -20,6 +20,7 @@ use samhita_repro::kernels::{
     MicroParams,
 };
 use samhita_repro::rt::SamhitaRt;
+use samhita_repro::scl::MsgClass;
 use samhita_repro::trace::{EventKind, TrackId};
 
 /// The paper's six-node cluster with a hot-standby manager configured:
@@ -291,34 +292,75 @@ fn expired_lease_is_reclaimed_and_the_stale_release_absorbed() {
     trace.check_invariants().expect("a reclaimed lease must keep the timeline consistent");
 }
 
+/// In the fault-free standby run of [`JACOBI_P8`], thread 1 hands lock 0
+/// to its successor with a baton sent at this instant, and its release to
+/// the manager one send cost (60 ns) later.
+const BATON_NS: u64 = 62_958;
+/// A crash between the two.
+const HANDOFF_CRASH_NS: u64 = BATON_NS + 32;
+
+/// The manager dies between a holder's baton and its hand-off release: the
+/// successor holds a lock the primary never heard of, the release is lost
+/// with the primary, and the standby learns of the hand-off from the
+/// holder's retransmission of it — its first serve after the takeover.
+#[test]
+fn a_hand_off_the_primary_never_heard_of_reaches_the_standby() {
+    let baseline = run_jacobi(&SamhitaRt::new(standby_cluster()), &JACOBI_P8);
+    let rt = SamhitaRt::new(SamhitaConfig { tracing: true, ..mgr_crash(HANDOFF_CRASH_NS) });
+    let r = run_jacobi(&rt, &JACOBI_P8);
+    assert_eq!(r.grid, baseline.grid, "the hand-off across the crash perturbed the grid");
+    assert!(r.report.mgr_failovers() > 0, "the crash must drive threads to the standby");
+    let trace = rt.take_trace().expect("tracing was enabled");
+    trace.check_invariants().expect("the handed-over hold must keep the timeline consistent");
+    // The baton goes through; the release, a send cost later, dies.
+    let fabric = trace.track(TrackId::Fabric).unwrap_or(&[]);
+    let at = |ns: u64| fabric.iter().filter(move |e| e.at.as_ns() == ns).map(|e| &e.kind);
+    let sync =
+        |kind: &EventKind| matches!(kind, EventKind::FabricSend { class: MsgClass::Sync, .. });
+    let crash = |kind: &EventKind| matches!(kind, EventKind::FaultInjected { kind: "crash", .. });
+    assert!(at(BATON_NS).any(sync) && !at(BATON_NS).any(crash), "the baton left");
+    assert!(at(BATON_NS + 60).any(sync) && at(BATON_NS + 60).any(crash), "the release died");
+    let primary = trace.track(TrackId::Manager).unwrap_or(&[]);
+    let after = |e: &&samhita_repro::trace::TraceEvent| e.at.as_ns() >= HANDOFF_CRASH_NS;
+    assert!(!primary.iter().any(|e| after(&e) && matches!(e.kind, EventKind::MgrServe { .. })));
+    let standby = trace.track(TrackId::MgrStandby).unwrap_or(&[]);
+    let first = standby.iter().find_map(|e| match e.kind {
+        EventKind::MgrServe { op, tid } => Some((op, tid)),
+        _ => None,
+    });
+    assert_eq!(first, Some(("handoff", 1)), "the standby's first serve is thread 1's hand-off");
+}
+
 /// The manager-crash half of the faulted-timeline pin
 /// (`tests/common/timeline.rs`; `tests/chaos.rs` holds the fault-plan half):
 /// the fault-free standby run (probes armed, nothing lost), six crash
 /// instants from before the first grant to the last sweep at P=8 and P=64,
-/// and three seeds of a lossy fabric with the manager crashing under a
-/// standby — the last also losing memory server 1. Recorded at the parent
-/// of PR 23.
+/// three seeds of a lossy fabric with the manager crashing under a standby
+/// — the last also losing memory server 1 — and the crash between a baton
+/// and its hand-off release. Recorded at the parent of PR 23; re-recorded
+/// when lock grants began to travel from holder to holder.
 const PINNED: &[timeline::Row] = &[
-    ("standby/jacobi-p8", [529895, 0, 0, 0, 0, 1079, 0xd59942aadd5ee502]),
-    ("standby/jacobi-p64", [1989101, 0, 0, 0, 0, 5027, 0xed03cf3f33a57ee0]),
-    ("mgr-crash@5000/jacobi-p8", [2675981, 42, 0, 8, 72, 795, 0xa9de68537fba2782]),
-    ("mgr-crash@5000/jacobi-p64", [3805929, 42, 0, 64, 576, 4125, 0x79cf4b17aa34b82a]),
-    ("mgr-crash@20000/jacobi-p8", [12669974, 62, 0, 8, 67, 804, 0xfa551c40457db496]),
-    ("mgr-crash@20000/jacobi-p64", [4008662, 392, 0, 64, 528, 4127, 0xcc5ad7aa0a52eab7]),
-    ("mgr-crash@60000/jacobi-p8", [12559870, 59, 0, 8, 64, 836, 0xaa49dd8594a044dd]),
-    ("mgr-crash@60000/jacobi-p64", [4040847, 448, 0, 64, 512, 4127, 0x9e462699235d9f67]),
-    ("mgr-crash@120000/jacobi-p8", [12629924, 62, 0, 8, 65, 853, 0x0a1edf69fa41c7eb]),
-    ("mgr-crash@120000/jacobi-p64", [13849834, 450, 0, 64, 513, 4133, 0xe531a8c88abe5597]),
-    ("mgr-crash@250000/jacobi-p8", [4799846, 56, 0, 8, 65, 937, 0x399b2a66ae207508]),
-    ("mgr-crash@250000/jacobi-p64", [14000728, 500, 0, 64, 515, 4279, 0x7447bfea5c5a50c9]),
-    ("mgr-crash@400000/jacobi-p8", [12623984, 62, 0, 8, 65, 1025, 0x2b51363364cdb413]),
-    ("mgr-crash@400000/jacobi-p64", [13818002, 508, 0, 64, 513, 4470, 0xe4357cde5dcd64d3]),
-    ("lossy-0xD1+mgr-crash/jacobi-p8", [5331903, 83, 0, 8, 121, 847, 0xd26c11adb706ef6f]),
-    ("lossy-0xD2+mgr-crash/jacobi-p8", [5137754, 75, 0, 8, 112, 834, 0x378b6af27097b6af]),
+    ("standby/jacobi-p8", [455095, 0, 0, 0, 0, 1135, 0x31e8955c780241b4]),
+    ("standby/jacobi-p64", [1729292, 0, 0, 0, 0, 5279, 0x4a6732aee6b3101c]),
+    ("mgr-crash@5000/jacobi-p8", [2601181, 42, 0, 8, 72, 851, 0x663e29fc24e6776a]),
+    ("mgr-crash@5000/jacobi-p64", [3590609, 42, 0, 64, 576, 4377, 0x6935a48190b5a42a]),
+    ("mgr-crash@20000/jacobi-p8", [12595174, 62, 0, 8, 67, 860, 0x7b71c97bdf88c075]),
+    ("mgr-crash@20000/jacobi-p64", [3787390, 392, 0, 64, 528, 4379, 0xeaf5eb5372b78064]),
+    ("mgr-crash@60000/jacobi-p8", [11155995, 56, 0, 8, 64, 887, 0x28a1258134395b68]),
+    ("mgr-crash@60000/jacobi-p64", [3820639, 448, 0, 64, 512, 4379, 0x925daa7bdbfadac8]),
+    ("mgr-crash@120000/jacobi-p8", [12565083, 62, 0, 8, 65, 913, 0xdf4967ddda5524f2]),
+    ("mgr-crash@120000/jacobi-p64", [13629626, 450, 0, 64, 513, 4385, 0x39511c94eba75454]),
+    ("mgr-crash@250000/jacobi-p8", [12600131, 62, 0, 8, 66, 1027, 0x036eb024c2ea4ddc]),
+    ("mgr-crash@250000/jacobi-p64", [13775632, 500, 0, 64, 515, 4531, 0x665a4f7fdee5640b]),
+    ("mgr-crash@400000/jacobi-p8", [2581660, 56, 0, 8, 66, 1119, 0xcd3e656850ab0ea5]),
+    ("mgr-crash@400000/jacobi-p64", [13593372, 504, 0, 64, 515, 4770, 0x8c99d6c6959de54a]),
+    ("lossy-0xD1+mgr-crash/jacobi-p8", [5157525, 82, 0, 8, 123, 901, 0x5e6f4f1da2ab8aed]),
+    ("lossy-0xD2+mgr-crash/jacobi-p8", [5041623, 76, 0, 8, 117, 889, 0xd174a1034fe5f40c]),
     (
         "lossy-0xD3+mgr-crash+server-crash/jacobi-p8",
-        [20413087, 139, 8, 8, 181, 789, 0xd1643a9a7c5b47b1],
+        [20154930, 136, 8, 8, 181, 847, 0xd479c53cb9151c75],
     ),
+    ("mgr-crash@62990/jacobi-p8", [11155995, 56, 0, 8, 64, 887, 0x28a1258134395b68]),
 ];
 
 #[test]
@@ -354,5 +396,7 @@ fn recovered_timelines_are_pinned_across_commits() {
         lossy_crash(0xD3, Some((1, 70_000))),
         &JACOBI_P8,
     );
+    let mid_handoff = format!("mgr-crash@{HANDOFF_CRASH_NS}/jacobi-p8");
+    row(mid_handoff, mgr_crash(HANDOFF_CRASH_NS), &JACOBI_P8);
     timeline::assert_pinned(PINNED, &fresh);
 }
