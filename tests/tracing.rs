@@ -238,8 +238,9 @@ fn chaos_standby_run() -> (SamhitaConfig, RunReport, RunTrace) {
 /// calls: nine values recorded at commit 2b6e062 (the `format!`-based
 /// exporters) held until PR 22, which changed the runs themselves — grants
 /// carry the merged notice set, so stamps move and `invalidate` events come
-/// in page order — and re-recorded them with the exporter untouched. Every
-/// later writer must reproduce the values below.
+/// in page order — and re-recorded them with the exporter untouched; the
+/// first two runs' again when lock holders began to hand the lock to their
+/// successors directly. Every later writer must reproduce the values below.
 #[test]
 fn export_bytes_are_pinned_across_commits() {
     let cfg = SamhitaConfig { max_threads: 8, ..traced_cfg() };
@@ -248,7 +249,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0x5a50_3333_fa8e_b41b, 0xd516_6b47_b63b_e483, 0x5f37_041e_3ae9_5684],
+        [0x377f_ebc7_0deb_bec9, 0xed1b_2c0e_2541_f034, 0x9c50_3524_52ce_5afb],
         "jacobi P=8"
     );
 
@@ -258,7 +259,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0xe238_e00a_2716_e580, 0x8188_1f1f_0440_4d08, 0xb466_a92f_dc33_9daf],
+        [0xdf6d_26e0_29bb_8586, 0x47a3_50e3_cf01_bd65, 0xbd6a_b842_cf23_a697],
         "micro P=4 global"
     );
 
