@@ -17,6 +17,11 @@
 //! barrier every thread reads the whole block back into a running sum that
 //! must agree too. [`run_chain`] runs a program on any `KernelRt`, so the
 //! DSM can be held to plain shared memory (`NativeRt`), bit for bit.
+//!
+//! [`ChainProgram::spread`] moves the cells apart: a cache line each, and a
+//! successor no longer holds the counters its predecessor bumped. It fetches
+//! them from their home, so a home that has not applied the predecessor's
+//! update yet changes the final memory.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,8 +69,17 @@ pub struct ChainProgram {
     pub threads: u32,
     /// Locks it uses.
     pub locks: usize,
+    /// `f64`s from one cell of the block to the next.
+    pub stride: usize,
     /// `rounds[r][t]`: thread `t`'s turn in round `r`.
     pub rounds: Vec<Vec<Turn>>,
+}
+
+impl ChainProgram {
+    /// The same program with its cells `stride` `f64`s apart.
+    pub fn spread(self, stride: usize) -> ChainProgram {
+        ChainProgram { stride, ..self }
+    }
 }
 
 /// Generate a program: `threads` threads, one to three locks, `rounds`
@@ -101,14 +115,15 @@ pub fn generate_chain(seed: u64, threads: u32, rounds: usize) -> ChainProgram {
                 .collect()
         })
         .collect();
-    ChainProgram { threads, locks, rounds }
+    ChainProgram { threads, locks, stride: 1, rounds }
 }
 
 /// Run `program` on `rt`: the final block, then each thread's sum of every
 /// block it read back after a barrier.
 pub fn run_chain(rt: &dyn KernelRt, program: &ChainProgram) -> Vec<f64> {
     let threads = program.threads as usize;
-    let block = rt.alloc_f64_global(BLOCK);
+    let stride = program.stride;
+    let block = rt.alloc_f64_global(BLOCK * stride);
     // A page of its own per thread's running sum.
     let sums = rt.alloc_f64_global(threads * 64);
     let locks: Vec<_> = (0..program.locks).map(|_| rt.mutex()).collect();
@@ -119,35 +134,34 @@ pub fn run_chain(rt: &dyn KernelRt, program: &ChainProgram) -> Vec<f64> {
         for round in &program.rounds {
             let turn = &round[t];
             if let Some(v) = turn.own_outside {
-                ctx.write(block, OWN + t, v as f64);
+                ctx.write(block, (OWN + t) * stride, v as f64);
             }
             for s in &turn.sections {
                 for &l in &s.locks {
                     ctx.lock(locks[l]);
                 }
                 for &(counter, delta) in &s.adds {
-                    let v = ctx.read(block, counter);
-                    ctx.write(block, counter, v + delta as f64);
+                    let v = ctx.read(block, counter * stride);
+                    ctx.write(block, counter * stride, v + delta as f64);
                 }
-                let cell = MAX_CELLS + s.locks[s.locks.len() - 1];
+                let cell = (MAX_CELLS + s.locks[s.locks.len() - 1]) * stride;
                 let v = ctx.read(block, cell);
                 ctx.write(block, cell, v.max(s.max as f64));
                 if let Some(v) = s.own_inside {
-                    ctx.write(block, OWN + t, v as f64);
+                    ctx.write(block, (OWN + t) * stride, v as f64);
                 }
                 for &l in s.locks.iter().rev() {
                     ctx.unlock(locks[l]);
                 }
             }
             ctx.barrier_wait(barrier);
-            let mut all = [0.0; BLOCK];
-            ctx.read_block(block, 0, &mut all);
-            sum += all.iter().sum::<f64>();
+            sum += (0..BLOCK).map(|i| ctx.read(block, i * stride)).sum::<f64>();
             ctx.barrier_wait(barrier);
         }
         ctx.write(sums, t * 64, sum);
     });
-    let mut out = rt.fetch_f64(block, BLOCK);
+    let mut out: Vec<f64> =
+        rt.fetch_f64(block, BLOCK * stride).into_iter().step_by(stride).collect();
     out.extend(rt.fetch_f64(sums, threads * 64).iter().step_by(64));
     out
 }

@@ -4,17 +4,26 @@
 //! Each program of `common/chains.rs` runs on `NativeRt` and on Samhita at
 //! `sched_seed` 0..8, each seed with a delay-only fault plan of its own —
 //! 30 % of messages take a 3 µs spike, which reorders releases against the
-//! grants they enable without losing anything. The final block and every
-//! thread's read-back sums must be bit-identical to the native run, and the
-//! trace invariant checker must accept every run. A condition-variable
+//! grants they enable, and update batches against the fetches that must
+//! see them, without losing anything. The final block and every thread's
+//! read-back sums must be bit-identical to the native run, and the trace
+//! invariant checker must accept every run. A condition-variable
 //! producer/consumer, which `NativeRt` cannot run, is held to its closed
 //! form under the same schedules.
+//!
+//! Some programs are built so that a stale home copy changes the final
+//! memory: cells spread over more cache lines than a thread holds, so a
+//! successor fetches the counters its predecessor bumped; and whole-page
+//! consistency, where every store in a critical section is an ordinary one
+//! that the successor is sent as a page notice and refetches — in a cache so
+//! small that the holder evicts its dirty lines before it releases. Each
+//! runs with prefetching on and off.
 
 #[path = "common/chains.rs"]
 mod chains;
 
-use chains::{generate_chain, run_chain};
-use samhita_repro::core::{FaultConfig, Samhita, SamhitaConfig};
+use chains::{generate_chain, run_chain, ChainProgram};
+use samhita_repro::core::{ConsistencyVariant, FaultConfig, Samhita, SamhitaConfig};
 use samhita_repro::rt::{NativeCosts, NativeRt, SamhitaRt};
 
 /// The explored schedules: seed `s` ties broken by `s`, delays seeded by `s`.
@@ -28,32 +37,86 @@ fn schedules(base: &SamhitaConfig) -> impl Iterator<Item = SamhitaConfig> + '_ {
 }
 
 /// One program on every explored schedule of `base`, each against native.
-fn chains_match_native(base: &SamhitaConfig, seed: u64, threads: u32) {
-    let program = generate_chain(seed, threads, 6);
-    let want = run_chain(&NativeRt::default(), &program);
+fn chains_match_native(base: &SamhitaConfig, what: &str, program: &ChainProgram) {
+    let want = run_chain(&NativeRt::default(), program);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for cfg in schedules(base) {
-        let at = format!("program {seed} (P={threads}) at sched_seed {}", cfg.sched_seed);
+        let at = format!("{what} (P={}) at sched_seed {}", program.threads, cfg.sched_seed);
         let native = NativeRt::with_runtime(NativeCosts::matching(&cfg.costs), cfg.sched_seed);
-        assert_eq!(bits(&run_chain(&native, &program)), bits(&want), "{at}: native moved");
+        assert_eq!(bits(&run_chain(&native, program)), bits(&want), "{at}: native moved");
         let rt = SamhitaRt::new(cfg);
-        assert_eq!(bits(&run_chain(&rt, &program)), bits(&want), "{at}: DSM vs native");
+        assert_eq!(bits(&run_chain(&rt, program)), bits(&want), "{at}: DSM vs native");
         let trace = rt.take_trace().expect("tracing was enabled");
         trace.check_invariants().unwrap_or_else(|v| panic!("{at}: {v:?}"));
     }
 }
 
+/// Generated program `seed` on `threads` threads, six rounds.
+fn chain(seed: u64, threads: u32) -> ChainProgram {
+    generate_chain(seed, threads, 6)
+}
+
 #[test]
 fn lock_chains_match_native_on_the_paper_cluster() {
     for (seed, threads) in [(1u64, 4u32), (2, 6), (3, 3), (4, 8)] {
-        chains_match_native(&SamhitaConfig::default(), seed, threads);
+        let program = chain(seed, threads);
+        chains_match_native(&SamhitaConfig::default(), &format!("program {seed}"), &program);
     }
 }
 
 #[test]
 fn lock_chains_match_native_on_small_pages() {
     for (seed, threads) in [(5u64, 4u32), (6, 5), (7, 2)] {
-        chains_match_native(&SamhitaConfig::small_for_tests(), seed, threads);
+        let program = chain(seed, threads);
+        chains_match_native(
+            &SamhitaConfig::small_for_tests(),
+            &format!("program {seed}"),
+            &program,
+        );
+    }
+}
+
+/// Every cell a cache line from the next, in an eight-line cache: the
+/// counters a holder bumps are gone from its successor's cache by the
+/// successor's turn, so it fetches them from the home — which must have
+/// applied the holder's update by then. (Eight lines still hold every line
+/// one critical section touches: a fine-grain store leaves its page clean,
+/// and evicting it before the release would lose the bytes a re-read in the
+/// same section needs.)
+#[test]
+fn lock_chains_over_more_lines_than_a_cache_holds_match_native() {
+    for prefetch in [true, false] {
+        let base =
+            SamhitaConfig { cache_capacity_lines: 8, prefetch, ..SamhitaConfig::small_for_tests() };
+        for (seed, threads) in [(8u64, 4u32), (9, 6), (10, 8)] {
+            let program = chain(seed, threads).spread(base.line_bytes() / 8);
+            let what = format!("spread program {seed}, prefetch {prefetch}");
+            chains_match_native(&base, &what, &program);
+        }
+    }
+}
+
+/// Whole-page consistency: a critical section's stores are ordinary ones,
+/// flushed as page diffs, so the successor is sent page notices and
+/// refetches what the holder wrote. In a four-line cache that evicts dirty
+/// lines first, the holder's diffs often leave with an eviction before its
+/// release does.
+#[test]
+fn whole_page_lock_chains_refetch_what_the_holder_flushed() {
+    for prefetch in [true, false] {
+        let base = SamhitaConfig {
+            consistency: ConsistencyVariant::WholePage,
+            cache_capacity_lines: 4,
+            prefetch,
+            ..SamhitaConfig::small_for_tests()
+        };
+        for (seed, threads, stride) in
+            [(11u64, 4u32, 1), (12, 6, 1), (13, 5, base.line_bytes() / 8)]
+        {
+            let program = chain(seed, threads).spread(stride);
+            let what = format!("whole-page program {seed} (stride {stride}), prefetch {prefetch}");
+            chains_match_native(&base, &what, &program);
+        }
     }
 }
 
