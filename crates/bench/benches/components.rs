@@ -14,7 +14,7 @@ use samhita_core::msg::MgrRequest;
 use samhita_core::{EvictionPolicy, SamhitaConfig};
 use samhita_kernels::{run_micro, AllocMode, MicroParams};
 use samhita_mem::{PageId, PageStore};
-use samhita_regc::{Diff, RegionKind, WriteSet};
+use samhita_regc::{Diff, Interval, RegionKind, WriteSet};
 use samhita_rt::{NativeRt, SamhitaRt};
 use samhita_scl::EndpointId;
 use samhita_scl::{Fabric, MsgClass, NodeId, SimTime, Topology};
@@ -225,8 +225,7 @@ fn bench_manager(c: &mut Criterion) {
                         10 + i,
                         MgrRequest::Acquire {
                             lock: 0,
-                            pages: vec![i],
-                            updates: vec![],
+                            interval: Interval { pages: vec![i], ..Interval::default() },
                             last_seen: i,
                         },
                         now,
@@ -237,8 +236,7 @@ fn bench_manager(c: &mut Criterion) {
                         10 + i,
                         MgrRequest::Release {
                             lock: 0,
-                            pages: vec![],
-                            updates: vec![],
+                            interval: Interval::default(),
                             handed: None,
                         },
                         now,

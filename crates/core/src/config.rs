@@ -657,7 +657,7 @@ mod tests {
         assert_eq!(bypass.service_costs().mgr_service_ns, c.costs.local_sync_ns);
         assert_eq!(sc.page_size, c.page_size as u64);
         for bytes in [0usize, 100, 1024, 4096, 16384] {
-            let apply = EventKind::ApplyDiff { page: 0, bytes: bytes as u64 };
+            let apply = EventKind::ApplyDiff { page: 0, bytes: bytes as u64, writer: 0, batch: 1 };
             assert_eq!(SimTime::from_ns(sc.serve_ns(&apply)), c.service.apply_ns(bytes));
         }
         for pages in [1u32, 4, 16] {

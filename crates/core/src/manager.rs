@@ -8,7 +8,8 @@
 //!
 //! The manager is also the publication point for RegC write notices: every
 //! flush-carrying request (`Acquire`, `Release`, `BarrierWait`, `CondWait`,
-//! `Exit`) publishes an interval, and every blocking grant (`Granted`,
+//! `Exit`) publishes an interval — pages, fine updates, and the writer's
+//! update-batch marks — and every blocking grant (`Granted`,
 //! `BarrierReleased`) returns what the notices the recipient has not yet
 //! seen amount to for it — one merged, run-encoded
 //! [`NoticeSet`], not the log suffix.
@@ -27,7 +28,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use samhita_regc::{FineUpdate, IntervalLog, NoticeSet};
+use samhita_regc::{Interval, IntervalLog, NoticeSet};
 use samhita_scl::{EndpointId, SimTime, VirtualResource};
 
 use crate::config::SamhitaConfig;
@@ -399,7 +400,7 @@ impl ManagerEngine {
                 let id = (self.conds.len() - 1) as u32;
                 vec![Outgoing::reply(src, token, done, MgrResponse::SyncId(id))]
             }
-            MgrRequest::Acquire { lock, pages, updates, last_seen } => {
+            MgrRequest::Acquire { lock, interval, last_seen } => {
                 self.stats.acquires += 1;
                 if !self.threads.contains_key(&tid) {
                     let resp = MgrResponse::Err(MgrError::Unregistered { tid });
@@ -409,7 +410,7 @@ impl ManagerEngine {
                     let resp = MgrResponse::Err(MgrError::UnknownLock { lock });
                     return vec![Outgoing::reply(src, token, done, resp)];
                 }
-                self.publish(tid, pages, updates);
+                self.publish(tid, None, interval);
                 let waiter = Waiter { tid, token, ready: done, last_seen };
                 let state = &mut self.locks[lock as usize];
                 if state.holder.is_none() {
@@ -420,16 +421,16 @@ impl ManagerEngine {
                     self.hint(lock, done)
                 }
             }
-            MgrRequest::Release { lock, pages, updates, handed } => {
+            MgrRequest::Release { lock, interval, handed } => {
                 self.stats.releases += 1;
                 if !self.threads.contains_key(&tid) {
                     let resp = MgrResponse::Err(MgrError::Unregistered { tid });
                     return vec![Outgoing::reply(src, token, done, resp)];
                 }
                 let mut out = match handed.filter(|h| self.hinted_head(lock, tid, h)) {
-                    Some(h) => self.hand_over(lock, tid, h, pages, updates, done),
+                    Some(h) => self.hand_over(lock, tid, h, interval, done),
                     None => {
-                        self.publish(tid, pages, updates);
+                        self.publish(tid, None, interval);
                         self.release_lock(lock, tid, done, src, token)
                     }
                 };
@@ -442,7 +443,7 @@ impl ManagerEngine {
                 }
                 out
             }
-            MgrRequest::BarrierWait { barrier, pages, updates, last_seen } => {
+            MgrRequest::BarrierWait { barrier, interval, last_seen } => {
                 self.stats.barrier_waits += 1;
                 if !self.threads.contains_key(&tid) {
                     let resp = MgrResponse::Err(MgrError::Unregistered { tid });
@@ -452,7 +453,7 @@ impl ManagerEngine {
                     let resp = MgrResponse::Err(MgrError::UnknownBarrier { barrier });
                     return vec![Outgoing::reply(src, token, done, resp)];
                 }
-                self.publish(tid, pages, updates);
+                self.publish(tid, None, interval);
                 let state = &mut self.barriers[barrier as usize];
                 state.waiting.push(Waiter { tid, token, ready: done, last_seen });
                 if state.waiting.len() as u32 == state.parties {
@@ -485,7 +486,7 @@ impl ManagerEngine {
                     Vec::new()
                 }
             }
-            MgrRequest::CondWait { cond, lock, pages, updates, last_seen } => {
+            MgrRequest::CondWait { cond, lock, interval, last_seen } => {
                 self.stats.cond_waits += 1;
                 if !self.threads.contains_key(&tid) {
                     let resp = MgrResponse::Err(MgrError::Unregistered { tid });
@@ -499,7 +500,7 @@ impl ManagerEngine {
                     let resp = MgrResponse::Err(MgrError::UnknownCond { cond });
                     return vec![Outgoing::reply(src, token, done, resp)];
                 }
-                self.publish(tid, pages, updates);
+                self.publish(tid, None, interval);
                 let waiter = Waiter { tid, token, ready: done, last_seen };
                 self.conds[cond as usize].waiters.push_back((waiter, lock));
                 // Atomically release the lock the caller held.
@@ -525,22 +526,23 @@ impl ManagerEngine {
                 out.push(Outgoing::reply(src, token, done, MgrResponse::Ok));
                 out
             }
-            MgrRequest::Exit { pages, updates } => {
-                self.publish(tid, pages, updates);
+            MgrRequest::Exit { interval } => {
+                self.publish(tid, None, interval);
                 self.threads.remove(&tid);
                 vec![Outgoing::reply(src, token, done, MgrResponse::Ok)]
             }
         }
     }
 
-    /// Record a sync op's flushed pages and fine updates as a write-notice
-    /// interval. Callers must validate the request (registered thread, known
-    /// sync-object id) *first*: a rejected request publishes nothing, so its
-    /// flush never becomes visible to later grantees under an error response.
-    fn publish(&mut self, tid: u32, pages: Vec<u64>, updates: Vec<FineUpdate>) {
-        if !pages.is_empty() || !updates.is_empty() {
+    /// Record a sync op's interval as a write notice, seen already by the
+    /// thread it was handed to, if any. Callers must validate the request
+    /// (registered thread, known sync-object id) *first*: a rejected request
+    /// publishes nothing, so its flush never becomes visible to later
+    /// grantees under an error response.
+    fn publish(&mut self, tid: u32, seen_by: Option<u32>, interval: Interval) {
+        if !interval.is_empty() {
             self.stats.notices_published += 1;
-            self.intervals.publish(tid, pages, updates);
+            self.intervals.publish_seen_by(tid, seen_by, interval);
         }
     }
 
@@ -623,8 +625,11 @@ impl ManagerEngine {
 
     /// Make `waiter` the holder of `lock` from `at`: the old holder's hint
     /// dies, the waiter is granted — the rest of its grant, if it was sent
-    /// an advance — and it is hinted about the next head.
+    /// an advance — and it is hinted about the next head. Requests it
+    /// parked as a hinted head are served: a standby whose log ended before
+    /// the grant the primary sent it reclaims the lock and grants it again.
     fn take_lock(&mut self, lock: u32, waiter: Waiter, at: SimTime) -> Vec<Outgoing> {
+        let tid = waiter.tid;
         let hint = self.locks[lock as usize]
             .hint
             .take()
@@ -638,6 +643,7 @@ impl ManagerEngine {
             None => vec![self.grant(waiter, at)],
         };
         out.extend(self.hint(lock, at));
+        out.extend(self.unpark(tid));
         out
     }
 
@@ -708,22 +714,15 @@ impl ManagerEngine {
         lock: u32,
         holder: u32,
         handed: Handed,
-        pages: Vec<u64>,
-        updates: Vec<FineUpdate>,
+        interval: Interval,
         done: SimTime,
     ) -> Vec<Outgoing> {
         let hint = self.locks[lock as usize].hint.take().expect("a hinted head");
-        let whole = self.file_grants.then(|| {
-            let interval = NoticeSet::interval(holder, &pages, &updates);
-            MgrResponse::Granted {
-                notices: hint.notices.followed_by(&interval),
-                watermark: hint.watermark,
-            }
+        let whole = self.file_grants.then(|| MgrResponse::Granted {
+            notices: hint.notices.followed_by(&NoticeSet::interval(holder, &interval)),
+            watermark: hint.watermark,
         });
-        if !pages.is_empty() || !updates.is_empty() {
-            self.stats.notices_published += 1;
-            self.intervals.publish_seen_by(holder, Some(handed.to), pages, updates);
-        }
+        self.publish(holder, Some(handed.to), interval);
         let state = &mut self.locks[lock as usize];
         let next = state.queue.pop_front().expect("the hinted head is queued");
         debug_assert_eq!((next.tid, next.token), (handed.to, handed.token));
@@ -737,9 +736,17 @@ impl ManagerEngine {
         let mut out: Vec<_> =
             whole.into_iter().map(|whole| Outgoing::filed(ep, next.token, done, whole)).collect();
         out.extend(self.hint(lock, done));
+        out.extend(self.unpark(next.tid));
+        out
+    }
+
+    /// Serve the requests `tid` sent while it was a hinted head, now that
+    /// it holds the lock.
+    fn unpark(&mut self, tid: u32) -> Vec<Outgoing> {
         let (early, rest) =
-            std::mem::take(&mut self.parked).into_iter().partition(|p| p.tid == next.tid);
+            std::mem::take(&mut self.parked).into_iter().partition(|p| p.tid == tid);
         self.parked = rest;
+        let mut out = Vec::new();
         for p in early {
             out.extend(self.serve(p.src, p.tid, p.token, p.req, p.arrival));
         }
@@ -844,7 +851,7 @@ impl ManagerEngine {
 
 #[cfg(test)]
 mod tests {
-    use samhita_regc::PageRun;
+    use samhita_regc::{FineUpdate, PageRun};
 
     use super::*;
 
@@ -858,11 +865,11 @@ mod tests {
     /// A release of `lock` publishing `pages`, handed to `(tid, token)`.
     fn release(lock: u32, pages: Vec<u64>, to: Option<(u32, u64)>) -> MgrRequest {
         let handed = to.map(|(to, token)| Handed { to, token });
-        MgrRequest::Release { lock, pages, updates: vec![], handed }
+        MgrRequest::Release { lock, interval: Interval { pages, ..Interval::default() }, handed }
     }
 
     fn acquire(lock: u32, last_seen: u64) -> MgrRequest {
-        MgrRequest::Acquire { lock, pages: vec![], updates: vec![], last_seen }
+        MgrRequest::Acquire { lock, interval: Interval::default(), last_seen }
     }
 
     /// The one successor hint among `out`: (holder endpoint, hold token,
@@ -926,7 +933,7 @@ mod tests {
             EP0,
             T0,
             3,
-            MgrRequest::Acquire { lock: l, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: l, interval: Interval::default(), last_seen: 0 },
             SimTime::from_us(1),
         );
         assert_eq!(out.len(), 1);
@@ -943,7 +950,7 @@ mod tests {
             EP0,
             T0,
             3,
-            MgrRequest::Acquire { lock: l, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: l, interval: Interval::default(), last_seen: 0 },
             SimTime::ZERO,
         );
         // Second acquire: queued, and only the holder hears of it.
@@ -951,7 +958,7 @@ mod tests {
             EP1,
             T1,
             4,
-            MgrRequest::Acquire { lock: l, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: l, interval: Interval::default(), last_seen: 0 },
             SimTime::from_ns(10),
         );
         assert_eq!(out.len(), 2);
@@ -962,7 +969,11 @@ mod tests {
             EP0,
             T0,
             5,
-            MgrRequest::Release { lock: l, pages: vec![7], updates: vec![], handed: None },
+            MgrRequest::Release {
+                lock: l,
+                interval: Interval { pages: vec![7], ..Interval::default() },
+                handed: None,
+            },
             SimTime::from_us(5),
         );
         // T1 was sent its grant's advance when it queued; it is sent the
@@ -990,14 +1001,14 @@ mod tests {
             EP0,
             T0,
             3,
-            MgrRequest::Acquire { lock: l, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: l, interval: Interval::default(), last_seen: 0 },
             SimTime::ZERO,
         );
         let out = e.handle(
             EP1,
             T1,
             4,
-            MgrRequest::Release { lock: l, pages: vec![], updates: vec![], handed: None },
+            MgrRequest::Release { lock: l, interval: Interval::default(), handed: None },
             SimTime::ZERO,
         );
         assert_eq!(out.len(), 1);
@@ -1012,7 +1023,7 @@ mod tests {
             EP0,
             T0,
             5,
-            MgrRequest::Release { lock: l, pages: vec![], updates: vec![], handed: None },
+            MgrRequest::Release { lock: l, interval: Interval::default(), handed: None },
             SimTime::ZERO,
         );
         assert!(out.is_empty(), "uncontended release sends nothing without ack mode");
@@ -1023,28 +1034,22 @@ mod tests {
         let mut e = engine();
         let cases: Vec<(MgrRequest, MgrError)> = vec![
             (
-                MgrRequest::Acquire { lock: 9, pages: vec![], updates: vec![], last_seen: 0 },
+                MgrRequest::Acquire { lock: 9, interval: Interval::default(), last_seen: 0 },
                 MgrError::UnknownLock { lock: 9 },
             ),
             (
-                MgrRequest::Release { lock: 9, pages: vec![], updates: vec![], handed: None },
+                MgrRequest::Release { lock: 9, interval: Interval::default(), handed: None },
                 MgrError::UnknownLock { lock: 9 },
             ),
             (
-                MgrRequest::BarrierWait {
-                    barrier: 7,
-                    pages: vec![],
-                    updates: vec![],
-                    last_seen: 0,
-                },
+                MgrRequest::BarrierWait { barrier: 7, interval: Interval::default(), last_seen: 0 },
                 MgrError::UnknownBarrier { barrier: 7 },
             ),
             (
                 MgrRequest::CondWait {
                     cond: 5,
                     lock: 9,
-                    pages: vec![],
-                    updates: vec![],
+                    interval: Interval::default(),
                     last_seen: 0,
                 },
                 MgrError::UnknownLock { lock: 9 },
@@ -1065,7 +1070,7 @@ mod tests {
             EndpointId(77),
             42,
             99,
-            MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: 0, interval: Interval::default(), last_seen: 0 },
             SimTime::ZERO,
         );
         assert!(matches!(out[0].resp, MgrResponse::Err(MgrError::Unregistered { tid: 42 })));
@@ -1087,19 +1092,23 @@ mod tests {
                 EP0,
                 T0,
                 4,
-                MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 0 },
+                MgrRequest::Acquire { lock: 0, interval: Interval::default(), last_seen: 0 },
             ),
             (
                 EP1,
                 T1,
                 5,
-                MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 0 },
+                MgrRequest::Acquire { lock: 0, interval: Interval::default(), last_seen: 0 },
             ),
             (
                 EP0,
                 T0,
                 6,
-                MgrRequest::Release { lock: 0, pages: vec![3], updates: vec![], handed: None },
+                MgrRequest::Release {
+                    lock: 0,
+                    interval: Interval { pages: vec![3], ..Interval::default() },
+                    handed: None,
+                },
             ),
             // T0 again, behind T1 now; T1 hands it over directly…
             (EP2, T2, 1, MgrRequest::Register { observer: false }),
@@ -1107,7 +1116,11 @@ mod tests {
                 EP0,
                 T0,
                 7,
-                MgrRequest::Acquire { lock: 0, pages: vec![4], updates: vec![], last_seen: 1 },
+                MgrRequest::Acquire {
+                    lock: 0,
+                    interval: Interval { pages: vec![4], ..Interval::default() },
+                    last_seen: 1,
+                },
             ),
             (EP1, T1, 6, release(0, vec![5], Some((T0, 7)))),
             // …T2 queues behind T0, which releases to it directly, and
@@ -1116,7 +1129,7 @@ mod tests {
                 EP2,
                 T2,
                 2,
-                MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 1 },
+                MgrRequest::Acquire { lock: 0, interval: Interval::default(), last_seen: 1 },
             ),
             (EP2, T2, 3, release(0, vec![6], None)),
             (EP0, T0, 8, release(0, vec![7], Some((T2, 2)))),
@@ -1177,7 +1190,7 @@ mod tests {
             EP0,
             T0,
             3,
-            MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: 0, interval: Interval::default(), last_seen: 0 },
             SimTime::ZERO,
         );
         let granted_at = out[0].at;
@@ -1185,7 +1198,7 @@ mod tests {
             EP1,
             T1,
             4,
-            MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: 0, interval: Interval::default(), last_seen: 0 },
             SimTime::from_ns(100),
         );
         let expiry = e.next_lease_expiry().expect("a held lock has a lease");
@@ -1210,7 +1223,11 @@ mod tests {
             EP0,
             T0,
             5,
-            MgrRequest::Release { lock: 0, pages: vec![9], updates: vec![], handed: None },
+            MgrRequest::Release {
+                lock: 0,
+                interval: Interval { pages: vec![9], ..Interval::default() },
+                handed: None,
+            },
             sweep_at + SimTime::from_ns(50),
         );
         assert_eq!(out.len(), 1, "standby mode still acks the stale release");
@@ -1224,7 +1241,7 @@ mod tests {
             EP1,
             T1,
             6,
-            MgrRequest::Release { lock: 0, pages: vec![], updates: vec![], handed: None },
+            MgrRequest::Release { lock: 0, interval: Interval::default(), handed: None },
             sweep_at + SimTime::from_ns(100),
         );
         assert_eq!(out.len(), 1);
@@ -1238,14 +1255,14 @@ mod tests {
             EP0,
             T0,
             3,
-            MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: 0, interval: Interval::default(), last_seen: 0 },
             SimTime::ZERO,
         );
         let out = e.handle(
             EP0,
             T0,
             4,
-            MgrRequest::Release { lock: 0, pages: vec![], updates: vec![], handed: None },
+            MgrRequest::Release { lock: 0, interval: Interval::default(), handed: None },
             SimTime::from_ns(500),
         );
         assert_eq!(out.len(), 1);
@@ -1262,7 +1279,11 @@ mod tests {
             EP0,
             T0,
             3,
-            MgrRequest::BarrierWait { barrier: 0, pages: vec![1], updates: vec![], last_seen: 0 },
+            MgrRequest::BarrierWait {
+                barrier: 0,
+                interval: Interval { pages: vec![1], ..Interval::default() },
+                last_seen: 0,
+            },
             SimTime::from_us(1),
         );
         assert!(out.is_empty(), "first arrival waits");
@@ -1270,7 +1291,11 @@ mod tests {
             EP1,
             T1,
             4,
-            MgrRequest::BarrierWait { barrier: 0, pages: vec![2], updates: vec![], last_seen: 0 },
+            MgrRequest::BarrierWait {
+                barrier: 0,
+                interval: Interval { pages: vec![2], ..Interval::default() },
+                last_seen: 0,
+            },
             SimTime::from_us(9),
         );
         assert_eq!(out.len(), 2, "last arrival releases everyone");
@@ -1293,7 +1318,7 @@ mod tests {
             EP0,
             T0,
             5,
-            MgrRequest::BarrierWait { barrier: 0, pages: vec![], updates: vec![], last_seen: 2 },
+            MgrRequest::BarrierWait { barrier: 0, interval: Interval::default(), last_seen: 2 },
             SimTime::from_us(20),
         );
         assert!(out.is_empty());
@@ -1309,7 +1334,7 @@ mod tests {
             EP0,
             T0,
             10,
-            MgrRequest::Acquire { lock: l, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: l, interval: Interval::default(), last_seen: 0 },
             SimTime::ZERO,
         );
         let out = e.handle(
@@ -1319,8 +1344,7 @@ mod tests {
             MgrRequest::CondWait {
                 cond: 0,
                 lock: l,
-                pages: vec![3],
-                updates: vec![],
+                interval: Interval { pages: vec![3], ..Interval::default() },
                 last_seen: 0,
             },
             SimTime::from_us(1),
@@ -1331,7 +1355,7 @@ mod tests {
             EP1,
             T1,
             12,
-            MgrRequest::Acquire { lock: l, pages: vec![], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire { lock: l, interval: Interval::default(), last_seen: 0 },
             SimTime::from_us(2),
         );
         assert_eq!(out.len(), 1);
@@ -1346,7 +1370,7 @@ mod tests {
             EP1,
             T1,
             14,
-            MgrRequest::Release { lock: l, pages: vec![], updates: vec![], handed: None },
+            MgrRequest::Release { lock: l, interval: Interval::default(), handed: None },
             SimTime::from_us(4),
         );
         assert_eq!(out.len(), 2);
@@ -1421,8 +1445,7 @@ mod tests {
                     10 + round,
                     MgrRequest::BarrierWait {
                         barrier: 0,
-                        pages: vec![round],
-                        updates: vec![],
+                        interval: Interval { pages: vec![round], ..Interval::default() },
                         last_seen: seen[tid as usize],
                     },
                     SimTime::from_us(round),
@@ -1461,8 +1484,7 @@ mod tests {
                     10,
                     MgrRequest::BarrierWait {
                         barrier: 0,
-                        pages: vec![round],
-                        updates: vec![],
+                        interval: Interval { pages: vec![round], ..Interval::default() },
                         last_seen: seen[tid as usize],
                     },
                     SimTime::ZERO,
@@ -1485,14 +1507,22 @@ mod tests {
             EP0,
             T0,
             3,
-            MgrRequest::Acquire { lock: l, pages: vec![1], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire {
+                lock: l,
+                interval: Interval { pages: vec![1], ..Interval::default() },
+                last_seen: 0,
+            },
             SimTime::ZERO,
         );
         e.handle(
             EP0,
             T0,
             4,
-            MgrRequest::Release { lock: l, pages: vec![2], updates: vec![], handed: None },
+            MgrRequest::Release {
+                lock: l,
+                interval: Interval { pages: vec![2], ..Interval::default() },
+                handed: None,
+            },
             SimTime::ZERO,
         );
         let out =
@@ -1511,14 +1541,18 @@ mod tests {
             EP0,
             T0,
             3,
-            MgrRequest::Acquire { lock: l, pages: vec![1], updates: vec![], last_seen: 0 },
+            MgrRequest::Acquire {
+                lock: l,
+                interval: Interval { pages: vec![1], ..Interval::default() },
+                last_seen: 0,
+            },
             SimTime::ZERO,
         );
         e.handle(
             EP0,
             T0,
             4,
-            MgrRequest::Release { lock: l, pages: vec![], updates: vec![], handed: None },
+            MgrRequest::Release { lock: l, interval: Interval::default(), handed: None },
             SimTime::ZERO,
         );
         let s = e.stats();
@@ -1573,16 +1607,19 @@ mod tests {
         let update = FineUpdate { page: 2, offset: 0, bytes: vec![5; 8] };
         let handoff = MgrRequest::Release {
             lock: 0,
-            pages: vec![7],
-            updates: vec![update.clone()],
+            interval: Interval {
+                pages: vec![7],
+                updates: vec![update.clone()],
+                ..Default::default()
+            },
             handed: Some(Handed { to: T1, token: 4 }),
         };
         assert_eq!(handoff.label(), "handoff");
         let out = e.handle(EP0, T0, 5, handoff, SimTime::from_us(2));
         // The grant T0 sent is the one the manager keeps — never sends.
         assert_eq!(out.len(), 1, "{out:?}");
-        let want =
-            advance.followed_by(&NoticeSet::interval(T0, &[7], std::slice::from_ref(&update)));
+        let interval = Interval { pages: vec![7], updates: vec![update], ..Interval::default() };
+        let want = advance.followed_by(&NoticeSet::interval(T0, &interval));
         assert_eq!((out[0].dst, out[0].token, out[0].filed), (EP1, 4, true));
         match &out[0].resp {
             MgrResponse::Granted { notices, watermark } => {
@@ -1664,7 +1701,10 @@ mod tests {
             advance = advance_in(&filed).or(advance);
         }
         let (.., notices, _) = advance.expect("T1 was sent an advance");
-        let baton = notices.followed_by(&NoticeSet::interval(T0, &[3], &[]));
+        let baton = notices.followed_by(&NoticeSet::interval(
+            T0,
+            &Interval { pages: vec![3], ..Default::default() },
+        ));
         let kept: Vec<_> = filed.iter().filter(|o| o.filed && o.dst == EP1).collect();
         assert_eq!(kept.len(), 1);
         assert!(matches!(
@@ -1787,8 +1827,11 @@ mod stress {
                 acquires += 1;
                 waiting.push(tid);
                 let last_seen = seen[tid as usize];
-                let req =
-                    MgrRequest::Acquire { lock: 0, pages: vec![3], updates: vec![], last_seen };
+                let req = MgrRequest::Acquire {
+                    lock: 0,
+                    interval: Interval { pages: vec![3], ..Interval::default() },
+                    last_seen,
+                };
                 let outs = handle(tid, token, req, now);
                 known.extend(absorb(
                     outs,
@@ -1805,8 +1848,7 @@ mod stress {
                 let Some((to, to_token, watermark)) = hint else {
                     let req = MgrRequest::Release {
                         lock: 0,
-                        pages: vec![],
-                        updates: vec![],
+                        interval: Interval::default(),
                         handed: None,
                     };
                     let outs = handle(h, token, req, now);
@@ -1834,14 +1876,17 @@ mod stress {
                     idle.push(to);
                     let req = MgrRequest::Release {
                         lock: 0,
-                        pages: vec![1],
-                        updates: vec![],
+                        interval: Interval { pages: vec![1], ..Interval::default() },
                         handed: None,
                     };
                     assert!(handle(to, token + 1_000_000, req, now).is_empty(), "parked");
                 }
                 let handed = Some(Handed { to, token: to_token });
-                let req = MgrRequest::Release { lock: 0, pages: vec![2], updates: vec![], handed };
+                let req = MgrRequest::Release {
+                    lock: 0,
+                    interval: Interval { pages: vec![2], ..Interval::default() },
+                    handed,
+                };
                 let outs = handle(h, token, req, now + SimTime::from_ns(10));
                 known.extend(absorb(
                     outs,
@@ -1857,7 +1902,7 @@ mod stress {
         while let Some((h, _)) = holder.take() {
             now += SimTime::from_ns(50);
             token += 1;
-            let req = MgrRequest::Release { lock: 0, pages: vec![], updates: vec![], handed: None };
+            let req = MgrRequest::Release { lock: 0, interval: Interval::default(), handed: None };
             let outs = handle(h, token, req, now);
             idle.push(h);
             known.extend(absorb(outs, &mut holder, &mut waiting, &mut seen, &mut granted, now));

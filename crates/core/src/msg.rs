@@ -9,7 +9,7 @@
 use std::fmt;
 
 use samhita_mem::{MemRequest, MemResponse};
-use samhita_regc::{FineUpdate, NoticeSet};
+use samhita_regc::{Interval, Marks, NoticeSet};
 use samhita_scl::{EndpointId, SimTime};
 
 use crate::layout::Region;
@@ -22,7 +22,7 @@ pub enum Msg {
     /// copies: the server applies and acknowledges them like any update but
     /// keeps them out of the event trace, so replication does not perturb
     /// the observable protocol timeline.
-    MemReq { token: u64, shadow: bool, req: MemRequest },
+    MemReq { token: u64, shadow: bool, stamp: Stamp, req: MemRequest },
     /// Memory server → compute thread.
     MemResp { token: u64, resp: MemResponse },
     /// Compute thread (or host control client) → manager.
@@ -37,6 +37,23 @@ pub enum Msg {
     /// Hot standby → primary manager: all records with `seq <= upto` have
     /// been applied and need not be shipped again.
     MgrLogAck { upto: u64 },
+}
+
+/// Where a memory request stands in the order of updates at its home. A
+/// sender numbers its update batches per home; a request names the other
+/// writers' batches it must follow that it has not named to this server
+/// before, and the server holds it until it has applied them.
+#[derive(Clone, Debug, Default)]
+pub struct Stamp {
+    /// The sending thread.
+    pub tid: u32,
+    /// The home whose pages the request is about.
+    pub home: u32,
+    /// An update batch's number among the sender's batches to `home`, its
+    /// shadow copy's too; 0 for any other request.
+    pub batch: u32,
+    /// Other writers' batches to `home` to apply first.
+    pub needs: Marks,
 }
 
 /// One mutation of the manager state machine. Manager state is a pure fold
@@ -110,26 +127,25 @@ pub enum MgrRequest {
     CreateBarrier { parties: u32 },
     /// Create a condition variable.
     CreateCond,
-    /// Acquire a lock. `pages` are the write notices to publish for the
-    /// flush performed before this acquire; `last_seen` is the caller's
-    /// notice watermark.
-    Acquire { lock: u32, pages: Vec<u64>, updates: Vec<FineUpdate>, last_seen: u64 },
-    /// Release a lock after flushing; publishes `pages` and the fine-grain
-    /// `updates` of the consistency region just exited. `handed` names the
-    /// successor the releaser already granted the lock to itself, with
-    /// those notices (a direct hand-off, served as `"handoff"`).
-    Release { lock: u32, pages: Vec<u64>, updates: Vec<FineUpdate>, handed: Option<Handed> },
-    /// Enter a barrier after flushing; publishes `pages` and `updates`.
-    BarrierWait { barrier: u32, pages: Vec<u64>, updates: Vec<FineUpdate>, last_seen: u64 },
-    /// Atomically release `lock` and wait on `cond`; publishes `pages` and
-    /// `updates`. The response (a lock re-grant) arrives after a signal.
-    CondWait { cond: u32, lock: u32, pages: Vec<u64>, updates: Vec<FineUpdate>, last_seen: u64 },
+    /// Acquire a lock, publishing the `interval` of the flush before it;
+    /// `last_seen` is the caller's notice watermark.
+    Acquire { lock: u32, interval: Interval, last_seen: u64 },
+    /// Release a lock after flushing; publishes the `interval` of the
+    /// consistency region just exited. `handed` names the successor the
+    /// releaser already granted the lock to itself, with that interval (a
+    /// direct hand-off, served as `"handoff"`).
+    Release { lock: u32, interval: Interval, handed: Option<Handed> },
+    /// Enter a barrier after flushing; publishes `interval`.
+    BarrierWait { barrier: u32, interval: Interval, last_seen: u64 },
+    /// Atomically release `lock` and wait on `cond`; publishes `interval`.
+    /// The response (a lock re-grant) arrives after a signal.
+    CondWait { cond: u32, lock: u32, interval: Interval, last_seen: u64 },
     /// Wake one waiter of `cond`.
     CondSignal { cond: u32 },
     /// Wake all waiters of `cond`.
     CondBroadcast { cond: u32 },
     /// Thread departure; publishes the final flush.
-    Exit { pages: Vec<u64>, updates: Vec<FineUpdate> },
+    Exit { interval: Interval },
 }
 
 /// The successor a releasing holder granted its lock to directly: the
@@ -312,15 +328,11 @@ impl MgrRequest {
             | MgrRequest::CondBroadcast { .. }
             | MgrRequest::Free { .. } => 16,
             MgrRequest::AllocShared { .. } | MgrRequest::AllocStriped { .. } => 24,
-            MgrRequest::Acquire { pages, updates, .. }
-            | MgrRequest::Release { pages, updates, .. }
-            | MgrRequest::BarrierWait { pages, updates, .. }
-            | MgrRequest::Exit { pages, updates } => {
-                24 + pages.len() * 8 + updates.iter().map(FineUpdate::wire_bytes).sum::<usize>()
-            }
-            MgrRequest::CondWait { pages, updates, .. } => {
-                32 + pages.len() * 8 + updates.iter().map(FineUpdate::wire_bytes).sum::<usize>()
-            }
+            MgrRequest::Acquire { interval, .. }
+            | MgrRequest::Release { interval, .. }
+            | MgrRequest::BarrierWait { interval, .. }
+            | MgrRequest::Exit { interval } => 24 + interval.wire_bytes(),
+            MgrRequest::CondWait { interval, .. } => 32 + interval.wire_bytes(),
         }
     }
 }
@@ -348,7 +360,9 @@ impl Msg {
     /// Approximate wire payload for the cost model.
     pub fn wire_bytes(&self) -> usize {
         match self {
-            Msg::MemReq { req, .. } => req.wire_bytes(),
+            // A batch's number rides in its header; what it must follow is
+            // a list of marks.
+            Msg::MemReq { stamp, req, .. } => req.wire_bytes() + stamp.needs.wire_bytes(),
             Msg::MemResp { resp, .. } => resp.wire_bytes(),
             Msg::MgrReq { req, .. } => req.wire_bytes(),
             Msg::MgrResp { resp, .. } => resp.wire_bytes(),
@@ -364,15 +378,18 @@ impl Msg {
 mod tests {
     use std::sync::Arc;
 
-    use samhita_regc::PageRun;
+    use samhita_regc::{FineUpdate, PageRun};
 
     use super::*;
 
     #[test]
     fn sync_requests_charge_for_page_lists() {
-        let small = MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 0 };
-        let big =
-            MgrRequest::Acquire { lock: 0, pages: vec![0; 100], updates: vec![], last_seen: 0 };
+        let small = MgrRequest::Acquire { lock: 0, interval: Interval::default(), last_seen: 0 };
+        let big = MgrRequest::Acquire {
+            lock: 0,
+            interval: Interval { pages: vec![0; 100], ..Interval::default() },
+            last_seen: 0,
+        };
         assert_eq!(big.wire_bytes() - small.wire_bytes(), 800);
     }
 
@@ -383,11 +400,19 @@ mod tests {
         let run = |first_page, len| PageRun { first_page, len, writer: 0 };
         let update = |len| Arc::new(FineUpdate { page: 9, offset: 0, bytes: vec![0; len] });
         // A run costs 16 bytes however many pages it spans…
-        let notices = NoticeSet { runs: vec![run(1, 3), run(10, 500)], updates: vec![] };
+        let notices = NoticeSet {
+            runs: vec![run(1, 3), run(10, 500)],
+            updates: vec![],
+            ..Default::default()
+        };
         let released = MgrResponse::BarrierReleased { notices, watermark: 1 };
         assert_eq!(released.wire_bytes(), 16 + 2 * 16);
         // …and an update its header plus its payload.
-        let notices = NoticeSet { runs: vec![run(1, 3)], updates: vec![update(8), update(40)] };
+        let notices = NoticeSet {
+            runs: vec![run(1, 3)],
+            updates: vec![update(8), update(40)],
+            ..Default::default()
+        };
         let granted = MgrResponse::Granted { notices, watermark: 2 };
         assert_eq!(granted.wire_bytes(), 16 + 16 + (16 + 8) + (16 + 40));
     }
@@ -423,8 +448,11 @@ mod tests {
 
     #[test]
     fn log_records_charge_for_embedded_requests() {
-        let req =
-            MgrRequest::Acquire { lock: 0, pages: vec![0; 10], updates: vec![], last_seen: 0 };
+        let req = MgrRequest::Acquire {
+            lock: 0,
+            interval: Interval { pages: vec![0; 10], ..Interval::default() },
+            last_seen: 0,
+        };
         let req_wire = req.wire_bytes();
         let rec = MgrLogRecord {
             seq: 1,
@@ -465,6 +493,9 @@ mod tests {
         assert_eq!(Msg::MgrReq { token: 1, tid: 2, req }.wire_bytes(), wire);
         let mreq = MemRequest::FetchPage { page: samhita_mem::PageId(0) };
         let mwire = mreq.wire_bytes();
-        assert_eq!(Msg::MemReq { token: 1, shadow: true, req: mreq }.wire_bytes(), mwire);
+        assert_eq!(
+            Msg::MemReq { token: 1, shadow: true, stamp: Stamp::default(), req: mreq }.wire_bytes(),
+            mwire
+        );
     }
 }

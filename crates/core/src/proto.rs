@@ -47,13 +47,21 @@
 //! |---|---|---|---|---|
 //! | `rpc_mgr` | live manager | one for drops and lost replies | same token to the standby | `mgr_fail_over` (fatal with no standby), fresh budget |
 //! | `send_mgr_oneway` | live manager | drops only | same token to the standby | as `rpc_mgr` |
-//! | `rpc_mem` | effective server | one per server for drops and lost replies | fresh token per server | `fail_over` to the replica |
-//! | `post_update` | primary or shadow copy | drops only, fresh per server | same token | `update_fail_over` |
+//! | `rpc_mem` | effective server | one per server for drops and lost replies | fresh token and stamp per server | `fail_over` to the replica |
+//! | `post_update` | primary or shadow copy | drops only, fresh per server | same token, stamped anew for the replica | `update_fail_over` |
 //! | `retransmit_update` | the copy whose ack was lost | in the `PendingAck`, across calls: lost acks and their resends' drops | same token | `update_fail_over`, obligation dropped |
+//! | `try_prefetch` | effective server | none: a drop is not re-sent | — | the next request to that server names every need again |
 //! | `await_prefetch` | — (never re-sent) | none | — | a lost reply is `None`; the caller demand-fetches |
 //! | `send_baton` | the hinted successor thread | one attempt | — | a drop reaches the successor as a lost reply: its `rpc_mgr` re-sends the same token to the manager, which answers from its log |
 //! | successor hint (manager → holder) | — (filed by `absorb`, never awaited) | none | — | a lost or late hint is none: the holder releases through the manager |
 //! | advance (manager → head) | — (half of a grant `request_mgr` assembles) | the request's | — | a lost advance leaves the rest unusable: a lost reply, as above |
+//!
+//! Memory requests carry a [`Stamp`]: the other writers' update batches the
+//! server must apply before it answers, named once per server. A fetch the
+//! server holds for them at a primary that then crashes is answered at the
+//! crash, the reply lost with the server: `rpc_mem` fails over as above,
+//! and the replica, which applies the shadow copies under the same numbers,
+//! holds it again. No caller waits for an ack but `drain_acks`, at `Exit`.
 //!
 //! `update_fail_over`: a primary copy re-homes to the replica (`fail_over`);
 //! a shadow copy is abandoned and its replica marked failed. Two asymmetries
@@ -69,10 +77,11 @@
 use std::collections::HashSet;
 
 use samhita_mem::{HomeMap, IntMap, IntSet, MemRequest, MemResponse, PageFrame};
+use samhita_regc::Marks;
 use samhita_scl::{Endpoint, EndpointId, Envelope, MsgClass, RetryPolicy, SimTime};
 use samhita_trace::{EventKind, TraceBuf};
 
-use crate::msg::{MgrRequest, MgrResponse, Msg, Successor};
+use crate::msg::{MgrRequest, MgrResponse, Msg, Stamp, Successor};
 
 /// An asynchronous update (batched flush or eviction diff) whose
 /// acknowledgement is still outstanding: the request exactly as it was sent,
@@ -141,6 +150,17 @@ pub struct Channel {
     poisoned_prefetches: IntSet<u64>,
     /// Successor hints, by the token of the hold they belong to.
     hints: IntMap<u64, Successor>,
+    /// Update batches sent per home; a shadow copy shares its primary's
+    /// number.
+    batches: Vec<u32>,
+    /// `need[home][writer]`: the batches of `writer` that requests to
+    /// `home` must follow, raised by the notices this thread applies.
+    need: Vec<Vec<u32>>,
+    /// The part of `need[home]` already named to `server`, at
+    /// `told[server * homes + home]`, and whether it still covers it.
+    /// Per-sender order makes once enough: the server holds every later
+    /// request of this thread behind it.
+    told: Vec<(bool, Vec<u32>)>,
 
     retries: u64,
     failovers: u64,
@@ -166,6 +186,7 @@ impl Channel {
         home_map: HomeMap,
         retry: RetryPolicy,
     ) -> Self {
+        let homes = mem_eps.len();
         Channel {
             ep,
             mgr_ep,
@@ -189,6 +210,9 @@ impl Channel {
             prefetch_ready: IntMap::default(),
             poisoned_prefetches: IntSet::default(),
             hints: IntMap::default(),
+            batches: vec![0; homes],
+            need: vec![Vec::new(); homes],
+            told: vec![(true, Vec::new()); homes * homes],
             retries: 0,
             failovers: 0,
             mgr_failovers: 0,
@@ -594,13 +618,14 @@ impl Channel {
         class: MsgClass,
     ) -> (MemResponse, SimTime) {
         let op = req.label();
-        let wire = req.wire_bytes();
         let mut server = self.effective_server(home);
         loop {
             // A fresh token per target server: a late reply from an
             // abandoned primary must never pass for the replica's answer.
             let token = self.fresh_token();
-            let msg = Msg::MemReq { token, shadow: false, req: req.clone() };
+            let stamp = self.stamp(server, home, 0);
+            let msg = Msg::MemReq { token, shadow: false, stamp, req: req.clone() };
+            let wire = msg.wire_bytes();
             // One budget per server for drops and lost replies.
             let mut budget = 0u32;
             while self.transmit(self.mem_eps[server as usize], wire, class, op, &mut budget, &msg) {
@@ -619,45 +644,62 @@ impl Channel {
         }
     }
 
-    /// Ship one asynchronous update to its home, write-through to the
+    /// Ship one asynchronous update batch to its home, write-through to the
     /// replica when one is configured and the home is still the live
-    /// primary. Acks for every copy are awaited at the next fence, so at a
-    /// fence the replica is byte-identical to the primary — the property
-    /// that makes post-failover reads bit-exact.
+    /// primary. Both copies carry the batch's number, and nothing waits for
+    /// either to be applied: a request that must see the batch names it
+    /// ([`Stamp`]), and the server holds the request until then — so the
+    /// replica applies the shadow copies in the primary's order, and a
+    /// request that fails over to it is held there in the same way. Acks
+    /// are absorbed whenever the thread receives; only `Exit` drains them.
     pub(crate) fn send_update(&mut self, home: u32, class: MsgClass, req: MemRequest) {
+        self.batches[home as usize] += 1;
+        let batch = self.batches[home as usize];
         let primary = self.effective_server(home);
         if self.replica_offset == 0 {
-            self.post_update(primary, class, req, false);
+            self.post_update(primary, home, batch, class, req, false);
             return;
         }
-        self.post_update(primary, class, req.clone(), false);
+        self.post_update(primary, home, batch, class, req.clone(), false);
         // Re-check after the primary send: if it exhausted its retries and
         // failed over, the replica already received the (sole) live copy.
         if !self.failed_servers.contains(&home) {
             if let Some(r) = self.live_replica_of(home) {
-                self.post_update(r, class, req, true);
+                self.post_update(r, home, batch, class, req, true);
             }
         }
     }
 
     /// Transmit one update copy and register its ack obligation. Send-time
     /// drops spend a budget of their own, fresh per target server; the
-    /// token survives a primary's fail-over to the replica.
-    fn post_update(&mut self, server: u32, class: MsgClass, req: MemRequest, shadow: bool) {
+    /// token survives a primary's fail-over to the replica, which is told
+    /// what the copy must follow afresh.
+    fn post_update(
+        &mut self,
+        server: u32,
+        home: u32,
+        batch: u32,
+        class: MsgClass,
+        req: MemRequest,
+        shadow: bool,
+    ) {
         let token = self.fresh_token();
-        let (op, wire) = (req.label(), req.wire_bytes());
-        let msg = Msg::MemReq { token, shadow, req };
-        let mut pa = PendingAck { server, class, op, wire, msg, shadow, attempts: 0 };
+        let op = req.label();
+        let msg = Msg::MemReq { token, shadow, stamp: self.stamp(server, home, batch), req };
+        let mut pa =
+            PendingAck { server, class, op, wire: msg.wire_bytes(), msg, shadow, attempts: 0 };
         let mut budget = 0u32;
         loop {
             let dst = self.mem_eps[pa.server as usize];
-            if self.transmit(dst, wire, class, op, &mut budget, &pa.msg) {
+            if self.transmit(dst, pa.wire, class, op, &mut budget, &pa.msg) {
                 break;
             }
-            match self.update_fail_over(&pa) {
-                Some(replica) => pa.server = replica,
-                None => return,
+            let Some(replica) = self.update_fail_over(&pa) else { return };
+            pa.server = replica;
+            if let Msg::MemReq { stamp, .. } = &mut pa.msg {
+                *stamp = self.stamp(replica, home, batch);
             }
+            pa.wire = pa.msg.wire_bytes();
             budget = 0;
         }
         self.outstanding_acks.insert(token, pa);
@@ -676,8 +718,12 @@ impl Channel {
         }
     }
 
-    /// Block until every outstanding update has been acknowledged (the
-    /// fence half of a flush), then advance the clock past the latest ack.
+    /// Block until every outstanding update has been acknowledged, then
+    /// advance the clock past the latest ack: the fence at thread exit,
+    /// after the measured window, so that the thread's batches are applied
+    /// and every retransmission a lost ack called for is counted.
+    /// Synchronization never waits here; what a reader must see is named
+    /// in its requests instead ([`Stamp`]).
     pub(crate) fn drain_acks(&mut self) {
         while !self.outstanding_acks.is_empty() {
             let env = self.ep.recv().expect("fabric closed while draining acks");
@@ -749,6 +795,59 @@ impl Channel {
     }
 
     // ------------------------------------------------------------------
+    // Update order: marks and needs
+    // ------------------------------------------------------------------
+
+    /// How many update batches this thread sent to each home: what the
+    /// interval it publishes next carries.
+    pub(crate) fn batches(&self) -> Vec<u32> {
+        self.batches.clone()
+    }
+
+    /// Applied notices carried `marks`: requests to their homes must follow
+    /// those batches from now on. This thread's own need not: they reach a
+    /// home before anything it sends there later.
+    pub(crate) fn require(&mut self, marks: &Marks) {
+        if marks.is_empty() {
+            return;
+        }
+        marks.raise_into(&mut self.need);
+        for (covers, _) in &mut self.told {
+            *covers = false;
+        }
+        for own in self.need.iter_mut().filter_map(|by_writer| by_writer.get_mut(self.tid as usize))
+        {
+            *own = 0;
+        }
+    }
+
+    /// The stamp of a request to `server` about `home`'s pages, update
+    /// batch `batch` (0 for none): it names the batches it must follow
+    /// that `server` has not been told of, and so tells it. A request that
+    /// does not arrive is resent with its stamp or fails the server over,
+    /// which is never asked again — but for a dropped prefetch.
+    fn stamp(&mut self, server: u32, home: u32, batch: u32) -> Stamp {
+        let (covers, told) = &mut self.told[server as usize * self.need.len() + home as usize];
+        let mut by_home = Vec::new();
+        if !std::mem::replace(covers, true) {
+            let need = &self.need[home as usize];
+            told.resize(told.len().max(need.len()), 0);
+            by_home.resize(home as usize + 1, Vec::new());
+            by_home[home as usize] = (need.iter().zip(told.iter_mut()))
+                .map(|(&need, told)| {
+                    if need > *told {
+                        *told = need;
+                        need
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+        }
+        Stamp { tid: self.tid, home, batch, needs: Marks::from_batches(by_home) }
+    }
+
+    // ------------------------------------------------------------------
     // Prefetch correlation
     // ------------------------------------------------------------------
 
@@ -758,20 +857,23 @@ impl Channel {
     /// line for real.
     pub(crate) fn try_prefetch(&mut self, home: u32, line: u64, req: MemRequest) -> bool {
         let server = self.effective_server(home);
-        let wire = req.wire_bytes();
         let token = self.fresh_token();
+        let stamp = self.stamp(server, home, 0);
+        let msg = Msg::MemReq { token, shadow: false, stamp, req };
         let (_, fate) = self
             .ep
             .send_faulted(
                 self.mem_eps[server as usize],
                 self.clock,
-                wire,
+                msg.wire_bytes(),
                 MsgClass::Data,
-                Msg::MemReq { token, shadow: false, req },
+                msg,
             )
             .expect("memory server endpoint closed");
         self.charge(self.send_ns);
         if fate.is_dropped() {
+            // Never resent: the next request to the server names all again.
+            self.told[server as usize * self.need.len() + home as usize] = (false, Vec::new());
             return false;
         }
         self.prefetch_tokens.insert(token, line);
@@ -929,13 +1031,14 @@ impl HostChannel {
     ) -> MemResponse {
         let wire = req.wire_bytes();
         let token = self.fresh_token();
+        let stamp = Stamp { tid: crate::system::HOST_TID, ..Stamp::default() };
         self.ep
             .send_reliable(
                 server,
                 self.clock,
                 wire,
                 MsgClass::Control,
-                Msg::MemReq { token, shadow, req },
+                Msg::MemReq { token, shadow, stamp, req },
             )
             .expect("memory server endpoint closed");
         let env = self.wait_for(token);

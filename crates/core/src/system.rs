@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use samhita_mem::{HomeMap, MemRequest, MemResponse, MemoryServer, PageId, ServerStats};
-use samhita_regc::UpdatePart;
+use samhita_regc::{Marks, UpdatePart};
 use samhita_sched::{Next, Scheduler, TaskRef};
 use samhita_scl::{Endpoint, EndpointId, Envelope, Fabric, MsgClass, SimTime};
 use samhita_trace::{EventKind, RunTrace, SharedTrack, Tracer, TrackId};
@@ -29,13 +29,13 @@ use samhita_trace::{EventKind, RunTrace, SharedTrack, Tracer, TrackId};
 use crate::config::SamhitaConfig;
 use crate::layout::{AddressLayout, Placement};
 use crate::manager::{ManagerEngine, ManagerStats};
-use crate::msg::{MgrLogOp, MgrLogRecord, MgrRequest, MgrResponse, Msg};
+use crate::msg::{MgrLogOp, MgrLogRecord, MgrRequest, MgrResponse, Msg, Stamp};
 use crate::proto::HostChannel;
 use crate::stats::RunReport;
 use crate::thread::ThreadCtx;
 
 /// The manager tid reserved for the host control client.
-const HOST_TID: u32 = u32::MAX;
+pub(crate) const HOST_TID: u32 = u32::MAX;
 
 /// Server-side statistics, as of the last completed request.
 #[derive(Clone, Debug, Default)]
@@ -151,6 +151,7 @@ impl Samhita {
         for i in 0..cfg.mem_servers {
             let ep = fabric.add_endpoint(placement.mem_servers[i as usize]);
             mem_eps.push(ep.id());
+            let died_at = cfg.faults.crash.filter(|&(dead, _)| faults_active && dead == i);
             mem.push(install(
                 &sched,
                 MemService {
@@ -161,6 +162,9 @@ impl Samhita {
                     dedup,
                     seen: HashMap::new(),
                     order: VecDeque::new(),
+                    applied: Vec::new(),
+                    held: Vec::new(),
+                    died_at: died_at.map(|(_, at_ns)| SimTime::from_ns(at_ns)),
                 },
             ));
         }
@@ -561,33 +565,38 @@ impl Samhita {
     }
 }
 
-/// Summarize a memory request as trace events (stamped later, at the
-/// server's service-completion time). A batched update expands into one
-/// event per component part, so byte-conservation checks over the server
-/// track see exactly the same `ApplyDiff`/`ApplyFine` totals whether or not
-/// the flushes travelled coalesced.
-fn mem_events(req: &MemRequest) -> Vec<EventKind> {
+/// Summarize a memory request stamped `stamp` as trace events (stamped
+/// later, at the server's service-completion time). A batched update
+/// expands into one event per component part, so byte-conservation checks
+/// over the server track see exactly the same `ApplyDiff`/`ApplyFine`
+/// totals whether or not the flushes travelled coalesced.
+fn mem_events(req: &MemRequest, stamp: &Stamp) -> Vec<EventKind> {
+    let (writer, batch) = (stamp.tid, stamp.batch);
+    let diff = |page: u64, diff: &samhita_regc::Diff| EventKind::ApplyDiff {
+        page,
+        bytes: diff.payload_bytes() as u64,
+        writer,
+        batch,
+    };
+    let fine = |page: u64, bytes: &[u8]| EventKind::ApplyFine {
+        page,
+        bytes: bytes.len() as u64,
+        writer,
+        batch,
+    };
     match req {
         MemRequest::FetchLine { first, pages } => {
             vec![EventKind::ServeFetch { page: first.0, pages: *pages }]
         }
         MemRequest::FetchPage { page } => vec![EventKind::ServeFetch { page: page.0, pages: 1 }],
-        MemRequest::ApplyDiff { page, diff } => {
-            vec![EventKind::ApplyDiff { page: page.0, bytes: diff.payload_bytes() as u64 }]
-        }
-        MemRequest::ApplyFine { page, bytes, .. } => {
-            vec![EventKind::ApplyFine { page: page.0, bytes: bytes.len() as u64 }]
-        }
+        MemRequest::ApplyDiff { page, diff: d } => vec![diff(page.0, d)],
+        MemRequest::ApplyFine { page, bytes, .. } => vec![fine(page.0, bytes)],
         MemRequest::WritePage { page, .. } => vec![EventKind::ServeWrite { page: page.0 }],
         MemRequest::UpdateBatch { batch } => batch
             .parts()
             .map(|part| match part {
-                UpdatePart::Diff { page, diff } => {
-                    EventKind::ApplyDiff { page: *page, bytes: diff.payload_bytes() as u64 }
-                }
-                UpdatePart::Fine { page, bytes, .. } => {
-                    EventKind::ApplyFine { page: *page, bytes: bytes.len() as u64 }
-                }
+                UpdatePart::Diff { page, diff: d } => diff(*page, d),
+                UpdatePart::Fine { page, bytes, .. } => fine(*page, bytes),
             })
             .collect(),
     }
@@ -670,6 +679,16 @@ fn reply(
 /// copy's arrival), so a small window suffices; it only bounds memory.
 const DEDUP_WINDOW: usize = 512;
 
+/// One memory request as the server holds it.
+struct Request {
+    src: EndpointId,
+    token: u64,
+    shadow: bool,
+    stamp: Stamp,
+    req: MemRequest,
+    arrival: SimTime,
+}
+
 struct MemService {
     ep: Endpoint<Msg>,
     server: MemoryServer,
@@ -682,6 +701,87 @@ struct MemService {
     /// at-least-once delivery.
     seen: HashMap<(EndpointId, u64), (SimTime, MemResponse)>,
     order: VecDeque<(EndpointId, u64)>,
+    /// `applied[home][writer]`: the last of `writer`'s update batches to
+    /// `home` applied here (one sender's batches arrive in order).
+    applied: Vec<Vec<u32>>,
+    /// Requests held until the batches their stamps name are applied, in
+    /// arrival order; a later request of one sender about one home is held
+    /// behind its earlier one.
+    held: Vec<Request>,
+    /// The instant a configured crash kills this server. A request it holds
+    /// then is served at once, its reply lost with the server: the
+    /// requester fails over to the replica and is held there instead.
+    died_at: Option<SimTime>,
+}
+
+impl MemService {
+    /// Whether `r`, arrived after `held[..before]`, must still wait at `at`.
+    fn waits(&self, r: &Request, before: usize, at: SimTime) -> bool {
+        if self.died_at.is_some_and(|dead| at >= dead) {
+            return false;
+        }
+        let home = r.stamp.home as usize;
+        let named = r.stamp.needs.at_homes().get(home).map_or(&[][..], Vec::as_slice);
+        let applied = |writer: usize| self.applied.get(home)?.get(writer).copied();
+        self.held[..before].iter().any(|h| (h.src, h.stamp.home) == (r.src, r.stamp.home))
+            || (0..).zip(named).any(|(writer, &named)| named > applied(writer).unwrap_or(0))
+    }
+
+    /// Answer a retransmission of a request already served from the cache.
+    fn replay(&self, src: EndpointId, token: u64, at: SimTime) -> bool {
+        let Some((done, resp)) = self.seen.get(&(src, token)) else { return false };
+        let msg = Msg::MemResp { token, resp: resp.clone() };
+        reply(&self.ep, src == self.ctl, src, (*done).max(at), mem_resp_class(resp), msg);
+        true
+    }
+
+    /// Serve `r` from `at` on; an update batch then releases the held
+    /// requests it was the last wait of, from its completion on.
+    fn serve(&mut self, r: Request, at: SimTime) {
+        if self.replay(r.src, r.token, at) {
+            return;
+        }
+        // Shadow (replica write-through) copies are applied and counted, but
+        // kept off the event trace so replication does not disturb the
+        // observable protocol timeline.
+        let events = match &self.track {
+            Some(_) if !r.shadow => Some(mem_events(&r.req, &r.stamp)),
+            _ => None,
+        };
+        let (resp, done) = self.server.handle(r.req, at);
+        if let (Some(track), Some(events)) = (&self.track, events) {
+            for event in events {
+                track.push(done, event);
+            }
+        }
+        if self.dedup {
+            self.seen.insert((r.src, r.token), (done, resp.clone()));
+            self.order.push_back((r.src, r.token));
+            if self.order.len() > DEDUP_WINDOW {
+                if let Some(old) = self.order.pop_front() {
+                    self.seen.remove(&old);
+                }
+            }
+        }
+        let class = mem_resp_class(&resp);
+        let msg = Msg::MemResp { token: r.token, resp };
+        reply(&self.ep, r.src == self.ctl, r.src, done, class, msg);
+        if r.stamp.batch > 0 {
+            let Stamp { tid: writer, home, batch, .. } = r.stamp;
+            Marks::raise(&mut self.applied, home, writer, batch);
+            self.release(done);
+        }
+    }
+
+    /// Serve, in arrival order, every held request that no longer waits,
+    /// each from `at` or its arrival.
+    fn release(&mut self, at: SimTime) {
+        while let Some(i) = (0..self.held.len()).find(|&i| !self.waits(&self.held[i], i, at)) {
+            let r = self.held.remove(i);
+            let from = r.arrival.max(at);
+            self.serve(r, from);
+        }
+    }
 }
 
 impl Service for MemService {
@@ -690,41 +790,28 @@ impl Service for MemService {
     }
 
     fn handle(&mut self, env: Envelope<Msg>) {
-        let Msg::MemReq { token, shadow, req } = env.msg else {
+        let Msg::MemReq { token, shadow, stamp, req } = env.msg else {
             panic!("memory server received unexpected message: {:?}", env.msg);
         };
         // A lost request never reached this server; discard it.
-        if env.lost {
+        if env.lost || self.replay(env.src, token, env.deliver_at) {
             return;
         }
-        let reliable = env.src == self.ctl;
-        if let Some((done, resp)) = self.seen.get(&(env.src, token)) {
-            let at = (*done).max(env.deliver_at);
-            let msg = Msg::MemResp { token, resp: resp.clone() };
-            reply(&self.ep, reliable, env.src, at, mem_resp_class(resp), msg);
-            return;
+        let r = Request { src: env.src, token, shadow, stamp, req, arrival: env.deliver_at };
+        if self.waits(&r, self.held.len(), r.arrival) {
+            self.server.note_parked();
+            self.held.push(r);
+        } else {
+            self.serve(r, env.deliver_at);
         }
-        // Shadow (replica write-through) copies are applied and counted, but
-        // kept off the event trace so replication does not disturb the
-        // observable protocol timeline.
-        let events = if shadow { None } else { self.track.as_ref().map(|_| mem_events(&req)) };
-        let (resp, done) = self.server.handle(req, env.deliver_at);
-        if let (Some(track), Some(events)) = (&self.track, events) {
-            for event in events {
-                track.push(done, event);
-            }
-        }
-        if self.dedup {
-            self.seen.insert((env.src, token), (done, resp.clone()));
-            self.order.push_back((env.src, token));
-            if self.order.len() > DEDUP_WINDOW {
-                if let Some(old) = self.order.pop_front() {
-                    self.seen.remove(&old);
-                }
-            }
-        }
-        let class = mem_resp_class(&resp);
-        reply(&self.ep, reliable, env.src, done, class, Msg::MemResp { token, resp });
+    }
+
+    fn deadline(&self) -> Option<SimTime> {
+        self.died_at.filter(|_| !self.held.is_empty())
+    }
+
+    fn on_deadline(&mut self, at: SimTime) {
+        self.release(at);
     }
 }
 
@@ -1299,10 +1386,13 @@ mod tests {
                 dedup: true,
                 seen: HashMap::new(),
                 order: VecDeque::new(),
+                applied: Vec::new(),
+                held: Vec::new(),
+                died_at: None,
             },
         );
         let rpc = |token: u64, at: u64, req: MemRequest| {
-            let msg = Msg::MemReq { token, shadow: false, req };
+            let msg = Msg::MemReq { token, shadow: false, stamp: Stamp::default(), req };
             client.send(server_ep, SimTime::from_ns(at), 16, MsgClass::Data, msg).unwrap();
             match client.recv().unwrap().msg {
                 Msg::MemResp { token: t, resp } if t == token => resp,
@@ -1364,7 +1454,15 @@ mod tests {
         };
         rpc(0, 0, MgrRequest::Register { observer: false });
         rpc(0, 10, MgrRequest::CreateLock);
-        rpc(0, 20, MgrRequest::Acquire { lock: 0, pages: vec![], updates: vec![], last_seen: 0 });
+        rpc(
+            0,
+            20,
+            MgrRequest::Acquire {
+                lock: 0,
+                interval: samhita_regc::Interval::default(),
+                last_seen: 0,
+            },
+        );
         for _ in 0..3 {
             assert!(!client.recv().unwrap().lost);
         }

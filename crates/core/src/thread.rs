@@ -24,14 +24,17 @@
 //! operation: dirty ordinary pages are diffed and flushed to their homes,
 //! the fine-grain write set is flushed as object-level updates, a write
 //! notice is published through the manager, and incoming notices invalidate
-//! stale cached pages.
+//! stale cached pages. The flush does not wait for its updates to be
+//! applied: the notice carries the flusher's batch marks, and a reader's
+//! later requests to a home name the batches the home must apply first.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use samhita_mem::{HomeMap, MemRequest, MemResponse, PageFrame, PageId};
 use samhita_regc::{
-    FineUpdate, NoticeSet, PageState, RegionKind, RegionState, UpdateBatch, UpdatePart, WriteSet,
+    FineUpdate, Interval, Marks, NoticeSet, PageState, RegionKind, RegionState, UpdateBatch,
+    UpdatePart, WriteSet,
 };
 use samhita_scl::{Endpoint, EndpointId, MsgClass, RetryPolicy, SimTime};
 use samhita_trace::{EventKind, FetchKind, TraceBuf};
@@ -457,11 +460,11 @@ impl ThreadCtx {
     /// Acquire a mutual-exclusion lock, entering a consistency region.
     pub fn lock(&mut self, lock: u32) {
         let t0 = self.chan.now();
-        let (pages, updates) = self.flush_all();
+        let interval = self.flush_all();
         let req_at = self.chan.now();
         self.trace(|| EventKind::LockRequest { lock });
         let (token, notices, wm) = match self.chan.request_mgr(
-            MgrRequest::Acquire { lock, pages, updates, last_seen: self.last_seen },
+            MgrRequest::Acquire { lock, interval, last_seen: self.last_seen },
             MsgClass::Sync,
         ) {
             (token, MgrResponse::Granted { notices, watermark }) => (token, notices, watermark),
@@ -493,7 +496,7 @@ impl ThreadCtx {
         let t0 = self.chan.now();
         let hold = self.hold.take().filter(|&(held, _)| held == lock);
         self.region.exit();
-        let (pages, updates) = self.flush_all();
+        let interval = self.flush_all();
         // Stamped after the flush and before the wire sends: on a correct
         // run this always precedes the next holder's grant stamp, which is
         // what lets the trace checker treat [acquire, release] as the hold.
@@ -501,12 +504,12 @@ impl ThreadCtx {
         let last_seen = self.last_seen;
         let next = hold.and_then(|(_, token)| self.chan.take_hint(token));
         let handed = next.filter(|s| s.lock == lock && last_seen <= s.watermark).map(|s| {
-            let interval = NoticeSet::interval(self.tid, &pages, &updates);
+            let notices = NoticeSet::interval(self.tid, &interval);
             let (after, watermark) = (s.watermark, s.watermark);
-            self.chan.send_baton(&s, MgrResponse::Rest { after, notices: interval, watermark });
+            self.chan.send_baton(&s, MgrResponse::Rest { after, notices, watermark });
             Handed { to: s.tid, token: s.token }
         });
-        let req = MgrRequest::Release { lock, pages, updates, handed };
+        let req = MgrRequest::Release { lock, interval, handed };
         if self.chan.acked_releases() {
             // With a hot standby, a fire-and-forget release could vanish
             // with the crashed primary and leave the lock held until its
@@ -531,11 +534,11 @@ impl ThreadCtx {
     pub fn barrier(&mut self, barrier: u32) {
         let t0 = self.chan.now();
         self.hold = None;
-        let (pages, updates) = self.flush_all();
+        let interval = self.flush_all();
         let arrive_at = self.chan.now();
         self.trace(|| EventKind::BarrierArrive { barrier });
         let (notices, wm) = match self.chan.rpc_mgr(
-            MgrRequest::BarrierWait { barrier, pages, updates, last_seen: self.last_seen },
+            MgrRequest::BarrierWait { barrier, interval, last_seen: self.last_seen },
             MsgClass::Sync,
         ) {
             MgrResponse::BarrierReleased { notices, watermark } => (notices, watermark),
@@ -558,13 +561,13 @@ impl ThreadCtx {
     pub fn cond_wait(&mut self, cond: u32, lock: u32) {
         let t0 = self.chan.now();
         self.hold = None;
-        let (pages, updates) = self.flush_all();
+        let interval = self.flush_all();
         // On the trace, a cond wait is a lock release (the atomic handoff to
         // the manager) followed by a re-acquire at wake-up.
         self.trace(|| EventKind::LockRelease { lock });
         let req_at = self.chan.now();
         match self.chan.request_mgr(
-            MgrRequest::CondWait { cond, lock, pages, updates, last_seen: self.last_seen },
+            MgrRequest::CondWait { cond, lock, interval, last_seen: self.last_seen },
             MsgClass::Sync,
         ) {
             (token, MgrResponse::Granted { notices, watermark }) => {
@@ -728,8 +731,11 @@ impl ThreadCtx {
     }
 
     /// Evict until a new line fits, flushing dirty victims home. Each
-    /// evicted line's diffs travel as one batch per destination server
-    /// (acks awaited at the next flush fence).
+    /// evicted line's diffs travel as one batch per destination server,
+    /// numbered like a sync flush's: the next published interval names the
+    /// pages and counts the batch, and nothing waits for the ack. This
+    /// thread's own refetch of the line names nothing — it leaves after the
+    /// batch, and the server keeps one sender's requests in order.
     fn make_room(&mut self) {
         while self.cache.is_full() {
             let (line, diffs) = self.cache.evict().expect("full cache has lines");
@@ -775,9 +781,9 @@ impl ThreadCtx {
     }
 
     /// Ship the staged batches: one update message per destination server,
-    /// each acknowledged as a single unit (acks awaited at the next flush
-    /// fence). Iteration over the `BTreeMap` keeps the send order
-    /// deterministic.
+    /// each numbered and acknowledged as a single unit (see
+    /// [`Channel::send_update`]). Iteration over the `BTreeMap` keeps the
+    /// send order deterministic.
     fn flush_batches(&mut self, batches: BTreeMap<u32, UpdateBatch>) {
         for (server, batch) in batches {
             self.trace(|| EventKind::BatchFlush {
@@ -790,14 +796,18 @@ impl ThreadCtx {
     }
 
     /// Flush all local modifications home. Returns the interval to publish:
-    /// page-granularity write notices (receivers invalidate) and fine-grain
-    /// updates (receivers apply in place) — the consistency half of every
-    /// synchronization operation.
+    /// page-granularity write notices (receivers invalidate), fine-grain
+    /// updates (receivers apply in place) and how many update batches this
+    /// thread has sent to each home (receivers' requests to a home follow
+    /// those batches) — the consistency half of every synchronization
+    /// operation.
     ///
     /// Everything bound for the same memory server travels as one
     /// [`UpdateBatch`] with one ack, so the message count per sync operation
-    /// is O(servers), not O(dirty pages).
-    fn flush_all(&mut self) -> (Vec<u64>, Vec<FineUpdate>) {
+    /// is O(servers), not O(dirty pages). The synchronization that follows
+    /// leaves as soon as the batches are sent: no reader can act on the
+    /// notice before the home applies what the marks name.
+    fn flush_all(&mut self) -> Interval {
         let flush_t0 = self.chan.now();
         let mut batches: BTreeMap<u32, UpdateBatch> = BTreeMap::new();
         // Ordinary-region pages: twin diffs (multiple-writer protocol).
@@ -826,22 +836,24 @@ impl ThreadCtx {
             updates.push(FineUpdate { page, offset, bytes });
         }
         self.flush_batches(batches);
-        // Fence: all updates must be applied at their homes before the sync
-        // operation publishes them.
-        self.chan.drain_acks();
-        // The whole flush — twin diffing, staging, batched sends, the ack
-        // fence — is one measured interval. Lock/barrier waits start only
-        // after this returns, so the wait classes stay pairwise disjoint.
+        // The whole flush — twin diffing, staging, batched sends — is one
+        // measured interval. Lock/barrier waits start only after this
+        // returns, so the wait classes stay pairwise disjoint.
         self.waits.flush += (self.chan.now() - flush_t0).as_ns();
         let pages: Vec<u64> = std::mem::take(&mut self.pending_pages).into_iter().collect();
-        (pages, updates)
+        let mut interval = Interval { pages, updates, batches: Vec::new() };
+        if !interval.is_empty() {
+            interval.batches = self.chan.batches();
+        }
+        interval
     }
 
     /// Apply what the write notices this thread had not seen amount to — the
     /// acquire half of every synchronization operation (public so a harness
     /// can price it apart from the manager round trip that delivers it):
-    /// invalidate the cached pages of each run, then apply the carried
-    /// fine-grain updates in place.
+    /// invalidate the cached pages of each run, apply the carried
+    /// fine-grain updates in place, and make every later request to a home
+    /// follow the batches the set's marks name there.
     ///
     /// The set is already the merge of the unseen log suffix for this thread
     /// ([`IntervalLog::merged_since`](samhita_regc::IntervalLog::merged_since)):
@@ -855,10 +867,10 @@ impl ThreadCtx {
     /// completed prefetches are dropped and in-flight ones poisoned so their
     /// responses are discarded on arrival (a demand miss will refetch).
     ///
-    /// Costs one page-table probe per cache line a run crosses and does the
-    /// rest only for pages that are resident or prefetched: a barrier release
-    /// names every page any other thread wrote, nearly all of which this one
-    /// never touched.
+    /// Costs one page-table probe per cache line a run crosses (two while a
+    /// prefetch is out) and does the rest only for pages that are resident
+    /// or prefetched: a barrier release names every page any other thread
+    /// wrote, nearly all of which this one never touched.
     pub fn apply_notices(&mut self, notices: &NoticeSet) {
         // Applying notices sends nothing, so no prefetch can appear midway.
         let prefetching = !self.chan.prefetch_idle();
@@ -870,9 +882,10 @@ impl ThreadCtx {
             while page < end {
                 let line = self.cache.line_of(page);
                 let next_line = end.min((line + 1) * line_pages);
-                if prefetching || self.cache.contains_line(line) {
+                let prefetched = prefetching && self.chan.prefetch_pending_for(line);
+                if prefetched || self.cache.contains_line(line) {
                     for page in page..next_line {
-                        self.invalidate(page, run.writer, prefetching);
+                        self.invalidate(page, run.writer, &notices.marks, prefetched);
                     }
                 }
                 page = next_line;
@@ -881,14 +894,17 @@ impl ThreadCtx {
         for u in &notices.updates {
             self.apply_update(u, prefetching);
         }
+        self.chan.require(&notices.marks);
     }
 
-    /// One page of one foreign notice: drop the cached copy, if any.
-    fn invalidate(&mut self, page: u64, writer: u32, prefetching: bool) {
+    /// One page of one foreign notice, whose set carried `marks`: drop the
+    /// cached copy, if any.
+    fn invalidate(&mut self, page: u64, writer: u32, marks: &Marks, prefetching: bool) {
         if self.cache.invalidate_page(page) {
             self.stats.invalidations += 1;
             self.stats.hot.record_invalidate(page);
-            self.trace(|| EventKind::Invalidate { page, writer });
+            let batch = marks.batch(self.home_map.home_of_page(PageId(page)), writer);
+            self.trace(|| EventKind::Invalidate { page, writer, batch });
         }
         if prefetching {
             self.poison_prefetch(page);
@@ -936,15 +952,18 @@ impl ThreadCtx {
         let end_clock = self.chan.now();
         let end_sync = self.sync_time;
         let end_waits = self.waits;
-        let (pages, updates) = self.flush_all();
-        // Settle in-flight prefetch traffic: receiving each response proves
-        // its server already processed the request, so by the time all
-        // threads have joined, every server-side request this run issued is
-        // accounted for — the run-level busy-time counters read after join
-        // would otherwise race straggler prefetches. Stats were snapshotted
-        // above; draining is teardown and cannot affect the report.
+        let interval = self.flush_all();
+        // The one ack fence: every batch this thread sent is applied, and
+        // every retransmission a lost ack asked for made, before it leaves.
+        // Settle in-flight prefetch traffic too: receiving each response
+        // proves its server already processed the request, so by the time
+        // all threads have joined, every server-side request this run
+        // issued is accounted for — the run-level busy-time counters read
+        // after join would otherwise race straggler prefetches. Stats were
+        // snapshotted above; this is teardown and cannot affect the report.
+        self.chan.drain_acks();
         self.chan.settle_prefetches();
-        match self.chan.rpc_mgr(MgrRequest::Exit { pages, updates }, MsgClass::Control) {
+        match self.chan.rpc_mgr(MgrRequest::Exit { interval }, MsgClass::Control) {
             MgrResponse::Ok => {}
             MgrResponse::Err(e) => panic!("exit failed: {e}"),
             other => panic!("unexpected exit response: {other:?}"),
@@ -986,7 +1005,7 @@ mod tests {
             let (prefetching, me) = (!self.chan.prefetch_idle(), self.tid);
             for n in suffix.iter().filter(|n| n.writer != me) {
                 for &page in &n.pages {
-                    self.invalidate(page, n.writer, prefetching);
+                    self.invalidate(page, n.writer, &Marks::default(), prefetching);
                 }
                 // A page named in the same notice's invalidation list is
                 // already stale as a whole; skip its carried bytes.
@@ -1113,7 +1132,14 @@ mod tests {
             let seq = self.log.publish(writer, pages.clone(), updates.clone());
             if seq > before {
                 let updates = updates.into_iter().map(Arc::new).collect();
-                self.notices.push(WriteNotice { seq, writer, seen_by: None, pages, updates });
+                self.notices.push(WriteNotice {
+                    seq,
+                    writer,
+                    seen_by: None,
+                    pages,
+                    updates,
+                    batches: Vec::new(),
+                });
             }
         }
     }

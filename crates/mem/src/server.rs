@@ -166,6 +166,9 @@ pub struct ServerStats {
     pub peak_queue_depth: u64,
     /// Sum of arrival-sampled occupancies (mean = sum / requests).
     pub queue_depth_sum: u64,
+    /// Requests held on arrival until the update batches they must follow
+    /// had been applied.
+    pub parked: u64,
 }
 
 /// One memory server: page store + queueing resource + counters.
@@ -267,6 +270,11 @@ impl MemoryServer {
         s.peak_queue_depth = r.peak_depth;
         s.queue_depth_sum = r.depth_sum;
         s
+    }
+
+    /// Count a request held until the batches it follows were applied.
+    pub fn note_parked(&mut self) {
+        self.stats.parked += 1;
     }
 
     /// Reset the service resource's queue accounting between runs.

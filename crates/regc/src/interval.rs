@@ -35,12 +35,146 @@
 //! *skippers* — its writer and the thread it was handed to — the way it was
 //! skipped by its writer alone.
 //!
+//! A record also carries its writer's [`Marks`]: how many update batches it
+//! had sent to each home by the time it published. A writer does not wait
+//! for its batches to be applied before it publishes, so a reader that
+//! fetches a page it was told about names the batches the home must have
+//! applied first; a set carries, per writer in the suffix and per home, the
+//! highest mark. It must be per writer: a run names a page's first writer
+//! only, and a later writer of the same page must be waited for too.
+//!
 //! Per-thread high-water marks allow the log to be truncated once every
 //! registered thread has seen a prefix.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::sync::Arc;
+
+/// The highest update-batch number per home and writer, `[home][writer]`
+/// (0 for none), shared by every set that carries it; naming none
+/// allocates nothing. Joining, requiring and checking them are passes of
+/// maxima over arrays.
+///
+/// On the wire, per home: a 16-byte header (home, first and last writer
+/// named, the lowest number) and, per writer between, its number less the
+/// lowest plus one (0 for none) in as many bits as the largest needs.
+/// Writers of one SPMD program flush about as often, so a few bits are the
+/// rule.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Marks(Option<Arc<(Vec<Vec<u32>>, usize)>>);
+
+impl Marks {
+    /// Batch numbers by home and then writer.
+    pub fn from_batches(by_home: Vec<Vec<u32>>) -> Marks {
+        let wire: usize = by_home.iter().map(|by_writer| home_wire_bytes(by_writer)).sum();
+        Marks((wire > 0).then(|| Arc::new((by_home, wire))))
+    }
+
+    /// `writer`'s marks: how many batches it sent to each home.
+    pub fn of_writer(writer: u32, batches: &[u32]) -> Marks {
+        let mut by_home = Vec::new();
+        for (home, &batch) in (0..).zip(batches) {
+            Marks::raise(&mut by_home, home, writer, batch);
+        }
+        Marks::from_batches(by_home)
+    }
+
+    /// Raise `by_home[home][writer]` to at least `batch`.
+    pub fn raise(by_home: &mut Vec<Vec<u32>>, home: u32, writer: u32, batch: u32) {
+        let (home, writer) = (home as usize, writer as usize);
+        by_home.resize(by_home.len().max(home + 1), Vec::new());
+        let by_writer = &mut by_home[home];
+        by_writer.resize(by_writer.len().max(writer + 1), 0);
+        by_writer[writer] = by_writer[writer].max(batch);
+    }
+
+    /// Raise `by_home[home][writer]` to at least these marks.
+    pub fn raise_into(&self, by_home: &mut Vec<Vec<u32>>) {
+        by_home.resize(by_home.len().max(self.at_homes().len()), Vec::new());
+        for (into, from) in by_home.iter_mut().zip(self.at_homes()) {
+            into.resize(into.len().max(from.len()), 0);
+            for (into, &from) in into.iter_mut().zip(from) {
+                *into = (*into).max(from);
+            }
+        }
+    }
+
+    /// The batch numbers by home and then writer.
+    pub fn at_homes(&self) -> &[Vec<u32>] {
+        self.0.as_ref().map_or(&[], |marks| &marks.0)
+    }
+
+    /// `writer`'s batch number at `home`, 0 for none.
+    pub fn batch(&self, home: u32, writer: u32) -> u32 {
+        let by_writer = self.at_homes().get(home as usize);
+        by_writer.and_then(|by_writer| by_writer.get(writer as usize)).copied().unwrap_or(0)
+    }
+
+    /// Whether no mark is named.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    /// Both, the higher batch of a pair named by both.
+    pub fn join(&self, other: &Marks) -> Marks {
+        match (self.is_empty(), other.is_empty()) {
+            (_, true) => self.clone(),
+            (true, _) => other.clone(),
+            _ => {
+                let mut by_home = self.at_homes().to_vec();
+                other.raise_into(&mut by_home);
+                Marks::from_batches(by_home)
+            }
+        }
+    }
+
+    /// Bytes on the wire.
+    pub fn wire_bytes(&self) -> usize {
+        self.0.as_ref().map_or(0, |marks| marks.1)
+    }
+}
+
+/// One home's marks on the wire (see [`Marks`]).
+fn home_wire_bytes(by_writer: &[u32]) -> usize {
+    let (mut first, mut last, mut lo, mut hi) = (usize::MAX, 0, u32::MAX, 0);
+    for (writer, &batch) in by_writer.iter().enumerate().filter(|&(_, &batch)| batch > 0) {
+        (first, last) = (first.min(writer), writer);
+        (lo, hi) = (lo.min(batch), hi.max(batch));
+    }
+    match hi {
+        0 => 0,
+        _ => {
+            16 + ((last - first + 1) * (u32::BITS - (hi - lo + 1).leading_zeros()) as usize)
+                .div_ceil(8)
+        }
+    }
+}
+
+/// What one synchronization operation of a writer publishes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Interval {
+    /// The pages its flushes diffed, strictly ascending.
+    pub pages: Vec<u64>,
+    /// The fine-grain updates it flushed.
+    pub updates: Vec<FineUpdate>,
+    /// Per home, how many update batches the writer had sent there by then
+    /// (0 for none): a home that applied them has every flush it published.
+    pub batches: Vec<u32>,
+}
+
+impl Interval {
+    /// Whether it publishes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.pages.is_empty() && self.updates.is_empty()
+    }
+
+    /// Bytes on the wire: 8 per page, header plus payload per update, 4 per
+    /// home's batch count.
+    pub fn wire_bytes(&self) -> usize {
+        let updates: usize = self.updates.iter().map(FineUpdate::wire_bytes).sum();
+        8 * self.pages.len() + updates + 4 * self.batches.len()
+    }
+}
 
 /// A fine-grain (consistency-region) update carried inside a write notice.
 ///
@@ -89,6 +223,8 @@ pub struct WriteNotice {
     /// Fine-grain updates from consistency regions, shared with every
     /// [`NoticeSet`] that carries them.
     pub updates: Vec<Arc<FineUpdate>>,
+    /// Per home, the writer's update batches sent there by then.
+    pub batches: Vec<u32>,
 }
 
 /// `len` consecutive pages, starting at `first_page`, that the reader must
@@ -144,31 +280,41 @@ pub struct NoticeSet {
     pub runs: Vec<PageRun>,
     /// Updates to apply in place, in publication order.
     pub updates: Vec<Arc<FineUpdate>>,
+    /// Per writer and home, the highest mark in the suffix. One merge
+    /// serves every reader, so the list is shared and names the reader's
+    /// own marks too; a reader ignores those.
+    pub marks: Marks,
 }
 
 impl NoticeSet {
-    /// Wire size of the encoding: a 16-byte header (watermark, two counts),
-    /// 16 bytes per run, header plus payload per update.
+    /// Wire size of the encoding: a 16-byte header (watermark, three
+    /// counts), 16 bytes per run, header plus payload per update, and the
+    /// marks ([`Marks`]).
     pub fn wire_bytes(&self) -> usize {
-        16 + 16 * self.runs.len() + self.updates.iter().map(|u| u.wire_bytes()).sum::<usize>()
+        16 + 16 * self.runs.len()
+            + self.updates.iter().map(|u| u.wire_bytes()).sum::<usize>()
+            + self.marks.wire_bytes()
     }
 
     /// What one interval of `writer` amounts to for any other reader: its
-    /// pages as runs, its updates but those to its own pages.
-    pub fn interval(writer: u32, pages: &[u64], updates: &[FineUpdate]) -> NoticeSet {
+    /// pages as runs, its updates but those to its own pages, its marks.
+    pub fn interval(writer: u32, interval: &Interval) -> NoticeSet {
         let mut runs = Vec::new();
-        for &first_page in pages {
+        for &first_page in &interval.pages {
             append(&mut runs, PageRun { first_page, len: 1, writer });
         }
-        let carried = updates.iter().filter(|u| pages.binary_search(&u.page).is_err());
-        NoticeSet { runs, updates: last_per_range(carried.cloned().map(Arc::new).collect()) }
+        let own = |u: &&FineUpdate| interval.pages.binary_search(&u.page).is_err();
+        let carried = interval.updates.iter().filter(own);
+        let updates = last_per_range(carried.cloned().map(Arc::new).collect());
+        NoticeSet { runs, updates, marks: Marks::of_writer(writer, &interval.batches) }
     }
 
     /// This set followed by `later`, both sent to one reader: what applying
     /// the one and then the other does. A page in both stays on this set's
     /// account, this set's updates to `later`'s pages die, `later`'s updates
-    /// to this set's pages never apply, and of updates to one identical
-    /// range only the last is kept.
+    /// to this set's pages never apply, of updates to one identical range
+    /// only the last is kept, and of two marks of one writer at one home the
+    /// higher.
     pub fn followed_by(&self, later: &NoticeSet) -> NoticeSet {
         let first_after =
             |runs: &[PageRun], page: u64| runs.partition_point(|r| r.pages().end <= page);
@@ -212,7 +358,50 @@ impl NoticeSet {
         }
         let kept = self.updates.iter().filter(|u| !covers(&later.runs, u.page));
         let applied = later.updates.iter().filter(|u| !covers(&self.runs, u.page));
-        NoticeSet { runs, updates: last_per_range(kept.chain(applied).cloned().collect()) }
+        NoticeSet {
+            runs,
+            updates: last_per_range(kept.chain(applied).cloned().collect()),
+            marks: self.marks.join(&later.marks),
+        }
+    }
+}
+
+/// Blame `page` on a first record of skippers `who` in `runs` (ascending,
+/// maximal per skippers), wherever it stood before.
+fn blame_run(runs: &mut Vec<(PageRun, Option<u32>)>, page: u64, who: Skippers) {
+    let one = (PageRun { first_page: page, len: 1, writer: who.writer }, who.seen_by);
+    let i = runs.partition_point(|(r, _)| r.pages().end <= page);
+    let at = match runs.get(i).copied() {
+        Some((r, seen_by)) if r.first_page <= page => {
+            if (r.writer, seen_by) == (who.writer, who.seen_by) {
+                return;
+            }
+            // Split the run around the page.
+            let left = PageRun { len: (page - r.first_page) as u32, ..r };
+            let right = PageRun { first_page: page + 1, len: r.len - left.len - 1, ..r };
+            runs[i] = one;
+            if right.len > 0 {
+                runs.insert(i + 1, (right, seen_by));
+            }
+            if left.len > 0 {
+                runs.insert(i, (left, seen_by));
+            }
+            i + usize::from(left.len > 0)
+        }
+        _ => {
+            runs.insert(i, one);
+            i
+        }
+    };
+    // Join the neighbours it now touches.
+    let joins = |(a, s): (PageRun, Option<u32>), (b, t): (PageRun, Option<u32>)| {
+        (a.writer, s) == (b.writer, t) && a.pages().end == b.first_page
+    };
+    if at + 1 < runs.len() && joins(runs[at], runs[at + 1]) {
+        runs[at].0.len += runs.remove(at + 1).0.len;
+    }
+    if at > 0 && joins(runs[at - 1], runs[at]) {
+        runs[at - 1].0.len += runs.remove(at).0.len;
     }
 }
 
@@ -322,21 +511,33 @@ struct Merged {
     upto: u64,
     pages: BTreeMap<u64, Blame>,
     /// `pages` as runs by first record's skippers — what a reader that
-    /// skips none of them is sent — or `None` since `pages` last changed. A
-    /// barrier release asks P times between changes; a view then costs a
-    /// pass over the runs and the reader's own pages, not over every page.
-    runs: Option<Vec<(PageRun, Option<u32>)>>,
+    /// skips none of them is sent — kept as records are folded in: a view
+    /// costs a pass over the runs and the reader's own pages, not over
+    /// every page.
+    runs: Vec<(PageRun, Option<u32>)>,
     /// The updates that still matter to someone, keyed by publication
     /// order: the k-th folded in at the back is `k`, at the front `-1 - k`.
     live: BTreeMap<i64, Arc<FineUpdate>>,
     latest: HashMap<(u64, u32, usize), Latest>,
     pushed_back: i64,
     pushed_front: i64,
+    /// The highest batch number per home and writer, and as sent since
+    /// they last changed.
+    marks: Vec<Vec<u32>>,
+    sent: Option<Marks>,
 }
 
 impl Merged {
     fn starting_after(seq: u64) -> Self {
         Merged { from: seq, upto: seq, ..Merged::default() }
+    }
+
+    /// Fold in a record's marks, from either end.
+    fn mark(&mut self, n: &WriteNotice) {
+        for (home, &batch) in (0..).zip(&n.batches).filter(|&(_, &batch)| batch > 0) {
+            Marks::raise(&mut self.marks, home, n.writer, batch);
+            self.sent = None;
+        }
     }
 
     /// An update to a page its own notice invalidates is stale for every
@@ -348,11 +549,15 @@ impl Merged {
     /// Fold in the record after `upto`.
     fn push_back(&mut self, n: &WriteNotice) {
         let who = Skippers::of(n);
-        if !n.pages.is_empty() {
-            self.runs = None;
-        }
+        self.mark(n);
         for &page in &n.pages {
-            self.pages.entry(page).and_modify(|b| b.then(who)).or_insert(Blame::new(who));
+            match self.pages.entry(page) {
+                btree_map::Entry::Occupied(mut blame) => blame.get_mut().then(who),
+                btree_map::Entry::Vacant(slot) => {
+                    slot.insert(Blame::new(who));
+                    blame_run(&mut self.runs, page, who);
+                }
+            }
         }
         for u in Self::carried(n) {
             let at = self.pushed_back;
@@ -383,12 +588,11 @@ impl Merged {
     /// Fold in the record at `from` (the one just before the merged range).
     fn push_front(&mut self, n: &WriteNotice) {
         let who = Skippers::of(n);
-        if !n.pages.is_empty() {
-            self.runs = None;
-        }
+        self.mark(n);
         for &page in &n.pages {
             let blame = self.pages.get(&page).map_or(Blame::new(who), |b| b.before(who));
             self.pages.insert(page, blame);
+            blame_run(&mut self.runs, page, who);
         }
         for u in Self::carried(n).rev() {
             let at = -1 - self.pushed_front;
@@ -421,26 +625,10 @@ impl Merged {
     }
 
     fn view(&mut self, reader: u32) -> NoticeSet {
-        let by_first = self.runs.get_or_insert_with(|| {
-            let mut runs: Vec<(PageRun, Option<u32>)> = Vec::new();
-            for (&first_page, b) in &self.pages {
-                let (writer, seen_by) = (b.first.writer, b.first.seen_by);
-                match runs.last_mut() {
-                    Some((run, s))
-                        if (run.writer, *s) == (writer, seen_by)
-                            && run.pages().end == first_page =>
-                    {
-                        run.len += 1;
-                    }
-                    _ => runs.push((PageRun { first_page, len: 1, writer }, seen_by)),
-                }
-            }
-            runs
-        });
         // The runs of records the reader skips come apart into the pages
         // someone else wrote too; everything else is sent as it stands.
-        let mut runs = Vec::with_capacity(by_first.len());
-        for &(run, seen_by) in by_first.iter() {
+        let mut runs = Vec::with_capacity(self.runs.len());
+        for &(run, seen_by) in &self.runs {
             if !(Skippers { writer: run.writer, seen_by }).skip(reader) {
                 append(&mut runs, run);
                 continue;
@@ -459,7 +647,9 @@ impl Merged {
             .filter(|(_, u)| !stale(u.page))
             .map(|(_, u)| u.clone())
             .collect();
-        NoticeSet { runs, updates }
+        let marks =
+            self.sent.get_or_insert_with(|| Marks::from_batches(self.marks.clone())).clone();
+        NoticeSet { runs, updates, marks }
     }
 }
 
@@ -495,33 +685,29 @@ impl IntervalLog {
         }
     }
 
-    /// Publish an interval for `writer`. Empty intervals are skipped (no
-    /// notice needed) and return the current sequence watermark.
+    /// Publish an interval for `writer` of `pages` and `updates` alone.
+    /// Empty intervals are skipped (no notice needed) and return the current
+    /// sequence watermark.
     ///
     /// `pages` must be strictly ascending — a flush hands them over from an
     /// ordered set — because the merge binary-searches the list.
     pub fn publish(&mut self, writer: u32, pages: Vec<u64>, updates: Vec<FineUpdate>) -> u64 {
-        self.publish_seen_by(writer, None, pages, updates)
+        self.publish_seen_by(writer, None, Interval { pages, updates, batches: Vec::new() })
     }
 
-    /// [`publish`](Self::publish) an interval that thread `seen_by` has
-    /// already applied — it was handed the interval with a lock — and must
-    /// never be sent.
-    pub fn publish_seen_by(
-        &mut self,
-        writer: u32,
-        seen_by: Option<u32>,
-        pages: Vec<u64>,
-        updates: Vec<FineUpdate>,
-    ) -> u64 {
-        debug_assert!(pages.windows(2).all(|w| w[0] < w[1]), "notice pages not ascending");
-        if pages.is_empty() && updates.is_empty() {
+    /// [`publish`](Self::publish) an interval; with `seen_by`, one that
+    /// thread has already applied — it was handed the interval with a lock
+    /// — and must never be sent.
+    pub fn publish_seen_by(&mut self, writer: u32, seen_by: Option<u32>, i: Interval) -> u64 {
+        debug_assert!(i.pages.windows(2).all(|w| w[0] < w[1]), "notice pages not ascending");
+        if i.is_empty() {
             return self.next_seq - 1;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let updates = updates.into_iter().map(Arc::new).collect();
-        self.records.push(WriteNotice { seq, writer, seen_by, pages, updates });
+        let (pages, batches) = (i.pages, i.batches);
+        let updates = i.updates.into_iter().map(Arc::new).collect();
+        self.records.push(WriteNotice { seq, writer, seen_by, pages, updates, batches });
         seq
     }
 
@@ -834,6 +1020,76 @@ mod tests {
         assert_eq!(n.writer, 7);
         assert_eq!(n.pages, vec![1, 2, 3]);
     }
+
+    /// `writer` had sent `batch` update batches to `home`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct Mark {
+        pub home: u32,
+        pub writer: u32,
+        pub batch: u32,
+    }
+
+    fn mark(home: u32, writer: u32, batch: u32) -> Mark {
+        Mark { home, writer, batch }
+    }
+
+    fn marks(list: &[Mark]) -> Marks {
+        let mut by_home = Vec::new();
+        list.iter().for_each(|m| Marks::raise(&mut by_home, m.home, m.writer, m.batch));
+        Marks::from_batches(by_home)
+    }
+
+    impl Marks {
+        /// Every mark, by home and then writer.
+        pub(super) fn iter(&self) -> impl Iterator<Item = Mark> + '_ {
+            (0..).zip(self.at_homes()).flat_map(|(home, by_writer)| {
+                let named = (0..).zip(by_writer).filter(|&(_, &batch)| batch > 0);
+                named.map(move |(writer, &batch)| Mark { home, writer, batch })
+            })
+        }
+    }
+
+    #[test]
+    fn a_set_carries_each_writers_highest_mark_per_home() {
+        let mut log = IntervalLog::new();
+        let interval = |pages: Vec<u64>, updates, batches| Interval { pages, updates, batches };
+        log.publish_seen_by(1, None, interval(vec![3], vec![], vec![1, 4]));
+        log.publish_seen_by(2, None, interval(vec![3], vec![], vec![7]));
+        // A record of no pages and no updates publishes nothing, marks or not.
+        log.publish_seen_by(2, None, interval(vec![], vec![], vec![8]));
+        log.publish_seen_by(1, Some(0), interval(vec![], vec![upd(9, 0, &[1; 8])], vec![2]));
+        // Page 3's run names thread 1 only; thread 2's mark still comes.
+        let set = log.merged_since(0, 0);
+        assert_eq!(set.runs, vec![run(3, 1, 1)]);
+        let listed = |m: &Marks| m.iter().collect::<Vec<_>>();
+        assert_eq!(listed(&set.marks), [mark(0, 1, 2), mark(0, 2, 7), mark(1, 1, 4)]);
+        // Every reader is sent the one list, its own marks among them.
+        let shared = |m: &Marks| m.0.clone().expect("marks");
+        assert!(Arc::ptr_eq(&shared(&log.merged_since(0, 2).marks), &shared(&set.marks)));
+        assert_eq!(listed(&log.merged_since(2, 2).marks), [mark(0, 1, 2)]);
+        // Followed by an interval: the higher of two marks of one writer.
+        let then = NoticeSet::interval(2, &interval(vec![], vec![upd(9, 8, &[2; 8])], vec![9]));
+        let joined = set.followed_by(&then).marks;
+        assert_eq!(listed(&joined), [mark(0, 1, 2), mark(0, 2, 9), mark(1, 1, 4)]);
+    }
+
+    #[test]
+    fn marks_are_charged_a_header_per_home_and_bits_per_writer() {
+        let wire = |list: &[Mark]| marks(list).wire_bytes();
+        assert_eq!(wire(&[]), 0);
+        // One number and none: a bit per writer over the span.
+        assert_eq!(wire(&[mark(0, 300, 5)]), 16 + 1);
+        let even: Vec<Mark> = (0..64).filter(|&w| w != 9).map(|w| mark(0, w, 5)).collect();
+        assert_eq!(wire(&even), 16 + 8);
+        // Two numbers and none: two bits. The span starts at the first
+        // writer named; another home has its own.
+        let mixed: Vec<Mark> = (10..74).map(|w| mark(0, w, 5 + w % 2)).collect();
+        assert_eq!(wire(&mixed), 16 + 16);
+        assert_eq!(wire(&[mixed, vec![mark(1, 3, 5)]].concat()), 16 + 16 + 16 + 1);
+        // Numbers far apart take more bits.
+        assert_eq!(wire(&[mark(0, 0, 1), mark(0, 1, 255)]), 16 + 2);
+        assert_eq!(wire(&[mark(0, 0, 1), mark(0, 1, 256)]), 16 + 3);
+    }
 }
 
 #[cfg(test)]
@@ -849,11 +1105,21 @@ mod proptests {
     struct Model {
         /// `None` = invalidated, with the writer that was blamed.
         pages: Vec<Result<[u8; PAGE], u32>>,
+        /// The batches a fetch must wait for, per `(home, writer)`.
+        need: BTreeMap<(u32, u32), u32>,
     }
 
     impl Model {
         fn new() -> Self {
-            Model { pages: vec![Ok([0; PAGE]); 12] }
+            Model { pages: vec![Ok([0; PAGE]); 12], need: BTreeMap::new() }
+        }
+
+        /// What `reader` must wait for: it ignores its own marks.
+        fn require(&mut self, marks: &Marks, reader: u32) {
+            for m in marks.iter().filter(|m| m.writer != reader) {
+                let need = self.need.entry((m.home, m.writer)).or_default();
+                *need = (*need).max(m.batch);
+            }
         }
 
         fn invalidate(&mut self, page: u64, writer: u32) {
@@ -874,20 +1140,21 @@ mod proptests {
         /// before there was a merge, skipping what the reader skips.
         fn apply_suffix(&mut self, suffix: &[WriteNotice], reader: u32) {
             for n in suffix.iter().filter(|n| !Skippers::of(n).skip(reader)) {
-                self.apply_notice(n);
+                self.apply_notice(n, reader);
             }
         }
 
-        fn apply_notice(&mut self, n: &WriteNotice) {
+        fn apply_notice(&mut self, n: &WriteNotice, reader: u32) {
             for &page in &n.pages {
                 self.invalidate(page, n.writer);
             }
             for u in n.updates.iter().filter(|u| n.pages.binary_search(&u.page).is_err()) {
                 self.update(u);
             }
+            self.require(&Marks::of_writer(n.writer, &n.batches), reader);
         }
 
-        fn apply_set(&mut self, set: &NoticeSet) {
+        fn apply_set(&mut self, set: &NoticeSet, reader: u32) {
             for run in &set.runs {
                 for page in run.pages() {
                     self.invalidate(page, run.writer);
@@ -896,6 +1163,7 @@ mod proptests {
             for u in &set.updates {
                 self.update(u);
             }
+            self.require(&set.marks, reader);
         }
     }
 
@@ -908,19 +1176,19 @@ mod proptests {
             })
     }
 
-    /// A writer, the thread it was handed to (if any), its ascending page
-    /// list, its carried updates.
-    type Interval = (u32, Option<u32>, Vec<u64>, Vec<FineUpdate>);
+    /// A writer, the thread it was handed to (if any), its interval.
+    type Published = (u32, Option<u32>, Interval);
 
-    fn interval() -> impl Strategy<Value = Interval> {
+    fn interval() -> impl Strategy<Value = Published> {
         (
             0u32..READERS as u32,
             0u32..=READERS as u32,
             proptest::collection::vec(0u64..12, 0..4),
             // Few ranges on few pages, so that updates collide.
             proptest::collection::vec((0u64..4, 0u32..2, 1usize..3, any::<u8>()), 0..3),
+            proptest::collection::vec((0u32..2, 1u32..9), 0..3),
         )
-            .prop_map(|(writer, seen_by, mut pages, updates)| {
+            .prop_map(|(writer, seen_by, mut pages, updates, marks)| {
                 pages.sort_unstable();
                 pages.dedup();
                 let update = |(page, slot, words, fill)| FineUpdate {
@@ -928,8 +1196,16 @@ mod proptests {
                     offset: slot * 4,
                     bytes: vec![fill; words * 4],
                 };
+                // Batches are sent only for pages and updates.
+                let mut batches = vec![0; 2];
+                for (home, batch) in
+                    marks.into_iter().filter(|_| !pages.is_empty() || !updates.is_empty())
+                {
+                    batches[home as usize] = batch;
+                }
                 let seen_by = Some(seen_by).filter(|&s| s != writer && s < READERS as u32);
-                (writer, seen_by, pages, updates.into_iter().map(update).collect())
+                let updates = updates.into_iter().map(update).collect();
+                (writer, seen_by, Interval { pages, updates, batches })
             })
     }
 
@@ -959,22 +1235,23 @@ mod proptests {
                 }
                 let set = log.merged_since(last_seen[who], who as u32);
                 assert!(well_formed(&set.runs), "{:?}", set.runs);
+                assert!(runs_kept(log), "a memo's runs drifted from its pages");
                 assert_eq!(&set, &forgetful(log).merged_since(last_seen[who], who as u32));
                 let (by_suffix, by_set) = &mut caches[who];
                 by_suffix.apply_suffix(&suffix, who as u32);
-                by_set.apply_set(&set);
+                by_set.apply_set(&set, who as u32);
                 assert_eq!(by_set, by_suffix, "reader {who}, set {set:?}");
                 last_seen[who] = log.watermark();
             };
-            for (kind, who, (writer, seen_by, pages, updates)) in ops {
+            for (kind, who, (writer, seen_by, interval)) in ops {
                 match kind {
                     0 | 1 => {
                         let before = log.watermark();
-                        log.publish_seen_by(writer, seen_by, pages, updates);
+                        log.publish_seen_by(writer, seen_by, interval);
                         if let (Some(to), Some(n)) = (seen_by, log.since(before).first()) {
                             let (by_suffix, by_set) = &mut caches[to as usize];
-                            by_suffix.apply_notice(n);
-                            by_set.apply_notice(n);
+                            by_suffix.apply_notice(n, to);
+                            by_set.apply_notice(n, to);
                         }
                     }
                     2 => read(&mut log, who, &mut last_seen, &mut caches),
@@ -999,6 +1276,26 @@ mod proptests {
         IntervalLog { memos: Default::default(), ..log.clone() }
     }
 
+    /// Every memo's runs are what its pages come to, built at once.
+    fn runs_kept(log: &IntervalLog) -> bool {
+        log.memos.iter().all(|memo| {
+            let mut runs: Vec<(PageRun, Option<u32>)> = Vec::new();
+            for (&first_page, b) in &memo.pages {
+                let (writer, seen_by) = (b.first.writer, b.first.seen_by);
+                match runs.last_mut() {
+                    Some((run, s))
+                        if (run.writer, *s) == (writer, seen_by)
+                            && run.pages().end == first_page =>
+                    {
+                        run.len += 1;
+                    }
+                    _ => runs.push((PageRun { first_page, len: 1, writer }, seen_by)),
+                }
+            }
+            runs == memo.runs
+        })
+    }
+
     proptest! {
         /// A set followed by one more interval does to a reader that did
         /// not write it what the set and then the interval do, and a set
@@ -1007,37 +1304,37 @@ mod proptests {
         fn a_set_followed_by_another_does_what_both_do(
             before in proptest::collection::vec(interval(), 0..12),
             after in proptest::collection::vec(interval(), 0..6),
-            (writer, _, pages, updates) in interval(),
+            (writer, _, interval) in interval(),
             reader in 0u32..READERS as u32,
         ) {
             let mut log = IntervalLog::new();
-            for (w, seen_by, p, u) in before {
-                log.publish_seen_by(w, seen_by, p, u);
+            for (w, seen_by, i) in before {
+                log.publish_seen_by(w, seen_by, i);
             }
             let set = log.merged_since(0, reader);
             if writer != reader {
                 let before = log.watermark();
-                log.publish(writer, pages.clone(), updates.clone());
+                log.publish_seen_by(writer, None, interval.clone());
                 let (mut both, mut merged) = (Model::new(), Model::new());
-                both.apply_set(&set);
+                both.apply_set(&set, reader);
                 both.apply_suffix(log.since(before), reader);
-                let then = set.followed_by(&NoticeSet::interval(writer, &pages, &updates));
+                let then = set.followed_by(&NoticeSet::interval(writer, &interval));
                 prop_assert!(well_formed(&then.runs), "{:?}", then.runs);
-                merged.apply_set(&then);
+                merged.apply_set(&then, reader);
                 prop_assert_eq!(merged, both);
             }
             let (first, seen) = (log.merged_since(0, reader), log.watermark());
-            for (w, seen_by, p, u) in after {
-                log.publish_seen_by(w, seen_by, p, u);
+            for (w, seen_by, i) in after {
+                log.publish_seen_by(w, seen_by, i);
             }
             let next = log.merged_since(seen, reader);
             let joined = first.followed_by(&next);
             prop_assert!(well_formed(&joined.runs), "{:?}", joined.runs);
             let (mut two, mut one, mut all) = (Model::new(), Model::new(), Model::new());
-            two.apply_set(&first);
-            two.apply_set(&next);
-            one.apply_set(&joined);
-            all.apply_set(&log.merged_since(0, reader));
+            two.apply_set(&first, reader);
+            two.apply_set(&next, reader);
+            one.apply_set(&joined, reader);
+            all.apply_set(&log.merged_since(0, reader), reader);
             prop_assert_eq!(&one, &two);
             prop_assert_eq!(one, all);
         }

@@ -25,7 +25,9 @@
 //! publishes `(interval seq, writer, pages)` records through the manager, and
 //! at each acquire/barrier a thread receives what the records it has not yet
 //! seen amount to — one merged, run-encoded [`NoticeSet`] — and invalidates
-//! the named pages it caches (its own flushes are not among them).
+//! the named pages it caches (its own flushes are not among them). Each
+//! record also carries its writer's update-batch [`Marks`], so a reader can
+//! name to a home the batches it must have applied before it answers.
 //!
 //! The [`protocol`] module captures the per-page state machine these rules
 //! induce, in a pure, exhaustively-testable form.
@@ -39,7 +41,7 @@ pub mod writeset;
 
 pub use batch::{UpdateBatch, UpdatePart};
 pub use diff::Diff;
-pub use interval::{FineUpdate, IntervalLog, NoticeSet, PageRun, WriteNotice};
+pub use interval::{FineUpdate, Interval, IntervalLog, Marks, NoticeSet, PageRun, WriteNotice};
 pub use protocol::{PageState, WriteEffect};
 pub use region::{RegionKind, RegionState};
 pub use writeset::WriteSet;

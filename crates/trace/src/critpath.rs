@@ -67,7 +67,8 @@ pub struct ThreadWindow {
 /// Critical-path time classes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PathClass {
-    /// Thread-local work (includes flush assembly).
+    /// Thread-local work, including a synchronization's flush: diffing,
+    /// staging and sending its update batches, none of which is waited for.
     Compute,
     /// Fetch wire time (request/response in flight).
     Fetch,
@@ -770,6 +771,45 @@ mod tests {
         let json = r.to_json(5);
         crate::json::validate_json(&json).expect("valid json");
         assert!(json.contains("\"queue-wait\":500"));
+    }
+
+    /// A refetch that reached the home before the batch its notice named
+    /// was parked until the batch was applied, then served: its stall
+    /// carves the service and the apply it queued behind like any other
+    /// fetch, and the classes still tile the makespan.
+    #[test]
+    fn a_parked_fetch_queues_behind_the_batch_it_waited_for() {
+        let fetch = EventKind::Fetch {
+            page: 7,
+            pages: 1,
+            kind: crate::event::FetchKind::Refetch,
+            wait_ns: 1_800,
+        };
+        let trace = RunTrace::from_tracks(vec![
+            (TrackId::Thread(0), vec![ev(3_000, fetch)]),
+            (TrackId::Thread(1), vec![ev(1_000, EventKind::DiffFlush { page: 7, bytes: 1_024 })]),
+            (
+                TrackId::MemServer(0),
+                vec![
+                    // The batch, applied in [2000, 2250]; the fetch, parked
+                    // since about 1500, served in [2250, 2750].
+                    ev(2_250, EventKind::ApplyDiff { page: 7, bytes: 1_024, writer: 1, batch: 1 }),
+                    ev(2_750, EventKind::ServeFetch { page: 7, pages: 1 }),
+                ],
+            ),
+        ]);
+        let windows = [ThreadWindow { tid: 0, epoch_ns: 0, end_ns: 3_000 }];
+        let r = critical_path(&trace, &windows, &costs());
+        assert_eq!(r.total_ns(), 3_000);
+        assert_eq!(r.class_total(PathClass::ServerService), 500);
+        assert_eq!(r.class_total(PathClass::QueueWait), 250);
+        assert_eq!(r.class_total(PathClass::Fetch), 250 + 800);
+        assert_eq!(r.class_total(PathClass::Compute), 1_200);
+        let queued = r.segments.iter().find(|s| s.class == PathClass::QueueWait).expect("queued");
+        assert_eq!(
+            (queued.start_ns, queued.end_ns, queued.detail),
+            (2_000, 2_250, Detail::ServerQueue(7))
+        );
     }
 
     /// A barrier stall jumps to the last arrival.

@@ -100,8 +100,9 @@ pub enum EventKind {
     DiffFlush { page: u64, bytes: u64 },
     /// A fine-grain write set for `page` was flushed (thread track).
     FineFlush { page: u64, bytes: u64 },
-    /// `page` was invalidated by a write notice from `writer` (thread track).
-    Invalidate { page: u64, writer: u32 },
+    /// `page` was invalidated by a write notice from `writer`, whose update
+    /// batch `batch` to the page's home the notice follows (thread track).
+    Invalidate { page: u64, writer: u32, batch: u32 },
     /// A cache line was evicted to make room (thread track).
     Evict { line: u64, dirty_pages: u32 },
     /// Lock acquire request left for the manager (thread track).
@@ -119,10 +120,13 @@ pub enum EventKind {
     MgrRpc { op: &'static str, wait_ns: u64 },
     /// The manager finished serving a request from `tid` (manager track).
     MgrServe { op: &'static str, tid: u32 },
-    /// A memory server applied a diff (mem-server track).
-    ApplyDiff { page: u64, bytes: u64 },
-    /// A memory server applied a fine-grain update (mem-server track).
-    ApplyFine { page: u64, bytes: u64 },
+    /// A memory server applied a diff from thread `writer`'s update batch
+    /// `batch` (mem-server track).
+    ApplyDiff { page: u64, bytes: u64, writer: u32, batch: u32 },
+    /// A memory server applied a fine-grain update from thread `writer`'s
+    /// update batch `batch` (mem-server track; the host control client
+    /// writes as `u32::MAX`, outside any batch: 0).
+    ApplyFine { page: u64, bytes: u64, writer: u32, batch: u32 },
     /// A memory server served a line/page fetch (mem-server track).
     ServeFetch { page: u64, pages: u32 },
     /// A memory server overwrote a whole page (mem-server track).

@@ -240,11 +240,16 @@ impl<S: Sink> Writer<S> {
             EventKind::TwinCreate { page } | EventKind::ServeWrite { page } => {
                 pairs!(self, "page": page)
             }
-            EventKind::DiffFlush { page, bytes }
-            | EventKind::FineFlush { page, bytes }
-            | EventKind::ApplyDiff { page, bytes }
-            | EventKind::ApplyFine { page, bytes } => pairs!(self, "page": page, "bytes": bytes),
-            EventKind::Invalidate { page, writer } => pairs!(self, "page": page, "writer": writer),
+            EventKind::DiffFlush { page, bytes } | EventKind::FineFlush { page, bytes } => {
+                pairs!(self, "page": page, "bytes": bytes)
+            }
+            EventKind::ApplyDiff { page, bytes, writer, batch }
+            | EventKind::ApplyFine { page, bytes, writer, batch } => {
+                pairs!(self, "page": page, "bytes": bytes, "writer": writer, "batch": batch)
+            }
+            EventKind::Invalidate { page, writer, batch } => {
+                pairs!(self, "page": page, "writer": writer, "batch": batch)
+            }
             EventKind::Evict { line, dirty_pages } => {
                 pairs!(self, "line": line, "dirty_pages": dirty_pages)
             }
@@ -563,9 +568,11 @@ mod oracle {
             EventKind::DiffFlush { page, bytes } | EventKind::FineFlush { page, bytes } => {
                 vec![("page", page.to_string()), ("bytes", bytes.to_string())]
             }
-            EventKind::Invalidate { page, writer } => {
-                vec![("page", page.to_string()), ("writer", writer.to_string())]
-            }
+            EventKind::Invalidate { page, writer, batch } => vec![
+                ("page", page.to_string()),
+                ("writer", writer.to_string()),
+                ("batch", batch.to_string()),
+            ],
             EventKind::Evict { line, dirty_pages } => {
                 vec![("line", line.to_string()), ("dirty_pages", dirty_pages.to_string())]
             }
@@ -585,9 +592,13 @@ mod oracle {
             EventKind::MgrServe { op, tid } => {
                 vec![("op", s(op)), ("tid", tid.to_string())]
             }
-            EventKind::ApplyDiff { page, bytes } | EventKind::ApplyFine { page, bytes } => {
-                vec![("page", page.to_string()), ("bytes", bytes.to_string())]
-            }
+            EventKind::ApplyDiff { page, bytes, writer, batch }
+            | EventKind::ApplyFine { page, bytes, writer, batch } => vec![
+                ("page", page.to_string()),
+                ("bytes", bytes.to_string()),
+                ("writer", writer.to_string()),
+                ("batch", batch.to_string()),
+            ],
             EventKind::ServeFetch { page, pages } => {
                 vec![("page", page.to_string()), ("pages", pages.to_string())]
             }
@@ -824,7 +835,10 @@ mod tests {
                     ev(4_000, EventKind::LockAcquire { lock: 0, wait_ns: 500 }),
                 ],
             ),
-            (TrackId::MemServer(0), vec![ev(3_500, EventKind::ApplyDiff { page: 7, bytes: 128 })]),
+            (
+                TrackId::MemServer(0),
+                vec![ev(3_500, EventKind::ApplyDiff { page: 7, bytes: 128, writer: 1, batch: 1 })],
+            ),
             (
                 TrackId::Fabric,
                 vec![ev(
@@ -931,7 +945,7 @@ mod tests {
             2 => EventKind::TwinCreate { page: r.u64() },
             3 => EventKind::DiffFlush { page: r.u64(), bytes: r.u64() },
             4 => EventKind::FineFlush { page: r.u64(), bytes: r.u64() },
-            5 => EventKind::Invalidate { page: r.u64(), writer: r.u32() },
+            5 => EventKind::Invalidate { page: r.u64(), writer: r.u32(), batch: r.u32() },
             6 => EventKind::Evict { line: r.u64(), dirty_pages: r.u32() },
             7 => EventKind::LockRequest { lock: id(r) },
             8 => EventKind::LockAcquire { lock: id(r), wait_ns },
@@ -940,8 +954,18 @@ mod tests {
             11 => EventKind::BarrierRelease { barrier: id(r), wait_ns },
             12 => EventKind::MgrRpc { op: r.pick(&OPS), wait_ns },
             13 => EventKind::MgrServe { op: r.pick(&OPS), tid: id(r) },
-            14 => EventKind::ApplyDiff { page: r.u64(), bytes: r.next() % 65_536 },
-            15 => EventKind::ApplyFine { page: r.u64(), bytes: r.next() % 65_536 },
+            14 => EventKind::ApplyDiff {
+                page: r.u64(),
+                bytes: r.next() % 65_536,
+                writer: id(r),
+                batch: r.u32(),
+            },
+            15 => EventKind::ApplyFine {
+                page: r.u64(),
+                bytes: r.next() % 65_536,
+                writer: id(r),
+                batch: r.u32(),
+            },
             16 => EventKind::ServeFetch { page: r.next() % 4, pages: r.u32() % 64 },
             17 => EventKind::ServeWrite { page: r.u64() },
             18 => EventKind::FabricSend {
@@ -1102,7 +1126,7 @@ mod tests {
             EventKind::TwinCreate { page: w64 },
             EventKind::DiffFlush { page: w64, bytes: w64 },
             EventKind::FineFlush { page: w64, bytes: w64 },
-            EventKind::Invalidate { page: w64, writer: w32 },
+            EventKind::Invalidate { page: w64, writer: w32, batch: w32 },
             EventKind::Evict { line: w64, dirty_pages: w32 },
             EventKind::LockRequest { lock: w32 },
             EventKind::LockAcquire { lock: w32, wait_ns: 1 },
@@ -1111,8 +1135,8 @@ mod tests {
             EventKind::BarrierRelease { barrier: w32, wait_ns: 1 },
             EventKind::MgrRpc { op, wait_ns: 1 },
             EventKind::MgrServe { op, tid: w32 },
-            EventKind::ApplyDiff { page: w64, bytes: w64 },
-            EventKind::ApplyFine { page: w64, bytes: w64 },
+            EventKind::ApplyDiff { page: w64, bytes: w64, writer: w32, batch: w32 },
+            EventKind::ApplyFine { page: w64, bytes: w64, writer: w32, batch: w32 },
             EventKind::ServeFetch { page: w64, pages: w32 },
             EventKind::ServeWrite { page: w64 },
             EventKind::FabricSend { src: w64, dst: w64, class: MsgClass::Control, bytes: w64 },

@@ -268,13 +268,19 @@ mod tests {
                     },
                     TraceEvent { at: ns(30), kind: EventKind::TwinCreate { page: 4 } },
                     TraceEvent { at: ns(40), kind: EventKind::DiffFlush { page: 4, bytes: 64 } },
-                    TraceEvent { at: ns(50), kind: EventKind::Invalidate { page: 5, writer: 1 } },
+                    TraceEvent {
+                        at: ns(50),
+                        kind: EventKind::Invalidate { page: 5, writer: 1, batch: 1 },
+                    },
                 ],
             ),
             // Server-side mirror events must not double count.
             (
                 TrackId::MemServer(0),
-                vec![TraceEvent { at: ns(45), kind: EventKind::ApplyDiff { page: 4, bytes: 64 } }],
+                vec![TraceEvent {
+                    at: ns(45),
+                    kind: EventKind::ApplyDiff { page: 4, bytes: 64, writer: 0, batch: 1 },
+                }],
             ),
         ]);
         let mut expect = HotspotMap::new();

@@ -89,7 +89,9 @@ fn a_grant_costs_a_run_per_writer_not_a_page_list_per_notice() {
     // grant late in the chain stands for ~2P notices. Sent as such it was
     // ~60 bytes a notice: 1 446 / 5 286 / 20 646 sync-class bytes per
     // grant at P = 16 / 64 / 256. Merged it is one 16-byte run per other
-    // writer's block and one counter update: 432 / 1 149 / 3 965. Exact
+    // writer's block and one counter update: 432 / 1 149 / 3 965, and
+    // 498 / 1 205 / 4 029 once locks were handed over directly, and
+    // 570 / 1 325 / 4 291 since intervals carry update-batch marks. Exact
     // byte and grant counts — no clock involved.
     let sync_bytes_per_grant = |threads: u32| {
         let report = report_point("micro", threads);
@@ -101,13 +103,19 @@ fn a_grant_costs_a_run_per_writer_not_a_page_list_per_notice() {
     for (threads, bytes) in per_grant {
         // Everything a thread sends and is sent per lock it takes —
         // acquire, grant, release, the barrier after — comes to less than
-        // a run per thread plus a constant.
-        let bound = 16.0 * threads as f64 + 256.0;
+        // a run per thread plus a constant, 16·P + 256, and the marks. The
+        // acquire, the release and the barrier arrival carry the sender's
+        // batch count per home (4 bytes each), the baton its own mark (17);
+        // the grant's advance and the barrier release carry everyone's, a
+        // 16-byte header and a few bits a writer each: 61 + P/4 bytes here,
+        // at three bits. The bound allows 64 + P, a byte a writer.
+        let bound = 17.0 * threads as f64 + 320.0;
         assert!(bytes < bound, "P={threads}: {bytes:.0} sync bytes per grant, bound {bound}");
     }
     // What is left is linear in writers — every page of the array has a
     // different first writer and a run names one — so the figure still
-    // grows with P: by 9.2x over this 16x range, where it grew by 14.3x.
+    // grows with P: by 7.5x over this 16x range (8.1x before the marks),
+    // where it grew by 14.3x.
     let growth = per_grant[2].1 / per_grant[0].1;
     assert!(growth < 10.0, "sync bytes per grant grew {growth:.1}x from P=16 to P=256");
 }
@@ -116,7 +124,8 @@ fn a_grant_costs_a_run_per_writer_not_a_page_list_per_notice() {
 fn jacobi_p256_moves_fewer_sync_bytes_than_data_bytes() {
     // A P=256 barrier release used to ship 255 page lists to each of 256
     // threads, and the notices outweighed the grid: 31.9 MB of sync-class
-    // traffic against 22.4 MB of data. Merged they are 6.7 MB.
+    // traffic against 22.4 MB of data. Merged they are 6.7 MB; with the
+    // update-batch marks intervals carry, 7.2 MB against 22.5 MB.
     let report = report_point("jacobi", 256);
     let (sync, data) = (report.fabric.bytes(MsgClass::Sync), report.fabric.bytes(MsgClass::Data));
     assert!(3 * sync < data, "sync {sync} B against data {data} B");
