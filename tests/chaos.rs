@@ -350,72 +350,84 @@ fn inactive_fault_schedule_stays_bit_deterministic() {
 /// `tests/recovery.rs` holds the manager-crash half): every plan of
 /// [`plans`], [`batch_plans`] and [`scale_plans`] on jacobi P=3, jacobi P=8
 /// and the micro-benchmark, recorded at the parent of PR 23 and re-recorded
-/// when lock grants began to travel from holder to holder (which moves the
+/// when lock grants began to travel from holder to holder, and when
+/// synchronization stopped waiting for its flush to be acked (each moves the
 /// clock, the messages and so the faults a plan rolls for them — never the
-/// memory, the fail-overs or a recovered grid).
+/// memory, which every row checks, the fail-overs or a recovered grid).
 const PINNED: &[timeline::Row] = &[
-    ("drop-light/jacobi-p3", [230458, 4, 0, 0, 4, 297, 0x1b4189fa3810a1cc]),
-    ("drop-light/jacobi-p8", [623883, 10, 0, 0, 12, 750, 0xcdb9858498896cc2]),
-    ("drop-light/micro-p3", [149441, 3, 0, 0, 3, 252, 0xf9347db414750b43]),
-    ("drop-heavy/jacobi-p3", [2345740, 37, 0, 0, 38, 343, 0xb7d1c82fda4fd1a0]),
-    ("drop-heavy/jacobi-p8", [2324311, 82, 0, 0, 85, 853, 0xc0671577417341ad]),
-    ("drop-heavy/micro-p3", [713291, 32, 0, 0, 33, 292, 0x77e5c431ed682433]),
-    ("duplicates/jacobi-p3", [219332, 0, 0, 0, 22, 295, 0xf0fcb97b7c127c93]),
-    ("duplicates/jacobi-p8", [429333, 0, 0, 0, 68, 755, 0xfef449f41937a5d1]),
-    ("duplicates/micro-p3", [141991, 0, 0, 0, 18, 253, 0xaebc2761af1e545f]),
-    ("delays/jacobi-p3", [296915, 0, 0, 0, 26, 289, 0xe99c9f8d46659f44]),
-    ("delays/jacobi-p8", [517728, 0, 0, 0, 71, 733, 0x8c5ad9ad463ca544]),
-    ("delays/micro-p3", [189027, 0, 0, 0, 23, 248, 0x2169cd0b10aef8cc]),
-    ("mixed/jacobi-p3", [534490, 17, 0, 0, 45, 322, 0x98a5c4ffb08b7e5f]),
-    ("mixed/jacobi-p8", [1007383, 30, 0, 0, 107, 791, 0x47b0f9e10a142536]),
-    ("mixed/micro-p3", [324700, 13, 0, 0, 37, 267, 0xd76b23d76045fdef]),
-    ("drop-dup/jacobi-p3", [733717, 27, 0, 0, 41, 334, 0x2bb8cafc1073a963]),
-    ("drop-dup/jacobi-p8", [1344656, 58, 0, 0, 101, 834, 0x323943e55a95a113]),
-    ("drop-dup/micro-p3", [444477, 21, 0, 0, 35, 282, 0xf7e70f8516fe87f1]),
-    ("partition/jacobi-p3", [560702, 7, 0, 0, 7, 297, 0x7ac7fd403ec23612]),
-    ("partition/jacobi-p8", [906659, 23, 0, 0, 29, 763, 0x6a53de43777fc656]),
-    ("partition/micro-p3", [482866, 12, 0, 0, 12, 256, 0xe358042ce6992ab6]),
-    ("crash-primary/jacobi-p3", [6641992, 25, 0, 0, 37, 277, 0x3e83467daf4a64b1]),
-    ("crash-primary/jacobi-p8", [17748413, 67, 0, 0, 92, 698, 0x8ad047269b429323]),
-    ("crash-primary/micro-p3", [4466100, 25, 0, 0, 36, 238, 0xed2424aa09d79d7b]),
-    ("crash-other/jacobi-p3", [4721093, 31, 3, 0, 34, 284, 0x1a4f83cd1abbed64]),
-    ("crash-other/jacobi-p8", [15778779, 80, 8, 0, 89, 717, 0xb02b0b7c25544530]),
-    ("crash-other/micro-p3", [4635899, 30, 3, 0, 33, 243, 0x02d3ebcd1b7c6649]),
-    ("batch-drop/jacobi-p3", [1126643, 44, 0, 0, 45, 359, 0x6287fecc54190ceb]),
-    ("batch-drop/jacobi-p8", [4276307, 127, 0, 0, 135, 924, 0xe38b88ad5dcf59a9]),
-    ("batch-drop/micro-p3", [830874, 42, 0, 0, 42, 311, 0xe62428e37ce925dd]),
-    ("batch-dup/jacobi-p3", [219332, 0, 0, 0, 76, 313, 0xa8b4c78cbc539e57]),
-    ("batch-dup/jacobi-p8", [429333, 0, 0, 0, 188, 789, 0x33483a456014a0ef]),
-    ("batch-dup/micro-p3", [141991, 0, 0, 0, 64, 265, 0xc434952d18ca6003]),
-    ("batch-delay/jacobi-p3", [513459, 0, 0, 0, 71, 289, 0x08372e15e0c1a187]),
-    ("batch-delay/jacobi-p8", [914929, 0, 0, 0, 198, 733, 0x58988eae94f50eeb]),
-    ("batch-delay/micro-p3", [382679, 0, 0, 0, 60, 246, 0x57e1b362d93e017c]),
-    ("batch-crash/jacobi-p3", [7909058, 53, 3, 0, 93, 324, 0x0c0a6ddff699f4bc]),
-    ("batch-crash/jacobi-p8", [13359206, 146, 8, 0, 243, 829, 0xa99e361fe7bc64b2]),
-    ("batch-crash/micro-p3", [2853235, 47, 3, 0, 81, 261, 0xb26901c6492b873f]),
-    ("scale-drop/jacobi-p3", [455901, 15, 0, 0, 16, 314, 0x76c3519f34efe472]),
-    ("scale-drop/jacobi-p8", [1513924, 51, 0, 0, 53, 810, 0x7a6cb27ef1e88a1a]),
-    ("scale-drop/micro-p3", [370872, 12, 0, 0, 13, 260, 0x49a98260696b9652]),
-    ("scale-crash/jacobi-p3", [6896781, 30, 3, 0, 33, 275, 0xc96f678fbf438444]),
-    ("scale-crash/jacobi-p8", [17850934, 76, 8, 0, 84, 710, 0xb33de428b8508187]),
-    ("scale-crash/micro-p3", [2499716, 28, 3, 0, 31, 229, 0xd7aeab28ba6723dd]),
-    ("scale-drop-dup/jacobi-p3", [449450, 13, 0, 0, 19, 310, 0xc004bde411cd020a]),
-    ("scale-drop-dup/jacobi-p8", [883330, 30, 0, 0, 56, 787, 0x089a5aa38391c97f]),
-    ("scale-drop-dup/micro-p3", [308600, 12, 0, 0, 16, 262, 0x5326462bb7b637f2]),
+    ("drop-light/jacobi-p3", [160305, 4, 0, 0, 4, 297, 0xf69574eca0693a7a]),
+    ("drop-light/jacobi-p8", [444453, 10, 0, 0, 12, 748, 0xe2279f3a78060122]),
+    ("drop-light/micro-p3", [97953, 3, 0, 0, 3, 248, 0xde050fc68952aee3]),
+    ("drop-heavy/jacobi-p3", [2271767, 37, 0, 0, 38, 343, 0xb310d8bdbe949e58]),
+    ("drop-heavy/jacobi-p8", [1925707, 77, 0, 0, 82, 845, 0x807a56fc46e0250a]),
+    ("drop-heavy/micro-p3", [1036685, 32, 0, 0, 33, 291, 0x65c2c80b896ff9fc]),
+    ("duplicates/jacobi-p3", [157095, 0, 0, 0, 22, 295, 0xc76984e7b9b51d37]),
+    ("duplicates/jacobi-p8", [314751, 0, 0, 0, 67, 756, 0x680bdf4f99d3f5eb]),
+    ("duplicates/micro-p3", [97953, 0, 0, 0, 17, 248, 0x5543817c4cfe67bf]),
+    ("delays/jacobi-p3", [201870, 0, 0, 0, 26, 289, 0x85dd4347964629d0]),
+    ("delays/jacobi-p8", [374477, 0, 0, 0, 71, 733, 0xe5680245f3700115]),
+    ("delays/micro-p3", [129843, 0, 0, 0, 23, 244, 0xaf1a89fbd064ffb1]),
+    ("mixed/jacobi-p3", [455321, 17, 0, 0, 45, 322, 0x8341ae5e691a23f1]),
+    ("mixed/jacobi-p8", [868934, 30, 0, 0, 107, 792, 0x361c5e541413cc94]),
+    ("mixed/micro-p3", [256136, 13, 0, 0, 37, 263, 0x8ff26f01a2d6c8c7]),
+    ("drop-dup/jacobi-p3", [709966, 27, 0, 0, 41, 330, 0x850737e79f828f9c]),
+    ("drop-dup/jacobi-p8", [1521874, 60, 0, 0, 103, 835, 0x672abc473a1e9603]),
+    ("drop-dup/micro-p3", [308413, 21, 0, 0, 35, 281, 0x670fbf80581fc2d2]),
+    ("partition/jacobi-p3", [502098, 7, 0, 0, 7, 297, 0x7b60f6a8c4bfc465]),
+    ("partition/jacobi-p8", [789393, 24, 0, 0, 29, 765, 0x2e4cc93633fd7b4b]),
+    ("partition/micro-p3", [446273, 11, 0, 0, 11, 252, 0xd53e591bd0027219]),
+    ("crash-primary/jacobi-p3", [2353404, 25, 0, 0, 37, 280, 0x71ff20e0b106a350]),
+    ("crash-primary/jacobi-p8", [17653445, 67, 0, 0, 92, 696, 0x7db4bbec616d7e78]),
+    ("crash-primary/micro-p3", [4465356, 26, 0, 0, 37, 242, 0x0d3ff8e243e6805e]),
+    ("crash-other/jacobi-p3", [4658764, 31, 3, 0, 34, 284, 0x106abfb2b890e13d]),
+    ("crash-other/jacobi-p8", [13572245, 81, 8, 0, 90, 719, 0xe1e0e623901398eb]),
+    ("crash-other/micro-p3", [4548022, 30, 3, 0, 33, 235, 0x33e8b6e833fed846]),
+    ("batch-drop/jacobi-p3", [1086860, 44, 0, 0, 44, 355, 0x97a46bdd8de9352b]),
+    ("batch-drop/jacobi-p8", [3640693, 123, 0, 0, 131, 921, 0x75d1740df3a49627]),
+    ("batch-drop/micro-p3", [1049100, 38, 0, 0, 39, 297, 0x2557cf02a9a54ba3]),
+    ("batch-dup/jacobi-p3", [157095, 0, 0, 0, 76, 313, 0x51e997cd852cdf19]),
+    ("batch-dup/jacobi-p8", [314751, 0, 0, 0, 192, 793, 0x8a3a664c66aea7f8]),
+    ("batch-dup/micro-p3", [97953, 0, 0, 0, 58, 263, 0x856e7ce6d93bc1e8]),
+    ("batch-delay/jacobi-p3", [354792, 0, 0, 0, 71, 289, 0x4ad3d8a1daa26a8f]),
+    ("batch-delay/jacobi-p8", [633738, 0, 0, 0, 198, 733, 0x3bb4eeac5c83a03a]),
+    ("batch-delay/micro-p3", [208304, 0, 0, 0, 57, 240, 0x2fbb4406f5d3910b]),
+    ("batch-crash/jacobi-p3", [7475321, 53, 3, 0, 93, 323, 0xc44d1adf1c4ff5b5]),
+    ("batch-crash/jacobi-p8", [12628004, 139, 8, 0, 243, 816, 0xef90023d8775f5e9]),
+    ("batch-crash/micro-p3", [2809196, 48, 3, 0, 81, 260, 0xeeb0a29dc3a6a5a0]),
+    ("scale-drop/jacobi-p3", [396916, 15, 0, 0, 16, 314, 0xca4e18720985e010]),
+    ("scale-drop/jacobi-p8", [1377720, 50, 0, 0, 52, 808, 0x1601ea0a98d11a08]),
+    ("scale-drop/micro-p3", [350383, 12, 0, 0, 13, 258, 0x0191c94f41548334]),
+    ("scale-crash/jacobi-p3", [6883271, 30, 3, 0, 33, 274, 0x115132e8e8bb92ed]),
+    ("scale-crash/jacobi-p8", [17765719, 76, 8, 0, 84, 709, 0xbf250af5d4c3926d]),
+    ("scale-crash/micro-p3", [4505709, 28, 3, 0, 31, 230, 0x52b335d9537f3203]),
+    ("scale-drop-dup/jacobi-p3", [390417, 13, 0, 0, 19, 310, 0xdd2d00f34390691c]),
+    ("scale-drop-dup/jacobi-p8", [753722, 30, 0, 0, 56, 786, 0x368b3220d9ae3746]),
+    ("scale-drop-dup/micro-p3", [273335, 12, 0, 0, 16, 258, 0x3b0faa266678bc3f]),
 ];
 
 #[test]
 fn faulted_timelines_are_pinned_across_commits() {
     let mut fresh = Vec::new();
+    let gsum = run_micro(&SamhitaRt::new(replicated_cluster()), &micro_params()).gsum;
     for (plan, faults) in plans().into_iter().chain(batch_plans()).chain(scale_plans()) {
         for problem in ["jacobi-p3", "jacobi-p8", "micro-p3"] {
             let cfg =
                 SamhitaConfig { tracing: true, faults: faults.clone(), ..replicated_cluster() };
             let rt = SamhitaRt::new(cfg);
+            // Every row's memory is the fault-free run's, bit for bit.
+            let jacobi = |p: &JacobiParams| {
+                let r = run_jacobi(&rt, p);
+                assert_eq!(r.grid, serial_reference_jacobi(p.n, p.iters), "{plan}/{problem}");
+                r.report
+            };
             let report = match problem {
-                "jacobi-p3" => run_jacobi(&rt, &JACOBI).report,
-                "jacobi-p8" => run_jacobi(&rt, &scale_jacobi(8)).report,
-                _ => run_micro(&rt, &micro_params()).report,
+                "jacobi-p3" => jacobi(&JACOBI),
+                "jacobi-p8" => jacobi(&scale_jacobi(8)),
+                _ => {
+                    let r = run_micro(&rt, &micro_params());
+                    assert_eq!(r.gsum.to_bits(), gsum.to_bits(), "{plan}/{problem}");
+                    r.report
+                }
             };
             let trace = rt.take_trace().expect("tracing was enabled");
             fresh.push((format!("{plan}/{problem}"), timeline::timeline(&report, &trace)));
