@@ -240,7 +240,10 @@ fn chaos_standby_run() -> (SamhitaConfig, RunReport, RunTrace) {
 /// carry the merged notice set, so stamps move and `invalidate` events come
 /// in page order — and re-recorded them with the exporter untouched; the
 /// first two runs' again when lock holders began to hand the lock to their
-/// successors directly. Every later writer must reproduce the values below.
+/// successors directly, and all three when synchronization stopped waiting
+/// for its flush to be acked (apply and invalidate events now also name the
+/// writer and its batch). Every later writer must reproduce the values
+/// below.
 #[test]
 fn export_bytes_are_pinned_across_commits() {
     let cfg = SamhitaConfig { max_threads: 8, ..traced_cfg() };
@@ -249,7 +252,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0x377f_ebc7_0deb_bec9, 0xed1b_2c0e_2541_f034, 0x9c50_3524_52ce_5afb],
+        [0x6b52_a646_8ef0_7571, 0x86e9_ae17_7447_c41f, 0x5948_714d_c4cc_5b5e],
         "jacobi P=8"
     );
 
@@ -259,7 +262,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0xdf6d_26e0_29bb_8586, 0x47a3_50e3_cf01_bd65, 0xbd6a_b842_cf23_a697],
+        [0xd2a4_f06e_3909_ccca, 0x634a_bed5_c081_2ebc, 0xb4f4_8e91_0f9d_8a8c],
         "micro P=4 global"
     );
 
@@ -270,7 +273,7 @@ fn export_bytes_are_pinned_across_commits() {
     }
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0x83b9_312a_e4fa_86b6, 0x4011_4b6e_66cb_befb, 0xeb4d_32bc_93da_1bee],
+        [0x1a71_b890_1997_2197, 0x7d69_9e1c_a957_9f83, 0x7f22_565b_226d_e3b5],
         "chaos + standby"
     );
 }
