@@ -430,8 +430,11 @@ impl ManagerEngine {
                 let mut out = match handed.filter(|h| self.hinted_head(lock, tid, h)) {
                     Some(h) => self.hand_over(lock, tid, h, interval, done),
                     None => {
+                        if let Some(e) = self.release_error(lock, tid) {
+                            return vec![Outgoing::reply(src, token, done, MgrResponse::Err(e))];
+                        }
                         self.publish(tid, None, interval);
-                        self.release_lock(lock, tid, done, src, token)
+                        self.release_lock(lock, tid, done)
                     }
                 };
                 // In standby mode, releases are acknowledged so the client
@@ -492,9 +495,8 @@ impl ManagerEngine {
                     let resp = MgrResponse::Err(MgrError::Unregistered { tid });
                     return vec![Outgoing::reply(src, token, done, resp)];
                 }
-                if self.locks.get(lock as usize).is_none() {
-                    let resp = MgrResponse::Err(MgrError::UnknownLock { lock });
-                    return vec![Outgoing::reply(src, token, done, resp)];
+                if let Some(e) = self.release_error(lock, tid) {
+                    return vec![Outgoing::reply(src, token, done, MgrResponse::Err(e))];
                 }
                 if cond as usize >= self.conds.len() {
                     let resp = MgrResponse::Err(MgrError::UnknownCond { cond });
@@ -504,7 +506,7 @@ impl ManagerEngine {
                 let waiter = Waiter { tid, token, ready: done, last_seen };
                 self.conds[cond as usize].waiters.push_back((waiter, lock));
                 // Atomically release the lock the caller held.
-                self.release_lock(lock, tid, done, src, token)
+                self.release_lock(lock, tid, done)
             }
             MgrRequest::CondSignal { cond } => {
                 self.stats.cond_signals += 1;
@@ -585,33 +587,30 @@ impl ManagerEngine {
         self.intervals.len()
     }
 
-    /// Release `lock` held by `tid` at time `done`, granting to the next
-    /// queued waiter if any. A release of a lock `tid` does not hold is a
-    /// typed error back to `src` — except when the lock was lease-reclaimed
-    /// from `tid`, in which case the late release is absorbed (its write
-    /// notices, published by the caller, stand).
-    fn release_lock(
-        &mut self,
-        lock: u32,
-        tid: u32,
-        done: SimTime,
-        src: EndpointId,
-        token: u64,
-    ) -> Vec<Outgoing> {
-        let Some(state) = self.locks.get_mut(lock as usize) else {
-            let resp = MgrResponse::Err(MgrError::UnknownLock { lock });
-            return vec![Outgoing::reply(src, token, done, resp)];
-        };
-        if state.holder != Some(tid) {
-            if self.reclaimed.get(&lock) == Some(&tid) {
-                self.reclaimed.remove(&lock);
-                self.stats.stale_releases += 1;
-                return Vec::new();
+    /// Why `tid` may not release `lock`, if it may not: the lock is unknown,
+    /// or `tid` neither holds it nor had it lease-reclaimed.
+    fn release_error(&self, lock: u32, tid: u32) -> Option<MgrError> {
+        match self.locks.get(lock as usize) {
+            None => Some(MgrError::UnknownLock { lock }),
+            Some(s) if s.holder != Some(tid) && self.reclaimed.get(&lock) != Some(&tid) => {
+                Some(MgrError::NotHolder { lock, tid })
             }
-            let resp = MgrResponse::Err(MgrError::NotHolder { lock, tid });
-            return vec![Outgoing::reply(src, token, done, resp)];
+            Some(_) => None,
         }
-        let state = self.locks.get_mut(lock as usize).expect("checked above");
+    }
+
+    /// Release `lock` held by `tid` at time `done`, granting to the next
+    /// queued waiter if any. The caller has checked
+    /// [`release_error`](Self::release_error), so a `tid` that does not
+    /// hold `lock` had it lease-reclaimed: its late release is absorbed
+    /// (its write notices, published by the caller, stand).
+    fn release_lock(&mut self, lock: u32, tid: u32, done: SimTime) -> Vec<Outgoing> {
+        let state = &mut self.locks[lock as usize];
+        if state.holder != Some(tid) {
+            self.reclaimed.remove(&lock);
+            self.stats.stale_releases += 1;
+            return Vec::new();
+        }
         state.holder = None;
         state.free_at = done;
         match state.queue.pop_front() {
@@ -993,40 +992,26 @@ mod tests {
         }
     }
 
+    /// A refused release publishes nothing: its flush must not reach later
+    /// grantees under an error response.
     #[test]
     fn foreign_release_reports_a_typed_error() {
         let mut e = engine();
         let l = lock_id(&mut e);
-        e.handle(
-            EP0,
-            T0,
-            3,
-            MgrRequest::Acquire { lock: l, interval: Interval::default(), last_seen: 0 },
-            SimTime::ZERO,
-        );
-        let out = e.handle(
-            EP1,
-            T1,
-            4,
-            MgrRequest::Release { lock: l, interval: Interval::default(), handed: None },
-            SimTime::ZERO,
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].dst, EP1);
-        assert!(
-            matches!(out[0].resp, MgrResponse::Err(MgrError::NotHolder { lock: 0, tid: 1 })),
-            "unexpected {:?}",
-            out[0].resp
-        );
+        e.handle(EP0, T0, 3, acquire(l, 0), SimTime::ZERO);
+        let refused =
+            [(l, MgrError::NotHolder { lock: l, tid: T1 }), (9, MgrError::UnknownLock { lock: 9 })];
+        for (token, (lock, want)) in (4..).zip(refused) {
+            let out = e.handle(EP1, T1, token, release(lock, vec![7], None), SimTime::ZERO);
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].dst, EP1);
+            assert!(matches!(&out[0].resp, MgrResponse::Err(e) if *e == want), "{:?}", out[0].resp);
+        }
+        assert_eq!(e.notice_watermark(), 0);
         // The rightful holder is undisturbed and can still release.
-        let out = e.handle(
-            EP0,
-            T0,
-            5,
-            MgrRequest::Release { lock: l, interval: Interval::default(), handed: None },
-            SimTime::ZERO,
-        );
+        let out = e.handle(EP0, T0, 5, release(l, vec![7], None), SimTime::ZERO);
         assert!(out.is_empty(), "uncontended release sends nothing without ack mode");
+        assert_eq!(e.notice_watermark(), 1);
     }
 
     #[test]

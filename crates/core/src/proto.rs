@@ -733,16 +733,24 @@ impl Channel {
         self.clock = self.clock.max(self.ack_horizon);
     }
 
-    /// File an out-of-band message: a successor hint, prefetch data, a flush
-    /// ack, a lost copy signalling a retransmission timeout, or a suppressed
-    /// duplicate of an already-handled reply (silently dropped — that is the
-    /// idempotent-token half of duplicate suppression).
+    /// File an out-of-band message: a successor hint, a refused release
+    /// (which fails the thread), prefetch data, a flush ack, a lost copy
+    /// signalling a retransmission timeout, or a suppressed duplicate of an
+    /// already-handled reply (silently dropped — that is the idempotent-token
+    /// half of duplicate suppression).
     fn absorb(&mut self, token: u64, env: Envelope<Msg>) {
         if let Msg::MgrResp { resp: MgrResponse::Successor(hint), .. } = &env.msg {
             // A lost hint is no hint: the holder releases through the
             // manager.
             if !env.lost {
                 self.hints.insert(token, *hint);
+            }
+        } else if let Msg::MgrResp { resp: MgrResponse::Err(e), .. } = &env.msg {
+            // Every awaited error fails its caller, so this one answers a
+            // fire-and-forget release: the program released a lock it does
+            // not hold, or one that does not exist.
+            if !env.lost {
+                panic!("release failed: {e}");
             }
         } else if self.poisoned_prefetches.remove(&token) {
             // Stale prefetch overtaken by an invalidation: drop it (lost or

@@ -1318,6 +1318,19 @@ mod tests {
         });
     }
 
+    /// Releasing a lock the thread does not hold fails it, although nothing
+    /// awaits the manager's answer to a release.
+    #[test]
+    #[should_panic(expected = "release failed: release of lock 1 not held by thread 0")]
+    fn releasing_a_lock_not_held_fails_the_thread() {
+        let s = system();
+        let locks = [s.create_mutex(), s.create_mutex()];
+        s.run(1, |ctx| {
+            ctx.lock(locks[0]);
+            ctx.unlock(locks[1]);
+        });
+    }
+
     /// Two threads taking two locks in opposite orders: a deadlock of the
     /// simulated program is reported, not inherited by the simulator.
     #[test]

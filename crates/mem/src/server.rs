@@ -281,11 +281,6 @@ impl MemoryServer {
     pub fn reset_queue_accounting(&self) {
         self.resource.reset_queue_accounting();
     }
-
-    /// Direct access to the page store (tests, verification).
-    pub fn store_mut(&mut self) -> &mut PageStore {
-        &mut self.store
-    }
 }
 
 #[cfg(test)]

@@ -52,12 +52,6 @@ impl LinkModel {
             per_msg_overhead_ns: self.per_msg_overhead_ns + next.per_msg_overhead_ns,
         }
     }
-
-    /// Effective bandwidth in bytes per nanosecond (for diagnostics).
-    #[inline]
-    pub fn bytes_per_ns(&self) -> f64 {
-        self.gbits_per_sec / 8.0
-    }
 }
 
 #[cfg(test)]

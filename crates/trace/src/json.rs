@@ -113,14 +113,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The boolean value, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl From<u64> for JsonValue {

@@ -44,7 +44,7 @@ fn run_kernel_on(cfg: &SamhitaConfig, kernel: &str, threads: u32) -> (RunReport,
     (report, trace)
 }
 
-/// The headline acceptance criterion: the critical path's class totals sum
+/// The headline acceptance check: the critical path's class totals sum
 /// to the run makespan exactly — integer nanoseconds, no residue — on all
 /// three kernels at P ∈ {1, 8, 64}, and on the micro-benchmark under the
 /// §V single-node bypass, whose manager serves in `local_sync_ns`.
