@@ -14,7 +14,9 @@
 //!
 //! 1. the composition by class (compute / fetch / lock wait / barrier wait
 //!    / manager wait / manager service / server service / queue wait),
-//!    which sums to the makespan **exactly** — asserted, not approximated;
+//!    which sums to the makespan **exactly** — asserted, not approximated,
+//!    and how many of the path's lock hand-offs came by baton from the
+//!    releaser rather than through the manager;
 //! 2. the top-k longest path segments with page / lock / barrier / op
 //!    attribution, plus allocation sites for page segments;
 //! 3. optionally, the full deterministic JSON report (`--out`).
@@ -91,6 +93,13 @@ fn main() -> ExitCode {
             class.label(),
             ns,
             ns as f64 * 100.0 / cp.makespan_ns.max(1) as f64
+        );
+    }
+    let (batons, fallbacks) = cp.lock_links();
+    if batons + fallbacks > 0 {
+        println!(
+            "\nlock links: {batons} by baton, {fallbacks} through the manager ({:.1}% baton)",
+            batons as f64 * 100.0 / (batons + fallbacks) as f64
         );
     }
     println!("\ntop {} segments:", args.top);
