@@ -159,24 +159,23 @@ pub struct Handed {
     pub token: u64,
 }
 
-/// A successor hint, manager → lock holder: the head of the lock's queue.
-/// The head is sent, at the same instant, what its grant would carry now
-/// ([`MgrResponse::Advance`]). A holder that releases with no other
-/// synchronization since its grant completes that grant itself — it sends
-/// the head its release interval ([`MgrResponse::Rest`]) — and names the
-/// successor in its release ([`Handed`]).
+/// A successor hint, manager → the tail of a lock's queue, holder or
+/// waiter, at the instant a request joins behind it: who is next. Once the
+/// tail holds the lock at the manager, its successor is sent what its grant
+/// would carry then ([`MgrResponse::Advance`]). A tail that releases with no
+/// other synchronization since its grant completes that grant itself — it
+/// sends the successor its release interval ([`MgrResponse::Rest`]) — and
+/// names the successor in its release ([`Handed`]).
 #[derive(Clone, Copy, Debug)]
 pub struct Successor {
     /// The lock.
     pub lock: u32,
-    /// The head waiter's thread id.
+    /// The successor's thread id.
     pub tid: u32,
-    /// The head waiter's endpoint, where the grant goes.
+    /// The successor's endpoint, where the grant goes.
     pub ep: EndpointId,
-    /// The head waiter's request token, which the grant answers.
+    /// The successor's request token, which the grant answers.
     pub token: u64,
-    /// The log watermark of the head's [`MgrResponse::Advance`].
-    pub watermark: u64,
 }
 
 /// Manager responses.
@@ -193,25 +192,26 @@ pub enum MgrResponse {
     Ok,
     /// New synchronization object id.
     SyncId(u32),
-    /// Lock granted (also used for condvar wake-ups, which re-grant the
-    /// lock): what the unseen write notices amount to for this thread,
-    /// plus the new watermark.
-    Granted { notices: NoticeSet, watermark: u64 },
     /// Barrier released: the merged unseen write notices plus the new
     /// watermark.
     BarrierReleased { notices: NoticeSet, watermark: u64 },
-    /// A one-way hint to a lock holder, under the token of the request its
-    /// hold answered: who is next (see [`Successor`]).
+    /// A one-way hint to a lock's queue tail, under the token of the
+    /// request its hold answers (or will): who is next (see [`Successor`]).
     Successor(Successor),
-    /// To a hinted head waiter, under its request's token: what the log it
-    /// has not seen amounts to now — the first part of its grant.
+    /// To a lock's queue head, under its request's token, once its
+    /// predecessor holds the lock: what the log it has not seen amounts to
+    /// now — the first part of its grant.
     Advance { notices: NoticeSet, watermark: u64 },
-    /// The rest of a grant whose advance reached watermark `after`: what
-    /// followed it, up to the new `watermark`. Sent by the holder handing
-    /// the lock over (its release interval; the watermark stays `after`) or
-    /// by the manager granting the head itself (the log since). Without
-    /// that advance it is no grant: the requester asks again, and the
-    /// manager answers with the whole.
+    /// A lock grant (also a condvar wake-up, which re-grants the lock), or
+    /// the rest of one. From the manager, what the log holds after `after`
+    /// for the requester, up to the new `watermark`: the whole grant when
+    /// `after` is the requester's own `last_seen` (an empty advance), else
+    /// the rest of the grant whose advance reached `after`. From the
+    /// holder handing the lock over (a baton), its release interval, with
+    /// `after` and `watermark` what the holder had seen: it completes an
+    /// advance that reached at least that far. A part without its advance
+    /// is no grant: the requester asks again, and the manager answers with
+    /// the whole.
     Rest { after: u64, notices: NoticeSet, watermark: u64 },
     /// Request failed.
     Err(MgrError),
@@ -317,6 +317,16 @@ impl MgrRequest {
         }
     }
 
+    /// The caller's notice watermark, on a request a lock grant answers.
+    pub fn last_seen(&self) -> Option<u64> {
+        match *self {
+            MgrRequest::Acquire { last_seen, .. } | MgrRequest::CondWait { last_seen, .. } => {
+                Some(last_seen)
+            }
+            _ => None,
+        }
+    }
+
     /// Approximate wire payload for the cost model.
     pub fn wire_bytes(&self) -> usize {
         match self {
@@ -344,13 +354,12 @@ impl MgrResponse {
         match self {
             MgrResponse::Registered { .. } | MgrResponse::Ok | MgrResponse::SyncId(_) => 16,
             MgrResponse::Addr(_) => 16,
-            MgrResponse::Granted { notices, watermark: _ }
-            | MgrResponse::BarrierReleased { notices, watermark: _ }
+            MgrResponse::BarrierReleased { notices, watermark: _ }
             | MgrResponse::Advance { notices, watermark: _ } => notices.wire_bytes(),
             // The watermark it follows fits the header too.
             MgrResponse::Rest { notices, .. } => notices.wire_bytes(),
-            // Who is next: lock, thread, token, watermark.
-            MgrResponse::Successor(_) => 24,
+            // Who is next: lock, thread, token.
+            MgrResponse::Successor(_) => 16,
             MgrResponse::Err(_) => 16,
         }
     }
@@ -395,7 +404,7 @@ mod tests {
 
     #[test]
     fn responses_charge_for_the_notice_set_they_carry() {
-        let empty = MgrResponse::Granted { notices: NoticeSet::default(), watermark: 0 };
+        let empty = MgrResponse::Rest { after: 0, notices: NoticeSet::default(), watermark: 0 };
         assert_eq!(empty.wire_bytes(), 16, "an empty grant is a bare header");
         let run = |first_page, len| PageRun { first_page, len, writer: 0 };
         let update = |len| Arc::new(FineUpdate { page: 9, offset: 0, bytes: vec![0; len] });
@@ -413,7 +422,7 @@ mod tests {
             updates: vec![update(8), update(40)],
             ..Default::default()
         };
-        let granted = MgrResponse::Granted { notices, watermark: 2 };
+        let granted = MgrResponse::Rest { after: 0, notices, watermark: 2 };
         assert_eq!(granted.wire_bytes(), 16 + 16 + (16 + 8) + (16 + 40));
     }
 
@@ -427,7 +436,8 @@ mod tests {
             let bump = FineUpdate { page: 1000, offset: 0, bytes: vec![w as u8; 8] };
             log.publish(w, vec![2 * w as u64, 2 * w as u64 + 1], vec![bump]);
         }
-        let granted = MgrResponse::Granted { notices: log.merged_since(0, 99), watermark: 64 };
+        let notices = log.merged_since(0, 99);
+        let granted = MgrResponse::Rest { after: 0, notices, watermark: 64 };
         assert_eq!(granted.wire_bytes(), 16 + 64 * 16 + 24);
     }
 

@@ -28,7 +28,7 @@ use samhita_trace::{EventKind, RunTrace, SharedTrack, Tracer, TrackId};
 
 use crate::config::SamhitaConfig;
 use crate::layout::{AddressLayout, Placement};
-use crate::manager::{ManagerEngine, ManagerStats};
+use crate::manager::{ManagerEngine, ManagerStats, Outgoing};
 use crate::msg::{MgrLogOp, MgrLogRecord, MgrRequest, MgrResponse, Msg, Stamp};
 use crate::proto::HostChannel;
 use crate::stats::RunReport;
@@ -815,13 +815,15 @@ impl Service for MemService {
     }
 }
 
-/// Whether `resp` answers its request, and so is what a retransmission of
-/// it is answered with: everything but hints and the parts of a grant.
-fn answers(resp: &MgrResponse) -> bool {
-    !matches!(
-        resp,
-        MgrResponse::Successor(_) | MgrResponse::Advance { .. } | MgrResponse::Rest { .. }
-    )
+/// Whether `out` answers its request, and so is what a retransmission of
+/// it is answered with: a whole grant the engine filed, and everything but
+/// hints and grants it sends.
+fn answers(out: &Outgoing) -> bool {
+    out.filed
+        || !matches!(
+            out.resp,
+            MgrResponse::Successor(_) | MgrResponse::Advance { .. } | MgrResponse::Rest { .. }
+        )
 }
 
 /// What the primary manager and its hot standby share: the engine, the
@@ -888,11 +890,11 @@ impl MgrReplica {
     }
 
     /// Fold one record into the engine and send what it answers. A hint or
-    /// an advance is never an answer to keep; a grant the holder handed over
-    /// itself is kept but only sent to a requester that asked again.
+    /// a part of a grant is never an answer to keep; the whole grant is
+    /// kept but only sent to a requester that asked again.
     fn apply(&mut self, rec: MgrLogRecord) {
         for out in self.engine.apply(rec) {
-            if !answers(&out.resp) {
+            if !answers(&out) {
                 self.respond(out.dst, out.token, out.at, out.resp);
                 continue;
             }
@@ -1082,7 +1084,7 @@ impl Service for StandbyService {
                     // reconstructed replay cache WITHOUT sending them — the
                     // primary already answered these requests.
                     for out in core.engine.apply(rec) {
-                        if answers(&out.resp) {
+                        if answers(&out) {
                             core.done.insert(out.dst, (out.token, out.at, out.resp));
                         }
                     }

@@ -467,7 +467,7 @@ impl ThreadCtx {
             MgrRequest::Acquire { lock, interval, last_seen: self.last_seen },
             MsgClass::Sync,
         ) {
-            (token, MgrResponse::Granted { notices, watermark }) => (token, notices, watermark),
+            (token, MgrResponse::Rest { notices, watermark, .. }) => (token, notices, watermark),
             (_, MgrResponse::Err(e)) => panic!("lock acquire failed: {e}"),
             (_, other) => panic!("unexpected acquire response: {other:?}"),
         };
@@ -485,9 +485,10 @@ impl ThreadCtx {
 
     /// Release a lock, flushing consistency-region updates at fine grain.
     ///
-    /// When the manager has hinted who is next and this thread has not
-    /// synchronized since the lock was granted, the release hands the lock
-    /// over directly: this thread sends the successor its release interval,
+    /// When the manager has hinted who is next — it does as the successor
+    /// queues, so mostly long before — and this thread has not synchronized
+    /// since the lock was granted, the release hands the lock over
+    /// directly: this thread sends the successor its release interval,
     /// which completes the grant the manager sent it in advance, and the
     /// release the manager gets names it. Anything else (no hint yet, a
     /// stale one, a nested acquisition or barrier since the grant) releases
@@ -501,12 +502,11 @@ impl ThreadCtx {
         // run this always precedes the next holder's grant stamp, which is
         // what lets the trace checker treat [acquire, release] as the hold.
         self.trace(|| EventKind::LockRelease { lock });
-        let last_seen = self.last_seen;
         let next = hold.and_then(|(_, token)| self.chan.take_hint(token));
-        let handed = next.filter(|s| s.lock == lock && last_seen <= s.watermark).map(|s| {
-            let notices = NoticeSet::interval(self.tid, &interval);
-            let (after, watermark) = (s.watermark, s.watermark);
-            self.chan.send_baton(&s, MgrResponse::Rest { after, notices, watermark });
+        let handed = next.filter(|s| s.lock == lock).map(|s| {
+            // The successor checks its advance covers what this thread saw.
+            let (notices, seen) = (NoticeSet::interval(self.tid, &interval), self.last_seen);
+            self.chan.send_baton(&s, MgrResponse::Rest { after: seen, notices, watermark: seen });
             Handed { to: s.tid, token: s.token }
         });
         let req = MgrRequest::Release { lock, interval, handed };
@@ -570,7 +570,7 @@ impl ThreadCtx {
             MgrRequest::CondWait { cond, lock, interval, last_seen: self.last_seen },
             MsgClass::Sync,
         ) {
-            (token, MgrResponse::Granted { notices, watermark }) => {
+            (token, MgrResponse::Rest { notices, watermark, .. }) => {
                 self.hold = Some((lock, token));
                 let wait_ns = (self.chan.now() - req_at).as_ns();
                 // The conservation audit's consistency fix: a condition wait
