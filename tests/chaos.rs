@@ -350,59 +350,60 @@ fn inactive_fault_schedule_stays_bit_deterministic() {
 /// `tests/recovery.rs` holds the manager-crash half): every plan of
 /// [`plans`], [`batch_plans`] and [`scale_plans`] on jacobi P=3, jacobi P=8
 /// and the micro-benchmark, recorded at the parent of PR 23 and re-recorded
-/// when lock grants began to travel from holder to holder, and when
-/// synchronization stopped waiting for its flush to be acked (each moves the
+/// when lock grants began to travel from holder to holder, when
+/// synchronization stopped waiting for its flush to be acked, and when a lock
+/// waiter's predecessor began to be hinted as it queues (each moves the
 /// clock, the messages and so the faults a plan rolls for them — never the
 /// memory, which every row checks, the fail-overs or a recovered grid).
 const PINNED: &[timeline::Row] = &[
-    ("drop-light/jacobi-p3", [160305, 4, 0, 0, 4, 297, 0xf69574eca0693a7a]),
-    ("drop-light/jacobi-p8", [444453, 10, 0, 0, 12, 748, 0xe2279f3a78060122]),
-    ("drop-light/micro-p3", [97953, 3, 0, 0, 3, 248, 0xde050fc68952aee3]),
-    ("drop-heavy/jacobi-p3", [2271767, 37, 0, 0, 38, 343, 0xb310d8bdbe949e58]),
-    ("drop-heavy/jacobi-p8", [1925707, 77, 0, 0, 82, 845, 0x807a56fc46e0250a]),
-    ("drop-heavy/micro-p3", [1036685, 32, 0, 0, 33, 291, 0x65c2c80b896ff9fc]),
-    ("duplicates/jacobi-p3", [157095, 0, 0, 0, 22, 295, 0xc76984e7b9b51d37]),
-    ("duplicates/jacobi-p8", [314751, 0, 0, 0, 67, 756, 0x680bdf4f99d3f5eb]),
-    ("duplicates/micro-p3", [97953, 0, 0, 0, 17, 248, 0x5543817c4cfe67bf]),
-    ("delays/jacobi-p3", [201870, 0, 0, 0, 26, 289, 0x85dd4347964629d0]),
-    ("delays/jacobi-p8", [374477, 0, 0, 0, 71, 733, 0xe5680245f3700115]),
-    ("delays/micro-p3", [129843, 0, 0, 0, 23, 244, 0xaf1a89fbd064ffb1]),
-    ("mixed/jacobi-p3", [455321, 17, 0, 0, 45, 322, 0x8341ae5e691a23f1]),
-    ("mixed/jacobi-p8", [868934, 30, 0, 0, 107, 792, 0x361c5e541413cc94]),
-    ("mixed/micro-p3", [256136, 13, 0, 0, 37, 263, 0x8ff26f01a2d6c8c7]),
-    ("drop-dup/jacobi-p3", [709966, 27, 0, 0, 41, 330, 0x850737e79f828f9c]),
-    ("drop-dup/jacobi-p8", [1521874, 60, 0, 0, 103, 835, 0x672abc473a1e9603]),
-    ("drop-dup/micro-p3", [308413, 21, 0, 0, 35, 281, 0x670fbf80581fc2d2]),
-    ("partition/jacobi-p3", [502098, 7, 0, 0, 7, 297, 0x7b60f6a8c4bfc465]),
-    ("partition/jacobi-p8", [789393, 24, 0, 0, 29, 765, 0x2e4cc93633fd7b4b]),
-    ("partition/micro-p3", [446273, 11, 0, 0, 11, 252, 0xd53e591bd0027219]),
-    ("crash-primary/jacobi-p3", [2353404, 25, 0, 0, 37, 280, 0x71ff20e0b106a350]),
-    ("crash-primary/jacobi-p8", [17653445, 67, 0, 0, 92, 696, 0x7db4bbec616d7e78]),
-    ("crash-primary/micro-p3", [4465356, 26, 0, 0, 37, 242, 0x0d3ff8e243e6805e]),
-    ("crash-other/jacobi-p3", [4658764, 31, 3, 0, 34, 284, 0x106abfb2b890e13d]),
-    ("crash-other/jacobi-p8", [13572245, 81, 8, 0, 90, 719, 0xe1e0e623901398eb]),
-    ("crash-other/micro-p3", [4548022, 30, 3, 0, 33, 235, 0x33e8b6e833fed846]),
-    ("batch-drop/jacobi-p3", [1086860, 44, 0, 0, 44, 355, 0x97a46bdd8de9352b]),
-    ("batch-drop/jacobi-p8", [3640693, 123, 0, 0, 131, 921, 0x75d1740df3a49627]),
-    ("batch-drop/micro-p3", [1049100, 38, 0, 0, 39, 297, 0x2557cf02a9a54ba3]),
-    ("batch-dup/jacobi-p3", [157095, 0, 0, 0, 76, 313, 0x51e997cd852cdf19]),
-    ("batch-dup/jacobi-p8", [314751, 0, 0, 0, 192, 793, 0x8a3a664c66aea7f8]),
-    ("batch-dup/micro-p3", [97953, 0, 0, 0, 58, 263, 0x856e7ce6d93bc1e8]),
-    ("batch-delay/jacobi-p3", [354792, 0, 0, 0, 71, 289, 0x4ad3d8a1daa26a8f]),
-    ("batch-delay/jacobi-p8", [633738, 0, 0, 0, 198, 733, 0x3bb4eeac5c83a03a]),
-    ("batch-delay/micro-p3", [208304, 0, 0, 0, 57, 240, 0x2fbb4406f5d3910b]),
-    ("batch-crash/jacobi-p3", [7475321, 53, 3, 0, 93, 323, 0xc44d1adf1c4ff5b5]),
-    ("batch-crash/jacobi-p8", [12628004, 139, 8, 0, 243, 816, 0xef90023d8775f5e9]),
-    ("batch-crash/micro-p3", [2809196, 48, 3, 0, 81, 260, 0xeeb0a29dc3a6a5a0]),
-    ("scale-drop/jacobi-p3", [396916, 15, 0, 0, 16, 314, 0xca4e18720985e010]),
-    ("scale-drop/jacobi-p8", [1377720, 50, 0, 0, 52, 808, 0x1601ea0a98d11a08]),
-    ("scale-drop/micro-p3", [350383, 12, 0, 0, 13, 258, 0x0191c94f41548334]),
-    ("scale-crash/jacobi-p3", [6883271, 30, 3, 0, 33, 274, 0x115132e8e8bb92ed]),
-    ("scale-crash/jacobi-p8", [17765719, 76, 8, 0, 84, 709, 0xbf250af5d4c3926d]),
-    ("scale-crash/micro-p3", [4505709, 28, 3, 0, 31, 230, 0x52b335d9537f3203]),
-    ("scale-drop-dup/jacobi-p3", [390417, 13, 0, 0, 19, 310, 0xdd2d00f34390691c]),
-    ("scale-drop-dup/jacobi-p8", [753722, 30, 0, 0, 56, 786, 0x368b3220d9ae3746]),
-    ("scale-drop-dup/micro-p3", [273335, 12, 0, 0, 16, 258, 0x3b0faa266678bc3f]),
+    ("drop-light/jacobi-p3", [160305, 4, 0, 0, 4, 297, 0x7bef847e35373b3e]),
+    ("drop-light/jacobi-p8", [504776, 9, 0, 0, 12, 748, 0xc5725af17f9b7b0f]),
+    ("drop-light/micro-p3", [97953, 3, 0, 0, 3, 248, 0x0139cfc55c556631]),
+    ("drop-heavy/jacobi-p3", [2363554, 38, 0, 0, 39, 342, 0x12dd4c353522987b]),
+    ("drop-heavy/jacobi-p8", [2117350, 80, 0, 0, 84, 850, 0x5595ab5ca55b7007]),
+    ("drop-heavy/micro-p3", [1036685, 32, 0, 0, 33, 291, 0x14692000b863d9cd]),
+    ("duplicates/jacobi-p3", [157095, 0, 0, 0, 22, 295, 0x9d01d2445477e359]),
+    ("duplicates/jacobi-p8", [310855, 0, 0, 0, 67, 757, 0x80a7767c2bc45291]),
+    ("duplicates/micro-p3", [97953, 0, 0, 0, 17, 248, 0x1443bc2ee391fe67]),
+    ("delays/jacobi-p3", [201870, 0, 0, 0, 26, 289, 0x646ade115c2e58a3]),
+    ("delays/jacobi-p8", [376529, 0, 0, 0, 72, 733, 0xaeb3758f8fbe22a3]),
+    ("delays/micro-p3", [134843, 0, 0, 0, 23, 244, 0x6946e62fa7aa435c]),
+    ("mixed/jacobi-p3", [455321, 17, 0, 0, 45, 322, 0xa7b18608cc831700]),
+    ("mixed/jacobi-p8", [840091, 30, 0, 0, 104, 791, 0x24f7e557de3bf971]),
+    ("mixed/micro-p3", [256136, 13, 0, 0, 37, 263, 0xf9aab50eb519ab43]),
+    ("drop-dup/jacobi-p3", [755441, 27, 0, 0, 41, 330, 0xfc1d2e3004b6187e]),
+    ("drop-dup/jacobi-p8", [1764439, 60, 0, 0, 104, 834, 0x457fc3531610706f]),
+    ("drop-dup/micro-p3", [308413, 21, 0, 0, 35, 281, 0x46cbe4f1f0232cbb]),
+    ("partition/jacobi-p3", [502098, 7, 0, 0, 7, 297, 0xa9436c6d5c799a7c]),
+    ("partition/jacobi-p8", [765005, 23, 0, 0, 29, 763, 0x4c828998b40f0176]),
+    ("partition/micro-p3", [446273, 11, 0, 0, 11, 252, 0xc26d35a585b932cf]),
+    ("crash-primary/jacobi-p3", [2353404, 25, 0, 0, 37, 280, 0xc9d82ae0d63f8b40]),
+    ("crash-primary/jacobi-p8", [17651724, 67, 0, 0, 92, 697, 0x8451e92cc631e1f8]),
+    ("crash-primary/micro-p3", [4465356, 26, 0, 0, 37, 242, 0x758d4fabfd9080a1]),
+    ("crash-other/jacobi-p3", [4658764, 31, 3, 0, 34, 284, 0xff0bceb02d2185e3]),
+    ("crash-other/jacobi-p8", [13558259, 81, 8, 0, 89, 720, 0x67442a9a589bb854]),
+    ("crash-other/micro-p3", [4548022, 30, 3, 0, 33, 235, 0x9e33c8cf8771239d]),
+    ("batch-drop/jacobi-p3", [1086860, 44, 0, 0, 44, 355, 0xdc35153fcfbc55a9]),
+    ("batch-drop/jacobi-p8", [3470471, 126, 0, 0, 134, 923, 0x9ec4ae6119f4a79a]),
+    ("batch-drop/micro-p3", [1049100, 38, 0, 0, 39, 297, 0xaf211cac7d451996]),
+    ("batch-dup/jacobi-p3", [157095, 0, 0, 0, 76, 313, 0x17f7572acb5c7a35]),
+    ("batch-dup/jacobi-p8", [310855, 0, 0, 0, 190, 792, 0xe586b4df27416c6f]),
+    ("batch-dup/micro-p3", [97953, 0, 0, 0, 58, 263, 0x2cc20deb87f99e42]),
+    ("batch-delay/jacobi-p3", [365378, 0, 0, 0, 71, 289, 0xa2b42b2f12e7f3f7]),
+    ("batch-delay/jacobi-p8", [603851, 0, 0, 0, 198, 733, 0x35f50f5688c8f19b]),
+    ("batch-delay/micro-p3", [208304, 0, 0, 0, 57, 240, 0x7781eb63619da0af]),
+    ("batch-crash/jacobi-p3", [7475321, 53, 3, 0, 93, 323, 0xb7c1b97cc8361722]),
+    ("batch-crash/jacobi-p8", [13112441, 142, 8, 0, 243, 822, 0xaf2eedf51444660f]),
+    ("batch-crash/micro-p3", [2809196, 48, 3, 0, 81, 260, 0x22fcde0dfb02c80f]),
+    ("scale-drop/jacobi-p3", [396916, 15, 0, 0, 16, 314, 0x88f30f52967e0eb4]),
+    ("scale-drop/jacobi-p8", [1348827, 49, 0, 0, 52, 804, 0x1f0f311cd5b0dcc5]),
+    ("scale-drop/micro-p3", [350383, 12, 0, 0, 13, 258, 0xa5cbc5eeb7aa7231]),
+    ("scale-crash/jacobi-p3", [6883271, 30, 3, 0, 33, 274, 0xbd3211fe95dc4e50]),
+    ("scale-crash/jacobi-p8", [17704057, 75, 8, 0, 84, 707, 0x9538947560f13cac]),
+    ("scale-crash/micro-p3", [4505709, 28, 3, 0, 31, 230, 0x5e2b84e1f50c3e11]),
+    ("scale-drop-dup/jacobi-p3", [390417, 13, 0, 0, 19, 310, 0xccbdafd35b8fdcb9]),
+    ("scale-drop-dup/jacobi-p8", [805841, 32, 0, 0, 56, 786, 0x2f716f0d23d94866]),
+    ("scale-drop-dup/micro-p3", [273335, 12, 0, 0, 16, 258, 0x5154dfa274ea1f0c]),
 ];
 
 #[test]
