@@ -184,3 +184,48 @@ fn condvar_producer_consumer_delivers_every_item_once() {
         trace.check_invariants().unwrap_or_else(|v| panic!("{at}: {v:?}"));
     }
 }
+
+/// Every holder bumps one counter under the lock, a fine-grain store, and
+/// after the closing barrier every thread reads the counter without the
+/// lock and stores what it read in a slot of its own. A reader's cached
+/// copy is what the barrier's notices left it, so a stale update applied
+/// there — one the thread was handed with the lock and then sent again,
+/// older than what it applied since — reaches final memory.
+#[test]
+fn a_counter_read_after_the_chain_is_the_chains_last_value() {
+    const ROUNDS: u64 = 6;
+    for threads in [5u32, 12] {
+        for cfg in schedules(&SamhitaConfig::default()) {
+            let at = format!("P={threads} at sched_seed {}", cfg.sched_seed);
+            let sys = Samhita::new(cfg);
+            // The counter, then one slot per thread.
+            let cells = sys.alloc_global(8 * (1 + u64::from(threads)));
+            let (lock, done) = (sys.create_mutex(), sys.create_barrier(threads));
+            sys.run(threads, |ctx| {
+                for _ in 0..ROUNDS {
+                    ctx.lock(lock);
+                    let n = ctx.read_u64(cells);
+                    ctx.write_u64(cells, n + 1);
+                    ctx.unlock(lock);
+                }
+                ctx.barrier(done);
+                let seen = ctx.read_u64(cells);
+                ctx.write_u64(cells + 8 * (1 + u64::from(ctx.tid())), seen);
+            });
+            let mut bytes = vec![0u8; 8 * (1 + threads as usize)];
+            sys.read_global(cells, &mut bytes);
+            let words: Vec<u64> = bytes
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("a word")))
+                .collect();
+            let total = ROUNDS * u64::from(threads);
+            assert_eq!(
+                words,
+                vec![total; 1 + threads as usize],
+                "{at}: counter, then what each read"
+            );
+            let trace = sys.take_trace().expect("tracing was enabled");
+            trace.check_invariants().unwrap_or_else(|v| panic!("{at}: {v:?}"));
+        }
+    }
+}
