@@ -41,7 +41,9 @@ pub mod writeset;
 
 pub use batch::{UpdateBatch, UpdatePart};
 pub use diff::Diff;
-pub use interval::{FineUpdate, Interval, IntervalLog, Marks, NoticeSet, PageRun, WriteNotice};
+pub use interval::{
+    FineUpdate, Interval, IntervalLog, Marks, NoticeSet, PageRun, Seers, WriteNotice,
+};
 pub use protocol::{PageState, WriteEffect};
 pub use region::{RegionKind, RegionState};
 pub use writeset::WriteSet;
