@@ -160,12 +160,20 @@ pub struct Handed {
 }
 
 /// A successor hint, manager → the tail of a lock's queue, holder or
-/// waiter, at the instant a request joins behind it: who is next. Once the
-/// tail holds the lock at the manager, its successor is sent what its grant
-/// would carry then ([`MgrResponse::Advance`]). A tail that releases with no
-/// other synchronization since its grant completes that grant itself — it
-/// sends the successor its release interval ([`MgrResponse::Rest`]) — and
-/// names the successor in its release ([`Handed`]).
+/// waiter, at the instant a request joins behind it: who is next. The
+/// manager sends a waiter what its grant would carry
+/// ([`MgrResponse::Advance`]) once it is the queue's head, or second with a
+/// successor of its own, or by the fold that makes the head the holder. A
+/// tail that releases with no other synchronization since its grant
+/// completes its successor's grant itself — it sends the successor a
+/// [`MgrResponse::Baton`] — and names the successor in its release
+/// ([`Handed`]).
+///
+/// `relay` says the tail was still a waiter when the successor queued: the
+/// successor is then advanced before the tail's grant is folded, so the
+/// tail's baton must carry what that advance lacks — the [`Relay`] its own
+/// grant gave it. A tail with nothing to relay releases through the
+/// manager instead.
 #[derive(Clone, Copy, Debug)]
 pub struct Successor {
     /// The lock.
@@ -176,6 +184,31 @@ pub struct Successor {
     pub ep: EndpointId,
     /// The successor's request token, which the grant answers.
     pub token: u64,
+    /// Whether the baton must relay the tail's predecessor's interval.
+    pub relay: bool,
+}
+
+/// What a baton carries before the holder's own interval: `notices`, for a
+/// successor whose advance reached `after`, after which its grant reaches
+/// `upto` (the later of the two). A holder granted by baton relays the
+/// interval the baton brought, whose record names the successor a seer; a
+/// holder granted by the manager relays what the log gained since the
+/// successor's advance, up to the release that granted it.
+#[derive(Clone, Debug, Default)]
+pub struct Relay {
+    /// The advance watermark the successor needs.
+    pub after: u64,
+    /// What the successor applies after its advance.
+    pub notices: NoticeSet,
+    /// The watermark the successor's grant reaches at least.
+    pub upto: u64,
+}
+
+impl Relay {
+    /// Nothing to relay, for a successor whose advance reached `after`.
+    pub fn none(after: u64) -> Relay {
+        Relay { after, notices: NoticeSet::default(), upto: after }
+    }
 }
 
 /// Manager responses.
@@ -198,21 +231,24 @@ pub enum MgrResponse {
     /// A one-way hint to a lock's queue tail, under the token of the
     /// request its hold answers (or will): who is next (see [`Successor`]).
     Successor(Successor),
-    /// To a lock's queue head, under its request's token, once its
-    /// predecessor holds the lock: what the log it has not seen amounts to
-    /// now — the first part of its grant.
+    /// To one of a lock's first two waiters behind a holder, under its
+    /// request's token: what the log it has not seen amounts to now — the
+    /// first part of its grant.
     Advance { notices: NoticeSet, watermark: u64 },
-    /// A lock grant (also a condvar wake-up, which re-grants the lock), or
-    /// the rest of one. From the manager, what the log holds after `after`
-    /// for the requester, up to the new `watermark`: the whole grant when
-    /// `after` is the requester's own `last_seen` (an empty advance), else
-    /// the rest of the grant whose advance reached `after`. From the
-    /// holder handing the lock over (a baton), its release interval, with
-    /// `after` and `watermark` what the holder had seen: it completes an
-    /// advance that reached at least that far. A part without its advance
-    /// is no grant: the requester asks again, and the manager answers with
-    /// the whole.
-    Rest { after: u64, notices: NoticeSet, watermark: u64 },
+    /// A lock grant from the manager (also a condvar wake-up, which
+    /// re-grants the lock), or the rest of one: what the log holds after
+    /// `after` for the requester, up to the new `watermark` — the whole
+    /// grant when `after` is the requester's own `last_seen` (an empty
+    /// advance), else the rest of the grant whose advance reached `after`.
+    /// A part without its advance is no grant: the requester asks again,
+    /// and the manager answers with the whole. `relay` is what the
+    /// requester's own baton is to relay, when a waiter behind it was sent
+    /// its advance before the release this grant answers was folded.
+    Rest { after: u64, notices: NoticeSet, watermark: u64, relay: Option<Relay> },
+    /// The rest of a grant from the holder handing the lock over: what its
+    /// hint asked it to relay, if anything, then its release interval,
+    /// which the successor keeps to relay in turn.
+    Baton { relay: Relay, interval: NoticeSet },
     /// Request failed.
     Err(MgrError),
 }
@@ -356,13 +392,33 @@ impl MgrResponse {
             MgrResponse::Addr(_) => 16,
             MgrResponse::BarrierReleased { notices, watermark: _ }
             | MgrResponse::Advance { notices, watermark: _ } => notices.wire_bytes(),
-            // The watermark it follows fits the header too.
-            MgrResponse::Rest { notices, .. } => notices.wire_bytes(),
+            // The watermarks fit the header too.
+            MgrResponse::Rest { notices, relay: None, .. } => notices.wire_bytes(),
+            MgrResponse::Rest { notices, relay: Some(relay), .. } => beside(notices, relay),
+            MgrResponse::Baton { relay, interval } => beside(interval, relay),
             // Who is next: lock, thread, token.
             MgrResponse::Successor(_) => 16,
             MgrResponse::Err(_) => 16,
         }
     }
+}
+
+/// A set and a relay under one set header, their marks as one list or
+/// two, whichever is shorter (a header bit says which), and a second
+/// watermark when the relay's two differ: the set's size alone when
+/// nothing is relayed.
+fn beside(a: &NoticeSet, relay: &Relay) -> usize {
+    let b = &relay.notices;
+    if b.runs.is_empty() && b.updates.is_empty() && b.marks.is_empty() {
+        return a.wire_bytes();
+    }
+    let apart = a.marks.wire_bytes() + b.marks.wire_bytes();
+    let joined = match a.marks.is_empty() || b.marks.is_empty() {
+        true => apart,
+        false => a.marks.join(&b.marks).wire_bytes(),
+    };
+    let upto = if relay.upto == relay.after { 0 } else { 8 };
+    a.wire_bytes() + b.wire_bytes() - 16 - apart + apart.min(joined) + upto
 }
 
 impl Msg {
@@ -404,7 +460,12 @@ mod tests {
 
     #[test]
     fn responses_charge_for_the_notice_set_they_carry() {
-        let empty = MgrResponse::Rest { after: 0, notices: NoticeSet::default(), watermark: 0 };
+        let empty = MgrResponse::Rest {
+            after: 0,
+            notices: NoticeSet::default(),
+            watermark: 0,
+            relay: None,
+        };
         assert_eq!(empty.wire_bytes(), 16, "an empty grant is a bare header");
         let run = |first_page, len| PageRun { first_page, len, writer: 0 };
         let update = |len| Arc::new(FineUpdate { page: 9, offset: 0, bytes: vec![0; len] });
@@ -422,7 +483,7 @@ mod tests {
             updates: vec![update(8), update(40)],
             ..Default::default()
         };
-        let granted = MgrResponse::Rest { after: 0, notices, watermark: 2 };
+        let granted = MgrResponse::Rest { after: 0, notices, watermark: 2, relay: None };
         assert_eq!(granted.wire_bytes(), 16 + 16 + (16 + 8) + (16 + 40));
     }
 
@@ -437,7 +498,7 @@ mod tests {
             log.publish(w, vec![2 * w as u64, 2 * w as u64 + 1], vec![bump]);
         }
         let notices = log.merged_since(0, 99);
-        let granted = MgrResponse::Rest { after: 0, notices, watermark: 64 };
+        let granted = MgrResponse::Rest { after: 0, notices, watermark: 64, relay: None };
         assert_eq!(granted.wire_bytes(), 16 + 64 * 16 + 24);
     }
 
