@@ -14,9 +14,11 @@
 //!
 //! 1. the composition by class (compute / fetch / lock wait / barrier wait
 //!    / manager wait / manager service / server service / queue wait),
-//!    which sums to the makespan **exactly** — asserted, not approximated,
-//!    and how many of the path's lock hand-offs came by baton from the
-//!    releaser rather than through the manager;
+//!    which sums to the makespan **exactly** — asserted, not approximated
+//!    — with queue wait split by the resource queued at (memory servers,
+//!    manager), and how many of the path's lock hand-offs came by baton
+//!    from the releaser rather than through the manager, with what a baton
+//!    link cost (median and p90, release to grant);
 //! 2. the top-k longest path segments with page / lock / barrier / op
 //!    attribution, plus allocation sites for page segments;
 //! 3. optionally, the full deterministic JSON report (`--out`).
@@ -27,7 +29,7 @@ use std::process::ExitCode;
 use samhita_bench::cli::{kernel_arg, threads_arg};
 use samhita_bench::harness::traced_point;
 use samhita_bench::thread_windows;
-use samhita_trace::{critical_path, validate_json, PathClass};
+use samhita_trace::{critical_path, validate_json, Detail, PathClass, PathSegment};
 
 struct Args {
     kernel: String,
@@ -95,12 +97,38 @@ fn main() -> ExitCode {
             ns as f64 * 100.0 / cp.makespan_ns.max(1) as f64
         );
     }
+    // Queue wait by resource: a memory server's, or the manager's.
+    let queued = |server: bool| -> u64 {
+        let at = |s: &&PathSegment| {
+            s.class == PathClass::QueueWait && matches!(s.detail, Detail::ServerQueue(_)) == server
+        };
+        cp.segments.iter().filter(at).map(PathSegment::len_ns).sum()
+    };
+    let (server, manager) = (queued(true), queued(false));
+    if server + manager > 0 {
+        for (label, ns) in [("server", server), ("manager", manager)] {
+            let pct = ns as f64 * 100.0 / cp.makespan_ns.max(1) as f64;
+            println!("    {label:<14} {ns:>14} ns  {pct:>6.2}%");
+        }
+    }
     let (batons, fallbacks) = cp.lock_links();
     if batons + fallbacks > 0 {
         println!(
             "\nlock links: {batons} by baton, {fallbacks} through the manager ({:.1}% baton)",
             batons as f64 * 100.0 / (batons + fallbacks) as f64
         );
+    }
+    // A baton link is one lock-wait segment, from the release to the grant.
+    let mut links: Vec<u64> = cp
+        .segments
+        .iter()
+        .filter(|s| matches!(s.detail, Detail::LockBaton(_)))
+        .map(PathSegment::len_ns)
+        .collect();
+    links.sort_unstable();
+    if !links.is_empty() {
+        let at = |q: usize| links[(links.len() - 1) * q / 100];
+        println!("baton link cost: median {} ns, p90 {} ns", at(50), at(90));
     }
     println!("\ntop {} segments:", args.top);
     for s in cp.top_segments(args.top) {
