@@ -351,59 +351,61 @@ fn inactive_fault_schedule_stays_bit_deterministic() {
 /// [`plans`], [`batch_plans`] and [`scale_plans`] on jacobi P=3, jacobi P=8
 /// and the micro-benchmark, recorded at the parent of PR 23 and re-recorded
 /// when lock grants began to travel from holder to holder, when
-/// synchronization stopped waiting for its flush to be acked, and when a lock
-/// waiter's predecessor began to be hinted as it queues (each moves the
-/// clock, the messages and so the faults a plan rolls for them — never the
-/// memory, which every row checks, the fail-overs or a recovered grid).
+/// synchronization stopped waiting for its flush to be acked, when a lock
+/// waiter's predecessor began to be hinted as it queues, and when waiters
+/// began to be advanced one fold earlier with batons relaying what the
+/// advance lacks (each moves the clock, the messages and so the faults a
+/// plan rolls for them — never the memory, which every row checks, the
+/// fail-overs or a recovered grid).
 const PINNED: &[timeline::Row] = &[
-    ("drop-light/jacobi-p3", [160305, 4, 0, 0, 4, 297, 0x7bef847e35373b3e]),
-    ("drop-light/jacobi-p8", [504776, 9, 0, 0, 12, 748, 0xc5725af17f9b7b0f]),
-    ("drop-light/micro-p3", [97953, 3, 0, 0, 3, 248, 0x0139cfc55c556631]),
-    ("drop-heavy/jacobi-p3", [2363554, 38, 0, 0, 39, 342, 0x12dd4c353522987b]),
-    ("drop-heavy/jacobi-p8", [2117350, 80, 0, 0, 84, 850, 0x5595ab5ca55b7007]),
-    ("drop-heavy/micro-p3", [1036685, 32, 0, 0, 33, 291, 0x14692000b863d9cd]),
-    ("duplicates/jacobi-p3", [157095, 0, 0, 0, 22, 295, 0x9d01d2445477e359]),
-    ("duplicates/jacobi-p8", [310855, 0, 0, 0, 67, 757, 0x80a7767c2bc45291]),
-    ("duplicates/micro-p3", [97953, 0, 0, 0, 17, 248, 0x1443bc2ee391fe67]),
-    ("delays/jacobi-p3", [201870, 0, 0, 0, 26, 289, 0x646ade115c2e58a3]),
-    ("delays/jacobi-p8", [376529, 0, 0, 0, 72, 733, 0xaeb3758f8fbe22a3]),
-    ("delays/micro-p3", [134843, 0, 0, 0, 23, 244, 0x6946e62fa7aa435c]),
-    ("mixed/jacobi-p3", [455321, 17, 0, 0, 45, 322, 0xa7b18608cc831700]),
-    ("mixed/jacobi-p8", [840091, 30, 0, 0, 104, 791, 0x24f7e557de3bf971]),
-    ("mixed/micro-p3", [256136, 13, 0, 0, 37, 263, 0xf9aab50eb519ab43]),
-    ("drop-dup/jacobi-p3", [755441, 27, 0, 0, 41, 330, 0xfc1d2e3004b6187e]),
-    ("drop-dup/jacobi-p8", [1764439, 60, 0, 0, 104, 834, 0x457fc3531610706f]),
-    ("drop-dup/micro-p3", [308413, 21, 0, 0, 35, 281, 0x46cbe4f1f0232cbb]),
-    ("partition/jacobi-p3", [502098, 7, 0, 0, 7, 297, 0xa9436c6d5c799a7c]),
-    ("partition/jacobi-p8", [765005, 23, 0, 0, 29, 763, 0x4c828998b40f0176]),
-    ("partition/micro-p3", [446273, 11, 0, 0, 11, 252, 0xc26d35a585b932cf]),
-    ("crash-primary/jacobi-p3", [2353404, 25, 0, 0, 37, 280, 0xc9d82ae0d63f8b40]),
-    ("crash-primary/jacobi-p8", [17651724, 67, 0, 0, 92, 697, 0x8451e92cc631e1f8]),
-    ("crash-primary/micro-p3", [4465356, 26, 0, 0, 37, 242, 0x758d4fabfd9080a1]),
-    ("crash-other/jacobi-p3", [4658764, 31, 3, 0, 34, 284, 0xff0bceb02d2185e3]),
-    ("crash-other/jacobi-p8", [13558259, 81, 8, 0, 89, 720, 0x67442a9a589bb854]),
-    ("crash-other/micro-p3", [4548022, 30, 3, 0, 33, 235, 0x9e33c8cf8771239d]),
-    ("batch-drop/jacobi-p3", [1086860, 44, 0, 0, 44, 355, 0xdc35153fcfbc55a9]),
-    ("batch-drop/jacobi-p8", [3470471, 126, 0, 0, 134, 923, 0x9ec4ae6119f4a79a]),
+    ("drop-light/jacobi-p3", [162706, 4, 0, 0, 4, 297, 0xf68552a45fa370da]),
+    ("drop-light/jacobi-p8", [440615, 9, 0, 0, 12, 746, 0xdabf35b8b8a5964a]),
+    ("drop-light/micro-p3", [100353, 3, 0, 0, 3, 248, 0x35ab0d831a706e29]),
+    ("drop-heavy/jacobi-p3", [2365344, 38, 0, 0, 39, 342, 0xab3bc3c3ec601fb2]),
+    ("drop-heavy/jacobi-p8", [2043966, 82, 0, 0, 85, 853, 0xf63d202b1a52fc87]),
+    ("drop-heavy/micro-p3", [1036685, 32, 0, 0, 33, 291, 0x63a5661e7415be8e]),
+    ("duplicates/jacobi-p3", [159496, 0, 0, 0, 22, 295, 0x8e726c12954afa55]),
+    ("duplicates/jacobi-p8", [306749, 0, 0, 0, 67, 757, 0xa8800ee5592d376e]),
+    ("duplicates/micro-p3", [100353, 0, 0, 0, 17, 248, 0xa73c713976035617]),
+    ("delays/jacobi-p3", [204270, 0, 0, 0, 26, 289, 0x0a6c2cf6f4d1e667]),
+    ("delays/jacobi-p8", [374163, 0, 0, 0, 72, 733, 0x990d3ee9bfc93a50]),
+    ("delays/micro-p3", [136643, 0, 0, 0, 23, 244, 0x35e4a00a633b3458]),
+    ("mixed/jacobi-p3", [457727, 17, 0, 0, 45, 322, 0xe7854d8af422612a]),
+    ("mixed/jacobi-p8", [831186, 29, 0, 0, 104, 786, 0xb4aaaeb49e0115f9]),
+    ("mixed/micro-p3", [256736, 13, 0, 0, 37, 263, 0x560f611be6b3fe38]),
+    ("drop-dup/jacobi-p3", [756041, 27, 0, 0, 41, 330, 0xdaef7e518d3447fe]),
+    ("drop-dup/jacobi-p8", [1428327, 58, 0, 0, 101, 832, 0xc2dab4212ad37db2]),
+    ("drop-dup/micro-p3", [309013, 21, 0, 0, 35, 281, 0xeab6bd5b8bc34298]),
+    ("partition/jacobi-p3", [503899, 7, 0, 0, 7, 297, 0xf804acf6261593ce]),
+    ("partition/jacobi-p8", [763431, 24, 0, 0, 29, 765, 0x3ebd615a3076e873]),
+    ("partition/micro-p3", [448073, 11, 0, 0, 11, 252, 0x9ae4cdb8cd4ee8d5]),
+    ("crash-primary/jacobi-p3", [2355805, 25, 0, 0, 37, 280, 0x3806b29aeb362cd2]),
+    ("crash-primary/jacobi-p8", [17651122, 67, 0, 0, 92, 697, 0x1224c24c88930ff5]),
+    ("crash-primary/micro-p3", [2271994, 25, 0, 0, 35, 235, 0x0150226d22fd43c2]),
+    ("crash-other/jacobi-p3", [4660565, 31, 3, 0, 34, 284, 0x496caa337b3aa04a]),
+    ("crash-other/jacobi-p8", [13555838, 81, 8, 0, 89, 720, 0x7384fd14538bdc5f]),
+    ("crash-other/micro-p3", [4548022, 30, 3, 0, 33, 235, 0x46220bf961bde12f]),
+    ("batch-drop/jacobi-p3", [1088661, 44, 0, 0, 44, 355, 0xc0af703b4d28e0af]),
+    ("batch-drop/jacobi-p8", [3049811, 127, 0, 0, 134, 924, 0xcaaaef4391050c93]),
     ("batch-drop/micro-p3", [1049100, 38, 0, 0, 39, 297, 0xaf211cac7d451996]),
-    ("batch-dup/jacobi-p3", [157095, 0, 0, 0, 76, 313, 0x17f7572acb5c7a35]),
-    ("batch-dup/jacobi-p8", [310855, 0, 0, 0, 190, 792, 0xe586b4df27416c6f]),
-    ("batch-dup/micro-p3", [97953, 0, 0, 0, 58, 263, 0x2cc20deb87f99e42]),
-    ("batch-delay/jacobi-p3", [365378, 0, 0, 0, 71, 289, 0xa2b42b2f12e7f3f7]),
-    ("batch-delay/jacobi-p8", [603851, 0, 0, 0, 198, 733, 0x35f50f5688c8f19b]),
-    ("batch-delay/micro-p3", [208304, 0, 0, 0, 57, 240, 0x7781eb63619da0af]),
-    ("batch-crash/jacobi-p3", [7475321, 53, 3, 0, 93, 323, 0xb7c1b97cc8361722]),
-    ("batch-crash/jacobi-p8", [13112441, 142, 8, 0, 243, 822, 0xaf2eedf51444660f]),
-    ("batch-crash/micro-p3", [2809196, 48, 3, 0, 81, 260, 0x22fcde0dfb02c80f]),
-    ("scale-drop/jacobi-p3", [396916, 15, 0, 0, 16, 314, 0x88f30f52967e0eb4]),
-    ("scale-drop/jacobi-p8", [1348827, 49, 0, 0, 52, 804, 0x1f0f311cd5b0dcc5]),
+    ("batch-dup/jacobi-p3", [159496, 0, 0, 0, 76, 313, 0x041d999798a0a363]),
+    ("batch-dup/jacobi-p8", [306749, 0, 0, 0, 190, 792, 0xb455c4290bd2b05c]),
+    ("batch-dup/micro-p3", [100353, 0, 0, 0, 58, 263, 0xf5e9a7d11cbc91ea]),
+    ("batch-delay/jacobi-p3", [367769, 0, 0, 0, 71, 289, 0x1aeed3590d67e293]),
+    ("batch-delay/jacobi-p8", [587648, 0, 0, 0, 198, 733, 0xb1f1331058d3a94d]),
+    ("batch-delay/micro-p3", [208904, 0, 0, 0, 57, 240, 0x9667e858a5dea244]),
+    ("batch-crash/jacobi-p3", [7477734, 53, 3, 0, 93, 323, 0xcd9019c36e41c4ca]),
+    ("batch-crash/jacobi-p8", [12472228, 144, 8, 0, 245, 822, 0x3a6934ca85231902]),
+    ("batch-crash/micro-p3", [2809196, 48, 3, 0, 81, 260, 0xc53809d6e8910216]),
+    ("scale-drop/jacobi-p3", [398729, 15, 0, 0, 16, 314, 0x6ab4fc6092de3c4f]),
+    ("scale-drop/jacobi-p8", [1458431, 52, 0, 0, 54, 810, 0xa35dcd3daa7888af]),
     ("scale-drop/micro-p3", [350383, 12, 0, 0, 13, 258, 0xa5cbc5eeb7aa7231]),
-    ("scale-crash/jacobi-p3", [6883271, 30, 3, 0, 33, 274, 0xbd3211fe95dc4e50]),
-    ("scale-crash/jacobi-p8", [17704057, 75, 8, 0, 84, 707, 0x9538947560f13cac]),
-    ("scale-crash/micro-p3", [4505709, 28, 3, 0, 31, 230, 0x5e2b84e1f50c3e11]),
-    ("scale-drop-dup/jacobi-p3", [390417, 13, 0, 0, 19, 310, 0xccbdafd35b8fdcb9]),
-    ("scale-drop-dup/jacobi-p8", [805841, 32, 0, 0, 56, 786, 0x2f716f0d23d94866]),
-    ("scale-drop-dup/micro-p3", [273335, 12, 0, 0, 16, 258, 0x5154dfa274ea1f0c]),
+    ("scale-crash/jacobi-p3", [6885071, 30, 3, 0, 33, 274, 0x27dd134e169bbb7c]),
+    ("scale-crash/jacobi-p8", [17699302, 75, 8, 0, 84, 707, 0x2bb672985e9ff683]),
+    ("scale-crash/micro-p3", [4506909, 28, 3, 0, 31, 230, 0x9001b3164423d2fa]),
+    ("scale-drop-dup/jacobi-p3", [392224, 13, 0, 0, 19, 310, 0xb29f6d15c18ccd8a]),
+    ("scale-drop-dup/jacobi-p8", [824850, 33, 0, 0, 56, 788, 0x70727251febceabb]),
+    ("scale-drop-dup/micro-p3", [273935, 12, 0, 0, 16, 258, 0x3f7370bf90acd5d2]),
 ];
 
 #[test]
