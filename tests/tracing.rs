@@ -245,7 +245,9 @@ fn chaos_standby_run() -> (SamhitaConfig, RunReport, RunTrace) {
 /// writer and its batch). The first run's causal form moved once more when
 /// a barrier stall's blocker became the last arrival of its own episode,
 /// and the first two runs' when a lock waiter's predecessor began to be
-/// hinted as it queues. Every later writer must reproduce the values below.
+/// hinted as it queues, and again when batons began to relay what a
+/// waiter's earlier advance lacks. Every later writer must reproduce the
+/// values below.
 #[test]
 fn export_bytes_are_pinned_across_commits() {
     let cfg = SamhitaConfig { max_threads: 8, ..traced_cfg() };
@@ -254,7 +256,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0x1074_4248_0ba3_4101, 0x171b_1e1b_1b7f_d59d, 0xb528_207a_8ef9_9596],
+        [0xbf67_b52c_da1a_4b3b, 0x3ad1_6bb7_902f_95d0, 0xa58a_7933_3085_53ac],
         "jacobi P=8"
     );
 
@@ -264,7 +266,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0x5e23_a030_3e1c_c256, 0xd04e_fee6_ceb9_7ba1, 0xdc6a_2dbd_344e_72b6],
+        [0x0da4_109d_c271_8956, 0xcf56_7273_0940_fbd8, 0x1514_d955_b51e_ed95],
         "micro P=4 global"
     );
 
