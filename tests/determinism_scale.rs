@@ -91,9 +91,11 @@ fn a_grant_costs_a_run_per_writer_not_a_page_list_per_notice() {
     // grant at P = 16 / 64 / 256. Merged it is one 16-byte run per other
     // writer's block and one counter update: 432 / 1 149 / 3 965, and
     // 498 / 1 205 / 4 029 once locks were handed over directly, and
-    // 570 / 1 325 / 4 291 since intervals carry update-batch marks, and
+    // 570 / 1 325 / 4 291 since intervals carry update-batch marks,
     // 564 / 1 319 / 4 320 since a waiter's predecessor is hinted as it
-    // queues. Exact byte and grant counts — no clock involved.
+    // queues, and 570 / 1 349 / 4 392 since batons relay the interval a
+    // waiter's earlier advance lacks. Exact byte and grant counts — no
+    // clock involved.
     let sync_bytes_per_grant = |threads: u32| {
         let report = report_point("micro", threads);
         let grants = report.total_of(|t| t.locks_acquired);
@@ -115,8 +117,9 @@ fn a_grant_costs_a_run_per_writer_not_a_page_list_per_notice() {
     }
     // What is left is linear in writers — every page of the array has a
     // different first writer and a run names one — so the figure still
-    // grows with P: by 7.7x over this 16x range (7.5x before hints at
-    // enqueue, 8.1x before the marks), where it grew by 14.3x.
+    // grows with P: by 7.7x over this 16x range (7.7x before relays, 7.5x
+    // before hints at enqueue, 8.1x before the marks), where it grew by
+    // 14.3x.
     let growth = per_grant[2].1 / per_grant[0].1;
     assert!(growth < 10.0, "sync bytes per grant grew {growth:.1}x from P=16 to P=256");
 }
