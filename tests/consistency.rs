@@ -388,3 +388,172 @@ fn two_writers_of_one_page_across_a_barrier_match_native() {
     assert_eq!(result[half], ((ROUNDS - 1) * 1000 + 100) as f64, "thread 1's half");
     assert_eq!(result[PAGE_F64S], result[PAGE_F64S + 3], "every thread read the same pages");
 }
+
+// ---------------------------------------------------------------------
+// A line whose pages the reader has not all used. Its invalidated pages
+// are revalidated by what the reader touches; a page it has never touched
+// stays invalid until it is, and must then be fetched fresh.
+// ---------------------------------------------------------------------
+
+/// Four-page lines. Of each line the reader uses page `A` and page `D`
+/// from the start, dirties page `C` between them right before it faults on
+/// `A`, and first touches page `B` only after the others wrote it again.
+const ROLE_A: u64 = 0;
+const ROLE_C: u64 = 1;
+const ROLE_D: u64 = 2;
+const ROLE_B: u64 = 3;
+const PARTIAL_LINE_PAGES: u64 = 4;
+const PARTIAL_WRITERS: u64 = 3;
+const PARTIAL_ROUNDS: u64 = 3;
+const LINES_PER_ROUND: u64 = 2;
+
+/// The word `writer` (0 = the reader) leaves at its own offset of `page`
+/// of line `line` in `phase` of `round`.
+fn partial_word(round: u64, phase: u64, writer: u64, line: u64, page: u64) -> u64 {
+    ((round * 3 + phase) << 32) | (writer << 24) | (line << 8) | (page + 1)
+}
+
+/// The reader is thread 0, the writers 1..=3, each line's words at
+/// `8 · writer` of each page. Per round, on lines of its own:
+///
+/// 1. the reader reads `A` and `D` (installing the line);
+/// 2. the writers store to `A`, `D` and `B`, and a barrier invalidates all
+///    three in the reader's cache;
+/// 3. the reader stores to `C`, then reads `A` and `D`: a refetch that may
+///    leave `B` invalid, and must keep the dirty `C`. With `filler` lines,
+///    it then reads as many lines of its own, evicting;
+/// 4. the writers store to `D` again, and after a barrier that invalidates
+///    `D` but not `B` the reader reads `B` for the first time since it was
+///    installed, and then `D`;
+/// 5. the writers store to `B` again, and after a barrier the reader reads
+///    the latest `B`.
+fn run_partial_refetch(cfg: SamhitaConfig, filler: u64) {
+    let at = format!(
+        "cache {} lines, filler {filler}, sched_seed {}",
+        cfg.cache_capacity_lines, cfg.sched_seed
+    );
+    let sys = Samhita::new(cfg);
+    let page = sys.config().page_size as u64;
+    let line_bytes = sys.config().line_bytes() as u64;
+    assert_eq!(line_bytes, PARTIAL_LINE_PAGES * page);
+    let lines = PARTIAL_ROUNDS * LINES_PER_ROUND;
+    let raw = sys.alloc_global((lines + filler + 1) * line_bytes);
+    let base = raw.next_multiple_of(line_bytes);
+    let fill = base + lines * line_bytes;
+    let word = |line: u64, page_in_line: u64, writer: u64| {
+        base + line * line_bytes + page_in_line * page + 8 * writer
+    };
+    let barrier = sys.create_barrier(1 + PARTIAL_WRITERS as u32);
+    let report = sys.run(1 + PARTIAL_WRITERS as u32, |ctx| {
+        let me = u64::from(ctx.tid());
+        for round in 0..PARTIAL_ROUNDS {
+            let mine = round * LINES_PER_ROUND..(round + 1) * LINES_PER_ROUND;
+            if me == 0 {
+                for line in mine.clone() {
+                    ctx.read_u64(word(line, ROLE_A, 1));
+                    ctx.read_u64(word(line, ROLE_D, 1));
+                }
+            }
+            ctx.barrier(barrier);
+            if me > 0 {
+                for line in mine.clone() {
+                    for role in [ROLE_A, ROLE_D, ROLE_B] {
+                        ctx.write_u64(word(line, role, me), partial_word(round, 0, me, line, role));
+                    }
+                }
+            }
+            ctx.barrier(barrier);
+            if me == 0 {
+                for line in mine.clone() {
+                    ctx.write_u64(word(line, ROLE_C, 0), partial_word(round, 0, 0, line, ROLE_C));
+                    for w in 1..=PARTIAL_WRITERS {
+                        for role in [ROLE_A, ROLE_D] {
+                            let want = partial_word(round, 0, w, line, role);
+                            let got = ctx.read_u64(word(line, role, w));
+                            assert_eq!(got, want, "{at}: line {line} page {role} writer {w}");
+                        }
+                    }
+                }
+                for l in 0..filler {
+                    ctx.read_u64(fill + l * line_bytes);
+                }
+            }
+            // Phase 1 rewrites `D`, phase 2 `B`; after each the reader
+            // reads `B` (last written in phase `b_phase`), then `D`.
+            for (phase, role, b_phase) in [(1, ROLE_D, 0), (2, ROLE_B, 2)] {
+                ctx.barrier(barrier);
+                if me > 0 {
+                    for line in mine.clone() {
+                        ctx.write_u64(
+                            word(line, role, me),
+                            partial_word(round, phase, me, line, role),
+                        );
+                    }
+                }
+                ctx.barrier(barrier);
+                if me == 0 {
+                    for line in mine.clone() {
+                        for w in 1..=PARTIAL_WRITERS {
+                            for (role, phase) in [(ROLE_B, b_phase), (ROLE_D, 1)] {
+                                let want = partial_word(round, phase, w, line, role);
+                                let got = ctx.read_u64(word(line, role, w));
+                                assert_eq!(got, want, "{at}: line {line} page {role} writer {w}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+    assert!(report.threads[0].page_refetches >= lines, "{at}: the reader must refetch");
+    for line in 0..lines {
+        let round = line / LINES_PER_ROUND;
+        let check = |role: u64, writer: u64, phase: u64| {
+            let mut buf = [0u8; 8];
+            sys.read_global(word(line, role, writer), &mut buf);
+            let want = partial_word(round, phase, writer, line, role);
+            assert_eq!(u64::from_le_bytes(buf), want, "{at}: home of line {line} page {role}");
+        };
+        check(ROLE_C, 0, 0);
+        for w in 1..=PARTIAL_WRITERS {
+            check(ROLE_A, w, 0);
+            check(ROLE_D, w, 1);
+            check(ROLE_B, w, 2);
+        }
+    }
+    let trace = sys.take_trace().expect("tracing was enabled");
+    trace.check_invariants().unwrap_or_else(|v| panic!("{at}: {v:?}"));
+}
+
+/// `base` at `sched_seed` 0..8, each seed with a delay-only fault plan of
+/// its own: 30 % of messages take a 3 µs spike.
+fn delay_plans(base: SamhitaConfig) -> impl Iterator<Item = SamhitaConfig> {
+    (0..8u64).map(move |s| SamhitaConfig {
+        sched_seed: s,
+        faults: samhita_repro::core::FaultConfig::lossy(s, 0.0, 0.0, 0.3, 3_000),
+        tracing: true,
+        ..base.clone()
+    })
+}
+
+#[test]
+fn a_page_first_read_after_a_partial_refetch_is_the_latest() {
+    let base = SamhitaConfig { line_pages: PARTIAL_LINE_PAGES as u32, ..small() };
+    for cfg in delay_plans(base) {
+        run_partial_refetch(cfg, 0);
+    }
+}
+
+#[test]
+fn a_partial_refetch_in_a_cache_that_evicts_keeps_every_write() {
+    for (capacity, filler) in [(2, 1), (3, 2), (4, 3)] {
+        let base = SamhitaConfig {
+            line_pages: PARTIAL_LINE_PAGES as u32,
+            cache_capacity_lines: capacity,
+            ..small()
+        };
+        for cfg in delay_plans(base) {
+            run_partial_refetch(cfg, filler);
+        }
+    }
+}
