@@ -1200,7 +1200,7 @@ mod tests {
     }
 
     fn fetch() -> MemRequest {
-        MemRequest::FetchPage { page: PageId(0) }
+        MemRequest::FetchLine { first: PageId(0), pages: 1 }
     }
 
     fn ack(token: u64) -> Msg {

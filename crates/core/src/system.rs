@@ -388,15 +388,11 @@ impl Samhita {
             let offset = (at % ps) as usize;
             let take = ((ps - at % ps) as usize).min(out.len() - cursor);
             let server = self.host_read_server(self.home_map.home_of_page(PageId(page)));
-            let resp = ctl.rpc_mem(
-                self.mem_eps[server as usize],
-                false,
-                MemRequest::FetchPage { page: PageId(page) },
-            );
-            match resp {
-                MemResponse::Page { frame, .. } => {
+            let req = MemRequest::FetchLine { first: PageId(page), pages: 1 };
+            match ctl.rpc_mem(self.mem_eps[server as usize], false, req) {
+                MemResponse::Line { pages, .. } => {
                     out[cursor..cursor + take]
-                        .copy_from_slice(&frame.bytes()[offset..offset + take]);
+                        .copy_from_slice(&pages[0].bytes()[offset..offset + take]);
                 }
                 other => panic!("unexpected page response: {other:?}"),
             }
@@ -588,7 +584,6 @@ fn mem_events(req: &MemRequest, stamp: &Stamp) -> Vec<EventKind> {
         MemRequest::FetchLine { first, pages } => {
             vec![EventKind::ServeFetch { page: first.0, pages: *pages }]
         }
-        MemRequest::FetchPage { page } => vec![EventKind::ServeFetch { page: page.0, pages: 1 }],
         MemRequest::ApplyDiff { page, diff: d } => vec![diff(page.0, d)],
         MemRequest::ApplyFine { page, bytes, .. } => vec![fine(page.0, bytes)],
         MemRequest::WritePage { page, .. } => vec![EventKind::ServeWrite { page: page.0 }],
@@ -604,7 +599,7 @@ fn mem_events(req: &MemRequest, stamp: &Stamp) -> Vec<EventKind> {
 
 fn mem_resp_class(resp: &MemResponse) -> MsgClass {
     match resp {
-        MemResponse::Line { .. } | MemResponse::Page { .. } => MsgClass::Data,
+        MemResponse::Line { .. } => MsgClass::Data,
         MemResponse::Ack { .. } | MemResponse::BatchAck { .. } => MsgClass::Update,
     }
 }

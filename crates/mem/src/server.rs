@@ -17,10 +17,9 @@ use crate::store::{PageFrame, PageStore};
 #[derive(Clone, Debug)]
 #[allow(missing_docs)] // payloads are described on each variant
 pub enum MemRequest {
-    /// Fetch `pages` consecutive pages starting at `first` (a cache line).
+    /// Fetch `pages` consecutive pages starting at `first`: a cache line,
+    /// or the run of a line's pages a revalidation needs.
     FetchLine { first: PageId, pages: u32 },
-    /// Fetch a single page (revalidation after an invalidation notice).
-    FetchPage { page: PageId },
     /// Apply an ordinary-region diff (sync-time flush or eviction).
     ApplyDiff { page: PageId, diff: Diff },
     /// Apply a fine-grain consistency-region update.
@@ -38,7 +37,6 @@ impl MemRequest {
     pub fn label(&self) -> &'static str {
         match self {
             MemRequest::FetchLine { .. } => "fetch-line",
-            MemRequest::FetchPage { .. } => "fetch-page",
             MemRequest::ApplyDiff { .. } => "apply-diff",
             MemRequest::ApplyFine { .. } => "apply-fine",
             MemRequest::WritePage { .. } => "write-page",
@@ -49,7 +47,7 @@ impl MemRequest {
     /// Payload bytes this request carries on the wire (request direction).
     pub fn wire_bytes(&self) -> usize {
         match self {
-            MemRequest::FetchLine { .. } | MemRequest::FetchPage { .. } => 16,
+            MemRequest::FetchLine { .. } => 16,
             MemRequest::ApplyDiff { diff, .. } => 16 + diff.wire_bytes(),
             MemRequest::ApplyFine { bytes, .. } => 24 + bytes.len(),
             MemRequest::WritePage { bytes, .. } => 16 + bytes.len(),
@@ -66,8 +64,6 @@ impl MemRequest {
 pub enum MemResponse {
     /// Line payload: each page's frame, in order, with its version.
     Line { first: PageId, pages: Vec<PageFrame> },
-    /// Single-page payload.
-    Page { page: PageId, frame: PageFrame },
     /// Mutation acknowledged; carries the new page version.
     Ack { page: PageId, version: u64 },
     /// Whole batch acknowledged as one unit; carries the part count.
@@ -81,7 +77,6 @@ impl MemResponse {
             MemResponse::Line { pages, .. } => {
                 16 + pages.iter().map(|p| p.bytes().len() + 8).sum::<usize>()
             }
-            MemResponse::Page { frame, .. } => 24 + frame.bytes().len(),
             MemResponse::Ack { .. } => 16,
             MemResponse::BatchAck { .. } => 16,
         }
@@ -142,10 +137,8 @@ impl ServiceModel {
 /// Counters kept by one server.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Cache-line fetches served.
+    /// Fetches served: cache lines and revalidated runs of their pages.
     pub line_fetches: u64,
-    /// Single-page (revalidation) fetches served.
-    pub page_fetches: u64,
     /// Ordinary-region diffs applied.
     pub diffs_applied: u64,
     /// Total diff payload applied, bytes.
@@ -200,12 +193,6 @@ impl MemoryServer {
                 let pages = self.store.read_line(first, pages as usize);
                 let service = self.model.service_ns(pages.len() * self.store.page_size());
                 (MemResponse::Line { first, pages }, service)
-            }
-            MemRequest::FetchPage { page } => {
-                self.stats.page_fetches += 1;
-                let frame = self.store.read(page);
-                let service = self.model.service_ns(frame.bytes().len());
-                (MemResponse::Page { page, frame }, service)
             }
             MemRequest::ApplyDiff { page, diff } => {
                 let service = self.model.apply_ns(diff.payload_bytes());
@@ -291,6 +278,15 @@ mod tests {
         MemoryServer::new(256, ServiceModel::default())
     }
 
+    /// Fetch one page as a one-page run.
+    fn fetch_page(s: &mut MemoryServer, page: u64, at: SimTime) -> PageFrame {
+        let (resp, _) = s.handle(MemRequest::FetchLine { first: PageId(page), pages: 1 }, at);
+        match resp {
+            MemResponse::Line { mut pages, .. } if pages.len() == 1 => pages.remove(0),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
     #[test]
     fn fetch_line_returns_zeroed_pages_and_completion_time() {
         let mut s = server();
@@ -314,14 +310,9 @@ mod tests {
             MemRequest::ApplyFine { page: PageId(1), offset: 8, bytes: vec![7; 8] },
             SimTime::ZERO,
         );
-        let (resp, _) = s.handle(MemRequest::FetchPage { page: PageId(1) }, SimTime::ZERO);
-        match resp {
-            MemResponse::Page { frame, .. } => {
-                assert_eq!(&frame.bytes()[8..16], &[7; 8]);
-                assert_eq!(frame.version(), 1);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        let frame = fetch_page(&mut s, 1, SimTime::ZERO);
+        assert_eq!(&frame.bytes()[8..16], &[7; 8]);
+        assert_eq!(frame.version(), 1);
     }
 
     #[test]
@@ -356,28 +347,22 @@ mod tests {
             MemRequest::ApplyDiff { page: PageId(0), diff: Diff::compute(&base, &b) },
             SimTime::ZERO,
         );
-        let (resp, _) = s.handle(MemRequest::FetchPage { page: PageId(0) }, SimTime::ZERO);
-        match resp {
-            MemResponse::Page { frame, .. } => {
-                assert_eq!(frame.bytes()[0], 1);
-                assert_eq!(frame.bytes()[200], 2);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        let frame = fetch_page(&mut s, 0, SimTime::ZERO);
+        assert_eq!(frame.bytes()[0], 1);
+        assert_eq!(frame.bytes()[200], 2);
     }
 
     #[test]
     fn stats_count_operations() {
         let mut s = server();
         s.handle(MemRequest::FetchLine { first: PageId(0), pages: 2 }, SimTime::ZERO);
-        s.handle(MemRequest::FetchPage { page: PageId(9) }, SimTime::ZERO);
+        fetch_page(&mut s, 9, SimTime::ZERO);
         s.handle(
             MemRequest::ApplyFine { page: PageId(0), offset: 0, bytes: vec![1; 16] },
             SimTime::ZERO,
         );
         let st = s.stats();
-        assert_eq!(st.line_fetches, 1);
-        assert_eq!(st.page_fetches, 1);
+        assert_eq!(st.line_fetches, 2);
         assert_eq!(st.fine_updates, 1);
         assert_eq!(st.fine_payload_bytes, 16);
         assert!(st.busy_ns > 0);
@@ -392,8 +377,9 @@ mod tests {
         let pages = vec![PageFrame::new(&[0; 256], 0); 2];
         let line = MemResponse::Line { first: PageId(0), pages };
         assert_eq!(line.wire_bytes(), 16 + 512 + 16);
-        let page = MemResponse::Page { page: PageId(0), frame: PageFrame::new(&[0; 256], 0) };
-        assert_eq!(page.wire_bytes(), 24 + 256);
+        // A one-page run costs what a single-page reply always did.
+        let one = MemResponse::Line { first: PageId(0), pages: vec![PageFrame::new(&[0; 256], 0)] };
+        assert_eq!(one.wire_bytes(), 24 + 256);
     }
 
     #[test]
@@ -429,16 +415,8 @@ mod tests {
         assert_eq!(st.diff_payload_bytes, diff.payload_bytes() as u64);
         assert_eq!(st.fine_updates, 1);
         assert_eq!(st.fine_payload_bytes, 8);
-        let (resp, _) = s.handle(MemRequest::FetchPage { page: PageId(0) }, done);
-        match resp {
-            MemResponse::Page { frame, .. } => assert_eq!(frame.bytes()[0], 9),
-            other => panic!("unexpected response {other:?}"),
-        }
-        let (resp, _) = s.handle(MemRequest::FetchPage { page: PageId(1) }, done);
-        match resp {
-            MemResponse::Page { frame, .. } => assert_eq!(&frame.bytes()[16..24], &[7; 8]),
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert_eq!(fetch_page(&mut s, 0, done).bytes()[0], 9);
+        assert_eq!(&fetch_page(&mut s, 1, done).bytes()[16..24], &[7; 8]);
     }
 
     #[test]
@@ -457,7 +435,8 @@ mod tests {
         let m = ServiceModel::default();
         assert!(m.apply_ns(4096) < m.service_ns(4096));
         let mut s = MemoryServer::new(256, m);
-        let (_, fetch_done) = s.handle(MemRequest::FetchPage { page: PageId(0) }, SimTime::ZERO);
+        let (_, fetch_done) =
+            s.handle(MemRequest::FetchLine { first: PageId(0), pages: 1 }, SimTime::ZERO);
         let mut s2 = MemoryServer::new(256, m);
         let (_, apply_done) = s2
             .handle(MemRequest::WritePage { page: PageId(0), bytes: vec![0; 256] }, SimTime::ZERO);
@@ -473,10 +452,18 @@ mod proptests {
     const PS: usize = 256;
     const PAGES: u64 = 8;
 
+    /// The bytes of one page, fetched as a one-page run.
+    fn page_bytes(s: &mut MemoryServer, page: u64, at: SimTime) -> Vec<u8> {
+        match s.handle(MemRequest::FetchLine { first: PageId(page), pages: 1 }, at).0 {
+            MemResponse::Line { pages, .. } => pages[0].bytes().to_vec(),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
     #[derive(Clone, Debug)]
     enum ReqKind {
         FetchLine { line: u64 },
-        FetchPage { page: u64 },
+        FetchRun { first: u64, pages: u32 },
         Fine { page: u64, offset: u16, len: u8 },
         Whole { page: u64, fill: u8 },
         DiffWord { page: u64, word: u8, value: u64 },
@@ -485,7 +472,10 @@ mod proptests {
     fn req_strategy() -> impl Strategy<Value = ReqKind> {
         prop_oneof![
             (0..PAGES / 2).prop_map(|line| ReqKind::FetchLine { line }),
-            (0..PAGES).prop_map(|page| ReqKind::FetchPage { page }),
+            (0..PAGES, 1u32..=2).prop_map(|(first, pages)| ReqKind::FetchRun {
+                first: first.min(PAGES - u64::from(pages)),
+                pages
+            }),
             (0..PAGES, 0u16..200, 1u8..32).prop_map(|(page, offset, len)| ReqKind::Fine {
                 page,
                 offset,
@@ -559,13 +549,9 @@ mod proptests {
             prop_assert!(bs.busy_ns <= ss.busy_ns);
             // Byte-equivalent stores.
             for p in 0..PAGES {
-                let (a, _) = batched.handle(MemRequest::FetchPage { page: PageId(p) }, done);
-                let (b, _) = sequential.handle(MemRequest::FetchPage { page: PageId(p) }, done);
-                match (a, b) {
-                    (MemResponse::Page { frame: a, .. }, MemResponse::Page { frame: b, .. }) =>
-                        prop_assert_eq!(a.bytes(), b.bytes(), "page {} diverged", p),
-                    other => prop_assert!(false, "unexpected {:?}", other),
-                }
+                let a = page_bytes(&mut batched, p, done);
+                let b = page_bytes(&mut sequential, p, done);
+                prop_assert_eq!(a, b, "page {} diverged", p);
             }
         }
 
@@ -585,7 +571,8 @@ mod proptests {
                 let req = match &kind {
                     ReqKind::FetchLine { line } =>
                         MemRequest::FetchLine { first: PageId(line * 2), pages: 2 },
-                    ReqKind::FetchPage { page } => MemRequest::FetchPage { page: PageId(*page) },
+                    ReqKind::FetchRun { first, pages } =>
+                        MemRequest::FetchLine { first: PageId(*first), pages: *pages },
                     ReqKind::Fine { page, offset, len } => MemRequest::ApplyFine {
                         page: PageId(*page),
                         offset: *offset as u32,
@@ -632,23 +619,14 @@ mod proptests {
                             prop_assert_eq!(frame.bytes(), &reference[base..base + PS]);
                         }
                     }
-                    MemResponse::Page { page, frame } => {
-                        let base = page.0 as usize * PS;
-                        prop_assert_eq!(frame.bytes(), &reference[base..base + PS]);
-                    }
                     MemResponse::Ack { .. } | MemResponse::BatchAck { .. } => {}
                 }
             }
             // Final sweep: every page equals the reference.
             for p in 0..PAGES {
-                let (resp, _) = server.handle(MemRequest::FetchPage { page: PageId(p) }, last_done);
-                match resp {
-                    MemResponse::Page { frame, .. } => {
-                        let base = p as usize * PS;
-                        prop_assert_eq!(frame.bytes(), &reference[base..base + PS], "page {}", p);
-                    }
-                    other => prop_assert!(false, "unexpected {:?}", other),
-                }
+                let base = p as usize * PS;
+                let bytes = page_bytes(&mut server, p, last_done);
+                prop_assert_eq!(&bytes[..], &reference[base..base + PS], "page {}", p);
             }
         }
     }
