@@ -25,7 +25,7 @@
 //!    `min(release stamps) >= max(arrive stamps)`.
 //! 5. **Refetch after apply** — the first demand fetch or refetch of a page
 //!    after an `Invalidate {page, writer, batch}` is served (`ServeFetch` of
-//!    its line or page, within the fetch's stall) no earlier than the
+//!    the run holding it, within the fetch's stall) no earlier than the
 //!    server's `ApplyDiff {page, writer}` of the writer's last flush of the
 //!    page the notice followed: its highest batch number up to `batch`.
 //!
@@ -366,8 +366,7 @@ impl RunTrace {
                             });
                         }
                     }
-                    EventKind::Fetch { page, pages, kind, wait_ns } => {
-                        let first = page - page % u64::from(pages.max(1));
+                    EventKind::Fetch { page: first, pages, kind, wait_ns } => {
                         let served = serves.get(&first).and_then(|s| {
                             s[..s.partition_point(|&done| done <= at)].last().copied()
                         });

@@ -90,7 +90,8 @@ impl FetchKind {
 /// the acting thread was stalled, ending at the event's stamp.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {
-    /// Pages became resident in the software cache (thread track).
+    /// `pages` consecutive pages from `page` became resident in the software
+    /// cache (thread track).
     Fetch { page: u64, pages: u32, kind: FetchKind, wait_ns: u64 },
     /// An asynchronous prefetch of a line was issued (thread track).
     PrefetchIssue { page: u64, pages: u32 },
