@@ -42,7 +42,7 @@ pub mod writeset;
 pub use batch::{UpdateBatch, UpdatePart};
 pub use diff::Diff;
 pub use interval::{
-    FineUpdate, Interval, IntervalLog, Marks, NoticeSet, PageRun, Seers, WriteNotice,
+    FineUpdate, Interval, IntervalLog, Marks, NoticeSet, PageRun, Runs, Seers, WriteNotice,
 };
 pub use protocol::{PageState, WriteEffect};
 pub use region::{RegionKind, RegionState};

@@ -94,8 +94,9 @@ fn a_grant_costs_a_run_per_writer_not_a_page_list_per_notice() {
     // 570 / 1 325 / 4 291 since intervals carry update-batch marks,
     // 564 / 1 319 / 4 320 since a waiter's predecessor is hinted as it
     // queues, and 570 / 1 349 / 4 392 since batons relay the interval a
-    // waiter's earlier advance lacks. Exact byte and grant counts — no
-    // clock involved.
+    // waiter's earlier advance lacks. A run is now charged varints of its
+    // gap, length and writer, 3 or 4 bytes instead of 16: 380 / 545 /
+    // 1 307. Exact byte and grant counts — no clock involved.
     let sync_bytes_per_grant = |threads: u32| {
         let report = report_point("micro", threads);
         let grants = report.total_of(|t| t.locks_acquired);
@@ -106,20 +107,21 @@ fn a_grant_costs_a_run_per_writer_not_a_page_list_per_notice() {
     for (threads, bytes) in per_grant {
         // Everything a thread sends and is sent per lock it takes —
         // acquire, grant, release, the barrier after — comes to less than
-        // a run per thread plus a constant, 16·P + 256, and the marks. The
+        // a run per thread plus a constant, 4·P + 256, and the marks. The
         // acquire, the release and the barrier arrival carry the sender's
         // batch count per home (4 bytes each), the baton its own mark (17);
         // the grant's advance and the barrier release carry everyone's, a
         // 16-byte header and a few bits a writer each: 61 + P/4 bytes here,
-        // at three bits. The bound allows 64 + P, a byte a writer.
-        let bound = 17.0 * threads as f64 + 320.0;
+        // at three bits. The bound allows 64 + P for them, and P more
+        // (17·P + 320 while a run cost 16 bytes).
+        let bound = 6.0 * threads as f64 + 320.0;
         assert!(bytes < bound, "P={threads}: {bytes:.0} sync bytes per grant, bound {bound}");
     }
     // What is left is linear in writers — every page of the array has a
     // different first writer and a run names one — so the figure still
-    // grows with P: by 7.7x over this 16x range (7.7x before relays, 7.5x
-    // before hints at enqueue, 8.1x before the marks), where it grew by
-    // 14.3x.
+    // grows with P: by 3.4x over this 16x range (7.7x while a run cost 16
+    // bytes, 7.5x before hints at enqueue, 8.1x before the marks), where
+    // it grew by 14.3x.
     let growth = per_grant[2].1 / per_grant[0].1;
     assert!(growth < 10.0, "sync bytes per grant grew {growth:.1}x from P=16 to P=256");
 }
@@ -129,7 +131,9 @@ fn jacobi_p256_moves_fewer_sync_bytes_than_data_bytes() {
     // A P=256 barrier release used to ship 255 page lists to each of 256
     // threads, and the notices outweighed the grid: 31.9 MB of sync-class
     // traffic against 22.4 MB of data. Merged they are 6.7 MB; with the
-    // update-batch marks intervals carry, 7.2 MB against 22.5 MB.
+    // update-batch marks intervals carry, 7.2 MB against 22.5 MB. Since a
+    // refetch moves the pages a thread used, not its line, data is 18.5
+    // MB, and runs charged as varints bring sync to 2.4 MB.
     let report = report_point("jacobi", 256);
     let (sync, data) = (report.fabric.bytes(MsgClass::Sync), report.fabric.bytes(MsgClass::Data));
     assert!(3 * sync < data, "sync {sync} B against data {data} B");
