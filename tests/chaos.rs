@@ -352,60 +352,61 @@ fn inactive_fault_schedule_stays_bit_deterministic() {
 /// and the micro-benchmark, recorded at the parent of PR 23 and re-recorded
 /// when lock grants began to travel from holder to holder, when
 /// synchronization stopped waiting for its flush to be acked, when a lock
-/// waiter's predecessor began to be hinted as it queues, and when waiters
+/// waiter's predecessor began to be hinted as it queues, when waiters
 /// began to be advanced one fold earlier with batons relaying what the
-/// advance lacks (each moves the clock, the messages and so the faults a
-/// plan rolls for them — never the memory, which every row checks, the
-/// fail-overs or a recovered grid).
+/// advance lacks, and when a refetch began to move the pages a thread used
+/// instead of its line, with notice runs charged as varints (each moves the
+/// clock, the messages and so the faults a plan rolls for them — never the
+/// memory, which every row checks, the fail-overs or a recovered grid).
 const PINNED: &[timeline::Row] = &[
-    ("drop-light/jacobi-p3", [162706, 4, 0, 0, 4, 297, 0xf68552a45fa370da]),
-    ("drop-light/jacobi-p8", [440615, 9, 0, 0, 12, 746, 0xdabf35b8b8a5964a]),
-    ("drop-light/micro-p3", [100353, 3, 0, 0, 3, 248, 0x35ab0d831a706e29]),
-    ("drop-heavy/jacobi-p3", [2365344, 38, 0, 0, 39, 342, 0xab3bc3c3ec601fb2]),
-    ("drop-heavy/jacobi-p8", [2043966, 82, 0, 0, 85, 853, 0xf63d202b1a52fc87]),
-    ("drop-heavy/micro-p3", [1036685, 32, 0, 0, 33, 291, 0x63a5661e7415be8e]),
-    ("duplicates/jacobi-p3", [159496, 0, 0, 0, 22, 295, 0x8e726c12954afa55]),
-    ("duplicates/jacobi-p8", [306749, 0, 0, 0, 67, 757, 0xa8800ee5592d376e]),
-    ("duplicates/micro-p3", [100353, 0, 0, 0, 17, 248, 0xa73c713976035617]),
-    ("delays/jacobi-p3", [204270, 0, 0, 0, 26, 289, 0x0a6c2cf6f4d1e667]),
-    ("delays/jacobi-p8", [374163, 0, 0, 0, 72, 733, 0x990d3ee9bfc93a50]),
-    ("delays/micro-p3", [136643, 0, 0, 0, 23, 244, 0x35e4a00a633b3458]),
-    ("mixed/jacobi-p3", [457727, 17, 0, 0, 45, 322, 0xe7854d8af422612a]),
-    ("mixed/jacobi-p8", [831186, 29, 0, 0, 104, 786, 0xb4aaaeb49e0115f9]),
-    ("mixed/micro-p3", [256736, 13, 0, 0, 37, 263, 0x560f611be6b3fe38]),
-    ("drop-dup/jacobi-p3", [756041, 27, 0, 0, 41, 330, 0xdaef7e518d3447fe]),
-    ("drop-dup/jacobi-p8", [1428327, 58, 0, 0, 101, 832, 0xc2dab4212ad37db2]),
-    ("drop-dup/micro-p3", [309013, 21, 0, 0, 35, 281, 0xeab6bd5b8bc34298]),
-    ("partition/jacobi-p3", [503899, 7, 0, 0, 7, 297, 0xf804acf6261593ce]),
-    ("partition/jacobi-p8", [763431, 24, 0, 0, 29, 765, 0x3ebd615a3076e873]),
-    ("partition/micro-p3", [448073, 11, 0, 0, 11, 252, 0x9ae4cdb8cd4ee8d5]),
-    ("crash-primary/jacobi-p3", [2355805, 25, 0, 0, 37, 280, 0x3806b29aeb362cd2]),
-    ("crash-primary/jacobi-p8", [17651122, 67, 0, 0, 92, 697, 0x1224c24c88930ff5]),
-    ("crash-primary/micro-p3", [2271994, 25, 0, 0, 35, 235, 0x0150226d22fd43c2]),
-    ("crash-other/jacobi-p3", [4660565, 31, 3, 0, 34, 284, 0x496caa337b3aa04a]),
-    ("crash-other/jacobi-p8", [13555838, 81, 8, 0, 89, 720, 0x7384fd14538bdc5f]),
-    ("crash-other/micro-p3", [4548022, 30, 3, 0, 33, 235, 0x46220bf961bde12f]),
-    ("batch-drop/jacobi-p3", [1088661, 44, 0, 0, 44, 355, 0xc0af703b4d28e0af]),
-    ("batch-drop/jacobi-p8", [3049811, 127, 0, 0, 134, 924, 0xcaaaef4391050c93]),
-    ("batch-drop/micro-p3", [1049100, 38, 0, 0, 39, 297, 0xaf211cac7d451996]),
-    ("batch-dup/jacobi-p3", [159496, 0, 0, 0, 76, 313, 0x041d999798a0a363]),
-    ("batch-dup/jacobi-p8", [306749, 0, 0, 0, 190, 792, 0xb455c4290bd2b05c]),
-    ("batch-dup/micro-p3", [100353, 0, 0, 0, 58, 263, 0xf5e9a7d11cbc91ea]),
-    ("batch-delay/jacobi-p3", [367769, 0, 0, 0, 71, 289, 0x1aeed3590d67e293]),
-    ("batch-delay/jacobi-p8", [587648, 0, 0, 0, 198, 733, 0xb1f1331058d3a94d]),
-    ("batch-delay/micro-p3", [208904, 0, 0, 0, 57, 240, 0x9667e858a5dea244]),
-    ("batch-crash/jacobi-p3", [7477734, 53, 3, 0, 93, 323, 0xcd9019c36e41c4ca]),
-    ("batch-crash/jacobi-p8", [12472228, 144, 8, 0, 245, 822, 0x3a6934ca85231902]),
-    ("batch-crash/micro-p3", [2809196, 48, 3, 0, 81, 260, 0xc53809d6e8910216]),
-    ("scale-drop/jacobi-p3", [398729, 15, 0, 0, 16, 314, 0x6ab4fc6092de3c4f]),
-    ("scale-drop/jacobi-p8", [1458431, 52, 0, 0, 54, 810, 0xa35dcd3daa7888af]),
-    ("scale-drop/micro-p3", [350383, 12, 0, 0, 13, 258, 0xa5cbc5eeb7aa7231]),
-    ("scale-crash/jacobi-p3", [6885071, 30, 3, 0, 33, 274, 0x27dd134e169bbb7c]),
-    ("scale-crash/jacobi-p8", [17699302, 75, 8, 0, 84, 707, 0x2bb672985e9ff683]),
-    ("scale-crash/micro-p3", [4506909, 28, 3, 0, 31, 230, 0x9001b3164423d2fa]),
-    ("scale-drop-dup/jacobi-p3", [392224, 13, 0, 0, 19, 310, 0xb29f6d15c18ccd8a]),
-    ("scale-drop-dup/jacobi-p8", [824850, 33, 0, 0, 56, 788, 0x70727251febceabb]),
-    ("scale-drop-dup/micro-p3", [273935, 12, 0, 0, 16, 258, 0x3f7370bf90acd5d2]),
+    ("drop-light/jacobi-p3", [162697, 4, 0, 0, 4, 297, 0x63680867b84ac380]),
+    ("drop-light/jacobi-p8", [392174, 9, 0, 0, 12, 746, 0x2d1c0292d9365f74]),
+    ("drop-light/micro-p3", [100341, 3, 0, 0, 3, 248, 0x71f4f7e1a1b63ed7]),
+    ("drop-heavy/jacobi-p3", [2365338, 38, 0, 0, 39, 342, 0x2320631cdbe425d2]),
+    ("drop-heavy/jacobi-p8", [2004792, 82, 0, 0, 85, 853, 0x651e540d61847364]),
+    ("drop-heavy/micro-p3", [1036665, 32, 0, 0, 33, 291, 0x5831194f68a650ef]),
+    ("duplicates/jacobi-p3", [159487, 0, 0, 0, 22, 295, 0x7873dcc4d05aabbb]),
+    ("duplicates/jacobi-p8", [257262, 0, 0, 0, 67, 757, 0x15391c4eef6677b8]),
+    ("duplicates/micro-p3", [100341, 0, 0, 0, 17, 248, 0x7193a95ca8999be2]),
+    ("delays/jacobi-p3", [204261, 0, 0, 0, 26, 289, 0xf3ff3e5d33aa1af3]),
+    ("delays/jacobi-p8", [324676, 0, 0, 0, 72, 733, 0x29eb48d26ed7597b]),
+    ("delays/micro-p3", [136635, 0, 0, 0, 23, 244, 0xe8037e09a7726ff1]),
+    ("mixed/jacobi-p3", [457718, 17, 0, 0, 45, 322, 0xbff004ad8cb63378]),
+    ("mixed/jacobi-p8", [795104, 29, 0, 0, 104, 786, 0x84a239a346b3a040]),
+    ("mixed/micro-p3", [256720, 13, 0, 0, 37, 263, 0xb1b2b65c519ca228]),
+    ("drop-dup/jacobi-p3", [756032, 27, 0, 0, 41, 330, 0xc37cfbd3c6f3b945]),
+    ("drop-dup/jacobi-p8", [1394297, 58, 0, 0, 101, 832, 0xf472fc636f037fde]),
+    ("drop-dup/micro-p3", [308999, 21, 0, 0, 35, 281, 0x50a792221cc6acea]),
+    ("partition/jacobi-p3", [503890, 7, 0, 0, 7, 297, 0xfce4e1bebedbada6]),
+    ("partition/jacobi-p8", [718073, 24, 0, 0, 29, 765, 0xaa1c8e401cdbe4ea]),
+    ("partition/micro-p3", [448059, 11, 0, 0, 11, 252, 0xd184a04cd28a4b8a]),
+    ("crash-primary/jacobi-p3", [2355796, 25, 0, 0, 37, 280, 0x6c62b2cfedf7b769]),
+    ("crash-primary/jacobi-p8", [17607822, 67, 0, 0, 92, 697, 0xc7be35a5ce6e125d]),
+    ("crash-primary/micro-p3", [2271980, 25, 0, 0, 35, 235, 0xcc56cd1ae73d792c]),
+    ("crash-other/jacobi-p3", [4660556, 31, 3, 0, 34, 284, 0xce729a2f26d6d862]),
+    ("crash-other/jacobi-p8", [9190445, 82, 8, 0, 90, 721, 0x355032a0d3cff4bd]),
+    ("crash-other/micro-p3", [4548006, 30, 3, 0, 33, 235, 0x53f99a8cd7d22a05]),
+    ("batch-drop/jacobi-p3", [1088646, 44, 0, 0, 44, 355, 0x9c7709eac8808759]),
+    ("batch-drop/jacobi-p8", [2985957, 127, 0, 0, 134, 924, 0x5794a330f0d1f010]),
+    ("batch-drop/micro-p3", [1049082, 38, 0, 0, 39, 297, 0x7c6f56fda9f1b67b]),
+    ("batch-dup/jacobi-p3", [159487, 0, 0, 0, 76, 313, 0xbd936f1edab24786]),
+    ("batch-dup/jacobi-p8", [257262, 0, 0, 0, 190, 792, 0x4cac117774d3c972]),
+    ("batch-dup/micro-p3", [100341, 0, 0, 0, 58, 263, 0x1ea916b15f972ab5]),
+    ("batch-delay/jacobi-p3", [367760, 0, 0, 0, 71, 289, 0xc2cd02bbc5ef195d]),
+    ("batch-delay/jacobi-p8", [512304, 0, 0, 0, 198, 733, 0x74a630efc0efcafe]),
+    ("batch-delay/micro-p3", [208892, 0, 0, 0, 57, 240, 0x2370825c170f13f1]),
+    ("batch-crash/jacobi-p3", [7477727, 53, 3, 0, 93, 323, 0xc3fe491b9c5bd187]),
+    ("batch-crash/jacobi-p8", [12713444, 143, 8, 0, 245, 825, 0x0a90d0670ccdcfd9]),
+    ("batch-crash/micro-p3", [2809180, 48, 3, 0, 81, 260, 0xe4a5383c07d3cb70]),
+    ("scale-drop/jacobi-p3", [398720, 15, 0, 0, 16, 314, 0xd495bbe07021dae8]),
+    ("scale-drop/jacobi-p8", [1412033, 52, 0, 0, 54, 810, 0xdb9fbb30828c5339]),
+    ("scale-drop/micro-p3", [350369, 12, 0, 0, 13, 258, 0x17b4182b2a5e0be2]),
+    ("scale-crash/jacobi-p3", [6885059, 30, 3, 0, 33, 274, 0x64dce732a2be1d77]),
+    ("scale-crash/jacobi-p8", [17659088, 75, 8, 0, 84, 707, 0xc6e9b173032965a9]),
+    ("scale-crash/micro-p3", [4506895, 28, 3, 0, 31, 230, 0xc90ee2b2cb0bf720]),
+    ("scale-drop-dup/jacobi-p3", [392215, 13, 0, 0, 19, 310, 0x05a2f3b790b7737d]),
+    ("scale-drop-dup/jacobi-p8", [768957, 33, 0, 0, 56, 788, 0xf296f701bf7d23ac]),
+    ("scale-drop-dup/micro-p3", [273921, 12, 0, 0, 16, 258, 0x61fd9da02ba350c4]),
 ];
 
 #[test]

@@ -295,7 +295,7 @@ fn expired_lease_is_reclaimed_and_the_stale_release_absorbed() {
 /// In the fault-free standby run of [`JACOBI_P8`], thread 1 hands lock 0
 /// to its successor with a baton sent at this instant, and its release to
 /// the manager one send cost (60 ns) later.
-const BATON_NS: u64 = 51_651;
+const BATON_NS: u64 = 52_414;
 /// A crash between the two.
 const HANDOFF_CRASH_NS: u64 = BATON_NS + 32;
 
@@ -335,7 +335,7 @@ fn a_hand_off_the_primary_never_heard_of_reaches_the_standby() {
 /// thread 2's acquire of lock 0 at this instant, behind the holder (thread
 /// 5), its head (thread 1) and thread 6: it hints thread 6, which holds
 /// nothing yet, that thread 2 comes next.
-const HINT_NS: u64 = 30_988;
+const HINT_NS: u64 = 31_286;
 /// A crash just after: the hint and the log record reach their targets,
 /// nothing the manager sends later does.
 const HINT_CRASH_NS: u64 = HINT_NS + 1;
@@ -381,10 +381,10 @@ fn a_hint_sent_to_a_waiter_outlives_the_primary() {
 /// thread 5's baton in the burst after a barrier, hands lock 0 to thread 6
 /// with a baton sent at this instant that relays thread 5's interval —
 /// thread 6 queued behind thread 1 while thread 1 still waited.
-const RELAY_NS: u64 = 146_559;
+const RELAY_NS: u64 = 122_118;
 /// The primary folds thread 1's hand-off at this instant, and names thread
 /// 6's successor a seer of thread 1's interval.
-const RELAY_FOLD_NS: u64 = 148_678;
+const RELAY_FOLD_NS: u64 = 124_237;
 /// A crash just before the fold: the release reached the primary, but the
 /// fold's log record and everything it sends die with it.
 const RELAY_CRASH_NS: u64 = RELAY_FOLD_NS - 1;
@@ -429,32 +429,34 @@ fn a_relaying_baton_outlives_a_primary_that_never_folded_it() {
 /// Recorded at the parent of PR 23; re-recorded when lock grants began to
 /// travel from holder to holder, when synchronization stopped waiting for
 /// its flush to be acked, when a lock waiter's predecessor began to be
-/// hinted as it queues, and when batons began to relay. Every row's grid
+/// hinted as it queues, when batons began to relay, and when a refetch
+/// began to move the pages a thread used instead of its line (the three
+/// crash instants above re-targeted to the same events). Every row's grid
 /// is the serial reference's.
 const PINNED: &[timeline::Row] = &[
-    ("standby/jacobi-p8", [331417, 0, 0, 0, 0, 1135, 0xa274b50c3bde6de9]),
-    ("standby/jacobi-p64", [1187337, 0, 0, 0, 0, 5279, 0xd17909d1508fc741]),
-    ("mgr-crash@5000/jacobi-p8", [2477577, 42, 0, 8, 72, 851, 0xd2f6930aabd7fef3]),
-    ("mgr-crash@5000/jacobi-p64", [3047319, 42, 0, 64, 576, 4377, 0x8f46ab66165cc3ac]),
-    ("mgr-crash@20000/jacobi-p8", [12453064, 61, 0, 8, 65, 868, 0x82a12d205c349b7d]),
-    ("mgr-crash@20000/jacobi-p64", [3240073, 392, 0, 64, 528, 4379, 0x6aff99b83e670555]),
-    ("mgr-crash@60000/jacobi-p8", [8877866, 56, 0, 8, 64, 891, 0x4b889fd7e72ea4a8]),
-    ("mgr-crash@60000/jacobi-p64", [4823119, 448, 0, 64, 512, 4385, 0x39e25f9e26f9a1db]),
-    ("mgr-crash@120000/jacobi-p8", [12475431, 64, 0, 8, 72, 932, 0x43016daaeb185112]),
-    ("mgr-crash@120000/jacobi-p64", [4990666, 448, 0, 64, 513, 4419, 0x6c8298b4ce118b7d]),
-    ("mgr-crash@250000/jacobi-p8", [6745504, 56, 0, 8, 65, 1071, 0x2950dedea54f6fa0]),
-    ("mgr-crash@250000/jacobi-p64", [5379649, 448, 0, 64, 512, 4497, 0x072bb5cbde25a2a0]),
-    ("mgr-crash@400000/jacobi-p8", [331417, 0, 0, 0, 0, 1135, 0xa274b50c3bde6de9]),
-    ("mgr-crash@400000/jacobi-p64", [13031608, 500, 0, 64, 512, 4772, 0xf24f0fa035795ec6]),
-    ("lossy-0xD1+mgr-crash/jacobi-p8", [5009068, 82, 0, 8, 121, 902, 0x3d37ff40dc31a445]),
-    ("lossy-0xD2+mgr-crash/jacobi-p8", [5026664, 76, 0, 8, 116, 887, 0x5c61150dfaa3bad5]),
+    ("standby/jacobi-p8", [282231, 0, 0, 0, 0, 1135, 0x4b32152e3abc9b99]),
+    ("standby/jacobi-p64", [1153650, 0, 0, 0, 0, 5291, 0x41cd68d8190af1ca]),
+    ("mgr-crash@5000/jacobi-p8", [2428087, 42, 0, 8, 72, 851, 0x559b9c65e368c515]),
+    ("mgr-crash@5000/jacobi-p64", [3016454, 42, 0, 64, 576, 4389, 0x4f3186525fb5bad8]),
+    ("mgr-crash@20000/jacobi-p8", [12403578, 61, 0, 8, 65, 868, 0x8e553c682c97cf0c]),
+    ("mgr-crash@20000/jacobi-p64", [3212815, 392, 0, 64, 528, 4391, 0x7022b8354853e754]),
+    ("mgr-crash@60000/jacobi-p8", [6703233, 56, 0, 8, 65, 899, 0xfa7386111d122694]),
+    ("mgr-crash@60000/jacobi-p64", [4789496, 448, 0, 64, 512, 4397, 0x7c583e66e582393d]),
+    ("mgr-crash@120000/jacobi-p8", [8798260, 56, 0, 8, 67, 972, 0x0b90fbb745b95665]),
+    ("mgr-crash@120000/jacobi-p64", [4955933, 448, 0, 64, 513, 4431, 0xd21878f9a2ee6997]),
+    ("mgr-crash@250000/jacobi-p8", [2381634, 56, 0, 8, 72, 1126, 0xd0e3536449c5a3c4]),
+    ("mgr-crash@250000/jacobi-p64", [5343395, 448, 0, 64, 512, 4509, 0xae0a32542171081a]),
+    ("mgr-crash@400000/jacobi-p8", [282231, 0, 0, 0, 0, 1135, 0x4b32152e3abc9b99]),
+    ("mgr-crash@400000/jacobi-p64", [12997959, 500, 0, 64, 512, 4784, 0xb8182901755a8bbd]),
+    ("lossy-0xD1+mgr-crash/jacobi-p8", [5099446, 83, 0, 8, 123, 903, 0x594efab9044fb0c6]),
+    ("lossy-0xD2+mgr-crash/jacobi-p8", [4986450, 76, 0, 8, 116, 887, 0xb003e4e44004ff6e]),
     (
         "lossy-0xD3+mgr-crash+server-crash/jacobi-p8",
-        [20159808, 137, 8, 8, 185, 849, 0x8b136a3a54547374],
+        [20108266, 137, 8, 8, 185, 849, 0xca9b630ac1eebea4],
     ),
-    ("mgr-crash@51683/jacobi-p8", [8861435, 56, 0, 8, 64, 887, 0x67ca0decffbb70da]),
-    ("mgr-crash@30989/jacobi-p8", [12422482, 62, 0, 8, 76, 887, 0x9c3d09700002c3bc]),
-    ("mgr-crash@148677/jacobi-p8", [6735005, 56, 0, 8, 69, 980, 0x8b8a2464377dd11b]),
+    ("mgr-crash@52446/jacobi-p8", [8825442, 56, 0, 8, 65, 891, 0x6a96e2e1d64b7b8c]),
+    ("mgr-crash@31287/jacobi-p8", [12382315, 62, 0, 8, 75, 887, 0xff2f474cce1c645f]),
+    ("mgr-crash@124236/jacobi-p8", [6685819, 56, 0, 8, 69, 980, 0x06b0e82c6145ca50]),
 ];
 
 #[test]
