@@ -217,8 +217,10 @@ fn lock_chains_hand_the_lock_over_thread_to_thread() {
 /// when synchronization stopped waiting for its flush to be acked. Jacobi's
 /// moved alone when a barrier stall's blocker became the last arrival of
 /// its own episode, all three when lock-wait segments began to name their
-/// link (`lock N baton` / `lock N fallback`), and micro's and jacobi's when
-/// a lock waiter's predecessor began to be hinted as it queues.
+/// link (`lock N baton` / `lock N fallback`), micro's and jacobi's when
+/// a lock waiter's predecessor began to be hinted as it queues, and all
+/// three when a refetch began to move the pages a thread used instead of
+/// its line.
 /// A baton link costs one hop: on `critpath --kernel micro --threads 256`'s
 /// run, at least 80 % of the path's baton links end no later than the
 /// baton's own transfer time (the fabric's latency, overhead and
@@ -276,9 +278,9 @@ fn baton_links_on_the_micro_path_cost_one_hop() {
 fn critical_path_is_the_same_path_segment_for_segment() {
     let costs = SamhitaConfig::default().service_costs();
     for (kernel, p, want) in [
-        ("micro", 4u32, 0x3bfc_e314_2c4c_9ea4u64),
-        ("jacobi", 8, 0x81b4_787e_078f_cf95),
-        ("md", 8, 0xbb05_809a_e5f8_5bd8),
+        ("micro", 4u32, 0x96af_9b6d_afe2_a518u64),
+        ("jacobi", 8, 0x70d2_41a4_2f2b_926f),
+        ("md", 8, 0x680e_d791_5980_2409),
     ] {
         let (report, trace) = run_kernel(kernel, p, 0);
         let json = critical_path(&trace, &thread_windows(&report), &costs).to_json(usize::MAX);

@@ -245,9 +245,10 @@ fn chaos_standby_run() -> (SamhitaConfig, RunReport, RunTrace) {
 /// writer and its batch). The first run's causal form moved once more when
 /// a barrier stall's blocker became the last arrival of its own episode,
 /// and the first two runs' when a lock waiter's predecessor began to be
-/// hinted as it queues, and again when batons began to relay what a
-/// waiter's earlier advance lacks. Every later writer must reproduce the
-/// values below.
+/// hinted as it queues, again when batons began to relay what a waiter's
+/// earlier advance lacks, and again when a refetch began to move the pages
+/// a thread used instead of its line. Every later writer must reproduce
+/// the values below.
 #[test]
 fn export_bytes_are_pinned_across_commits() {
     let cfg = SamhitaConfig { max_threads: 8, ..traced_cfg() };
@@ -256,7 +257,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0xbf67_b52c_da1a_4b3b, 0x3ad1_6bb7_902f_95d0, 0xa58a_7933_3085_53ac],
+        [0xcb3e_7847_6f63_e73a, 0x09e7_cf66_bb8a_8349, 0x0dcf_f298_e66f_2e55],
         "jacobi P=8"
     );
 
@@ -266,7 +267,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0x0da4_109d_c271_8956, 0xcf56_7273_0940_fbd8, 0x1514_d955_b51e_ed95],
+        [0x879b_5e7f_72ce_ed66, 0x44fe_9708_be22_8b43, 0xe35c_b649_62c1_50ac],
         "micro P=4 global"
     );
 
