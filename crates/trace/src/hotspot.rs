@@ -25,7 +25,8 @@ use crate::tracer::RunTrace;
 pub struct PageCounters {
     /// Demand fetches that brought this page in (cold/capacity misses).
     pub misses: u64,
-    /// Single-page refetches after invalidation — the false-sharing signal.
+    /// Refetches after invalidation whose run held this page — the
+    /// false-sharing signal.
     pub refetches: u64,
     /// Invalidations received for this page.
     pub invalidations: u64,
@@ -80,10 +81,13 @@ impl HotspotMap {
         }
     }
 
-    /// Record a post-invalidation refetch of one page.
+    /// Record a post-invalidation refetch of `pages` consecutive pages
+    /// starting at `page`.
     #[inline]
-    pub fn record_refetch(&mut self, page: u64) {
-        self.entry(page).refetches += 1;
+    pub fn record_refetch(&mut self, page: u64, pages: u64) {
+        for p in page..page + pages {
+            self.entry(p).refetches += 1;
+        }
     }
 
     /// Record an invalidation of one page.
@@ -171,7 +175,7 @@ impl HotspotMap {
                 match e.kind {
                     EventKind::Fetch { page, pages, kind, .. } => match kind {
                         FetchKind::Demand => map.record_miss(page, pages as u64),
-                        FetchKind::Refetch => map.record_refetch(page),
+                        FetchKind::Refetch => map.record_refetch(page, pages as u64),
                         FetchKind::PrefetchHit | FetchKind::PrefetchLate => {}
                     },
                     EventKind::Invalidate { page, .. } => map.record_invalidate(page),
@@ -196,8 +200,8 @@ mod tests {
     fn records_and_ranks() {
         let mut m = HotspotMap::new();
         m.record_miss(4, 2); // pages 4 and 5
-        m.record_refetch(7);
-        m.record_refetch(7);
+        m.record_refetch(7, 1);
+        m.record_refetch(7, 1);
         m.record_invalidate(7);
         m.record_twin(5);
         m.record_diff(7, 128);
@@ -218,10 +222,10 @@ mod tests {
     #[test]
     fn merge_is_additive() {
         let mut a = HotspotMap::new();
-        a.record_refetch(3);
+        a.record_refetch(3, 1);
         a.record_diff(3, 100);
         let mut b = HotspotMap::new();
-        b.record_refetch(3);
+        b.record_refetch(3, 1);
         b.record_miss(8, 1);
         let mut merged = a.clone();
         merged.merge(&b);
@@ -233,9 +237,9 @@ mod tests {
     #[test]
     fn ranking_is_deterministic_on_ties() {
         let mut m = HotspotMap::new();
-        m.record_refetch(9);
-        m.record_refetch(2);
-        m.record_refetch(5);
+        m.record_refetch(9, 1);
+        m.record_refetch(2, 1);
+        m.record_refetch(5, 1);
         let top = m.top_by(3, |c| c.refetches);
         let pages: Vec<u64> = top.iter().map(|&(p, _)| p).collect();
         assert_eq!(pages, vec![2, 5, 9]);
@@ -261,7 +265,7 @@ mod tests {
                         at: ns(20),
                         kind: EventKind::Fetch {
                             page: 4,
-                            pages: 1,
+                            pages: 2,
                             kind: FetchKind::Refetch,
                             wait_ns: 100,
                         },
@@ -285,7 +289,7 @@ mod tests {
         ]);
         let mut expect = HotspotMap::new();
         expect.record_miss(4, 2);
-        expect.record_refetch(4);
+        expect.record_refetch(4, 2);
         expect.record_twin(4);
         expect.record_diff(4, 64);
         expect.record_invalidate(5);
