@@ -20,15 +20,13 @@ pub enum MemRequest {
     /// Fetch `pages` consecutive pages starting at `first`: a cache line,
     /// or the run of a line's pages a revalidation needs.
     FetchLine { first: PageId, pages: u32 },
-    /// Apply an ordinary-region diff (sync-time flush or eviction).
-    ApplyDiff { page: PageId, diff: Diff },
     /// Apply a fine-grain consistency-region update.
     ApplyFine { page: PageId, offset: u32, bytes: Vec<u8> },
     /// Overwrite a whole page (whole-page consistency ablation).
     WritePage { page: PageId, bytes: Vec<u8> },
-    /// Apply a whole sync-time flush bound for this server as one message:
-    /// all parts are applied atomically (in order, under one request token)
-    /// and acknowledged with a single [`MemResponse::BatchAck`].
+    /// Apply a whole flush (sync-time or eviction) bound for this server as
+    /// one message: all parts are applied atomically, in order, under one
+    /// request token.
     UpdateBatch { batch: UpdateBatch },
 }
 
@@ -37,7 +35,6 @@ impl MemRequest {
     pub fn label(&self) -> &'static str {
         match self {
             MemRequest::FetchLine { .. } => "fetch-line",
-            MemRequest::ApplyDiff { .. } => "apply-diff",
             MemRequest::ApplyFine { .. } => "apply-fine",
             MemRequest::WritePage { .. } => "write-page",
             MemRequest::UpdateBatch { .. } => "update-batch",
@@ -48,7 +45,6 @@ impl MemRequest {
     pub fn wire_bytes(&self) -> usize {
         match self {
             MemRequest::FetchLine { .. } => 16,
-            MemRequest::ApplyDiff { diff, .. } => 16 + diff.wire_bytes(),
             MemRequest::ApplyFine { bytes, .. } => 24 + bytes.len(),
             MemRequest::WritePage { bytes, .. } => 16 + bytes.len(),
             MemRequest::UpdateBatch { batch } => batch.wire_bytes(),
@@ -194,11 +190,6 @@ impl MemoryServer {
                 let service = self.model.service_ns(pages.len() * self.store.page_size());
                 (MemResponse::Line { first, pages }, service)
             }
-            MemRequest::ApplyDiff { page, diff } => {
-                let service = self.model.apply_ns(diff.payload_bytes());
-                let version = self.apply_diff_part(page, &diff);
-                (MemResponse::Ack { page, version }, service)
-            }
             MemRequest::ApplyFine { page, offset, bytes } => {
                 let service = self.model.apply_ns(bytes.len());
                 let version = self.apply_fine_part(page, offset, &bytes);
@@ -235,10 +226,10 @@ impl MemoryServer {
         (resp, done)
     }
 
-    fn apply_diff_part(&mut self, page: PageId, diff: &Diff) -> u64 {
+    fn apply_diff_part(&mut self, page: PageId, diff: &Diff) {
         self.stats.diffs_applied += 1;
         self.stats.diff_payload_bytes += diff.payload_bytes() as u64;
-        self.store.apply_diff(page, diff)
+        self.store.apply_diff(page, diff);
     }
 
     fn apply_fine_part(&mut self, page: PageId, offset: u32, bytes: &[u8]) -> u64 {
@@ -331,6 +322,13 @@ mod tests {
         assert_eq!(dones[2], service + service + service);
     }
 
+    /// A request carrying one update part.
+    fn one_part(part: UpdatePart) -> MemRequest {
+        let mut batch = UpdateBatch::new();
+        batch.push(part);
+        MemRequest::UpdateBatch { batch }
+    }
+
     #[test]
     fn multiple_writer_merge_through_server() {
         let mut s = server();
@@ -340,11 +338,11 @@ mod tests {
         let mut b = base.clone();
         b[200] = 2;
         s.handle(
-            MemRequest::ApplyDiff { page: PageId(0), diff: Diff::compute(&base, &a) },
+            one_part(UpdatePart::Diff { page: 0, diff: Diff::compute(&base, &a) }),
             SimTime::ZERO,
         );
         s.handle(
-            MemRequest::ApplyDiff { page: PageId(0), diff: Diff::compute(&base, &b) },
+            one_part(UpdatePart::Diff { page: 0, diff: Diff::compute(&base, &b) }),
             SimTime::ZERO,
         );
         let frame = fetch_page(&mut s, 0, SimTime::ZERO);
@@ -513,9 +511,9 @@ mod proptests {
 
     proptest! {
         /// Applying a batch is byte-equivalent to applying the same parts
-        /// one message at a time, in the same order — same final page
-        /// contents, same counters — and never costs more busy time (the
-        /// batch pays one request base instead of one per part).
+        /// one single-part batch at a time, in the same order — same final
+        /// page contents, same counters — and never costs more busy time
+        /// (the batch pays one request base instead of one per part).
         #[test]
         fn batch_apply_equals_sequential_apply(
             parts in proptest::collection::vec(batch_part_strategy(), 1..24)
@@ -525,13 +523,9 @@ mod proptests {
             let mut batch = UpdateBatch::new();
             for part in &parts {
                 batch.push(part.clone());
-                let req = match part.clone() {
-                    samhita_regc::UpdatePart::Diff { page, diff } =>
-                        MemRequest::ApplyDiff { page: PageId(page), diff },
-                    samhita_regc::UpdatePart::Fine { page, offset, bytes } =>
-                        MemRequest::ApplyFine { page: PageId(page), offset, bytes },
-                };
-                sequential.handle(req, SimTime::ZERO);
+                let mut one = UpdateBatch::new();
+                one.push(part.clone());
+                sequential.handle(MemRequest::UpdateBatch { batch: one }, SimTime::ZERO);
             }
             let (resp, done) = batched.handle(MemRequest::UpdateBatch { batch }, SimTime::ZERO);
             match resp {
@@ -588,10 +582,12 @@ mod proptests {
                         let mut cur = base.clone();
                         cur[*word as usize * 8..*word as usize * 8 + 8]
                             .copy_from_slice(&value.to_le_bytes());
-                        MemRequest::ApplyDiff {
-                            page: PageId(*page),
+                        let mut batch = UpdateBatch::new();
+                        batch.push(samhita_regc::UpdatePart::Diff {
+                            page: *page,
                             diff: samhita_regc::Diff::compute(base, &cur),
-                        }
+                        });
+                        MemRequest::UpdateBatch { batch }
                     }
                 };
                 // Mirror the mutation into the reference.

@@ -2,10 +2,10 @@
 //!
 //! RegC's latency argument is that consistency operations piggyback on
 //! synchronization operations — so a release or barrier with N dirty pages
-//! must not pay N per-message fabric latencies plus N acknowledgements. An
-//! [`UpdateBatch`] coalesces every per-page diff and fine-grain update bound
-//! for the *same* memory server into a single message with a single ack:
-//! message count per sync operation drops from O(dirty pages) to O(servers).
+//! must not pay N per-message fabric latencies. An [`UpdateBatch`]
+//! coalesces every per-page diff and fine-grain update bound for the *same*
+//! memory server into a single one-way message: message count per sync
+//! operation drops from O(dirty pages) to O(servers).
 //!
 //! Wire accounting is conservative by construction:
 //! [`UpdateBatch::wire_bytes`] is one batch header plus the sum of the
@@ -15,9 +15,8 @@
 //! therefore holds part by part, which is what keeps the trace invariant
 //! checker exact under batching.
 //!
-//! A batch is built once and then only read — by the fabric envelope, by the
-//! sender's retransmit ledger, by a write-through replica copy, by the
-//! server — so its parts sit behind an `Arc`: cloning a batch is a
+//! A batch is built once and then only read — by the fabric envelope, by a
+//! write-through replica copy, by the server — so its parts sit behind an `Arc`: cloning a batch is a
 //! reference count, whatever its diffs weigh.
 
 use std::sync::Arc;
@@ -61,9 +60,9 @@ impl UpdatePart {
         }
     }
 
-    /// Wire size of this part: identical to what the same update costs as a
-    /// standalone `ApplyDiff` / `ApplyFine` message, so batching never hides
-    /// bytes from the cost model.
+    /// Wire size of this part: a diff's 16-byte page header plus the diff,
+    /// or what the same update costs as a standalone `ApplyFine` message, so
+    /// batching never hides bytes from the cost model.
     pub fn wire_bytes(&self) -> usize {
         match self {
             UpdatePart::Diff { diff, .. } => 16 + diff.wire_bytes(),
@@ -72,11 +71,11 @@ impl UpdatePart {
     }
 }
 
-/// All updates one flush sends to one memory server, as a single message
-/// acknowledged as a single unit.
+/// All updates one flush sends to one memory server, as a single one-way
+/// message.
 ///
 /// A batch is also the unit of idempotency: it travels under one request
-/// token, so the server's replay cache re-acks a retransmitted batch without
+/// token, so the server's replay cache absorbs a duplicated batch without
 /// re-applying *any* of its parts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpdateBatch {
@@ -171,8 +170,8 @@ mod tests {
 
     #[test]
     fn part_wire_matches_standalone_message_costs() {
-        // A diff part costs what a standalone ApplyDiff message costs
-        // (16 + diff wire), a fine part what ApplyFine costs (24 + payload).
+        // A diff part costs a 16-byte page header plus the diff's wire, a
+        // fine part what a standalone ApplyFine costs (24 + payload).
         let d = Diff::from_run(0, vec![0xAB; 24]);
         let dp = UpdatePart::Diff { page: 1, diff: d.clone() };
         assert_eq!(dp.wire_bytes(), 16 + d.wire_bytes());
