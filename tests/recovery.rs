@@ -429,34 +429,35 @@ fn a_relaying_baton_outlives_a_primary_that_never_folded_it() {
 /// Recorded at the parent of PR 23; re-recorded when lock grants began to
 /// travel from holder to holder, when synchronization stopped waiting for
 /// its flush to be acked, when a lock waiter's predecessor began to be
-/// hinted as it queues, when batons began to relay, and when a refetch
-/// began to move the pages a thread used instead of its line (the three
-/// crash instants above re-targeted to the same events). Every row's grid
-/// is the serial reference's.
+/// hinted as it queues, when batons began to relay, when a refetch began
+/// to move the pages a thread used instead of its line (the three crash
+/// instants above re-targeted to the same events), and when updates became
+/// one-way (the fault-free rows keep their makespans; the acks leave the
+/// message counts). Every row's grid is the serial reference's.
 const PINNED: &[timeline::Row] = &[
-    ("standby/jacobi-p8", [282231, 0, 0, 0, 0, 1135, 0x4b32152e3abc9b99]),
-    ("standby/jacobi-p64", [1153650, 0, 0, 0, 0, 5291, 0x41cd68d8190af1ca]),
-    ("mgr-crash@5000/jacobi-p8", [2428087, 42, 0, 8, 72, 851, 0x559b9c65e368c515]),
-    ("mgr-crash@5000/jacobi-p64", [3016454, 42, 0, 64, 576, 4389, 0x4f3186525fb5bad8]),
-    ("mgr-crash@20000/jacobi-p8", [12403578, 61, 0, 8, 65, 868, 0x8e553c682c97cf0c]),
-    ("mgr-crash@20000/jacobi-p64", [3212815, 392, 0, 64, 528, 4391, 0x7022b8354853e754]),
-    ("mgr-crash@60000/jacobi-p8", [6703233, 56, 0, 8, 65, 899, 0xfa7386111d122694]),
-    ("mgr-crash@60000/jacobi-p64", [4789496, 448, 0, 64, 512, 4397, 0x7c583e66e582393d]),
-    ("mgr-crash@120000/jacobi-p8", [8798260, 56, 0, 8, 67, 972, 0x0b90fbb745b95665]),
-    ("mgr-crash@120000/jacobi-p64", [4955933, 448, 0, 64, 513, 4431, 0xd21878f9a2ee6997]),
-    ("mgr-crash@250000/jacobi-p8", [2381634, 56, 0, 8, 72, 1126, 0xd0e3536449c5a3c4]),
-    ("mgr-crash@250000/jacobi-p64", [5343395, 448, 0, 64, 512, 4509, 0xae0a32542171081a]),
-    ("mgr-crash@400000/jacobi-p8", [282231, 0, 0, 0, 0, 1135, 0x4b32152e3abc9b99]),
-    ("mgr-crash@400000/jacobi-p64", [12997959, 500, 0, 64, 512, 4784, 0xb8182901755a8bbd]),
-    ("lossy-0xD1+mgr-crash/jacobi-p8", [5099446, 83, 0, 8, 123, 903, 0x594efab9044fb0c6]),
-    ("lossy-0xD2+mgr-crash/jacobi-p8", [4986450, 76, 0, 8, 116, 887, 0xb003e4e44004ff6e]),
+    ("standby/jacobi-p8", [282231, 0, 0, 0, 0, 1001, 0x123fdefda74f9a17]),
+    ("standby/jacobi-p64", [1153650, 0, 0, 0, 0, 4769, 0xdc7a01d22a81a126]),
+    ("mgr-crash@5000/jacobi-p8", [2428087, 42, 0, 8, 72, 717, 0xc3705dfbeff08446]),
+    ("mgr-crash@5000/jacobi-p64", [3016454, 42, 0, 64, 576, 3867, 0xb3d8252c2c5ecaf3]),
+    ("mgr-crash@20000/jacobi-p8", [12403578, 61, 0, 8, 65, 734, 0xc2206e9f29669111]),
+    ("mgr-crash@20000/jacobi-p64", [3212815, 392, 0, 64, 528, 3869, 0x9bde12626c332d8d]),
+    ("mgr-crash@60000/jacobi-p8", [6703233, 56, 0, 8, 65, 765, 0xbf7c2b8654ede51e]),
+    ("mgr-crash@60000/jacobi-p64", [4789496, 448, 0, 64, 512, 3875, 0x897131d22fc7d3e6]),
+    ("mgr-crash@120000/jacobi-p8", [8798260, 56, 0, 8, 67, 838, 0x7a9236e542d4ffe3]),
+    ("mgr-crash@120000/jacobi-p64", [4955933, 448, 0, 64, 513, 3909, 0x49df095d8da92482]),
+    ("mgr-crash@250000/jacobi-p8", [2381634, 56, 0, 8, 72, 992, 0xbad5c94f508d3353]),
+    ("mgr-crash@250000/jacobi-p64", [5343395, 448, 0, 64, 512, 3987, 0x41971d197de20beb]),
+    ("mgr-crash@400000/jacobi-p8", [282231, 0, 0, 0, 0, 1001, 0x123fdefda74f9a17]),
+    ("mgr-crash@400000/jacobi-p64", [12997959, 500, 0, 64, 512, 4262, 0xffdfa7b073437f43]),
+    ("lossy-0xD1+mgr-crash/jacobi-p8", [5066493, 79, 0, 8, 118, 763, 0x95a07ae595c4de00]),
+    ("lossy-0xD2+mgr-crash/jacobi-p8", [4947699, 75, 0, 8, 112, 751, 0x8220224ea12970e8]),
     (
         "lossy-0xD3+mgr-crash+server-crash/jacobi-p8",
-        [20108266, 137, 8, 8, 185, 849, 0xca9b630ac1eebea4],
+        [20183046, 132, 8, 8, 177, 762, 0xadde5f1be37d655e],
     ),
-    ("mgr-crash@52446/jacobi-p8", [8825442, 56, 0, 8, 65, 891, 0x6a96e2e1d64b7b8c]),
-    ("mgr-crash@31287/jacobi-p8", [12382315, 62, 0, 8, 75, 887, 0xff2f474cce1c645f]),
-    ("mgr-crash@124236/jacobi-p8", [6685819, 56, 0, 8, 69, 980, 0x06b0e82c6145ca50]),
+    ("mgr-crash@52446/jacobi-p8", [8825442, 56, 0, 8, 65, 757, 0xb874d9306b79eaa2]),
+    ("mgr-crash@31287/jacobi-p8", [12382315, 62, 0, 8, 75, 753, 0xbf750eeefeb371ba]),
+    ("mgr-crash@124236/jacobi-p8", [6685819, 56, 0, 8, 69, 846, 0xd8578162212194f1]),
 ];
 
 #[test]
