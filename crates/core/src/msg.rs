@@ -4,7 +4,7 @@
 //! All messages share one enum so a single SCL fabric carries them. Tokens
 //! correlate requests with responses: each compute thread issues tokens from
 //! a private counter, so responses can arrive out of order (prefetches,
-//! eviction acks) and still be matched.
+//! hints) and still be matched.
 
 use std::fmt;
 
@@ -19,8 +19,8 @@ use crate::layout::Region;
 #[allow(missing_docs)] // payloads are described on each variant
 pub enum Msg {
     /// Compute thread → memory server. `shadow` marks write-through replica
-    /// copies: the server applies and acknowledges them like any update but
-    /// keeps them out of the event trace, so replication does not perturb
+    /// copies: the server applies them like any update but keeps them out
+    /// of the event trace, so replication does not perturb
     /// the observable protocol timeline.
     MemReq { token: u64, shadow: bool, stamp: Stamp, req: MemRequest },
     /// Memory server → compute thread.

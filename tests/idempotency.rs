@@ -2,7 +2,7 @@
 //!
 //! Three layers of idempotency machinery protect the DSM against
 //! retransmissions: the memory servers' bounded dedup cache (a replayed
-//! update batch re-acks without re-applying any part), the primary
+//! update batch is absorbed without re-applying any part), the primary
 //! manager's replay cache (a retried acquire can never double-acquire),
 //! and the standby's replay cache reconstructed from the shipped log (a
 //! request the primary already served is re-answered, never re-applied,
