@@ -217,8 +217,10 @@ impl Relay {
 pub enum MgrResponse {
     /// Registration accepted; carries the current notice watermark, which
     /// becomes the registrant's `last_seen` floor (notices older than this
-    /// may be garbage-collected at any time).
-    Registered { watermark: u64 },
+    /// may be garbage-collected at any time), and the marks of every
+    /// interval the run published before it: the registrant is never sent
+    /// those notices, so its requests must follow their batches.
+    Registered { watermark: u64, marks: Marks },
     /// Allocation result.
     Addr(u64),
     /// Generic acknowledgement (free, signal, exit, release).
@@ -388,7 +390,8 @@ impl MgrResponse {
     /// set's own encoding, whose 16-byte header has room for the watermark.
     pub fn wire_bytes(&self) -> usize {
         match self {
-            MgrResponse::Registered { .. } | MgrResponse::Ok | MgrResponse::SyncId(_) => 16,
+            MgrResponse::Registered { marks, .. } => 16 + marks.wire_bytes(),
+            MgrResponse::Ok | MgrResponse::SyncId(_) => 16,
             MgrResponse::Addr(_) => 16,
             MgrResponse::BarrierReleased { notices, watermark: _ }
             | MgrResponse::Advance { notices, watermark: _ } => notices.wire_bytes(),
