@@ -431,16 +431,19 @@ fn a_relaying_baton_outlives_a_primary_that_never_folded_it() {
 /// its flush to be acked, when a lock waiter's predecessor began to be
 /// hinted as it queues, when batons began to relay, when a refetch began
 /// to move the pages a thread used instead of its line (the three crash
-/// instants above re-targeted to the same events), and when updates became
+/// instants above re-targeted to the same events), when updates became
 /// one-way (the fault-free rows keep their makespans; the acks leave the
-/// message counts). Every row's grid is the serial reference's.
+/// message counts), and when a thread that registers after others
+/// published began to follow their update batches (two P = 64 rows: the
+/// registration reply carries the marks, the first request to a home its
+/// stamp). Every row's grid is the serial reference's.
 const PINNED: &[timeline::Row] = &[
     ("standby/jacobi-p8", [282231, 0, 0, 0, 0, 1001, 0x123fdefda74f9a17]),
     ("standby/jacobi-p64", [1153650, 0, 0, 0, 0, 4769, 0xdc7a01d22a81a126]),
     ("mgr-crash@5000/jacobi-p8", [2428087, 42, 0, 8, 72, 717, 0xc3705dfbeff08446]),
-    ("mgr-crash@5000/jacobi-p64", [3016454, 42, 0, 64, 576, 3867, 0xb3d8252c2c5ecaf3]),
+    ("mgr-crash@5000/jacobi-p64", [3016491, 42, 0, 64, 576, 3867, 0x6562df95db3c2a68]),
     ("mgr-crash@20000/jacobi-p8", [12403578, 61, 0, 8, 65, 734, 0xc2206e9f29669111]),
-    ("mgr-crash@20000/jacobi-p64", [3212815, 392, 0, 64, 528, 3869, 0x9bde12626c332d8d]),
+    ("mgr-crash@20000/jacobi-p64", [3212815, 392, 0, 64, 528, 3869, 0xe8e17ecd592883be]),
     ("mgr-crash@60000/jacobi-p8", [6703233, 56, 0, 8, 65, 765, 0xbf7c2b8654ede51e]),
     ("mgr-crash@60000/jacobi-p64", [4789496, 448, 0, 64, 512, 3875, 0x897131d22fc7d3e6]),
     ("mgr-crash@120000/jacobi-p8", [8798260, 56, 0, 8, 67, 838, 0x7a9236e542d4ffe3]),
