@@ -30,7 +30,8 @@ pub struct ThreadStats {
     /// Refetches after invalidation, each of a run of a line's pages
     /// (false-sharing traffic).
     pub page_refetches: u64,
-    /// Misses satisfied by a completed prefetch.
+    /// Misses satisfied by a completed prefetch: one taken in already, or
+    /// one whose response was delivered before the miss.
     pub prefetch_hits: u64,
     /// Misses that had to wait for an in-flight prefetch.
     pub prefetch_late: u64,
