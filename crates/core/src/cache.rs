@@ -40,6 +40,12 @@
 //!   The first ordinary-region store keeps the fetched frame as the twin and
 //!   lands on a copy: the one page copy twinning has always cost. An
 //!   `Invalid` page holds no frame, so the home may update its own in place.
+//! * **A page stored over whole is claimed, not fetched.** An
+//!   ordinary-region store is owed its page only at the next
+//!   synchronization, and a store that covers all of it needs none of the
+//!   home's bytes: [`SoftCache::claim_page`] gives the page a frame of its
+//!   own without a fetch (installing its line, every other page `Invalid`,
+//!   if it was absent) and no twin — it ships whole.
 
 use std::collections::BTreeSet;
 
@@ -57,7 +63,9 @@ struct PageSlot {
     /// exactly while the page is `Invalid`.
     frame: Option<PageFrame>,
     /// The pristine page: the frame held at the first ordinary-region
-    /// write. Present exactly while the page is `Dirty`.
+    /// write. Present exactly while the page is `Dirty`, but for a claimed
+    /// page ([`SoftCache::claim_page`]): it has nothing pristine to keep and
+    /// ships whole.
     twin: Option<PageFrame>,
     /// The thread has touched the page since its line was installed.
     used: bool,
@@ -219,16 +227,17 @@ impl SoftCache {
         assert_eq!(pages.len(), self.line_pages, "line page count mismatch");
         let sized = pages.iter().all(|p| p.bytes().len() == self.page_size);
         assert!(sized, "line payload size mismatch");
+        let slots = pages.into_iter().map(|frame| PageSlot {
+            state: PageState::Clean,
+            frame: Some(frame),
+            twin: None,
+            used: false,
+        });
+        self.push_line(line, slots.collect());
+    }
+
+    fn push_line(&mut self, line: u64, slots: Vec<PageSlot>) {
         self.tick += 1;
-        let slots = pages
-            .into_iter()
-            .map(|frame| PageSlot {
-                state: PageState::Clean,
-                frame: Some(frame),
-                twin: None,
-                used: false,
-            })
-            .collect();
         self.index.insert(line, self.lines.len());
         self.lines.push(CacheLine {
             first_page: line * self.line_pages as u64,
@@ -236,6 +245,30 @@ impl SoftCache {
             dirty: 0,
             slots,
         });
+    }
+
+    /// Claim `page` for a store that overwrites all of it, fetching
+    /// nothing: its line is installed if absent, every other page `Invalid`
+    /// — the next access to one fetches it — and the page gets a frame of
+    /// its own and turns `Dirty` without a twin, so its flush or eviction
+    /// ships it whole. The caller's store must cover the page.
+    ///
+    /// # Panics
+    /// Panics if the page is valid, or its line is absent and the cache is
+    /// full (evict first).
+    pub fn claim_page(&mut self, page: u64) -> PageRef {
+        let line = self.line_of(page);
+        if !self.contains_line(line) {
+            assert!(!self.is_full(), "claim into a full cache: evict first");
+            let invalid =
+                || PageSlot { state: PageState::Invalid, frame: None, twin: None, used: false };
+            self.push_line(line, (0..self.line_pages).map(|_| invalid()).collect());
+        }
+        let (at, state) = self.resolve(page).expect("the line is resident");
+        assert_eq!(state, PageState::Invalid, "claim of valid page {page}");
+        self.lines[at.line].slots[at.idx].frame = Some(PageFrame::new(&vec![0; self.page_size], 0));
+        self.set_state(at, PageState::Dirty);
+        at
     }
 
     /// The bytes of a resolved, valid page.
@@ -275,8 +308,9 @@ impl SoftCache {
         }
         let dst = &mut frame.bytes_mut()[offset..offset + len];
         fill(dst);
-        if effect.write_through_twin {
-            let twin = slot.twin.as_mut().expect("write-through without twin");
+        // A claimed page has no twin to keep the bytes out of its diff: it
+        // ships whole, and they go with it.
+        if let Some(twin) = slot.twin.as_mut().filter(|_| effect.write_through_twin) {
             twin.bytes_mut()[offset..offset + len].copy_from_slice(dst);
         }
         self.set_state(at, effect.next);
@@ -288,22 +322,27 @@ impl SoftCache {
         self.dirty.iter().copied().collect()
     }
 
-    /// Diff a dirty page against its twin and let the twin go.
-    fn diff_against_twin(&mut self, at: PageRef) -> Diff {
+    /// Diff a dirty page against its twin and let the twin go; a claimed
+    /// page, which has none, is one run of all its bytes.
+    fn take_diff(&mut self, at: PageRef) -> Diff {
         let slot = &mut self.lines[at.line].slots[at.idx];
-        let twin = slot.twin.take().expect("dirty page without twin");
-        Diff::compute(twin.bytes(), slot.frame.as_ref().expect("valid page without bytes").bytes())
+        let bytes = slot.frame.as_ref().expect("valid page without bytes").bytes();
+        match slot.twin.take() {
+            Some(twin) => Diff::compute(twin.bytes(), bytes),
+            None => Diff::from_run(0, bytes.to_vec()),
+        }
     }
 
-    /// Flush one page at a synchronization operation: diff against the twin,
-    /// drop the twin, mark the page clean. Returns `None` for clean/invalid
-    /// pages and `Some(diff)` (possibly empty) for dirty ones.
+    /// Flush one page at a synchronization operation: diff against the twin
+    /// (a claimed page ships whole), drop the twin, mark the page clean.
+    /// Returns `None` for clean/invalid pages and `Some(diff)` (possibly
+    /// empty) for dirty ones.
     pub fn flush_page(&mut self, page: u64) -> Option<Diff> {
         let (at, state) = self.resolve(page)?;
         if state != PageState::Dirty {
             return None;
         }
-        let diff = self.diff_against_twin(at);
+        let diff = self.take_diff(at);
         self.set_state(at, protocol::after_flush(PageState::Dirty));
         Some(diff)
     }
@@ -408,7 +447,7 @@ impl SoftCache {
         for idx in 0..self.line_pages {
             let at = PageRef { line: pos, idx };
             if self.lines[pos].slots[idx].state == PageState::Dirty {
-                let diff = self.diff_against_twin(at);
+                let diff = self.take_diff(at);
                 // Through `set_state` so the page leaves the dirty set.
                 self.set_state(at, PageState::Clean);
                 if !diff.is_empty() {
@@ -787,6 +826,91 @@ mod tests {
         assert_eq!(c.refetch_run(at(&c, 7), 7), (7, 1));
     }
 
+    /// Claim `page` and store `fill` over all of it, as `ThreadCtx` does.
+    fn overwrite(c: &mut SoftCache, page: u64, fill: u8) {
+        let at = c.claim_page(page);
+        c.touch(at);
+        let out = c.write(at, 0, PS, RegionKind::Ordinary, |dst| dst.fill(fill));
+        assert!(!out.twin_created && !out.log_fine_grain);
+    }
+
+    #[test]
+    fn a_claim_installs_an_absent_line_with_its_other_pages_invalid() {
+        let mut c = SoftCache::new(PS, 4, 2, EvictionPolicy::DirtyFirst);
+        overwrite(&mut c, 6, 9);
+        assert!(c.contains_line(1));
+        let states: Vec<_> = (4..8).map(|p| c.page_state(p)).collect();
+        let (i, d) = (Some(PageState::Invalid), Some(PageState::Dirty));
+        assert_eq!(states, [i, i, d, i]);
+        assert_eq!(c.dirty_pages(), vec![6]);
+        assert!(slot(&c, 6).twin.is_none(), "nothing pristine to keep");
+        assert_eq!(page_bytes(&c, 6), &[9; PS]);
+        assert!((4..8).filter(|&p| p != 6).all(|p| slot(&c, p).frame.is_none()));
+        // A claimed line is written to: the paper's bias evicts it first.
+        install(&mut c, 0);
+        assert_eq!(c.evict().unwrap().0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "claim of valid page")]
+    fn a_valid_page_is_not_claimed() {
+        let mut c = cache(4);
+        install(&mut c, 0);
+        c.claim_page(1);
+    }
+
+    #[test]
+    fn a_claimed_page_ships_whole_at_flush_and_at_eviction() {
+        let mut c = cache(4);
+        install(&mut c, 0);
+        write(&mut c, 0, 8, &[4; 8], RegionKind::Ordinary);
+        c.invalidate_page(1);
+        // An invalid page beside a dirty one: claimed, not refetched. The
+        // store leaves zeros where the home may hold anything, so the diff
+        // is every byte, not what differs from zeros.
+        overwrite(&mut c, 1, 0);
+        write(&mut c, 1, 16, &[5; 8], RegionKind::Ordinary);
+        assert_eq!(c.dirty_pages(), vec![0, 1]);
+        let whole = c.flush_page(1).unwrap();
+        assert_eq!((whole.run_count(), whole.payload_bytes()), (1, PS));
+        let mut home = vec![7u8; PS];
+        whole.apply(&mut home);
+        assert_eq!(&home[..16], &[0; 16]);
+        assert_eq!(&home[16..24], &[5; 8]);
+        assert_eq!(c.flush_page(0).unwrap().payload_bytes(), 8, "the neighbour diffs as ever");
+        // A second interval's store to the claimed page twins it as usual.
+        write(&mut c, 1, 0, &[6; 8], RegionKind::Ordinary);
+        assert!(slot(&c, 1).twin.is_some());
+        assert_eq!(c.flush_page(1).unwrap().payload_bytes(), 8);
+        // Evicted while claimed: one whole run.
+        overwrite(&mut c, 4, 3);
+        let (line, diffs) = c.evict().unwrap();
+        assert_eq!((line, diffs.len(), diffs[0].0), (2, 1, 4));
+        assert_eq!((diffs[0].1.run_count(), diffs[0].1.payload_bytes()), (1, PS));
+    }
+
+    #[test]
+    fn after_a_claim_a_refetch_moves_only_the_invalid_pages_used() {
+        let mut c = SoftCache::new(PS, 4, 4, EvictionPolicy::DirtyFirst);
+        let at = |c: &SoftCache, page| c.resolve(page).unwrap().0;
+        overwrite(&mut c, 5, 1);
+        // Nothing else of the line was used: a fault fetches its own page.
+        assert_eq!(c.refetch_run(at(&c, 7), 7), (7, 1));
+        assert_eq!(c.refetch_run(at(&c, 4), 4), (4, 1));
+        c.refresh_run(7, vec![PageFrame::new(&[2; PS], 1)]);
+        let mut b = [0u8; 1];
+        read(&mut c, 7, 0, &mut b);
+        assert_eq!(b[0], 2);
+        // Page 7 used and invalidated again, after a flush: the run spans
+        // it and the faulting page, and the claimed page's bytes stay.
+        c.flush_page(5).unwrap();
+        c.invalidate_page(7);
+        assert_eq!(c.refetch_run(at(&c, 4), 4), (4, 4));
+        c.refresh_run(4, vec![PageFrame::new(&[3; PS], 2); 4]);
+        assert_eq!(page_bytes(&c, 5), &[3; PS], "a clean page takes the home's copy");
+        assert_eq!(page_bytes(&c, 6), &[3; PS]);
+    }
+
     #[test]
     #[should_panic(expected = "leaves its line")]
     fn a_refresh_run_stays_in_its_line() {
@@ -810,6 +934,7 @@ mod proptests {
     #[derive(Clone, Debug)]
     enum Op {
         Write { page: u64, offset: usize, bytes: Vec<u8> },
+        Overwrite { page: u64, fill: u8 },
         Flush,
         Evict,
         Read { page: u64, offset: usize, len: usize },
@@ -819,6 +944,7 @@ mod proptests {
         prop_oneof![
             (0..PAGES, 0usize..(PS - 16), proptest::collection::vec(any::<u8>(), 1..16))
                 .prop_map(|(page, offset, bytes)| Op::Write { page, offset, bytes }),
+            (0..PAGES, any::<u8>()).prop_map(|(page, fill)| Op::Overwrite { page, fill }),
             Just(Op::Flush),
             Just(Op::Evict),
             (0..PAGES, 0usize..(PS - 16), 1usize..16).prop_map(|(page, offset, len)| Op::Read {
@@ -841,21 +967,28 @@ mod proptests {
             let mut home = vec![vec![0u8; PS]; PAGES as usize];
             let mut reference = vec![0u8; PS * PAGES as usize];
 
+            let make_room = |cache: &mut SoftCache, home: &mut Vec<Vec<u8>>| {
+                while cache.is_full() {
+                    let (_, diffs) = cache.evict().expect("full cache");
+                    for (p, diff) in diffs {
+                        diff.apply(&mut home[p as usize]);
+                    }
+                }
+            };
             let ensure = |cache: &mut SoftCache, home: &mut Vec<Vec<u8>>, page: u64| {
                 let line = cache.line_of(page);
                 if !cache.contains_line(line) {
-                    while cache.is_full() {
-                        let (_, diffs) = cache.evict().expect("full cache");
-                        for (p, diff) in diffs {
-                            diff.apply(&mut home[p as usize]);
-                        }
-                    }
+                    make_room(cache, home);
                     let first = line as usize * LINE_PAGES;
                     let pages = home[first..first + LINE_PAGES]
                         .iter()
                         .map(|bytes| PageFrame::new(bytes, 0))
                         .collect();
                     cache.install_line(line, pages);
+                }
+                // A page its line's claim left invalid: fetch it alone.
+                if cache.page_state(page) == Some(PageState::Invalid) {
+                    cache.refresh_run(page, vec![PageFrame::new(&home[page as usize], 0)]);
                 }
             };
 
@@ -866,6 +999,19 @@ mod proptests {
                         write(&mut cache, page, offset, &bytes, RegionKind::Ordinary);
                         let base = page as usize * PS + offset;
                         reference[base..base + bytes.len()].copy_from_slice(&bytes);
+                    }
+                    Op::Overwrite { page, fill } => {
+                        if cache.page_state(page).is_some_and(|s| s != PageState::Invalid) {
+                            write(&mut cache, page, 0, &[fill; PS], RegionKind::Ordinary);
+                        } else {
+                            if !cache.contains_line(cache.line_of(page)) {
+                                make_room(&mut cache, &mut home);
+                            }
+                            let at = cache.claim_page(page);
+                            cache.touch(at);
+                            cache.write(at, 0, PS, RegionKind::Ordinary, |dst| dst.fill(fill));
+                        }
+                        reference[page as usize * PS..][..PS].fill(fill);
                     }
                     Op::Flush => {
                         for page in cache.dirty_pages() {
@@ -1270,6 +1416,11 @@ mod proptests {
         RefreshLine {
             line: u64,
         },
+        /// An ordinary-region store over a whole page: claimed unless the
+        /// page is valid.
+        Overwrite {
+            page: u64,
+        },
         Evict,
     }
 
@@ -1290,6 +1441,7 @@ mod proptests {
             (0..PAGES).prop_map(|page| Step::Invalidate { page }),
             (0..PAGES).prop_map(|page| Step::RefreshPage { page }),
             (0..PAGES / LINE_PAGES as u64).prop_map(|line| Step::RefreshLine { line }),
+            (0..PAGES).prop_map(|page| Step::Overwrite { page }),
             Just(Step::Evict),
         ]
     }
@@ -1374,12 +1526,13 @@ mod proptests {
                         Some(region) => {
                             let out = write(&mut cache, page, 3, &[7], region);
                             let slot = model.page(page).expect("resident");
-                            prop_assert_eq!(
-                                out.twin_created,
-                                region == RegionKind::Ordinary && !slot.1
-                            );
+                            // A dirty page keeps what it has: its twin, or
+                            // none when it was claimed.
+                            let twinned =
+                                region == RegionKind::Ordinary && slot.0 == PageState::Clean;
+                            prop_assert_eq!(out.twin_created, twinned);
                             if region == RegionKind::Ordinary {
-                                *slot = (PageState::Dirty, true);
+                                *slot = (PageState::Dirty, slot.1 || twinned);
                             }
                         }
                     }
@@ -1425,6 +1578,36 @@ mod proptests {
                             *slot = (PageState::Clean, false);
                         }
                     }
+                }
+                Step::Overwrite { page } => {
+                    let line = page / LINE_PAGES as u64;
+                    let idx = (page % LINE_PAGES as u64) as usize;
+                    let valid = cache.page_state(page).is_some_and(|s| s != PageState::Invalid);
+                    let at = if valid {
+                        cache.resolve(page).expect("resident").0
+                    } else {
+                        if !cache.contains_line(line) {
+                            while cache.is_full() {
+                                let (got, want) = evict(&mut cache, &mut model);
+                                prop_assert_eq!(got, want, "victim");
+                            }
+                            model.tick += 1;
+                            model.lines.push(ModelLine {
+                                id: line,
+                                last_use: model.tick,
+                                pages: vec![(PageState::Invalid, false); LINE_PAGES],
+                                used: vec![false; LINE_PAGES],
+                            });
+                        }
+                        cache.claim_page(page)
+                    };
+                    cache.touch(at);
+                    let out = cache.write(at, 0, PS, RegionKind::Ordinary, |dst| dst.fill(5));
+                    let slot = &mut model.line(line).expect("resident").pages[idx];
+                    let twinned = slot.0 == PageState::Clean;
+                    prop_assert_eq!(out.twin_created, twinned);
+                    *slot = (PageState::Dirty, slot.1 || twinned);
+                    model.touch(page);
                 }
                 Step::Evict => {
                     let (got, want) = evict(&mut cache, &mut model);
