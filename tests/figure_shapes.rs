@@ -154,6 +154,43 @@ fn fig11_samhita_sync_costs_more_than_pthreads_but_not_dramatically() {
     assert!(per_core_growth < 4.0 * core_growth);
 }
 
+/// One series of a committed paper-scale figure, `results/<id>.csv`, as
+/// `(x, y)` points in file order.
+fn committed_series(id: &str, series: &str) -> Vec<(f64, f64)> {
+    let path = format!("{}/results/{id}.csv", env!("CARGO_MANIFEST_DIR"));
+    let csv = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut rows = csv.lines().filter(|l| !l.starts_with('#'));
+    assert_eq!(rows.next(), Some("series,x,y"), "{path}: header");
+    let points: Vec<(f64, f64)> = rows
+        .filter_map(|row| {
+            let mut cols = row.split(',');
+            let (name, x, y) = (cols.next()?, cols.next()?, cols.next()?);
+            let num = |v: &str| v.parse::<f64>().unwrap_or_else(|e| panic!("{path}: {row}: {e}"));
+            (name == series).then(|| (num(x), num(y)))
+        })
+        .collect();
+    assert!(!points.is_empty(), "{path}: no series {series}");
+    points
+}
+
+/// Fig 12 at paper scale (1022×1022 grid, `results/fig12.csv`): "good
+/// speedup up to 16 processors. And within a node Samhita tracks the
+/// Pthread implementation very well." Tracking is read as: every Samhita
+/// point up to 8 cores is within 20 % of Pthreads' speed-up at the same
+/// core count, and the speed-up grows with every doubling of cores.
+#[test]
+fn fig12_committed_samhita_speedup_grows_and_tracks_pthreads_within_a_node() {
+    let smh = committed_series("fig12", "samhita");
+    let pth = committed_series("fig12", "pthreads");
+    for pair in smh.windows(2) {
+        assert!(pair[1].1 > pair[0].1, "Samhita speed-up must grow with cores: {pair:?}");
+    }
+    for &(p, y) in pth.iter().filter(|&&(p, _)| p <= 8.0) {
+        let (_, s) = *smh.iter().find(|&&(x, _)| x == p).expect("a Samhita point at each P");
+        assert!(s >= 0.8 * y, "P = {p}: Samhita {s} is not within 20 % of Pthreads {y}");
+    }
+}
+
 #[test]
 fn fig13_md_scales_well_on_samhita() {
     let fig = figures::fig13(&quick());
