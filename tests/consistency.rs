@@ -588,6 +588,162 @@ fn a_thread_that_registers_late_reads_what_was_flushed_before() {
 }
 
 // ---------------------------------------------------------------------
+// Pages refetched before they are read. Under RegC a page invalidated at a
+// release is owed to its reader only at the next read, so fetching it
+// earlier is allowed — as long as what arrives is at least as recent as
+// what the reader holds by the time it reads: newer than the writes the
+// release named, older than none of the reader's own stores, and dropped
+// if another notice or an eviction overtakes it.
+// ---------------------------------------------------------------------
+
+/// Four-page lines. Of each line the reader uses pages `A`, `N` and `B`;
+/// only the writers store to `A` and `B`, only the reader to `N`, which
+/// lies between them.
+const EAGER_A: u64 = 0;
+const EAGER_N: u64 = 1;
+const EAGER_B: u64 = 2;
+const EAGER_LINE_PAGES: u64 = 4;
+const EAGER_WRITERS: u64 = 3;
+const EAGER_ROUNDS: u64 = 3;
+/// Lines per round: the first is read after one release, the second only
+/// after a second release has invalidated its pages again.
+const EAGER_LINES_PER_ROUND: u64 = 2;
+
+/// The word `writer` (0 = the reader) leaves at its own offset of `page`
+/// of line `line` in `phase` of `round`.
+fn eager_word(round: u64, phase: u64, writer: u64, line: u64, page: u64) -> u64 {
+    ((round * 2 + phase + 1) << 32) | (writer << 24) | (line << 8) | (page + 1)
+}
+
+/// The reader is thread 0, the writers 1..=3, each line's words at
+/// `8 · writer` of each page. Per round, on two lines of its own:
+///
+/// 1. the reader reads `A`, `N` and `B` of both lines, installing them;
+/// 2. the writers store to `A` and `B` of both, and a barrier invalidates
+///    them in the reader's cache;
+/// 3. the reader stores to `N` of both — a clean page between two it has
+///    used that are now invalid — and flushes it at a lock. With `filler`
+///    lines it then reads as many lines of its own, evicting. It reads the
+///    first line back: the writers' `A` and `B`, its own `N`;
+/// 4. the writers store to `A` and `B` of the second line again, and after
+///    a barrier that invalidates them once more the reader reads the
+///    second line: the writers' latest, and its own `N`.
+fn run_eager_refetch(cfg: SamhitaConfig, filler: u64) {
+    let at = format!(
+        "cache {} lines, filler {filler}, sched_seed {}",
+        cfg.cache_capacity_lines, cfg.sched_seed
+    );
+    let sys = Samhita::new(cfg);
+    let page = sys.config().page_size as u64;
+    let line_bytes = sys.config().line_bytes() as u64;
+    assert_eq!(line_bytes, EAGER_LINE_PAGES * page);
+    let lines = EAGER_ROUNDS * EAGER_LINES_PER_ROUND;
+    let raw = sys.alloc_global((lines + filler + 1) * line_bytes);
+    let base = raw.next_multiple_of(line_bytes);
+    let fill = base + lines * line_bytes;
+    let word = |line: u64, page_in_line: u64, writer: u64| {
+        base + line * line_bytes + page_in_line * page + 8 * writer
+    };
+    let barrier = sys.create_barrier(1 + EAGER_WRITERS as u32);
+    let lock = sys.create_mutex();
+    sys.run(1 + EAGER_WRITERS as u32, |ctx| {
+        let me = u64::from(ctx.tid());
+        // The reader's check of `line`: the writers' words of `phase`, its
+        // own `N` of this round.
+        let check = |ctx: &mut samhita_repro::core::ThreadCtx, round, phase, line| {
+            for w in 1..=EAGER_WRITERS {
+                for role in [EAGER_A, EAGER_B] {
+                    let want = eager_word(round, phase, w, line, role);
+                    let got = ctx.read_u64(word(line, role, w));
+                    assert_eq!(got, want, "{at}: line {line} page {role} writer {w}");
+                }
+            }
+            let got = ctx.read_u64(word(line, EAGER_N, 0));
+            assert_eq!(got, eager_word(round, 0, 0, line, EAGER_N), "{at}: line {line} page N");
+        };
+        for round in 0..EAGER_ROUNDS {
+            let first = round * EAGER_LINES_PER_ROUND;
+            let mine = first..first + EAGER_LINES_PER_ROUND;
+            if me == 0 {
+                for line in mine.clone() {
+                    for role in [EAGER_A, EAGER_N, EAGER_B] {
+                        ctx.read_u64(word(line, role, 1));
+                    }
+                }
+            }
+            ctx.barrier(barrier);
+            if me > 0 {
+                for line in mine.clone() {
+                    for role in [EAGER_A, EAGER_B] {
+                        ctx.write_u64(word(line, role, me), eager_word(round, 0, me, line, role));
+                    }
+                }
+            }
+            ctx.barrier(barrier);
+            if me == 0 {
+                for line in mine.clone() {
+                    ctx.write_u64(word(line, EAGER_N, 0), eager_word(round, 0, 0, line, EAGER_N));
+                }
+                ctx.lock(lock);
+                ctx.unlock(lock);
+                for l in 0..filler {
+                    ctx.read_u64(fill + l * line_bytes);
+                }
+                check(ctx, round, 0, first);
+            } else {
+                for role in [EAGER_A, EAGER_B] {
+                    let line = first + 1;
+                    ctx.write_u64(word(line, role, me), eager_word(round, 1, me, line, role));
+                }
+            }
+            ctx.barrier(barrier);
+            if me == 0 {
+                check(ctx, round, 1, first + 1);
+            }
+        }
+    });
+    for line in 0..lines {
+        let (round, phase) = (line / EAGER_LINES_PER_ROUND, line % EAGER_LINES_PER_ROUND);
+        let home = |role: u64, writer: u64, phase: u64| {
+            let mut buf = [0u8; 8];
+            sys.read_global(word(line, role, writer), &mut buf);
+            let want = eager_word(round, phase, writer, line, role);
+            assert_eq!(u64::from_le_bytes(buf), want, "{at}: home of line {line} page {role}");
+        };
+        home(EAGER_N, 0, 0);
+        for w in 1..=EAGER_WRITERS {
+            home(EAGER_A, w, phase);
+            home(EAGER_B, w, phase);
+        }
+    }
+    let trace = sys.take_trace().expect("tracing was enabled");
+    trace.check_invariants().unwrap_or_else(|v| panic!("{at}: {v:?}"));
+}
+
+#[test]
+fn a_page_refetched_before_it_is_read_is_the_latest() {
+    let base = SamhitaConfig { line_pages: EAGER_LINE_PAGES as u32, prefetch: true, ..small() };
+    for cfg in delay_plans(base) {
+        run_eager_refetch(cfg, 0);
+    }
+}
+
+#[test]
+fn a_page_refetched_before_it_is_read_in_a_cache_that_evicts_keeps_every_write() {
+    for (capacity, filler) in [(2, 2), (3, 3), (4, 4)] {
+        let base = SamhitaConfig {
+            line_pages: EAGER_LINE_PAGES as u32,
+            cache_capacity_lines: capacity,
+            prefetch: true,
+            ..small()
+        };
+        for cfg in delay_plans(base) {
+            run_eager_refetch(cfg, filler);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Stores that overwrite a whole page. Under RegC an ordinary-region store
 // is owed its page only at the next synchronization, so a page a thread
 // overwrites whole needs none of the home's bytes — but every other page
