@@ -238,6 +238,12 @@ impl MemoryServer {
         self.store.apply_fine(page, offset, bytes)
     }
 
+    /// The end of the last service window: the instant the server has
+    /// settled, once nothing is queued.
+    pub fn settled_at(&self) -> SimTime {
+        SimTime::from_ns(self.resource.stats().clock_ns)
+    }
+
     /// Usage counters (busy + queue accounting read from the live resource).
     pub fn stats(&self) -> ServerStats {
         let mut s = self.stats;
