@@ -23,11 +23,14 @@
 //! 4. **Barrier episode alignment** — for each barrier episode, no thread is
 //!    released before the last participant has arrived:
 //!    `min(release stamps) >= max(arrive stamps)`.
-//! 5. **Refetch after apply** — the first demand fetch or refetch of a page
-//!    after an `Invalidate {page, writer, batch}` is served (`ServeFetch` of
-//!    the run holding it, within the fetch's stall) no earlier than the
+//! 5. **Refetch after apply** — the first fetch of a page after an
+//!    `Invalidate {page, writer, batch}` is served no earlier than the
 //!    server's `ApplyDiff {page, writer}` of the writer's last flush of the
-//!    page the notice followed: its highest batch number up to `batch`.
+//!    page the notice followed: its highest batch number up to `batch`. The
+//!    serve is the reader's last `ServeFetch` of the run holding the page:
+//!    within the stall of a demand fetch or refetch, and for a prefetch —
+//!    a line's, or a run refetched at a release (`RefetchIssue`) — whose
+//!    response a fault took, any time before the fault.
 //!
 //! The checker refuses traces with dropped events — a truncated stream
 //! proves nothing — and reports each violation with precise virtual-time
@@ -316,10 +319,10 @@ impl RunTrace {
     /// and fetch serves.
     fn check_invalidations(&self, summary: &mut CheckSummary, violations: &mut Vec<Violation>) {
         // First flush per (writer, page); applies per (writer, page) by
-        // batch; serve stamps per first page, by time.
+        // batch; serve stamps per (reader, first page), by time.
         let mut flushes: BTreeMap<(u32, u64), u64> = BTreeMap::new();
         let mut applies: BTreeMap<(u32, u64), Vec<(u32, u64)>> = BTreeMap::new();
-        let mut serves: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        let mut serves: BTreeMap<(u32, u64), Vec<u64>> = BTreeMap::new();
         for (track, events) in &self.tracks {
             for e in events {
                 let at = e.at.as_ns();
@@ -330,8 +333,8 @@ impl RunTrace {
                     (TrackId::MemServer(_), &EventKind::ApplyDiff { page, writer, batch, .. }) => {
                         applies.entry((writer, page)).or_default().push((batch, at));
                     }
-                    (TrackId::MemServer(_), &EventKind::ServeFetch { page, .. }) => {
-                        serves.entry(page).or_default().push(at);
+                    (TrackId::MemServer(_), &EventKind::ServeFetch { page, reader, .. }) => {
+                        serves.entry((reader, page)).or_default().push(at);
                     }
                     _ => {}
                 }
@@ -367,14 +370,18 @@ impl RunTrace {
                         }
                     }
                     EventKind::Fetch { page: first, pages, kind, wait_ns } => {
-                        let served = serves.get(&first).and_then(|s| {
+                        let served = serves.get(&(reader, first)).and_then(|s| {
                             s[..s.partition_point(|&done| done <= at)].last().copied()
                         });
-                        let served = served.filter(|&done| done + wait_ns >= at);
-                        let checked = matches!(kind, FetchKind::Demand | FetchKind::Refetch);
+                        // A prefetch's response may have waited for the
+                        // fault; a fetch the thread stalled for was served
+                        // within the stall.
+                        let prefetched =
+                            matches!(kind, FetchKind::PrefetchHit | FetchKind::PrefetchLate);
+                        let served = served.filter(|&done| prefetched || done + wait_ns >= at);
                         for page in first..first + u64::from(pages) {
                             let Some((writer, batch)) = stale.remove(&page) else { continue };
-                            let Some(served_at) = served.filter(|_| checked) else { continue };
+                            let Some(served_at) = served else { continue };
                             // The writer's last apply of the page the notice
                             // followed: its highest batch up to the mark.
                             let applies =
@@ -664,10 +671,58 @@ mod tests {
                 vec![
                     apply(300, 1),
                     apply(900, 3),
-                    ev(served, EventKind::ServeFetch { page: 7, pages: 1 }),
+                    ev(served, EventKind::ServeFetch { page: 7, pages: 1, reader: 1 }),
                 ],
             ),
         ])
+    }
+
+    /// Thread 0 flushes page 7 in its batch 1, applied at 900. Thread 1,
+    /// told of it at 400, refetches the page at that release, served to it
+    /// at `served` — and, at 1 500, to thread 2 — and takes the response at
+    /// a fault at 2 000.
+    fn release_refetch_trace(served: u64) -> RunTrace {
+        let fetch =
+            EventKind::Fetch { page: 7, pages: 1, kind: FetchKind::PrefetchHit, wait_ns: 0 };
+        let serve = |at, reader| ev(at, EventKind::ServeFetch { page: 7, pages: 1, reader });
+        RunTrace::from_tracks(vec![
+            (TrackId::Thread(0), vec![ev(100, EventKind::DiffFlush { page: 7, bytes: 8 })]),
+            (
+                TrackId::Thread(1),
+                vec![
+                    ev(400, EventKind::Invalidate { page: 7, writer: 0, batch: 1 }),
+                    ev(410, EventKind::RefetchIssue { page: 7, pages: 1 }),
+                    ev(2_000, fetch),
+                ],
+            ),
+            (
+                TrackId::MemServer(0),
+                vec![
+                    ev(900, EventKind::ApplyDiff { page: 7, bytes: 8, writer: 0, batch: 1 }),
+                    serve(served, 1),
+                    serve(1_500, 2),
+                ],
+            ),
+        ])
+    }
+
+    #[test]
+    fn a_release_refetch_is_held_to_the_apply_its_notice_named() {
+        let summary = release_refetch_trace(1_000).check_invariants().expect("clean");
+        assert_eq!((summary.invalidations, summary.refetches), (1, 1));
+        // Served early, and taken long after: another reader's later serve
+        // of the page does not stand in for it.
+        let violations = release_refetch_trace(500).check_invariants().expect_err("must reject");
+        assert_eq!(
+            violations,
+            vec![Violation::StaleRefetch {
+                page: 7,
+                reader: 1,
+                writer: 0,
+                served_at: 500,
+                applied_at: Some(900),
+            }]
+        );
     }
 
     #[test]

@@ -794,8 +794,8 @@ mod tests {
             (
                 TrackId::MemServer(0),
                 vec![
-                    ev(1_200, EventKind::ServeFetch { page: 3, pages: 1 }),
-                    ev(1_700, EventKind::ServeFetch { page: 7, pages: 1 }),
+                    ev(1_200, EventKind::ServeFetch { page: 3, pages: 1, reader: 0 }),
+                    ev(1_700, EventKind::ServeFetch { page: 7, pages: 1, reader: 0 }),
                 ],
             ),
         ]);
@@ -832,7 +832,7 @@ mod tests {
                     // The batch, applied in [2000, 2250]; the fetch, parked
                     // since about 1500, served in [2250, 2750].
                     ev(2_250, EventKind::ApplyDiff { page: 7, bytes: 1_024, writer: 1, batch: 1 }),
-                    ev(2_750, EventKind::ServeFetch { page: 7, pages: 1 }),
+                    ev(2_750, EventKind::ServeFetch { page: 7, pages: 1, reader: 0 }),
                 ],
             ),
         ]);

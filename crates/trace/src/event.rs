@@ -95,6 +95,11 @@ pub enum EventKind {
     Fetch { page: u64, pages: u32, kind: FetchKind, wait_ns: u64 },
     /// An asynchronous prefetch of a line was issued (thread track).
     PrefetchIssue { page: u64, pages: u32 },
+    /// An asynchronous refetch of `pages` consecutive pages from `page`, of
+    /// a resident line whose used pages a release invalidated, was issued
+    /// (thread track). It counts as a refetch; the fault that takes its
+    /// response records a prefetch `Fetch`.
+    RefetchIssue { page: u64, pages: u32 },
     /// A twin was created for an ordinary-region page (thread track).
     TwinCreate { page: u64 },
     /// A diff for `page` was flushed towards its home server (thread track).
@@ -128,8 +133,10 @@ pub enum EventKind {
     /// update batch `batch` (mem-server track; the host control client
     /// writes as `u32::MAX`, outside any batch: 0).
     ApplyFine { page: u64, bytes: u64, writer: u32, batch: u32 },
-    /// A memory server served a line/page fetch (mem-server track).
-    ServeFetch { page: u64, pages: u32 },
+    /// A memory server served a fetch of `pages` consecutive pages from
+    /// `page` to thread `reader` (mem-server track; the host control client
+    /// reads as `u32::MAX`).
+    ServeFetch { page: u64, pages: u32, reader: u32 },
     /// A memory server overwrote a whole page (mem-server track).
     ServeWrite { page: u64 },
     /// A message entered the interconnect (fabric track).
@@ -163,6 +170,7 @@ impl EventKind {
         match self {
             EventKind::Fetch { .. } => "fetch",
             EventKind::PrefetchIssue { .. } => "prefetch-issue",
+            EventKind::RefetchIssue { .. } => "refetch-issue",
             EventKind::TwinCreate { .. } => "twin-create",
             EventKind::DiffFlush { .. } => "diff-flush",
             EventKind::FineFlush { .. } => "fine-flush",

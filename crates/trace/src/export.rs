@@ -105,6 +105,7 @@ fn category(kind: &EventKind) -> &'static str {
     match kind {
         EventKind::Fetch { .. }
         | EventKind::PrefetchIssue { .. }
+        | EventKind::RefetchIssue { .. }
         | EventKind::Evict { .. }
         | EventKind::ServeFetch { .. }
         | EventKind::ServeWrite { .. } => "mem",
@@ -234,8 +235,11 @@ impl<S: Sink> Writer<S> {
             EventKind::Fetch { page, pages, kind, wait_ns } => {
                 pairs!(self, "page": page, "pages": pages, "kind": kind.label(), "wait_ns": wait_ns)
             }
-            EventKind::PrefetchIssue { page, pages } | EventKind::ServeFetch { page, pages } => {
+            EventKind::PrefetchIssue { page, pages } | EventKind::RefetchIssue { page, pages } => {
                 pairs!(self, "page": page, "pages": pages)
+            }
+            EventKind::ServeFetch { page, pages, reader } => {
+                pairs!(self, "page": page, "pages": pages, "reader": reader)
             }
             EventKind::TwinCreate { page } | EventKind::ServeWrite { page } => {
                 pairs!(self, "page": page)
@@ -561,7 +565,7 @@ mod oracle {
                 ("kind", s(kind.label())),
                 ("wait_ns", wait_ns.to_string()),
             ],
-            EventKind::PrefetchIssue { page, pages } => {
+            EventKind::PrefetchIssue { page, pages } | EventKind::RefetchIssue { page, pages } => {
                 vec![("page", page.to_string()), ("pages", pages.to_string())]
             }
             EventKind::TwinCreate { page } => vec![("page", page.to_string())],
@@ -599,9 +603,11 @@ mod oracle {
                 ("writer", writer.to_string()),
                 ("batch", batch.to_string()),
             ],
-            EventKind::ServeFetch { page, pages } => {
-                vec![("page", page.to_string()), ("pages", pages.to_string())]
-            }
+            EventKind::ServeFetch { page, pages, reader } => vec![
+                ("page", page.to_string()),
+                ("pages", pages.to_string()),
+                ("reader", reader.to_string()),
+            ],
             EventKind::ServeWrite { page } => vec![("page", page.to_string())],
             EventKind::FabricSend { src, dst, class, bytes } => vec![
                 ("src", src.to_string()),
@@ -926,9 +932,9 @@ mod tests {
     const FATES: [&str; 5] = ["drop", "partition", "crash", "duplicate", "delay"];
     const FETCHES: [FetchKind; 4] =
         [FetchKind::Demand, FetchKind::Refetch, FetchKind::PrefetchHit, FetchKind::PrefetchLate];
-    const VARIANTS: usize = 25;
+    const VARIANTS: usize = 26;
 
-    /// Variant `i` of the 25, with seeded payloads over their whole width,
+    /// Variant `i` of the 26, with seeded payloads over their whole width,
     /// but for two kinds of field: ids the causal index keys its tables by
     /// (locks, barriers, tids, served pages) stay small so its lookups hit,
     /// and the sizes the service-cost rule multiplies stay where it cannot
@@ -966,7 +972,7 @@ mod tests {
                 writer: id(r),
                 batch: r.u32(),
             },
-            16 => EventKind::ServeFetch { page: r.next() % 4, pages: r.u32() % 64 },
+            16 => EventKind::ServeFetch { page: r.next() % 4, pages: r.u32() % 64, reader: id(r) },
             17 => EventKind::ServeWrite { page: r.u64() },
             18 => EventKind::FabricSend {
                 src: r.u64(),
@@ -980,6 +986,7 @@ mod tests {
             22 => EventKind::BatchFlush { server: r.u32(), parts: r.u32(), bytes: r.u64() },
             23 => EventKind::MgrFailover { op: r.pick(&OPS) },
             24 => EventKind::LeaseReclaim { lock: id(r), holder: r.u32() },
+            25 => EventKind::RefetchIssue { page: r.u64(), pages: r.u32() },
             _ => unreachable!("{VARIANTS} variants"),
         }
     }
@@ -1026,7 +1033,7 @@ mod tests {
     }
 
     /// The property the rewrite stands on: over seeded traces holding all
-    /// 25 event variants on all 5 track variants — payloads at 0,
+    /// 26 event variants on all 5 track variants — payloads at 0,
     /// `u32::MAX` and `u64::MAX`, `wait_ns` zero and larger than the stamp,
     /// stamps around the 999 / 1000 / 1001 ns boundary, an empty track —
     /// the writer's bytes are the `format!` oracle's in all three forms.
@@ -1123,6 +1130,7 @@ mod tests {
                 wait_ns: 10_000_000_000_000_000_000,
             },
             EventKind::PrefetchIssue { page: w64, pages: w32 },
+            EventKind::RefetchIssue { page: w64, pages: w32 },
             EventKind::TwinCreate { page: w64 },
             EventKind::DiffFlush { page: w64, bytes: w64 },
             EventKind::FineFlush { page: w64, bytes: w64 },
@@ -1137,7 +1145,7 @@ mod tests {
             EventKind::MgrServe { op, tid: w32 },
             EventKind::ApplyDiff { page: w64, bytes: w64, writer: w32, batch: w32 },
             EventKind::ApplyFine { page: w64, bytes: w64, writer: w32, batch: w32 },
-            EventKind::ServeFetch { page: w64, pages: w32 },
+            EventKind::ServeFetch { page: w64, pages: w32, reader: w32 },
             EventKind::ServeWrite { page: w64 },
             EventKind::FabricSend { src: w64, dst: w64, class: MsgClass::Control, bytes: w64 },
             EventKind::FaultInjected { src: w64, dst: w64, kind: "partition" },

@@ -178,6 +178,9 @@ impl HotspotMap {
                         FetchKind::Refetch => map.record_refetch(page, pages as u64),
                         FetchKind::PrefetchHit | FetchKind::PrefetchLate => {}
                     },
+                    EventKind::RefetchIssue { page, pages } => {
+                        map.record_refetch(page, u64::from(pages));
+                    }
                     EventKind::Invalidate { page, .. } => map.record_invalidate(page),
                     EventKind::TwinCreate { page } => map.record_twin(page),
                     EventKind::DiffFlush { page, bytes } => map.record_diff(page, bytes),
@@ -270,6 +273,7 @@ mod tests {
                             wait_ns: 100,
                         },
                     },
+                    TraceEvent { at: ns(25), kind: EventKind::RefetchIssue { page: 5, pages: 1 } },
                     TraceEvent { at: ns(30), kind: EventKind::TwinCreate { page: 4 } },
                     TraceEvent { at: ns(40), kind: EventKind::DiffFlush { page: 4, bytes: 64 } },
                     TraceEvent {
@@ -290,6 +294,7 @@ mod tests {
         let mut expect = HotspotMap::new();
         expect.record_miss(4, 2);
         expect.record_refetch(4, 2);
+        expect.record_refetch(5, 1);
         expect.record_twin(4);
         expect.record_diff(4, 64);
         expect.record_invalidate(5);

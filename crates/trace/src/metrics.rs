@@ -323,7 +323,10 @@ mod tests {
                 ],
             ),
             (TrackId::Manager, vec![ev(900, EventKind::MgrServe { op: "acquire", tid: 0 })]),
-            (TrackId::MemServer(0), vec![ev(2_100, EventKind::ServeFetch { page: 1, pages: 2 })]),
+            (
+                TrackId::MemServer(0),
+                vec![ev(2_100, EventKind::ServeFetch { page: 1, pages: 2, reader: 0 })],
+            ),
         ]);
         let tl = MetricsTimeline::from_trace(&trace, 1_000, &costs());
         assert_eq!(tl.len(), 3);
