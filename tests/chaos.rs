@@ -408,58 +408,60 @@ fn inactive_fault_schedule_stays_bit_deterministic() {
 /// became one-way, so that no lost ack resends an applied batch, and when a
 /// thread that registers after others published began to follow their
 /// update batches (a fault that delays a registration makes it late: twelve
-/// rows, two of them by 4 ns) — each moves the clock, the messages and so
-/// the faults a plan rolls for them — never the memory, which every row
+/// rows, two of them by 4 ns), and when runs began to start once every
+/// service settled and threads to refetch at a barrier release the pages
+/// they used (every row) — each moves the clock, the messages and so the
+/// faults a plan rolls for them — never the memory, which every row
 /// checks, the fail-overs or a recovered grid.
 const PINNED: &[timeline::Row] = &[
-    ("drop-light/jacobi-p3", [166935, 2, 0, 0, 2, 239, 0xc637963e1c3c7535]),
-    ("drop-light/jacobi-p8", [454718, 6, 0, 0, 9, 608, 0x91734b4a78d7314b]),
-    ("drop-light/micro-p3", [101857, 1, 0, 0, 1, 190, 0x220bd4fa99370b37]),
-    ("drop-heavy/jacobi-p3", [1444031, 27, 0, 0, 28, 268, 0x4911a40214e9b48e]),
-    ("drop-heavy/jacobi-p8", [2678406, 62, 0, 0, 64, 683, 0xcb6de6236c501a77]),
-    ("drop-heavy/micro-p3", [904737, 18, 0, 0, 19, 209, 0x2d8a32889ee21932]),
-    ("duplicates/jacobi-p3", [159487, 0, 0, 0, 20, 239, 0x11eead808b2ff72a]),
-    ("duplicates/jacobi-p8", [257262, 0, 0, 0, 53, 611, 0x9ccdfbfbd8762f75]),
-    ("duplicates/micro-p3", [100341, 0, 0, 0, 14, 190, 0xf42e550b87b1e299]),
-    ("delays/jacobi-p3", [219261, 0, 0, 0, 22, 235, 0x325067f3fe27e83d]),
-    ("delays/jacobi-p8", [334676, 0, 0, 0, 63, 599, 0x08da7f5dbd9b9398]),
-    ("delays/micro-p3", [138778, 0, 0, 0, 18, 190, 0x203947e8d70a78f6]),
-    ("mixed/jacobi-p3", [449178, 13, 0, 0, 38, 259, 0x3286020807f4d1bf]),
-    ("mixed/jacobi-p8", [785243, 27, 0, 0, 92, 646, 0x2b4e90e7266b5621]),
-    ("mixed/micro-p3", [258851, 8, 0, 0, 28, 201, 0xbeaa02924f26a77d]),
-    ("drop-dup/jacobi-p3", [627907, 22, 0, 0, 31, 268, 0x9c8c502d6b61d080]),
-    ("drop-dup/jacobi-p8", [1640778, 51, 0, 0, 91, 678, 0x2a6d271b7a3e0ec7]),
-    ("drop-dup/micro-p3", [305235, 18, 0, 0, 28, 214, 0xf3ff5d9e82fe126d]),
-    ("partition/jacobi-p3", [503890, 6, 0, 0, 6, 241, 0x50a62c05fb45d501]),
-    ("partition/jacobi-p8", [725401, 17, 0, 0, 22, 619, 0x9d2500afa4bf8a90]),
-    ("partition/micro-p3", [448059, 10, 0, 0, 10, 196, 0xcc257321d6fb4fed]),
-    ("crash-primary/jacobi-p3", [2353865, 24, 0, 0, 36, 244, 0x61e0a231b43e1137]),
-    ("crash-primary/jacobi-p8", [17610406, 67, 0, 0, 92, 621, 0x69230460111ec692]),
-    ("crash-primary/micro-p3", [2289911, 24, 0, 0, 35, 200, 0x4b76a2fa47e80935]),
-    ("crash-other/jacobi-p3", [4656318, 28, 3, 0, 31, 245, 0x1f3c1d92ab4bef73]),
-    ("crash-other/jacobi-p8", [9287456, 80, 8, 0, 88, 638, 0xf7a6af6161cbc199]),
-    ("crash-other/micro-p3", [4547800, 27, 3, 0, 30, 196, 0xf016ad63e947ae0d]),
-    ("batch-drop/jacobi-p3", [872456, 30, 0, 0, 31, 277, 0x2c3f85791c9765f1]),
-    ("batch-drop/jacobi-p8", [2472404, 83, 0, 0, 95, 711, 0x70f4be24e07b4b91]),
-    ("batch-drop/micro-p3", [600435, 25, 0, 0, 26, 217, 0x3cbcfadc14ce5fa9]),
-    ("batch-dup/jacobi-p3", [159487, 0, 0, 0, 58, 246, 0xdfb4c3bc752ad267]),
-    ("batch-dup/jacobi-p8", [257262, 0, 0, 0, 148, 626, 0xa7d9c03da35788ad]),
-    ("batch-dup/micro-p3", [100341, 0, 0, 0, 41, 195, 0x35767f2d6661262d]),
-    ("batch-delay/jacobi-p3", [324139, 0, 0, 0, 59, 235, 0xd30f78b1b2702944]),
-    ("batch-delay/jacobi-p8", [532921, 0, 0, 0, 158, 599, 0x1b0f676bdf9f826c]),
-    ("batch-delay/micro-p3", [238776, 0, 0, 0, 45, 188, 0x2adda18ad9c1ae17]),
-    ("batch-crash/jacobi-p3", [7517549, 47, 3, 0, 82, 271, 0x210c8a1400bd02b0]),
-    ("batch-crash/jacobi-p8", [17321376, 135, 8, 0, 223, 732, 0xd1195075d97dcb9a]),
-    ("batch-crash/micro-p3", [2708700, 42, 3, 0, 71, 216, 0xf5450dd20822013b]),
-    ("scale-drop/jacobi-p3", [463930, 14, 0, 0, 15, 254, 0x5f09567e1c07839a]),
-    ("scale-drop/jacobi-p8", [1356998, 37, 0, 0, 40, 651, 0x390ef1c1c94db2e7]),
-    ("scale-drop/micro-p3", [357278, 11, 0, 0, 12, 204, 0xc66c92161d46ee8d]),
-    ("scale-crash/jacobi-p3", [6885059, 30, 3, 0, 33, 244, 0x0a323585a59949a1]),
-    ("scale-crash/jacobi-p8", [17659088, 72, 8, 0, 81, 626, 0xd3b1196526dbf646]),
-    ("scale-crash/micro-p3", [6671926, 28, 3, 0, 31, 203, 0xaf7f16159d09e236]),
-    ("scale-drop-dup/jacobi-p3", [349149, 10, 0, 0, 14, 248, 0x0e4da4bce8080dc0]),
-    ("scale-drop-dup/jacobi-p8", [825080, 26, 0, 0, 45, 638, 0x26002cdb412cb3ad]),
-    ("scale-drop-dup/micro-p3", [324499, 8, 0, 0, 12, 199, 0x56e40518fde8a03c]),
+    ("drop-light/jacobi-p3", [148657, 1, 0, 0, 2, 253, 0xb021da95f3b8df4c]),
+    ("drop-light/jacobi-p8", [354877, 7, 0, 0, 10, 699, 0x141af900bb2ddb10]),
+    ("drop-light/micro-p3", [101857, 0, 0, 0, 1, 194, 0x0eaf6e022e8ede25]),
+    ("drop-heavy/jacobi-p3", [1474323, 27, 0, 0, 30, 284, 0x9d80042ea9f0d312]),
+    ("drop-heavy/jacobi-p8", [1728063, 63, 0, 0, 74, 771, 0x0fe76f1234344679]),
+    ("drop-heavy/micro-p3", [736290, 16, 0, 0, 20, 213, 0x018753c52c320e31]),
+    ("duplicates/jacobi-p3", [145447, 0, 0, 0, 21, 254, 0xfaa653f02471db67]),
+    ("duplicates/jacobi-p8", [247820, 0, 0, 0, 60, 702, 0x40188295d60a0115]),
+    ("duplicates/micro-p3", [100341, 0, 0, 0, 14, 194, 0x79bab953ad3aafcf]),
+    ("delays/jacobi-p3", [194902, 0, 0, 0, 23, 251, 0xe06f6d2c4cceb884]),
+    ("delays/jacobi-p8", [305379, 0, 0, 0, 67, 687, 0x38dd662a4aed0f73]),
+    ("delays/micro-p3", [138773, 0, 0, 0, 18, 192, 0x400d5973d7e8d47b]),
+    ("mixed/jacobi-p3", [399077, 12, 0, 0, 38, 270, 0xc772f7239e09ab51]),
+    ("mixed/jacobi-p8", [684718, 27, 0, 0, 100, 730, 0xbc1a411e76b983e3]),
+    ("mixed/micro-p3", [216327, 7, 0, 0, 30, 207, 0xac2c55aa09c64531]),
+    ("drop-dup/jacobi-p3", [631207, 21, 0, 0, 35, 287, 0xf62d9aae006eee8c]),
+    ("drop-dup/jacobi-p8", [1777488, 60, 0, 0, 108, 782, 0xd19264d71f24889a]),
+    ("drop-dup/micro-p3", [247558, 14, 0, 0, 27, 216, 0x9110cd7060eeffaa]),
+    ("partition/jacobi-p3", [456432, 4, 0, 0, 7, 257, 0x89c007818249aab2]),
+    ("partition/jacobi-p8", [663741, 19, 0, 0, 28, 707, 0x6e2e3d5a13cec20c]),
+    ("partition/micro-p3", [405193, 9, 0, 0, 11, 202, 0x4eddcffe0580e3eb]),
+    ("crash-primary/jacobi-p3", [2336357, 24, 0, 0, 36, 260, 0x266633c845a85cf1]),
+    ("crash-primary/jacobi-p8", [17602360, 67, 0, 0, 93, 709, 0x3fa830abf78e21a9]),
+    ("crash-primary/micro-p3", [2289911, 24, 0, 0, 35, 204, 0x65a3f23b7ac255bf]),
+    ("crash-other/jacobi-p3", [4692680, 26, 3, 0, 30, 258, 0x03aec3088a7d6270]),
+    ("crash-other/jacobi-p8", [9270643, 82, 8, 0, 92, 724, 0x9ca0b54c8f218998]),
+    ("crash-other/micro-p3", [4593105, 27, 3, 0, 31, 201, 0xc69727825ba4a86e]),
+    ("batch-drop/jacobi-p3", [824849, 28, 0, 0, 32, 288, 0x36c6fbf8d88a5224]),
+    ("batch-drop/jacobi-p8", [2764985, 93, 0, 0, 115, 817, 0x560bcf9eea6f74de]),
+    ("batch-drop/micro-p3", [602027, 23, 0, 0, 26, 221, 0xc182c2b06442ed5a]),
+    ("batch-dup/jacobi-p3", [145447, 0, 0, 0, 61, 262, 0x6e78d6deeb6c6d7b]),
+    ("batch-dup/jacobi-p8", [247820, 0, 0, 0, 167, 710, 0x539747df9804724b]),
+    ("batch-dup/micro-p3", [100341, 0, 0, 0, 41, 199, 0x2a6d5b67b37203c5]),
+    ("batch-delay/jacobi-p3", [339890, 0, 0, 0, 62, 251, 0x4ccc70758f3ef660]),
+    ("batch-delay/jacobi-p8", [517740, 0, 0, 0, 181, 687, 0x809bcd7921f4e438]),
+    ("batch-delay/micro-p3", [238776, 0, 0, 0, 45, 192, 0xff62cfeb062306eb]),
+    ("batch-crash/jacobi-p3", [7270648, 46, 3, 0, 84, 286, 0x3b49d8f88d0a06bf]),
+    ("batch-crash/jacobi-p8", [12900786, 131, 8, 0, 243, 817, 0x953efdda52d236da]),
+    ("batch-crash/micro-p3", [2916959, 41, 3, 0, 75, 222, 0x54bf8617775e81ea]),
+    ("scale-drop/jacobi-p3", [425581, 12, 0, 0, 15, 273, 0x9f471f9254dde479]),
+    ("scale-drop/jacobi-p8", [1221659, 41, 0, 0, 47, 745, 0x833857ee0b62a9bf]),
+    ("scale-drop/micro-p3", [331036, 9, 0, 0, 12, 210, 0x78c8453d361c5de4]),
+    ("scale-crash/jacobi-p3", [6763601, 29, 3, 0, 33, 258, 0x6dc19c72e88f6afb]),
+    ("scale-crash/jacobi-p8", [17682747, 73, 8, 0, 89, 717, 0x6212221f0c4658d5]),
+    ("scale-crash/micro-p3", [2350153, 27, 3, 0, 31, 201, 0x6945c7736e427087]),
+    ("scale-drop-dup/jacobi-p3", [387183, 8, 0, 0, 14, 262, 0xa985f2b0b23c1de7]),
+    ("scale-drop-dup/jacobi-p8", [716404, 27, 0, 0, 53, 734, 0xcfffb43b2ed62587]),
+    ("scale-drop-dup/micro-p3", [324499, 8, 0, 0, 12, 203, 0x08be51926318f366]),
 ];
 
 #[test]
@@ -501,8 +503,8 @@ const WHOLE_PAGE_JACOBI: JacobiParams = JacobiParams { n: 126, iters: 4, threads
 /// Batch-level losses and a primary crash over claimed pages, on write-
 /// through replicas (`replica_offset` 1), pinned like [`PINNED`].
 const WHOLE_PAGE_PINNED: &[timeline::Row] = &[
-    ("crash-primary/jacobi-pages-p4", [2920345, 42, 1, 0, 83, 921, 0x3e53f8c29461b228]),
-    ("batch-drop/jacobi-pages-p4", [3661352, 140, 0, 0, 182, 1315, 0x94ced47cf1f79ab6]),
+    ("crash-primary/jacobi-pages-p4", [2849074, 42, 1, 0, 83, 916, 0xfeece871a6b63c99]),
+    ("batch-drop/jacobi-pages-p4", [3661352, 140, 0, 0, 182, 1315, 0xb8f4f533e04b5555]),
 ];
 
 #[test]

@@ -292,10 +292,11 @@ fn expired_lease_is_reclaimed_and_the_stale_release_absorbed() {
     trace.check_invariants().expect("a reclaimed lease must keep the timeline consistent");
 }
 
-/// In the fault-free standby run of [`JACOBI_P8`], thread 1 hands lock 0
-/// to its successor with a baton sent at this instant, and its release to
-/// the manager one send cost (60 ns) later.
-const BATON_NS: u64 = 52_414;
+/// In the fault-free standby run of [`JACOBI_P8`], thread 5 hands lock 0
+/// to its successor (thread 1) with a baton sent at this instant, and its
+/// release to the manager one send cost (60 ns) later; nothing else
+/// reaches the manager until that release does.
+const BATON_NS: u64 = 44_749;
 /// A crash between the two.
 const HANDOFF_CRASH_NS: u64 = BATON_NS + 32;
 
@@ -328,14 +329,14 @@ fn a_hand_off_the_primary_never_heard_of_reaches_the_standby() {
         EventKind::MgrServe { op, tid } => Some((op, tid)),
         _ => None,
     });
-    assert_eq!(first, Some(("handoff", 1)), "the standby's first serve is thread 1's hand-off");
+    assert_eq!(first, Some(("handoff", 5)), "the standby's first serve is thread 5's hand-off");
 }
 
 /// In the fault-free standby run of [`JACOBI_P8`], the manager serves
 /// thread 2's acquire of lock 0 at this instant, behind the holder (thread
 /// 5), its head (thread 1) and thread 6: it hints thread 6, which holds
 /// nothing yet, that thread 2 comes next.
-const HINT_NS: u64 = 31_286;
+const HINT_NS: u64 = 34_598;
 /// A crash just after: the hint and the log record reach their targets,
 /// nothing the manager sends later does.
 const HINT_CRASH_NS: u64 = HINT_NS + 1;
@@ -381,10 +382,10 @@ fn a_hint_sent_to_a_waiter_outlives_the_primary() {
 /// thread 5's baton in the burst after a barrier, hands lock 0 to thread 6
 /// with a baton sent at this instant that relays thread 5's interval —
 /// thread 6 queued behind thread 1 while thread 1 still waited.
-const RELAY_NS: u64 = 122_118;
+const RELAY_NS: u64 = 119_841;
 /// The primary folds thread 1's hand-off at this instant, and names thread
 /// 6's successor a seer of thread 1's interval.
-const RELAY_FOLD_NS: u64 = 124_237;
+const RELAY_FOLD_NS: u64 = 121_960;
 /// A crash just before the fold: the release reached the primary, but the
 /// fold's log record and everything it sends die with it.
 const RELAY_CRASH_NS: u64 = RELAY_FOLD_NS - 1;
@@ -436,31 +437,36 @@ fn a_relaying_baton_outlives_a_primary_that_never_folded_it() {
 /// message counts), and when a thread that registers after others
 /// published began to follow their update batches (two P = 64 rows: the
 /// registration reply carries the marks, the first request to a home its
-/// stamp). Every row's grid is the serial reference's.
+/// stamp), and when runs began to start once every service settled and
+/// threads to refetch at a barrier release the pages they used (every row;
+/// the hint and relay instants re-targeted to the same events, the
+/// hand-off crash to the baton one link earlier in the same chain, the
+/// last of thread 1's own with nothing else bound for the manager across
+/// its window). Every row's grid is the serial reference's.
 const PINNED: &[timeline::Row] = &[
-    ("standby/jacobi-p8", [282231, 0, 0, 0, 0, 1001, 0x123fdefda74f9a17]),
-    ("standby/jacobi-p64", [1153650, 0, 0, 0, 0, 4769, 0xdc7a01d22a81a126]),
-    ("mgr-crash@5000/jacobi-p8", [2428087, 42, 0, 8, 72, 717, 0xc3705dfbeff08446]),
-    ("mgr-crash@5000/jacobi-p64", [3016491, 42, 0, 64, 576, 3867, 0x6562df95db3c2a68]),
-    ("mgr-crash@20000/jacobi-p8", [12403578, 61, 0, 8, 65, 734, 0xc2206e9f29669111]),
-    ("mgr-crash@20000/jacobi-p64", [3212815, 392, 0, 64, 528, 3869, 0xe8e17ecd592883be]),
-    ("mgr-crash@60000/jacobi-p8", [6703233, 56, 0, 8, 65, 765, 0xbf7c2b8654ede51e]),
-    ("mgr-crash@60000/jacobi-p64", [4789496, 448, 0, 64, 512, 3875, 0x897131d22fc7d3e6]),
-    ("mgr-crash@120000/jacobi-p8", [8798260, 56, 0, 8, 67, 838, 0x7a9236e542d4ffe3]),
-    ("mgr-crash@120000/jacobi-p64", [4955933, 448, 0, 64, 513, 3909, 0x49df095d8da92482]),
-    ("mgr-crash@250000/jacobi-p8", [2381634, 56, 0, 8, 72, 992, 0xbad5c94f508d3353]),
-    ("mgr-crash@250000/jacobi-p64", [5343395, 448, 0, 64, 512, 3987, 0x41971d197de20beb]),
-    ("mgr-crash@400000/jacobi-p8", [282231, 0, 0, 0, 0, 1001, 0x123fdefda74f9a17]),
-    ("mgr-crash@400000/jacobi-p64", [12997959, 500, 0, 64, 512, 4262, 0xffdfa7b073437f43]),
-    ("lossy-0xD1+mgr-crash/jacobi-p8", [5066493, 79, 0, 8, 118, 763, 0x95a07ae595c4de00]),
-    ("lossy-0xD2+mgr-crash/jacobi-p8", [4947699, 75, 0, 8, 112, 751, 0x8220224ea12970e8]),
+    ("standby/jacobi-p8", [272772, 0, 0, 0, 0, 1089, 0x91f72edcdd403c29]),
+    ("standby/jacobi-p64", [1157928, 0, 0, 0, 0, 4943, 0xced3d9bcb588a0e7]),
+    ("mgr-crash@5000/jacobi-p8", [2357043, 0, 0, 8, 72, 803, 0x074ac82a9ae782fb]),
+    ("mgr-crash@5000/jacobi-p64", [2939942, 0, 0, 64, 576, 4031, 0x7d31dacaa4e58d93]),
+    ("mgr-crash@20000/jacobi-p8", [12417728, 64, 0, 8, 66, 821, 0x7ef919d6d40e9d0e]),
+    ("mgr-crash@20000/jacobi-p64", [3158168, 350, 0, 64, 533, 4043, 0xb7c3de1aa057b27f]),
+    ("mgr-crash@60000/jacobi-p8", [12403580, 61, 0, 8, 65, 857, 0xc22dc4bab40b619c]),
+    ("mgr-crash@60000/jacobi-p64", [4764187, 448, 0, 64, 513, 4043, 0x57c5c778c349bf64]),
+    ("mgr-crash@120000/jacobi-p8", [12409966, 59, 0, 8, 68, 934, 0xc0cb8243014e104a]),
+    ("mgr-crash@120000/jacobi-p64", [13074635, 469, 0, 64, 514, 4104, 0xe0203d6d8915fa1a]),
+    ("mgr-crash@250000/jacobi-p8", [12396538, 58, 0, 8, 74, 1087, 0x7eff44cc1b78dcc3]),
+    ("mgr-crash@250000/jacobi-p64", [5319524, 448, 0, 64, 512, 4161, 0xf18398acbb6abbda]),
+    ("mgr-crash@400000/jacobi-p8", [272772, 0, 0, 0, 0, 1089, 0x91f72edcdd403c29]),
+    ("mgr-crash@400000/jacobi-p64", [12991181, 500, 0, 64, 513, 4424, 0x1cce7e6934882669]),
+    ("lossy-0xD1+mgr-crash/jacobi-p8", [12964511, 88, 0, 8, 123, 861, 0x3746f0ee65804ad5]),
+    ("lossy-0xD2+mgr-crash/jacobi-p8", [4998447, 76, 0, 8, 118, 838, 0x55c68cad2412ea4e]),
     (
         "lossy-0xD3+mgr-crash+server-crash/jacobi-p8",
-        [20183046, 132, 8, 8, 177, 762, 0xadde5f1be37d655e],
+        [19993690, 135, 8, 8, 191, 847, 0xf13bab678565db91],
     ),
-    ("mgr-crash@52446/jacobi-p8", [8825442, 56, 0, 8, 65, 757, 0xb874d9306b79eaa2]),
-    ("mgr-crash@31287/jacobi-p8", [12382315, 62, 0, 8, 75, 753, 0xbf750eeefeb371ba]),
-    ("mgr-crash@124236/jacobi-p8", [6685819, 56, 0, 8, 69, 846, 0xd8578162212194f1]),
+    ("mgr-crash@44781/jacobi-p8", [8820624, 56, 0, 8, 65, 841, 0xf61f296280b2b0dc]),
+    ("mgr-crash@34599/jacobi-p8", [12384919, 62, 0, 8, 75, 837, 0xd94dea455c75ea71]),
+    ("mgr-crash@121959/jacobi-p8", [6676360, 56, 0, 8, 69, 934, 0xf9feaca8c917eaa2]),
 ];
 
 #[test]

@@ -257,8 +257,10 @@ fn chaos_standby_run() -> (SamhitaConfig, RunReport, RunTrace) {
 /// hinted as it queues, again when batons began to relay what a waiter's
 /// earlier advance lacks, and again when a refetch began to move the pages
 /// a thread used instead of its line. All three runs' moved when updates
-/// became one-way: the acks' fabric events left the trace. Every later
-/// writer must reproduce the values below.
+/// became one-way: the acks' fabric events left the trace, and again when
+/// runs began to start once every service settled and threads to refetch
+/// at a barrier release the pages they used (a serve now also names its
+/// reader). Every later writer must reproduce the values below.
 #[test]
 fn export_bytes_are_pinned_across_commits() {
     let cfg = SamhitaConfig { max_threads: 8, ..traced_cfg() };
@@ -267,7 +269,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0xc475_ae28_360f_d24e, 0x4d9e_4ff7_e9cb_024a, 0xca95_8dc7_fb69_acb6],
+        [0x7a74_2c62_2778_e6f0, 0x1b36_5c80_cd3a_5aca, 0x8eb5_efd7_abb6_085f],
         "jacobi P=8"
     );
 
@@ -277,7 +279,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0x1560_6023_e24b_1069, 0x62af_5877_b5ea_4416, 0xa4dc_4fe4_22db_c8fd],
+        [0xf70e_2dac_bc8b_0d42, 0xf424_2aea_2cae_3206, 0xbfaf_6bb4_44fa_b212],
         "micro P=4 global"
     );
 
@@ -288,7 +290,7 @@ fn export_bytes_are_pinned_across_commits() {
     }
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0x3a81_5af2_4824_2ac4, 0xb14a_20ae_ce86_7fd0, 0x8276_d81f_a848_a5a6],
+        [0xf66b_b74d_7e53_966f, 0xab13_55d9_1072_c73d, 0x6ca2_0986_6988_1e49],
         "chaos + standby"
     );
 }
