@@ -191,6 +191,30 @@ fn fig12_committed_samhita_speedup_grows_and_tracks_pthreads_within_a_node() {
     }
 }
 
+/// Fig 13 at paper scale (2048 particles, `results/fig13.csv`): "the
+/// Samhita implementation tracks the Pthread implementation very closely
+/// within a node and continues to scale very well up to 32 cores …
+/// applications that are computationally intensive … can easily mask the
+/// synchronization overhead." Tracking very closely is read as: every
+/// Samhita point up to 8 cores is within 5 % of Pthreads' speed-up at the
+/// same core count; scaling very well, as a speed-up that grows with every
+/// doubling and reaches 20 at 32 cores.
+#[test]
+fn fig13_committed_samhita_speedup_tracks_pthreads_closely_and_scales_to_32() {
+    let smh = committed_series("fig13", "samhita");
+    let pth = committed_series("fig13", "pthreads");
+    for &(p, y) in pth.iter().filter(|&&(p, _)| p <= 8.0) {
+        let (_, s) = *smh.iter().find(|&&(x, _)| x == p).expect("a Samhita point at each P");
+        assert!(s >= 0.95 * y, "P = {p}: Samhita {s} is not within 5 % of Pthreads {y}");
+    }
+    for pair in smh.windows(2) {
+        assert!(pair[1].1 > pair[0].1, "Samhita speed-up must grow with cores: {pair:?}");
+    }
+    let &(p, top) = smh.last().expect("points");
+    assert_eq!(p, 32.0, "the sweep ends at 32 cores");
+    assert!(top >= 20.0, "P = 32: Samhita speed-up {top} is below 20");
+}
+
 #[test]
 fn fig13_md_scales_well_on_samhita() {
     let fig = figures::fig13(&quick());
