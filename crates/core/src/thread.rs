@@ -43,8 +43,8 @@ use crate::cache::{PageRef, SoftCache};
 use crate::config::{ConsistencyVariant, SamhitaConfig};
 use crate::freelist::FreeListAlloc;
 use crate::layout::{AddressLayout, Region};
-use crate::msg::{Handed, MgrRequest, MgrResponse, Msg, Relay};
-use crate::proto::Channel;
+use crate::msg::{Handed, MgrRequest, MgrResponse, Msg};
+use crate::proto::{Channel, Prefetch};
 use crate::stats::ThreadStats;
 
 /// Running totals of the five measured wait classes, in virtual ns. Kept
@@ -108,10 +108,6 @@ pub struct ThreadCtx {
     /// Pages flushed (sync flushes and evictions) not yet published.
     pending_pages: BTreeSet<u64>,
     last_seen: u64,
-    /// The lock granted by this thread's last synchronization operation,
-    /// and the token of the request the grant answered: the one hold whose
-    /// successor hint its release may use.
-    hold: Option<(u32, u64)>,
 
     arena: FreeListAlloc,
 
@@ -154,12 +150,17 @@ impl ThreadCtx {
         // manager crash resurfaces on the same timescale the standby uses
         // to reclaim expired leases.
         let probe_ns = standby_ep.is_some().then_some(cfg.mgr_lease_ns);
+        // How long a holder granted by baton waits for a hint that may be
+        // in flight: the manager's serve of the acquire behind it, and the
+        // NIC's per-message overhead on the way out.
+        let grace = SimTime::from_ns(cfg.mgr_costs().0 + cfg.fabric.link().per_msg_overhead_ns);
         let chan = Channel::new(
             tid,
             ep,
             mgr_ep,
             standby_ep,
             probe_ns,
+            grace,
             mem_eps,
             cfg.costs.send_ns as f64,
             cfg.replica_offset,
@@ -183,7 +184,6 @@ impl ThreadCtx {
             writeset: WriteSet::new(),
             pending_pages: BTreeSet::new(),
             last_seen: 0,
-            hold: None,
             arena: FreeListAlloc::new(arena_lo, arena_hi),
             stats: ThreadStats { tid, ..ThreadStats::default() },
         };
@@ -481,15 +481,14 @@ impl ThreadCtx {
         let interval = self.flush_all();
         let req_at = self.chan.now();
         self.trace(|| EventKind::LockRequest { lock });
-        let (token, notices, wm) = match self.chan.request_mgr(
+        let (notices, wm) = match self.chan.rpc_mgr(
             MgrRequest::Acquire { lock, interval, last_seen: self.last_seen },
             MsgClass::Sync,
         ) {
-            (token, MgrResponse::Rest { notices, watermark, .. }) => (token, notices, watermark),
-            (_, MgrResponse::Err(e)) => panic!("lock acquire failed: {e}"),
-            (_, other) => panic!("unexpected acquire response: {other:?}"),
+            MgrResponse::Rest { notices, watermark, .. } => (notices, watermark),
+            MgrResponse::Err(e) => panic!("lock acquire failed: {e}"),
+            other => panic!("unexpected acquire response: {other:?}"),
         };
-        self.hold = Some((lock, token));
         let wait_ns = (self.chan.now() - req_at).as_ns();
         self.stats.lock_wait.record(wait_ns);
         self.waits.lock += wait_ns;
@@ -518,30 +517,19 @@ impl ThreadCtx {
     /// next waiter itself.
     pub fn unlock(&mut self, lock: u32) {
         let t0 = self.chan.now();
-        // How long a holder granted by baton waits for a hint that may be
-        // in flight: the manager's serve of the acquire behind it, and the
-        // NIC's per-message overhead on the way out.
-        let grace =
-            SimTime::from_ns(self.cfg.mgr_costs().0 + self.cfg.fabric.link().per_msg_overhead_ns);
-        let hold = self.hold.take().filter(|&(held, _)| held == lock);
         self.region.exit();
         let interval = self.flush_all();
         // Stamped after the flush and before the wire sends: on a correct
         // run this always precedes the next holder's grant stamp, which is
         // what lets the trace checker treat [acquire, release] as the hold.
         self.trace(|| EventKind::LockRelease { lock });
-        let next = hold.and_then(|(_, token)| Some((token, self.chan.take_hint(token, grace)?)));
-        let handed = next.filter(|(_, s)| s.lock == lock).and_then(|(token, s)| {
+        let handed = self.chan.end_hold(lock, self.last_seen).map(|(next, mut relay)| {
             // The successor checks its advance covers what this thread saw
             // but the baton carries.
-            let mut relay = match s.relay {
-                true => self.chan.take_relay(token)?,
-                false => Relay::none(self.last_seen),
-            };
             let interval = NoticeSet::interval(self.tid, &interval);
             relay.notices = relay.notices.ahead_of(&interval);
-            self.chan.send_baton(&s, MgrResponse::Baton { relay, interval });
-            Some(Handed { to: s.tid, token: s.token })
+            self.chan.send_baton(&next, MgrResponse::Baton { relay, interval });
+            Handed { to: next.tid, token: next.token }
         });
         let req = MgrRequest::Release { lock, interval, handed };
         if self.chan.acked_releases() {
@@ -567,7 +555,6 @@ impl ThreadCtx {
     /// Wait at a barrier.
     pub fn barrier(&mut self, barrier: u32) {
         let t0 = self.chan.now();
-        self.hold = None;
         let interval = self.flush_all();
         let arrive_at = self.chan.now();
         self.trace(|| EventKind::BarrierArrive { barrier });
@@ -597,18 +584,16 @@ impl ThreadCtx {
     /// `lock` (as with Pthreads, that is a caller obligation).
     pub fn cond_wait(&mut self, cond: u32, lock: u32) {
         let t0 = self.chan.now();
-        self.hold = None;
         let interval = self.flush_all();
         // On the trace, a cond wait is a lock release (the atomic handoff to
         // the manager) followed by a re-acquire at wake-up.
         self.trace(|| EventKind::LockRelease { lock });
         let req_at = self.chan.now();
-        match self.chan.request_mgr(
+        match self.chan.rpc_mgr(
             MgrRequest::CondWait { cond, lock, interval, last_seen: self.last_seen },
             MsgClass::Sync,
         ) {
-            (token, MgrResponse::Rest { notices, watermark, .. }) => {
-                self.hold = Some((lock, token));
+            MgrResponse::Rest { notices, watermark, .. } => {
                 let wait_ns = (self.chan.now() - req_at).as_ns();
                 // The conservation audit's consistency fix: a condition wait
                 // is a lock wait on the trace and must be one in the report
@@ -621,8 +606,8 @@ impl ThreadCtx {
                 self.apply_notices(&notices);
                 self.last_seen = watermark;
             }
-            (_, MgrResponse::Err(e)) => panic!("cond wait failed: {e}"),
-            (_, other) => panic!("unexpected cond-wait response: {other:?}"),
+            MgrResponse::Err(e) => panic!("cond wait failed: {e}"),
+            other => panic!("unexpected cond-wait response: {other:?}"),
         }
         self.sync_time += self.chan.now() - t0;
     }
@@ -736,13 +721,14 @@ impl ThreadCtx {
         line: u64,
         t0: SimTime,
     ) -> Option<(u64, Vec<PageFrame>, FetchKind)> {
-        if let Some((deliver, first, pages)) = self.chan.take_ready_prefetch(line) {
-            self.chan.advance_to(deliver);
-            self.stats.prefetch_hits += 1;
-            return Some((first, pages, FetchKind::PrefetchHit));
-        }
-        let token = self.chan.take_inflight_prefetch(line)?;
-        let (first, pages) = self.chan.await_prefetch(token)?;
+        let (first, pages) = match self.chan.take_prefetch(line)? {
+            Prefetch::Ready(deliver, first, pages) => {
+                self.chan.advance_to(deliver);
+                self.stats.prefetch_hits += 1;
+                return Some((first, pages, FetchKind::PrefetchHit));
+            }
+            Prefetch::InFlight(token) => self.chan.await_prefetch(token)?,
+        };
         if self.chan.now() == t0 {
             self.stats.prefetch_hits += 1;
             Some((first, pages, FetchKind::PrefetchHit))
