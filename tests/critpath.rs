@@ -278,9 +278,9 @@ fn baton_links_on_the_micro_path_cost_one_hop() {
 fn critical_path_is_the_same_path_segment_for_segment() {
     let costs = SamhitaConfig::default().service_costs();
     for (kernel, p, want) in [
-        ("micro", 4u32, 0xf5ce_e9fb_84f6_c4dcu64),
+        ("micro", 4u32, 0xa27b_4614_ce41_9fe2u64),
         ("jacobi", 8, 0x70b6_a8b9_a9b2_9d15),
-        ("md", 8, 0x94f4_1b53_cbdb_b47f),
+        ("md", 8, 0x3899_bee5_b0f2_ec8a),
     ] {
         let (report, trace) = run_kernel(kernel, p, 0);
         let json = critical_path(&trace, &thread_windows(&report), &costs).to_json(usize::MAX);
