@@ -260,7 +260,9 @@ fn chaos_standby_run() -> (SamhitaConfig, RunReport, RunTrace) {
 /// became one-way: the acks' fabric events left the trace, and again when
 /// runs began to start once every service settled and threads to refetch
 /// at a barrier release the pages they used (a serve now also names its
-/// reader). Every later writer must reproduce the values below.
+/// reader). The second run's causal form moved when a fetch stall began to
+/// ride its own reader's serve of the page, not another reader's. Every
+/// later writer must reproduce the values below.
 #[test]
 fn export_bytes_are_pinned_across_commits() {
     let cfg = SamhitaConfig { max_threads: 8, ..traced_cfg() };
@@ -279,7 +281,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0xf70e_2dac_bc8b_0d42, 0xf424_2aea_2cae_3206, 0xbfaf_6bb4_44fa_b212],
+        [0xf70e_2dac_bc8b_0d42, 0xf424_2aea_2cae_3206, 0xae8d_3b4d_daf1_a452],
         "micro P=4 global"
     );
 
