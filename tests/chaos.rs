@@ -410,58 +410,61 @@ fn inactive_fault_schedule_stays_bit_deterministic() {
 /// update batches (a fault that delays a registration makes it late: twelve
 /// rows, two of them by 4 ns), and when runs began to start once every
 /// service settled and threads to refetch at a barrier release the pages
-/// they used (every row) — each moves the clock, the messages and so the
+/// they used (every row), and when a never-written page began to be served
+/// as its version and a held request at its batch's completion (every
+/// row's checksum: a serve event now says what it read and how long its
+/// request waited) — each moves the clock, the messages and so the
 /// faults a plan rolls for them — never the memory, which every row
 /// checks, the fail-overs or a recovered grid.
 const PINNED: &[timeline::Row] = &[
-    ("drop-light/jacobi-p3", [148657, 1, 0, 0, 2, 253, 0xb021da95f3b8df4c]),
-    ("drop-light/jacobi-p8", [354877, 7, 0, 0, 10, 699, 0x141af900bb2ddb10]),
-    ("drop-light/micro-p3", [101857, 0, 0, 0, 1, 194, 0x0eaf6e022e8ede25]),
-    ("drop-heavy/jacobi-p3", [1474323, 27, 0, 0, 30, 284, 0x9d80042ea9f0d312]),
-    ("drop-heavy/jacobi-p8", [1728063, 63, 0, 0, 74, 771, 0x0fe76f1234344679]),
-    ("drop-heavy/micro-p3", [736290, 16, 0, 0, 20, 213, 0x018753c52c320e31]),
-    ("duplicates/jacobi-p3", [145447, 0, 0, 0, 21, 254, 0xfaa653f02471db67]),
-    ("duplicates/jacobi-p8", [247820, 0, 0, 0, 60, 702, 0x40188295d60a0115]),
-    ("duplicates/micro-p3", [100341, 0, 0, 0, 14, 194, 0x79bab953ad3aafcf]),
-    ("delays/jacobi-p3", [194902, 0, 0, 0, 23, 251, 0xe06f6d2c4cceb884]),
-    ("delays/jacobi-p8", [305379, 0, 0, 0, 67, 687, 0x38dd662a4aed0f73]),
-    ("delays/micro-p3", [138773, 0, 0, 0, 18, 192, 0x400d5973d7e8d47b]),
-    ("mixed/jacobi-p3", [399077, 12, 0, 0, 38, 270, 0xc772f7239e09ab51]),
-    ("mixed/jacobi-p8", [684718, 27, 0, 0, 100, 730, 0xbc1a411e76b983e3]),
-    ("mixed/micro-p3", [216327, 7, 0, 0, 30, 207, 0xac2c55aa09c64531]),
-    ("drop-dup/jacobi-p3", [631207, 21, 0, 0, 35, 287, 0xf62d9aae006eee8c]),
-    ("drop-dup/jacobi-p8", [1777488, 60, 0, 0, 108, 782, 0xd19264d71f24889a]),
-    ("drop-dup/micro-p3", [247558, 14, 0, 0, 27, 216, 0x9110cd7060eeffaa]),
-    ("partition/jacobi-p3", [456432, 4, 0, 0, 7, 257, 0x89c007818249aab2]),
-    ("partition/jacobi-p8", [663741, 19, 0, 0, 28, 707, 0x6e2e3d5a13cec20c]),
-    ("partition/micro-p3", [405193, 9, 0, 0, 11, 202, 0x4eddcffe0580e3eb]),
-    ("crash-primary/jacobi-p3", [2336357, 24, 0, 0, 36, 260, 0x266633c845a85cf1]),
-    ("crash-primary/jacobi-p8", [17602360, 67, 0, 0, 93, 709, 0x3fa830abf78e21a9]),
-    ("crash-primary/micro-p3", [2289911, 24, 0, 0, 35, 204, 0x65a3f23b7ac255bf]),
-    ("crash-other/jacobi-p3", [4692680, 26, 3, 0, 30, 258, 0x03aec3088a7d6270]),
-    ("crash-other/jacobi-p8", [9270643, 82, 8, 0, 92, 724, 0x9ca0b54c8f218998]),
-    ("crash-other/micro-p3", [4593105, 27, 3, 0, 31, 201, 0xc69727825ba4a86e]),
-    ("batch-drop/jacobi-p3", [824849, 28, 0, 0, 32, 288, 0x36c6fbf8d88a5224]),
-    ("batch-drop/jacobi-p8", [2764985, 93, 0, 0, 115, 817, 0x560bcf9eea6f74de]),
-    ("batch-drop/micro-p3", [602027, 23, 0, 0, 26, 221, 0xc182c2b06442ed5a]),
-    ("batch-dup/jacobi-p3", [145447, 0, 0, 0, 61, 262, 0x6e78d6deeb6c6d7b]),
-    ("batch-dup/jacobi-p8", [247820, 0, 0, 0, 167, 710, 0x539747df9804724b]),
-    ("batch-dup/micro-p3", [100341, 0, 0, 0, 41, 199, 0x2a6d5b67b37203c5]),
-    ("batch-delay/jacobi-p3", [339890, 0, 0, 0, 62, 251, 0x4ccc70758f3ef660]),
-    ("batch-delay/jacobi-p8", [517740, 0, 0, 0, 181, 687, 0x809bcd7921f4e438]),
-    ("batch-delay/micro-p3", [238776, 0, 0, 0, 45, 192, 0xff62cfeb062306eb]),
-    ("batch-crash/jacobi-p3", [7270648, 46, 3, 0, 84, 286, 0x3b49d8f88d0a06bf]),
-    ("batch-crash/jacobi-p8", [12900786, 131, 8, 0, 243, 817, 0x953efdda52d236da]),
-    ("batch-crash/micro-p3", [2916959, 41, 3, 0, 75, 222, 0x54bf8617775e81ea]),
-    ("scale-drop/jacobi-p3", [425581, 12, 0, 0, 15, 273, 0x9f471f9254dde479]),
-    ("scale-drop/jacobi-p8", [1221659, 41, 0, 0, 47, 745, 0x833857ee0b62a9bf]),
-    ("scale-drop/micro-p3", [331036, 9, 0, 0, 12, 210, 0x78c8453d361c5de4]),
-    ("scale-crash/jacobi-p3", [6763601, 29, 3, 0, 33, 258, 0x6dc19c72e88f6afb]),
-    ("scale-crash/jacobi-p8", [17682747, 73, 8, 0, 89, 717, 0x6212221f0c4658d5]),
-    ("scale-crash/micro-p3", [2350153, 27, 3, 0, 31, 201, 0x6945c7736e427087]),
-    ("scale-drop-dup/jacobi-p3", [387183, 8, 0, 0, 14, 262, 0xa985f2b0b23c1de7]),
-    ("scale-drop-dup/jacobi-p8", [716404, 27, 0, 0, 53, 734, 0xcfffb43b2ed62587]),
-    ("scale-drop-dup/micro-p3", [324499, 8, 0, 0, 12, 203, 0x08be51926318f366]),
+    ("drop-light/jacobi-p3", [139761, 1, 0, 0, 2, 253, 0x0aefad1dacd852fd]),
+    ("drop-light/jacobi-p8", [354877, 7, 0, 0, 10, 699, 0xa5c01fe977c55e88]),
+    ("drop-light/micro-p3", [101857, 0, 0, 0, 1, 194, 0x9d94be1b937c0dd7]),
+    ("drop-heavy/jacobi-p3", [1535080, 27, 0, 0, 28, 279, 0x2d26b2a5e467b25c]),
+    ("drop-heavy/jacobi-p8", [1831284, 66, 0, 0, 75, 777, 0xe313edfb179babd5]),
+    ("drop-heavy/micro-p3", [625895, 17, 0, 0, 19, 211, 0xcafeddb50b103a38]),
+    ("duplicates/jacobi-p3", [136551, 0, 0, 0, 21, 254, 0x8d2d6ed4c09b10f4]),
+    ("duplicates/jacobi-p8", [230924, 0, 0, 0, 60, 702, 0x46dd4de304523ec9]),
+    ("duplicates/micro-p3", [100341, 0, 0, 0, 14, 194, 0x59c2a4fb0554b93b]),
+    ("delays/jacobi-p3", [190891, 0, 0, 0, 23, 251, 0x990bfb59e544bf57]),
+    ("delays/jacobi-p8", [294496, 0, 0, 0, 67, 687, 0xef504e1abac3e37c]),
+    ("delays/micro-p3", [131833, 0, 0, 0, 19, 190, 0x74988ba5be76b346]),
+    ("mixed/jacobi-p3", [391966, 12, 0, 0, 38, 270, 0x8e6dc340ed1f87d2]),
+    ("mixed/jacobi-p8", [739146, 25, 0, 0, 100, 729, 0x110e12a2d993ab85]),
+    ("mixed/micro-p3", [216327, 7, 0, 0, 30, 207, 0x9d08f16891a6f839]),
+    ("drop-dup/jacobi-p3", [623911, 21, 0, 0, 35, 287, 0x7447ed01061491c7]),
+    ("drop-dup/jacobi-p8", [1731686, 58, 0, 0, 106, 782, 0x2a205ebf91e2a72d]),
+    ("drop-dup/micro-p3", [247558, 14, 0, 0, 27, 216, 0x6c30ae989eaad724]),
+    ("partition/jacobi-p3", [499327, 5, 0, 0, 6, 257, 0x637a1b866d366c59]),
+    ("partition/jacobi-p8", [674404, 11, 0, 0, 13, 703, 0xbf074ed617fae364]),
+    ("partition/micro-p3", [445326, 4, 0, 0, 4, 194, 0x6a256db6fa7f486c]),
+    ("crash-primary/jacobi-p3", [6645300, 26, 0, 0, 36, 264, 0x9637d7045229c34e]),
+    ("crash-primary/jacobi-p8", [17602360, 67, 0, 0, 93, 709, 0x27939a6acf4e0d31]),
+    ("crash-primary/micro-p3", [6564914, 25, 0, 0, 35, 206, 0xfe7b7cad062c00e4]),
+    ("crash-other/jacobi-p3", [4683784, 26, 3, 0, 30, 258, 0x1824bd77173aa439]),
+    ("crash-other/jacobi-p8", [9253747, 82, 8, 0, 92, 724, 0x8452a5ff36a0266a]),
+    ("crash-other/micro-p3", [4593105, 27, 3, 0, 31, 201, 0x6bbe969b2a3a315c]),
+    ("batch-drop/jacobi-p3", [815953, 28, 0, 0, 32, 288, 0x6d2427105e70963e]),
+    ("batch-drop/jacobi-p8", [2762137, 93, 0, 0, 115, 817, 0x3bb914d572363aa6]),
+    ("batch-drop/micro-p3", [602027, 23, 0, 0, 26, 221, 0x5a8f2e06b9b3f975]),
+    ("batch-dup/jacobi-p3", [136551, 0, 0, 0, 61, 262, 0x9e8f2005e50a860c]),
+    ("batch-dup/jacobi-p8", [230924, 0, 0, 0, 167, 710, 0x895ba478705f0b64]),
+    ("batch-dup/micro-p3", [100341, 0, 0, 0, 41, 199, 0x72b659dad32afaa6]),
+    ("batch-delay/jacobi-p3", [332594, 0, 0, 0, 62, 251, 0x077a72a31945659d]),
+    ("batch-delay/jacobi-p8", [510359, 0, 0, 0, 181, 687, 0x27b037909cabfc61]),
+    ("batch-delay/micro-p3", [238776, 0, 0, 0, 45, 192, 0xc2a7c2890a87e359]),
+    ("batch-crash/jacobi-p3", [7312605, 45, 3, 0, 84, 292, 0x2c883c2c8d9083b6]),
+    ("batch-crash/jacobi-p8", [16970807, 129, 8, 0, 242, 803, 0x2f44a493eaffef98]),
+    ("batch-crash/micro-p3", [2731780, 39, 3, 0, 72, 223, 0x874e5e706d733367]),
+    ("scale-drop/jacobi-p3", [419098, 12, 0, 0, 15, 273, 0x60af15401710b1e6]),
+    ("scale-drop/jacobi-p8", [1163174, 41, 0, 0, 46, 744, 0x6ca166c28294d107]),
+    ("scale-drop/micro-p3", [331036, 9, 0, 0, 12, 210, 0x4a27a978c73ef6c6]),
+    ("scale-crash/jacobi-p3", [6759389, 28, 3, 0, 32, 258, 0x7c10db909ac106dd]),
+    ("scale-crash/jacobi-p8", [17703399, 75, 8, 0, 88, 721, 0x8853c36128924385]),
+    ("scale-crash/micro-p3", [6527517, 26, 3, 0, 31, 199, 0xdaf4f8477f128e95]),
+    ("scale-drop-dup/jacobi-p3", [378287, 8, 0, 0, 14, 262, 0x86f314e905118ac0]),
+    ("scale-drop-dup/jacobi-p8", [693009, 26, 0, 0, 52, 724, 0x9cb54f6b43f38d65]),
+    ("scale-drop-dup/micro-p3", [324499, 8, 0, 0, 12, 203, 0xbd76d96d233a9537]),
 ];
 
 #[test]
@@ -501,10 +504,12 @@ fn faulted_timelines_are_pinned_across_commits() {
 const WHOLE_PAGE_JACOBI: JacobiParams = JacobiParams { n: 126, iters: 4, threads: 4 };
 
 /// Batch-level losses and a primary crash over claimed pages, on write-
-/// through replicas (`replica_offset` 1), pinned like [`PINNED`].
+/// through replicas (`replica_offset` 1), pinned like [`PINNED`];
+/// re-recorded with it when a never-written page began to be served as its
+/// version, which moved the crash's fail-overs from one thread to three.
 const WHOLE_PAGE_PINNED: &[timeline::Row] = &[
-    ("crash-primary/jacobi-pages-p4", [2849074, 42, 1, 0, 83, 916, 0xfeece871a6b63c99]),
-    ("batch-drop/jacobi-pages-p4", [3661352, 140, 0, 0, 182, 1315, 0xb8f4f533e04b5555]),
+    ("crash-primary/jacobi-pages-p4", [2860170, 41, 3, 0, 83, 922, 0xe4026f3a1f85fed1]),
+    ("batch-drop/jacobi-pages-p4", [3730346, 142, 0, 0, 182, 1319, 0x0b4475a47c288486]),
 ];
 
 #[test]

@@ -261,8 +261,11 @@ fn chaos_standby_run() -> (SamhitaConfig, RunReport, RunTrace) {
 /// runs began to start once every service settled and threads to refetch
 /// at a barrier release the pages they used (a serve now also names its
 /// reader). The second run's causal form moved when a fetch stall began to
-/// ride its own reader's serve of the page, not another reader's. Every
-/// later writer must reproduce the values below.
+/// ride its own reader's serve of the page, not another reader's. All
+/// three runs' moved when a never-written page began to be served as its
+/// version, and a serve to say how many written pages it read and how long
+/// its request was at the home. Every later writer must reproduce the
+/// values below.
 #[test]
 fn export_bytes_are_pinned_across_commits() {
     let cfg = SamhitaConfig { max_threads: 8, ..traced_cfg() };
@@ -271,7 +274,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0x7a74_2c62_2778_e6f0, 0x1b36_5c80_cd3a_5aca, 0x8eb5_efd7_abb6_085f],
+        [0xdc6b_620a_8e5e_23b7, 0xda8b_bf5d_8668_c36e, 0x699f_e3bb_bcfa_9783],
         "jacobi P=8"
     );
 
@@ -281,7 +284,7 @@ fn export_bytes_are_pinned_across_commits() {
     let trace = rt.take_trace().expect("tracing enabled");
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0xf70e_2dac_bc8b_0d42, 0xf424_2aea_2cae_3206, 0xae8d_3b4d_daf1_a452],
+        [0x7fcf_d872_0981_6da3, 0x5d3f_4383_677e_7b64, 0xb2d1_021c_2adc_2059],
         "micro P=4 global"
     );
 
@@ -292,7 +295,7 @@ fn export_bytes_are_pinned_across_commits() {
     }
     assert_eq!(
         export_hashes(&cfg, &report, &trace),
-        [0xf66b_b74d_7e53_966f, 0xab13_55d9_1072_c73d, 0x6ca2_0986_6988_1e49],
+        [0x3a07_2211_c0e2_4fbe, 0x7665_eabb_2205_35df, 0x2cfc_c5b6_9329_ac44],
         "chaos + standby"
     );
 }
