@@ -472,7 +472,7 @@ impl<'a> Index<'a> {
                             ix.mgr_by.entry((tid, op)).or_default().push(ix.mgr.len());
                             ix.mgr.push(Serve {
                                 track: *track,
-                                start: done.saturating_sub(costs.serve_ns(&e.kind)),
+                                start: done.saturating_sub(costs.serve_ns(std::slice::from_ref(e))),
                                 done,
                                 chain_lo: 0,
                                 label: &e.kind,
@@ -489,7 +489,7 @@ impl<'a> Index<'a> {
                     // stamp-group is one serve, labelled by its first fetch.
                     for group in events.chunk_by(|a, b| a.at == b.at) {
                         let done = group[0].at.as_ns();
-                        let svc: u64 = group.iter().map(|e| costs.serve_ns(&e.kind)).sum();
+                        let svc = costs.serve_ns(group);
                         let fetch =
                             |e: &&TraceEvent| matches!(e.kind, EventKind::ServeFetch { .. });
                         let label = &group.iter().find(fetch).unwrap_or(&group[0]).kind;
