@@ -1,178 +1,20 @@
-//! Per-thread and per-run measurement.
+//! Per-run measurement.
 //!
-//! The paper's evaluation splits application runtime into **compute time**
-//! and **synchronization time** (Figures 3–11). We reproduce that split
-//! exactly: every virtual nanosecond of a thread's clock belongs to one of
-//! the two buckets — synchronization operations (lock/unlock, barriers,
-//! condition waits, including the consistency flushes they perform) charge
-//! the sync bucket, everything else (including demand-fetch misses and
-//! invalidation refetches during computation, which is where false sharing
-//! hurts) is compute time.
+//! A [`RunReport`] gathers each compute thread's [`ThreadStats`] — the fold
+//! of the thread's events, defined beside the event vocabulary in
+//! `samhita_trace` — with the fabric traffic and the services' busy and
+//! queue accounting of one run. The paper's compute/sync split (Figures
+//! 3–11) is every thread's `compute` and `sync`: synchronization operations
+//! (lock/unlock, barriers, condition waits, including the consistency
+//! flushes they perform) charge the sync bucket, everything else (including
+//! demand-fetch misses and invalidation refetches during computation, which
+//! is where false sharing hurts) is compute time.
 
 use samhita_scl::{FabricStatsSnapshot, MsgClass, SimTime};
 use samhita_trace::{HotspotMap, LatencyHistogram};
+pub use samhita_trace::{ThreadStats, TimeBreakdown};
 
 use crate::layout::{AddressLayout, Region};
-
-/// Counters and clocks of one compute thread over one run.
-#[derive(Clone, Debug, Default)]
-pub struct ThreadStats {
-    /// Thread id within the run.
-    pub tid: u32,
-    /// Final virtual clock (total time).
-    pub total: SimTime,
-    /// Time inside synchronization operations.
-    pub sync: SimTime,
-    /// `total - sync`.
-    pub compute: SimTime,
-    /// Demand line fetches (cold or capacity misses).
-    pub line_misses: u64,
-    /// Refetches after invalidation, each of a run of a line's pages
-    /// (false-sharing traffic).
-    pub page_refetches: u64,
-    /// Misses satisfied by a completed prefetch: one taken in already, or
-    /// one whose response was delivered before the miss.
-    pub prefetch_hits: u64,
-    /// Misses that had to wait for an in-flight prefetch.
-    pub prefetch_late: u64,
-    /// Lines evicted.
-    pub evictions: u64,
-    /// Pages invalidated by write notices from other threads.
-    pub invalidations: u64,
-    /// Twins created (first ordinary write to a clean page).
-    pub twins_created: u64,
-    /// Ordinary-region diff payload flushed, in bytes.
-    pub diff_bytes_flushed: u64,
-    /// Fine-grain (consistency-region) payload flushed, in bytes.
-    pub fine_bytes_flushed: u64,
-    /// Lock acquisitions.
-    pub locks_acquired: u64,
-    /// Barrier episodes.
-    pub barriers: u64,
-    /// Protocol requests retransmitted after detecting loss.
-    pub retries: u64,
-    /// Memory-server failovers: the thread gave up on a primary home and
-    /// re-homed its traffic to the replica.
-    pub failovers: u64,
-    /// Manager failovers: the thread exhausted its retry budget against the
-    /// primary manager and re-homed all manager traffic to the hot standby
-    /// (at most 1 per thread — the re-home is sticky).
-    pub mgr_failovers: u64,
-    /// Latency of every synchronous fetch stall (demand misses, refetches,
-    /// late prefetch waits). Recorded unconditionally — histograms are part
-    /// of the report, not of the (optional) event trace.
-    pub fetch_latency: LatencyHistogram,
-    /// Lock-wait latency: acquire request → grant observed.
-    pub lock_wait: LatencyHistogram,
-    /// Barrier-wait latency: arrival → release observed.
-    pub barrier_wait: LatencyHistogram,
-    /// Per-page protocol activity (misses, refetches, invalidations, twins,
-    /// flushed bytes). Always on, like the histograms: part of the report,
-    /// not of the (optional) event trace.
-    pub hot: HotspotMap,
-    /// Virtual clock at the timing epoch (where `total` starts counting).
-    pub epoch_ns: u64,
-    /// Virtual clock when the thread body finished (`epoch_ns + total`).
-    pub end_ns: u64,
-    /// Σ synchronous fetch-stall waits (demand misses, refetches, late
-    /// prefetch waits). Sum of exactly the intervals `fetch_latency` buckets.
-    pub fetch_wait_ns: u64,
-    /// Σ lock waits: acquire request → grant observed, including condition
-    /// re-acquires. Sum of exactly the intervals `lock_wait` buckets.
-    pub lock_wait_ns: u64,
-    /// Σ barrier waits: arrival → release observed.
-    pub barrier_wait_ns: u64,
-    /// Σ non-sync manager RPC waits (alloc, free, create, signal…).
-    pub mgr_wait_ns: u64,
-    /// Σ time inside sync-time consistency flushes (twin diffing, staging,
-    /// batched one-way sends). Measured *around* the whole
-    /// flush, and the lock/barrier waits are measured *after* the flush
-    /// returns, so the five wait classes are pairwise disjoint by
-    /// construction (the conservation audit, DESIGN.md §13).
-    pub flush_wait_ns: u64,
-}
-
-/// Where one thread's share of the run went: the five measured wait classes,
-/// the compute remainder, and scheduler idle (the gap between this thread's
-/// finish and the run makespan). Sums to the makespan exactly — see
-/// [`ThreadStats::breakdown`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct TimeBreakdown {
-    /// Compute remainder: `total` minus every measured wait.
-    pub compute_ns: u64,
-    /// Synchronous fetch stalls.
-    pub fetch_ns: u64,
-    /// Lock waits (request → grant).
-    pub lock_ns: u64,
-    /// Barrier waits (arrival → release).
-    pub barrier_ns: u64,
-    /// Non-sync manager RPC waits.
-    pub mgr_ns: u64,
-    /// Sync-time consistency flushes.
-    pub flush_ns: u64,
-    /// Time after this thread finished while the run was still going.
-    pub idle_ns: u64,
-    /// The thread's own measured time (`compute + waits`).
-    pub total_ns: u64,
-}
-
-impl TimeBreakdown {
-    /// Sum of every class including idle; equals the makespan it was built
-    /// against (the conservation identity).
-    pub fn sum_ns(&self) -> u64 {
-        self.compute_ns
-            + self.fetch_ns
-            + self.lock_ns
-            + self.barrier_ns
-            + self.mgr_ns
-            + self.flush_ns
-            + self.idle_ns
-    }
-
-    /// Sum of the five measured wait classes.
-    pub fn wait_ns(&self) -> u64 {
-        self.fetch_ns + self.lock_ns + self.barrier_ns + self.mgr_ns + self.flush_ns
-    }
-
-    fn add(&mut self, other: &TimeBreakdown) {
-        self.compute_ns += other.compute_ns;
-        self.fetch_ns += other.fetch_ns;
-        self.lock_ns += other.lock_ns;
-        self.barrier_ns += other.barrier_ns;
-        self.mgr_ns += other.mgr_ns;
-        self.flush_ns += other.flush_ns;
-        self.idle_ns += other.idle_ns;
-        self.total_ns += other.total_ns;
-    }
-}
-
-impl ThreadStats {
-    /// Time-conservation breakdown of this thread against the run makespan:
-    /// `compute + fetch + lock + barrier + mgr + flush + idle == makespan`,
-    /// exactly, in integer nanoseconds. The wait classes are measured as
-    /// pairwise-disjoint intervals of this thread's virtual clock, so the
-    /// compute remainder never underflows on a well-formed report (asserted
-    /// by the conservation property tests).
-    pub fn breakdown(&self, makespan: SimTime) -> TimeBreakdown {
-        let total = self.total.as_ns();
-        let waits = self.fetch_wait_ns
-            + self.lock_wait_ns
-            + self.barrier_wait_ns
-            + self.mgr_wait_ns
-            + self.flush_wait_ns;
-        debug_assert!(waits <= total, "wait classes overlap: {waits} > {total}");
-        TimeBreakdown {
-            compute_ns: total.saturating_sub(waits),
-            fetch_ns: self.fetch_wait_ns,
-            lock_ns: self.lock_wait_ns,
-            barrier_ns: self.barrier_wait_ns,
-            mgr_ns: self.mgr_wait_ns,
-            flush_ns: self.flush_wait_ns,
-            idle_ns: makespan.as_ns().saturating_sub(total),
-            total_ns: total,
-        }
-    }
-}
 
 /// Wall-clock nanoseconds measured on the *host*, wrapped so the value is
 /// redacted from `Debug` output: determinism tests compare `RunReport`
@@ -449,6 +291,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use samhita_scl::FabricStats;
+    use samhita_trace::{EventKind, FetchKind};
 
     use super::*;
 
@@ -523,12 +366,13 @@ mod tests {
 
     #[test]
     fn hotspots_merge_across_threads() {
+        let refetch = EventKind::RefetchIssue { page: 5, pages: 1 };
         let mut a = t(0, 10, 0);
-        a.hot.record_refetch(5, 1);
-        a.hot.record_diff(5, 100);
+        a.fold(&refetch);
+        a.fold(&EventKind::DiffFlush { page: 5, bytes: 100 });
         let mut b = t(1, 10, 0);
-        b.hot.record_refetch(5, 1);
-        b.hot.record_miss(9, 2);
+        b.fold(&refetch);
+        b.fold(&EventKind::Fetch { page: 9, pages: 2, kind: FetchKind::Demand, wait_ns: 0 });
         let r = RunReport::new(vec![a, b], FabricStatsSnapshot::default());
         let hot = r.hotspots();
         assert_eq!(hot.page(5).unwrap().refetches, 2);

@@ -21,11 +21,14 @@
 //!   really waiting on, read by [`critical_path`] — whose class totals tile
 //!   the makespan exactly — and by [`RunTrace::to_chrome_json_with`], which
 //!   draws the same serves and hops as slices and flow arrows;
-//! * log-bucketed [`LatencyHistogram`]s for fetch, lock-wait and barrier-wait
-//!   latencies (p50/p95/p99/max);
+//! * [`ThreadStats`], a compute thread's counters, log-bucketed
+//!   [`LatencyHistogram`]s (p50/p95/p99/max), wait sums and page-granular
+//!   [`HotspotMap`]: the one fold of its events ([`ThreadStats::fold`]),
+//!   which the thread runs as it emits them and the trace-derived views
+//!   below rerun on a stored track;
 //! * a post-hoc [`MetricsTimeline`] — per-interval miss/refetch/byte/wait
 //!   counters and manager/server busy time bucketed over virtual time — and
-//!   page-granular [`HotspotMap`] attribution for false-sharing diagnosis;
+//!   [`HotspotMap::from_trace`] for false-sharing diagnosis;
 //! * the workspace's one JSON implementation ([`json`]): the [`JsonValue`]
 //!   tree every machine-readable report is built as, its writer (`Display`)
 //!   and its parser — only the two trace exporters above stream their own
@@ -44,6 +47,7 @@ pub mod hist;
 pub mod hotspot;
 pub mod json;
 pub mod metrics;
+pub mod stats;
 pub mod tracer;
 
 pub use check::{CheckSummary, Violation};
@@ -55,4 +59,5 @@ pub use hist::LatencyHistogram;
 pub use hotspot::{HotspotMap, PageCounters};
 pub use json::{validate_json, JsonValue};
 pub use metrics::{MetricsTimeline, ServiceCosts, TimelineBucket};
+pub use stats::{ThreadStats, TimeBreakdown};
 pub use tracer::{RunTrace, SharedTrack, TraceBuf, Tracer};

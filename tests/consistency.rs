@@ -4,9 +4,13 @@
 //! end through real compute threads, the manager, and the memory servers.
 
 use samhita_repro::core::{
-    ConsistencyVariant, EvictionPolicy, Samhita, SamhitaConfig, TopologyKind,
+    ConsistencyVariant, EvictionPolicy, RunReport, Samhita, SamhitaConfig, TopologyKind,
 };
 use samhita_repro::rt::{KernelCtx, KernelRt, NativeRt, SamhitaRt};
+use samhita_repro::trace::EventKind;
+
+#[path = "common/fold.rs"]
+mod fold;
 
 fn small() -> SamhitaConfig {
     SamhitaConfig::small_for_tests()
@@ -252,35 +256,65 @@ fn condvar_handoff_with_waiting_consumer() {
     for cfg in [small(), bypass] {
         for sched_seed in 0..8 {
             let sys = Samhita::new(SamhitaConfig { sched_seed, ..cfg.clone() });
-            let flag = sys.alloc_global(8);
-            let value = sys.alloc_global(8);
-            let lock = sys.create_mutex();
-            let cond = sys.create_cond();
-            let stats = sys.run(2, |ctx| {
-                if ctx.tid() == 0 {
-                    // Consumer.
-                    ctx.lock(lock);
-                    while ctx.read_u64(flag) == 0 {
-                        ctx.cond_wait(cond, lock);
-                    }
-                    assert_eq!(ctx.read_u64(value), 99);
-                    ctx.unlock(lock);
-                } else {
-                    // Producer, delayed so the consumer actually waits: the
-                    // compute charge pushes its lock acquisition later in
-                    // *virtual* time, which is what the scheduler orders by.
-                    ctx.compute(100_000);
-                    ctx.lock(lock);
-                    ctx.write_u64(value, 99);
-                    ctx.write_u64(flag, 1);
-                    ctx.cond_signal(cond);
-                    ctx.unlock(lock);
-                }
-            });
+            let stats = condvar_handoff(&sys);
             assert_eq!(stats.threads.len(), 2);
             let system_stats = sys.shutdown();
             assert!(system_stats.manager.cond_waits >= 1, "the consumer must actually have waited");
         }
+    }
+}
+
+/// A consumer waits on a condition variable for a value a producer, later
+/// in virtual time, stores and signals under the lock.
+fn condvar_handoff(sys: &Samhita) -> RunReport {
+    let flag = sys.alloc_global(8);
+    let value = sys.alloc_global(8);
+    let lock = sys.create_mutex();
+    let cond = sys.create_cond();
+    sys.run(2, |ctx| {
+        if ctx.tid() == 0 {
+            // Consumer.
+            ctx.lock(lock);
+            while ctx.read_u64(flag) == 0 {
+                ctx.cond_wait(cond, lock);
+            }
+            assert_eq!(ctx.read_u64(value), 99);
+            ctx.unlock(lock);
+        } else {
+            // Producer, delayed so the consumer actually waits: the compute
+            // charge pushes its lock acquisition later in *virtual* time,
+            // which is what the scheduler orders by.
+            ctx.compute(100_000);
+            ctx.lock(lock);
+            ctx.write_u64(value, 99);
+            ctx.write_u64(flag, 1);
+            ctx.cond_signal(cond);
+            ctx.unlock(lock);
+        }
+    })
+}
+
+/// A condition wait's re-acquire is a lock acquisition like any other: a
+/// `LockAcquire` event, a lock wait and a count in `locks_acquired` — and the
+/// program's tracks fold into exactly its threads' statistics.
+#[test]
+fn a_condition_wait_reacquire_counts_as_a_lock_acquisition() {
+    for sched_seed in 0..4 {
+        let sys = Samhita::new(SamhitaConfig { tracing: true, sched_seed, ..small() });
+        let report = condvar_handoff(&sys);
+        let trace = sys.take_trace().expect("tracing enabled");
+        let acquires = (trace.tracks.iter().flat_map(|(_, events)| events))
+            .filter(|e| matches!(e.kind, EventKind::LockAcquire { .. }))
+            .count() as u64;
+        let what = format!("sched_seed {sched_seed}");
+        assert_eq!(report.total_of(|t| t.locks_acquired), acquires, "{what}");
+        assert_eq!(report.lock_wait().count(), acquires, "{what}");
+        assert_eq!(
+            acquires,
+            2 + sys.shutdown().manager.cond_waits,
+            "{what}: two locks, the re-acquires"
+        );
+        fold::assert_tracks_fold_into(&report, &trace, &what);
     }
 }
 
