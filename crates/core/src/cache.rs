@@ -36,14 +36,18 @@
 //!   used invalid page, like the dirty set, and
 //!   [`SoftCache::take_used_runs`] hands out their runs. What comes back
 //!   fills only the pages still invalid ([`SoftCache::fill_invalid`]).
-//! * **Pages arrive by reference.** A resident page holds the frame its
-//!   home served (ownership rule: [`samhita_mem::store`]), so installing,
-//!   revalidating and refreshing move pointers, not bytes. Every store goes
-//!   through [`PageFrame::bytes_mut`], which copies the page first if anyone
-//!   else — the home, another cache, this page's own twin — still holds it.
-//!   The first ordinary-region store keeps the fetched frame as the twin and
-//!   lands on a copy: the one page copy twinning has always cost. An
-//!   `Invalid` page holds no frame, so the home may update its own in place.
+//! * **Pages arrive and leave by reference.** A resident page holds the
+//!   frame its home served (ownership rule: [`samhita_mem::store`]), so
+//!   installing, revalidating and refreshing move pointers, not bytes, and
+//!   a flush or eviction diff reads the page's frame in place
+//!   ([`PageFrame::diff_since`], [`PageFrame::whole_diff`]) — a whole page
+//!   its home then adopts. Every store goes through
+//!   [`PageFrame::bytes_mut`], which copies the page first if anyone else —
+//!   the home, another cache, this page's own twin, a diff in flight — still
+//!   holds it. The first ordinary-region store keeps the frame as the twin
+//!   and lands on a copy: the one page copy twinning has always cost, and
+//!   the only one a flush leaves behind. An `Invalid` page holds no frame,
+//!   so the home may update its own in place.
 //! * **A page stored over whole is claimed, not fetched.** An
 //!   ordinary-region store is owed its page only at the next
 //!   synchronization, and a store that covers all of it needs none of the
@@ -363,13 +367,14 @@ impl SoftCache {
     }
 
     /// Diff a dirty page against its twin and let the twin go; a claimed
-    /// page, which has none, is one run of all its bytes.
+    /// page, which has none, is one run of all its bytes. Either way the
+    /// diff reads the page's frame in place, and the next store copies it.
     fn take_diff(&mut self, at: PageRef) -> Diff {
         let slot = &mut self.lines[at.line].slots[at.idx];
-        let bytes = slot.frame.as_ref().expect("valid page without bytes").bytes();
+        let frame = slot.frame.as_ref().expect("valid page without bytes");
         match slot.twin.take() {
-            Some(twin) => Diff::compute(twin.bytes(), bytes),
-            None => Diff::from_run(0, bytes.to_vec()),
+            Some(twin) => frame.diff_since(&twin),
+            None => frame.whole_diff(),
         }
     }
 
@@ -1013,6 +1018,30 @@ mod tests {
         let (line, diffs) = c.evict().unwrap();
         assert_eq!((line, diffs.len(), diffs[0].0), (2, 1, 4));
         assert_eq!((diffs[0].1.run_count(), diffs[0].1.payload_bytes()), (1, PS));
+    }
+
+    #[test]
+    fn a_store_after_a_flush_never_changes_the_flushed_diff() {
+        let runs = |d: &Diff| d.runs().map(|(o, b)| (o, b.to_vec())).collect::<Vec<_>>();
+        let mut c = cache(4);
+        install(&mut c, 0);
+        // A twinned page's diff and a claimed page's whole diff both read
+        // the page's frame in place.
+        write(&mut c, 0, 0, &[1; 8], RegionKind::Ordinary);
+        overwrite(&mut c, 2, 2);
+        let (twinned, whole) = (c.flush_page(0).unwrap(), c.flush_page(2).unwrap());
+        assert!(slot(&c, 0).frame.as_ref().unwrap().backs(&twinned), "the flush copied nothing");
+        assert!(slot(&c, 2).frame.as_ref().unwrap().backs(&whole));
+        let (want_twinned, want_whole) = (runs(&twinned), runs(&whole));
+        // Every kind of store, to the bytes the diffs read.
+        write(&mut c, 0, 0, &[3; 8], RegionKind::Ordinary);
+        write(&mut c, 0, 8, &[4; 8], RegionKind::Consistency);
+        assert!(c.apply_update(2, 24, &[6; 8]));
+        write(&mut c, 2, 0, &[5; 8], RegionKind::Consistency);
+        write(&mut c, 2, 16, &[7; 8], RegionKind::Ordinary);
+        assert_eq!((runs(&twinned), runs(&whole)), (want_twinned, want_whole));
+        assert_eq!(&page_bytes(&c, 0)[..16], &[[3; 8], [4; 8]].concat()[..]);
+        assert_eq!(&page_bytes(&c, 2)[..32], &[[5; 8], [2; 8], [7; 8], [6; 8]].concat()[..]);
     }
 
     #[test]

@@ -81,7 +81,7 @@
 use std::collections::HashSet;
 
 use samhita_mem::{HomeMap, IntMap, MemRequest, MemResponse, PageFrame};
-use samhita_regc::Marks;
+use samhita_regc::{Marks, UpdateBatch};
 use samhita_scl::{Endpoint, EndpointId, Envelope, MsgClass, RetryPolicy, SimTime};
 use samhita_trace::{EventKind, ThreadStats, TraceBuf};
 
@@ -699,20 +699,21 @@ impl Channel {
     /// ([`Stamp`]), and the server holds the request until then — so the
     /// replica applies the shadow copies in the primary's order, and a
     /// request that fails over to it is held there in the same way.
-    pub(crate) fn send_update(&mut self, home: u32, class: MsgClass, req: MemRequest) {
+    pub(crate) fn send_update(&mut self, home: u32, batch: UpdateBatch) {
         self.batches[home as usize] += 1;
-        let batch = self.batches[home as usize];
+        let number = self.batches[home as usize];
+        let req = MemRequest::UpdateBatch { batch };
         let primary = self.effective_server(home);
         if self.replica_offset == 0 {
-            self.post_update(primary, home, batch, class, req, false);
+            self.post_update(primary, home, number, req, false);
             return;
         }
-        self.post_update(primary, home, batch, class, req.clone(), false);
+        self.post_update(primary, home, number, req.clone(), false);
         // Re-check after the primary send: if it exhausted its retries and
         // failed over, the replica already received the (sole) live copy.
         if !self.failed_servers.contains(&home) {
             if let Some(r) = self.live_replica_of(home) {
-                self.post_update(r, home, batch, class, req, true);
+                self.post_update(r, home, number, req, true);
             }
         }
     }
@@ -726,7 +727,6 @@ impl Channel {
         mut server: u32,
         home: u32,
         batch: u32,
-        class: MsgClass,
         req: MemRequest,
         shadow: bool,
     ) {
@@ -736,7 +736,7 @@ impl Channel {
         let mut budget = 0u32;
         loop {
             let dst = self.mem_eps[server as usize];
-            if self.transmit(dst, msg.wire_bytes(), class, op, &mut budget, &msg) {
+            if self.transmit(dst, msg.wire_bytes(), MsgClass::Update, op, &mut budget, &msg) {
                 return;
             }
             // The path to the copy's server is dead. A shadow copy is
@@ -1054,6 +1054,7 @@ mod tests {
     use std::sync::Arc;
 
     use samhita_mem::PageId;
+    use samhita_regc::UpdatePart;
     use samhita_scl::{profiles, Fabric, FaultPlan, NodeId, Topology};
     use samhita_trace::{TraceEvent, Tracer, TrackId};
 
@@ -1142,8 +1143,10 @@ mod tests {
         Msg::MemResp { token, resp: MemResponse::Line { first: PageId(0), pages } }
     }
 
-    fn update() -> MemRequest {
-        MemRequest::ApplyFine { page: PageId(0), offset: 0, bytes: vec![7; 8] }
+    fn update() -> UpdateBatch {
+        let mut batch = UpdateBatch::new();
+        batch.push(UpdatePart::Fine { page: 0, offset: 0, bytes: vec![7; 8] });
+        batch
     }
 
     #[test]
@@ -1186,14 +1189,14 @@ mod tests {
     fn an_unreachable_shadow_copy_is_abandoned() {
         let mut rig = Rig::new(true, false, 8);
         rig.crash(&rig.mem[1]);
-        rig.chan.send_update(0, MsgClass::Update, update());
+        rig.chan.send_update(0, update());
         assert_eq!(rig.chan.stats.retries, 7);
         assert_eq!(rig.chan.stats.failovers, 0, "giving up on a replica is not a fail-over");
         assert!(rig.chan.failed_servers.contains(&1));
         // The next update is not written through to the dead replica: it
         // costs no retry, and only the primary's copies arrive (token 2
         // was the abandoned shadow).
-        rig.chan.send_update(0, MsgClass::Update, update());
+        rig.chan.send_update(0, update());
         assert_eq!(rig.chan.stats.retries, 7);
         let tokens: Vec<u64> = std::iter::from_fn(|| rig.mem[0].try_recv())
             .map(|env| match env.msg {
@@ -1208,7 +1211,7 @@ mod tests {
     fn an_unreachable_primary_copy_re_homes_with_its_token() {
         let mut rig = Rig::new(true, false, 8);
         rig.crash(&rig.mem[0]);
-        rig.chan.send_update(0, MsgClass::Update, update());
+        rig.chan.send_update(0, update());
         assert_eq!((rig.chan.stats.retries, rig.chan.stats.failovers), (7, 1));
         // The copy reaches the replica under the token the dead primary was
         // sent; no second (shadow) copy follows it there.
@@ -1269,7 +1272,7 @@ mod tests {
         let mut rig = Rig::new(false, false, 8);
         let prefetch = MemRequest::FetchLine { first: PageId(20), pages: 4 };
         assert!(rig.chan.try_prefetch(0, 5, prefetch)); // token 1
-        rig.chan.send_update(0, MsgClass::Update, update()); // token 2
+        rig.chan.send_update(0, update()); // token 2
         let pages = vec![PageFrame::new(&[0; 64], 1); 4];
         let prefetched =
             Msg::MemResp { token: 1, resp: MemResponse::Line { first: PageId(20), pages } };

@@ -17,6 +17,7 @@
 //! timings of later runs.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -335,32 +336,67 @@ impl Samhita {
         }
     }
 
-    /// Initialize global memory from the host (outside timed runs). With
-    /// replication configured, every write also goes through to the replica
-    /// as a shadow copy, so replicas mirror the primaries from time zero.
-    pub fn write_global(&self, addr: u64, data: &[u8]) {
+    /// The pages of `len` bytes of global memory from `addr`, in order, as
+    /// `(page, offset in the page, range of the bytes)`: the one walk every
+    /// host read and write makes.
+    fn host_pages(
+        &self,
+        addr: u64,
+        len: usize,
+    ) -> impl Iterator<Item = (PageId, usize, Range<usize>)> {
         let ps = self.cfg.page_size as u64;
-        let mut ctl = self.ctl.lock();
         let mut cursor = 0usize;
-        while cursor < data.len() {
+        std::iter::from_fn(move || {
+            if cursor == len {
+                return None;
+            }
             let at = addr + cursor as u64;
-            let page = at / ps;
-            let offset = (at % ps) as u32;
-            let take = ((ps - at % ps) as usize).min(data.len() - cursor);
-            let server = self.home_map.home_of_page(PageId(page));
-            let req = MemRequest::ApplyFine {
-                page: PageId(page),
-                offset,
-                bytes: data[cursor..cursor + take].to_vec(),
-            };
+            let take = ((ps - at % ps) as usize).min(len - cursor);
+            cursor += take;
+            Some((PageId(at / ps), (at % ps) as usize, cursor - take..cursor))
+        })
+    }
+
+    /// Write `len` bytes of global memory from `addr` from the host, one
+    /// fine-grain update per page, whose bytes `encode` makes from their
+    /// range. With replication configured, every write also goes through to
+    /// the replica as a shadow copy, so replicas mirror the primaries from
+    /// time zero.
+    fn write_pages(&self, addr: u64, len: usize, mut encode: impl FnMut(Range<usize>) -> Vec<u8>) {
+        let mut ctl = self.ctl.lock();
+        for (page, offset, range) in self.host_pages(addr, len) {
+            let server = self.home_map.home_of_page(page);
+            let req = MemRequest::ApplyFine { page, offset: offset as u32, bytes: encode(range) };
             if let Some(r) = self.home_map.replica_of_server(server, self.cfg.replica_offset) {
                 let resp = ctl.rpc_mem(self.mem_eps[r as usize], true, req.clone());
                 assert!(matches!(resp, MemResponse::Ack { .. }));
             }
             let resp = ctl.rpc_mem(self.mem_eps[server as usize], false, req);
             assert!(matches!(resp, MemResponse::Ack { .. }));
-            cursor += take;
         }
+    }
+
+    /// Read `len` bytes of global memory from `addr` from the host, one
+    /// single-page fetch per page: `decode` gets each range with the
+    /// served frame's bytes for it.
+    fn read_pages(&self, addr: u64, len: usize, mut decode: impl FnMut(Range<usize>, &[u8])) {
+        let mut ctl = self.ctl.lock();
+        for (page, offset, range) in self.host_pages(addr, len) {
+            let server = self.host_read_server(self.home_map.home_of_page(page));
+            let req = MemRequest::FetchLine { first: page, pages: 1 };
+            match ctl.rpc_mem(self.mem_eps[server as usize], false, req) {
+                MemResponse::Line { pages, .. } => {
+                    decode(range.clone(), &pages[0].bytes()[offset..offset + range.len()]);
+                }
+                other => panic!("unexpected page response: {other:?}"),
+            }
+        }
+    }
+
+    /// Initialize global memory from the host (outside timed runs); see
+    /// [`Samhita::write_pages`].
+    pub fn write_global(&self, addr: u64, data: &[u8]) {
+        self.write_pages(addr, data.len(), |range| data[range].to_vec());
     }
 
     /// The server the host reads a page's home data from: the primary,
@@ -379,44 +415,44 @@ impl Samhita {
 
     /// Read global memory from the host (outside timed runs).
     pub fn read_global(&self, addr: u64, out: &mut [u8]) {
-        let ps = self.cfg.page_size as u64;
-        let mut ctl = self.ctl.lock();
-        let mut cursor = 0usize;
-        while cursor < out.len() {
-            let at = addr + cursor as u64;
-            let page = at / ps;
-            let offset = (at % ps) as usize;
-            let take = ((ps - at % ps) as usize).min(out.len() - cursor);
-            let server = self.host_read_server(self.home_map.home_of_page(PageId(page)));
-            let req = MemRequest::FetchLine { first: PageId(page), pages: 1 };
-            match ctl.rpc_mem(self.mem_eps[server as usize], false, req) {
-                MemResponse::Line { pages, .. } => {
-                    out[cursor..cursor + take]
-                        .copy_from_slice(&pages[0].bytes()[offset..offset + take]);
-                }
-                other => panic!("unexpected page response: {other:?}"),
-            }
-            cursor += take;
-        }
+        self.read_pages(addr, out.len(), |range, bytes| out[range].copy_from_slice(bytes));
     }
 
-    /// Convenience: write a slice of `f64`s.
+    /// Convenience: write a slice of `f64`s, each page's bytes encoded
+    /// straight into its update.
     pub fn write_f64s(&self, addr: u64, values: &[f64]) {
-        let mut bytes = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write_global(addr, &bytes);
+        self.write_pages(addr, values.len() * 8, |range| {
+            // The values the range touches, whole; an unaligned range then
+            // trims the one at each end that it shares with a neighbour page.
+            let words = &values[range.start / 8..range.end.div_ceil(8)];
+            let mut bytes = Vec::with_capacity(words.len() * 8);
+            for v in words {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            bytes.drain(..range.start % 8);
+            bytes.truncate(range.len());
+            bytes
+        });
     }
 
-    /// Convenience: read a slice of `f64`s.
+    /// Convenience: read a slice of `f64`s, each served page decoded
+    /// straight into the result.
     pub fn read_f64s(&self, addr: u64, n: usize) -> Vec<f64> {
-        let mut bytes = vec![0u8; n * 8];
-        self.read_global(addr, &mut bytes);
-        bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect()
+        let mut out = vec![0f64; n];
+        self.read_pages(addr, n * 8, |range, bytes| {
+            // An unaligned range shares the value at each end with a
+            // neighbour page: those are patched in byte by byte.
+            let head = ((8 - range.start % 8) % 8).min(bytes.len());
+            let (head, body) = bytes.split_at(head);
+            let mut words = body.chunks_exact(8);
+            for (v, word) in out[range.start.div_ceil(8)..].iter_mut().zip(&mut words) {
+                *v = f64::from_le_bytes(word.try_into().expect("eight bytes"));
+            }
+            let tail = words.remainder();
+            patch_f64(&mut out, range.start, head);
+            patch_f64(&mut out, range.end - tail.len(), tail);
+        });
+        out
     }
 
     /// Run `body` on `nthreads` compute threads and collect their
@@ -575,6 +611,17 @@ impl Samhita {
             standby: self.standby.as_ref().map(|s| s.lock().core.engine.stats()),
         }
     }
+}
+
+/// Overwrite bytes `at..at + bytes.len()` of the little-endian image of
+/// `values`, all of them within one value.
+fn patch_f64(values: &mut [f64], at: usize, bytes: &[u8]) {
+    if bytes.is_empty() {
+        return;
+    }
+    let mut word = values[at / 8].to_le_bytes();
+    word[at % 8..][..bytes.len()].copy_from_slice(bytes);
+    values[at / 8] = f64::from_le_bytes(word);
 }
 
 /// Summarize a memory request stamped `stamp` as trace events (stamped
@@ -1216,6 +1263,29 @@ mod tests {
         let mut back = vec![0u8; 1000];
         s.read_global(addr + 100, &mut back);
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn read_f64s_from_mid_page_over_three_pages_fetches_each_page_once() {
+        let s = system(); // 256-byte pages
+        let base = s.alloc_global(4096).next_multiple_of(256);
+        let fetches = |s: &Samhita| s.mem[0].lock().server.stats().line_fetches;
+        // 60 values from byte 104 of a page: 152 + 256 + 72 bytes; from byte
+        // 100, the two that cross a page boundary come from two fetches.
+        for start in [base + 104, base + 100] {
+            let values: Vec<f64> = (0..60).map(|i| i as f64 * -1.25 + 0.1).collect();
+            let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+            s.write_global(start, &bytes);
+            let before = fetches(&s);
+            assert_eq!(s.read_f64s(start, 60), values);
+            assert_eq!(fetches(&s) - before, 3, "one single-page fetch per page");
+            // And back: write_f64s encodes what write_global wrote.
+            let halves: Vec<f64> = values.iter().map(|v| v / 2.0).collect();
+            s.write_f64s(start, &halves);
+            let mut back = vec![0u8; bytes.len()];
+            s.read_global(start, &mut back);
+            assert_eq!(back, halves.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>());
+        }
     }
 
     #[test]

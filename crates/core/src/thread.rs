@@ -819,7 +819,7 @@ impl ThreadCtx {
                 parts: batch.len() as u32,
                 bytes: batch.wire_bytes() as u64,
             });
-            self.chan.send_update(server, MsgClass::Update, MemRequest::UpdateBatch { batch });
+            self.chan.send_update(server, batch);
         }
     }
 
@@ -1048,9 +1048,9 @@ mod tests {
     /// thread's flush would have by the time its notice arrives.
     fn write_home(ctx: &mut ThreadCtx, page: u64, fill: u8) {
         let home = ctx.home_map.home_of_page(PageId(page));
-        let bytes = vec![fill; ctx.cfg.page_size];
-        let req = MemRequest::ApplyFine { page: PageId(page), offset: 0, bytes };
-        ctx.chan.send_update(home, MsgClass::Update, req);
+        let mut batch = UpdateBatch::new();
+        batch.push(UpdatePart::Fine { page, offset: 0, bytes: vec![fill; ctx.cfg.page_size] });
+        ctx.chan.send_update(home, batch);
     }
 
     #[test]

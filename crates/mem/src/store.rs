@@ -6,16 +6,21 @@
 //!
 //! ## Who owns a page's bytes
 //!
-//! A page's bytes are one reference-counted frame ([`PageFrame`]), and a
-//! fetch hands out a reference to it, not a copy: the home, any number of
+//! A page's bytes are one reference-counted frame ([`PageFrame`]), handed
+//! from holder to holder by reference, not by copy: the home, any number of
 //! caches (a clean page, or a dirty page's twin), a prefetch-ready map, a
-//! server's dedup cache and the host may all hold one frame at once. Nobody
-//! writes bytes another holder can see: the only way to mutate a frame is
+//! server's dedup cache, the host, and a diff in flight
+//! ([`PageFrame::diff_since`] and [`PageFrame::whole_diff`] read the
+//! writer's frame in place) may all hold one frame at once. Nobody writes
+//! bytes another holder can see: the only way to mutate a frame is
 //! [`PageFrame::bytes_mut`], in place for a sole holder and on a private
 //! copy otherwise. So a page is copied exactly when it is written while
 //! shared — at the home when an update lands on a page a reader still
-//! holds, in a cache at the first store after a fetch — and never on the
-//! fetch path. Pages nobody has written share one zero frame per store.
+//! holds, in a cache at the first store after a fetch or a flush — and
+//! never on the fetch or flush path. A diff that covers a whole page is
+//! adopted, not applied: its frame becomes the home's
+//! ([`PageStore::apply_diff`]). Pages nobody has written share one zero
+//! frame per store.
 
 use std::sync::Arc;
 
@@ -59,6 +64,22 @@ impl PageFrame {
     pub fn shares_bytes_with(&self, other: &PageFrame) -> bool {
         Arc::ptr_eq(&self.bytes, &other.bytes)
     }
+
+    /// This frame's diff against `twin`, the pristine page: its runs read
+    /// this frame in place, so only the run table is allocated.
+    pub fn diff_since(&self, twin: &PageFrame) -> Diff {
+        Diff::compute_shared(twin.bytes(), &self.bytes)
+    }
+
+    /// The whole frame as a diff, shared: what a page with no twin ships.
+    pub fn whole_diff(&self) -> Diff {
+        Diff::whole(&self.bytes)
+    }
+
+    /// True when `diff`'s runs read this frame: no copy lies between them.
+    pub fn backs(&self, diff: &Diff) -> bool {
+        diff.shares(&self.bytes)
+    }
 }
 
 /// All pages homed on one memory server.
@@ -94,20 +115,26 @@ impl PageStore {
         (first.0..first.0 + count as u64).map(|page| self.read(PageId(page))).collect()
     }
 
-    /// The one way a page changes: `write` gets its bytes (copied first if
-    /// a reader still holds the frame) and the version moves on. Returns
-    /// the new version.
-    fn mutate(&mut self, id: PageId, write: impl FnOnce(&mut [u8])) -> u64 {
+    /// The one way a page changes: `write` gets its frame — whose bytes
+    /// it writes through [`PageFrame::bytes_mut`], copied first if a reader
+    /// still holds them, or replaces whole — and the version moves on.
+    /// Returns the new version.
+    fn mutate(&mut self, id: PageId, write: impl FnOnce(&mut PageFrame)) -> u64 {
         let frame = self.pages.entry(id).or_insert_with(|| self.zero.clone());
-        write(frame.bytes_mut());
+        write(frame);
         frame.version += 1;
         frame.version
     }
 
     /// Apply an ordinary-region diff to a page (multiple-writer merge point).
-    /// Returns the new version.
+    /// A diff over a whole page is adopted: its shared bytes become the
+    /// page's frame, and nothing is copied. Returns the new version.
     pub fn apply_diff(&mut self, id: PageId, diff: &Diff) -> u64 {
-        self.mutate(id, |page| diff.apply(page))
+        let whole = diff.whole_page().filter(|bytes| bytes.len() == self.page_size());
+        self.mutate(id, |frame| match whole {
+            Some(bytes) => frame.bytes = Arc::clone(bytes),
+            None => diff.apply(frame.bytes_mut()),
+        })
     }
 
     /// Apply a fine-grain (consistency-region) update. Returns the new
@@ -119,13 +146,13 @@ impl PageStore {
         let start = offset as usize;
         let end = start + bytes.len();
         assert!(end <= self.page_size(), "fine-grain update out of page bounds");
-        self.mutate(id, |page| page[start..end].copy_from_slice(bytes))
+        self.mutate(id, |frame| frame.bytes_mut()[start..end].copy_from_slice(bytes))
     }
 
     /// Overwrite a whole page (used by the whole-page consistency ablation).
     pub fn write_page(&mut self, id: PageId, bytes: &[u8]) -> u64 {
         assert_eq!(bytes.len(), self.page_size(), "whole-page write size mismatch");
-        self.mutate(id, |page| page.copy_from_slice(bytes))
+        self.mutate(id, |frame| frame.bytes_mut().copy_from_slice(bytes))
     }
 
     /// Number of pages with a frame of their own: those written at least
@@ -216,6 +243,36 @@ mod tests {
         drop(now);
         s.write_page(PageId(0), &[5; 256]);
         assert_eq!(s.read(PageId(0)).bytes().as_ptr(), at);
+    }
+
+    #[test]
+    fn a_whole_page_diff_is_adopted_and_a_later_partial_one_copies_it() {
+        let mut s = PageStore::new(256);
+        s.apply_fine(PageId(0), 0, &[1; 8]);
+        // Writer A stored over the whole page: its diff is its frame.
+        let a = PageFrame::new(&[0xA; 256], 0);
+        let whole = a.whole_diff();
+        assert!(a.backs(&whole));
+        assert_eq!(s.apply_diff(PageId(0), &whole), 2, "the version moves on as for any update");
+        assert!(s.read(PageId(0)).shares_bytes_with(&a), "adopted, not copied");
+        drop(whole);
+        // Writer B's partial diff lands on a copy: A still holds the frame.
+        let twin = s.read(PageId(0));
+        let mut b = twin.clone();
+        b.bytes_mut()[16..24].fill(0xB);
+        assert_eq!(s.apply_diff(PageId(0), &b.diff_since(&twin)), 3);
+        let home = s.read(PageId(0));
+        assert!(!home.shares_bytes_with(&a));
+        assert!(a.bytes().iter().all(|&x| x == 0xA), "writer A's bytes are untouched");
+        assert_eq!((home.bytes()[0], home.bytes()[16]), (0xA, 0xB));
+        // A dense diff of a twinned page is adopted the same way.
+        let mut c = home.clone();
+        c.bytes_mut().fill(0xC);
+        let dense = c.diff_since(&home);
+        assert!(c.backs(&dense));
+        drop((twin, home));
+        s.apply_diff(PageId(0), &dense);
+        assert!(s.read(PageId(0)).shares_bytes_with(&c));
     }
 
     #[test]

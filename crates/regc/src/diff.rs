@@ -9,15 +9,24 @@
 //!
 //! ## Representation
 //!
-//! A diff is a flat run table — one `(offset, len)` pair per run — over a
-//! single payload buffer holding the runs' bytes back to back, so a page's
-//! diff costs two allocations however fragmented it is (the table doubles
-//! from four entries if it must; the payload never grows), and
-//! [`Diff::payload_bytes`] / [`Diff::wire_bytes`] are O(1).
+//! A diff is a flat run table — one `(offset, len, at)` entry per run — over
+//! shared bytes (`Arc<[u8]>`): each run's new bytes are `bytes[at..][..len]`.
+//! A flush diffs the writer's page frame in place ([`Diff::compute_shared`],
+//! `at == offset`), so it allocates only the run table and copies no page
+//! byte; a page claimed whole ships as one run over its frame
+//! ([`Diff::whole`]), which a home adopts as its new frame
+//! ([`Diff::whole_page`]). The frame stays correct while the diff holds it
+//! because nobody writes a frame another holder can see: the writer's next
+//! store copies it first (`samhita_mem::PageFrame::bytes_mut`). Callers with
+//! plain slices ([`Diff::compute`]) and fine-grain runs
+//! ([`Diff::from_run`]) own their bytes, packed back to back. The table
+//! doubles from four entries if it must; [`Diff::payload_bytes`] /
+//! [`Diff::wire_bytes`] are O(1) and the same whichever bytes the runs read.
 //! [`Diff::compute`] costs time proportional to what changed: equal
-//! stretches are skipped 64 bytes at a time, and each maximal run of
-//! changed words is copied once, into a payload allocated at exactly the
-//! size the finished run table adds up to.
+//! stretches are skipped 64 bytes at a time.
+
+use std::fmt;
+use std::sync::Arc;
 
 /// Comparison granularity in bytes. Diffing whole 8-byte words matches the
 /// `f64`/`u64`-dominated workloads of the paper and keeps run tables small.
@@ -30,24 +39,74 @@ const CHUNK: usize = 8 * WORD;
 /// Wire bytes of one run's `(offset, len)` header.
 const RUN_HEADER_BYTES: usize = 8;
 
+/// One changed run: where it lies in the page, and where its new bytes
+/// start in [`Diff`]'s shared bytes.
+#[derive(Copy, Clone)]
+struct Run {
+    offset: u32,
+    len: u32,
+    at: u32,
+}
+
 /// The set of modified runs of one page, relative to its twin.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Diff {
-    /// `(offset, len)` of each run within the page, in ascending order.
-    runs: Vec<(u32, u32)>,
-    /// The runs' new bytes, back to back in table order.
-    payload: Vec<u8>,
+    /// The runs, ascending by page offset.
+    runs: Vec<Run>,
+    /// What the runs read: the writer's page, or bytes of the diff's own.
+    /// `None` exactly when there are no runs.
+    bytes: Option<Arc<[u8]>>,
+    /// Sum of the runs' lengths.
+    payload: usize,
 }
 
 impl Diff {
     /// Compare `current` against the pristine `twin` and collect changed
-    /// words into coalesced runs. A tail shorter than a word (odd page
-    /// sizes only) is compared as one short word.
+    /// words into coalesced runs, whose bytes the diff copies into a buffer
+    /// of its own, sized once from the finished run table. A tail shorter
+    /// than a word (odd page sizes only) is compared as one short word.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
     pub fn compute(twin: &[u8], current: &[u8]) -> Diff {
         let _prof = samhita_prof::enter(samhita_prof::Phase::RegcDiff);
+        let mut diff = Diff::scan(twin, current);
+        if diff.runs.is_empty() {
+            return diff;
+        }
+        // Collected from an iterator of known length, the buffer is
+        // allocated once, in place; it has no other holder to copy for.
+        let mut packed: Arc<[u8]> = std::iter::repeat_n(0, diff.payload).collect();
+        let buf = Arc::get_mut(&mut packed).expect("a new buffer has one holder");
+        let mut at = 0;
+        for run in &mut diff.runs {
+            let len = run.len as usize;
+            buf[at..at + len].copy_from_slice(&current[run.offset as usize..][..len]);
+            run.at = at as u32;
+            at += len;
+        }
+        diff.bytes = Some(packed);
+        diff
+    }
+
+    /// [`Diff::compute`] against the writer's shared `page`, whose runs read
+    /// the page in place: the diff allocates only its run table and holds
+    /// the page only if something changed.
+    ///
+    /// # Panics
+    /// Panics if the twin and the page differ in length.
+    pub fn compute_shared(twin: &[u8], page: &Arc<[u8]>) -> Diff {
+        let _prof = samhita_prof::enter(samhita_prof::Phase::RegcDiff);
+        let mut diff = Diff::scan(twin, page);
+        if !diff.runs.is_empty() {
+            diff.bytes = Some(Arc::clone(page));
+        }
+        diff
+    }
+
+    /// The run table of `current` against `twin`, each run's bytes at its
+    /// own page offset, with no bytes to read them from yet.
+    fn scan(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
         let len = twin.len();
         // Whole words compare as one fixed-size load each; only the tail
@@ -60,11 +119,7 @@ impl Diff {
                 twin[at..] != current[at..]
             }
         };
-        // The scan only fills the run table, so the payload can be sized
-        // once: a dense page does not grow it by doubling, a one-word diff
-        // does not hold a page's worth of slack.
-        let mut runs = Vec::new();
-        let mut payload_len = 0;
+        let mut diff = Diff::default();
         let mut at = 0;
         while at < len {
             while at + CHUNK <= len && twin[at..at + CHUNK] == current[at..at + CHUNK] {
@@ -81,24 +136,53 @@ impl Diff {
             // Empty when the scan reached the end of the page.
             let run = at.min(len) - start;
             if run > 0 {
-                runs.push((start as u32, run as u32));
-                payload_len += run;
+                diff.runs.push(Run { offset: start as u32, len: run as u32, at: start as u32 });
+                diff.payload += run;
             }
         }
-        let mut payload = Vec::with_capacity(payload_len);
-        for &(offset, run) in &runs {
-            payload.extend_from_slice(&current[offset as usize..][..run as usize]);
+        diff
+    }
+
+    /// The whole of `page` as one run, shared, not copied: what a page
+    /// with no twin (claimed whole) ships.
+    pub fn whole(page: &Arc<[u8]>) -> Diff {
+        let len = page.len();
+        Diff {
+            runs: vec![Run { offset: 0, len: len as u32, at: 0 }],
+            bytes: Some(Arc::clone(page)),
+            payload: len,
         }
-        Diff { runs, payload }
     }
 
     /// A diff consisting of a single explicit run (used for fine-grain
-    /// updates that are already known byte ranges).
+    /// updates that are already known byte ranges), keeping its bytes.
     pub fn from_run(offset: u32, bytes: Vec<u8>) -> Diff {
         if bytes.is_empty() {
             return Diff::default();
         }
-        Diff { runs: vec![(offset, bytes.len() as u32)], payload: bytes }
+        let len = bytes.len();
+        Diff {
+            runs: vec![Run { offset, len: len as u32, at: 0 }],
+            bytes: Some(bytes.into()),
+            payload: len,
+        }
+    }
+
+    /// The shared bytes when this diff is one run covering all of them
+    /// from page offset 0 — a whole page when they are a page long, which
+    /// its home may take as the page's new frame instead of copying.
+    pub fn whole_page(&self) -> Option<&Arc<[u8]>> {
+        match (self.runs.as_slice(), &self.bytes) {
+            ([Run { offset: 0, at: 0, len }], Some(bytes)) if *len as usize == bytes.len() => {
+                Some(bytes)
+            }
+            _ => None,
+        }
+    }
+
+    /// True when the runs read `bytes` itself: no copy lies between them.
+    pub fn shares(&self, bytes: &Arc<[u8]>) -> bool {
+        self.bytes.as_ref().is_some_and(|mine| Arc::ptr_eq(mine, bytes))
     }
 
     /// Apply the runs to `target` (the home's copy of the page).
@@ -126,22 +210,34 @@ impl Diff {
 
     /// Payload bytes (what travels on the wire, excluding headers).
     pub fn payload_bytes(&self) -> usize {
-        self.payload.len()
+        self.payload
     }
 
     /// Wire size estimate: payload plus one (offset,len) header per run.
     pub fn wire_bytes(&self) -> usize {
-        self.payload.len() + self.runs.len() * RUN_HEADER_BYTES
+        self.payload + self.runs.len() * RUN_HEADER_BYTES
     }
 
     /// Iterate over the runs as `(page offset, new bytes)`, ascending.
     pub fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> {
-        let mut rest = self.payload.as_slice();
-        self.runs.iter().map(move |&(offset, len)| {
-            let (bytes, tail) = rest.split_at(len as usize);
-            rest = tail;
-            (offset, bytes)
-        })
+        let bytes = self.bytes.as_deref().unwrap_or_default();
+        self.runs.iter().map(move |run| (run.offset, &bytes[run.at as usize..][..run.len as usize]))
+    }
+}
+
+/// Two diffs are equal when they change the same runs to the same bytes,
+/// whichever bytes they read them from.
+impl PartialEq for Diff {
+    fn eq(&self, other: &Diff) -> bool {
+        self.payload == other.payload && self.runs().eq(other.runs())
+    }
+}
+
+impl Eq for Diff {}
+
+impl fmt::Debug for Diff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.runs()).finish()
     }
 }
 
@@ -244,6 +340,40 @@ mod tests {
         d.apply(&mut t);
         assert_eq!(&t[100..104], &[1, 2, 3, 4]);
         assert!(Diff::from_run(0, vec![]).is_empty());
+    }
+
+    #[test]
+    fn a_shared_diff_reads_the_page_in_place() {
+        let twin = page(256);
+        let mut cur = twin.clone();
+        cur[8] = 1;
+        cur[200] = 2;
+        let shared: Arc<[u8]> = cur.clone().into();
+        let d = Diff::compute_shared(&twin, &shared);
+        assert!(d.shares(&shared));
+        assert_eq!(d, Diff::compute(&twin, &cur), "same runs, same bytes");
+        assert!(!Diff::compute(&twin, &cur).shares(&shared));
+        assert_eq!((d.run_count(), d.payload_bytes(), d.whole_page()), (2, 16, None));
+        let unchanged: Arc<[u8]> = twin.clone().into();
+        let empty = Diff::compute_shared(&twin, &unchanged);
+        assert!(empty.is_empty() && !empty.shares(&unchanged), "an empty diff holds no page");
+    }
+
+    #[test]
+    fn a_whole_page_is_one_run_over_its_bytes() {
+        let frame: Arc<[u8]> = vec![7u8; 256].into();
+        let d = Diff::whole(&frame);
+        assert_eq!((d.run_count(), d.payload_bytes(), d.wire_bytes()), (1, 256, 264));
+        assert!(d.whole_page().is_some_and(|bytes| Arc::ptr_eq(bytes, &frame)));
+        // A page that changed everywhere diffs to the same whole page.
+        let dense = Diff::compute_shared(&page(256), &frame);
+        assert_eq!(dense, d);
+        assert!(dense.whole_page().is_some());
+        // A run that starts past 0, or stops short of its bytes' end, is not.
+        assert!(Diff::from_run(8, vec![1; 248]).whole_page().is_none());
+        let mut short = page(256);
+        short[..128].fill(7);
+        assert!(Diff::compute_shared(&page(256), &short.into()).whole_page().is_none());
     }
 
     #[test]
@@ -381,6 +511,12 @@ mod proptests {
             let mut out = twin.clone();
             d.apply(&mut out);
             prop_assert_eq!(out, cur);
+            // In place over the shared page: the same runs, the page's bytes.
+            let page: Arc<[u8]> = cur.as_slice().into();
+            let shared = Diff::compute_shared(&twin, &page);
+            prop_assert_eq!(&shared, &d);
+            prop_assert_eq!(shared.wire_bytes(), d.wire_bytes());
+            prop_assert_eq!(shared.shares(&page), !d.is_empty());
         }
     }
 

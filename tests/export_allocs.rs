@@ -1,7 +1,7 @@
-//! Heap traffic of the trace exporters and of `Diff::compute`, counted rather
+//! Heap traffic of the trace exporters and of a flush's diff, counted rather
 //! than timed: a count repeats exactly on any machine, so an export that goes
-//! back to allocating per event, or a diff that goes back to growing its
-//! payload, fails the build instead of drifting a benchmark. This is its own
+//! back to allocating per event, or a diff that goes back to copying its
+//! page, fails the build instead of drifting a benchmark. This is its own
 //! test binary because the counter is a `#[global_allocator]`; it counts per
 //! thread, so the harness's other threads cannot disturb it.
 
@@ -11,6 +11,7 @@ use std::cell::Cell;
 use samhita_bench::thread_windows;
 use samhita_repro::core::SamhitaConfig;
 use samhita_repro::kernels::{run_jacobi, JacobiParams};
+use samhita_repro::mem::PageFrame;
 use samhita_repro::regc::Diff;
 use samhita_repro::rt::SamhitaRt;
 use samhita_repro::trace::critical_path;
@@ -123,38 +124,60 @@ fn exports_allocate_per_call_not_per_event() {
     assert_eq!((heap, to.0), ((0, 0), jsonl.len()), "write_jsonl streams every byte, holds none");
 }
 
-/// `Diff::compute` sizes its payload once, from the finished run table: a
-/// page that changed everywhere costs the table and the payload and never
-/// regrows either, and a page that changed in one word keeps a word.
+/// A flush's diff reads the writer's page frame in place
+/// (`PageFrame::diff_since`): a page that changed everywhere costs the run
+/// table alone — one allocation, never regrown — and holds the frame rather
+/// than a copy of it; a page that changed in one word holds a table of a
+/// few entries; an unchanged page allocates nothing and holds no frame.
+/// A diff of plain slices packs its changed bytes into one exact buffer.
 #[test]
-fn a_diff_allocates_its_payload_once_at_its_size() {
+fn a_diff_allocates_its_run_table_and_shares_its_page() {
     const PAGE: usize = 4096;
-    let twin = vec![0u8; PAGE];
-    let dense = vec![0x5Au8; PAGE];
-    let (heap, diff) = counted(|| Diff::compute(&twin, &dense));
-    assert_eq!(heap, (2, 0), "dense page: run table + payload, neither regrown");
-    assert_eq!(diff.payload_bytes(), PAGE);
+    let twin = PageFrame::new(&[0; PAGE], 1);
+    let dense = PageFrame::new(&[0x5A; PAGE], 1);
+    let (heap, diff) = counted(|| dense.diff_since(&twin));
+    assert_eq!(heap, (1, 0), "dense page: the run table, not regrown, and no payload");
+    assert_eq!((diff.run_count(), diff.payload_bytes()), (1, PAGE));
+    assert!(dense.backs(&diff), "the diff shares the page's frame");
+    let (heap, whole) = counted(|| dense.whole_diff());
+    assert_eq!((heap, whole.payload_bytes()), ((1, 0), PAGE));
+    assert!(dense.backs(&whole), "a twinless page ships its own frame");
 
-    // 32 runs of 64 B: the table may double its way to 32 entries, the
-    // payload is still allocated once, at 2 KiB.
-    let mut striped = twin.clone();
-    striped.chunks_mut(64).step_by(2).for_each(|chunk| chunk.fill(1));
-    let ((allocs, reallocs), diff) = counted(|| Diff::compute(&twin, &striped));
+    // 32 runs of 64 B: the table may double its way to 32 entries.
+    let mut striped = dense.clone();
+    striped.bytes_mut().chunks_mut(64).step_by(2).for_each(|chunk| chunk.fill(0));
+    let ((allocs, reallocs), diff) = counted(|| striped.diff_since(&twin));
     assert_eq!((diff.run_count(), diff.payload_bytes()), (32, PAGE / 2));
     assert!(
-        allocs == 2 && reallocs <= 3,
+        allocs == 1 && reallocs <= 3,
         "striped page: {allocs} allocations, {reallocs} regrowths"
     );
+    assert!(striped.backs(&diff));
 
     let mut sparse = twin.clone();
-    sparse[PAGE / 2] = 1;
+    sparse.bytes_mut()[PAGE / 2] = 1;
     let before = HELD.with(Cell::get);
-    let (heap, diff) = counted(|| Diff::compute(&twin, &sparse));
+    let (heap, diff) = counted(|| sparse.diff_since(&twin));
     let held = HELD.with(Cell::get) - before;
-    assert_eq!((heap, diff.payload_bytes()), ((2, 0), 8));
+    assert_eq!((heap, diff.payload_bytes()), ((1, 0), 8));
     assert!(held < 64, "a one-word diff holds {held} B");
+    assert!(sparse.backs(&diff));
 
-    let (heap, diff) = counted(|| Diff::compute(&twin, &twin));
+    let (heap, diff) = counted(|| twin.diff_since(&twin));
     assert!(diff.is_empty());
     assert_eq!(heap, (0, 0), "an empty diff owns nothing");
+    assert!(!twin.backs(&diff), "and holds no frame");
+
+    // Over plain slices there is no frame to share: the changed bytes are
+    // packed into one buffer of exactly their size, beside the table.
+    let (zeros, page) = (vec![0u8; PAGE], vec![0x5Au8; PAGE]);
+    let (heap, diff) = counted(|| Diff::compute(&zeros, &page));
+    assert_eq!((heap, diff.payload_bytes()), ((2, 0), PAGE));
+    let mut one_word = zeros.clone();
+    one_word[PAGE / 2] = 1;
+    let before = HELD.with(Cell::get);
+    let (heap, diff) = counted(|| Diff::compute(&zeros, &one_word));
+    let held = HELD.with(Cell::get) - before;
+    assert_eq!((heap, diff.payload_bytes()), ((2, 0), 8));
+    assert!(held < 128, "a one-word packed diff holds {held} B");
 }
