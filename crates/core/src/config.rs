@@ -439,9 +439,7 @@ impl SamhitaConfig {
     pub fn service_costs(&self) -> samhita_trace::ServiceCosts {
         samhita_trace::ServiceCosts {
             mgr_service_ns: self.mgr_costs().0,
-            fetch_base_ns: self.service.base_ns,
-            apply_base_ns: self.service.apply_base_ns,
-            per_kib_ns: self.service.per_kib_ns,
+            service: self.service,
             page_size: self.page_size as u64,
         }
     }

@@ -16,6 +16,8 @@
 //! experimental setup: the manager gets its own node, each memory server its
 //! own node, and compute threads fill the remaining nodes core by core.
 
+use std::ops::Range;
+
 use samhita_scl::{NodeId, Topology};
 
 use crate::config::{SamhitaConfig, TopologyKind};
@@ -42,6 +44,25 @@ pub struct AddressLayout {
 }
 
 impl AddressLayout {
+    /// The pages the `len` bytes from `addr` touch, in order, as `(page,
+    /// offset in the page, range of the bytes)`: the page-boundary split
+    /// every thread and host access makes.
+    #[inline]
+    pub fn pages(&self, addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+        let ps = self.page_size;
+        let mut cursor = 0usize;
+        std::iter::from_fn(move || {
+            if cursor == len {
+                return None;
+            }
+            let at = addr + cursor as u64;
+            let off = (at % ps) as usize;
+            let take = (ps as usize - off).min(len - cursor);
+            cursor += take;
+            Some((at / ps, off, cursor - take..cursor))
+        })
+    }
+
     /// Compute the layout for a configuration.
     pub fn new(cfg: &SamhitaConfig) -> Self {
         let page = cfg.page_size as u64;
@@ -190,6 +211,16 @@ mod tests {
         let cfg = SamhitaConfig::default();
         let l = AddressLayout::new(&cfg);
         (cfg, l)
+    }
+
+    #[test]
+    fn an_access_is_split_at_page_boundaries() {
+        let (_, l) = layout();
+        let ps = l.page_size as usize;
+        let walk: Vec<_> = l.pages(3 * l.page_size - 3, ps + 6).collect();
+        assert_eq!(walk, [(2, ps - 3, 0..3), (3, 0, 3..ps + 3), (4, 0, ps + 3..ps + 6)]);
+        assert_eq!(l.pages(l.page_size + 8, 8).collect::<Vec<_>>(), [(1, 8, 0..8)]);
+        assert_eq!(l.pages(8, 0).count(), 0);
     }
 
     #[test]

@@ -485,7 +485,9 @@ impl Channel {
         }
     }
 
-    /// Synchronous manager RPC with retry and backoff. Every retransmission
+    /// Synchronous manager RPC with retry and backoff: the answer, or, if
+    /// the manager refused the request, a panic that fails the thread with
+    /// the request's op and the typed error. Every retransmission
     /// reuses the request's token, so the manager's replay cache makes the
     /// request idempotent (a retried `Acquire` can never double-acquire).
     /// Retry exhaustion fails over to the hot standby when one is
@@ -565,6 +567,7 @@ impl Channel {
                     Msg::MgrResp { resp: MgrResponse::Baton { relay, interval }, .. } => {
                         rest = Some((relay.after, Err((relay, interval)), at));
                     }
+                    Msg::MgrResp { resp: MgrResponse::Err(e), .. } => panic!("{op} failed: {e}"),
                     Msg::MgrResp { resp, .. } => return resp,
                     other => panic!("unexpected manager response: {other:?}"),
                 }
@@ -968,7 +971,8 @@ impl HostChannel {
         self.clock
     }
 
-    /// Reliable manager RPC on behalf of host tid `tid`. A reply marked
+    /// Reliable manager RPC on behalf of host tid `tid`; a refusal fails
+    /// the host as [`Channel::rpc_mgr`] fails a thread. A reply marked
     /// lost means the primary died mid-serve (ctl replies are otherwise
     /// fault-exempt): fail over to the standby with the same token — its
     /// replay cache, reconstructed from the shipped log, absorbs any
@@ -980,21 +984,12 @@ impl HostChannel {
         req: MgrRequest,
         class: MsgClass,
     ) -> MgrResponse {
-        let wire = req.wire_bytes();
+        let (op, wire) = (req.label(), req.wire_bytes());
         let token = self.fresh_token();
         loop {
             let target = if self.mgr_failed { self.standby.expect("standby manager") } else { mgr };
-            self.ep
-                .send_reliable(
-                    target,
-                    self.clock,
-                    wire,
-                    class,
-                    Msg::MgrReq { token, tid, req: req.clone() },
-                )
-                .expect("manager endpoint closed");
-            let env = self.wait_for(token);
-            self.clock = self.clock.max(env.deliver_at);
+            let env =
+                self.call(target, wire, class, token, Msg::MgrReq { token, tid, req: req.clone() });
             if env.lost {
                 assert!(
                     !self.mgr_failed && self.standby.is_some(),
@@ -1004,6 +999,7 @@ impl HostChannel {
                 continue;
             }
             match env.msg {
+                Msg::MgrResp { resp: MgrResponse::Err(e), .. } => panic!("{op} failed: {e}"),
                 Msg::MgrResp { resp, .. } => return resp,
                 other => panic!("unexpected manager response: {other:?}"),
             }
@@ -1018,34 +1014,34 @@ impl HostChannel {
         shadow: bool,
         req: MemRequest,
     ) -> MemResponse {
-        let wire = req.wire_bytes();
-        let token = self.fresh_token();
+        let (wire, token) = (req.wire_bytes(), self.fresh_token());
         let stamp = Stamp { tid: crate::system::HOST_TID, ..Stamp::default() };
-        self.ep
-            .send_reliable(
-                server,
-                self.clock,
-                wire,
-                MsgClass::Control,
-                Msg::MemReq { token, shadow, stamp, req },
-            )
-            .expect("memory server endpoint closed");
-        let env = self.wait_for(token);
-        self.clock = self.clock.max(env.deliver_at);
-        match env.msg {
+        let msg = Msg::MemReq { token, shadow, stamp, req };
+        match self.call(server, wire, MsgClass::Control, token, msg).msg {
             Msg::MemResp { resp, .. } => resp,
             other => panic!("unexpected memory response: {other:?}"),
         }
     }
 
-    fn wait_for(&mut self, token: u64) -> Envelope<Msg> {
-        // The control client is strictly request/response: the next message
-        // must be the matching reply.
+    /// Send `msg`, the request `token` names, reliably to `dst`, and take
+    /// its reply, advancing the clock to its delivery. The control client is
+    /// strictly request/response: the next message must be the reply.
+    fn call(
+        &mut self,
+        dst: EndpointId,
+        wire: usize,
+        class: MsgClass,
+        token: u64,
+        msg: Msg,
+    ) -> Envelope<Msg> {
+        self.ep.send_reliable(dst, self.clock, wire, class, msg).expect("endpoint closed");
         let env = self.ep.recv().expect("fabric closed");
         match &env.msg {
-            Msg::MemResp { token: t, .. } | Msg::MgrResp { token: t, .. } if *t == token => env,
+            Msg::MemResp { token: t, .. } | Msg::MgrResp { token: t, .. } if *t == token => {}
             other => panic!("control client got unexpected message: {other:?}"),
         }
+        self.clock = self.clock.max(env.deliver_at);
+        env
     }
 }
 

@@ -303,11 +303,15 @@ impl Samhita {
     }
 
     fn ctl_sync_id(&self, req: MgrRequest) -> u32 {
-        let mut ctl = self.ctl.lock();
-        match ctl.rpc_mgr(self.mgr_ep, HOST_TID, req, MsgClass::Control) {
+        match self.ctl_rpc(req) {
             MgrResponse::SyncId(id) => id,
             other => panic!("unexpected create response: {other:?}"),
         }
+    }
+
+    /// A host request to the manager ([`HostChannel::rpc_mgr`]).
+    fn ctl_rpc(&self, req: MgrRequest) -> MgrResponse {
+        self.ctl.lock().rpc_mgr(self.mgr_ep, HOST_TID, req, MsgClass::Control)
     }
 
     /// Allocate `size` bytes of global memory from the host (shared zone or
@@ -318,43 +322,16 @@ impl Samhita {
         } else {
             MgrRequest::AllocShared { size, align: 8 }
         };
-        let mut ctl = self.ctl.lock();
-        match ctl.rpc_mgr(self.mgr_ep, HOST_TID, req, MsgClass::Control) {
+        match self.ctl_rpc(req) {
             MgrResponse::Addr(a) => a,
-            MgrResponse::Err(e) => panic!("host allocation failed: {e}"),
             other => panic!("unexpected allocation response: {other:?}"),
         }
     }
 
     /// Free a host allocation.
     pub fn free_global(&self, addr: u64) {
-        let mut ctl = self.ctl.lock();
-        match ctl.rpc_mgr(self.mgr_ep, HOST_TID, MgrRequest::Free { addr }, MsgClass::Control) {
-            MgrResponse::Ok => {}
-            MgrResponse::Err(e) => panic!("host free failed: {e}"),
-            other => panic!("unexpected free response: {other:?}"),
-        }
-    }
-
-    /// The pages of `len` bytes of global memory from `addr`, in order, as
-    /// `(page, offset in the page, range of the bytes)`: the one walk every
-    /// host read and write makes.
-    fn host_pages(
-        &self,
-        addr: u64,
-        len: usize,
-    ) -> impl Iterator<Item = (PageId, usize, Range<usize>)> {
-        let ps = self.cfg.page_size as u64;
-        let mut cursor = 0usize;
-        std::iter::from_fn(move || {
-            if cursor == len {
-                return None;
-            }
-            let at = addr + cursor as u64;
-            let take = ((ps - at % ps) as usize).min(len - cursor);
-            cursor += take;
-            Some((PageId(at / ps), (at % ps) as usize, cursor - take..cursor))
-        })
+        let resp = self.ctl_rpc(MgrRequest::Free { addr });
+        assert!(matches!(resp, MgrResponse::Ok), "unexpected free response: {resp:?}");
     }
 
     /// Write `len` bytes of global memory from `addr` from the host, one
@@ -364,7 +341,8 @@ impl Samhita {
     /// time zero.
     fn write_pages(&self, addr: u64, len: usize, mut encode: impl FnMut(Range<usize>) -> Vec<u8>) {
         let mut ctl = self.ctl.lock();
-        for (page, offset, range) in self.host_pages(addr, len) {
+        for (page, offset, range) in self.layout.pages(addr, len) {
+            let page = PageId(page);
             let server = self.home_map.home_of_page(page);
             let req = MemRequest::ApplyFine { page, offset: offset as u32, bytes: encode(range) };
             if let Some(r) = self.home_map.replica_of_server(server, self.cfg.replica_offset) {
@@ -381,9 +359,9 @@ impl Samhita {
     /// served frame's bytes for it.
     fn read_pages(&self, addr: u64, len: usize, mut decode: impl FnMut(Range<usize>, &[u8])) {
         let mut ctl = self.ctl.lock();
-        for (page, offset, range) in self.host_pages(addr, len) {
-            let server = self.host_read_server(self.home_map.home_of_page(page));
-            let req = MemRequest::FetchLine { first: page, pages: 1 };
+        for (page, offset, range) in self.layout.pages(addr, len) {
+            let server = self.host_read_server(self.home_map.home_of_page(PageId(page)));
+            let req = MemRequest::FetchLine { first: PageId(page), pages: 1 };
             match ctl.rpc_mem(self.mem_eps[server as usize], false, req) {
                 MemResponse::Line { pages, .. } => {
                     decode(range.clone(), &pages[0].bytes()[offset..offset + range.len()]);
@@ -393,8 +371,8 @@ impl Samhita {
         }
     }
 
-    /// Initialize global memory from the host (outside timed runs); see
-    /// [`Samhita::write_pages`].
+    /// Initialize global memory from the host (outside timed runs), one
+    /// fine-grain update per page, written through to any replica.
     pub fn write_global(&self, addr: u64, data: &[u8]) {
         self.write_pages(addr, data.len(), |range| data[range].to_vec());
     }
@@ -1475,6 +1453,23 @@ mod tests {
             ctx.lock(locks[0]);
             ctx.unlock(locks[1]);
         });
+    }
+
+    /// An awaited request the manager refuses fails its thread, or the
+    /// host, with the request's op and the typed error.
+    #[test]
+    #[should_panic(expected = "barrier-wait failed: unknown barrier id 7")]
+    fn a_refused_sync_request_fails_the_thread_with_its_op() {
+        system().run(1, |ctx| ctx.barrier(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "free failed: free of 0x")]
+    fn a_refused_host_request_fails_the_host_with_its_op() {
+        let s = system();
+        let addr = s.alloc_global(64);
+        s.free_global(addr);
+        s.free_global(addr);
     }
 
     /// Two threads taking two locks in opposite orders: a deadlock of the

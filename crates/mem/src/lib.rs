@@ -28,6 +28,7 @@ pub mod stripe;
 
 pub use intmap::{IntMap, IntSet};
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
-pub use server::{MemRequest, MemResponse, MemoryServer, ServerStats, ServiceModel};
+pub use samhita_scl::ServiceModel;
+pub use server::{MemRequest, MemResponse, MemoryServer, ServerStats};
 pub use store::{PageFrame, PageStore};
 pub use stripe::HomeMap;

@@ -43,6 +43,12 @@ impl PageFrame {
         PageFrame { bytes: bytes.into(), version }
     }
 
+    /// A frame of its own holding `len` zero bytes, at version 0: one
+    /// allocation, nothing copied.
+    pub fn zeroed(len: usize) -> Self {
+        PageFrame { bytes: std::iter::repeat_n(0, len).collect(), version: 0 }
+    }
+
     /// The page contents.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
@@ -95,7 +101,7 @@ impl PageStore {
     /// An empty store serving pages of `page_size` bytes.
     pub fn new(page_size: usize) -> Self {
         assert!(page_size >= 64 && page_size.is_power_of_two(), "unreasonable page size");
-        PageStore { pages: IntMap::default(), zero: PageFrame::new(&vec![0; page_size], 0) }
+        PageStore { pages: IntMap::default(), zero: PageFrame::zeroed(page_size) }
     }
 
     /// The configured page size.

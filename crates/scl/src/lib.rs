@@ -53,7 +53,7 @@ pub use error::SclError;
 pub use fabric::{Fabric, SendObserver};
 pub use fault::{FaultPlan, Partition, RetryPolicy, SendFate};
 pub use model::LinkModel;
-pub use resource::{ResourceStats, VirtualResource};
+pub use resource::{ResourceStats, ServiceModel, VirtualResource};
 pub use stats::{FabricStats, FabricStatsSnapshot, MsgClass};
 pub use time::SimTime;
 pub use topology::{EndpointId, NodeId, NodeKind, Topology};

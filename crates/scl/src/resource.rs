@@ -125,6 +125,62 @@ impl VirtualResource {
     }
 }
 
+/// Service-time model for a memory server's local memory/CPU path, which
+/// queues on a [`VirtualResource`] — the one rule both the server and the
+/// trace's serve pricing (`samhita_trace::ServiceCosts`) apply.
+///
+/// Fetches walk the server's page table and stream data out (CPU on the
+/// path): a fetch costs [`ServiceModel::service_ns`] of the bytes of the
+/// pages its home has written, so a line nobody has written costs the base
+/// alone. Updates arrive through SCL's DMA model — the paper's RDMA design
+/// keeps the server CPU off the apply path, so their fixed cost is lower.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ServiceModel {
+    /// Fixed cost per fetch request (request parsing, page-table walk), ns:
+    /// paid whether or not the request's pages were ever written.
+    pub base_ns: u64,
+    /// Fixed cost per update (diff / fine-grain apply): NIC DMA scatter
+    /// setup, ns.
+    pub apply_base_ns: u64,
+    /// Cost per KiB moved through the server's memory system, ns.
+    /// 100 ns/KiB ≈ 10 GB/s, a 2013-era single-socket stream figure.
+    pub per_kib_ns: u64,
+}
+
+impl Default for ServiceModel {
+    fn default() -> Self {
+        ServiceModel { base_ns: 400, apply_base_ns: 150, per_kib_ns: 100 }
+    }
+}
+
+impl ServiceModel {
+    /// Virtual service time for a fetch moving `bytes` of page data.
+    pub fn service_ns(&self, bytes: usize) -> SimTime {
+        SimTime::from_ns(self.base_ns + (bytes as u64 * self.per_kib_ns) / 1024)
+    }
+
+    /// Virtual service time for an update (RDMA apply path).
+    pub fn apply_ns(&self, bytes: usize) -> SimTime {
+        SimTime::from_ns(self.apply_base_ns + (bytes as u64 * self.per_kib_ns) / 1024)
+    }
+
+    /// Virtual service time for applying a whole update batch, independent
+    /// of payload size.
+    ///
+    /// The batched path is the paper's one-sided RDMA design: the scatter
+    /// list is posted from the message header while the payload is still
+    /// streaming off the wire, and the NIC DMAs each part into place as its
+    /// bytes arrive — DRAM (~10 GB/s) outruns the fabric (~4 GB/s), so by
+    /// last-byte arrival the parts are already in memory. Every payload
+    /// byte was paid for by the message's serialization time and the setup
+    /// overlapped the stream; what remains on the critical path is
+    /// completion signalling, a quarter of the standalone apply base.
+    /// Standalone applies keep their full setup plus per-byte CPU copy.
+    pub fn batch_apply_ns(&self) -> SimTime {
+        SimTime::from_ns(self.apply_base_ns / 4)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -679,16 +679,10 @@ pub fn critical_path(
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
-    use samhita_scl::SimTime;
+    use samhita_scl::{ServiceModel, SimTime};
 
     fn costs() -> ServiceCosts {
-        ServiceCosts {
-            mgr_service_ns: 300,
-            fetch_base_ns: 400,
-            apply_base_ns: 150,
-            per_kib_ns: 100,
-            page_size: 1024,
-        }
+        ServiceCosts { mgr_service_ns: 300, service: ServiceModel::default(), page_size: 1024 }
     }
 
     fn ev(at_ns: u64, kind: EventKind) -> TraceEvent {

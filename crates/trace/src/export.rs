@@ -825,7 +825,7 @@ mod tests {
     use super::*;
     use crate::event::FetchKind;
     use crate::json::validate_json;
-    use samhita_scl::{MsgClass, SimTime};
+    use samhita_scl::{MsgClass, ServiceModel, SimTime};
 
     fn ev(at_ns: u64, kind: EventKind) -> TraceEvent {
         TraceEvent { at: SimTime::from_ns(at_ns), kind }
@@ -1005,13 +1005,7 @@ mod tests {
     }
 
     fn costs() -> ServiceCosts {
-        ServiceCosts {
-            mgr_service_ns: 300,
-            fetch_base_ns: 400,
-            apply_base_ns: 150,
-            per_kib_ns: 100,
-            page_size: 1024,
-        }
+        ServiceCosts { mgr_service_ns: 300, service: ServiceModel::default(), page_size: 1024 }
     }
 
     /// Every form of `trace` against the oracle, plus everything that must

@@ -26,27 +26,23 @@
 //! servers' own, host setup included, because each serve is priced by the
 //! server's rule ([`ServiceCosts::serve_ns`]).
 
-use samhita_scl::SimTime;
+use samhita_scl::{ServiceModel, SimTime};
 
 use crate::event::{EventKind, TraceEvent, TrackId};
 use crate::json::JsonValue;
 use crate::stats::ThreadStats;
 use crate::tracer::RunTrace;
 
-/// The deterministic service-cost model parameters needed to reconstruct
-/// manager and memory-server busy time from serve events. Mirrors the
-/// simulation's cost model; construct via `SamhitaConfig::service_costs()`
-/// so the two can never drift apart silently.
+/// The deterministic service-cost model needed to reconstruct manager and
+/// memory-server busy time from serve events: the simulation's own, built
+/// by `SamhitaConfig::service_costs()`, whose memory-server half is the
+/// [`ServiceModel`] the servers charge by.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ServiceCosts {
     /// Manager service time per request, in ns.
     pub mgr_service_ns: u64,
-    /// Memory-server base service time for a fetch, in ns.
-    pub fetch_base_ns: u64,
-    /// Memory-server base service time for a write/diff apply, in ns.
-    pub apply_base_ns: u64,
-    /// Per-KiB payload cost on the memory server, in ns.
-    pub per_kib_ns: u64,
+    /// The memory servers' service-time model.
+    pub service: ServiceModel,
     /// Bytes per page (to size fetch payloads from page counts).
     pub page_size: u64,
 }
@@ -55,31 +51,32 @@ impl ServiceCosts {
     /// How long the manager or a memory server was busy serving one
     /// request, from the events its serve left on the service's track, all
     /// stamped at its completion: a manager serve event, or a memory
-    /// server's stamp group. The server's rule: a fetch pays its base and
-    /// the written pages it read; the parts of an update batch (numbered
-    /// applies) share one batch apply, a quarter of the apply base; a host
-    /// write (batch 0) and a whole-page write pay the apply base and their
-    /// bytes. The one service-time rule, shared by the timeline's busy
-    /// series and the causal index's serves.
+    /// server's stamp group, priced by the server's own [`ServiceModel`]: a
+    /// fetch pays for the written pages it read; the parts of an update
+    /// batch (numbered applies) share one batch apply; a host write (batch
+    /// 0) and a whole-page write are standalone applies of their bytes.
+    /// Shared by the timeline's busy series and the causal index's serves.
     pub fn serve_ns(&self, serve: &[TraceEvent]) -> u64 {
-        let payload = |base_ns: u64, bytes: u64| base_ns + bytes * self.per_kib_ns / 1024;
-        let mut batch_ns = 0;
+        let (model, page) = (&self.service, self.page_size as usize);
+        let mut batch = SimTime::ZERO;
         let parts: u64 = (serve.iter())
             .map(|e| match e.kind {
                 EventKind::MgrServe { .. } => self.mgr_service_ns,
                 EventKind::ServeFetch { written, .. } => {
-                    payload(self.fetch_base_ns, u64::from(written) * self.page_size)
+                    model.service_ns(written as usize * page).as_ns()
                 }
-                EventKind::ApplyFine { bytes, batch: 0, .. } => payload(self.apply_base_ns, bytes),
+                EventKind::ApplyFine { bytes, batch: 0, .. } => {
+                    model.apply_ns(bytes as usize).as_ns()
+                }
                 EventKind::ApplyDiff { .. } | EventKind::ApplyFine { .. } => {
-                    batch_ns = self.apply_base_ns / 4;
+                    batch = model.batch_apply_ns();
                     0
                 }
-                EventKind::ServeWrite { .. } => payload(self.apply_base_ns, self.page_size),
+                EventKind::ServeWrite { .. } => model.apply_ns(page).as_ns(),
                 _ => 0,
             })
             .sum();
-        parts + batch_ns
+        parts + batch.as_ns()
     }
 }
 
@@ -298,13 +295,7 @@ mod tests {
     use crate::event::FetchKind;
 
     fn costs() -> ServiceCosts {
-        ServiceCosts {
-            mgr_service_ns: 300,
-            fetch_base_ns: 400,
-            apply_base_ns: 150,
-            per_kib_ns: 100,
-            page_size: 1024,
-        }
+        ServiceCosts { mgr_service_ns: 300, service: ServiceModel::default(), page_size: 1024 }
     }
 
     fn ev(at_ns: u64, kind: EventKind) -> TraceEvent {

@@ -17,7 +17,7 @@ use samhita_repro::kernels::{
     run_jacobi, run_md, run_micro, AllocMode, JacobiParams, MdParams, MicroParams,
 };
 use samhita_repro::rt::SamhitaRt;
-use samhita_repro::scl::{MsgClass, SimTime};
+use samhita_repro::scl::{MsgClass, ServiceModel, SimTime};
 use samhita_repro::trace::{
     critical_path, validate_json, Detail, EventKind, FetchKind, JsonValue, PathClass, RunTrace,
     ServiceCosts, ThreadWindow, TraceEvent, TrackId,
@@ -449,13 +449,8 @@ fn causal_of(
     tracks: Vec<(TrackId, Vec<TraceEvent>)>,
     windows: &[(u64, u64)],
 ) -> (Vec<Slice>, Vec<Flow>) {
-    let costs = ServiceCosts {
-        mgr_service_ns: 300,
-        fetch_base_ns: 400,
-        apply_base_ns: 150,
-        per_kib_ns: 100,
-        page_size: 1024,
-    };
+    let costs =
+        ServiceCosts { mgr_service_ns: 300, service: ServiceModel::default(), page_size: 1024 };
     let windows: Vec<ThreadWindow> = (0u32..)
         .zip(windows)
         .map(|(tid, &(epoch_ns, end_ns))| ThreadWindow { tid, epoch_ns, end_ns })

@@ -181,3 +181,13 @@ fn a_diff_allocates_its_run_table_and_shares_its_page() {
     assert_eq!((heap, diff.payload_bytes()), ((2, 0), 8));
     assert!(held < 128, "a one-word packed diff holds {held} B");
 }
+
+/// A frame of zeros — a claimed page's, a store's never-written page — is
+/// one allocation, with no zeroed buffer to copy it from.
+#[test]
+fn a_zeroed_frame_is_one_allocation() {
+    let (heap, frame) = counted(|| PageFrame::zeroed(4096));
+    assert_eq!(heap, (1, 0));
+    assert!(frame.bytes().len() == 4096 && frame.bytes().iter().all(|&b| b == 0));
+    assert_eq!(frame.version(), 0);
+}
