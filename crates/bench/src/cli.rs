@@ -64,34 +64,40 @@ pub struct ExampleArgs {
     pub metrics_out: Option<String>,
 }
 
+/// The shared flags, as [`ExampleArgs::parse`] prints them on a bad one.
+const USAGE: &str = "usage: [positional ...] [--trace out.json] [--faults seed] \
+                     [--metrics-out out.json]";
+
 impl ExampleArgs {
-    /// Parse the process arguments (skipping `argv[0]`).
+    /// Parse the process arguments (skipping `argv[0]`). On a bad flag,
+    /// print the error and the usage and exit with status 2.
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
-    /// Parse from an explicit argument list (tests).
-    ///
-    /// # Panics
-    /// Panics with a usage message on a flag missing its value or on an
-    /// unparsable seed, mirroring what the examples did individually.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    /// Parse from an explicit argument list. A flag missing its value, or
+    /// an unparsable seed, is an error.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = ExampleArgs::default();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--trace" => out.trace_path = Some(args.next().expect("--trace needs a path")),
+                "--trace" => out.trace_path = Some(args.next().ok_or("--trace needs a path")?),
                 "--faults" => {
-                    let seed = args.next().expect("--faults needs a seed");
-                    out.fault_seed = Some(seed.parse().expect("fault seed must be an integer"));
+                    let seed = args.next().ok_or("--faults needs a seed")?;
+                    let seed = seed.parse().map_err(|_| format!("bad fault seed '{seed}'"))?;
+                    out.fault_seed = Some(seed);
                 }
                 "--metrics-out" => {
-                    out.metrics_out = Some(args.next().expect("--metrics-out needs a path"));
+                    out.metrics_out = Some(args.next().ok_or("--metrics-out needs a path")?);
                 }
                 _ => out.positional.push(a),
             }
         }
-        out
+        Ok(out)
     }
 
     /// The `i`-th positional as a `usize`, or `default`.
@@ -168,6 +174,10 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> ExampleArgs {
+        try_parse(args).expect("valid arguments")
+    }
+
+    fn try_parse(args: &[&str]) -> Result<ExampleArgs, String> {
         ExampleArgs::from_args(args.iter().map(|s| s.to_string()))
     }
 
@@ -223,8 +233,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--trace needs a path")]
     fn trace_flag_requires_a_value() {
-        parse(&["--trace"]);
+        assert_eq!(try_parse(&["--trace"]), Err("--trace needs a path".into()));
+    }
+
+    #[test]
+    fn faults_flag_requires_a_value() {
+        assert_eq!(try_parse(&["8", "--faults"]), Err("--faults needs a seed".into()));
+    }
+
+    #[test]
+    fn metrics_out_flag_requires_a_value() {
+        assert_eq!(try_parse(&["--metrics-out"]), Err("--metrics-out needs a path".into()));
+    }
+
+    #[test]
+    fn a_fault_seed_must_be_an_integer() {
+        for bad in ["seven", "-1", "1.5", ""] {
+            let want = Err(format!("bad fault seed '{bad}'"));
+            assert_eq!(try_parse(&["--faults", bad, "--trace", "t.json"]), want);
+        }
     }
 }

@@ -67,5 +67,5 @@ pub use config::{
 pub use layout::{AddressLayout, Placement, Region};
 pub use msg::MgrError;
 pub use stats::{HostNanos, RunReport, ThreadStats, TimeBreakdown};
-pub use system::{Samhita, SystemStats};
+pub use system::Samhita;
 pub use thread::ThreadCtx;

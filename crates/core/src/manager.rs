@@ -29,7 +29,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use samhita_regc::{Interval, IntervalLog, Marks, NoticeSet, Seers};
-use samhita_scl::{EndpointId, SimTime, VirtualResource};
+use samhita_scl::{EndpointId, ResourceStats, SimTime, VirtualResource};
 
 use crate::config::SamhitaConfig;
 use crate::freelist::FreeListAlloc;
@@ -162,47 +162,6 @@ impl Outgoing {
     }
 }
 
-/// Manager activity counters.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ManagerStats {
-    /// Total requests handled.
-    pub requests: u64,
-    /// Lock acquisitions requested.
-    pub acquires: u64,
-    /// Lock releases processed.
-    pub releases: u64,
-    /// Barrier arrivals processed.
-    pub barrier_waits: u64,
-    /// Barrier episodes released.
-    pub barrier_releases: u64,
-    /// Condition-variable waits queued.
-    pub cond_waits: u64,
-    /// Condition-variable signals/broadcasts processed.
-    pub cond_signals: u64,
-    /// Allocation requests served.
-    pub allocs: u64,
-    /// Frees served.
-    pub frees: u64,
-    /// Write-notice intervals published.
-    pub notices_published: u64,
-    /// Locks reclaimed from expired leases (standby takeover only).
-    pub lease_reclaims: u64,
-    /// Late releases from lease-reclaimed holders, absorbed without
-    /// mutating lock state (their write notices still publish).
-    pub stale_releases: u64,
-    /// Write-ahead log records shipped to the hot standby (0 when no
-    /// standby is configured; counted by the event loop).
-    pub log_records_shipped: u64,
-    /// Virtual busy time of the manager's service resource.
-    pub busy_ns: u64,
-    /// Total virtual time requests queued before manager service began.
-    pub queue_wait_ns: u64,
-    /// Peak system occupancy observed at any arrival (1 = uncontended).
-    pub peak_queue_depth: u64,
-    /// Sum of arrival-sampled occupancies (mean = sum / requests).
-    pub queue_depth_sum: u64,
-}
-
 /// The manager's request-processing engine.
 pub struct ManagerEngine {
     layout: AddressLayout,
@@ -223,7 +182,9 @@ pub struct ManagerEngine {
     run_marks: Vec<Vec<u32>>,
     threads: HashMap<u32, ThreadInfo>,
     resource: VirtualResource,
-    stats: ManagerStats,
+    /// Late releases from lease-reclaimed holders, absorbed without
+    /// mutating lock state (their write notices still publish).
+    stale_releases: u64,
     /// Service-completion time of the most recent request (for tracing).
     last_done: SimTime,
     /// Sequence number of the last log record folded in. `apply` refuses
@@ -269,7 +230,7 @@ impl ManagerEngine {
             run_marks: vec![vec![0; cfg.max_threads as usize]; cfg.mem_servers as usize],
             threads: HashMap::new(),
             resource: VirtualResource::new(),
-            stats: ManagerStats::default(),
+            stale_releases: 0,
             last_done: SimTime::ZERO,
             applied_seq: 0,
             lease: SimTime::from_ns(cfg.mgr_lease_ns),
@@ -373,7 +334,6 @@ impl ManagerEngine {
             w.parked.push(Parked { src, token, req, arrival });
             return Vec::new();
         }
-        self.stats.requests += 1;
         let (_, done) = self.resource.reserve(arrival, self.mgr_service);
         self.last_done = done;
         self.served.push((done, req.label(), tid));
@@ -393,14 +353,12 @@ impl ManagerEngine {
                 MgrResponse::Registered { watermark, marks }
             }
             MgrRequest::AllocShared { size, align } => {
-                self.stats.allocs += 1;
                 match self.shared.alloc(size, align.max(8)) {
                     Some(addr) => MgrResponse::Addr(addr),
                     None => MgrResponse::Err(MgrError::SharedExhausted { size }),
                 }
             }
             MgrRequest::AllocStriped { size } => {
-                self.stats.allocs += 1;
                 // Line-aligned so consecutive lines of the allocation rotate
                 // across memory servers from its first byte.
                 match self.striped.alloc(size, self.layout.line_bytes) {
@@ -408,20 +366,17 @@ impl ManagerEngine {
                     None => MgrResponse::Err(MgrError::StripedExhausted { size }),
                 }
             }
-            MgrRequest::Free { addr } => {
-                self.stats.frees += 1;
-                match self.layout.region_of(addr) {
-                    Region::Shared if self.shared.is_live(addr) => {
-                        self.shared.free(addr);
-                        MgrResponse::Ok
-                    }
-                    Region::Striped if self.striped.is_live(addr) => {
-                        self.striped.free(addr);
-                        MgrResponse::Ok
-                    }
-                    region => MgrResponse::Err(MgrError::BadFree { addr, region }),
+            MgrRequest::Free { addr } => match self.layout.region_of(addr) {
+                Region::Shared if self.shared.is_live(addr) => {
+                    self.shared.free(addr);
+                    MgrResponse::Ok
                 }
-            }
+                Region::Striped if self.striped.is_live(addr) => {
+                    self.striped.free(addr);
+                    MgrResponse::Ok
+                }
+                region => MgrResponse::Err(MgrError::BadFree { addr, region }),
+            },
             MgrRequest::CreateLock => {
                 self.locks.push(LockState::default());
                 MgrResponse::SyncId(self.locks.len() as u32 - 1)
@@ -436,7 +391,6 @@ impl ManagerEngine {
                 MgrResponse::SyncId(self.conds.len() as u32 - 1)
             }
             MgrRequest::CondSignal { cond } | MgrRequest::CondBroadcast { cond } => {
-                self.stats.cond_signals += 1;
                 let n = if matches!(req, MgrRequest::CondSignal { .. }) { 1 } else { usize::MAX };
                 let mut out = self.wake_waiters(cond, done, n);
                 out.extend(reply(MgrResponse::Ok));
@@ -451,12 +405,10 @@ impl ManagerEngine {
                 MgrResponse::Ok
             }
             MgrRequest::Acquire { lock, interval, last_seen } => {
-                self.stats.acquires += 1;
                 self.publish(tid, [None; 2], interval);
                 return self.take_or_enqueue(lock, Waiter::new(tid, token, done, last_seen), done);
             }
             MgrRequest::Release { lock, interval, handed } => {
-                self.stats.releases += 1;
                 let mut out = match handed.filter(|h| self.hinted_head(lock, tid, h)) {
                     Some(h) => self.hand_over(lock, tid, h, interval, done),
                     None => self.release_lock(lock, tid, interval, done),
@@ -471,7 +423,6 @@ impl ManagerEngine {
                 return out;
             }
             MgrRequest::BarrierWait { barrier, interval, last_seen } => {
-                self.stats.barrier_waits += 1;
                 self.publish(tid, [None; 2], interval);
                 let state = &mut self.barriers[barrier as usize];
                 state.waiting.push(Waiter::new(tid, token, done, last_seen));
@@ -481,7 +432,6 @@ impl ManagerEngine {
                 return Vec::new();
             }
             MgrRequest::CondWait { cond, lock, interval, last_seen } => {
-                self.stats.cond_waits += 1;
                 let waiter = Waiter::new(tid, token, done, last_seen);
                 self.conds[cond as usize].waiters.push_back((waiter, lock));
                 // Atomically release the lock the caller held.
@@ -526,7 +476,6 @@ impl ManagerEngine {
     /// what the log holds that it has not seen, once the last arrival and
     /// the release cost are past.
     fn release_barrier(&mut self, barrier: u32) -> Vec<Outgoing> {
-        self.stats.barrier_releases += 1;
         let waiters = std::mem::take(&mut self.barriers[barrier as usize].waiting);
         let release_at = waiters.iter().map(|w| w.ready).fold(SimTime::ZERO, SimTime::max)
             + self.barrier_release;
@@ -556,7 +505,6 @@ impl ManagerEngine {
     /// ([`admit`](Self::admit)).
     fn publish(&mut self, tid: u32, seen_by: Seers, interval: Interval) {
         if !interval.is_empty() {
-            self.stats.notices_published += 1;
             for (home, &batch) in (0..).zip(&interval.batches) {
                 Marks::raise(&mut self.run_marks, home, tid, batch);
             }
@@ -652,7 +600,7 @@ impl ManagerEngine {
         self.publish(tid, [None; 2], interval);
         if self.locks[lock as usize].holder != Some(tid) {
             self.reclaimed.remove(&lock);
-            self.stats.stale_releases += 1;
+            self.stale_releases += 1;
             return Vec::new();
         }
         // The waiter behind the next, advanced now if not before: then it
@@ -859,7 +807,6 @@ impl ManagerEngine {
             state.free_at = state.free_at.max(state.leased_until);
             let next = state.queue.pop_front();
             let at = next.as_ref().map(|n| now.max(n.ready).max(state.free_at));
-            self.stats.lease_reclaims += 1;
             self.reclaimed.insert(lock, holder);
             self.reclaims.push((lock, holder));
             state.queue.iter_mut().for_each(|w| w.advanced = None);
@@ -889,19 +836,19 @@ impl ManagerEngine {
         std::mem::take(&mut self.reclaims)
     }
 
-    /// Activity counters.
-    pub fn stats(&self) -> ManagerStats {
-        let mut s = self.stats;
-        let r = self.resource.stats();
-        s.busy_ns = r.busy_ns;
-        s.queue_wait_ns = r.queue_wait_ns;
-        s.peak_queue_depth = r.peak_depth;
-        s.queue_depth_sum = r.depth_sum;
-        s
+    /// The service resource's accounting: requests served, busy and queue
+    /// time. What was served is [`take_served`](Self::take_served)'s stream.
+    pub fn stats(&self) -> ResourceStats {
+        self.resource.stats()
+    }
+
+    /// Late releases absorbed from lease-reclaimed holders.
+    pub fn stale_releases(&self) -> u64 {
+        self.stale_releases
     }
 
     /// Reset the manager resource's queue accounting between runs.
-    pub fn reset_queue_accounting(&self) {
+    pub fn reset_queue_accounting(&mut self) {
         self.resource.reset_queue_accounting();
     }
 
@@ -1202,7 +1149,7 @@ mod tests {
             (EP2, T2, 3, release(0, vec![6], None)),
             (EP0, T0, 8, release(0, vec![7], Some((T2, 2)))),
         ];
-        let mut handed = 0;
+        let (mut handed, mut released) = (0, 0);
         for (i, (src, tid, token, req)) in script.into_iter().enumerate() {
             let arrival = SimTime::from_ns(100 * i as u64);
             let rec = primary.record(src, tid, token, req, arrival);
@@ -1218,10 +1165,12 @@ mod tests {
                 assert_eq!(format!("{:?}", x.resp), format!("{:?}", y.resp));
                 handed += usize::from(x.filed);
             }
-            assert_eq!(primary.take_served(), standby.take_served(), "record {i}");
+            let served = primary.take_served();
+            assert_eq!(served, standby.take_served(), "record {i}");
+            released += releases(&served);
         }
         assert_eq!(handed, 4, "two hand-offs, and two grants from the manager");
-        assert_eq!(primary.stats().releases, 4, "the parked release was served");
+        assert_eq!(released, 4, "the parked release was served");
         assert_eq!(primary.applied_seq(), standby.applied_seq());
         assert_eq!(primary.notice_watermark(), standby.notice_watermark());
         assert_eq!(primary.last_done(), standby.last_done());
@@ -1285,7 +1234,6 @@ mod tests {
         // Whole: a reclaimed lock's advance is forgotten.
         assert!(matches!(out[0].resp, MgrResponse::Rest { after: 0, .. }) && out[1].filed);
         assert!(out[0].at >= sweep_at);
-        assert_eq!(e.stats().lease_reclaims, 1);
         // The deposed holder's late release is absorbed: no error, its
         // notices still publish, and the new holder keeps the lock.
         let out = e.handle(
@@ -1302,9 +1250,8 @@ mod tests {
         assert_eq!(out.len(), 1, "standby mode still acks the stale release");
         assert_eq!(out[0].dst, EP0);
         assert!(matches!(out[0].resp, MgrResponse::Ok));
-        let s = e.stats();
-        assert_eq!(s.stale_releases, 1);
-        assert_eq!(s.notices_published, 1, "the stale release's flush still published");
+        assert_eq!(e.stale_releases(), 1);
+        assert_eq!(e.notice_watermark(), 1, "the stale release's flush still published");
         // T1 still holds: its own release must succeed.
         let out = e.handle(
             EP1,
@@ -1641,12 +1588,12 @@ mod tests {
             MgrRequest::Release { lock: l, interval: Interval::default(), handed: None },
             SimTime::ZERO,
         );
+        let ops: Vec<_> = e.take_served().into_iter().map(|(_, op, tid)| (op, tid)).collect();
+        assert_eq!(ops[ops.len() - 2..], [("acquire", T0), ("release", T0)]);
         let s = e.stats();
-        assert_eq!(s.acquires, 1);
-        assert_eq!(s.releases, 1);
-        assert_eq!(s.notices_published, 1);
-        assert!(s.busy_ns > 0);
-        assert_eq!(e.notice_watermark(), 1);
+        assert_eq!(s.requests, ops.len() as u64);
+        assert_eq!(s.busy_ns, s.requests * e.mgr_service.as_ns());
+        assert_eq!(e.notice_watermark(), 1, "one interval published");
     }
 
     /// Three threads' engine, lock 0 held by T0 since `at` 0.
@@ -1656,6 +1603,11 @@ mod tests {
         lock_id(&mut e);
         e.handle(EP0, T0, 3, acquire(0, 0), SimTime::ZERO);
         e
+    }
+
+    /// How many of `served` are lock releases: plain, or handing off.
+    fn releases(served: &[(SimTime, &str, u32)]) -> usize {
+        served.iter().filter(|s| matches!(s.1, "release" | "handoff")).count()
     }
 
     /// The relay a manager's grant names, if any.
@@ -1839,7 +1791,7 @@ mod tests {
         e.handle(EP2, T2, 4, release(0, vec![], None), SimTime::from_us(5));
         let t1 = granted(&e.handle(EP1, T1, 6, acquire(0, ahead), SimTime::from_us(6)));
         assert_eq!(t1, NoticeSet::default(), "T1 is sent T0's interval again");
-        assert_eq!(e.stats().releases, 3);
+        assert_eq!(releases(&e.take_served()), 3);
     }
 
     #[test]
@@ -1932,7 +1884,8 @@ mod tests {
         // T2 holds: its release frees the lock. Both intervals name it: a
         // grant from the log carries neither.
         assert!(e.handle(EP2, T2, 3, release(0, vec![], None), SimTime::from_us(4)).is_empty());
-        assert_eq!(e.stats().releases, 3);
+        let ops: Vec<_> = e.take_served().into_iter().map(|(_, op, tid)| (op, tid)).collect();
+        assert_eq!(ops, [("release", T2)], "the third release");
         let out = e.handle(EP2, T2, 4, acquire(0, 0), SimTime::from_us(5));
         assert!(
             matches!(&out[0].resp, MgrResponse::Rest { notices, .. } if notices.runs.is_empty())
@@ -2198,9 +2151,11 @@ mod stress {
         assert!(waiting.is_empty(), "acquires left ungranted: {waiting:?}");
         assert_eq!(granted, acquires, "every acquire granted exactly once");
         assert!(handoffs > 20 && overtaken > 5, "{handoffs} hand-offs, {overtaken} overtaken");
-        let s = e.stats();
-        assert_eq!(s.acquires, acquires as u64);
-        assert_eq!(s.releases, granted as u64);
-        assert_eq!(s, replica.stats());
+        let served = e.take_served();
+        assert_eq!(served.iter().filter(|s| s.1 == "acquire").count(), acquires as usize);
+        let releases = served.iter().filter(|s| matches!(s.1, "release" | "handoff")).count();
+        assert_eq!(releases, granted as usize);
+        assert_eq!(served, replica.take_served());
+        assert_eq!(e.stats(), replica.stats());
     }
 }

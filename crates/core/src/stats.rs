@@ -10,7 +10,7 @@
 //! demand-fetch misses and invalidation refetches during computation, which
 //! is where false sharing hurts) is compute time.
 
-use samhita_scl::{FabricStatsSnapshot, MsgClass, SimTime};
+use samhita_scl::{FabricStats, MsgClass, SimTime};
 use samhita_trace::{HotspotMap, LatencyHistogram};
 pub use samhita_trace::{ThreadStats, TimeBreakdown};
 
@@ -50,7 +50,7 @@ pub struct RunReport {
     /// Per-thread statistics, in tid order.
     pub threads: Vec<ThreadStats>,
     /// Fabric traffic attributable to this run.
-    pub fabric: FabricStatsSnapshot,
+    pub fabric: FabricStats,
     /// Longest thread clock: the run's virtual wall time.
     pub makespan: SimTime,
     /// Manager service time spent on this run's requests, in virtual ns.
@@ -104,7 +104,7 @@ impl RunReport {
     /// Assemble a report, computing the makespan. Busy time and layout are
     /// filled in by the DSM runtime after construction; native baselines
     /// leave them at their defaults.
-    pub fn new(threads: Vec<ThreadStats>, fabric: FabricStatsSnapshot) -> Self {
+    pub fn new(threads: Vec<ThreadStats>, fabric: FabricStats) -> Self {
         let makespan = threads.iter().map(|t| t.total).fold(SimTime::ZERO, SimTime::max);
         RunReport { threads, fabric, makespan, ..RunReport::default() }
     }
@@ -290,7 +290,6 @@ impl RunReport {
 
 #[cfg(test)]
 mod tests {
-    use samhita_scl::FabricStats;
     use samhita_trace::{EventKind, FetchKind};
 
     use super::*;
@@ -307,7 +306,7 @@ mod tests {
 
     #[test]
     fn report_aggregates() {
-        let r = RunReport::new(vec![t(0, 100, 20), t(1, 200, 60)], FabricStatsSnapshot::default());
+        let r = RunReport::new(vec![t(0, 100, 20), t(1, 200, 60)], FabricStats::default());
         assert_eq!(r.makespan, SimTime::from_ns(200));
         assert_eq!(r.mean_compute(), SimTime::from_ns((80 + 140) / 2));
         assert_eq!(r.mean_sync(), SimTime::from_ns(40));
@@ -317,7 +316,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_zero() {
-        let r = RunReport::new(vec![], FabricStatsSnapshot::default());
+        let r = RunReport::new(vec![], FabricStats::default());
         assert_eq!(r.makespan, SimTime::ZERO);
         assert_eq!(r.mean_compute(), SimTime::ZERO);
     }
@@ -327,26 +326,23 @@ mod tests {
         // Thread 0: 100ns total, 20 sync; thread 1: 300ns total, 60 sync.
         // Weighted fraction = (20 + 60) / (100 + 300) = 0.2, not the mean of
         // the per-thread fractions.
-        let r = RunReport::new(vec![t(0, 100, 20), t(1, 300, 60)], FabricStatsSnapshot::default());
+        let r = RunReport::new(vec![t(0, 100, 20), t(1, 300, 60)], FabricStats::default());
         assert!((r.sync_fraction() - 0.2).abs() < 1e-12);
         // Degenerate cases are 0, not NaN.
-        assert_eq!(RunReport::new(vec![], FabricStatsSnapshot::default()).sync_fraction(), 0.0);
-        assert_eq!(
-            RunReport::new(vec![t(0, 0, 0)], FabricStatsSnapshot::default()).sync_fraction(),
-            0.0
-        );
+        assert_eq!(RunReport::new(vec![], FabricStats::default()).sync_fraction(), 0.0);
+        assert_eq!(RunReport::new(vec![t(0, 0, 0)], FabricStats::default()).sync_fraction(), 0.0);
     }
 
     #[test]
     fn compute_imbalance_is_max_over_mean() {
         // compute: 80 and 140 → mean 110, max 140.
-        let r = RunReport::new(vec![t(0, 100, 20), t(1, 200, 60)], FabricStatsSnapshot::default());
+        let r = RunReport::new(vec![t(0, 100, 20), t(1, 200, 60)], FabricStats::default());
         assert!((r.compute_imbalance() - 140.0 / 110.0).abs() < 1e-12);
         // A perfectly balanced run sits at exactly 1.0.
-        let b = RunReport::new(vec![t(0, 100, 0), t(1, 100, 0)], FabricStatsSnapshot::default());
+        let b = RunReport::new(vec![t(0, 100, 0), t(1, 100, 0)], FabricStats::default());
         assert_eq!(b.compute_imbalance(), 1.0);
         // Degenerate cases are 0, not NaN.
-        assert_eq!(RunReport::new(vec![], FabricStatsSnapshot::default()).compute_imbalance(), 0.0);
+        assert_eq!(RunReport::new(vec![], FabricStats::default()).compute_imbalance(), 0.0);
     }
 
     #[test]
@@ -357,7 +353,7 @@ mod tests {
         let mut b = t(1, 10, 0);
         b.fetch_latency.record(200);
         b.barrier_wait.record(70);
-        let r = RunReport::new(vec![a, b], FabricStatsSnapshot::default());
+        let r = RunReport::new(vec![a, b], FabricStats::default());
         assert_eq!(r.fetch_latency().count(), 2);
         assert_eq!(r.fetch_latency().max_ns(), 200);
         assert_eq!(r.lock_wait().count(), 1);
@@ -373,7 +369,7 @@ mod tests {
         let mut b = t(1, 10, 0);
         b.fold(&refetch);
         b.fold(&EventKind::Fetch { page: 9, pages: 2, kind: FetchKind::Demand, wait_ns: 0 });
-        let r = RunReport::new(vec![a, b], FabricStatsSnapshot::default());
+        let r = RunReport::new(vec![a, b], FabricStats::default());
         let hot = r.hotspots();
         assert_eq!(hot.page(5).unwrap().refetches, 2);
         assert_eq!(hot.page(5).unwrap().diff_bytes, 100);
@@ -383,7 +379,7 @@ mod tests {
 
     #[test]
     fn utilization_is_busy_over_makespan() {
-        let mut r = RunReport::new(vec![t(0, 1_000, 0)], FabricStatsSnapshot::default());
+        let mut r = RunReport::new(vec![t(0, 1_000, 0)], FabricStats::default());
         r.mgr_busy_ns = 250;
         r.server_busy_ns = vec![500, 1_000];
         assert!((r.mgr_utilization() - 0.25).abs() < 1e-12);
@@ -391,7 +387,7 @@ mod tests {
         assert!((su[0] - 0.5).abs() < 1e-12);
         assert!((su[1] - 1.0).abs() < 1e-12);
         // Degenerate: empty run divides to 0, not NaN.
-        let empty = RunReport::new(vec![], FabricStatsSnapshot::default());
+        let empty = RunReport::new(vec![], FabricStats::default());
         assert_eq!(empty.mgr_utilization(), 0.0);
     }
 
@@ -399,7 +395,7 @@ mod tests {
     fn site_labels_follow_the_layout() {
         let cfg = crate::config::SamhitaConfig::small_for_tests();
         let layout = AddressLayout::new(&cfg);
-        let mut r = RunReport::new(vec![t(0, 10, 0)], FabricStatsSnapshot::default());
+        let mut r = RunReport::new(vec![t(0, 10, 0)], FabricStats::default());
         assert_eq!(r.site_label(0), "?", "no layout attached yet");
         r.layout = Some(layout);
         assert_eq!(r.site_label(0), "reserved");
@@ -415,16 +411,16 @@ mod tests {
         a.barriers = 2;
         let mut b = t(1, 10, 0);
         b.locks_acquired = 1;
-        let stats = FabricStats::default();
+        let mut stats = FabricStats::default();
         for _ in 0..12 {
-            stats.record(MsgClass::Update, 64);
+            stats.record(MsgClass::Update, 64, None);
         }
-        stats.record(MsgClass::Data, 4096);
-        let r = RunReport::new(vec![a, b], stats.snapshot());
+        stats.record(MsgClass::Data, 4096, None);
+        let r = RunReport::new(vec![a, b], stats);
         assert_eq!(r.sync_ops(), 6);
         assert!((r.msgs_per_sync_op() - 2.0).abs() < 1e-12, "12 update msgs over 6 sync ops");
         // No sync ops: the raw update count, not a division by zero.
-        let empty = RunReport::new(vec![t(0, 10, 0)], stats.snapshot());
+        let empty = RunReport::new(vec![t(0, 10, 0)], stats);
         assert_eq!(empty.sync_ops(), 0);
         assert!((empty.msgs_per_sync_op() - 12.0).abs() < 1e-12);
     }
@@ -438,7 +434,7 @@ mod tests {
         a.mgr_wait_ns = 25;
         a.flush_wait_ns = 75;
         let b = t(1, 1_600, 0); // the makespan thread, all compute
-        let r = RunReport::new(vec![a, b], FabricStatsSnapshot::default());
+        let r = RunReport::new(vec![a, b], FabricStats::default());
         assert_eq!(r.makespan.as_ns(), 1_600);
         let ba = r.threads[0].breakdown(r.makespan);
         assert_eq!(ba.compute_ns, 1_000 - 400);
@@ -460,7 +456,7 @@ mod tests {
         r.mgr_queue_depth_sum = 25;
         assert!((r.mgr_queue_wait_fraction() - 500.0 / 2_000.0).abs() < 1e-12);
         assert!((r.mgr_mean_queue_depth() - 2.5).abs() < 1e-12);
-        let empty = RunReport::new(vec![], FabricStatsSnapshot::default());
+        let empty = RunReport::new(vec![], FabricStats::default());
         assert_eq!(empty.mgr_queue_wait_fraction(), 0.0);
         assert_eq!(empty.mgr_mean_queue_depth(), 0.0);
     }
@@ -471,7 +467,7 @@ mod tests {
         a.line_misses = 3;
         let mut b = t(1, 10, 0);
         b.line_misses = 4;
-        let r = RunReport::new(vec![a, b], FabricStatsSnapshot::default());
+        let r = RunReport::new(vec![a, b], FabricStats::default());
         assert_eq!(r.total_of(|t| t.line_misses), 7);
     }
 }

@@ -21,15 +21,17 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use samhita_mem::{HomeMap, MemRequest, MemResponse, MemoryServer, PageId, ServerStats};
+use samhita_mem::{HomeMap, MemRequest, MemResponse, MemoryServer, PageId};
 use samhita_regc::{Marks, UpdatePart};
 use samhita_sched::{Next, Scheduler, TaskRef};
-use samhita_scl::{Endpoint, EndpointId, Envelope, Fabric, MsgClass, SimTime};
+use samhita_scl::{
+    Endpoint, EndpointId, Envelope, Fabric, FabricStats, MsgClass, ResourceStats, SimTime,
+};
 use samhita_trace::{EventKind, RunTrace, SharedTrack, Tracer, TrackId};
 
 use crate::config::SamhitaConfig;
 use crate::layout::{AddressLayout, Placement};
-use crate::manager::{ManagerEngine, ManagerStats, Outgoing};
+use crate::manager::{ManagerEngine, Outgoing};
 use crate::msg::{MgrLogOp, MgrLogRecord, MgrRequest, MgrResponse, Msg, Stamp};
 use crate::proto::HostChannel;
 use crate::stats::RunReport;
@@ -37,19 +39,6 @@ use crate::thread::ThreadCtx;
 
 /// The manager tid reserved for the host control client.
 pub(crate) const HOST_TID: u32 = u32::MAX;
-
-/// Server-side statistics, as of the last completed request.
-#[derive(Clone, Debug, Default)]
-pub struct SystemStats {
-    /// Manager activity counters.
-    pub manager: ManagerStats,
-    /// Per-memory-server counters, in server-index order.
-    pub servers: Vec<ServerStats>,
-    /// The hot-standby manager's counters, when one was configured. Its
-    /// `requests` count includes replayed log records (the replica's view of
-    /// the workload), not just post-takeover serves.
-    pub standby: Option<ManagerStats>,
-}
 
 /// A running Samhita system.
 pub struct Samhita {
@@ -239,7 +228,9 @@ impl Samhita {
         );
         let standby = standby_endpoint.map(|ep| {
             let core = replica(ep, TrackId::MgrStandby, true, None);
-            install(&sched, StandbyService { core, active: false, serves: 0, takeover_ns: 0 })
+            let standby =
+                StandbyService { core, active: false, reclaims: 0, serves: 0, takeover_ns: 0 };
+            install(&sched, standby)
         });
 
         // Host control client (registers like a thread, but never syncs).
@@ -283,7 +274,7 @@ impl Samhita {
 
     /// Cumulative fabric traffic since bring-up, by message class
     /// (per-run deltas are already included in each [`RunReport`]).
-    pub fn fabric_stats(&self) -> samhita_scl::FabricStatsSnapshot {
+    pub fn fabric_stats(&self) -> FabricStats {
         self.fabric.stats()
     }
 
@@ -461,15 +452,15 @@ impl Samhita {
         // has no delta, so it has to start each run from zero. The host
         // holds the baton, so the services are quiescent.
         let (mgr_before, shipped_before) = {
-            let mgr = self.mgr.lock();
+            let mut mgr = self.mgr.lock();
             mgr.core.engine.reset_queue_accounting();
             (mgr.core.engine.stats(), mgr.shipped)
         };
-        let mem_before: Vec<ServerStats> = self
+        let mem_before: Vec<ResourceStats> = self
             .mem
             .iter()
             .map(|m| {
-                let m = m.lock();
+                let mut m = m.lock();
                 m.server.reset_queue_accounting();
                 m.server.stats()
             })
@@ -532,17 +523,17 @@ impl Samhita {
             let st = mgr.core.engine.stats();
             report.mgr_busy_ns = st.busy_ns - mgr_before.busy_ns;
             report.mgr_queue_wait_ns = st.queue_wait_ns - mgr_before.queue_wait_ns;
-            report.mgr_queue_depth_sum = st.queue_depth_sum - mgr_before.queue_depth_sum;
+            report.mgr_queue_depth_sum = st.depth_sum - mgr_before.depth_sum;
             report.mgr_requests = st.requests - mgr_before.requests;
-            report.mgr_peak_queue_depth = st.peak_queue_depth;
+            report.mgr_peak_queue_depth = st.peak_depth;
             report.log_records_shipped = mgr.shipped - shipped_before;
         }
         for (m, before) in self.mem.iter().zip(&mem_before) {
             let st = m.lock().server.stats();
             report.server_busy_ns.push(st.busy_ns - before.busy_ns);
             report.server_queue_wait_ns.push(st.queue_wait_ns - before.queue_wait_ns);
-            report.server_queue_depth_sum.push(st.queue_depth_sum - before.queue_depth_sum);
-            report.server_peak_queue_depth.push(st.peak_queue_depth);
+            report.server_queue_depth_sum.push(st.depth_sum - before.depth_sum);
+            report.server_peak_queue_depth.push(st.peak_depth);
         }
         report.sched_grants = self.sched.grants() - sched_grants_before;
         if let (Some(sb), Some(before)) = (&self.standby, standby_before) {
@@ -581,13 +572,11 @@ impl Samhita {
         self.tracer.as_ref().map(|t| t.take())
     }
 
-    /// Tear the system down and return server-side statistics.
-    pub fn shutdown(self) -> SystemStats {
-        SystemStats {
-            manager: self.mgr.lock().stats(),
-            servers: self.mem.iter().map(|m| m.lock().server.stats()).collect(),
-            standby: self.standby.as_ref().map(|s| s.lock().core.engine.stats()),
-        }
+    /// Tear the system down and return each memory server's service
+    /// accounting over its whole life, host requests included, in server
+    /// order.
+    pub fn shutdown(self) -> Vec<ResourceStats> {
+        self.mem.iter().map(|m| m.lock().server.stats()).collect()
     }
 }
 
@@ -805,7 +794,7 @@ impl MemService {
         if self.replay(r.src, r.token, at) {
             return;
         }
-        // Shadow (replica write-through) copies are applied and counted, but
+        // Shadow (replica write-through) copies are applied and charged, but
         // kept off the event trace so replication does not disturb the
         // observable protocol timeline.
         let events = match &self.track {
@@ -895,7 +884,6 @@ impl Service for MemService {
         };
         let behind = self.held.iter().any(|h| (h.src, h.stamp.home) == (r.src, r.stamp.home));
         if self.waits(&r, behind, r.arrival) {
-            self.server.note_parked();
             self.held.push(r);
         } else {
             self.serve(r, env.deliver_at);
@@ -1053,12 +1041,6 @@ struct MgrService {
     shipped: u64,
 }
 
-impl MgrService {
-    fn stats(&self) -> ManagerStats {
-        ManagerStats { log_records_shipped: self.shipped, ..self.core.engine.stats() }
-    }
-}
-
 impl Service for MgrService {
     fn endpoint(&self) -> &Endpoint<Msg> {
         &self.core.ep
@@ -1125,6 +1107,8 @@ impl Service for MgrService {
 struct StandbyService {
     core: MgrReplica,
     active: bool,
+    /// Locks reclaimed from expired leases, as drained from the engine.
+    reclaims: u64,
     /// Requests served after takeover.
     serves: u64,
     /// Virtual ns of the first post-takeover serve (0 = no takeover).
@@ -1134,8 +1118,7 @@ struct StandbyService {
 impl StandbyService {
     /// Cumulative (lease reclaims, stale releases absorbed, serves).
     fn counters(&self) -> (u64, u64, u64) {
-        let st = self.core.engine.stats();
-        (st.lease_reclaims, st.stale_releases, self.serves)
+        (self.reclaims, self.core.engine.stale_releases(), self.serves)
     }
 }
 
@@ -1157,8 +1140,10 @@ impl Service for StandbyService {
         // answer those waiters' original acquire tokens.
         let rec = self.core.engine.record_reclaim(at);
         self.core.apply(rec);
+        let reclaims = self.core.engine.take_reclaims();
+        self.reclaims += reclaims.len() as u64;
         if let Some(track) = &self.core.track {
-            for (lock, holder) in self.core.engine.take_reclaims() {
+            for (lock, holder) in reclaims {
                 track.push(at, EventKind::LeaseReclaim { lock, holder });
             }
         }
@@ -1218,8 +1203,7 @@ mod tests {
     #[test]
     fn bring_up_and_shutdown() {
         let s = system();
-        let stats = s.shutdown();
-        assert_eq!(stats.servers.len(), 1);
+        assert_eq!(s.shutdown().len(), 1);
     }
 
     #[test]
@@ -1247,7 +1231,7 @@ mod tests {
     fn read_f64s_from_mid_page_over_three_pages_fetches_each_page_once() {
         let s = system(); // 256-byte pages
         let base = s.alloc_global(4096).next_multiple_of(256);
-        let fetches = |s: &Samhita| s.mem[0].lock().server.stats().line_fetches;
+        let fetches = |s: &Samhita| s.mem[0].lock().server.stats().requests;
         // 60 values from byte 104 of a page: 152 + 256 + 72 bytes; from byte
         // 100, the two that cross a page boundary come from two fetches.
         for start in [base + 104, base + 100] {
@@ -1733,7 +1717,8 @@ mod tests {
         };
         let standby_ep = core.ep.id();
         let standby =
-            install(&sched, StandbyService { core, active: false, serves: 0, takeover_ns: 0 });
+            StandbyService { core, active: false, reclaims: 0, serves: 0, takeover_ns: 0 };
+        let standby = install(&sched, standby);
         let mut token = 0;
         let mut rpc = |tid: u32, at: u64, req: MgrRequest| {
             token += 1;
@@ -1772,5 +1757,41 @@ mod tests {
             .collect();
         assert_eq!(reclaims, vec![expiry]);
         assert_eq!(sched.handoffs(), 0);
+    }
+
+    /// An untraced standby drains the engine's reclaims as a traced one
+    /// does: nothing is kept, and the run reports each reclaim once.
+    #[test]
+    fn an_untraced_standby_drains_its_reclaims() {
+        use crate::config::{FaultConfig, TopologyKind};
+        let cfg = SamhitaConfig {
+            manager_standby: true,
+            mem_servers: 2,
+            replica_offset: 1,
+            topology: TopologyKind::Cluster { nodes: 6 },
+            mgr_lease_ns: 20_000,
+            faults: FaultConfig { mgr_crash: Some(30_000), ..FaultConfig::default() },
+            ..SamhitaConfig::default()
+        };
+        assert!(!cfg.tracing);
+        let s = Samhita::new(cfg);
+        let (lock_a, lock_b) = (s.create_mutex(), s.create_mutex());
+        let report = s.run(2, move |ctx| {
+            if ctx.tid() == 0 {
+                // Holds its lock far past the lease, across the crash.
+                ctx.lock(lock_a);
+                ctx.compute(40_000_000);
+                ctx.unlock(lock_a);
+            } else {
+                // Fails over, and so wakes the standby's lease sweep.
+                for _ in 0..40 {
+                    ctx.lock(lock_b);
+                    ctx.unlock(lock_b);
+                }
+            }
+        });
+        assert_eq!((report.lease_reclaims, report.stale_releases), (1, 1));
+        let standby = s.standby.as_ref().expect("a standby was configured");
+        assert!(standby.lock().core.engine.take_reclaims().is_empty(), "a reclaim was kept");
     }
 }

@@ -9,8 +9,8 @@
 //! its version alone (see [`MemResponse`]). The SCL event loop that feeds
 //! this engine lives in `samhita-core`.
 
-use samhita_regc::{Diff, UpdateBatch, UpdatePart};
-use samhita_scl::{ServiceModel, SimTime, VirtualResource};
+use samhita_regc::{UpdateBatch, UpdatePart};
+use samhita_scl::{ResourceStats, ServiceModel, SimTime, VirtualResource};
 
 use crate::page::PageId;
 use crate::store::{PageFrame, PageStore};
@@ -106,53 +106,19 @@ impl MemResponse {
     }
 }
 
-/// Counters kept by one server.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Fetches served: cache lines and revalidated runs of their pages.
-    pub line_fetches: u64,
-    /// Ordinary-region diffs applied.
-    pub diffs_applied: u64,
-    /// Total diff payload applied, bytes.
-    pub diff_payload_bytes: u64,
-    /// Fine-grain (consistency-region) updates applied.
-    pub fine_updates: u64,
-    /// Total fine-grain payload applied, bytes.
-    pub fine_payload_bytes: u64,
-    /// Whole-page overwrites (ablation path).
-    pub whole_page_writes: u64,
-    /// Virtual busy time of the service resource.
-    pub busy_ns: u64,
-    /// Requests served by the service resource.
-    pub requests: u64,
-    /// Total virtual time requests queued before service began.
-    pub queue_wait_ns: u64,
-    /// Peak system occupancy observed at any arrival (1 = uncontended).
-    pub peak_queue_depth: u64,
-    /// Sum of arrival-sampled occupancies (mean = sum / requests).
-    pub queue_depth_sum: u64,
-    /// Requests held on arrival until the update batches they must follow
-    /// had been applied.
-    pub parked: u64,
-}
-
-/// One memory server: page store + queueing resource + counters.
+/// One memory server: page store + queueing resource. What it served is
+/// its resource's accounting ([`MemoryServer::stats`]) and, traced, the
+/// events the event loop emits for each serve.
 pub struct MemoryServer {
     store: PageStore,
     resource: VirtualResource,
     model: ServiceModel,
-    stats: ServerStats,
 }
 
 impl MemoryServer {
     /// A server for `page_size`-byte pages under the given service model.
     pub fn new(page_size: usize, model: ServiceModel) -> Self {
-        MemoryServer {
-            store: PageStore::new(page_size),
-            resource: VirtualResource::new(),
-            model,
-            stats: ServerStats::default(),
-        }
+        MemoryServer { store: PageStore::new(page_size), resource: VirtualResource::new(), model }
     }
 
     /// Process one request arriving at virtual time `arrival`. Returns the
@@ -168,7 +134,6 @@ impl MemoryServer {
     pub fn serve(&mut self, req: MemRequest, arrival: SimTime) -> (MemResponse, SimTime, SimTime) {
         let (resp, service) = match req {
             MemRequest::FetchLine { first, pages } => {
-                self.stats.line_fetches += 1;
                 let line =
                     MemResponse::Line { first, pages: self.store.read_line(first, pages as usize) };
                 let service = self.model.service_ns(line.page_bytes());
@@ -176,11 +141,10 @@ impl MemoryServer {
             }
             MemRequest::ApplyFine { page, offset, bytes } => {
                 let service = self.model.apply_ns(bytes.len());
-                let version = self.apply_fine_part(page, offset, &bytes);
+                let version = self.store.apply_fine(page, offset, &bytes);
                 (MemResponse::Ack { page, version }, service)
             }
             MemRequest::WritePage { page, bytes } => {
-                self.stats.whole_page_writes += 1;
                 let service = self.model.apply_ns(bytes.len());
                 let version = self.store.write_page(page, &bytes);
                 (MemResponse::Ack { page, version }, service)
@@ -196,10 +160,10 @@ impl MemoryServer {
                 for part in batch.parts() {
                     match part {
                         UpdatePart::Diff { page, diff } => {
-                            self.apply_diff_part(PageId(*page), diff);
+                            self.store.apply_diff(PageId(*page), diff);
                         }
                         UpdatePart::Fine { page, offset, bytes } => {
-                            self.apply_fine_part(PageId(*page), *offset, bytes);
+                            self.store.apply_fine(PageId(*page), *offset, bytes);
                         }
                     }
                 }
@@ -210,49 +174,27 @@ impl MemoryServer {
         (resp, start, done)
     }
 
-    fn apply_diff_part(&mut self, page: PageId, diff: &Diff) {
-        self.stats.diffs_applied += 1;
-        self.stats.diff_payload_bytes += diff.payload_bytes() as u64;
-        self.store.apply_diff(page, diff);
-    }
-
-    fn apply_fine_part(&mut self, page: PageId, offset: u32, bytes: &[u8]) -> u64 {
-        self.stats.fine_updates += 1;
-        self.stats.fine_payload_bytes += bytes.len() as u64;
-        self.store.apply_fine(page, offset, bytes)
-    }
-
     /// The end of the last service window: the instant the server has
     /// settled, once nothing is queued.
     pub fn settled_at(&self) -> SimTime {
         SimTime::from_ns(self.resource.stats().clock_ns)
     }
 
-    /// Usage counters (busy + queue accounting read from the live resource).
-    pub fn stats(&self) -> ServerStats {
-        let mut s = self.stats;
-        let r = self.resource.stats();
-        s.busy_ns = r.busy_ns;
-        s.requests = r.requests;
-        s.queue_wait_ns = r.queue_wait_ns;
-        s.peak_queue_depth = r.peak_depth;
-        s.queue_depth_sum = r.depth_sum;
-        s
-    }
-
-    /// Count a request held until the batches it follows were applied.
-    pub fn note_parked(&mut self) {
-        self.stats.parked += 1;
+    /// The service resource's accounting: requests, busy and queue time.
+    pub fn stats(&self) -> ResourceStats {
+        self.resource.stats()
     }
 
     /// Reset the service resource's queue accounting between runs.
-    pub fn reset_queue_accounting(&self) {
+    pub fn reset_queue_accounting(&mut self) {
         self.resource.reset_queue_accounting();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use samhita_regc::Diff;
+
     use super::*;
 
     fn server() -> MemoryServer {
@@ -395,6 +337,9 @@ mod tests {
         assert_eq!(frame.bytes()[200], 2);
     }
 
+    /// The server's counters are its resource's: one reservation per
+    /// request, busy for exactly what each was charged — two fetches of
+    /// never-written pages at the base, one fine apply of 16 bytes.
     #[test]
     fn stats_count_operations() {
         let mut s = server();
@@ -404,11 +349,10 @@ mod tests {
             MemRequest::ApplyFine { page: PageId(0), offset: 0, bytes: vec![1; 16] },
             SimTime::ZERO,
         );
-        let st = s.stats();
-        assert_eq!(st.line_fetches, 2);
-        assert_eq!(st.fine_updates, 1);
-        assert_eq!(st.fine_payload_bytes, 16);
-        assert!(st.busy_ns > 0);
+        let (st, m) = (s.stats(), ServiceModel::default());
+        assert_eq!(st.requests, 3);
+        assert_eq!(st.busy_ns, (m.service_ns(0) + m.service_ns(0) + m.apply_ns(16)).as_ns());
+        assert_eq!(st.clock_ns, st.busy_ns, "all three arrived at zero and queued");
     }
 
     #[test]
@@ -457,13 +401,10 @@ mod tests {
         let m = ServiceModel::default();
         assert_eq!(done, m.batch_apply_ns());
         assert!(done < m.apply_ns(diff.payload_bytes()) + m.apply_ns(8));
-        let st = s.stats();
-        assert_eq!(st.diffs_applied, 1);
-        assert_eq!(st.diff_payload_bytes, diff.payload_bytes() as u64);
-        assert_eq!(st.fine_updates, 1);
-        assert_eq!(st.fine_payload_bytes, 8);
-        assert_eq!(fetch_page(&mut s, 0, done).bytes()[0], 9);
-        assert_eq!(&fetch_page(&mut s, 1, done).bytes()[16..24], &[7; 8]);
+        assert_eq!(s.stats().requests, 1, "one service window");
+        let (page0, page1) = (fetch_page(&mut s, 0, done), fetch_page(&mut s, 1, done));
+        assert_eq!((page0.bytes()[0], page0.version()), (9, 1));
+        assert_eq!((&page1.bytes()[16..24], page1.version()), (&[7; 8][..], 1));
     }
 
     #[test]
@@ -499,10 +440,10 @@ mod proptests {
     const PS: usize = 256;
     const PAGES: u64 = 8;
 
-    /// The bytes of one page, fetched as a one-page run.
-    fn page_bytes(s: &mut MemoryServer, page: u64, at: SimTime) -> Vec<u8> {
+    /// The bytes and version of one page, fetched as a one-page run.
+    fn page_bytes(s: &mut MemoryServer, page: u64, at: SimTime) -> (Vec<u8>, u64) {
         match s.handle(MemRequest::FetchLine { first: PageId(page), pages: 1 }, at).0 {
-            MemResponse::Line { pages, .. } => pages[0].bytes().to_vec(),
+            MemResponse::Line { pages, .. } => (pages[0].bytes().to_vec(), pages[0].version()),
             other => panic!("unexpected response {other:?}"),
         }
     }
@@ -561,7 +502,7 @@ mod proptests {
     proptest! {
         /// Applying a batch is byte-equivalent to applying the same parts
         /// one single-part batch at a time, in the same order — same final
-        /// page contents, same counters — and never costs more busy time
+        /// page contents and versions — and never costs more busy time
         /// (the batch pays one request base instead of one per part).
         #[test]
         fn batch_apply_equals_sequential_apply(
@@ -581,16 +522,10 @@ mod proptests {
                 MemResponse::BatchAck { parts: n } => prop_assert_eq!(n as usize, parts.len()),
                 other => prop_assert!(false, "unexpected {:?}", other),
             }
-            // Same application work ⇒ same counters; the batch amortizes
-            // the per-request base cost, so it is never busier.
-            let bs = batched.stats();
-            let ss = sequential.stats();
-            prop_assert_eq!(bs.diffs_applied, ss.diffs_applied);
-            prop_assert_eq!(bs.diff_payload_bytes, ss.diff_payload_bytes);
-            prop_assert_eq!(bs.fine_updates, ss.fine_updates);
-            prop_assert_eq!(bs.fine_payload_bytes, ss.fine_payload_bytes);
-            prop_assert!(bs.busy_ns <= ss.busy_ns);
-            // Byte-equivalent stores.
+            // The batch amortizes the per-request base cost, so it is never
+            // busier.
+            prop_assert!(batched.stats().busy_ns <= sequential.stats().busy_ns);
+            // Byte-equivalent stores, every page at the same version.
             for p in 0..PAGES {
                 let a = page_bytes(&mut batched, p, done);
                 let b = page_bytes(&mut sequential, p, done);
@@ -670,7 +605,7 @@ mod proptests {
             // Final sweep: every page equals the reference.
             for p in 0..PAGES {
                 let base = p as usize * PS;
-                let bytes = page_bytes(&mut server, p, last_done);
+                let (bytes, _) = page_bytes(&mut server, p, last_done);
                 prop_assert_eq!(&bytes[..], &reference[base..base + PS], "page {}", p);
             }
         }

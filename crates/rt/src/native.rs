@@ -23,7 +23,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use samhita_core::{RunReport, ThreadStats};
 use samhita_sched::{Scheduler, TaskRef};
-use samhita_scl::{FabricStatsSnapshot, SimTime};
+use samhita_scl::{FabricStats, SimTime};
 use samhita_trace::LatencyHistogram;
 
 use crate::{ArrF64, KernelCtx, KernelRt, SyncId};
@@ -276,7 +276,7 @@ impl KernelRt for NativeRt {
             };
             (sched.register_ready(0), run)
         }));
-        RunReport::new(stats, FabricStatsSnapshot::default())
+        RunReport::new(stats, FabricStats::default())
     }
 }
 

@@ -31,8 +31,9 @@ impl SamhitaRt {
         self.sys.take_trace()
     }
 
-    /// Tear down, returning server-side statistics.
-    pub fn shutdown(self) -> samhita_core::SystemStats {
+    /// Tear down, returning each memory server's lifetime service
+    /// accounting (see [`Samhita::shutdown`]).
+    pub fn shutdown(self) -> Vec<samhita_scl::ResourceStats> {
         self.sys.shutdown()
     }
 }
@@ -194,11 +195,10 @@ mod tests {
     fn shutdown_reports_server_activity() {
         let rt = rt();
         let a = rt.alloc_f64_global(8);
-        rt.run(1, &|ctx| {
+        let report = rt.run(1, &|ctx| {
             ctx.write(a, 0, 1.0);
         });
-        let stats = rt.shutdown();
-        assert!(stats.servers[0].line_fetches > 0);
-        assert!(stats.manager.requests > 0);
+        assert!(report.mgr_requests > 0);
+        assert!(rt.shutdown()[0].requests > 0);
     }
 }

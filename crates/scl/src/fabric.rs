@@ -16,7 +16,7 @@ use samhita_sched::TaskRef;
 use crate::endpoint::{Endpoint, Envelope, Staged};
 use crate::error::SclError;
 use crate::fault::{FaultPlan, SendFate};
-use crate::stats::{FabricStats, FabricStatsSnapshot, MsgClass};
+use crate::stats::{FabricStats, MsgClass};
 use crate::time::SimTime;
 use crate::topology::{EndpointId, NodeId, Topology};
 
@@ -44,7 +44,7 @@ pub type SendObserver = Box<
 pub struct Fabric<M> {
     topo: Topology,
     slots: RwLock<Vec<Slot<M>>>,
-    stats: FabricStats,
+    stats: Mutex<FabricStats>,
     observer: RwLock<Option<SendObserver>>,
     fault: RwLock<FaultPlan>,
 }
@@ -55,7 +55,7 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         Arc::new(Fabric {
             topo,
             slots: RwLock::new(Vec::new()),
-            stats: FabricStats::default(),
+            stats: Mutex::default(),
             observer: RwLock::new(None),
             fault: RwLock::new(FaultPlan::none()),
         })
@@ -152,7 +152,6 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         let dst_slot = slots.get(dst.0 as usize).ok_or(SclError::UnknownEndpoint(dst))?;
         let route = self.topo.route(src_slot.node, dst_slot.node);
         let deliver_at = now + route.transfer_ns(wire_bytes);
-        self.stats.record(class, wire_bytes);
         // The fate decision sits after all cost accounting, so an empty plan
         // leaves every charge bit-identical to a fault-free fabric.
         let fate = {
@@ -164,9 +163,7 @@ impl<M: Send + Clone + 'static> Fabric<M> {
                 SendFate::Delivered
             }
         };
-        if let Some(label) = fate.label() {
-            self.stats.record_fault(class, label);
-        }
+        self.stats.lock().record(class, wire_bytes, fate.label());
         if let Some(observer) = self.observer.read().as_ref() {
             observer(src, dst, now, wire_bytes, class, fate.label());
         }
@@ -217,9 +214,9 @@ impl<M: Send + Clone + 'static> Fabric<M> {
         &self.topo
     }
 
-    /// Snapshot traffic counters.
-    pub fn stats(&self) -> FabricStatsSnapshot {
-        self.stats.snapshot()
+    /// A copy of the traffic counters.
+    pub fn stats(&self) -> FabricStats {
+        *self.stats.lock()
     }
 
     /// Install (or clear) an observer called on every send with

@@ -16,8 +16,6 @@
 
 use std::collections::VecDeque;
 
-use parking_lot::Mutex;
-
 use crate::time::SimTime;
 
 /// Completed-but-unexpired reservations kept for depth estimation. Done
@@ -26,23 +24,14 @@ use crate::time::SimTime;
 /// the (already approximate) depth estimate.
 const OUTSTANDING_CAP: usize = 4096;
 
+/// A single-server virtual-time queue, owned by the one service that
+/// serves it.
 #[derive(Debug, Default)]
-struct Inner {
-    clock: SimTime,
-    busy: SimTime,
-    requests: u64,
-    queue_wait: SimTime,
-    peak_depth: u64,
-    depth_sum: u64,
+pub struct VirtualResource {
+    stats: ResourceStats,
     /// Done times of reservations not yet completed at the latest arrival,
     /// ascending (done times are monotone by construction).
     outstanding: VecDeque<SimTime>,
-}
-
-/// A single-server virtual-time queue.
-#[derive(Debug, Default)]
-pub struct VirtualResource {
-    inner: Mutex<Inner>,
 }
 
 /// Usage summary for a resource.
@@ -79,49 +68,39 @@ impl VirtualResource {
     /// lies in the future at `arrival`; because arrivals can reach the
     /// resource slightly out of virtual order (see the module note), the
     /// depth is an estimate while queue-wait is exact.
-    pub fn reserve(&self, arrival: SimTime, service: SimTime) -> (SimTime, SimTime) {
-        let mut inner = self.inner.lock();
-        let start = arrival.max(inner.clock);
+    pub fn reserve(&mut self, arrival: SimTime, service: SimTime) -> (SimTime, SimTime) {
+        let s = &mut self.stats;
+        let start = arrival.max(SimTime::from_ns(s.clock_ns));
         let done = start + service;
-        inner.clock = done;
-        inner.busy += service;
-        inner.requests += 1;
-        inner.queue_wait += start - arrival;
-        while inner.outstanding.front().is_some_and(|d| *d <= arrival) {
-            inner.outstanding.pop_front();
+        s.clock_ns = done.as_ns();
+        s.busy_ns += service.as_ns();
+        s.requests += 1;
+        s.queue_wait_ns += (start - arrival).as_ns();
+        while self.outstanding.front().is_some_and(|d| *d <= arrival) {
+            self.outstanding.pop_front();
         }
-        let depth = inner.outstanding.len() as u64 + 1;
-        inner.peak_depth = inner.peak_depth.max(depth);
-        inner.depth_sum += depth;
-        inner.outstanding.push_back(done);
-        if inner.outstanding.len() > OUTSTANDING_CAP {
-            inner.outstanding.pop_front();
+        let depth = self.outstanding.len() as u64 + 1;
+        s.peak_depth = s.peak_depth.max(depth);
+        s.depth_sum += depth;
+        self.outstanding.push_back(done);
+        if self.outstanding.len() > OUTSTANDING_CAP {
+            self.outstanding.pop_front();
         }
         (start, done)
     }
 
     /// Current usage counters.
     pub fn stats(&self) -> ResourceStats {
-        let inner = self.inner.lock();
-        ResourceStats {
-            clock_ns: inner.clock.as_ns(),
-            busy_ns: inner.busy.as_ns(),
-            requests: inner.requests,
-            queue_wait_ns: inner.queue_wait.as_ns(),
-            peak_depth: inner.peak_depth,
-            depth_sum: inner.depth_sum,
-        }
+        self.stats
     }
 
     /// Reset the queue accounting (wait totals, depth peak/sum) without
     /// touching the service clock, so the queue counters — the peak above
     /// all, which no delta can recover — are per-run values even when one
     /// resource outlives several runs.
-    pub fn reset_queue_accounting(&self) {
-        let mut inner = self.inner.lock();
-        inner.queue_wait = SimTime::ZERO;
-        inner.peak_depth = 0;
-        inner.depth_sum = 0;
+    pub fn reset_queue_accounting(&mut self) {
+        let s = &mut self.stats;
+        (s.queue_wait_ns, s.peak_depth, s.depth_sum) = (0, 0, 0);
     }
 }
 
@@ -187,7 +166,7 @@ mod tests {
 
     #[test]
     fn back_to_back_requests_queue() {
-        let r = VirtualResource::new();
+        let mut r = VirtualResource::new();
         let (s1, d1) = r.reserve(SimTime::from_ns(0), SimTime::from_ns(100));
         assert_eq!((s1.as_ns(), d1.as_ns()), (0, 100));
         // Arrives while the first is in service: waits.
@@ -200,7 +179,7 @@ mod tests {
 
     #[test]
     fn stats_track_busy_time() {
-        let r = VirtualResource::new();
+        let mut r = VirtualResource::new();
         r.reserve(SimTime::ZERO, SimTime::from_ns(30));
         r.reserve(SimTime::ZERO, SimTime::from_ns(70));
         let s = r.stats();
@@ -211,7 +190,7 @@ mod tests {
 
     #[test]
     fn queue_wait_and_depth_are_recorded() {
-        let r = VirtualResource::new();
+        let mut r = VirtualResource::new();
         r.reserve(SimTime::from_ns(0), SimTime::from_ns(100)); // depth 1, wait 0
         r.reserve(SimTime::from_ns(10), SimTime::from_ns(100)); // depth 2, wait 90
         r.reserve(SimTime::from_ns(20), SimTime::from_ns(100)); // depth 3, wait 180
@@ -224,7 +203,7 @@ mod tests {
 
     #[test]
     fn reset_queue_accounting_keeps_service_clock() {
-        let r = VirtualResource::new();
+        let mut r = VirtualResource::new();
         r.reserve(SimTime::from_ns(0), SimTime::from_ns(100));
         r.reserve(SimTime::from_ns(0), SimTime::from_ns(100));
         r.reset_queue_accounting();
@@ -237,25 +216,17 @@ mod tests {
         assert_eq!(r.stats().queue_wait_ns, 150);
     }
 
+    /// Eight requesters' arrivals, interleaved and out of virtual order,
+    /// get service windows that never overlap.
     #[test]
     fn windows_never_overlap_under_concurrency() {
-        use std::sync::Arc;
-        let r = Arc::new(VirtualResource::new());
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    let mut windows = Vec::new();
-                    for k in 0..100u64 {
-                        windows
-                            .push(r.reserve(SimTime::from_ns(i * 13 + k * 7), SimTime::from_ns(5)));
-                    }
-                    windows
-                })
-            })
-            .collect();
-        let mut all: Vec<(SimTime, SimTime)> =
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        let mut r = VirtualResource::new();
+        let mut all = Vec::new();
+        for k in 0..100u64 {
+            for i in (0..8u64).rev() {
+                all.push(r.reserve(SimTime::from_ns(i * 13 + k * 7), SimTime::from_ns(5)));
+            }
+        }
         all.sort();
         for pair in all.windows(2) {
             assert!(pair[0].1 <= pair[1].0, "service windows overlap: {pair:?}");

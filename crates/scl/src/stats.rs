@@ -1,11 +1,8 @@
 //! Fabric traffic statistics.
 //!
-//! Counters are lock-free (`Relaxed` atomics — they are statistics, not
-//! synchronization) and classified by [`MsgClass`] so the benchmark harness
-//! can report data movement vs. control/synchronization traffic separately,
+//! Counters are classified by [`MsgClass`] so the benchmark harness can
+//! report data movement vs. control/synchronization traffic separately,
 //! mirroring the paper's compute-time / synchronization-time split.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Coarse classification of fabric traffic.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -45,56 +42,11 @@ impl MsgClass {
     }
 }
 
-/// Live counters attached to a fabric.
-#[derive(Debug, Default)]
-pub struct FabricStats {
-    msgs: [AtomicU64; 4],
-    bytes: [AtomicU64; 4],
-    drops: [AtomicU64; 4],
-    dups: [AtomicU64; 4],
-    delays: [AtomicU64; 4],
-}
-
-impl FabricStats {
-    /// Record one message of `bytes` payload in class `class`.
-    #[inline]
-    pub fn record(&self, class: MsgClass, bytes: usize) {
-        let i = class.index();
-        self.msgs[i].fetch_add(1, Ordering::Relaxed);
-        self.bytes[i].fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Record one injected fault, by the fate label the fault plan produced
-    /// (`"drop"`, `"partition"`, `"crash"`, `"duplicate"`, `"delay"`).
-    /// Losses of any cause count as drops.
-    #[inline]
-    pub fn record_fault(&self, class: MsgClass, label: &str) {
-        let i = class.index();
-        match label {
-            "duplicate" => self.dups[i].fetch_add(1, Ordering::Relaxed),
-            "delay" => self.delays[i].fetch_add(1, Ordering::Relaxed),
-            _ => self.drops[i].fetch_add(1, Ordering::Relaxed),
-        };
-    }
-
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> FabricStatsSnapshot {
-        let mut s = FabricStatsSnapshot::default();
-        for class in MsgClass::ALL {
-            let i = class.index();
-            s.msgs[i] = self.msgs[i].load(Ordering::Relaxed);
-            s.bytes[i] = self.bytes[i].load(Ordering::Relaxed);
-            s.drops[i] = self.drops[i].load(Ordering::Relaxed);
-            s.dups[i] = self.dups[i].load(Ordering::Relaxed);
-            s.delays[i] = self.delays[i].load(Ordering::Relaxed);
-        }
-        s
-    }
-}
-
-/// A point-in-time copy of [`FabricStats`].
+/// Traffic counters of a fabric, by [`MsgClass`]: what it has sent, and
+/// the injected faults those sends met. The fabric keeps one behind a
+/// single lock; [`crate::Fabric::stats`] hands out a copy.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct FabricStatsSnapshot {
+pub struct FabricStats {
     msgs: [u64; 4],
     bytes: [u64; 4],
     drops: [u64; 4],
@@ -102,7 +54,24 @@ pub struct FabricStatsSnapshot {
     delays: [u64; 4],
 }
 
-impl FabricStatsSnapshot {
+impl FabricStats {
+    /// Record one message of `bytes` payload in class `class`, and the
+    /// fault injected into it by the fate label the fault plan produced
+    /// (`"drop"`, `"partition"`, `"crash"`, `"duplicate"`, `"delay"`), if
+    /// any. Losses of any cause count as drops.
+    #[inline]
+    pub fn record(&mut self, class: MsgClass, bytes: usize, fault: Option<&str>) {
+        let i = class.index();
+        self.msgs[i] += 1;
+        self.bytes[i] += bytes as u64;
+        match fault {
+            None => {}
+            Some("duplicate") => self.dups[i] += 1,
+            Some("delay") => self.delays[i] += 1,
+            Some(_) => self.drops[i] += 1,
+        }
+    }
+
     /// Messages recorded in `class`.
     pub fn msgs(&self, class: MsgClass) -> u64 {
         self.msgs[class.index()]
@@ -162,8 +131,8 @@ impl FabricStatsSnapshot {
     }
 
     /// Counter-wise difference (`self - earlier`), for per-phase accounting.
-    pub fn delta(&self, earlier: &FabricStatsSnapshot) -> FabricStatsSnapshot {
-        let mut out = FabricStatsSnapshot::default();
+    pub fn delta(&self, earlier: &FabricStats) -> FabricStats {
+        let mut out = FabricStats::default();
         for i in 0..4 {
             out.msgs[i] = self.msgs[i].saturating_sub(earlier.msgs[i]);
             out.bytes[i] = self.bytes[i].saturating_sub(earlier.bytes[i]);
@@ -181,27 +150,26 @@ mod tests {
 
     #[test]
     fn record_and_snapshot() {
-        let s = FabricStats::default();
-        s.record(MsgClass::Data, 4096);
-        s.record(MsgClass::Data, 4096);
-        s.record(MsgClass::Sync, 16);
-        let snap = s.snapshot();
-        assert_eq!(snap.msgs(MsgClass::Data), 2);
-        assert_eq!(snap.bytes(MsgClass::Data), 8192);
-        assert_eq!(snap.msgs(MsgClass::Sync), 1);
-        assert_eq!(snap.msgs(MsgClass::Update), 0);
-        assert_eq!(snap.total_msgs(), 3);
-        assert_eq!(snap.total_bytes(), 8208);
+        let mut s = FabricStats::default();
+        s.record(MsgClass::Data, 4096, None);
+        s.record(MsgClass::Data, 4096, None);
+        s.record(MsgClass::Sync, 16, None);
+        assert_eq!(s.msgs(MsgClass::Data), 2);
+        assert_eq!(s.bytes(MsgClass::Data), 8192);
+        assert_eq!(s.msgs(MsgClass::Sync), 1);
+        assert_eq!(s.msgs(MsgClass::Update), 0);
+        assert_eq!(s.total_msgs(), 3);
+        assert_eq!(s.total_bytes(), 8208);
     }
 
     #[test]
     fn delta_subtracts_counterwise() {
-        let s = FabricStats::default();
-        s.record(MsgClass::Control, 100);
-        let before = s.snapshot();
-        s.record(MsgClass::Control, 50);
-        s.record(MsgClass::Update, 8);
-        let d = s.snapshot().delta(&before);
+        let mut s = FabricStats::default();
+        s.record(MsgClass::Control, 100, None);
+        let before = s;
+        s.record(MsgClass::Control, 50, None);
+        s.record(MsgClass::Update, 8, None);
+        let d = s.delta(&before);
         assert_eq!(d.msgs(MsgClass::Control), 1);
         assert_eq!(d.bytes(MsgClass::Control), 50);
         assert_eq!(d.msgs(MsgClass::Update), 1);
@@ -209,33 +177,36 @@ mod tests {
 
     #[test]
     fn fault_counters_classify_by_cause() {
-        let s = FabricStats::default();
-        s.record_fault(MsgClass::Data, "drop");
-        s.record_fault(MsgClass::Data, "partition");
-        s.record_fault(MsgClass::Sync, "crash");
-        s.record_fault(MsgClass::Update, "duplicate");
-        s.record_fault(MsgClass::Data, "delay");
-        let snap = s.snapshot();
-        assert_eq!(snap.drops(MsgClass::Data), 2, "drops and partitions are both losses");
-        assert_eq!(snap.drops(MsgClass::Sync), 1);
-        assert_eq!(snap.dups(MsgClass::Update), 1);
-        assert_eq!(snap.delays(MsgClass::Data), 1);
-        assert_eq!(snap.total_drops(), 3);
-        assert_eq!(snap.total_faults(), 5);
-        let d = snap.delta(&FabricStatsSnapshot::default());
-        assert_eq!(d, snap, "delta from zero is the identity");
+        let mut s = FabricStats::default();
+        s.record(MsgClass::Data, 0, Some("drop"));
+        s.record(MsgClass::Data, 0, Some("partition"));
+        s.record(MsgClass::Sync, 0, Some("crash"));
+        s.record(MsgClass::Update, 0, Some("duplicate"));
+        s.record(MsgClass::Data, 0, Some("delay"));
+        assert_eq!(s.drops(MsgClass::Data), 2, "drops and partitions are both losses");
+        assert_eq!(s.drops(MsgClass::Sync), 1);
+        assert_eq!(s.dups(MsgClass::Update), 1);
+        assert_eq!(s.delays(MsgClass::Data), 1);
+        assert_eq!(s.total_drops(), 3);
+        assert_eq!(s.total_faults(), 5);
+        let d = s.delta(&FabricStats::default());
+        assert_eq!(d, s, "delta from zero is the identity");
     }
 
+    /// Senders on several OS threads share one fabric: its one lock keeps
+    /// the counts whole.
     #[test]
     fn concurrent_recording_is_consistent() {
-        use std::sync::Arc;
-        let s = Arc::new(FabricStats::default());
+        use crate::{profiles, Fabric, SimTime, Topology};
+        let fabric = Fabric::<u32>::new(Topology::cluster(2, profiles::ib_qdr()));
+        let dst = fabric.add_endpoint(1.into());
         let threads: Vec<_> = (0..4)
             .map(|_| {
-                let s = Arc::clone(&s);
+                let src = fabric.add_endpoint(0.into());
+                let dst = dst.id();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        s.record(MsgClass::Data, 8);
+                        src.send(dst, SimTime::ZERO, 8, MsgClass::Data, 0).unwrap();
                     }
                 })
             })
@@ -243,8 +214,8 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let snap = s.snapshot();
-        assert_eq!(snap.msgs(MsgClass::Data), 4000);
-        assert_eq!(snap.bytes(MsgClass::Data), 32000);
+        let s = fabric.stats();
+        assert_eq!(s.msgs(MsgClass::Data), 4000);
+        assert_eq!(s.bytes(MsgClass::Data), 32000);
     }
 }

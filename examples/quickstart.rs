@@ -81,7 +81,7 @@ fn main() {
         args.write_outputs("quickstart", &params, &cfg, n_threads, &report, system.take_trace());
     }
 
-    let stats = system.shutdown();
-    println!("  manager requests        : {}", stats.manager.requests);
-    println!("  memory-server fetches   : {}", stats.servers[0].line_fetches);
+    println!("  manager requests (run)  : {}", report.mgr_requests);
+    let servers = system.shutdown();
+    println!("  memory-server requests  : {}", servers[0].requests);
 }

@@ -7,13 +7,20 @@ use samhita_repro::core::{
     ConsistencyVariant, EvictionPolicy, RunReport, Samhita, SamhitaConfig, TopologyKind,
 };
 use samhita_repro::rt::{KernelCtx, KernelRt, NativeRt, SamhitaRt};
-use samhita_repro::trace::EventKind;
+use samhita_repro::trace::{EventKind, RunTrace};
 
 #[path = "common/fold.rs"]
 mod fold;
 
 fn small() -> SamhitaConfig {
     SamhitaConfig::small_for_tests()
+}
+
+/// How many `op` requests the manager served, by its `MgrServe` events.
+fn served(trace: &RunTrace, op: &str) -> u64 {
+    (trace.tracks.iter().flat_map(|(_, events)| events))
+        .filter(|e| matches!(e.kind, EventKind::MgrServe { op: o, .. } if o == op))
+        .count() as u64
 }
 
 #[test]
@@ -199,7 +206,12 @@ fn whole_page_ablation_variant_is_still_correct() {
 
 #[test]
 fn manager_bypass_variant_is_still_correct() {
-    let cfg = SamhitaConfig { topology: TopologyKind::SingleNode, manager_bypass: true, ..small() };
+    let cfg = SamhitaConfig {
+        topology: TopologyKind::SingleNode,
+        manager_bypass: true,
+        tracing: true,
+        ..small()
+    };
     let sys = Samhita::new(cfg);
     let counter = sys.alloc_global(8);
     let data = sys.alloc_global(4096);
@@ -224,8 +236,12 @@ fn manager_bypass_variant_is_still_correct() {
     });
     // The bypass makes the one arbiter cheaper to reach; it does not go
     // round it.
-    let manager = sys.shutdown().manager;
-    assert!(manager.acquires > 0 && manager.barrier_waits > 0, "{manager:?}");
+    let trace = sys.take_trace().expect("tracing enabled");
+    let (acquires, barrier_waits) = (served(&trace, "acquire"), served(&trace, "barrier-wait"));
+    assert!(
+        acquires > 0 && barrier_waits > 0,
+        "{acquires} acquires, {barrier_waits} barrier waits"
+    );
 }
 
 #[test]
@@ -255,11 +271,11 @@ fn condvar_handoff_with_waiting_consumer() {
     let bypass = SamhitaConfig { manager_bypass: true, ..small() };
     for cfg in [small(), bypass] {
         for sched_seed in 0..8 {
-            let sys = Samhita::new(SamhitaConfig { sched_seed, ..cfg.clone() });
+            let sys = Samhita::new(SamhitaConfig { sched_seed, tracing: true, ..cfg.clone() });
             let stats = condvar_handoff(&sys);
             assert_eq!(stats.threads.len(), 2);
-            let system_stats = sys.shutdown();
-            assert!(system_stats.manager.cond_waits >= 1, "the consumer must actually have waited");
+            let trace = sys.take_trace().expect("tracing enabled");
+            assert!(served(&trace, "cond-wait") >= 1, "the consumer must actually have waited");
         }
     }
 }
@@ -309,11 +325,7 @@ fn a_condition_wait_reacquire_counts_as_a_lock_acquisition() {
         let what = format!("sched_seed {sched_seed}");
         assert_eq!(report.total_of(|t| t.locks_acquired), acquires, "{what}");
         assert_eq!(report.lock_wait().count(), acquires, "{what}");
-        assert_eq!(
-            acquires,
-            2 + sys.shutdown().manager.cond_waits,
-            "{what}: two locks, the re-acquires"
-        );
+        assert_eq!(acquires, 2 + served(&trace, "cond-wait"), "{what}: two locks, the re-acquires");
         fold::assert_tracks_fold_into(&report, &trace, &what);
     }
 }

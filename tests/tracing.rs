@@ -146,7 +146,7 @@ fn metrics_derivation_is_observational_and_conserves_counters() {
         let timeline = conserved(&report, &trace, &cfg.service_costs(), &what);
         // Every serve the servers traced, the host's included, priced as
         // the server charged it: a batch once, not part by part.
-        let busy: u64 = rt.shutdown().servers.iter().map(|s| s.busy_ns).sum();
+        let busy: u64 = rt.shutdown().iter().map(|s| s.busy_ns).sum();
         assert_eq!(timeline.totals().server_busy_ns, busy, "{what}");
     }
 
