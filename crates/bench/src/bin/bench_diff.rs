@@ -1,48 +1,36 @@
-//! Compare fresh `BENCH_<kernel>_p<P>.json` reports against committed
-//! baselines — the CI regression gate.
+//! List every field that differs between committed
+//! `BENCH_<kernel>_p<P>.json` baselines and fresh reports.
 //!
 //! ```text
-//! bench-diff <baseline> <fresh> [--tolerance 0.05]
+//! bench-diff <baseline> <fresh>
 //! ```
 //!
 //! `baseline` and `fresh` are either two directories (paired by file name:
 //! every `BENCH_*.json` in either must have a counterpart in the other) or
-//! two files. Exits nonzero when any kernel's makespan, sync fraction,
-//! message counts or manager queue wait regress beyond the tolerance
-//! (relative; default 5%), when a configuration fingerprint does not match
-//! its baseline, or when a report exists on one side only — a baseline
-//! nobody regenerates any more, or a fresh point nobody gates yet.
+//! two files. Each output line names a report, a leaf that differs by its
+//! path (`makespan_ns`, `traffic.classes[1].msgs`), both values and, for
+//! numbers, the relative change. Exits 1 when any leaf moved, when a report
+//! exists on one side only — a baseline nobody regenerates any more, or a
+//! fresh point no baseline covers yet — or when a file is not a report;
+//! exits 0 otherwise. It is the readable form of `diff -r` over the two
+//! trees.
 //!
-//! Everything compared is virtual time. Host wall-clock cost is judged by
-//! the `samhita-perf` harness under `benchmark/`, not here.
+//! Everything compared is virtual time, so the reports of an unchanged tree
+//! equal their baselines. Host wall-clock cost is judged by the
+//! `samhita-perf` harness under `benchmark/`, not here.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use samhita_bench::{compare, BenchReport, Comparison};
+use samhita_bench::{moved, BenchReport};
 
-const USAGE: &str = "usage: bench-diff <baseline> <fresh> [--tolerance 0.05]";
+const USAGE: &str = "usage: bench-diff <baseline> <fresh>";
 
-struct Args {
-    baseline: PathBuf,
-    fresh: PathBuf,
-    tolerance: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<(PathBuf, PathBuf), String> {
     let mut positional = Vec::new();
-    let mut tolerance = 0.05;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a fraction (e.g. 0.05)")?;
-                tolerance = v.parse().map_err(|_| format!("bad tolerance '{v}'"))?;
-                if !(0.0..1.0).contains(&tolerance) {
-                    return Err(format!("tolerance {tolerance} out of range [0, 1)"));
-                }
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -51,12 +39,10 @@ fn parse_args() -> Result<Args, String> {
             _ => positional.push(PathBuf::from(arg)),
         }
     }
-    if positional.len() != 2 {
-        return Err("expected exactly two paths: <baseline> <fresh>".into());
+    match <[PathBuf; 2]>::try_from(positional) {
+        Ok([baseline, fresh]) => Ok((baseline, fresh)),
+        Err(_) => Err("expected exactly two paths: <baseline> <fresh>".into()),
     }
-    let fresh = positional.pop().expect("two positionals");
-    let baseline = positional.pop().expect("two positionals");
-    Ok(Args { baseline, fresh, tolerance })
 }
 
 /// The `BENCH_*.json` file names directly under `dir`.
@@ -99,27 +85,22 @@ fn load(path: &Path) -> Result<BenchReport, String> {
     BenchReport::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Gate one pair of report files; a file that is missing or is not a report
-/// is a regression of its own.
-fn diff_pair(baseline: &Path, fresh: &Path, tolerance: f64) -> Comparison {
-    match (load(baseline), load(fresh)) {
-        (Ok(base), Ok(fresh)) => compare(&base, &fresh, tolerance),
-        (base, fresh) => Comparison {
-            lines: Vec::new(),
-            regressions: base.err().into_iter().chain(fresh.err()).collect(),
-        },
-    }
+/// The moved leaves of one pair of report files, one line each. A file
+/// that is missing or is not a report is an error.
+fn diff_pair(baseline: &Path, fresh: &Path) -> Result<Vec<String>, String> {
+    let (base, fresh) = (load(baseline)?, load(fresh)?);
+    Ok(moved(&base, &fresh).iter().map(ToString::to_string).collect())
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let (baseline, fresh) = match parse_args() {
+        Ok(paths) => paths,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let pairs = match report_pairs(&args.baseline, &args.fresh) {
+    let pairs = match report_pairs(&baseline, &fresh) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
@@ -127,24 +108,28 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("# bench-diff: tolerance {:.1}%", args.tolerance * 100.0);
-    let mut failures = Vec::new();
+    let (mut fields, mut broken) = (0, 0);
     for (base_path, fresh_path) in &pairs {
-        let cmp = diff_pair(base_path, fresh_path, args.tolerance);
-        for line in &cmp.lines {
-            println!("{line}");
+        let name = fresh_path.file_name().unwrap_or_default().to_string_lossy();
+        match diff_pair(base_path, fresh_path) {
+            Ok(lines) => {
+                for line in &lines {
+                    println!("{name}  {line}");
+                }
+                fields += lines.len();
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                broken += 1;
+            }
         }
-        failures.extend(cmp.regressions);
     }
 
-    if failures.is_empty() {
-        println!("# gate: PASS ({} report(s) within tolerance)", pairs.len());
+    if fields + broken == 0 {
+        println!("# nothing moved in {} report(s)", pairs.len());
         ExitCode::SUCCESS
     } else {
-        eprintln!("# gate: FAIL");
-        for f in &failures {
-            eprintln!("REGRESSION: {f}");
-        }
+        println!("# {fields} field(s) moved; {broken} report(s) missing or unreadable");
         ExitCode::FAILURE
     }
 }
@@ -156,9 +141,9 @@ mod tests {
     use samhita_kernels::{run_micro, AllocMode, MicroParams};
     use samhita_rt::SamhitaRt;
 
-    /// Directory mode gates the union of both sides' reports: a fresh point
-    /// with no committed baseline fails just as a baseline with no fresh run
-    /// does, and neither hides the pair that does match.
+    /// Directory mode compares the union of both sides' reports: a fresh
+    /// point with no committed baseline fails just as a baseline with no
+    /// fresh run does, and neither hides the pair that does match.
     #[test]
     fn a_report_on_one_side_only_fails_the_gate() {
         let cfg = SamhitaConfig::small_for_tests();
@@ -179,13 +164,13 @@ mod tests {
         }
 
         let pairs = report_pairs(&base, &fresh).expect("both directories are readable");
-        let outcomes: Vec<(String, Comparison)> = pairs
+        let outcomes: Vec<(String, Result<Vec<String>, String>)> = pairs
             .iter()
             .map(|(b, f)| {
                 assert_eq!(b.file_name(), f.file_name());
                 assert!(b.starts_with(&base) && f.starts_with(&fresh));
                 let name = b.file_name().unwrap().to_str().unwrap().to_string();
-                (name, diff_pair(b, f, 0.0))
+                (name, diff_pair(b, f))
             })
             .collect();
         std::fs::remove_dir_all(&root).expect("remove temp dir");
@@ -193,10 +178,9 @@ mod tests {
         let names: Vec<&str> = outcomes.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["BENCH_added_p1.json", "BENCH_dropped_p1.json", "BENCH_kept_p1.json"]);
         let (added, dropped, kept) = (&outcomes[0].1, &outcomes[1].1, &outcomes[2].1);
-        assert!(kept.passed() && !kept.lines.is_empty(), "{:?}", kept.regressions);
+        assert_eq!(kept, &Ok(Vec::new()), "identical reports move nothing");
         for (one_sided, missing_under) in [(added, &base), (dropped, &fresh)] {
-            assert_eq!(one_sided.regressions.len(), 1, "{:?}", one_sided.regressions);
-            let why = &one_sided.regressions[0];
+            let why = one_sided.as_ref().expect_err("a report on one side only fails");
             assert!(why.starts_with(&*missing_under.to_string_lossy()), "{why}");
             assert!(why.contains("no such report"), "{why}");
         }

@@ -9,11 +9,11 @@
 //! the quick (CI) scale with event tracing on, and writes one
 //! [`BenchReport`] per (kernel, P) point. Under the deterministic
 //! virtual-time runtime (the default) every point — including P > 1 — is
-//! bit-reproducible run to run, so the committed baselines can be compared
-//! exactly by `bench-diff`; the CI tolerance exists for future
-//! configurations, not for noise. The per-point configuration fingerprint
-//! covers the thread count (it is part of the kernel params), so a P=8
-//! report can never silently gate against a P=64 baseline.
+//! bit-reproducible run to run, so `bench-diff` compares a fresh report
+//! with its committed baseline exactly and lists every field that moved.
+//! The per-point configuration fingerprint covers the thread count (it is
+//! part of the kernel params), so a report run under another configuration
+//! shows a moved `config_fingerprint`.
 //!
 //! A report holds virtual-time numbers only, so two runs of one tree write
 //! byte-identical files — CI holds `results/baselines/` with a plain

@@ -23,6 +23,7 @@
 
 use std::fs::File;
 use std::io::BufWriter;
+use std::str::FromStr;
 
 use samhita_core::{FaultConfig, RunReport, SamhitaConfig};
 use samhita_trace::RunTrace;
@@ -68,14 +69,17 @@ pub struct ExampleArgs {
 const USAGE: &str = "usage: [positional ...] [--trace out.json] [--faults seed] \
                      [--metrics-out out.json]";
 
+/// Print `err` and the usage, and exit with status 2.
+fn usage_exit(err: &str) -> ! {
+    eprintln!("error: {err}\n{USAGE}");
+    std::process::exit(2)
+}
+
 impl ExampleArgs {
     /// Parse the process arguments (skipping `argv[0]`). On a bad flag,
     /// print the error and the usage and exit with status 2.
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n{USAGE}");
-            std::process::exit(2)
-        })
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e))
     }
 
     /// Parse from an explicit argument list. A flag missing its value, or
@@ -100,14 +104,19 @@ impl ExampleArgs {
         Ok(out)
     }
 
-    /// The `i`-th positional as a `usize`, or `default`.
-    pub fn pos_usize(&self, i: usize, default: usize) -> usize {
-        self.positional.get(i).map(|v| v.parse().expect("numeric argument")).unwrap_or(default)
+    /// The `i`-th positional parsed as a `T`, or `default` if there is
+    /// none. On a value that does not parse, print the error and the usage
+    /// and exit with status 2, as [`ExampleArgs::parse`] does on a bad flag.
+    pub fn pos<T: FromStr>(&self, i: usize, default: T) -> T {
+        self.try_pos(i, default).unwrap_or_else(|e| usage_exit(&e))
     }
 
-    /// The `i`-th positional as a `u32`, or `default`.
-    pub fn pos_u32(&self, i: usize, default: u32) -> u32 {
-        self.positional.get(i).map(|v| v.parse().expect("numeric argument")).unwrap_or(default)
+    /// [`ExampleArgs::pos`], with a bad value as an error.
+    pub fn try_pos<T: FromStr>(&self, i: usize, default: T) -> Result<T, String> {
+        match self.positional.get(i) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("bad argument '{v}'")),
+        }
     }
 
     /// The base system configuration: `base` untouched, or — with
@@ -186,9 +195,9 @@ mod tests {
         let a =
             parse(&["8", "--trace", "t.json", "10", "--faults", "7", "--metrics-out", "m.json"]);
         assert_eq!(a.positional, vec!["8", "10"]);
-        assert_eq!(a.pos_u32(0, 1), 8);
-        assert_eq!(a.pos_usize(1, 1), 10);
-        assert_eq!(a.pos_usize(2, 99), 99, "missing positional falls back to default");
+        assert_eq!(a.pos::<u32>(0, 1), 8);
+        assert_eq!(a.pos::<usize>(1, 1), 10);
+        assert_eq!(a.pos::<usize>(2, 99), 99, "missing positional falls back to default");
         assert_eq!(a.trace_path.as_deref(), Some("t.json"));
         assert_eq!(a.fault_seed, Some(7));
         assert_eq!(a.metrics_out.as_deref(), Some("m.json"));
@@ -245,6 +254,16 @@ mod tests {
     #[test]
     fn metrics_out_flag_requires_a_value() {
         assert_eq!(try_parse(&["--metrics-out"]), Err("--metrics-out needs a path".into()));
+    }
+
+    #[test]
+    fn a_positional_that_does_not_parse_is_an_error() {
+        let a = parse(&["four", "-1", "2.5"]);
+        assert_eq!(a.try_pos::<u32>(0, 8), Err("bad argument 'four'".into()));
+        assert_eq!(a.try_pos::<usize>(1, 10), Err("bad argument '-1'".into()));
+        assert_eq!(a.try_pos::<usize>(2, 10), Err("bad argument '2.5'".into()));
+        assert_eq!(a.try_pos::<f64>(2, 0.0), Ok(2.5));
+        assert_eq!(a.try_pos::<u32>(3, 8), Ok(8));
     }
 
     #[test]

@@ -17,4 +17,4 @@ pub mod report;
 
 pub use cli::ExampleArgs;
 pub use harness::{run_summary, FigureData, HarnessConfig, Series};
-pub use report::{compare, thread_windows, BenchReport, Comparison};
+pub use report::{moved, thread_windows, BenchReport, Moved};

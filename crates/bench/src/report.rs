@@ -1,21 +1,24 @@
-//! Machine-readable per-kernel performance reports and baseline comparison.
+//! Machine-readable per-kernel performance reports and the exact
+//! comparison between two of them.
 //!
-//! A [`BenchReport`] condenses one benchmark run into the numbers a
-//! regression gate needs: virtual makespan, sync fraction, stall-latency
-//! percentiles, manager / memory-server utilization, a trace-derived
-//! timeline summary, and the top hotspot pages with their allocation sites.
+//! A [`BenchReport`] condenses one benchmark run into virtual-time numbers:
+//! makespan, sync fraction, stall-latency percentiles, manager / memory-
+//! server utilization, traffic, time conservation, queue pressure,
+//! recovery activity, the critical path, a trace-derived timeline summary,
+//! and the top hotspot pages with their allocation sites.
 //! It is a document tree ([`samhita_trace::JsonValue`]): [`BenchReport::from_run`]
 //! derives every section in one pass and is the only place a section's
 //! fields are named; [`BenchReport::to_json`] writes the tree and
 //! [`BenchReport::from_json`] parses it back (`BENCH_<kernel>_p<threads>.json`).
-//! Reports are compared against committed baselines by the `bench-diff`
-//! binary; [`compare`] is the pure decision function, reading the dozen
-//! numbers it gates by path, so the gate itself is unit-testable.
 //!
-//! Comparability is guarded by a configuration fingerprint: a report made
-//! under a different [`SamhitaConfig`] or kernel parameterization never
-//! silently "passes" against a stale baseline — the fingerprint mismatch is
-//! itself a failure that says "regenerate the baseline".
+//! A report is a pure function of (tree, configuration, kernel), so two
+//! reports of one point are equal or something moved. [`moved`] walks both
+//! trees and lists every leaf that differs, by path; the `bench-diff`
+//! binary prints that list and fails on any entry. A changed configuration
+//! or kernel parameterization shows as a moved `config_fingerprint`.
+
+use std::collections::BTreeMap;
+use std::fmt;
 
 use samhita_core::{RunReport, SamhitaConfig};
 use samhita_scl::MsgClass;
@@ -23,18 +26,17 @@ use samhita_trace::{
     critical_path, JsonValue, LatencyHistogram, MetricsTimeline, PathClass, RunTrace, ThreadWindow,
 };
 
-/// Schema tag written into every report. It names the *required* core: the
-/// identity fields and the numbers [`compare`] gates. Sections are additive
-/// — a reader ignores ones it does not know and tolerates absent optional
-/// ones (`timeline`, `critical_path`) — so a new section does not bump the
-/// tag; only changing or removing a gated field does.
+/// Schema tag written into every report. Sections are additive — a reader
+/// keeps ones it does not know, and [`moved`] lists a section only one side
+/// has leaf by leaf — so a new section does not bump the tag; changing the
+/// meaning of a field or removing one does.
 ///
 /// The sections, in the order they were added: `fetch` / `lock` / `barrier`
 /// stall digests, `timeline` and `hotspots`; `traffic` (per-class message
 /// and byte counts plus `msgs_per_sync_op`); `breakdown` (per-thread time
 /// conservation), `queue` (manager/server queue pressure) and
-/// `critical_path`; and `recovery` (manager failover activity, which the
-/// gate requires to stay quiet on fault-free runs). Every section is
+/// `critical_path`; and `recovery` (manager failover activity, zero on a
+/// fault-free run except passive log shipping). Every section is
 /// virtual-time: a report is a pure function of (tree, config, kernel), so
 /// two reports of one tree are byte-identical. A report from an older
 /// `bench-report` also carries a `git_rev` string and a wall-clock `host`
@@ -186,7 +188,7 @@ impl BenchReport {
         let queue = JsonValue::object([
             ("mgr_queue_wait_ns", report.mgr_queue_wait_ns.into()),
             // Share of `threads × makespan` spent queued at the manager —
-            // the "manager is the wall" fraction the gate watches.
+            // the "manager is the wall" fraction.
             ("mgr_queue_wait_fraction", report.mgr_queue_wait_fraction().into()),
             ("mgr_peak_queue_depth", report.mgr_peak_queue_depth.into()),
             ("mgr_mean_queue_depth", report.mgr_mean_queue_depth().into()),
@@ -280,213 +282,88 @@ impl BenchReport {
         self.0.to_string()
     }
 
-    /// Parse a v5 report: any JSON object carrying the [`SCHEMA`] tag and
-    /// every field [`compare`] reads. Unknown sections are kept and
-    /// ignored; optional ones may be absent.
+    /// Parse a v5 report: any JSON object carrying the [`SCHEMA`] tag.
+    /// Every section is read by path, so an unknown one is kept and an
+    /// absent one simply has no leaves.
     pub fn from_json(input: &str) -> Result<Self, String> {
         let report = BenchReport(JsonValue::parse(input)?);
         match report.text("schema") {
-            Some(SCHEMA) => {}
-            Some(other) => {
-                return Err(format!(
-                    "unsupported report schema {other:?} (want {SCHEMA:?}) — this report was \
-                     written by a different tool version; regenerate it (and any committed \
-                     baselines) with bench-report"
-                ))
+            Some(SCHEMA) => Ok(report),
+            Some(other) => Err(format!(
+                "unsupported report schema {other:?} (want {SCHEMA:?}) — this report was \
+                 written by a different tool version; regenerate it (and any committed \
+                 baselines) with bench-report"
+            )),
+            None => Err("not a bench report: no \"schema\" string".to_string()),
+        }
+    }
+}
+
+/// One leaf that differs between two reports: its path (`makespan_ns`,
+/// `traffic.classes[1].msgs`) and its value on each side, `None` where that
+/// side has no such leaf.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Moved<'a> {
+    /// Dotted path, with `[i]` for an array element.
+    pub path: String,
+    /// The baseline's value.
+    pub base: Option<&'a JsonValue>,
+    /// The fresh report's value.
+    pub fresh: Option<&'a JsonValue>,
+}
+
+/// `path  base -> fresh`, plus the relative change when both are numbers.
+impl fmt::Display for Moved<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let side = |v: Option<&JsonValue>| v.map_or("(absent)".to_string(), JsonValue::to_string);
+        write!(f, "{}  {} -> {}", self.path, side(self.base), side(self.fresh))?;
+        match (self.base.and_then(JsonValue::as_f64), self.fresh.and_then(JsonValue::as_f64)) {
+            (Some(b), Some(n)) if b != 0.0 => write!(f, "  ({:+.2}%)", (n - b) / b * 100.0),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Every leaf of `base` and `fresh` whose value differs, in `base`'s
+/// document order, then the leaves only `fresh` has. Empty means both
+/// trees hold the same leaves at the same paths.
+pub fn moved<'a>(base: &'a BenchReport, fresh: &'a BenchReport) -> Vec<Moved<'a>> {
+    let (base, fresh) = (leaves(&base.0), leaves(&fresh.0));
+    let in_base: BTreeMap<_, _> = base.iter().cloned().collect();
+    let in_fresh: BTreeMap<_, _> = fresh.iter().cloned().collect();
+    let changed = base.into_iter().filter_map(|(path, b)| {
+        let f = in_fresh.get(&path).copied();
+        (f != Some(b)).then_some(Moved { path, base: Some(b), fresh: f })
+    });
+    let added = fresh.into_iter().filter(|(path, _)| !in_base.contains_key(path));
+    changed.chain(added.map(|(path, f)| Moved { path, base: None, fresh: Some(f) })).collect()
+}
+
+/// The leaves of `root` with their paths, in document order. An empty
+/// object or array is a leaf of its own, so `[]` and `null` differ.
+fn leaves(root: &JsonValue) -> Vec<(String, &JsonValue)> {
+    fn walk<'a>(path: String, v: &'a JsonValue, out: &mut Vec<(String, &'a JsonValue)>) {
+        match v {
+            JsonValue::Object(m) if !m.is_empty() => {
+                for (key, v) in m {
+                    walk(
+                        if path.is_empty() { key.clone() } else { format!("{path}.{key}") },
+                        v,
+                        out,
+                    );
+                }
             }
-            None => return Err("not a bench report: no \"schema\" string".to_string()),
-        }
-        // The gate's own reads are the definition of "every field compare
-        // reads": a report is accepted iff it can be gated against itself.
-        gate(&report, &report, 0.0)?;
-        Ok(report)
-    }
-}
-
-/// Outcome of comparing a fresh report against a committed baseline.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Comparison {
-    /// Human-readable metric lines (always populated).
-    pub lines: Vec<String>,
-    /// Regressions beyond tolerance; empty means the gate passes.
-    pub regressions: Vec<String>,
-}
-
-impl Comparison {
-    /// Whether the regression gate passes.
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Absolute slack added to the sync-fraction bound so near-zero baselines
-/// (where a relative tolerance is meaninglessly tight) don't flap.
-const SYNC_FRACTION_SLACK: f64 = 0.005;
-
-/// Absolute slack for the manager queue-wait fraction gate, same rationale.
-const QUEUE_WAIT_SLACK: f64 = 0.005;
-
-/// Compare `fresh` against `base`: makespan and sync fraction may grow by at
-/// most `tolerance` (relative, e.g. `0.05` for 5%; sync fraction gets an
-/// extra `SYNC_FRACTION_SLACK` absolute allowance). A `config_fingerprint`
-/// mismatch is always a failure because the numbers are not comparable —
-/// regenerate the baseline instead.
-pub fn compare(base: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Comparison {
-    // `from_run` builds and `from_json` checks for every field the gate
-    // reads, so only a report edited with `with` can fail to be read — and
-    // a report the gate cannot read does not pass it.
-    gate(base, fresh, tolerance)
-        .unwrap_or_else(|e| Comparison { lines: Vec::new(), regressions: vec![e] })
-}
-
-/// The value at `path` in both reports, read with `read`.
-fn both<'a, T>(
-    base: &'a BenchReport,
-    fresh: &'a BenchReport,
-    path: &str,
-    read: impl Fn(&'a JsonValue) -> Option<T>,
-) -> Result<(T, T), String> {
-    let one = |r: &'a BenchReport| {
-        r.get(path).and_then(&read).ok_or_else(|| format!("missing or mistyped field {path:?}"))
-    };
-    Ok((one(base)?, one(fresh)?))
-}
-
-/// [`compare`], failing on a report that lacks a field it reads. This
-/// function's reads *are* the v5 schema's required fields:
-/// [`BenchReport::from_json`] accepts a document iff it gates against itself.
-fn gate(base: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Result<Comparison, String> {
-    let text = |path| both(base, fresh, path, JsonValue::as_str);
-    let num = |path| both(base, fresh, path, JsonValue::as_f64);
-    let count = |path| both(base, fresh, path, JsonValue::as_u64);
-
-    let mut cmp = Comparison::default();
-    let (_, kernel) = text("kernel")?;
-    let (base_fp, fresh_fp) = text("config_fingerprint")?;
-    if base_fp != fresh_fp {
-        cmp.regressions.push(format!(
-            "{kernel}: config fingerprint 0x{fresh_fp} != baseline 0x{base_fp} — configuration \
-             or kernel parameters changed; regenerate the baseline (bench-report)"
-        ));
-        return Ok(cmp);
-    }
-    // Thread counts are part of the fingerprinted params, but check them
-    // explicitly too: a P=8 report gating against a P=64 baseline is never
-    // a meaningful comparison, and this error message says why directly.
-    let (base_threads, threads) = count("threads")?;
-    if base_threads != threads {
-        cmp.regressions.push(format!(
-            "{kernel}: thread count {threads} != baseline {base_threads} — not comparable; \
-             regenerate the baseline (bench-report --threads)"
-        ));
-        return Ok(cmp);
-    }
-    cmp.lines.push(format!("{kernel:>10}  threads       {threads:>14}"));
-    let pct = |b: f64, f: f64| if b == 0.0 { 0.0 } else { (f - b) / b * 100.0 };
-
-    let (b, f) = count("makespan_ns")?;
-    let makespan_delta = pct(b as f64, f as f64);
-    cmp.lines
-        .push(format!("{kernel:>10}  makespan      {b:>14} -> {f:>14}  ({makespan_delta:+.2}%)"));
-    if f as f64 > b as f64 * (1.0 + tolerance) {
-        cmp.regressions.push(format!(
-            "{kernel}: makespan regressed {makespan_delta:+.2}% ({b} -> {f} ns, tolerance {:.1}%)",
-            tolerance * 100.0
-        ));
-    }
-
-    let (b, f) = num("sync_fraction")?;
-    cmp.lines.push(format!(
-        "{kernel:>10}  sync fraction {:>13.2}% -> {:>13.2}%  ({:+.2} pts)",
-        b * 100.0,
-        f * 100.0,
-        (f - b) * 100.0
-    ));
-    if f > b * (1.0 + tolerance) + SYNC_FRACTION_SLACK {
-        cmp.regressions.push(format!(
-            "{kernel}: sync fraction regressed {:.2}% -> {:.2}% (tolerance {:.1}% + {:.1} pts)",
-            b * 100.0,
-            f * 100.0,
-            tolerance * 100.0,
-            SYNC_FRACTION_SLACK * 100.0
-        ));
-    }
-
-    // Message-count gates: a regression here means the protocol started
-    // chattering — e.g. the flush batcher fell back to per-page messages.
-    // Counts are deterministic, but a small absolute allowance keeps
-    // near-zero baselines from failing on a handful of messages.
-    const MSG_SLACK: u64 = 16;
-    let (base_classes, fresh_classes) = both(base, fresh, "traffic.classes", JsonValue::as_array)?;
-    // A report without an update class sent no update messages.
-    let update_msgs = |classes: &[JsonValue]| {
-        let update =
-            classes.iter().find(|c| c.get("class").and_then(JsonValue::as_str) == Some("update"));
-        update.and_then(|c| c.get("msgs")?.as_u64()).unwrap_or(0)
-    };
-    for (label, (b, f)) in [
-        ("total msgs", count("traffic.total_msgs")?),
-        ("update msgs", (update_msgs(base_classes), update_msgs(fresh_classes))),
-    ] {
-        cmp.lines.push(format!(
-            "{kernel:>10}  {label:<13} {b:>14} -> {f:>14}  ({:+.2}%)",
-            pct(b as f64, f as f64)
-        ));
-        if f as f64 > b as f64 * (1.0 + tolerance) + MSG_SLACK as f64 {
-            cmp.regressions.push(format!(
-                "{kernel}: {label} regressed {b} -> {f} (tolerance {:.1}% + {MSG_SLACK})",
-                tolerance * 100.0
-            ));
+            JsonValue::Array(items) if !items.is_empty() => {
+                for (i, v) in items.iter().enumerate() {
+                    walk(format!("{path}[{i}]"), v, out);
+                }
+            }
+            _ => out.push((path, v)),
         }
     }
-    let (b, f) = num("traffic.msgs_per_sync_op")?;
-    cmp.lines.push(format!("{kernel:>10}  msgs/sync op  {b:>14.2} -> {f:>14.2}"));
-
-    // Manager queue pressure: the fraction of all thread-time spent queued
-    // at the manager. Gated like sync fraction — relative tolerance plus an
-    // absolute slack so near-zero baselines don't flap.
-    let (b, f) = num("queue.mgr_queue_wait_fraction")?;
-    cmp.lines.push(format!(
-        "{kernel:>10}  mgr queue wait{:>13.2}% -> {:>13.2}%  ({:+.2} pts)",
-        b * 100.0,
-        f * 100.0,
-        (f - b) * 100.0
-    ));
-    if f > b * (1.0 + tolerance) + QUEUE_WAIT_SLACK {
-        cmp.regressions.push(format!(
-            "{kernel}: mgr queue-wait fraction regressed {:.2}% -> {:.2}% (tolerance {:.1}% + {:.1} pts)",
-            b * 100.0,
-            f * 100.0,
-            tolerance * 100.0,
-            QUEUE_WAIT_SLACK * 100.0
-        ));
-    }
-    let (b, f) = count("queue.mgr_peak_queue_depth")?;
-    cmp.lines.push(format!("{kernel:>10}  mgr peak queue{b:>14} -> {f:>14}"));
-
-    // Recovery gate: benchmark baselines are fault-free, so the crash-
-    // recovery machinery must never fire during a gated run. A spurious
-    // failover means the probe/retry path misfired — it would silently
-    // perturb every number above, so it is a hard failure, not a tolerance.
-    // Log shipping alone (a standby passively mirroring a healthy primary)
-    // does not count as firing.
-    let failovers = count("recovery.mgr_failovers")?;
-    let reclaims = count("recovery.lease_reclaims")?;
-    let stale = count("recovery.stale_releases")?;
-    let serves = count("recovery.standby_serves")?;
-    let takeover = count("recovery.takeover_ns")?;
-    cmp.lines
-        .push(format!("{kernel:>10}  mgr failovers {:>14} -> {:>14}", failovers.0, failovers.1));
-    let took_over = [failovers, reclaims, stale, serves, takeover];
-    if took_over.iter().all(|c| c.0 == 0) && took_over.iter().any(|c| c.1 > 0) {
-        cmp.regressions.push(format!(
-            "{kernel}: recovery machinery fired on a fault-free run ({} failovers, {} lease \
-             reclaims, {} stale releases, {} standby serves, takeover at {} ns) — the \
-             failover path must stay quiet without an injected manager crash",
-            failovers.1, reclaims.1, stale.1, serves.1, takeover.1
-        ));
-    }
-    Ok(cmp)
+    let mut out = Vec::new();
+    walk(String::new(), root, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -495,8 +372,8 @@ mod tests {
 
     /// A complete v5 document as an older `bench-report` wrote it, with the
     /// `git_rev` field and wall-clock `host` section `from_run` does not
-    /// emit: pinned in that form so such a report keeps parsing,
-    /// round-tripping and gating, both being unknown fields to this reader.
+    /// emit: pinned in that form so such a report keeps parsing and
+    /// round-tripping, both being unknown fields to this reader.
     const SAMPLE: &str = r#"{
         "schema": "samhita-bench-report-v5",
         "kernel": "micro", "params": "M=10 S=2 mode=global P=1", "git_rev": "abc1234",
@@ -540,11 +417,9 @@ mod tests {
         BenchReport::from_json(SAMPLE).expect("the sample is a valid v5 report")
     }
 
-    /// A traffic `classes` list whose update class carries `update` messages.
-    fn classes_with_update(update: u64) -> JsonValue {
-        JsonValue::array([("data", 500), ("update", update), ("sync", 200), ("control", 100)].map(
-            |(class, msgs)| JsonValue::object([("class", class.into()), ("msgs", msgs.into())]),
-        ))
+    /// The paths [`moved`] lists between `base` and `fresh`.
+    fn paths(base: &BenchReport, fresh: &BenchReport) -> Vec<String> {
+        moved(base, fresh).into_iter().map(|m| m.path).collect()
     }
 
     #[test]
@@ -563,24 +438,32 @@ mod tests {
     }
 
     /// Additive sections need no schema bump: a v5 reader keeps a section it
-    /// does not know and misses neither an optional one nor the two fields
-    /// only an older tool wrote, so old and new reports gate each other.
+    /// does not know and parses a report without the optional ones or the
+    /// two fields only an older tool wrote. Comparing the two lists each
+    /// leaf of every section one side lacks, and nothing else.
     #[test]
     fn unknown_sections_are_kept_and_optional_ones_may_be_absent() {
         let JsonValue::Object(mut doc) = JsonValue::parse(SAMPLE).unwrap() else {
             panic!("the sample is an object")
         };
-        for absent in ["timeline", "critical_path", "git_rev", "host"] {
-            assert!(doc.remove(absent).is_some());
+        let absent = ["timeline", "critical_path", "git_rev", "host"];
+        for section in absent {
+            assert!(doc.remove(section).is_some());
         }
         doc.insert("energy".into(), JsonValue::object([("joules", JsonValue::from(3u64))]));
         let text = JsonValue::Object(doc).to_string();
         let r = BenchReport::from_json(&text).expect("still a v5 report");
         assert_eq!(r.num("energy.joules"), Some(3.0), "the unknown section survives");
         assert_eq!(r.to_json(), text, "and is written back untouched");
-        for (base, fresh) in [(&sample(), &r), (&r, &sample())] {
-            let cmp = compare(base, fresh, 0.0);
-            assert!(cmp.passed(), "{:?}", cmp.regressions);
+
+        let base = sample();
+        let listed = moved(&base, &r);
+        let (added, dropped) = listed.split_last().expect("something moved");
+        assert_eq!((added.path.as_str(), added.base), ("energy.joules", None));
+        // 7 timeline + 10 critical-path leaves, `git_rev`, 6 + 2 × 4 host.
+        assert_eq!(dropped.len(), 32);
+        for m in dropped {
+            assert!(m.fresh.is_none() && absent.iter().any(|s| m.path.starts_with(s)), "{m}");
         }
     }
 
@@ -591,19 +474,6 @@ mod tests {
         assert!(BenchReport::from_json("not json").is_err());
         let wrong_schema = sample().to_json().replace(SCHEMA, "other-schema-v9");
         assert!(BenchReport::from_json(&wrong_schema).unwrap_err().contains("schema"));
-    }
-
-    #[test]
-    fn from_json_names_the_gated_field_a_report_lacks() {
-        for (path, broken) in [
-            ("makespan_ns", sample().with("makespan_ns", "fast")),
-            ("queue.mgr_queue_wait_fraction", sample().with("queue", counts([]))),
-            ("traffic.classes", sample().with("traffic.classes", JsonValue::Null)),
-            ("recovery.takeover_ns", sample().with("recovery.takeover_ns", -1.0)),
-        ] {
-            let err = BenchReport::from_json(&broken.to_json()).unwrap_err();
-            assert!(err.contains(path), "{path}: {err}");
-        }
     }
 
     #[test]
@@ -621,110 +491,110 @@ mod tests {
     #[test]
     fn identical_reports_pass_the_gate() {
         let r = sample();
-        let cmp = compare(&r, &r, 0.05);
-        assert!(cmp.passed(), "self-comparison regressed: {:?}", cmp.regressions);
-        assert_eq!(cmp.lines.len(), 9);
+        assert_eq!(moved(&r, &r), []);
+        let reparsed = BenchReport::from_json(&r.to_json()).unwrap();
+        assert_eq!(moved(&r, &reparsed), []);
     }
 
+    /// Every recovery counter is a leaf like any other, log shipping
+    /// included: each one that moves is listed.
     #[test]
     fn recovery_activity_on_a_fault_free_run_fails_the_gate() {
         let base = sample();
-        // A passively mirroring standby (log shipping only) is fine.
-        let quiet = base.clone().with("recovery.log_records_shipped", 9_999u64);
-        assert!(compare(&base, &quiet, 0.05).passed());
-        // Any takeover-side activity is a hard failure regardless of
-        // tolerance: the baseline run never crashed its manager.
         for (field, value) in [
-            ("recovery.mgr_failovers", 1u64),
+            ("recovery.log_records_shipped", 9_999u64),
+            ("recovery.mgr_failovers", 1),
             ("recovery.lease_reclaims", 1),
             ("recovery.stale_releases", 1),
             ("recovery.standby_serves", 1),
             ("recovery.takeover_ns", 60_000),
         ] {
-            let fresh = base.clone().with(field, value);
-            let cmp = compare(&base, &fresh, 0.5);
-            assert!(!cmp.passed(), "takeover activity must fail: {field}");
-            assert!(
-                cmp.regressions.iter().any(|r| r.contains("recovery machinery")),
-                "{:?}",
-                cmp.regressions
-            );
+            assert_eq!(paths(&base, &base.clone().with(field, value)), [field]);
         }
     }
 
+    /// A move no relative tolerance or absolute slack would have flagged
+    /// (3 % → 3.4 %) is listed with both values and its relative change.
     #[test]
     fn queue_wait_fraction_regression_fails() {
-        let at = |f: f64| sample().with("queue.mgr_queue_wait_fraction", f);
         let base = sample();
-        let cmp = compare(&base, &at(0.12), 0.05); // 3% -> 12%
-        assert!(!cmp.passed());
-        assert!(cmp.regressions.iter().any(|r| r.contains("queue-wait")), "{:?}", cmp.regressions);
-        // Movement inside relative tolerance + absolute slack passes.
-        assert!(compare(&base, &at(0.034), 0.05).passed());
-        // A near-zero baseline only trips past the absolute slack.
-        assert!(compare(&at(0.0), &at(0.004), 0.05).passed());
-        assert!(!compare(&at(0.0), &at(0.02), 0.05).passed());
+        let fresh = base.clone().with("queue.mgr_queue_wait_fraction", 0.034);
+        let [m] = &moved(&base, &fresh)[..] else { panic!("one field moved") };
+        assert_eq!(m.to_string(), "queue.mgr_queue_wait_fraction  0.03 -> 0.034  (+13.33%)");
     }
 
     #[test]
     fn thread_count_mismatch_is_always_a_failure() {
         let base = sample();
-        let fresh = base.clone().with("threads", 8u64);
-        let cmp = compare(&base, &fresh, 0.05);
-        assert!(!cmp.passed());
-        assert!(cmp.regressions[0].contains("thread count"));
+        assert_eq!(paths(&base, &base.clone().with("threads", 8u64)), ["threads"]);
     }
 
+    /// One message more is a move, as is one fewer; a traffic class is
+    /// named by its index in the list.
     #[test]
     fn message_count_regression_fails() {
         let base = sample();
-        let traffic = |update: u64, total: u64| {
-            base.clone()
-                .with("traffic.classes", classes_with_update(update))
-                .with("traffic.total_msgs", total)
-        };
-        // Update-class chatter doubled: the flush batcher broke.
-        let cmp = compare(&base, &traffic(400, 1200), 0.05);
-        assert!(!cmp.passed());
-        assert!(cmp.regressions.iter().any(|r| r.contains("update msgs")), "{:?}", cmp.regressions);
-        assert!(cmp.regressions.iter().any(|r| r.contains("total msgs")), "{:?}", cmp.regressions);
-        // A few extra messages inside the absolute slack pass.
-        assert!(compare(&base, &traffic(210, 1010), 0.0).passed());
-        // Fewer messages are never a regression.
-        assert!(compare(&base, &traffic(20, 820), 0.05).passed());
+        for total in [1001u64, 999] {
+            let fresh = base.clone().with("traffic.total_msgs", total);
+            assert_eq!(paths(&base, &fresh), ["traffic.total_msgs"]);
+        }
+        let mut classes = base.get("traffic.classes").unwrap().clone();
+        let JsonValue::Array(items) = &mut classes else { panic!("classes is a list") };
+        items[1] = JsonValue::object([
+            ("class", "update".into()),
+            ("msgs", 210u64.into()),
+            ("bytes", 80000u64.into()),
+        ]);
+        let fresh = base.clone().with("traffic.classes", classes);
+        assert_eq!(paths(&base, &fresh), ["traffic.classes[1].msgs"]);
     }
 
     #[test]
-    fn ten_percent_makespan_regression_fails_at_five_percent_tolerance() {
+    fn a_ten_percent_makespan_move_is_listed_with_its_change() {
         let base = sample();
         let at = |ns: u64| base.clone().with("makespan_ns", ns);
-        let cmp = compare(&base, &at(1_100_000), 0.05);
-        assert!(!cmp.passed());
-        assert!(cmp.regressions[0].contains("makespan"));
-        // The same delta inside tolerance passes.
-        assert!(compare(&base, &at(1_040_000), 0.05).passed());
-        // Getting faster is never a regression.
-        assert!(compare(&base, &at(500_000), 0.05).passed());
+        let slower = at(1_100_000);
+        let [m] = &moved(&base, &slower)[..] else { panic!("one field moved") };
+        assert_eq!(m.to_string(), "makespan_ns  1000000 -> 1100000  (+10.00%)");
+        // Getting faster moves the makespan too.
+        assert_eq!(paths(&base, &at(500_000)), ["makespan_ns"]);
     }
 
     #[test]
     fn sync_fraction_regression_fails() {
-        let at = |f: f64| sample().with("sync_fraction", f);
-        let cmp = compare(&sample(), &at(0.40), 0.05);
-        assert!(!cmp.passed());
-        assert!(cmp.regressions[0].contains("sync fraction"));
-        // Tiny absolute movement on a near-zero baseline is slack, not a
-        // regression.
-        assert!(compare(&at(0.0001), &at(0.004), 0.05).passed());
+        let base = sample();
+        assert_eq!(paths(&base, &base.clone().with("sync_fraction", 0.2501)), ["sync_fraction"]);
     }
 
     #[test]
     fn fingerprint_mismatch_is_always_a_failure() {
         let base = sample();
         let fresh = base.clone().with("config_fingerprint", "0000000000000001");
-        let cmp = compare(&base, &fresh, 0.05);
-        assert!(!cmp.passed());
-        assert!(cmp.regressions[0].contains("fingerprint"));
+        let [m] = &moved(&base, &fresh)[..] else { panic!("one field moved") };
+        assert_eq!(
+            m.to_string(),
+            r#"config_fingerprint  "00000000deadbeef" -> "0000000000000001""#
+        );
+    }
+
+    /// Fields no hand-picked list named move like the rest: a critical-path
+    /// class, every leaf of a hotspot one side lacks, and a field only one
+    /// side has.
+    #[test]
+    fn every_leaf_is_compared_by_its_path() {
+        let base = sample();
+        let fresh = base.clone().with("critical_path.queue_wait_ns", 20_001u64);
+        assert_eq!(paths(&base, &fresh), ["critical_path.queue_wait_ns"]);
+
+        let hot = base.get("hotspots").unwrap().as_array().unwrap()[0].clone();
+        let two = base.clone().with("hotspots", JsonValue::array([hot.clone(), hot]));
+        let listed = moved(&two, &base);
+        assert_eq!(listed.len(), 8, "one hotspot has eight fields");
+        assert!(listed.iter().all(|m| m.path.starts_with("hotspots[1].") && m.fresh.is_none()));
+
+        let extra = base.clone().with("queue.mgr_spins", 3u64);
+        let [m] = &moved(&base, &extra)[..] else { panic!("one field moved") };
+        assert_eq!(m.to_string(), "queue.mgr_spins  (absent) -> 3");
     }
 
     #[test]

@@ -70,3 +70,28 @@ fn every_kernel_runs_at_any_thread_count_in_every_tool() {
     }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
+
+/// `bench-diff` takes exactly two paths and no flag (`--tolerance` went
+/// with the tolerance gate): anything else is `error: …` and the usage on
+/// stderr, exit code 1, and nothing compared.
+#[test]
+fn bench_diff_takes_two_paths_and_no_flag() {
+    let bad: [&[&str]; 5] = [
+        &[],
+        &["results/baselines"],
+        &["a", "b", "c"],
+        &["a", "b", "--tolerance", "0.05"],
+        &["--bogus"],
+    ];
+    for argv in bad {
+        let out = Command::new(env!("CARGO_BIN_EXE_bench-diff")).args(argv).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert!(
+            matches!(lines[..], [e, "usage: bench-diff <baseline> <fresh>"] if e.starts_with("error: ")),
+            "{argv:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?} compared something");
+    }
+}

@@ -33,8 +33,8 @@ use samhita_repro::rt::{NativeRt, SamhitaRt};
 
 fn main() {
     let args = ExampleArgs::parse();
-    let threads = args.pos_u32(0, 8);
-    let m = args.pos_usize(1, 10);
+    let threads = args.pos(0, 8);
+    let m = args.pos(1, 10);
 
     println!("Figure 2 micro-benchmark: {threads} threads, M={m}, S=2, B=260, N=10\n");
     println!(

@@ -23,8 +23,8 @@ use samhita_repro::rt::{KernelRt, NativeRt, SamhitaRt};
 
 fn main() {
     let args = ExampleArgs::parse();
-    let n = args.pos_usize(0, 254);
-    let iters = args.pos_usize(1, 20);
+    let n = args.pos(0, 254);
+    let iters = args.pos(1, 20);
 
     println!("Jacobi, {n}x{n} interior grid, {iters} sweeps (virtual time)\n");
     println!(

@@ -20,8 +20,8 @@ use samhita_repro::rt::{KernelRt, NativeRt, SamhitaRt};
 
 fn main() {
     let args = ExampleArgs::parse();
-    let n = args.pos_usize(0, 768);
-    let steps = args.pos_usize(1, 5);
+    let n = args.pos(0, 768);
+    let steps = args.pos(1, 5);
 
     let params = |threads| MdParams { n, steps, dt: 1e-3, threads, seed: 42 };
     println!("molecular dynamics, {n} particles, {steps} velocity-Verlet steps\n");

@@ -1,9 +1,9 @@
 //! End-to-end checks of the profiling subsystem: hotspot attribution to
-//! allocation sites, machine-readable bench reports, and the bench-diff
-//! regression gate against the committed baselines.
+//! allocation sites, machine-readable bench reports, and the exact
+//! comparison bench-diff makes against the committed baselines.
 
 use samhita_bench::harness::{report_config, report_kernels, KernelPoint};
-use samhita_bench::{compare, BenchReport, HarnessConfig};
+use samhita_bench::{moved, BenchReport, HarnessConfig};
 use samhita_repro::core::{Region, SamhitaConfig};
 use samhita_repro::kernels::{run_micro, AllocMode, MicroParams};
 use samhita_repro::rt::SamhitaRt;
@@ -87,11 +87,11 @@ fn bench_report_from_run_round_trips_with_sane_utilization() {
 
 /// The committed baselines are this tree's reports, byte for byte: each
 /// parses and re-emits to the file's own bytes, a fresh `bench-report`
-/// point serializes to exactly those bytes, and the gate run against it
-/// behaves exactly as CI relies on — identical reports pass, a synthetic
-/// 10% makespan regression fails at the 5% tolerance.
+/// point serializes to exactly those bytes, and the comparison bench-diff
+/// makes behaves as CI relies on — a fresh run moves nothing, and one
+/// message more or a 10% longer makespan is listed by its path.
 #[test]
-fn committed_baselines_match_fresh_runs_and_gate_synthetic_regressions() {
+fn committed_baselines_match_fresh_runs_and_name_every_moved_field() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results/baselines");
     let q = HarnessConfig::quick();
     let cfg = report_config(&q, 64);
@@ -112,15 +112,15 @@ fn committed_baselines_match_fresh_runs_and_gate_synthetic_regressions() {
             let trace = rt.take_trace().expect("tracing enabled");
             let fresh = BenchReport::from_run(kernel, &params, &cfg, p, &report, Some(&trace));
             assert_eq!(fresh.to_json(), text, "{path} is stale: regenerate it");
+            assert_eq!(moved(&base, &fresh), [], "{path}");
 
-            let same = compare(&base, &fresh, 0.0);
-            assert!(same.passed(), "fresh run regressed: {:?}", same.regressions);
-
-            let makespan_ns = base.num("makespan_ns").unwrap() as u64;
-            let worse = fresh.with("makespan_ns", makespan_ns * 11 / 10);
-            let gate = compare(&base, &worse, 0.05);
-            assert!(!gate.passed(), "a 10% makespan regression must fail the 5% gate");
-            assert!(gate.regressions.iter().any(|r| r.contains("makespan")));
+            let bump = |field: &str, by: fn(u64) -> u64| {
+                let was = base.num(field).unwrap() as u64;
+                let edited = fresh.clone().with(field, by(was));
+                moved(&base, &edited).into_iter().map(|m| m.path).collect::<Vec<_>>()
+            };
+            assert_eq!(bump("traffic.total_msgs", |n| n + 1), ["traffic.total_msgs"]);
+            assert_eq!(bump("makespan_ns", |ns| ns * 11 / 10), ["makespan_ns"]);
             checked += 1;
         }
     }
