@@ -68,4 +68,4 @@ pub use layout::{AddressLayout, Placement, Region};
 pub use msg::MgrError;
 pub use stats::{HostNanos, RunReport, ThreadStats, TimeBreakdown};
 pub use system::Samhita;
-pub use thread::ThreadCtx;
+pub use thread::{ThreadCtx, UPDATE_RUN};

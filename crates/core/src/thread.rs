@@ -47,6 +47,10 @@ use crate::msg::{Handed, MgrRequest, MgrResponse, Msg};
 use crate::proto::{Channel, Prefetch};
 use crate::stats::ThreadStats;
 
+/// The most doubles [`ThreadCtx::update_f64s`] hands its function at once:
+/// the stack buffer a run is decoded into and encoded back from.
+pub const UPDATE_RUN: usize = 64;
+
 /// The five wait-class sums of `s`, which a thread reports from its timing
 /// epoch: [`ThreadCtx::start_timing`] snapshots them so pre-warm-up waits do
 /// not break the per-thread conservation identity
@@ -397,20 +401,28 @@ impl ThreadCtx {
     }
 
     /// Read-modify-write `n` consecutive `f64`s starting at the 8-byte
-    /// aligned `addr`: `x[i] = f(i, x[i])`. One protocol application per
-    /// touched page, two memory operations charged per element — the bulk
-    /// path the kernels use for their inner loops.
-    pub fn update_f64s(&mut self, addr: u64, n: usize, mut f: impl FnMut(usize, f64) -> f64) {
+    /// aligned `addr`, a run at a time: `f(i0, xs)` updates in place the
+    /// values at indices `i0..i0 + xs.len()`, every index once and in
+    /// ascending order, in runs of at most [`UPDATE_RUN`] that never cross a
+    /// page. One protocol application per touched page, two memory
+    /// operations charged per element — the bulk path the kernels use for
+    /// their inner loops.
+    pub fn update_f64s(&mut self, addr: u64, n: usize, mut f: impl FnMut(usize, &mut [f64])) {
         assert_eq!(addr % 8, 0, "f64 block at unaligned address {addr:#x}");
         let region = self.effective_region();
-        let mut idx = 0usize;
         let end = addr + n as u64 * 8;
         for (page, off, range) in self.layout.pages(addr, n * 8) {
             self.write_chunk(page, end, off..off + range.len(), region, false, |dst| {
-                for b in dst.chunks_exact_mut(8) {
-                    let v = f64::from_le_bytes((&*b).try_into().expect("8-byte chunk"));
-                    b.copy_from_slice(&f(idx, v).to_le_bytes());
-                    idx += 1;
+                let mut buf = [0f64; UPDATE_RUN];
+                for (k, run) in dst.chunks_mut(UPDATE_RUN * 8).enumerate() {
+                    let xs = &mut buf[..run.len() / 8];
+                    for (x, b) in xs.iter_mut().zip(run.chunks_exact(8)) {
+                        *x = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+                    }
+                    f(range.start / 8 + k * UPDATE_RUN, xs);
+                    for (b, x) in run.chunks_exact_mut(8).zip(xs.iter()) {
+                        b.copy_from_slice(&x.to_le_bytes());
+                    }
                 }
             });
         }

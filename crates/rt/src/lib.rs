@@ -84,15 +84,35 @@ pub trait KernelCtx {
     /// Bulk store `src` starting at `start`.
     fn write_block(&mut self, a: ArrF64, start: usize, src: &[f64]);
 
+    /// Read-modify-write `n` elements starting at `start`, a run at a time:
+    /// `f(i0, xs)` updates in place the elements at `start + i0 ..`, every
+    /// index once and in ascending order, at most
+    /// [`UPDATE_RUN`](samhita_core::UPDATE_RUN) at a time. The kernels'
+    /// inner loops run here, one call per run instead of per element.
+    fn update_runs(
+        &mut self,
+        a: ArrF64,
+        start: usize,
+        n: usize,
+        f: &mut dyn FnMut(usize, &mut [f64]),
+    );
+
     /// Read-modify-write `n` elements starting at `start`:
-    /// `x[i] = f(i, x[i])` with `i` relative to `start`.
+    /// `x[i] = f(i, x[i])` with `i` relative to `start`, an element at a
+    /// time over [`KernelCtx::update_runs`].
     fn update_block(
         &mut self,
         a: ArrF64,
         start: usize,
         n: usize,
         f: &mut dyn FnMut(usize, f64) -> f64,
-    );
+    ) {
+        self.update_runs(a, start, n, &mut |i0, xs| {
+            for (k, x) in xs.iter_mut().enumerate() {
+                *x = f(i0 + k, *x);
+            }
+        });
+    }
 
     /// Charge `flops` floating-point operations of pure compute.
     fn compute(&mut self, flops: u64);

@@ -104,12 +104,12 @@ impl KernelCtx for SamCtx<'_> {
         self.inner.write_f64_slice(a + start as u64 * 8, src);
     }
 
-    fn update_block(
+    fn update_runs(
         &mut self,
         a: ArrF64,
         start: usize,
         n: usize,
-        f: &mut dyn FnMut(usize, f64) -> f64,
+        f: &mut dyn FnMut(usize, &mut [f64]),
     ) {
         self.inner.update_f64s(a + start as u64 * 8, n, f);
     }

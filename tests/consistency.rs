@@ -952,7 +952,9 @@ fn run_whole_page(cfg: SamhitaConfig, filler: u64) {
                         .collect();
                     ctx.write_f64_slice(page_at(b, 0), &values);
                 }
-                3 => ctx.update_f64s(page_at(b, 2), words as usize, |_, x| 2.0 * x + 1.0),
+                3 => ctx.update_f64s(page_at(b, 2), words as usize, |_, xs| {
+                    xs.iter_mut().for_each(|x| *x = 2.0 * *x + 1.0)
+                }),
                 _ => {}
             }
             ctx.barrier(barrier);
