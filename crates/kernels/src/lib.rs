@@ -27,3 +27,11 @@ pub use jacobi::{
 };
 pub use md::{run_md, serial_reference as serial_reference_md, MdParams, MdResult};
 pub use micro::{expected_gsum, run_micro, AllocMode, MicroParams, MicroResult};
+
+/// FNV-1a over 64-bit words, as `samhita-perf` reduces an output.
+#[cfg(test)]
+fn fnv1a_words(values: &[f64]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

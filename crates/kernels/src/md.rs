@@ -232,6 +232,7 @@ pub fn serial_reference(p: &MdParams) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv1a_words;
     use proptest::prelude::*;
     use samhita_core::SamhitaConfig;
     use samhita_rt::{NativeRt, SamhitaRt};
@@ -325,13 +326,6 @@ mod tests {
         for n in [2usize, 3, 4, 5, 8, 9, 13] {
             assert_matches_oracle(&vec![0.0; 3 * n]);
         }
-    }
-
-    /// FNV-1a over 64-bit words, as `samhita-perf` reduces an output.
-    fn fnv1a_words(values: &[f64]) -> u64 {
-        values.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, v| {
-            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
-        })
     }
 
     /// The trajectory of `PINNED`, recorded before the force loop evaluated
