@@ -394,6 +394,7 @@ impl TaskRef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::within;
     use crate::{splitmix64, Scheduler};
     use std::hint::black_box;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -478,7 +479,8 @@ mod tests {
             grants
         };
         for seed in 0..8 {
-            let (on_threads, on_coroutines) = (run(seed, false), run(seed, true));
+            let (on_threads, on_coroutines) =
+                within(60, move || (run(seed, false), run(seed, true)));
             assert!(on_threads.0.len() > 40 * WORKERS);
             assert_eq!(on_threads, on_coroutines, "seed {seed}");
         }

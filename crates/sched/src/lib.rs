@@ -832,7 +832,10 @@ mod tests {
 
     /// Run `f` on its own thread and fail (rather than hang the suite) if
     /// it does not finish in time — a lost wake-up shows up as a timeout.
-    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    pub(crate) fn within<T: Send + 'static>(
+        secs: u64,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
         let (tx, rx) = std::sync::mpsc::channel();
         thread::spawn(move || tx.send(f()));
         rx.recv_timeout(std::time::Duration::from_secs(secs)).expect("scheduler test timed out")
@@ -911,7 +914,7 @@ mod tests {
             (log, sched.grants())
         };
         for seed in 0..8 {
-            let (as_thread, as_service) = (run(seed, false), run(seed, true));
+            let (as_thread, as_service) = within(60, move || (run(seed, false), run(seed, true)));
             assert!(as_thread.0.iter().filter(|(who, _)| *who == 4).count() > 8);
             assert_eq!(as_thread, as_service, "seed {seed}");
         }
