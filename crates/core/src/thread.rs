@@ -320,7 +320,10 @@ impl ThreadCtx {
     /// before `end`, through the cache — `fill` turns the current bytes
     /// into the new ones, which it does not read when the store is `pure`
     /// — and do the per-store accounting: twin statistics and trace,
-    /// fine-grain logging.
+    /// fine-grain logging. A pure ordinary-region store of a whole page
+    /// reads nothing of the page: it claims the page if it is not valid,
+    /// and its `fill` gets bytes of no particular value either way
+    /// ([`SoftCache::write`]).
     fn write_chunk(
         &mut self,
         page: u64,
@@ -334,7 +337,7 @@ impl ThreadCtx {
         let whole = pure && len == self.cfg.page_size && region == RegionKind::Ordinary;
         let claimed = if whole { self.try_claim(page) } else { None };
         let at = claimed.unwrap_or_else(|| self.ensure_resident(page, end));
-        let outcome = self.cache.write(at, off, len, region, fill);
+        let outcome = self.cache.write(at, off, len, region, whole, fill);
         if outcome.twin_created {
             self.chan.note(EventKind::TwinCreate { page });
         }
