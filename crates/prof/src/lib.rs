@@ -47,7 +47,8 @@ use std::time::Instant;
 pub enum Phase {
     /// One scheduler grant decision (`Scheduler::pick`).
     SchedStep = 0,
-    /// Word-granularity twin/current diffing (`Diff::compute`).
+    /// Word-granularity twin/current diffing (`Diff::compute`, and
+    /// `Diff::compute_shared`, which every flush and eviction takes).
     RegcDiff = 1,
     /// Applying an `UpdateBatch` at a memory server.
     BatchApply = 2,
