@@ -41,6 +41,7 @@ pub mod endpoint;
 pub mod error;
 pub mod fabric;
 pub mod fault;
+pub mod intmap;
 pub mod model;
 pub mod profiles;
 pub mod resource;
@@ -52,6 +53,7 @@ pub use endpoint::{Endpoint, Envelope};
 pub use error::SclError;
 pub use fabric::{Fabric, SendObserver};
 pub use fault::{FaultPlan, Partition, RetryPolicy, SendFate};
+pub use intmap::{IntMap, IntSet};
 pub use model::LinkModel;
 pub use resource::{ResourceStats, ServiceModel, VirtualResource};
 pub use stats::{FabricStats, MsgClass};
