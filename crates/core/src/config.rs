@@ -654,7 +654,7 @@ mod tests {
         let sc = c.service_costs();
         let serve = |kinds: &[EventKind]| {
             let at = SimTime::ZERO;
-            let events: Vec<_> = kinds.iter().map(|k| TraceEvent { at, kind: k.clone() }).collect();
+            let events: Vec<_> = kinds.iter().map(|&kind| TraceEvent { at, kind }).collect();
             SimTime::from_ns(sc.serve_ns(&events))
         };
         assert_eq!(sc.mgr_service_ns, c.costs.mgr_service_ns);
@@ -669,7 +669,7 @@ mod tests {
             let diff = EventKind::ApplyDiff { page: 0, bytes, writer: 0, batch: 1 };
             let fine = EventKind::ApplyFine { page: 1, bytes, writer: 0, batch: 1 };
             assert_eq!(serve(std::slice::from_ref(&diff)), c.service.batch_apply_ns());
-            assert_eq!(serve(&[diff, fine.clone(), fine]), c.service.batch_apply_ns());
+            assert_eq!(serve(&[diff, fine, fine]), c.service.batch_apply_ns());
         }
         for (pages, written) in [(1u32, 0u32), (1, 1), (4, 1), (16, 16)] {
             let fetch = EventKind::ServeFetch { page: 0, pages, reader: 0, written, queued_ns: 0 };

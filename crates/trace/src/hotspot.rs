@@ -243,10 +243,7 @@ mod tests {
         let trace = RunTrace::from_tracks(vec![
             (
                 TrackId::Thread(0),
-                (10..)
-                    .zip(&thread)
-                    .map(|(at, kind)| TraceEvent { at: ns(at), kind: kind.clone() })
-                    .collect(),
+                (10..).zip(&thread).map(|(at, &kind)| TraceEvent { at: ns(at), kind }).collect(),
             ),
             // Server-side mirror events must not double count.
             (
