@@ -63,8 +63,9 @@
 
 use std::collections::BTreeSet;
 
-use samhita_mem::{IntMap, PageFrame};
+use samhita_mem::PageFrame;
 use samhita_regc::{protocol, Diff, PageState, RegionKind};
+use samhita_scl::IntMap;
 
 use crate::config::EvictionPolicy;
 

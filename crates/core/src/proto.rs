@@ -80,9 +80,9 @@
 
 use std::collections::HashSet;
 
-use samhita_mem::{HomeMap, IntMap, MemRequest, MemResponse, PageFrame};
+use samhita_mem::{HomeMap, MemRequest, MemResponse, PageFrame};
 use samhita_regc::{Marks, UpdateBatch};
-use samhita_scl::{Endpoint, EndpointId, Envelope, MsgClass, RetryPolicy, SimTime};
+use samhita_scl::{Endpoint, EndpointId, Envelope, IntMap, MsgClass, RetryPolicy, SimTime};
 use samhita_trace::{EventKind, ThreadStats, TraceBuf};
 
 use crate::msg::{MgrRequest, MgrResponse, Msg, Relay, Stamp, Successor};
