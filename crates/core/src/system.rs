@@ -1251,6 +1251,24 @@ mod tests {
     }
 
     #[test]
+    fn read_f64s_over_megabytes_from_an_odd_byte_equals_reads_one_value_at_a_time() {
+        let s = system(); // 256-byte pages
+        let n = (2 << 20) / 8 + 1000; // more than 2 MiB of values
+        let start = s.alloc_global(n as u64 * 8 + 64) + 3;
+        let values: Vec<f64> = (0..n).map(|i| (i as f64).sqrt() * -1.5 + 0.3).collect();
+        s.write_f64s(start, &values);
+        let got = s.read_f64s(start, n);
+        assert_eq!(got.len(), n);
+        // Each value straddles two pages once every 32: read it alone.
+        let mut word = [0u8; 8];
+        for (i, v) in got.iter().enumerate() {
+            s.read_global(start + i as u64 * 8, &mut word);
+            assert_eq!(v.to_bits(), f64::from_le_bytes(word).to_bits(), "value {i}");
+        }
+        assert_eq!(got, values);
+    }
+
+    #[test]
     fn single_thread_run_reads_its_own_writes() {
         let s = system();
         let addr = s.alloc_global(2048);

@@ -37,6 +37,7 @@
 //! trace emit, causal-index derivation), so the per-phase table reads as a flat
 //! breakdown.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
@@ -174,6 +175,19 @@ pub fn peak_rss_bytes() -> u64 {
     0
 }
 
+/// The granule of a transparent huge page on x86_64 (and on aarch64 with
+/// 4 KiB base pages).
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The whole 2 MiB pages inside the `len` bytes at `addr`: from the first
+/// 2 MiB boundary at or after `addr` to the last one at or before
+/// `addr + len`. `None` when no aligned 2 MiB fits.
+pub fn huge_page_interior(addr: usize, len: usize) -> Option<Range<usize>> {
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.checked_add(len)? / HUGE_PAGE * HUGE_PAGE;
+    (end > start).then_some(start..end)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +242,54 @@ mod tests {
         let rss = peak_rss_bytes();
         if cfg!(target_os = "linux") {
             assert!(rss > 0, "VmHWM should be readable on Linux");
+        }
+    }
+
+    /// The interior of `len` bytes at `addr`, checked against its
+    /// definition: inside the buffer, both ends on a 2 MiB boundary, and
+    /// no room for another whole 2 MiB page at either end.
+    fn interior_holds(addr: usize, len: usize) -> Option<Range<usize>> {
+        let got = huge_page_interior(addr, len);
+        if let Some(r) = &got {
+            assert!(addr <= r.start && r.end <= addr + len, "{r:x?} outside {addr:#x}+{len}");
+            assert_eq!(r.start % HUGE_PAGE, 0, "{r:x?}");
+            assert_eq!(r.end % HUGE_PAGE, 0, "{r:x?}");
+            assert!(r.start - addr < HUGE_PAGE && addr + len - r.end < HUGE_PAGE, "{r:x?}");
+        } else {
+            let first = addr.next_multiple_of(HUGE_PAGE);
+            assert!(first + HUGE_PAGE > addr + len, "a whole page fits in {addr:#x}+{len}");
+        }
+        got
+    }
+
+    #[test]
+    fn the_huge_page_interior_lies_inside_on_2_mib_boundaries() {
+        const MIB: usize = 1 << 20;
+        // A glibc `mmap` chunk's payload starts 16 bytes into a page.
+        let odd = 0x7f00_0000_0000 + 4096 + 16;
+        assert_eq!(interior_holds(odd, 0), None);
+        assert_eq!(interior_holds(odd, HUGE_PAGE - 1), None);
+        assert_eq!(interior_holds(0x7f00_0000_0000, HUGE_PAGE - 1), None);
+        // Exactly 2 MiB fits only when the buffer starts on a boundary.
+        assert_eq!(interior_holds(odd, HUGE_PAGE), None);
+        assert_eq!(interior_holds(odd + 1, HUGE_PAGE), None);
+        assert_eq!(
+            interior_holds(0x7f00_0000_0000, HUGE_PAGE),
+            Some(0x7f00_0000_0000..0x7f00_0020_0000)
+        );
+        // A 45 MB reserve, as a paper-scale Chrome export's, loses less than
+        // a huge page at each end: 20 whole pages of its 21.5 MiB.
+        let r = interior_holds(odd, 45_000_000).expect("45 MB holds whole pages");
+        assert_eq!(r, 0x7f00_0020_0000..0x7f00_02a0_0000);
+        assert_eq!(r.len(), 20 * HUGE_PAGE);
+        for (addr, len) in [(odd, 4 * MIB - 32), (odd, 4 * MIB), (1, usize::MAX - 1)] {
+            interior_holds(addr, len);
+        }
+        assert_eq!(huge_page_interior(usize::MAX, 1), None, "past the address space");
+        for addr in (0..3 * HUGE_PAGE).step_by(4096 + 8) {
+            for len in [0, 1, HUGE_PAGE - 1, HUGE_PAGE, HUGE_PAGE + 4096, 3 * HUGE_PAGE] {
+                interior_holds(addr, len);
+            }
         }
     }
 }
