@@ -407,7 +407,11 @@ impl Samhita {
     /// Convenience: read a slice of `f64`s, each served page decoded
     /// straight into the result.
     pub fn read_f64s(&self, addr: u64, n: usize) -> Vec<f64> {
-        let mut out = vec![0f64; n];
+        // A grid runs to megabytes, filled straight away: its whole 2 MiB
+        // pages are advised huge. The zeros are needed, not just reserved
+        // room: `patch_f64` merges an unaligned end into a zeroed word.
+        let mut out = samhita_mem::vec_with_huge_pages(n);
+        out.resize(n, 0f64);
         self.read_pages(addr, n * 8, |range, bytes| {
             // An unaligned range shares the value at each end with a
             // neighbour page: those are patched in byte by byte.

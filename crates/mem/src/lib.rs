@@ -26,6 +26,11 @@ pub mod store;
 pub mod stripe;
 
 pub use page::{PageId, DEFAULT_PAGE_SIZE};
+/// For `samhita-core`'s host reads of served pages (`Samhita::read_f64s`):
+/// core reaches `samhita-prof` through this crate, so core's dependency
+/// list stays the one the benchmark workspace's lock file records (CI
+/// builds that workspace `--locked`).
+pub use samhita_prof::vec_with_huge_pages;
 pub use samhita_scl::ServiceModel;
 pub use server::{MemRequest, MemResponse, MemoryServer};
 pub use store::{PageFrame, PageStore};

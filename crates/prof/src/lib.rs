@@ -7,6 +7,11 @@
 //! purpose, and it is structurally invisible to virtual time: no simulator
 //! code branches on anything recorded here.
 //!
+//! It also holds the one host-memory hint the simulator gives,
+//! [`vec_with_huge_pages`]: a leaf crate that already talks to the kernel
+//! (`/proc` for the peak RSS) and that the trace writer and the core both
+//! reach. The hint changes no byte, so it sits outside the contract below.
+//!
 //! # Invisibility contract
 //!
 //! - Profiling is off by default. Disabled, every instrumentation point is a
@@ -173,6 +178,47 @@ pub fn peak_rss_bytes() -> u64 {
         }
     }
     0
+}
+
+/// A `Vec::with_capacity(capacity)` whose whole 2 MiB pages the kernel is
+/// asked to back with transparent huge pages: for a buffer the caller is
+/// about to fill, one fault per 2 MiB instead of one per 4 KiB.
+///
+/// A hint, nothing more: no byte of the buffer changes, and a kernel that
+/// refuses it (THP off or not built, the range not anonymous memory) is
+/// ignored. Below one aligned 2 MiB, and off Linux, this is
+/// `Vec::with_capacity`. A huge page that is touched is resident whole, so
+/// a buffer reserved well past what it will hold can cost up to 2 MiB more
+/// RSS than its 4 KiB pages would.
+pub fn vec_with_huge_pages<T>(capacity: usize) -> Vec<T> {
+    let mut v: Vec<T> = Vec::with_capacity(capacity);
+    let base = v.as_mut_ptr().cast::<u8>();
+    if let Some(r) = huge_page_interior(base as usize, v.capacity() * size_of::<T>()) {
+        advise_huge_pages(base.wrapping_add(r.start - base as usize), r.len());
+    }
+    v
+}
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+}
+
+/// `madvise(2)`'s `MADV_HUGEPAGE` on Linux.
+#[cfg(target_os = "linux")]
+const MADV_HUGEPAGE: i32 = 14;
+
+/// `madvise(at, len, MADV_HUGEPAGE)`, its result ignored; nothing off Linux.
+fn advise_huge_pages(at: *mut u8, len: usize) {
+    #[cfg(target_os = "linux")]
+    // SAFETY: `MADV_HUGEPAGE` writes no byte of the range; it only marks
+    // the mappings that cover it, and the range lies inside an allocation
+    // its caller owns. A failure leaves them as they were.
+    unsafe {
+        madvise(at.cast(), len, MADV_HUGEPAGE);
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = (at, len);
 }
 
 /// The granule of a transparent huge page on x86_64 (and on aarch64 with

@@ -13,7 +13,10 @@
 //! a track's `tid` digits or JSONL `"track"` prefix are rendered once per
 //! track. Three sinks exist: a `String` reserved up front from the event
 //! count ([`RunTrace::to_jsonl`],
-//! [`RunTrace::to_chrome_json`], [`RunTrace::to_chrome_json_with`]), an
+//! [`RunTrace::to_chrome_json`], [`RunTrace::to_chrome_json_with`]), whose
+//! whole 2 MiB pages are advised huge ([`samhita_prof::vec_with_huge_pages`]:
+//! a paper-scale Chrome text is 24 MB, and its first touch in 4 KiB pages
+//! cost about 5 900 faults, more than the formatting), an
 //! FNV-1a fold that hashes the JSONL without holding it
 //! ([`RunTrace::checksum`]), and an `io::Write` adapter that streams a file
 //! ([`RunTrace::write_jsonl`], [`RunTrace::write_chrome_json_with`]).
@@ -242,6 +245,17 @@ macro_rules! pairs {
 struct Writer<S> {
     to: S,
     text: Text<BUFFER>,
+}
+
+impl Writer<String> {
+    /// A writer into a `String` of `bytes` capacity, allocated once. A
+    /// paper-scale export fills tens of MB of it straight away, so its
+    /// whole 2 MiB pages are advised huge: first-touch faults were most of
+    /// what the export cost.
+    fn reserved(bytes: usize) -> Self {
+        let buf = samhita_prof::vec_with_huge_pages(bytes);
+        Writer::new(String::from_utf8(buf).expect("an empty buffer is UTF-8"))
+    }
 }
 
 impl<S: Sink> Writer<S> {
@@ -542,7 +556,7 @@ impl RunTrace {
     /// Export as JSON Lines: one event per line, tracks in order, each line
     /// a flat object `{"track": …, "at_ns": …, "event": …, <args>}`.
     pub fn to_jsonl(&self) -> String {
-        let mut w = Writer::new(String::with_capacity(LINE_MAX * self.len()));
+        let mut w = Writer::reserved(LINE_MAX * self.len());
         w.jsonl(self);
         w.finish()
     }
@@ -570,7 +584,7 @@ impl RunTrace {
     /// Export as Chrome trace-event JSON (the "JSON object format"), which
     /// opens directly in Perfetto and `chrome://tracing`.
     pub fn to_chrome_json(&self) -> String {
-        let mut w = Writer::new(String::with_capacity(self.chrome_reserve(None)));
+        let mut w = Writer::reserved(self.chrome_reserve(None));
         w.chrome(self, None);
         w.finish()
     }
@@ -588,7 +602,7 @@ impl RunTrace {
     /// [`RunTrace::to_jsonl`] (the checksum basis) and the plain
     /// [`RunTrace::to_chrome_json`] are untouched by this richer export.
     pub fn to_chrome_json_with(&self, windows: &[ThreadWindow], costs: &ServiceCosts) -> String {
-        let mut w = Writer::new(String::with_capacity(self.chrome_reserve(Some(windows))));
+        let mut w = Writer::reserved(self.chrome_reserve(Some(windows)));
         w.chrome(self, Some((windows, costs)));
         w.finish()
     }
