@@ -408,8 +408,9 @@ impl Samhita {
     /// straight into the result.
     pub fn read_f64s(&self, addr: u64, n: usize) -> Vec<f64> {
         // A grid runs to megabytes, filled straight away: its whole 2 MiB
-        // pages are advised huge. The zeros are needed, not just reserved
-        // room: `patch_f64` merges an unaligned end into a zeroed word.
+        // pages are advised huge. Every value is set before any page lands,
+        // not just reserved: `patch_f64` reads the word it merges an
+        // unaligned end into.
         let mut out = samhita_mem::vec_with_huge_pages(n);
         out.resize(n, 0f64);
         self.read_pages(addr, n * 8, |range, bytes| {
