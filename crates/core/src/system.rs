@@ -1263,8 +1263,7 @@ mod tests {
         let values: Vec<f64> = (0..n).map(|i| (i as f64).sqrt() * -1.5 + 0.3).collect();
         s.write_f64s(start, &values);
         let got = s.read_f64s(start, n);
-        assert_eq!(got.len(), n);
-        // Each value straddles two pages once every 32: read it alone.
+        // One value in 32 straddles two pages: read each alone.
         let mut word = [0u8; 8];
         for (i, v) in got.iter().enumerate() {
             s.read_global(start + i as u64 * 8, &mut word);

@@ -199,27 +199,23 @@ pub fn vec_with_huge_pages<T>(capacity: usize) -> Vec<T> {
     v
 }
 
+/// `madvise(at, len, MADV_HUGEPAGE)`, its result ignored.
 #[cfg(target_os = "linux")]
-extern "C" {
-    fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
-}
-
-/// `madvise(2)`'s `MADV_HUGEPAGE` on Linux.
-#[cfg(target_os = "linux")]
-const MADV_HUGEPAGE: i32 = 14;
-
-/// `madvise(at, len, MADV_HUGEPAGE)`, its result ignored; nothing off Linux.
 fn advise_huge_pages(at: *mut u8, len: usize) {
-    #[cfg(target_os = "linux")]
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_HUGEPAGE: i32 = 14;
     // SAFETY: `MADV_HUGEPAGE` writes no byte of the range; it only marks
     // the mappings that cover it, and the range lies inside an allocation
     // its caller owns. A failure leaves them as they were.
     unsafe {
         madvise(at.cast(), len, MADV_HUGEPAGE);
     }
-    #[cfg(not(target_os = "linux"))]
-    let _ = (at, len);
 }
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_at: *mut u8, _len: usize) {}
 
 /// The granule of a transparent huge page on x86_64 (and on aarch64 with
 /// 4 KiB base pages).
@@ -228,7 +224,7 @@ const HUGE_PAGE: usize = 2 << 20;
 /// The whole 2 MiB pages inside the `len` bytes at `addr`: from the first
 /// 2 MiB boundary at or after `addr` to the last one at or before
 /// `addr + len`. `None` when no aligned 2 MiB fits.
-pub fn huge_page_interior(addr: usize, len: usize) -> Option<Range<usize>> {
+fn huge_page_interior(addr: usize, len: usize) -> Option<Range<usize>> {
     let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
     let end = addr.checked_add(len)? / HUGE_PAGE * HUGE_PAGE;
     (end > start).then_some(start..end)
