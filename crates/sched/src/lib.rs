@@ -20,9 +20,9 @@
 //!
 //! Tasks come in three kinds, and the pick policy cannot tell them apart:
 //!
-//! * **Thread tasks** (the host) own an OS thread that sleeps on a per-task
-//!   *baton* — an atomic slot plus `std::thread::park` — until a pick lands
-//!   on it.
+//! * **Thread tasks** (the host) own an OS thread that sleeps in
+//!   `std::thread::park` until a pick lands on it. The pick files the
+//!   grant's candidate time in the task table, under the scheduler lock.
 //! * **Inline service tasks** (the manager, memory servers) own no thread:
 //!   they are a step callback `FnMut(granted) -> Next`. When a pick lands
 //!   on one, whichever thread is giving up the baton runs the step itself,
@@ -36,8 +36,8 @@
 //!   runs the pick loop.
 //!
 //! Only a pick that lands on a *different thread task* wakes another OS
-//! thread (after the scheduler lock is dropped, so the woken thread never
-//! runs into it); a pick that lands back on the yielding task returns
+//! thread; only that unpark follows the unlock, so the woken thread never
+//! runs into the lock. A pick that lands back on the yielding task returns
 //! directly. [`Scheduler::grants`] counts picks, [`Scheduler::handoffs`]
 //! the subset that crossed OS threads.
 //!
@@ -59,7 +59,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, Thread};
 
@@ -70,31 +69,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// The per-thread-task hand-off gate. The slot carries the grant's
-/// virtual-time candidate, so a resuming task learns *when* it was
-/// scheduled without a second rendezvous with the scheduler lock.
-/// `granted`'s Release store publishes `at` to the Acquire swap in `take`.
-#[derive(Default)]
-struct Baton {
-    at: AtomicU64,
-    granted: AtomicBool,
-}
-
-impl Baton {
-    /// Fill the slot with the grant's candidate time. The caller unparks
-    /// the owning thread afterwards.
-    fn grant(&self, at: u64) {
-        self.at.store(at, Ordering::Relaxed);
-        let stale = self.granted.swap(true, Ordering::Release);
-        debug_assert!(!stale, "baton granted twice without an intervening block");
-    }
-
-    /// Empty the slot, returning the grant's candidate time if it was full.
-    fn take(&self) -> Option<u64> {
-        self.granted.swap(false, Ordering::Acquire).then(|| self.at.load(Ordering::Relaxed))
-    }
 }
 
 /// Where a task stands with respect to the baton.
@@ -130,8 +104,9 @@ pub type Step = Box<dyn FnMut(u64) -> Next + Send>;
 
 /// How a granted task gets to run.
 enum Runner {
-    /// On its own OS thread, last seen blocking as `thread`.
-    Thread { baton: Arc<Baton>, thread: Option<Thread> },
+    /// On its own OS thread, last seen blocking as `thread`; `grant` holds
+    /// the candidate time of a pick it has not yet taken.
+    Thread { grant: Option<u64>, thread: Option<Thread> },
     /// On the dispatching thread; `None` while a dispatch has the step out.
     Inline(Option<Step>),
     /// On the dispatching thread, on its own stack, bound to
@@ -226,10 +201,9 @@ impl Scheduler {
     }
 
     fn register(self: &Arc<Self>, state: TaskState, step: Option<Step>) -> TaskRef {
-        let baton = Arc::new(Baton::default());
         let runner = match step {
             Some(step) => Runner::Inline(Some(step)),
-            None => Runner::Thread { baton: baton.clone(), thread: None },
+            None => Runner::Thread { grant: None, thread: None },
         };
         let mut inner = self.inner.lock();
         let id = inner.tasks.len();
@@ -240,7 +214,7 @@ impl Scheduler {
         }
         inner.tasks.push(Task { state: TaskState::Parked, tie, runner });
         inner.file(id, state);
-        TaskRef { sched: self.clone(), id, baton }
+        TaskRef { sched: self.clone(), id }
     }
 
     /// Register the calling context as the task that currently holds the
@@ -288,15 +262,16 @@ impl Scheduler {
             task.state = TaskState::Running;
             let next = match &mut task.runner {
                 Runner::Thread { .. } if me == Some(id) => return Some(at),
-                Runner::Thread { baton, thread } => {
-                    let (baton, thread) = (baton.clone(), thread.clone());
+                Runner::Thread { grant, thread } => {
+                    let stale = grant.replace(at);
+                    debug_assert!(stale.is_none(), "granted twice without an intervening block");
+                    let thread = thread.clone();
                     inner.handoffs += 1;
-                    // Grant with the lock released: the woken thread's
-                    // first move is usually to take it. The phase guard
-                    // ends before the wake-up, which the OS may answer by
-                    // running the woken thread first.
+                    // Wake with the lock released: the woken thread's first
+                    // move is to take it. The phase guard ends before the
+                    // wake-up, which the OS may answer by running the woken
+                    // thread first.
                     drop(inner);
-                    baton.grant(at);
                     drop(prof);
                     if let Some(thread) = thread {
                         thread.unpark();
@@ -452,9 +427,6 @@ impl fmt::Debug for Scheduler {
 pub struct TaskRef {
     sched: Arc<Scheduler>,
     id: usize,
-    /// Granted only to thread tasks: inline services never block, and
-    /// coroutines block by switching stacks.
-    baton: Arc<Baton>,
 }
 
 impl fmt::Debug for TaskRef {
@@ -491,19 +463,19 @@ impl TaskRef {
     fn block(&self) -> u64 {
         let me = thread::current();
         loop {
-            // Tell granters (and a poisoner) whom to unpark, before looking
-            // at the slot: a grant that raced ahead of this found nobody to
-            // wake but already filled it.
+            // Take the grant or tell granters (and a poisoner) whom to
+            // unpark, both under the lock a grant is filed under: a grant
+            // filed later finds this thread and unparks it.
             let mut inner = self.sched.lock_live();
-            if let Runner::Thread { thread, .. } = &mut inner.tasks[self.id].runner {
+            if let Runner::Thread { grant, thread } = &mut inner.tasks[self.id].runner {
+                if let Some(at) = grant.take() {
+                    return at;
+                }
                 if thread.as_ref().map(Thread::id) != Some(me.id()) {
                     *thread = Some(me.clone());
                 }
             }
             drop(inner);
-            if let Some(at) = self.baton.take() {
-                return at;
-            }
             thread::park();
         }
     }
@@ -595,7 +567,9 @@ impl TaskRef {
         if inner.running == Some(self.id) {
             // Discard a grant issued while this task was parked by
             // `suspend`: it is already running again.
-            self.baton.take();
+            if let Runner::Thread { grant, .. } = &mut inner.tasks[self.id].runner {
+                *grant = None;
+            }
             return;
         }
         inner.file(self.id, TaskState::Ready(u64::MAX));
@@ -806,6 +780,27 @@ mod tests {
         t.join().unwrap();
         host.resume();
         assert!(Scheduler::current().is_none(), "host thread never bound");
+    }
+
+    /// A pick may land on a thread task before its OS thread exists: the
+    /// grant waits in the table, and the thread takes it on `start`.
+    #[test]
+    fn a_grant_filed_before_the_thread_exists_is_taken_on_start() {
+        let sched = Scheduler::new(6);
+        let host = sched.register_running();
+        let a = sched.register_ready(42);
+        host.suspend();
+        assert!(matches!(
+            sched.inner.lock().tasks[a.id()].runner,
+            Runner::Thread { grant: Some(42), thread: None }
+        ));
+        let t = thread::spawn(move || {
+            let g = a.start();
+            a.exit();
+            g
+        });
+        assert_eq!(within(60, move || t.join().unwrap()), 42);
+        host.resume();
     }
 
     /// A wake targeting a Running or Done task is ignored; a second wake at
