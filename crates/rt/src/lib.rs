@@ -22,7 +22,7 @@
 pub mod native;
 pub mod samhita;
 
-pub use native::{NativeCosts, NativeRt};
+pub use native::NativeRt;
 pub use samhita::SamhitaRt;
 
 pub use samhita_core::{RunReport, ThreadStats};

@@ -21,40 +21,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use samhita_core::{RunReport, ThreadStats, UPDATE_RUN};
+use samhita_core::{CostParams, RunReport, ThreadStats, UPDATE_RUN};
 use samhita_sched::{Scheduler, TaskRef};
 use samhita_scl::{FabricStats, SimTime};
 use samhita_trace::LatencyHistogram;
 
 use crate::{ArrF64, KernelCtx, KernelRt, SyncId};
 
-/// Cost constants for the native baseline.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct NativeCosts {
-    /// Per-flop cost; keep equal to [`samhita_core::CostParams::flop_ns`].
-    pub flop_ns: f64,
-    /// Per-8-byte-access cost; keep equal to
-    /// [`samhita_core::CostParams::mem_op_ns`].
-    pub mem_op_ns: f64,
-    /// Pthread mutex handoff cost.
-    pub mutex_ns: u64,
-    /// Pthread barrier cost (futex wake fan-out).
-    pub barrier_ns: u64,
-}
-
-impl Default for NativeCosts {
-    fn default() -> Self {
-        let c = samhita_core::CostParams::default();
-        NativeCosts { flop_ns: c.flop_ns, mem_op_ns: c.mem_op_ns, mutex_ns: 120, barrier_ns: 400 }
-    }
-}
-
-impl NativeCosts {
-    /// Costs matching a specific Samhita configuration's compute constants.
-    pub fn matching(c: &samhita_core::CostParams) -> Self {
-        NativeCosts { flop_ns: c.flop_ns, mem_op_ns: c.mem_op_ns, ..NativeCosts::default() }
-    }
-}
+/// Pthread mutex handoff cost, ns.
+const MUTEX_NS: u64 = 120;
+/// Pthread barrier cost (futex wake fan-out), ns.
+const BARRIER_NS: u64 = 400;
 
 #[derive(Default)]
 struct NativeLock {
@@ -93,7 +70,9 @@ fn current_task() -> TaskRef {
 
 /// The native backend.
 pub struct NativeRt {
-    costs: NativeCosts,
+    /// Samhita's default compute costs: `flop_ns` and `mem_op_ns` are
+    /// charged exactly as the DSM charges them.
+    costs: CostParams,
     sched_seed: u64,
     arrays: RwLock<Vec<Arc<Vec<AtomicU64>>>>,
     sync: Mutex<NativeSync>,
@@ -101,21 +80,16 @@ pub struct NativeRt {
 
 impl Default for NativeRt {
     fn default() -> Self {
-        NativeRt::new(NativeCosts::default())
+        NativeRt::with_seed(0)
     }
 }
 
 impl NativeRt {
-    /// A backend with the given cost constants and scheduler seed 0.
-    pub fn new(costs: NativeCosts) -> Self {
-        NativeRt::with_runtime(costs, 0)
-    }
-
     /// A backend with an explicit scheduler tie-break seed. Like the DSM,
     /// it runs under the deterministic virtual-time scheduler.
-    pub fn with_runtime(costs: NativeCosts, sched_seed: u64) -> Self {
+    pub fn with_seed(sched_seed: u64) -> Self {
         NativeRt {
-            costs,
+            costs: CostParams::default(),
             sched_seed,
             arrays: RwLock::new(Vec::new()),
             sync: Mutex::new(NativeSync::default()),
@@ -149,7 +123,7 @@ impl NativeRt {
         }
         let l = &mut g.locks[lock as usize];
         l.held = true;
-        now.max(l.free_at) + SimTime::from_ns(self.costs.mutex_ns)
+        now.max(l.free_at) + SimTime::from_ns(MUTEX_NS)
     }
 
     /// Release `lock` at virtual time `now`.
@@ -158,7 +132,7 @@ impl NativeRt {
         let l = &mut g.locks[lock as usize];
         assert!(l.held, "release of an unheld lock");
         l.held = false;
-        let free_at = now + SimTime::from_ns(self.costs.mutex_ns);
+        let free_at = now + SimTime::from_ns(MUTEX_NS);
         l.free_at = free_at;
         let waiters = std::mem::take(&mut l.waiters);
         drop(g);
@@ -179,7 +153,7 @@ impl NativeRt {
         if b.arrived == b.parties {
             // Last arrival: release everyone and continue without yielding
             // (its own return time is the release time anyway).
-            let release_at = b.max_clock + SimTime::from_ns(self.costs.barrier_ns);
+            let release_at = b.max_clock + SimTime::from_ns(BARRIER_NS);
             b.release_at = release_at;
             b.epoch += 1;
             b.arrived = 0;
@@ -391,7 +365,7 @@ impl KernelCtx for NativeCtx<'_> {
     fn unlock(&mut self, m: SyncId) {
         let t0 = self.clock;
         self.rt.release(m, self.clock);
-        self.charge(self.rt.costs.mutex_ns as f64);
+        self.charge(MUTEX_NS as f64);
         self.sync += self.clock - t0;
     }
 
@@ -445,7 +419,7 @@ mod tests {
         assert_eq!(rt.fetch_f64(total, 1)[0], 8.0);
         // Virtual serialization: someone's grant waited behind 7 releases.
         let max_total = report.makespan.as_ns();
-        assert!(max_total >= 7 * rt.costs.mutex_ns, "makespan {max_total}");
+        assert!(max_total >= 7 * MUTEX_NS, "makespan {max_total}");
     }
 
     #[test]
@@ -471,7 +445,7 @@ mod tests {
         // Grants chain behind one another's releases in virtual time.
         let mut ends: Vec<u64> = report.threads.iter().map(|t| t.end_ns).collect();
         ends.sort_unstable();
-        assert!(ends.windows(2).all(|w| w[1] >= w[0] + rt.costs.mutex_ns), "{ends:?}");
+        assert!(ends.windows(2).all(|w| w[1] >= w[0] + MUTEX_NS), "{ends:?}");
     }
 
     #[test]

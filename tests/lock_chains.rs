@@ -24,7 +24,7 @@ mod chains;
 
 use chains::{generate_chain, run_chain, ChainProgram};
 use samhita_repro::core::{ConsistencyVariant, FaultConfig, Samhita, SamhitaConfig};
-use samhita_repro::rt::{NativeCosts, NativeRt, SamhitaRt};
+use samhita_repro::rt::{NativeRt, SamhitaRt};
 
 /// The explored schedules: seed `s` ties broken by `s`, delays seeded by `s`.
 fn schedules(base: &SamhitaConfig) -> impl Iterator<Item = SamhitaConfig> + '_ {
@@ -42,7 +42,7 @@ fn chains_match_native(base: &SamhitaConfig, what: &str, program: &ChainProgram)
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for cfg in schedules(base) {
         let at = format!("{what} (P={}) at sched_seed {}", program.threads, cfg.sched_seed);
-        let native = NativeRt::with_runtime(NativeCosts::matching(&cfg.costs), cfg.sched_seed);
+        let native = NativeRt::with_seed(cfg.sched_seed);
         assert_eq!(bits(&run_chain(&native, program)), bits(&want), "{at}: native moved");
         let rt = SamhitaRt::new(cfg);
         assert_eq!(bits(&run_chain(&rt, program)), bits(&want), "{at}: DSM vs native");
