@@ -42,16 +42,16 @@ impl MsgClass {
     }
 }
 
-/// Traffic counters of a fabric, by [`MsgClass`]: what it has sent, and
-/// the injected faults those sends met. The fabric keeps one behind a
-/// single lock; [`crate::Fabric::stats`] hands out a copy.
+/// Traffic counters of a fabric: what it has sent, by [`MsgClass`], and
+/// the injected faults those sends met, in total. The fabric keeps one
+/// behind a single lock; [`crate::Fabric::stats`] hands out a copy.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
     msgs: [u64; 4],
     bytes: [u64; 4],
-    drops: [u64; 4],
-    dups: [u64; 4],
-    delays: [u64; 4],
+    drops: u64,
+    dups: u64,
+    delays: u64,
 }
 
 impl FabricStats {
@@ -66,9 +66,9 @@ impl FabricStats {
         self.bytes[i] += bytes as u64;
         match fault {
             None => {}
-            Some("duplicate") => self.dups[i] += 1,
-            Some("delay") => self.delays[i] += 1,
-            Some(_) => self.drops[i] += 1,
+            Some("duplicate") => self.dups += 1,
+            Some("delay") => self.delays += 1,
+            Some(_) => self.drops += 1,
         }
     }
 
@@ -82,22 +82,6 @@ impl FabricStats {
         self.bytes[class.index()]
     }
 
-    /// Messages of `class` lost to injected faults (drops, partitions,
-    /// crashes).
-    pub fn drops(&self, class: MsgClass) -> u64 {
-        self.drops[class.index()]
-    }
-
-    /// Messages of `class` duplicated by injected faults.
-    pub fn dups(&self, class: MsgClass) -> u64 {
-        self.dups[class.index()]
-    }
-
-    /// Messages of `class` hit by an injected latency spike.
-    pub fn delays(&self, class: MsgClass) -> u64 {
-        self.delays[class.index()]
-    }
-
     /// Total messages across all classes.
     pub fn total_msgs(&self) -> u64 {
         self.msgs.iter().sum()
@@ -108,37 +92,38 @@ impl FabricStats {
         self.bytes.iter().sum()
     }
 
-    /// Total messages lost to injected faults, all classes.
+    /// Total messages lost to injected faults (drops, partitions,
+    /// crashes), all classes.
     pub fn total_drops(&self) -> u64 {
-        self.drops.iter().sum()
+        self.drops
     }
 
     /// Total messages duplicated by injected faults, all classes.
     pub fn total_dups(&self) -> u64 {
-        self.dups.iter().sum()
+        self.dups
     }
 
     /// Total messages hit by injected latency spikes, all classes.
     pub fn total_delays(&self) -> u64 {
-        self.delays.iter().sum()
+        self.delays
     }
 
     /// Total injected faults of any kind, all classes.
     pub fn total_faults(&self) -> u64 {
-        self.drops.iter().sum::<u64>()
-            + self.dups.iter().sum::<u64>()
-            + self.delays.iter().sum::<u64>()
+        self.drops + self.dups + self.delays
     }
 
     /// Counter-wise difference (`self - earlier`), for per-phase accounting.
     pub fn delta(&self, earlier: &FabricStats) -> FabricStats {
-        let mut out = FabricStats::default();
+        let mut out = FabricStats {
+            drops: self.drops.saturating_sub(earlier.drops),
+            dups: self.dups.saturating_sub(earlier.dups),
+            delays: self.delays.saturating_sub(earlier.delays),
+            ..FabricStats::default()
+        };
         for i in 0..4 {
             out.msgs[i] = self.msgs[i].saturating_sub(earlier.msgs[i]);
             out.bytes[i] = self.bytes[i].saturating_sub(earlier.bytes[i]);
-            out.drops[i] = self.drops[i].saturating_sub(earlier.drops[i]);
-            out.dups[i] = self.dups[i].saturating_sub(earlier.dups[i]);
-            out.delays[i] = self.delays[i].saturating_sub(earlier.delays[i]);
         }
         out
     }
@@ -183,11 +168,9 @@ mod tests {
         s.record(MsgClass::Sync, 0, Some("crash"));
         s.record(MsgClass::Update, 0, Some("duplicate"));
         s.record(MsgClass::Data, 0, Some("delay"));
-        assert_eq!(s.drops(MsgClass::Data), 2, "drops and partitions are both losses");
-        assert_eq!(s.drops(MsgClass::Sync), 1);
-        assert_eq!(s.dups(MsgClass::Update), 1);
-        assert_eq!(s.delays(MsgClass::Data), 1);
-        assert_eq!(s.total_drops(), 3);
+        assert_eq!(s.total_drops(), 3, "drops, partitions and crashes are all losses");
+        assert_eq!(s.total_dups(), 1);
+        assert_eq!(s.total_delays(), 1);
         assert_eq!(s.total_faults(), 5);
         let d = s.delta(&FabricStats::default());
         assert_eq!(d, s, "delta from zero is the identity");
