@@ -150,7 +150,7 @@ fn a_run_update_matches_the_per_element_reference() {
             }
         }
     }
-    assert_eq!(reports, 0x7bab_54ae_8579_6521, "the virtual reports moved");
+    assert_eq!(reports, 0xe839_d35d_a443_26fd, "the virtual reports moved");
 }
 
 #[test]
